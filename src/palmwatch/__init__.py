@@ -36,7 +36,6 @@ from .evaluate import (
 )
 from .indices import (
     ClassIndexStats,
-    IndexMap,
     gndvi,
     index_stats_by_class,
     ndvi,
@@ -55,6 +54,6 @@ from .pixel_model import (
     save_params,
     train,
 )
-from .raster_core import Band, Mask, Raster, load_raster, save_raster
+from .raster_core import Band, Mask, MaskedGrid, Raster, load_raster, save_raster
 from .synth_scene import SceneSpec, generate_scene, rasterize_labels
 from .tiling import TilePlan, TileWindow, extract_tile, stitch, tile_plan

@@ -172,4 +172,6 @@ def load_annotations(path) -> AnnotationSet:
             )
         except KeyError as exc:
             raise FormatError(f"annotations {path}: crowns[{i}] is missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"annotations {path}: crowns[{i}] is malformed: {exc}") from exc
     return AnnotationSet(tuple(crowns))

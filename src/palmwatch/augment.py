@@ -12,6 +12,7 @@ that lose half or more of their pixel area are dropped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -68,12 +69,12 @@ class AugmentSpec:
         for op in self.operations:
             if isinstance(op, CropOp) and op.size < 1:
                 raise ParameterError(f"crop size must be >= 1, got {op.size}")
-            if isinstance(op, GaussianNoiseOp) and op.sigma < 0:
-                raise ParameterError(f"noise sigma must be >= 0, got {op.sigma}")
-            if isinstance(op, GammaOp) and not (0 < op.lo <= op.hi):
-                raise ParameterError(f"gamma exponents must satisfy 0 < lo <= hi, got ({op.lo}, {op.hi})")
-            if isinstance(op, ScaleOp) and not (0 < op.lo <= op.hi):
-                raise ParameterError(f"scale factors must satisfy 0 < lo <= hi, got ({op.lo}, {op.hi})")
+            if isinstance(op, GaussianNoiseOp) and not 0 <= op.sigma < math.inf:
+                raise ParameterError(f"noise sigma must be finite and >= 0, got {op.sigma}")
+            if isinstance(op, GammaOp) and not (0 < op.lo <= op.hi < math.inf):
+                raise ParameterError(f"gamma exponents must satisfy 0 < lo <= hi < inf, got ({op.lo}, {op.hi})")
+            if isinstance(op, ScaleOp) and not (0 < op.lo <= op.hi < math.inf):
+                raise ParameterError(f"scale factors must satisfy 0 < lo <= hi < inf, got ({op.lo}, {op.hi})")
         object.__setattr__(self, "operations", tuple(self.operations))
 
 
@@ -107,9 +108,12 @@ def spec_from_json(text: str) -> AugmentSpec:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"augment spec is not valid JSON: {exc}") from exc
+    operations = payload.get("operations", []) if isinstance(payload, dict) else None
+    if not isinstance(operations, list):
+        raise FormatError("augment spec must be an object with an 'operations' list")
     ops = []
-    for i, entry in enumerate(payload.get("operations", [])):
-        tag = entry.get("op")
+    for i, entry in enumerate(operations):
+        tag = entry.get("op") if isinstance(entry, dict) else None
         try:
             if tag == "crop":
                 ops.append(CropOp(size=int(entry["size"])))
@@ -127,7 +131,13 @@ def spec_from_json(text: str) -> AugmentSpec:
                 raise FormatError(f"operations[{i}]: unknown op {tag!r}")
         except KeyError as exc:
             raise FormatError(f"operations[{i}] ({tag}): missing field {exc}") from exc
-    return AugmentSpec(operations=tuple(ops), seed=int(payload.get("seed", 0)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"operations[{i}] ({tag}): malformed field: {exc}") from exc
+    try:
+        seed = int(payload.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"augment spec seed is malformed: {exc}") from exc
+    return AugmentSpec(operations=tuple(ops), seed=seed)
 
 
 def load_spec(path) -> AugmentSpec:

@@ -19,7 +19,7 @@ import json
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,9 @@ from .crown_detect import (
     write_csv,
     write_geojson,
 )
-from .errors import ConfigurationError, DataError, PalmwatchError
+from .errors import ConfigurationError, DataError, PalmwatchError, ShapeError
 from .evaluate import (
+    AVERAGING_MODES,
     confusion_matrix,
     metrics,
     report_to_dict,
@@ -46,13 +47,14 @@ from .evaluate import (
 )
 from .indices import (
     DEFAULT_VEGETATION_THRESHOLD,
+    INDEX_REGISTRY,
     compute_index,
     index_stats_by_class,
     vegetation_mask,
 )
 from .pixel_model import (
+    DEFAULT_NEGATIVE_RATIO,
     ModelParams,
-    ProbabilityMap,
     TrainConfig,
     build_training_set,
     load_params,
@@ -60,9 +62,10 @@ from .pixel_model import (
     save_params,
     train,
 )
-from .raster_core import Band, Mask, Raster, load_raster, save_raster
+from .raster_core import Band, Mask, MaskedGrid, Raster, load_raster, save_raster
 from .synth_scene import SceneSpec, generate_scene, load_spec as load_scene_spec, spec_to_json
-from .tiling import extract_tile, stitch, tile_plan
+from .tiling import DEFAULT_PREDICT_OVERLAP, DEFAULT_TILE_SIZE, extract_tile, stitch, tile_plan
+
 
 @dataclass
 class PipelineConfig:
@@ -75,44 +78,62 @@ class PipelineConfig:
     veg_index: str = "ndvi"
     veg_threshold: float = DEFAULT_VEGETATION_THRESHOLD
     veg_gate: bool = False
-    tile_size: int = 1024
-    overlap: int = 128
+    tile_size: int = DEFAULT_TILE_SIZE
+    overlap: int = DEFAULT_PREDICT_OVERLAP
     jobs: int = 1
-    prob_threshold: float = 0.5
-    min_area: int = 20
-    max_area: int = 4000
-    split_min_distance: float = 8.0
-    smallish_diameter_px: float = 12.0
-    dead_ndvi_max: float = 0.15
+    prob_threshold: float = DetectorConfig.prob_threshold
+    min_area: int = DetectorConfig.min_area
+    max_area: int = DetectorConfig.max_area
+    split_min_distance: float = DetectorConfig.split_min_distance
+    smallish_diameter_px: float = DetectorConfig.smallish_diameter_px
+    dead_ndvi_max: float = DetectorConfig.dead_ndvi_max
     match_max_dist: float = 10.0
     averaging: str = "macro"
 
     def detector_config(self) -> DetectorConfig:
-        return DetectorConfig(
-            prob_threshold=self.prob_threshold,
-            min_area=self.min_area,
-            max_area=self.max_area,
-            split_min_distance=self.split_min_distance,
-            smallish_diameter_px=self.smallish_diameter_px,
-            dead_ndvi_max=self.dead_ndvi_max,
-        )
+        return config_from(DetectorConfig, self)
 
     def to_manifest(self) -> dict:
         return {"palmwatch_version": __version__, "config": asdict(self)}
 
     @classmethod
-    def from_manifest(cls, payload: dict) -> "PipelineConfig":
-        config = payload.get("config")
+    def from_manifest(cls, payload) -> "PipelineConfig":
+        config = payload.get("config") if isinstance(payload, dict) else None
         if not isinstance(config, dict):
-            raise ConfigurationError("manifest must carry a 'config' object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(config) - known
+            raise ConfigurationError("manifest must be an object carrying a 'config' object")
+        types = {f.name: _MANIFEST_TYPES[f.type] for f in fields(cls)}
+        unknown = set(config) - set(types)
         if unknown:
             raise ConfigurationError(f"manifest has unknown config fields: {sorted(unknown)}")
         missing = {"scene_path", "model_path", "out_dir"} - set(config)
         if missing:
             raise ConfigurationError(f"manifest config is missing fields: {sorted(missing)}")
+        for name, value in config.items():
+            # bool is an int subclass, so only a bool field accepts true/false
+            if not isinstance(value, types[name]) or (
+                isinstance(value, bool) and bool not in types[name]
+            ):
+                raise ConfigurationError(f"manifest config field {name!r} has bad value {value!r}")
         return cls(**config)
+
+
+# JSON types a manifest may give each PipelineConfig field, by annotation.
+_MANIFEST_TYPES = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+}
+
+
+def config_from(cls, source):
+    """Build dataclass ``cls`` from the same-named attributes of ``source``.
+
+    ``source`` is a parsed argparse namespace (each flag's ``dest`` is
+    its field name) or another config object.
+    """
+    return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -137,7 +158,7 @@ def predict_tiled(
     tile_size: int,
     overlap: int,
     jobs: int = 1,
-) -> ProbabilityMap:
+) -> MaskedGrid:
     """Tile the scene, predict per tile (optionally in parallel), stitch.
 
     Outputs are collected in plan order, so the result is independent of
@@ -162,6 +183,39 @@ def predict_tiled(
     return stitch(plan, outputs)
 
 
+def evaluate_detections(detections, truth: AnnotationSet, max_dist: float, averaging: str):
+    """Match detections to truth, then score the matched crowns' classes.
+
+    Returns the eval.json payload (detection counts, precision and
+    recall, and when anything matched the confusion matrix and
+    classification metrics), the confusion matrix and the metrics
+    report; the last two are None when nothing matched.
+    """
+    result = match_detections(detections, truth, max_dist)
+    n_matched = len(result.matches)
+    payload = {
+        "detection": {
+            "truth_crowns": len(truth),
+            "detections": len(detections),
+            "matched": n_matched,
+            "false_positives": len(result.false_positives),
+            "false_negatives": len(result.false_negatives),
+            "precision": n_matched / len(detections) if detections else 0.0,
+            "recall": n_matched / len(truth) if len(truth) else 0.0,
+            "max_centroid_dist": max_dist,
+        }
+    }
+    if not n_matched:
+        return payload, None, None
+    actual = [crown.class_label for _, crown in result.matches]
+    predicted = [det.class_label for det, _ in result.matches]
+    cm = confusion_matrix(actual, predicted, CLASS_LABELS)
+    report = metrics(cm, averaging=averaging)
+    payload["confusion"] = {"classes": list(cm.classes), "counts": cm.counts.tolist()}
+    payload["classification"] = report_to_dict(report)
+    return payload, cm, report
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the composed pipeline and return a result summary.
 
@@ -177,7 +231,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         truth_path = _require_file(config.truth_path, "truth annotations")
     if config.jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {config.jobs}")
-    if config.averaging not in ("macro", "micro", "weighted"):
+    if config.averaging not in AVERAGING_MODES:
         raise ConfigurationError(f"averaging must be macro, micro or weighted, got {config.averaging!r}")
     detector = config.detector_config()
 
@@ -220,34 +274,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     }
 
     if truth is not None:
-        result = match_detections(detections, truth, config.match_max_dist)
-        n_matched = len(result.matches)
-        detection_precision = n_matched / len(detections) if detections else 0.0
-        detection_recall = n_matched / len(truth) if len(truth) else 0.0
-        actual = [crown.class_label for _, crown in result.matches]
-        predicted = [det.class_label for det, _ in result.matches]
-        eval_payload = {
-            "detection": {
-                "truth_crowns": len(truth),
-                "detections": len(detections),
-                "matched": n_matched,
-                "false_positives": len(result.false_positives),
-                "false_negatives": len(result.false_negatives),
-                "precision": detection_precision,
-                "recall": detection_recall,
-                "max_centroid_dist": config.match_max_dist,
-            }
-        }
-        if n_matched:
-            cm = confusion_matrix(actual, predicted, CLASS_LABELS)
-            report = metrics(cm, averaging=config.averaging)
+        eval_payload, _, report = evaluate_detections(
+            detections, truth, config.match_max_dist, config.averaging
+        )
+        if report is not None:
             write_metrics_csv(report, out_dir / "metrics.csv")
             write_metrics_json(report, out_dir / "metrics.json")
-            eval_payload["confusion"] = {
-                "classes": list(cm.classes),
-                "counts": cm.counts.tolist(),
-            }
-            eval_payload["classification"] = report_to_dict(report)
             summary["outputs"]["metrics_csv"] = str(out_dir / "metrics.csv")
             summary["outputs"]["metrics_json"] = str(out_dir / "metrics.json")
         (out_dir / "eval.json").write_text(json.dumps(eval_payload, indent=2) + "\n")
@@ -364,14 +396,7 @@ def _cmd_train(args) -> int:
     X, y, names = build_training_set(
         pairs, negative_ratio=args.neg_ratio, seed=args.seed
     )
-    config = TrainConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        l2=args.l2,
-    )
-    params = train(X, y, names, config)
+    params = train(X, y, names, config_from(TrainConfig, args))
     save_params(params, args.out)
     print(
         f"trained on {len(y)} rows ({int(y.sum())} palm) from {len(pairs)} scenes; "
@@ -391,22 +416,21 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _detector_from_args(args) -> DetectorConfig:
-    return DetectorConfig(
-        prob_threshold=args.prob_threshold,
-        min_area=args.min_area,
-        max_area=args.max_area,
-        split_min_distance=args.split_min_distance,
-        smallish_diameter_px=args.smallish_diameter,
-        dead_ndvi_max=args.dead_ndvi_max,
-    )
-
-
 def _cmd_detect(args) -> int:
     prob_raster = load_raster(_require_file(args.prob, "probability map"))
     scene = load_raster(_require_file(args.scene, "scene"))
-    prob = ProbabilityMap.from_raster(prob_raster)
-    cfg = _detector_from_args(args)
+    if (prob_raster.width, prob_raster.height, prob_raster.origin) != (
+        scene.width,
+        scene.height,
+        scene.origin,
+    ):
+        raise ShapeError(
+            f"probability map ({prob_raster.width}x{prob_raster.height} at "
+            f"{prob_raster.origin}) does not cover the scene's grid "
+            f"({scene.width}x{scene.height} at {scene.origin})"
+        )
+    prob = MaskedGrid.from_raster(prob_raster)
+    cfg = config_from(DetectorConfig, args)
     detections = detect_crowns(prob, cfg)
     classify_detections(detections, scene, cfg)
     write_geojson(detections, args.out + ".geojson", origin=scene.origin)
@@ -422,22 +446,18 @@ def _cmd_detect(args) -> int:
 def _cmd_eval(args) -> int:
     detections = load_geojson(_require_file(args.detections, "detections"))
     truth = load_annotations(_require_file(args.truth, "truth annotations"))
-    result = match_detections(detections, truth, args.max_dist)
-    n_matched = len(result.matches)
-    precision = n_matched / len(detections) if detections else 0.0
-    recall = n_matched / len(truth) if len(truth) else 0.0
-    print(
-        f"detection: {n_matched} matched, {len(result.false_positives)} FP, "
-        f"{len(result.false_negatives)} FN "
-        f"(precision {precision:.4f}, recall {recall:.4f})"
+    payload, cm, report = evaluate_detections(
+        detections, truth, args.match_max_dist, args.averaging
     )
-    if n_matched == 0:
+    det = payload["detection"]
+    print(
+        f"detection: {det['matched']} matched, {det['false_positives']} FP, "
+        f"{det['false_negatives']} FN "
+        f"(precision {det['precision']:.4f}, recall {det['recall']:.4f})"
+    )
+    if report is None:
         print("no matches; classification metrics skipped")
         return 0
-    actual = [crown.class_label for _, crown in result.matches]
-    predicted = [det.class_label for det, _ in result.matches]
-    cm = confusion_matrix(actual, predicted, CLASS_LABELS)
-    report = metrics(cm, averaging=args.averaging)
     print(cm.format())
     p, r, f = report.headline()
     print(
@@ -453,7 +473,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     if args.config is not None:
-        if args.scene or args.model or args.out:
+        if args.scene_path or args.model_path or args.out_dir:
             raise ConfigurationError("--config replaces --scene/--model/--out; do not mix them")
         path = _require_file(args.config, "pipeline manifest")
         try:
@@ -462,28 +482,9 @@ def _cmd_pipeline(args) -> int:
             raise ConfigurationError(f"manifest {path} is not valid JSON: {exc}") from exc
         config = PipelineConfig.from_manifest(payload)
     else:
-        if not (args.scene and args.model and args.out):
+        if not (args.scene_path and args.model_path and args.out_dir):
             raise ConfigurationError("pipeline needs --scene, --model and --out (or --config)")
-        config = PipelineConfig(
-            scene_path=args.scene,
-            model_path=args.model,
-            out_dir=args.out,
-            truth_path=args.truth,
-            veg_index=args.veg_index,
-            veg_threshold=args.veg_threshold,
-            veg_gate=args.veg_gate,
-            tile_size=args.tile_size,
-            overlap=args.overlap,
-            jobs=args.jobs,
-            prob_threshold=args.prob_threshold,
-            min_area=args.min_area,
-            max_area=args.max_area,
-            split_min_distance=args.split_min_distance,
-            smallish_diameter_px=args.smallish_diameter,
-            dead_ndvi_max=args.dead_ndvi_max,
-            match_max_dist=args.max_dist,
-            averaging=args.averaging,
-        )
+        config = config_from(PipelineConfig, args)
     summary = run_pipeline(config)
     print(f"scene {summary['scene']} ({summary['scene_size'][0]}x{summary['scene_size'][1]})")
     print(f"vegetation fraction {summary['vegetation_fraction']:.3f}")
@@ -505,13 +506,25 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+def _add_tiling_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tile-size", type=int, default=DEFAULT_TILE_SIZE, help="tile edge in px (default %(default)s)")
+    parser.add_argument("--overlap", type=int, default=DEFAULT_PREDICT_OVERLAP, help="tile overlap for prediction (default %(default)s)")
+    parser.add_argument("--jobs", type=int, default=PipelineConfig.jobs, help="parallel tile workers (default %(default)s)")
+
+
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--prob-threshold", type=float, default=0.5, help="crown probability threshold (default 0.5)")
-    parser.add_argument("--min-area", type=int, default=20, help="minimum crown area in px (default 20)")
-    parser.add_argument("--max-area", type=int, default=4000, help="area above which components are split (default 4000)")
-    parser.add_argument("--split-min-distance", type=float, default=8.0, help="minimum distance between split seeds (default 8)")
-    parser.add_argument("--smallish-diameter", type=float, default=12.0, help="diameter cutoff for the smallish class (default 12)")
-    parser.add_argument("--dead-ndvi-max", type=float, default=0.15, help="mean NDVI at or below which a crown is dead (default 0.15)")
+    d = DetectorConfig
+    parser.add_argument("--prob-threshold", type=float, default=d.prob_threshold, help="crown probability threshold (default %(default)s)")
+    parser.add_argument("--min-area", type=int, default=d.min_area, help="minimum crown area in px (default %(default)s)")
+    parser.add_argument("--max-area", type=int, default=d.max_area, help="area above which components are split (default %(default)s)")
+    parser.add_argument("--split-min-distance", type=float, default=d.split_min_distance, help="minimum distance between split seeds (default %(default)s)")
+    parser.add_argument("--smallish-diameter", dest="smallish_diameter_px", type=float, default=d.smallish_diameter_px, help="diameter cutoff for the smallish class (default %(default)s)")
+    parser.add_argument("--dead-ndvi-max", type=float, default=d.dead_ndvi_max, help="mean NDVI at or below which a crown is dead (default %(default)s)")
+
+
+def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-dist", dest="match_max_dist", type=float, default=PipelineConfig.match_max_dist, help="truth match radius in px (default %(default)s)")
+    parser.add_argument("--averaging", default=PipelineConfig.averaging, choices=AVERAGING_MODES, help="headline averaging mode (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,17 +534,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"palmwatch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    indices = sorted(INDEX_REGISTRY)
 
     p = sub.add_parser("index", help="compute a vegetation index (and optional mask/stats)")
     p.add_argument("scene", help="scene .rhdr path")
     p.add_argument("out", help="output prefix for the index raster")
-    p.add_argument("--index", default="ndvi", choices=["ndvi", "gndvi"], help="index to compute")
+    p.add_argument("--index", default=PipelineConfig.veg_index, choices=indices, help="index to compute (default %(default)s)")
     p.add_argument("--veg-mask", default=None, help="also write a vegetation mask raster to this prefix")
     p.add_argument(
         "--veg-threshold",
         type=float,
         default=DEFAULT_VEGETATION_THRESHOLD,
-        help="strict lower bound for vegetation (default 0.2)",
+        help="strict lower bound for vegetation (default %(default)s)",
     )
     p.add_argument("--annotations", default=None, help="crown annotations for per-class stats")
     p.add_argument("--stats-out", default=None, help="write per-class stats CSV here instead of stdout")
@@ -540,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="split a scene into fixed-size tiles")
     p.add_argument("scene", help="scene .rhdr path")
     p.add_argument("out_dir", help="directory for tile_{row}_{col} containers")
-    p.add_argument("--tile-size", type=int, default=1024, help="tile edge in px (default 1024)")
-    p.add_argument("--overlap", type=int, default=0, help="overlap between tiles in px (default 0)")
+    p.add_argument("--tile-size", type=int, default=DEFAULT_TILE_SIZE, help="tile edge in px (default %(default)s)")
+    p.add_argument("--overlap", type=int, default=0, help="overlap between tiles in px (default %(default)s)")
     p.set_defaults(func=_cmd_tile)
 
     p = sub.add_parser("augment", help="apply a seeded augmentation spec to a tile directory")
@@ -555,22 +569,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir", help="output directory")
     p.add_argument("--spec", default=None, help="scene spec JSON (defaults are used otherwise)")
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    p.add_argument("--name", default="scene", help="output file stem (default 'scene')")
+    p.add_argument("--name", default="scene", help="output file stem (default %(default)r)")
     p.set_defaults(func=_cmd_synth)
 
+    t = TrainConfig
     p = sub.add_parser("train", help="train the pixel model on annotated scenes")
     p.add_argument("scenes", nargs="+", help=".rhdr scenes; annotations expected at <stem>.json")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--learning-rate", type=float, default=0.1, help="descent step (default 0.1)")
-    p.add_argument("--epochs", type=int, default=300, help="training epochs (default 300)")
-    p.add_argument("--batch-size", type=int, default=4096, help="mini-batch size (default 4096)")
-    p.add_argument("--l2", type=float, default=1e-4, help="L2 penalty (default 1e-4)")
-    p.add_argument("--seed", type=int, default=0, help="shuffle/subsample seed (default 0)")
+    p.add_argument("--learning-rate", type=float, default=t.learning_rate, help="descent step (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=t.epochs, help="training epochs (default %(default)s)")
+    p.add_argument("--batch-size", type=int, default=t.batch_size, help="mini-batch size (default %(default)s)")
+    p.add_argument("--l2", type=float, default=t.l2, help="L2 penalty (default %(default)s)")
+    p.add_argument("--seed", type=int, default=t.seed, help="shuffle/subsample seed (default %(default)s)")
     p.add_argument(
         "--neg-ratio",
         type=float,
-        default=5.0,
-        help="background rows sampled per palm row (default 5)",
+        default=DEFAULT_NEGATIVE_RATIO,
+        help="background rows sampled per palm row (default %(default)s)",
     )
     p.set_defaults(func=_cmd_train)
 
@@ -578,9 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene .rhdr path")
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--out", required=True, help="output prefix for the probability raster")
-    p.add_argument("--tile-size", type=int, default=1024, help="tile edge in px (default 1024)")
-    p.add_argument("--overlap", type=int, default=128, help="tile overlap in px (default 128)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel tile workers (default 1)")
+    _add_tiling_flags(p)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("detect", help="detect and classify crowns in a probability map")
@@ -593,45 +606,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections against truth annotations")
     p.add_argument("detections", help="detections GeoJSON path")
     p.add_argument("truth", help="truth annotations JSON path")
-    p.add_argument("--max-dist", type=float, default=10.0, help="match radius in px (default 10)")
-    p.add_argument(
-        "--averaging",
-        default="macro",
-        choices=["macro", "micro", "weighted"],
-        help="headline averaging mode (default macro)",
-    )
+    _add_eval_flags(p)
     p.add_argument("--out", default=None, help="output prefix for metrics files")
     p.set_defaults(func=_cmd_eval)
 
+    c = PipelineConfig
     p = sub.add_parser("pipeline", help="run mask -> predict -> detect -> (eval) end to end")
-    p.add_argument("--scene", default=None, help="scene .rhdr path")
-    p.add_argument("--model", default=None, help="model JSON path")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--truth", default=None, help="truth annotations JSON (enables metrics)")
+    p.add_argument("--scene", dest="scene_path", default=None, help="scene .rhdr path")
+    p.add_argument("--model", dest="model_path", default=None, help="model JSON path")
+    p.add_argument("--out", dest="out_dir", default=None, help="output directory")
+    p.add_argument("--truth", dest="truth_path", default=c.truth_path, help="truth annotations JSON (enables metrics)")
     p.add_argument("--config", default=None, help="rerun from a manifest.json (replaces other path flags)")
-    p.add_argument("--veg-index", default="ndvi", choices=["ndvi", "gndvi"], help="index for the vegetation mask")
+    p.add_argument("--veg-index", default=c.veg_index, choices=indices, help="index for the vegetation mask (default %(default)s)")
     p.add_argument(
         "--veg-threshold",
         type=float,
-        default=DEFAULT_VEGETATION_THRESHOLD,
-        help="strict lower bound for vegetation (default 0.2)",
+        default=c.veg_threshold,
+        help="strict lower bound for vegetation (default %(default)s)",
     )
     p.add_argument(
         "--veg-gate",
         action="store_true",
+        default=c.veg_gate,
         help="restrict prediction to vegetation pixels (off by default: the mask is advisory)",
     )
-    p.add_argument("--tile-size", type=int, default=1024, help="tile edge in px (default 1024)")
-    p.add_argument("--overlap", type=int, default=128, help="tile overlap for prediction (default 128)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel tile workers (default 1)")
+    _add_tiling_flags(p)
     _add_detector_flags(p)
-    p.add_argument("--max-dist", type=float, default=10.0, help="truth match radius in px (default 10)")
-    p.add_argument(
-        "--averaging",
-        default="macro",
-        choices=["macro", "micro", "weighted"],
-        help="headline averaging mode (default macro)",
-    )
+    _add_eval_flags(p)
     p.set_defaults(func=_cmd_pipeline)
     return parser
 

@@ -24,8 +24,8 @@ from scipy import ndimage
 
 from .annotations import AnnotationSet, CrownAnnotation
 from .errors import FormatError, ParameterError, UnclassifiableError
-from .pixel_model import ProbabilityMap
-from .raster_core import Raster
+from .indices import normalized_difference
+from .raster_core import MaskedGrid, Raster
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
@@ -69,7 +69,7 @@ class CrownDetection:
     mean_gndvi: float | None = None
 
 
-def _make_detection(ys: np.ndarray, xs: np.ndarray, prob: ProbabilityMap) -> CrownDetection:
+def _make_detection(ys: np.ndarray, xs: np.ndarray, prob: MaskedGrid) -> CrownDetection:
     area = len(xs)
     return CrownDetection(
         id=0,
@@ -82,7 +82,7 @@ def _make_detection(ys: np.ndarray, xs: np.ndarray, prob: ProbabilityMap) -> Cro
     )
 
 
-def detect_crowns(prob: ProbabilityMap, cfg: DetectorConfig) -> list[CrownDetection]:
+def detect_crowns(prob: MaskedGrid, cfg: DetectorConfig) -> list[CrownDetection]:
     """Threshold, label 8-connected components, and filter by area.
 
     Components larger than max_area go through split_touching; split
@@ -116,7 +116,7 @@ def detect_crowns(prob: ProbabilityMap, cfg: DetectorConfig) -> list[CrownDetect
 
 
 def _plateau_seeds(
-    ys: np.ndarray, xs: np.ndarray, prob: ProbabilityMap
+    ys: np.ndarray, xs: np.ndarray, prob: MaskedGrid
 ) -> list[tuple[float, int, int]]:
     """Local maxima of the map within a component, one seed per plateau.
 
@@ -145,7 +145,7 @@ def _plateau_seeds(
 
 
 def split_touching(
-    pixels: tuple[np.ndarray, np.ndarray], prob: ProbabilityMap, cfg: DetectorConfig
+    pixels: tuple[np.ndarray, np.ndarray], prob: MaskedGrid, cfg: DetectorConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Partition an oversized component at its probability peaks.
 
@@ -191,19 +191,18 @@ def classify_crown(
     if valid_bits is None:
         valid_bits = raster.valid_mask().bits
     ys, xs = det.pixels
-    nir = raster.band("nir").samples[ys, xs].astype(np.float64)
-    red = raster.band("red").samples[ys, xs].astype(np.float64)
-    green = raster.band("green").samples[ys, xs].astype(np.float64)
+    nir, red, green = (
+        raster.band(name).samples[ys, xs].astype(np.float64) for name in ("nir", "red", "green")
+    )
     ok = valid_bits[ys, xs]
-
-    ndvi_ok = ok & (nir + red != 0)
-    gndvi_ok = ok & (nir + green != 0)
+    ndvi_values, ndvi_ok = normalized_difference(nir, red, ok)
+    gndvi_values, gndvi_ok = normalized_difference(nir, green, ok)
     if not ndvi_ok.any() or not gndvi_ok.any():
         raise UnclassifiableError(
             f"detection {det.id} at {det.centroid} has no valid pixels to classify"
         )
-    det.mean_ndvi = float(((nir - red) / (nir + red))[ndvi_ok].mean())
-    det.mean_gndvi = float(((nir - green) / (nir + green))[gndvi_ok].mean())
+    det.mean_ndvi = float(ndvi_values[ndvi_ok].mean())
+    det.mean_gndvi = float(gndvi_values[gndvi_ok].mean())
 
     if det.mean_ndvi <= cfg.dead_ndvi_max:
         det.class_label = "dead"
@@ -318,14 +317,20 @@ def load_geojson(path) -> list[CrownDetection]:
         raise FormatError(f"cannot read detections {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"detections {path} are not valid JSON: {exc}") from exc
-    if payload.get("type") != "FeatureCollection":
+    if not isinstance(payload, dict) or payload.get("type") != "FeatureCollection":
         raise FormatError(f"detections {path} must be a FeatureCollection")
+    features = payload.get("features", [])
+    if not isinstance(features, list):
+        raise FormatError(f"detections {path}: 'features' must be a list")
     detections = []
-    for i, feature in enumerate(payload.get("features", [])):
+    for i, feature in enumerate(features):
         try:
             props = feature["properties"]
             x, y = feature["geometry"]["coordinates"]
             bbox = props["bbox"]
+            label = props.get("class")
+            if label is not None and not isinstance(label, str):
+                raise TypeError(f"'class' must be a string or null, got {label!r}")
             detections.append(
                 CrownDetection(
                     id=int(props["id"]),
@@ -334,12 +339,12 @@ def load_geojson(path) -> list[CrownDetection]:
                     pixel_count=int(props["pixel_count"]),
                     diameter_px=float(props["diameter_px"]),
                     score=float(props["score"]),
-                    class_label=props.get("class"),
+                    class_label=label,
                     mean_ndvi=props.get("mean_ndvi"),
                     mean_gndvi=props.get("mean_gndvi"),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"detections {path}: features[{i}] is malformed: {exc}") from exc
     return detections
 

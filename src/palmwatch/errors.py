@@ -65,8 +65,8 @@ class CapacityError(DataError):
     """Requested synthetic content does not fit the scene constraints."""
 
 
-class CompatibilityError(DataError):
-    """A model manifest cannot be satisfied by the given raster."""
+class CompatibilityError(BandLookupError):
+    """A raster cannot supply the bands or features a caller asks for."""
 
 
 class DivergenceError(PalmwatchError):

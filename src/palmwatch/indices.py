@@ -5,10 +5,11 @@ Built-in indices are the two normalized differences
     ndvi  = (nir - red)   / (nir + red)
     gndvi = (nir - green) / (nir + green)
 
-computed per pixel in float32. A pixel is invalid exactly where the
-input mask is false or the denominator is zero; zero denominators are
-never reported as 0.0 because that would masquerade as a meaningful
-"equal reflectance" reading.
+computed per pixel in the samples' dtype (float32 for raster bands). A
+pixel is invalid exactly where the input mask is false or the
+denominator is zero; zero denominators are never reported as 0.0
+because that would masquerade as a meaningful "equal reflectance"
+reading.
 """
 
 from __future__ import annotations
@@ -19,82 +20,37 @@ import numpy as np
 
 from .annotations import CLASS_LABELS, AnnotationSet
 from .errors import BandLookupError, ParameterError, ShapeError
-from .raster_core import Band, Mask, Raster
+from .raster_core import Band, Mask, MaskedGrid, Raster
 
 DEFAULT_VEGETATION_THRESHOLD = 0.2
 
 
-@dataclass(frozen=True)
-class IndexMap:
-    """Single-band index grid with an explicit validity mask."""
+def normalized_difference(
+    a: np.ndarray, b: np.ndarray, ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a - b) / (a + b) in the inputs' dtype, and where that ratio is valid.
 
-    index_name: str
-    values: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float32, order="C", copy=True)
-        valid = np.array(self.valid, dtype=bool, order="C", copy=True)
-        if values.ndim != 2 or values.shape != valid.shape:
-            raise ShapeError(
-                f"index map {self.index_name!r}: values {values.shape} and "
-                f"valid {valid.shape} must be matching 2-D grids"
-            )
-        values.setflags(write=False)
-        valid.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "valid", valid)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    def to_raster(self, origin: tuple[int, int] = (0, 0)) -> Raster:
-        """Single-band raster named after the index; invalid pixels become NaN nodata."""
-        values = np.where(self.valid, self.values, np.float32(np.nan))
-        return Raster(
-            bands=(Band(name=self.index_name, samples=values),),
-            nodata_value=float("nan"),
-            origin=origin,
-        )
-
-    @classmethod
-    def from_raster(cls, raster: Raster) -> "IndexMap":
-        band = raster.bands[0]
-        return cls(
-            index_name=band.name,
-            values=band.samples,
-            valid=raster.valid_mask().bits,
-        )
-
-
-def normalized_difference(name: str, a: Band, b: Band, mask: Mask) -> IndexMap:
-    """(a - b) / (a + b) per pixel, invalid where masked or a + b == 0."""
-    if a.samples.shape != b.samples.shape or a.samples.shape != mask.bits.shape:
-        raise ShapeError(
-            f"{name}: band/mask shapes disagree: {a.samples.shape} vs "
-            f"{b.samples.shape} vs mask {mask.bits.shape}"
-        )
-    num = a.samples - b.samples
-    den = a.samples + b.samples
-    valid = mask.bits & (den != 0)
-    values = np.full(num.shape, np.nan, dtype=np.float32)
+    A ratio is invalid where ``ok`` is false or a + b == 0; invalid
+    entries hold NaN.
+    """
+    if a.shape != b.shape or a.shape != ok.shape:
+        raise ShapeError(f"band/mask shapes disagree: {a.shape} vs {b.shape} vs mask {ok.shape}")
+    num = a - b
+    den = a + b
+    valid = ok & (den != 0)
+    values = np.full(num.shape, np.nan, dtype=num.dtype)
     np.divide(num, den, out=values, where=valid)
-    return IndexMap(index_name=name, values=values, valid=valid)
+    return values, valid
 
 
-def ndvi(nir: Band, red: Band, mask: Mask) -> IndexMap:
+def ndvi(nir: Band, red: Band, mask: Mask) -> MaskedGrid:
     """Normalized difference of NIR against red reflectance."""
-    return normalized_difference("ndvi", nir, red, mask)
+    return MaskedGrid(*normalized_difference(nir.samples, red.samples, mask.bits), name="ndvi")
 
 
-def gndvi(nir: Band, green: Band, mask: Mask) -> IndexMap:
+def gndvi(nir: Band, green: Band, mask: Mask) -> MaskedGrid:
     """Normalized difference of NIR against green reflectance."""
-    return normalized_difference("gndvi", nir, green, mask)
+    return MaskedGrid(*normalized_difference(nir.samples, green.samples, mask.bits), name="gndvi")
 
 
 # name -> (required bands, builder). Extensible: register new entries to make
@@ -105,7 +61,7 @@ INDEX_REGISTRY = {
 }
 
 
-def compute_index(raster: Raster, mask: Mask, name: str) -> IndexMap:
+def compute_index(raster: Raster, mask: Mask, name: str) -> MaskedGrid:
     """Compute a registered index over a raster."""
     try:
         _, builder = INDEX_REGISTRY[name]
@@ -116,7 +72,7 @@ def compute_index(raster: Raster, mask: Mask, name: str) -> IndexMap:
     return builder(raster, mask)
 
 
-def vegetation_mask(index: IndexMap, threshold: float) -> Mask:
+def vegetation_mask(index: MaskedGrid, threshold: float) -> Mask:
     """Pixels strictly above ``threshold`` with a valid index value.
 
     The boundary is exclusive: a value exactly equal to the threshold is
@@ -147,7 +103,7 @@ class ClassIndexStats:
     q3: float | None = None
 
 
-def index_stats_by_class(index: IndexMap, annotations: AnnotationSet) -> list[ClassIndexStats]:
+def index_stats_by_class(index: MaskedGrid, annotations: AnnotationSet) -> list[ClassIndexStats]:
     """Summarize index values over the union of each class's crown pixels.
 
     One record per class present in ``annotations``, in canonical class
@@ -166,13 +122,13 @@ def index_stats_by_class(index: IndexMap, annotations: AnnotationSet) -> list[Cl
             member[ys, xs] = True
         vals = index.values[member & index.valid].astype(np.float64)
         if vals.size == 0:
-            out.append(ClassIndexStats(label, index.index_name, count=0))
+            out.append(ClassIndexStats(label, index.name, count=0))
             continue
         q1, median, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
         out.append(
             ClassIndexStats(
                 class_label=label,
-                index_name=index.index_name,
+                index_name=index.name,
                 count=int(vals.size),
                 mean=float(vals.mean()),
                 std_dev=float(vals.std(ddof=0)),

@@ -22,7 +22,6 @@ from scipy.special import expit
 
 from .annotations import AnnotationSet
 from .errors import (
-    BandLookupError,
     CompatibilityError,
     DegenerateDataError,
     DivergenceError,
@@ -31,51 +30,14 @@ from .errors import (
     ShapeError,
 )
 from .indices import INDEX_REGISTRY, compute_index
-from .raster_core import Band, Mask, Raster
+from .raster_core import Mask, MaskedGrid, Raster
 
 DEFAULT_INDEX_FEATURES = ("ndvi", "gndvi")
+DEFAULT_NEGATIVE_RATIO = 5.0
 
 
-@dataclass(frozen=True)
-class ProbabilityMap:
-    """Per-pixel palm likelihood in [0, 1] with an explicit validity mask."""
-
-    values: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float32, order="C", copy=True)
-        valid = np.array(self.valid, dtype=bool, order="C", copy=True)
-        if values.ndim != 2 or values.shape != valid.shape:
-            raise ShapeError(
-                f"probability map: values {values.shape} and valid "
-                f"{valid.shape} must be matching 2-D grids"
-            )
-        values.setflags(write=False)
-        valid.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "valid", valid)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    def to_raster(self, origin: tuple[int, int] = (0, 0)) -> Raster:
-        values = np.where(self.valid, self.values, np.float32(np.nan))
-        return Raster(
-            bands=(Band(name="palm_probability", samples=values),),
-            nodata_value=float("nan"),
-            origin=origin,
-        )
-
-    @classmethod
-    def from_raster(cls, raster: Raster) -> "ProbabilityMap":
-        band = raster.bands[0]
-        return cls(values=band.samples, valid=raster.valid_mask().bits)
+# The model's output: a masked grid named "palm_probability".
+ProbabilityMap = MaskedGrid
 
 
 @dataclass(frozen=True)
@@ -103,6 +65,43 @@ def default_feature_names(raster: Raster) -> tuple[str, ...]:
     return tuple(raster.band_names) + DEFAULT_INDEX_FEATURES
 
 
+def feature_planes(
+    raster: Raster, mask: Mask, names: tuple[str, ...]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """One float32 plane per feature name, and where every feature is valid.
+
+    A band feature is that band's samples; an index feature is computed
+    over ``mask`` and is valid only where the index is defined. Raises
+    CompatibilityError naming every band or feature the raster cannot
+    supply.
+    """
+    if mask.bits.shape != (raster.height, raster.width):
+        raise ShapeError(
+            f"mask {mask.bits.shape} does not match raster "
+            f"{(raster.height, raster.width)}"
+        )
+    missing = set()
+    for name in names:
+        if not raster.has_band(name):
+            required = INDEX_REGISTRY[name][0] if name in INDEX_REGISTRY else (name,)
+            missing.update(b for b in required if not raster.has_band(b))
+    if missing:
+        raise CompatibilityError(
+            f"raster with bands {list(raster.band_names)} cannot supply "
+            f"features {sorted(missing)}; registered indices: {sorted(INDEX_REGISTRY)}"
+        )
+    valid = mask.bits.copy()
+    planes = []
+    for name in names:
+        if raster.has_band(name):
+            planes.append(raster.band(name).samples)
+        else:
+            index = compute_index(raster, mask, name)
+            planes.append(index.values)
+            valid &= index.valid
+    return planes, valid
+
+
 def featurize(
     raster: Raster, mask: Mask, feature_names: tuple[str, ...] | None = None
 ) -> FeatureGrid:
@@ -110,28 +109,10 @@ def featurize(
 
     A pixel is valid when the input mask is true and every index feature
     is defined there; invalid pixels carry zeros and yield no training
-    rows. Unknown feature names raise BandLookupError.
+    rows.
     """
-    if mask.bits.shape != (raster.height, raster.width):
-        raise ShapeError(
-            f"mask {mask.bits.shape} does not match raster "
-            f"{(raster.height, raster.width)}"
-        )
     names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
-    valid = mask.bits.copy()
-    planes = []
-    for name in names:
-        if raster.has_band(name):
-            planes.append(raster.band(name).samples)
-        elif name in INDEX_REGISTRY:
-            index = compute_index(raster, mask, name)
-            planes.append(index.values)
-            valid &= index.valid
-        else:
-            raise BandLookupError(
-                f"feature {name!r} is neither a band of {list(raster.band_names)} "
-                f"nor a registered index {sorted(INDEX_REGISTRY)}"
-            )
+    planes, valid = feature_planes(raster, mask, names)
     values = np.stack(planes, axis=-1).astype(np.float32)
     values[~valid] = 0.0
     return FeatureGrid(names=names, values=values, valid=valid)
@@ -183,8 +164,10 @@ class ModelParams:
                 f"(weights {self.weights.shape}, mean {self.norm_mean.shape}, "
                 f"std {self.norm_std.shape})"
             )
-        if not (self.norm_std > 0).all():
-            raise ParameterError("norm std entries must be > 0")
+        if not ((self.norm_std > 0) & (self.norm_std < np.inf)).all():
+            raise ParameterError("norm std entries must be finite and > 0")
+        if not all(np.isfinite(v).all() for v in (self.weights, self.bias, self.norm_mean)):
+            raise ParameterError("model weights, bias and norm mean must be finite")
 
 
 def loss(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, l2: float) -> float:
@@ -282,38 +265,24 @@ def train(
     )
 
 
-def predict_map(raster: Raster, mask: Mask, params: ModelParams) -> ProbabilityMap:
+def predict_map(raster: Raster, mask: Mask, params: ModelParams) -> MaskedGrid:
     """sigmoid(w . x_standardized + b) per valid pixel.
 
     Invalid pixels stay invalid. Raises CompatibilityError listing the
     manifest features the raster cannot supply.
     """
-    missing = set()
-    for name in params.features:
-        if raster.has_band(name):
-            continue
-        if name in INDEX_REGISTRY:
-            required, _ = INDEX_REGISTRY[name]
-            missing.update(b for b in required if not raster.has_band(b))
-        else:
-            missing.add(name)
-    if missing:
-        raise CompatibilityError(
-            f"raster with bands {list(raster.band_names)} cannot supply "
-            f"features {sorted(missing)}"
-        )
     grid = featurize(raster, mask, params.features)
     standardized = (grid.values.astype(np.float64) - params.norm_mean) / params.norm_std
     z = standardized @ params.weights + params.bias
     values = expit(z).astype(np.float32)
     values[~grid.valid] = np.nan
-    return ProbabilityMap(values=values, valid=grid.valid)
+    return MaskedGrid(values=values, valid=grid.valid)
 
 
 def build_training_set(
     scenes: list[tuple[Raster, AnnotationSet]],
     feature_names: tuple[str, ...] | None = None,
-    negative_ratio: float = 5.0,
+    negative_ratio: float = DEFAULT_NEGATIVE_RATIO,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Assemble (X, y) pixel rows from annotated scenes.
@@ -331,7 +300,6 @@ def build_training_set(
     names = None
     xs, ys = [], []
     for raster, ann in scenes:
-        mask = raster.valid_mask()
         scene_names = (
             tuple(feature_names) if feature_names is not None else default_feature_names(raster)
         )
@@ -343,20 +311,7 @@ def build_training_set(
         # full-grid feature planes are cheap; materializing per-pixel rows
         # for the whole scene is not, so rows are gathered only at the
         # sampled pixels below
-        valid = mask.bits.copy()
-        planes = []
-        for name in names:
-            if raster.has_band(name):
-                planes.append(raster.band(name).samples)
-            elif name in INDEX_REGISTRY:
-                index = compute_index(raster, mask, name)
-                planes.append(index.values)
-                valid &= index.valid
-            else:
-                raise BandLookupError(
-                    f"feature {name!r} is neither a band of {list(raster.band_names)} "
-                    f"nor a registered index {sorted(INDEX_REGISTRY)}"
-                )
+        planes, valid = feature_planes(raster, raster.valid_mask(), names)
 
         palm = rasterize_labels(ann, raster.width, raster.height)
         pos_idx = np.flatnonzero((palm & valid).ravel())
@@ -395,12 +350,17 @@ def load_params(path) -> ModelParams:
     except json.JSONDecodeError as exc:
         raise FormatError(f"model params {path} are not valid JSON: {exc}") from exc
     try:
+        features = payload["features"]
+        if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
+            raise TypeError(f"'features' must be a list of names, got {features!r}")
         return ModelParams(
-            features=tuple(payload["features"]),
+            features=tuple(features),
             weights=np.array(payload["weights"], dtype=np.float64),
             bias=float(payload["bias"]),
             norm_mean=np.array(payload["norm"]["mean"], dtype=np.float64),
             norm_std=np.array(payload["norm"]["std"], dtype=np.float64),
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"model params {path} are missing fields: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"model params {path} have missing or malformed fields: {exc}") from exc
+    except (ParameterError, ShapeError) as exc:
+        raise FormatError(f"model params {path} are invalid: {exc}") from exc

@@ -84,6 +84,54 @@ class Mask:
 
 
 @dataclass(frozen=True)
+class MaskedGrid:
+    """One float32 value per pixel with an explicit validity mask.
+
+    Vegetation indices and the palm-probability map are both masked
+    grids; ``name`` is the band name the grid carries as a raster.
+    """
+
+    values: np.ndarray
+    valid: np.ndarray
+    name: str = "palm_probability"
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=np.float32, order="C", copy=True)
+        valid = np.array(self.valid, dtype=bool, order="C", copy=True)
+        if values.ndim != 2 or values.shape != valid.shape:
+            raise ShapeError(
+                f"grid {self.name!r}: values {values.shape} and "
+                f"valid {valid.shape} must be matching 2-D grids"
+            )
+        values.setflags(write=False)
+        valid.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "valid", valid)
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    def to_raster(self, origin: tuple[int, int] = (0, 0)) -> Raster:
+        """Single-band raster named ``name``; invalid pixels become NaN nodata."""
+        values = np.where(self.valid, self.values, np.float32(np.nan))
+        return Raster(
+            bands=(Band(name=self.name, samples=values),),
+            nodata_value=float("nan"),
+            origin=origin,
+        )
+
+    @classmethod
+    def from_raster(cls, raster: Raster) -> "MaskedGrid":
+        band = raster.bands[0]
+        return cls(values=band.samples, valid=raster.valid_mask().bits, name=band.name)
+
+
+@dataclass(frozen=True)
 class Raster:
     """An ordered stack of equally-sized bands plus nodata/origin metadata.
 

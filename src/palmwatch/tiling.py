@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, CompletenessError, ParameterError, ShapeError
-from .pixel_model import ProbabilityMap
-from .raster_core import Band, Raster
+from .raster_core import Band, MaskedGrid, Raster
 
 DEFAULT_TILE_SIZE = 1024
 DEFAULT_PREDICT_OVERLAP = 128
@@ -142,7 +141,7 @@ def extract_tile(raster: Raster, window: TileWindow) -> Raster:
     )
 
 
-def stitch(plan: TilePlan, outputs: list[tuple[TileWindow, ProbabilityMap]]) -> ProbabilityMap:
+def stitch(plan: TilePlan, outputs: list[tuple[TileWindow, MaskedGrid]]) -> MaskedGrid:
     """Reassemble per-tile maps into one scene-sized map.
 
     Padding is discarded; where unpadded windows overlap, the result is
@@ -185,4 +184,4 @@ def stitch(plan: TilePlan, outputs: list[tuple[TileWindow, ProbabilityMap]]) -> 
     valid = count > 0
     values = np.full(total.shape, np.nan, dtype=np.float32)
     values[valid] = (total[valid] / count[valid]).astype(np.float32)
-    return ProbabilityMap(values=values, valid=valid)
+    return MaskedGrid(values=values, valid=valid)

@@ -1,13 +1,22 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from palmwatch.annotations import load_annotations
 from palmwatch.augment import AugmentSpec, FlipHOp, GaussianNoiseOp, spec_to_json
-from palmwatch.cli import main
-from palmwatch.raster_core import load_raster
+from palmwatch.cli import PipelineConfig, build_parser, config_from, main
+from palmwatch.crown_detect import DetectorConfig
+from palmwatch.pixel_model import TrainConfig
+from palmwatch.raster_core import MaskedGrid, load_raster, save_raster
 from palmwatch.synth_scene import SceneSpec, spec_to_json as scene_spec_to_json
+
+from conftest import random_raster
 
 
 def small_scene_spec(seed):
@@ -286,3 +295,184 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["--version"])
         assert err.value.code == 0
+
+
+class TestFlagDefaults:
+    def parse(self, *argv):
+        return build_parser().parse_args(list(argv))
+
+    def test_pipeline_defaults_are_the_config_defaults(self):
+        args = self.parse("pipeline", "--scene", "s", "--model", "m", "--out", "o")
+        assert config_from(PipelineConfig, args) == PipelineConfig("s", "m", "o")
+
+    def test_detect_defaults_are_the_detector_defaults(self):
+        args = self.parse("detect", "p.rhdr", "s.rhdr", "--out", "o")
+        assert config_from(DetectorConfig, args) == DetectorConfig()
+
+    def test_train_defaults_are_the_train_defaults(self):
+        args = self.parse("train", "s.rhdr", "--out", "m.json")
+        assert config_from(TrainConfig, args) == TrainConfig()
+
+    def test_flags_reach_their_fields(self):
+        args = self.parse(
+            "pipeline", "--scene", "s", "--model", "m", "--out", "o", "--truth", "t",
+            "--smallish-diameter", "9", "--max-dist", "4", "--veg-index", "gndvi", "--veg-gate",
+        )
+        assert config_from(PipelineConfig, args) == PipelineConfig(
+            "s", "m", "o", truth_path="t", smallish_diameter_px=9.0,
+            match_max_dist=4.0, veg_index="gndvi", veg_gate=True,
+        )
+
+
+class TestBadGridsAndModels:
+    @pytest.mark.parametrize(
+        "shape, origin", [((240, 220), (0, 0)), ((220, 220), (4, 0))], ids=["larger", "shifted"]
+    )
+    def test_detect_grid_must_match_scene(self, workspace, tmp_path, capsys, shape, origin):
+        grid = MaskedGrid(np.full(shape, 0.9, np.float32), np.ones(shape, bool))
+        save_raster(grid.to_raster(origin=origin), tmp_path / "prob")
+        code = main(
+            ["detect", str(tmp_path / "prob.rhdr"), str(workspace["scenes"][0]), "--out", str(tmp_path / "d")]
+        )
+        assert code == 3
+        assert "does not cover the scene" in capsys.readouterr().err
+        assert not (tmp_path / "d.geojson").exists()
+
+    def test_non_finite_model_weight_is_data_error(self, workspace, tmp_path, capsys):
+        payload = json.loads(workspace["model"].read_text())
+        payload["weights"][0] = math.nan
+        model = tmp_path / "nan_model.json"
+        model.write_text(json.dumps(payload))
+        code = main(
+            ["pipeline", "--scene", str(workspace["scenes"][2]), "--model", str(model), "--out", str(tmp_path / "run")]
+        )
+        assert code == 3
+        assert "nan_model.json" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "detections.geojson").exists()
+
+
+# A valid document for each loader site; the fuzz test below also feeds
+# copies with one value swapped for arbitrary JSON.
+_VALID_DOCS = {
+    "annotations": {"crowns": [{"id": 1, "class": "healthy", "cx": 5.0, "cy": 5.0, "radius_px": 3.0}]},
+    "detections": {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [5.0, 5.0]},
+                "properties": {
+                    "id": 1, "class": "healthy", "score": 0.9, "diameter_px": 6.0,
+                    "pixel_count": 28, "bbox": [3, 3, 7, 7], "mean_ndvi": 0.5, "mean_gndvi": 0.4,
+                },
+            }
+        ],
+    },
+    # scale is left out: a valid factor of a few hundred legitimately
+    # allocates gigabytes, which is not what this test is about
+    "augment spec": {
+        "seed": 1,
+        "operations": [
+            {"op": "crop", "size": 12}, {"op": "gaussian_noise", "sigma": 0.01},
+            {"op": "gamma", "lo": 0.8, "hi": 1.2}, {"op": "flip_h"}, {"op": "flip_v"},
+        ],
+    },
+    # the scene path does not exist, so a manifest that passes validation
+    # still stops before any work
+    "pipeline config": {"config": {"scene_path": "missing.rhdr", "model_path": "m.json", "out_dir": "o", "tile_size": 16}},
+    "model params": {
+        "features": ["red", "nir", "ndvi"], "weights": [0.5, 1.0, 2.0], "bias": -1.0,
+        "norm": {"mean": [0.1, 0.4, 0.3], "std": [0.1, 0.2, 0.3]},
+    },
+}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _swap_one_value(draw, doc):
+    if not isinstance(doc, (dict, list)) or not doc or draw(st.booleans()):
+        return draw(_json_values)
+    doc = dict(doc) if isinstance(doc, dict) else list(doc)
+    key = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+    doc[key] = _swap_one_value(draw, doc[key])
+    return doc
+
+
+@st.composite
+def _loader_inputs(draw):
+    site = draw(st.sampled_from(sorted(_VALID_DOCS)))
+    if draw(st.booleans()):
+        return site, _swap_one_value(draw, _VALID_DOCS[site])
+    return site, draw(_json_values)
+
+
+@pytest.fixture(scope="module")
+def loader_sites(tmp_path_factory):
+    """Valid companion files for each loader site, on a 16x16 scene."""
+    root = tmp_path_factory.mktemp("loaders")
+    raster = random_raster(np.random.default_rng(5), 16, 16, band_names=("red", "green", "nir"))
+    (root / "tiles").mkdir()
+    save_raster(raster, root / "scene")
+    save_raster(raster, root / "tiles" / "t")
+    (root / "tiles" / "t.json").write_text(json.dumps(_VALID_DOCS["annotations"]))
+    (root / "truth.json").write_text(json.dumps(_VALID_DOCS["annotations"]))
+    (root / "dets.geojson").write_text(json.dumps(_VALID_DOCS["detections"]))
+    doc = root / "doc.json"
+    return {
+        "doc": doc,
+        "argv": {
+            "annotations": ["eval", str(root / "dets.geojson"), str(doc)],
+            "detections": ["eval", str(doc), str(root / "truth.json")],
+            "augment spec": ["augment", str(root / "tiles"), str(root / "aug"), "--spec", str(doc)],
+            "pipeline config": ["pipeline", "--config", str(doc)],
+            "model params": [
+                "pipeline", "--scene", str(root / "scene.rhdr"), "--model", str(doc),
+                "--out", str(root / "run"), "--tile-size", "16",
+            ],
+        },
+    }
+
+
+def _run_on(loader_sites, site, doc):
+    loader_sites["doc"].write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(loader_sites["argv"][site])
+    return code, err.getvalue().strip().splitlines()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_loader_inputs())
+def test_any_loader_document_exits_cleanly(loader_sites, case):
+    """Whatever JSON a loader reads, main() returns 0, 2 or 3 and raises nothing.
+
+    Optional fields (an augment spec's are) can make a document valid, so
+    0 is allowed; every failure is one line on stderr.
+    """
+    code, err = _run_on(loader_sites, *case)
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err) == 1
+
+
+@pytest.mark.parametrize(
+    "site, doc, expected",
+    [
+        ("annotations", {"crowns": [{"id": "x", "class": "healthy", "cx": 1, "cy": 1, "radius_px": 1}]}, 3),
+        ("annotations", {"crowns": [{"id": 1, "class": "healthy", "cx": None, "cy": 1, "radius_px": 1}]}, 3),
+        ("augment spec", [], 3),
+        ("detections", [], 3),
+        ("pipeline config", [], 2),
+        ("pipeline config", {"config": {**_VALID_DOCS["pipeline config"]["config"], "scene_path": 7}}, 2),
+        ("model params", {**_VALID_DOCS["model params"], "weights": [math.nan, 1.0, 2.0]}, 3),
+        ("model params", {**_VALID_DOCS["model params"], "features": [1, "red", "nir"]}, 3),
+    ],
+)
+def test_malformed_documents_exit_with_their_code(loader_sites, site, doc, expected):
+    code, err = _run_on(loader_sites, site, doc)
+    assert code == expected
+    assert len(err) == 1

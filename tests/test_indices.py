@@ -4,13 +4,12 @@ import pytest
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels
 from palmwatch.errors import BoundsError, ParameterError, ShapeError
 from palmwatch.indices import (
-    IndexMap,
     gndvi,
     index_stats_by_class,
     ndvi,
     vegetation_mask,
 )
-from palmwatch.raster_core import Band, Mask, load_raster, save_raster
+from palmwatch.raster_core import Band, Mask, MaskedGrid, load_raster, save_raster
 
 
 def band(values):
@@ -83,34 +82,34 @@ class TestProperties:
 
 class TestVegetationMask:
     def test_all_above(self):
-        index = IndexMap("ndvi", np.full((3, 3), 0.9, np.float32), np.ones((3, 3), bool))
+        index = MaskedGrid(np.full((3, 3), 0.9, np.float32), np.ones((3, 3), bool), "ndvi")
         assert vegetation_mask(index, 0.2).bits.all()
 
     def test_boundary_is_strict(self):
-        index = IndexMap("ndvi", np.full((2, 2), 0.2, np.float32), np.ones((2, 2), bool))
+        index = MaskedGrid(np.full((2, 2), 0.2, np.float32), np.ones((2, 2), bool), "ndvi")
         assert not vegetation_mask(index, 0.2).bits.any()
 
     def test_fraction_matches_planted(self, rng):
         values = np.full((40, 40), 0.0, np.float32)
         flat = rng.choice(values.size, size=300, replace=False)
         values.ravel()[flat] = 0.8
-        index = IndexMap("ndvi", values, np.ones((40, 40), bool))
+        index = MaskedGrid(values, np.ones((40, 40), bool), "ndvi")
         assert vegetation_mask(index, 0.5).count() == 300
 
     def test_invalid_never_vegetation(self):
         valid = np.array([[True, False]])
-        index = IndexMap("ndvi", np.full((1, 2), 0.9, np.float32), valid)
+        index = MaskedGrid(np.full((1, 2), 0.9, np.float32), valid, "ndvi")
         np.testing.assert_array_equal(vegetation_mask(index, 0.2).bits, [[True, False]])
 
     def test_threshold_monotone_containment(self, rng):
         values = rng.uniform(-1, 1, size=(50, 50)).astype(np.float32)
-        index = IndexMap("ndvi", values, np.ones((50, 50), bool))
+        index = MaskedGrid(values, np.ones((50, 50), bool), "ndvi")
         low = vegetation_mask(index, -0.3).bits
         high = vegetation_mask(index, 0.4).bits
         assert (low | high == low).all()  # high subset of low
 
     def test_threshold_out_of_range(self):
-        index = IndexMap("ndvi", np.zeros((1, 1), np.float32), np.ones((1, 1), bool))
+        index = MaskedGrid(np.zeros((1, 1), np.float32), np.ones((1, 1), bool), "ndvi")
         with pytest.raises(ParameterError):
             vegetation_mask(index, 1.5)
 
@@ -118,7 +117,7 @@ class TestVegetationMask:
 class TestStatsByClass:
     def test_constant_crown(self):
         values = np.full((32, 32), 0.5, np.float32)
-        index = IndexMap("ndvi", values, np.ones((32, 32), bool))
+        index = MaskedGrid(values, np.ones((32, 32), bool), "ndvi")
         ann = AnnotationSet((CrownAnnotation(1, "healthy", 16, 16, 5.0),))
         (stats,) = index_stats_by_class(index, ann)
         assert stats.class_label == "healthy"
@@ -132,7 +131,7 @@ class TestStatsByClass:
         values = np.full((32, 32), 0.5, np.float32)
         valid = np.ones((32, 32), bool)
         valid[:16, :] = False
-        index = IndexMap("ndvi", values, valid)
+        index = MaskedGrid(values, valid, "ndvi")
         ann = AnnotationSet(
             (
                 CrownAnnotation(1, "dead", 8, 8, 4.0),
@@ -147,7 +146,7 @@ class TestStatsByClass:
     def test_matches_flat_recomputation(self, rng):
         values = rng.random((64, 64)).astype(np.float32)
         valid = rng.random((64, 64)) > 0.1
-        index = IndexMap("ndvi", values, valid)
+        index = MaskedGrid(values, valid, "ndvi")
         crowns = (
             CrownAnnotation(1, "smallish", 20.0, 20.0, 6.0),
             CrownAnnotation(2, "smallish", 26.0, 22.0, 5.0),  # overlaps crown 1
@@ -170,7 +169,7 @@ class TestStatsByClass:
         assert stats.min <= stats.q1 <= stats.median <= stats.q3 <= stats.max
 
     def test_out_of_bounds_names_crown(self):
-        index = IndexMap("ndvi", np.zeros((16, 16), np.float32), np.ones((16, 16), bool))
+        index = MaskedGrid(np.zeros((16, 16), np.float32), np.ones((16, 16), bool), "ndvi")
         ann = AnnotationSet((CrownAnnotation(7, "healthy", 15.0, 8.0, 4.0),))
         with pytest.raises(BoundsError, match="crown 7"):
             index_stats_by_class(index, ann)
@@ -180,9 +179,9 @@ class TestPersistence:
     def test_raster_round_trip(self, tmp_path, rng):
         values = rng.random((20, 20)).astype(np.float32)
         valid = rng.random((20, 20)) > 0.2
-        index = IndexMap("gndvi", values, valid)
+        index = MaskedGrid(values, valid, "gndvi")
         save_raster(index.to_raster(), tmp_path / "idx")
-        loaded = IndexMap.from_raster(load_raster(tmp_path / "idx"))
-        assert loaded.index_name == "gndvi"
+        loaded = MaskedGrid.from_raster(load_raster(tmp_path / "idx"))
+        assert loaded.name == "gndvi"
         np.testing.assert_array_equal(loaded.valid, valid)
         np.testing.assert_array_equal(loaded.values[valid], values[valid])

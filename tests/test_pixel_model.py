@@ -7,6 +7,7 @@ from palmwatch.errors import (
     BandLookupError,
     CompatibilityError,
     DegenerateDataError,
+    ParameterError,
     ShapeError,
 )
 from palmwatch.indices import ndvi
@@ -294,6 +295,14 @@ class TestParamsSerialization:
                 norm_mean=np.zeros(1),
                 norm_std=np.zeros(1),
             )
+
+    @pytest.mark.parametrize("field", ["weights", "bias", "norm_mean", "norm_std"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, field, bad):
+        values = dict(weights=np.zeros(2), bias=0.0, norm_mean=np.zeros(2), norm_std=np.ones(2))
+        values[field] = bad if field == "bias" else np.array([1.0, bad])
+        with pytest.raises(ParameterError, match="finite|> 0"):
+            ModelParams(features=("a", "b"), **values)
 
     def test_weight_count_must_match_manifest(self):
         with pytest.raises(ShapeError):
