@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundsError, FormatError, LabelError
+from .jsondoc import read_document, take
 
 CLASS_LABELS = ("healthy", "smallish", "dead")
 
@@ -39,6 +40,11 @@ class CrownAnnotation:
     radius_px: float
 
     def __post_init__(self):
+        for name in ("cx", "cy", "radius_px"):
+            value = getattr(self, name)
+            # the snapped value must be finite too, or snapping overflows
+            if not abs(value * COORD_DENOMINATOR) < math.inf:
+                raise FormatError(f"crown {self.id}: {name} must be finite, got {value}")
         if self.class_label not in CLASS_LABELS:
             raise LabelError(
                 f"crown {self.id}: unknown class {self.class_label!r}; "
@@ -146,32 +152,18 @@ def save_annotations(ann: AnnotationSet, path) -> None:
 
 
 def load_annotations(path) -> AnnotationSet:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise FormatError(f"cannot read annotations {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"annotations {path} are not valid JSON: {exc}") from exc
-    crowns_field = payload.get("crowns") if isinstance(payload, dict) else None
-    if not isinstance(crowns_field, list):
-        raise FormatError(f"annotations {path} must carry a 'crowns' list")
+    where = f"annotations {path}"
+    entries = take(read_document(path, "annotations"), "crowns", tuple[dict, ...], where)
     crowns = []
-    for i, entry in enumerate(crowns_field):
-        if not isinstance(entry, dict):
-            raise FormatError(f"annotations {path}: crowns[{i}] must be an object")
-        try:
-            crowns.append(
-                CrownAnnotation(
-                    id=int(entry["id"]),
-                    class_label=str(entry["class"]),
-                    cx=float(entry["cx"]),
-                    cy=float(entry["cy"]),
-                    radius_px=float(entry["radius_px"]),
-                )
+    for i, entry in enumerate(entries):
+        at = f"{where} crowns[{i}]"
+        crowns.append(
+            CrownAnnotation(
+                id=take(entry, "id", int, at),
+                class_label=take(entry, "class", str, at),
+                cx=take(entry, "cx", float, at),
+                cy=take(entry, "cy", float, at),
+                radius_px=take(entry, "radius_px", float, at),
             )
-        except KeyError as exc:
-            raise FormatError(f"annotations {path}: crowns[{i}] is missing {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"annotations {path}: crowns[{i}] is malformed: {exc}") from exc
+        )
     return AnnotationSet(tuple(crowns))

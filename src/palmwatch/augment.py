@@ -13,51 +13,61 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, replace
+from typing import ClassVar, get_args
 
 import numpy as np
 
 from .annotations import AnnotationSet, disc_pixels
 from .errors import DomainError, FormatError, ParameterError
+from .jsondoc import from_fields, parse_document, read_document, take
 from .raster_core import Band, Raster
 
 CROP_KEEP_FRACTION = 0.5
+# Largest scale factor a spec may ask for: output tiles grow with its
+# square, so an unbounded factor is an unbounded allocation.
+MAX_SCALE_FACTOR = 4.0
 
 
+# Each op's ``tag`` is its "op" value in a spec's JSON.
 @dataclass(frozen=True)
 class CropOp:
     size: int
+    tag: ClassVar[str] = "crop"
 
 
 @dataclass(frozen=True)
 class GaussianNoiseOp:
     sigma: float
+    tag: ClassVar[str] = "gaussian_noise"
 
 
 @dataclass(frozen=True)
 class GammaOp:
     lo: float
     hi: float
+    tag: ClassVar[str] = "gamma"
 
 
 @dataclass(frozen=True)
 class FlipHOp:
-    pass
+    tag: ClassVar[str] = "flip_h"
 
 
 @dataclass(frozen=True)
 class FlipVOp:
-    pass
+    tag: ClassVar[str] = "flip_v"
 
 
 @dataclass(frozen=True)
 class ScaleOp:
     lo: float
     hi: float
+    tag: ClassVar[str] = "scale"
 
 
 AugmentOp = CropOp | GaussianNoiseOp | GammaOp | FlipHOp | FlipVOp | ScaleOp
+_OPS_BY_TAG = {op.tag: op for op in get_args(AugmentOp)}
 
 
 @dataclass(frozen=True)
@@ -73,75 +83,36 @@ class AugmentSpec:
                 raise ParameterError(f"noise sigma must be finite and >= 0, got {op.sigma}")
             if isinstance(op, GammaOp) and not (0 < op.lo <= op.hi < math.inf):
                 raise ParameterError(f"gamma exponents must satisfy 0 < lo <= hi < inf, got ({op.lo}, {op.hi})")
-            if isinstance(op, ScaleOp) and not (0 < op.lo <= op.hi < math.inf):
-                raise ParameterError(f"scale factors must satisfy 0 < lo <= hi < inf, got ({op.lo}, {op.hi})")
+            if isinstance(op, ScaleOp) and not (0 < op.lo <= op.hi <= MAX_SCALE_FACTOR):
+                raise ParameterError(
+                    f"scale factors must satisfy 0 < lo <= hi <= {MAX_SCALE_FACTOR}, got ({op.lo}, {op.hi})"
+                )
         object.__setattr__(self, "operations", tuple(self.operations))
 
 
-_OP_TAGS = {
-    CropOp: "crop",
-    GaussianNoiseOp: "gaussian_noise",
-    GammaOp: "gamma",
-    FlipHOp: "flip_h",
-    FlipVOp: "flip_v",
-    ScaleOp: "scale",
-}
-
-
 def spec_to_json(spec: AugmentSpec) -> str:
-    ops = []
-    for op in spec.operations:
-        entry = {"op": _OP_TAGS[type(op)]}
-        if isinstance(op, CropOp):
-            entry["size"] = op.size
-        elif isinstance(op, GaussianNoiseOp):
-            entry["sigma"] = op.sigma
-        elif isinstance(op, (GammaOp, ScaleOp)):
-            entry["lo"] = op.lo
-            entry["hi"] = op.hi
-        ops.append(entry)
+    ops = [{"op": op.tag, **asdict(op)} for op in spec.operations]
     return json.dumps({"seed": spec.seed, "operations": ops}, indent=2) + "\n"
 
 
-def spec_from_json(text: str) -> AugmentSpec:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"augment spec is not valid JSON: {exc}") from exc
-    operations = payload.get("operations", []) if isinstance(payload, dict) else None
-    if not isinstance(operations, list):
-        raise FormatError("augment spec must be an object with an 'operations' list")
+def _spec_from(doc: dict, where: str) -> AugmentSpec:
     ops = []
-    for i, entry in enumerate(operations):
-        tag = entry.get("op") if isinstance(entry, dict) else None
-        try:
-            if tag == "crop":
-                ops.append(CropOp(size=int(entry["size"])))
-            elif tag == "gaussian_noise":
-                ops.append(GaussianNoiseOp(sigma=float(entry["sigma"])))
-            elif tag == "gamma":
-                ops.append(GammaOp(lo=float(entry["lo"]), hi=float(entry["hi"])))
-            elif tag == "flip_h":
-                ops.append(FlipHOp())
-            elif tag == "flip_v":
-                ops.append(FlipVOp())
-            elif tag == "scale":
-                ops.append(ScaleOp(lo=float(entry["lo"]), hi=float(entry["hi"])))
-            else:
-                raise FormatError(f"operations[{i}]: unknown op {tag!r}")
-        except KeyError as exc:
-            raise FormatError(f"operations[{i}] ({tag}): missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"operations[{i}] ({tag}): malformed field: {exc}") from exc
-    try:
-        seed = int(payload.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"augment spec seed is malformed: {exc}") from exc
-    return AugmentSpec(operations=tuple(ops), seed=seed)
+    for i, entry in enumerate(take(doc, "operations", tuple[dict, ...], where, default=())):
+        at = f"{where} operations[{i}]"
+        tag = take(entry, "op", str, at)
+        if tag not in _OPS_BY_TAG:
+            raise FormatError(f"{at}: unknown op {tag!r}; expected one of {sorted(_OPS_BY_TAG)}")
+        params = {k: v for k, v in entry.items() if k != "op"}
+        ops.append(from_fields(_OPS_BY_TAG[tag], params, f"{at} ({tag})"))
+    return AugmentSpec(operations=tuple(ops), seed=take(doc, "seed", int, where, default=0))
+
+
+def spec_from_json(text: str) -> AugmentSpec:
+    return _spec_from(parse_document(text, "augment spec"), "augment spec")
 
 
 def load_spec(path) -> AugmentSpec:
-    return spec_from_json(Path(path).read_text())
+    return _spec_from(read_document(path, "augment spec"), f"augment spec {path}")
 
 
 def op_rng(seed: int, tile_id: int, op_index: int) -> np.random.Generator:

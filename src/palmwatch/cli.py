@@ -8,8 +8,8 @@ constant is a documented flag, and a JSON run manifest capturing all of
 them is written next to the outputs; rerunning from the same manifest
 reproduces every output byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 data/format error,
-4 internal invariant violation.
+Exit codes: 0 success, 2 configuration error, 3 data/format error
+(or an allocation that fails), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,7 @@ from .indices import (
     index_stats_by_class,
     vegetation_mask,
 )
+from .jsondoc import from_fields, read_document, take
 from .pixel_model import (
     DEFAULT_NEGATIVE_RATIO,
     ModelParams,
@@ -97,34 +98,9 @@ class PipelineConfig:
         return {"palmwatch_version": __version__, "config": asdict(self)}
 
     @classmethod
-    def from_manifest(cls, payload) -> "PipelineConfig":
-        config = payload.get("config") if isinstance(payload, dict) else None
-        if not isinstance(config, dict):
-            raise ConfigurationError("manifest must be an object carrying a 'config' object")
-        types = {f.name: _MANIFEST_TYPES[f.type] for f in fields(cls)}
-        unknown = set(config) - set(types)
-        if unknown:
-            raise ConfigurationError(f"manifest has unknown config fields: {sorted(unknown)}")
-        missing = {"scene_path", "model_path", "out_dir"} - set(config)
-        if missing:
-            raise ConfigurationError(f"manifest config is missing fields: {sorted(missing)}")
-        for name, value in config.items():
-            # bool is an int subclass, so only a bool field accepts true/false
-            if not isinstance(value, types[name]) or (
-                isinstance(value, bool) and bool not in types[name]
-            ):
-                raise ConfigurationError(f"manifest config field {name!r} has bad value {value!r}")
-        return cls(**config)
-
-
-# JSON types a manifest may give each PipelineConfig field, by annotation.
-_MANIFEST_TYPES = {
-    "str": (str,),
-    "str | None": (str, type(None)),
-    "int": (int,),
-    "float": (int, float),
-    "bool": (bool,),
-}
+    def from_manifest(cls, payload: dict) -> "PipelineConfig":
+        config = take(payload, "config", dict, "manifest", error=ConfigurationError)
+        return from_fields(cls, config, "manifest config", ConfigurationError)
 
 
 def config_from(cls, source):
@@ -372,7 +348,7 @@ def _cmd_augment(args) -> int:
 def _cmd_synth(args) -> int:
     spec = load_scene_spec(_require_file(args.spec, "scene spec")) if args.spec else SceneSpec()
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = replace(spec, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raster, ann = generate_scene(spec)
@@ -476,11 +452,7 @@ def _cmd_pipeline(args) -> int:
         if args.scene_path or args.model_path or args.out_dir:
             raise ConfigurationError("--config replaces --scene/--model/--out; do not mix them")
         path = _require_file(args.config, "pipeline manifest")
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"manifest {path} is not valid JSON: {exc}") from exc
-        config = PipelineConfig.from_manifest(payload)
+        config = PipelineConfig.from_manifest(read_document(path, "manifest", ConfigurationError))
     else:
         if not (args.scene_path and args.model_path and args.out_dir):
             raise ConfigurationError("pipeline needs --scene, --model and --out (or --config)")
@@ -650,6 +622,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except PalmwatchError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from scipy import ndimage
 from .annotations import AnnotationSet, CrownAnnotation
 from .errors import FormatError, ParameterError, UnclassifiableError
 from .indices import normalized_difference
+from .jsondoc import read_document, take
 from .raster_core import MaskedGrid, Raster
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
@@ -310,42 +311,28 @@ def write_geojson(detections: list[CrownDetection], path, origin: tuple[int, int
 
 def load_geojson(path) -> list[CrownDetection]:
     """Read detections back from a GeoJSON export (pixel sets are not stored)."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise FormatError(f"cannot read detections {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"detections {path} are not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("type") != "FeatureCollection":
-        raise FormatError(f"detections {path} must be a FeatureCollection")
-    features = payload.get("features", [])
-    if not isinstance(features, list):
-        raise FormatError(f"detections {path}: 'features' must be a list")
+    where = f"detections {path}"
+    payload = read_document(path, "detections")
+    if payload.get("type") != "FeatureCollection":
+        raise FormatError(f"{where} must be a FeatureCollection")
     detections = []
-    for i, feature in enumerate(features):
-        try:
-            props = feature["properties"]
-            x, y = feature["geometry"]["coordinates"]
-            bbox = props["bbox"]
-            label = props.get("class")
-            if label is not None and not isinstance(label, str):
-                raise TypeError(f"'class' must be a string or null, got {label!r}")
-            detections.append(
-                CrownDetection(
-                    id=int(props["id"]),
-                    centroid=(float(x), float(y)),
-                    bbox=(int(bbox[0]), int(bbox[1]), int(bbox[2]), int(bbox[3])),
-                    pixel_count=int(props["pixel_count"]),
-                    diameter_px=float(props["diameter_px"]),
-                    score=float(props["score"]),
-                    class_label=label,
-                    mean_ndvi=props.get("mean_ndvi"),
-                    mean_gndvi=props.get("mean_gndvi"),
-                )
+    for i, feature in enumerate(take(payload, "features", tuple[dict, ...], where, default=())):
+        at = f"{where} features[{i}]"
+        geometry = take(feature, "geometry", dict, at)
+        props = take(feature, "properties", dict, at)
+        detections.append(
+            CrownDetection(
+                id=take(props, "id", int, at),
+                centroid=take(geometry, "coordinates", tuple[float, float], at),
+                bbox=take(props, "bbox", tuple[int, int, int, int], at),
+                pixel_count=take(props, "pixel_count", int, at),
+                diameter_px=take(props, "diameter_px", float, at),
+                score=take(props, "score", float, at),
+                class_label=take(props, "class", str | None, at, default=None),
+                mean_ndvi=take(props, "mean_ndvi", float | None, at, default=None),
+                mean_gndvi=take(props, "mean_gndvi", float | None, at, default=None),
             )
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"detections {path}: features[{i}] is malformed: {exc}") from exc
+        )
     return detections
 
 

@@ -30,6 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .indices import INDEX_REGISTRY, compute_index
+from .jsondoc import read_document, take
 from .raster_core import Mask, MaskedGrid, Raster
 
 DEFAULT_INDEX_FEATURES = ("ndvi", "gndvi")
@@ -342,25 +343,16 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    path = Path(path)
+    where = f"model params {path}"
+    payload = read_document(path, "model params")
+    norm = take(payload, "norm", dict, where)
     try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise FormatError(f"cannot read model params {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"model params {path} are not valid JSON: {exc}") from exc
-    try:
-        features = payload["features"]
-        if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
-            raise TypeError(f"'features' must be a list of names, got {features!r}")
         return ModelParams(
-            features=tuple(features),
-            weights=np.array(payload["weights"], dtype=np.float64),
-            bias=float(payload["bias"]),
-            norm_mean=np.array(payload["norm"]["mean"], dtype=np.float64),
-            norm_std=np.array(payload["norm"]["std"], dtype=np.float64),
+            features=take(payload, "features", tuple[str, ...], where),
+            weights=take(payload, "weights", tuple[float, ...], where),
+            bias=take(payload, "bias", float, where),
+            norm_mean=take(norm, "mean", tuple[float, ...], f"{where} norm"),
+            norm_std=take(norm, "std", tuple[float, ...], f"{where} norm"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"model params {path} have missing or malformed fields: {exc}") from exc
     except (ParameterError, ShapeError) as exc:
-        raise FormatError(f"model params {path} are invalid: {exc}") from exc
+        raise FormatError(f"{where} are invalid: {exc}") from exc

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BandLookupError, FormatError, PayloadSizeError, ShapeError
+from .jsondoc import read_document, take
 
 HEADER_SUFFIX = ".rhdr"
 PAYLOAD_SUFFIX = ".rbin"
@@ -238,13 +239,6 @@ def save_raster(raster: Raster, path) -> None:
     payload_path.write_bytes(payload)
 
 
-def _header_int(header: dict, key: str) -> int:
-    value = header.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise FormatError(f"header field {key!r} must be a positive integer, got {value!r}")
-    return value
-
-
 def load_raster(path) -> Raster:
     """Read a header/payload pair back into a Raster.
 
@@ -253,53 +247,27 @@ def load_raster(path) -> Raster:
     not match the header geometry.
     """
     header_path, payload_path = _paths_for(path)
-    try:
-        text = header_path.read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read header {header_path}: {exc}") from exc
-    try:
-        header = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"header {header_path} is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"header {header_path} must be a JSON object")
-
-    width = _header_int(header, "width")
-    height = _header_int(header, "height")
-    if header.get("dtype") != _DTYPE_TAG:
-        raise FormatError(f"header field 'dtype' must be {_DTYPE_TAG!r}, got {header.get('dtype')!r}")
-    if header.get("layout") != _LAYOUT_TAG:
-        raise FormatError(f"header field 'layout' must be {_LAYOUT_TAG!r}, got {header.get('layout')!r}")
-
-    nodata = header.get("nodata", None)
-    if nodata is not None and not isinstance(nodata, (int, float)):
-        raise FormatError(f"header field 'nodata' must be a number or null, got {nodata!r}")
-
-    origin = header.get("origin", [0, 0])
-    if (
-        not isinstance(origin, list)
-        or len(origin) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in origin)
-    ):
-        raise FormatError(f"header field 'origin' must be [int, int], got {origin!r}")
-
-    band_entries = header.get("bands")
-    if not isinstance(band_entries, list) or not band_entries:
-        raise FormatError("header field 'bands' must be a non-empty list")
-    names = []
-    wavelengths = []
-    for i, entry in enumerate(band_entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise FormatError(f"header field 'bands[{i}]' must carry a string 'name'")
-        wl = entry.get("wavelength_nm", None)
-        if wl is not None and not isinstance(wl, (int, float)):
-            raise FormatError(
-                f"header field 'bands[{i}].wavelength_nm' must be a number or null, got {wl!r}"
-            )
-        names.append(entry["name"])
-        wavelengths.append(None if wl is None else float(wl))
+    header = read_document(header_path, "header")
+    where = f"header {header_path}"
+    width = take(header, "width", int, where)
+    height = take(header, "height", int, where)
+    if width < 1 or height < 1:
+        raise FormatError(f"{where}: 'width' and 'height' must be >= 1, got {width}x{height}")
+    for key, tag in (("dtype", _DTYPE_TAG), ("layout", _LAYOUT_TAG)):
+        if take(header, key, str, where) != tag:
+            raise FormatError(f"{where} field {key!r} must be {tag!r}, got {header[key]!r:.80}")
+    nodata = take(header, "nodata", float | None, where, default=None)
+    origin = take(header, "origin", tuple[int, int], where, default=(0, 0))
+    band_entries = take(header, "bands", tuple[dict, ...], where)
+    if not band_entries:
+        raise FormatError(f"{where} field 'bands' must be a non-empty list")
+    names = [take(e, "name", str, f"{where} bands[{i}]") for i, e in enumerate(band_entries)]
+    wavelengths = [
+        take(e, "wavelength_nm", float | None, f"{where} bands[{i}]", default=None)
+        for i, e in enumerate(band_entries)
+    ]
     if len(set(names)) != len(names):
-        raise FormatError(f"header field 'bands' has duplicate names: {names}")
+        raise FormatError(f"{where} field 'bands' has duplicate names: {names}")
 
     try:
         payload = payload_path.read_bytes()
@@ -316,8 +284,4 @@ def load_raster(path) -> Raster:
         Band(name=name, samples=grid[i], wavelength_nm=wavelengths[i])
         for i, name in enumerate(names)
     )
-    return Raster(
-        bands=bands,
-        nodata_value=None if nodata is None else float(nodata),
-        origin=(origin[0], origin[1]),
-    )
+    return Raster(bands=bands, nodata_value=nodata, origin=origin)

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .annotations import CLASS_LABELS, AnnotationSet, CrownAnnotation, disc_pixels
-from .errors import CapacityError, FormatError, ParameterError
+from .errors import CapacityError, ParameterError
+from .jsondoc import from_fields, parse_document, read_document
 from .raster_core import Band, Raster
 
 BAND_NAMES = ("red", "green", "blue", "nir")
@@ -39,6 +39,10 @@ DEFAULT_COUNTS = {"healthy": 90, "smallish": 45, "dead": 40}
 DEFAULT_DIAMETERS = {"healthy": (16.0, 28.0), "smallish": (7.0, 11.0), "dead": (14.0, 26.0)}
 
 _PLACEMENT_ATTEMPTS_PER_CROWN = 2000
+# Largest scene a spec may ask for: 65536x65536 pixels, whose four
+# float32 bands take 64 GiB. Far larger sizes would fail inside numpy
+# with errors other than MemoryError.
+MAX_SCENE_PIXELS = 2**32
 
 
 @dataclass
@@ -59,77 +63,47 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ParameterError(f"scene dimensions must be >= 1, got {self.width}x{self.height}")
-        for label in self.counts:
+        if not (1 <= self.width < math.inf and 1 <= self.height < math.inf):
+            raise ParameterError(f"scene dimensions must be finite and >= 1, got {self.width}x{self.height}")
+        if self.width * self.height > MAX_SCENE_PIXELS:
+            raise ParameterError(
+                f"a {self.width}x{self.height} scene exceeds {MAX_SCENE_PIXELS} pixels"
+            )
+        for label, count in self.counts.items():
             if label not in CLASS_LABELS:
                 raise ParameterError(f"unknown class {label!r} in counts")
-            if self.counts[label] < 0:
-                raise ParameterError(f"count for {label!r} must be >= 0")
+            if not 0 <= count < math.inf:
+                raise ParameterError(f"count for {label!r} must be finite and >= 0, got {count}")
+            if count and not (label in self.diameter_ranges and label in self.profiles):
+                raise ParameterError(f"class {label!r} has crowns but no diameter range or profile")
         for label, (lo, hi) in self.diameter_ranges.items():
-            if not 0 < lo <= hi:
-                raise ParameterError(f"diameter range for {label!r} must satisfy 0 < lo <= hi")
+            if not 0 < lo <= hi < math.inf:
+                raise ParameterError(
+                    f"diameter range for {label!r} must be finite with 0 < lo <= hi, got ({lo}, {hi})"
+                )
         for profile in list(self.profiles.values()) + [self.background]:
             for band, value in profile.items():
                 if band not in BAND_NAMES:
                     raise ParameterError(f"unknown band {band!r} in spectral profile")
-                if value < 0:
-                    raise ParameterError(f"reflectance for {band!r} must be >= 0")
-        if self.jitter_std < 0 or self.noise_sigma < 0:
-            raise ParameterError("jitter_std and noise_sigma must be >= 0")
-        if self.min_spacing < 0:
-            raise ParameterError("min_spacing must be >= 0")
+                if not 0 <= value < math.inf:
+                    raise ParameterError(f"reflectance for {band!r} must be finite and >= 0, got {value}")
+        for name in ("jitter_std", "noise_sigma", "min_spacing"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def spec_to_json(spec: SceneSpec) -> str:
-    payload = {
-        "width": spec.width,
-        "height": spec.height,
-        "counts": spec.counts,
-        "diameter_ranges": {k: list(v) for k, v in spec.diameter_ranges.items()},
-        "profiles": spec.profiles,
-        "background": spec.background,
-        "jitter_std": spec.jitter_std,
-        "noise_sigma": spec.noise_sigma,
-        "min_spacing": spec.min_spacing,
-        "seed": spec.seed,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(asdict(spec), indent=2) + "\n"
 
 
 def spec_from_json(text: str) -> SceneSpec:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"scene spec is not valid JSON: {exc}") from exc
-    defaults = SceneSpec()
-    try:
-        return SceneSpec(
-            width=int(payload.get("width", defaults.width)),
-            height=int(payload.get("height", defaults.height)),
-            counts={str(k): int(v) for k, v in payload.get("counts", defaults.counts).items()},
-            diameter_ranges={
-                str(k): (float(v[0]), float(v[1]))
-                for k, v in payload.get("diameter_ranges", defaults.diameter_ranges).items()
-            },
-            profiles={
-                str(k): {str(b): float(x) for b, x in v.items()}
-                for k, v in payload.get("profiles", defaults.profiles).items()
-            },
-            background={
-                str(b): float(x) for b, x in payload.get("background", defaults.background).items()
-            },
-            jitter_std=float(payload.get("jitter_std", defaults.jitter_std)),
-            noise_sigma=float(payload.get("noise_sigma", defaults.noise_sigma)),
-            min_spacing=float(payload.get("min_spacing", defaults.min_spacing)),
-            seed=int(payload.get("seed", defaults.seed)),
-        )
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise FormatError(f"scene spec has malformed fields: {exc}") from exc
+    return from_fields(SceneSpec, parse_document(text, "scene spec"), "scene spec")
 
 
 def load_spec(path) -> SceneSpec:
-    return spec_from_json(Path(path).read_text())
+    return from_fields(SceneSpec, read_document(path, "scene spec"), f"scene spec {path}")
 
 
 def _place_crowns(spec: SceneSpec, rng: np.random.Generator) -> list[CrownAnnotation]:

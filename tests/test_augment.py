@@ -3,6 +3,7 @@ import pytest
 
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels
 from palmwatch.augment import (
+    MAX_SCALE_FACTOR,
     AugmentSpec,
     CropOp,
     FlipHOp,
@@ -311,3 +312,11 @@ class TestSpecPipeline:
             AugmentSpec(operations=(GammaOp(lo=0.0, hi=1.0),))
         with pytest.raises(ParameterError):
             AugmentSpec(operations=(ScaleOp(lo=2.0, hi=1.0),))
+
+    def test_scale_factor_is_capped(self):
+        # never applied: at 1e7 the output tile alone would need petabytes
+        AugmentSpec(operations=(ScaleOp(lo=1.0, hi=MAX_SCALE_FACTOR),))
+        with pytest.raises(ParameterError, match="scale"):
+            AugmentSpec(operations=(ScaleOp(lo=1.0, hi=MAX_SCALE_FACTOR * 1.01),))
+        with pytest.raises(ParameterError, match="scale"):
+            spec_from_json('{"operations": [{"op": "scale", "lo": 1e7, "hi": 1e7}]}')

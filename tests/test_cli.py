@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import resource
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +288,30 @@ class TestExitCodes:
         )
         assert code == 2
 
+    # Both requests need far more address space than exists (PiB, TiB),
+    # so numpy fails at once without touching memory.
+    def test_oversized_annotation_is_out_of_memory(self, workspace, tmp_path, capsys):
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(
+            {"crowns": [{"id": 1, "class": "healthy", "cx": 5.0, "cy": 5.0, "radius_px": 1e7}]}
+        ))
+        code = main(["index", str(workspace["scenes"][0]), str(tmp_path / "ndvi"), "--annotations", str(ann)])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("out of memory")
+
+    def test_oversized_tile_is_out_of_memory(self, workspace, tmp_path, capsys):
+        code = main([
+            "predict", str(workspace["scenes"][0]), "--model", str(workspace["model"]),
+            "--out", str(tmp_path / "prob"), "--tile-size", "10000000",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("out of memory")
+
+    def test_negative_synth_seed_is_config_error(self, workspace, tmp_path):
+        assert main(["synth", str(tmp_path), "--spec", str(workspace["spec"]), "--seed", "-1"]) == 2
+
     def test_argparse_unknown_flag(self):
         with pytest.raises(SystemExit) as err:
             main(["synth", "out", "--bogus"])
@@ -384,6 +410,16 @@ _VALID_DOCS = {
         "features": ["red", "nir", "ndvi"], "weights": [0.5, 1.0, 2.0], "bias": -1.0,
         "norm": {"mean": [0.1, 0.4, 0.3], "std": [0.1, 0.2, 0.3]},
     },
+    "scene spec": {
+        "width": 48, "height": 48, "counts": {"healthy": 1, "smallish": 1, "dead": 0},
+        "min_spacing": 1.0, "seed": 3,
+    },
+    # the header of the 16x16 three-band scene the raster payload holds
+    "raster header": {
+        "width": 16, "height": 16, "dtype": "f32le", "layout": "band-sequential",
+        "nodata": None, "origin": [0, 0],
+        "bands": [{"name": n, "wavelength_nm": None} for n in ("red", "green", "nir")],
+    },
 }
 
 _json_values = st.recursive(
@@ -404,54 +440,85 @@ def _swap_one_value(draw, doc):
 
 @st.composite
 def _loader_inputs(draw):
+    """A site and what its file holds: a mutated valid document, any JSON, or any bytes."""
     site = draw(st.sampled_from(sorted(_VALID_DOCS)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("mutated", "json", "bytes")))
+    if kind == "mutated":
         return site, _swap_one_value(draw, _VALID_DOCS[site])
-    return site, draw(_json_values)
+    if kind == "json":
+        return site, draw(_json_values)
+    return site, draw(st.binary(max_size=64))
 
 
 @pytest.fixture(scope="module")
 def loader_sites(tmp_path_factory):
-    """Valid companion files for each loader site, on a 16x16 scene."""
+    """The file each loader site reads and the command that reads it, on a 16x16 scene."""
     root = tmp_path_factory.mktemp("loaders")
     raster = random_raster(np.random.default_rng(5), 16, 16, band_names=("red", "green", "nir"))
     (root / "tiles").mkdir()
     save_raster(raster, root / "scene")
     save_raster(raster, root / "tiles" / "t")
+    save_raster(raster, root / "header")
     (root / "tiles" / "t.json").write_text(json.dumps(_VALID_DOCS["annotations"]))
     (root / "truth.json").write_text(json.dumps(_VALID_DOCS["annotations"]))
     (root / "dets.geojson").write_text(json.dumps(_VALID_DOCS["detections"]))
     doc = root / "doc.json"
+    header = root / "header.rhdr"
     return {
-        "doc": doc,
-        "argv": {
-            "annotations": ["eval", str(root / "dets.geojson"), str(doc)],
-            "detections": ["eval", str(doc), str(root / "truth.json")],
-            "augment spec": ["augment", str(root / "tiles"), str(root / "aug"), "--spec", str(doc)],
-            "pipeline config": ["pipeline", "--config", str(doc)],
-            "model params": [
-                "pipeline", "--scene", str(root / "scene.rhdr"), "--model", str(doc),
-                "--out", str(root / "run"), "--tile-size", "16",
-            ],
-        },
+        "annotations": (doc, ["eval", str(root / "dets.geojson"), str(doc)]),
+        "detections": (doc, ["eval", str(doc), str(root / "truth.json")]),
+        "augment spec": (doc, ["augment", str(root / "tiles"), str(root / "aug"), "--spec", str(doc)]),
+        "pipeline config": (doc, ["pipeline", "--config", str(doc)]),
+        "model params": (doc, [
+            "pipeline", "--scene", str(root / "scene.rhdr"), "--model", str(doc),
+            "--out", str(root / "run"), "--tile-size", "16", "--overlap", "0",
+        ]),
+        "scene spec": (doc, ["synth", str(root / "synth"), "--spec", str(doc)]),
+        "raster header": (header, ["index", str(header), str(root / "ndvi")]),
     }
 
 
+@contextlib.contextmanager
+def _address_space_cap(headroom=256 << 20):
+    """Let the process map at most ``headroom`` more bytes than it maps now.
+
+    A fuzzed size that is valid but huge (a 2000000x48 scene spec, say)
+    then fails at allocation, as MemoryError, instead of taking the
+    machine's memory. Without /proc/self/statm the run is uncapped.
+    """
+    statm = Path("/proc/self/statm")
+    if not statm.is_file():
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(statm.read_text().split()[0]) * resource.getpagesize() + headroom
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def _run_on(loader_sites, site, doc):
-    loader_sites["doc"].write_text(json.dumps(doc))
+    """Write ``doc`` (bytes, or a value to encode as JSON) to the site's file and run its command."""
+    path, argv = loader_sites[site]
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(loader_sites["argv"][site])
+        with _address_space_cap():
+            code = main(argv)
     return code, err.getvalue().strip().splitlines()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=_loader_inputs())
 def test_any_loader_document_exits_cleanly(loader_sites, case):
-    """Whatever JSON a loader reads, main() returns 0, 2 or 3 and raises nothing.
+    """Whatever file a loader reads, main() returns 0, 2 or 3 and raises nothing.
 
-    Optional fields (an augment spec's are) can make a document valid, so
-    0 is allowed; every failure is one line on stderr.
+    Optional fields (an augment or scene spec's are) can make a document
+    valid, so 0 is allowed; every failure is one line on stderr.
     """
     code, err = _run_on(loader_sites, *case)
     assert code in (0, 2, 3)
@@ -470,6 +537,13 @@ def test_any_loader_document_exits_cleanly(loader_sites, case):
         ("pipeline config", {"config": {**_VALID_DOCS["pipeline config"]["config"], "scene_path": 7}}, 2),
         ("model params", {**_VALID_DOCS["model params"], "weights": [math.nan, 1.0, 2.0]}, 3),
         ("model params", {**_VALID_DOCS["model params"], "features": [1, "red", "nir"]}, 3),
+        *((site, b"\xff\xfe{\x80}", 2 if site == "pipeline config" else 3) for site in sorted(_VALID_DOCS)),
+        ("scene spec", b'{"width": 1e400}', 3),
+        # with no crowns to place, width 1 (True) used to write a 1-px-wide scene
+        ("scene spec", {"width": True, "counts": {"healthy": 0, "smallish": 0, "dead": 0}}, 3),
+        ("scene spec", {**_VALID_DOCS["scene spec"], "widht": 48}, 3),
+        ("scene spec", {**_VALID_DOCS["scene spec"], "background": {"red": math.nan}}, 2),
+        ("augment spec", {"operations": [{"op": "crop", "size": 12.5}]}, 3),
     ],
 )
 def test_malformed_documents_exit_with_their_code(loader_sites, site, doc, expected):

@@ -8,6 +8,10 @@ from palmwatch.errors import CapacityError, ParameterError
 from palmwatch.indices import ndvi, vegetation_mask
 from palmwatch.raster_core import save_raster
 from palmwatch.synth_scene import (
+    DEFAULT_BACKGROUND,
+    DEFAULT_DIAMETERS,
+    DEFAULT_PROFILES,
+    MAX_SCENE_PIXELS,
     SceneSpec,
     generate_scene,
     load_spec,
@@ -171,6 +175,35 @@ class TestSpecSerialization:
             SceneSpec(counts={"healthy": -1})
         with pytest.raises(ParameterError):
             SceneSpec(noise_sigma=-0.1)
+        with pytest.raises(ParameterError):
+            SceneSpec(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width", math.inf),
+            ("height", math.nan),
+            ("background", {**DEFAULT_BACKGROUND, "red": math.nan}),
+            ("profiles", {**DEFAULT_PROFILES, "dead": {"nir": math.inf}}),
+            ("jitter_std", math.nan),
+            ("noise_sigma", math.inf),
+            ("min_spacing", math.nan),
+            ("diameter_ranges", {**DEFAULT_DIAMETERS, "healthy": (16.0, math.inf)}),
+            ("diameter_ranges", {**DEFAULT_DIAMETERS, "dead": (math.nan, 20.0)}),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ParameterError, match="finite"):
+            small_spec(**{field: value})
+
+    def test_scene_size_is_capped(self):
+        SceneSpec(width=MAX_SCENE_PIXELS, height=1, counts={})
+        with pytest.raises(ParameterError, match="pixels"):
+            SceneSpec(width=MAX_SCENE_PIXELS, height=2, counts={})
+
+    def test_counted_class_needs_range_and_profile(self):
+        with pytest.raises(ParameterError, match="healthy"):
+            small_spec(profiles={"smallish": {}, "dead": {}})
 
     def test_load_spec_file(self, tmp_path):
         path = tmp_path / "spec.json"
