@@ -31,15 +31,16 @@ def normalized_difference(
     """(a - b) / (a + b) in the inputs' dtype, and where that ratio is valid.
 
     A ratio is invalid where ``ok`` is false or a + b == 0; invalid
-    entries hold NaN.
+    entries hold NaN. No arithmetic touches a pixel outside ``ok``, so
+    the NaN, infinities or nodata such pixels hold raise no warning.
     """
     if a.shape != b.shape or a.shape != ok.shape:
         raise ShapeError(f"band/mask shapes disagree: {a.shape} vs {b.shape} vs mask {ok.shape}")
-    num = a - b
-    den = a + b
+    den = np.add(a, b, out=np.zeros_like(a), where=ok)
     valid = ok & (den != 0)
-    values = np.full(num.shape, np.nan, dtype=num.dtype)
-    np.divide(num, den, out=values, where=valid)
+    values = np.full(a.shape, np.nan, dtype=a.dtype)
+    np.subtract(a, b, out=values, where=valid)
+    np.divide(values, den, out=values, where=valid)
     return values, valid
 
 

@@ -43,23 +43,23 @@ ProbabilityMap = MaskedGrid
 
 @dataclass(frozen=True)
 class FeatureGrid:
-    """Per-pixel feature vectors: shape (height, width, n_features)."""
+    """One 2-D float32 plane per feature name, and where every feature is valid."""
 
     names: tuple[str, ...]
-    values: np.ndarray
+    planes: tuple[np.ndarray, ...]
     valid: np.ndarray
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.valid.shape[0]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.valid.shape[1]
 
     def rows(self) -> np.ndarray:
         """Feature matrix of the valid pixels, float64, row-major pixel order."""
-        return self.values[self.valid].astype(np.float64)
+        return np.stack([plane[self.valid] for plane in self.planes], axis=1).astype(np.float64)
 
 
 def default_feature_names(raster: Raster) -> tuple[str, ...]:
@@ -106,17 +106,15 @@ def feature_planes(
 def featurize(
     raster: Raster, mask: Mask, feature_names: tuple[str, ...] | None = None
 ) -> FeatureGrid:
-    """Stack raw bands and computed indices into per-pixel feature vectors.
+    """Raw bands and computed indices as per-pixel feature planes.
 
     A pixel is valid when the input mask is true and every index feature
-    is defined there; invalid pixels carry zeros and yield no training
-    rows.
+    is defined there; invalid pixels keep whatever the planes hold (NaN,
+    nodata, any finite value) and yield no training rows or predictions.
     """
     names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
     planes, valid = feature_planes(raster, mask, names)
-    values = np.stack(planes, axis=-1).astype(np.float32)
-    values[~valid] = 0.0
-    return FeatureGrid(names=names, values=values, valid=valid)
+    return FeatureGrid(names=names, planes=tuple(planes), valid=valid)
 
 
 @dataclass
@@ -269,13 +267,22 @@ def train(
 def predict_map(raster: Raster, mask: Mask, params: ModelParams) -> MaskedGrid:
     """sigmoid(w . x_standardized + b) per valid pixel.
 
-    Invalid pixels stay invalid. Raises CompatibilityError listing the
+    z is summed plane by plane in float64, in feature order. Invalid
+    pixels come out NaN; what they hold may overflow or be NaN in z, so
+    the loop runs silenced. Raises CompatibilityError listing the
     manifest features the raster cannot supply.
     """
     grid = featurize(raster, mask, params.features)
-    standardized = (grid.values.astype(np.float64) - params.norm_mean) / params.norm_std
-    z = standardized @ params.weights + params.bias
-    values = expit(z).astype(np.float32)
+    z = np.zeros((grid.height, grid.width), dtype=np.float64)
+    t = np.empty_like(z)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for f, plane in enumerate(grid.planes):
+            np.subtract(plane, params.norm_mean[f], out=t, dtype=np.float64)
+            t /= params.norm_std[f]
+            t *= params.weights[f]
+            z += t
+    z += params.bias
+    values = expit(z, out=z).astype(np.float32)
     values[~grid.valid] = np.nan
     return MaskedGrid(values=values, valid=grid.valid)
 

@@ -43,6 +43,10 @@ _PLACEMENT_ATTEMPTS_PER_CROWN = 2000
 # float32 bands take 64 GiB. Far larger sizes would fail inside numpy
 # with errors other than MemoryError.
 MAX_SCENE_PIXELS = 2**32
+# Bound on a spec's reflectances, jitter_std and noise_sigma. A sample is
+# a reflectance plus jitter and noise draws of a few sigma, so below it
+# every sample stays far inside float32's 3.4e38 range.
+MAX_SAMPLE_PARAM = 1e30
 
 
 @dataclass
@@ -85,11 +89,11 @@ class SceneSpec:
             for band, value in profile.items():
                 if band not in BAND_NAMES:
                     raise ParameterError(f"unknown band {band!r} in spectral profile")
-                if not 0 <= value < math.inf:
-                    raise ParameterError(f"reflectance for {band!r} must be finite and >= 0, got {value}")
-        for name in ("jitter_std", "noise_sigma", "min_spacing"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+                if not 0 <= value < MAX_SAMPLE_PARAM:
+                    raise ParameterError(f"reflectance for {band!r} must be finite and in [0, {MAX_SAMPLE_PARAM:g}), got {value}")
+        for name, limit in (("jitter_std", MAX_SAMPLE_PARAM), ("noise_sigma", MAX_SAMPLE_PARAM), ("min_spacing", math.inf)):
+            if not 0 <= getattr(self, name) < limit:
+                raise ParameterError(f"{name} must be finite and in [0, {limit:g}), got {getattr(self, name)}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
@@ -119,7 +123,7 @@ def _place_crowns(spec: SceneSpec, rng: np.random.Generator) -> list[CrownAnnota
             for attempt in range(_PLACEMENT_ATTEMPTS_PER_CROWN):
                 radius = float(rng.uniform(lo, hi)) / 2.0
                 margin = radius + 2.0
-                if 2 * margin >= spec.width or 2 * margin >= spec.height:
+                if 2 * margin > spec.width - 1 or 2 * margin > spec.height - 1:
                     raise CapacityError(
                         f"a {label} crown of radius {radius:.1f} cannot fit a "
                         f"{spec.width}x{spec.height} scene"

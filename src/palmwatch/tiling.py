@@ -5,6 +5,9 @@ final row/column is padded with nodata rather than shifted inward, so
 every tile handed to the pixel model has identical geometry. Stitching
 discards padding and averages overlapping contributions, which makes the
 result independent of tile evaluation order.
+
+Prediction defaults to overlap 0: the pixel model is pixelwise, so an
+overlap only evaluates shared pixels again and changes no output byte.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import BoundsError, CompletenessError, ParameterError, ShapeError
 from .raster_core import Band, MaskedGrid, Raster
 
 DEFAULT_TILE_SIZE = 1024
-DEFAULT_PREDICT_OVERLAP = 128
+DEFAULT_PREDICT_OVERLAP = 0
 
 
 @dataclass(frozen=True)
@@ -179,9 +182,10 @@ def stitch(plan: TilePlan, outputs: list[tuple[TileWindow, MaskedGrid]]) -> Mask
             slice(window.y, window.y + window.height),
             slice(window.x, window.x + window.width),
         )
-        total[region] += np.where(ok, vals.astype(np.float64), 0.0)
+        np.add(total[region], vals, out=total[region], where=ok)
         count[region] += ok
     valid = count > 0
-    values = np.full(total.shape, np.nan, dtype=np.float32)
-    values[valid] = (total[valid] / count[valid]).astype(np.float32)
+    np.divide(total, count, out=total, where=valid)
+    values = total.astype(np.float32)
+    values[~valid] = np.nan
     return MaskedGrid(values=values, valid=valid)

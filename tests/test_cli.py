@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from palmwatch.annotations import load_annotations
 from palmwatch.augment import AugmentSpec, FlipHOp, GaussianNoiseOp, spec_to_json
-from palmwatch.cli import PipelineConfig, build_parser, config_from, main
+from palmwatch import cli
+from palmwatch.cli import PipelineConfig, build_parser, config_from, main, run_pipeline
 from palmwatch.crown_detect import DetectorConfig
-from palmwatch.pixel_model import TrainConfig
+from palmwatch.pixel_model import ModelParams, TrainConfig, save_params
 from palmwatch.raster_core import MaskedGrid, load_raster, save_raster
 from palmwatch.synth_scene import SceneSpec, spec_to_json as scene_spec_to_json
+from palmwatch.tiling import DEFAULT_TILE_SIZE, tile_plan
 
 from conftest import random_raster
 
@@ -236,6 +238,35 @@ class TestPipeline:
         assert (tmp_path / "orig" / "detections.geojson").read_bytes() == (
             tmp_path / "replay" / "detections.geojson"
         ).read_bytes()
+
+    def test_default_config_evaluates_each_pixel_once(self, tmp_path, monkeypatch):
+        size = DEFAULT_TILE_SIZE + 1  # 2x2 tiles at the default tile size
+        raster = random_raster(np.random.default_rng(3), size, size)
+        save_raster(raster, tmp_path / "scene")
+        # probability ~0.007 everywhere: nothing to detect, so the run stays quick
+        params = ModelParams(("red", "nir"), np.zeros(2), -5.0, np.zeros(2), np.ones(2))
+        save_params(params, tmp_path / "model.json")
+        evaluated = []
+        coverage = np.zeros((size, size), dtype=int)
+        predict_map = cli.predict_map
+
+        def spy(tile, mask, params):
+            evaluated.append(tile.width * tile.height)
+            x, y = tile.origin
+            coverage[y : y + tile.height, x : x + tile.width] += 1
+            return predict_map(tile, mask, params)
+
+        monkeypatch.setattr(cli, "predict_map", spy)
+        config = PipelineConfig(
+            scene_path=str(tmp_path / "scene.rhdr"),
+            model_path=str(tmp_path / "model.json"),
+            out_dir=str(tmp_path / "run"),
+        )
+        run_pipeline(config)
+        plan = tile_plan(size, size, config.tile_size, config.overlap)
+        assert len(plan.windows) == len(evaluated) == 4
+        assert sum(evaluated) == len(plan.windows) * DEFAULT_TILE_SIZE**2
+        assert (coverage == 1).all()
 
     def test_missing_model_is_config_error(self, workspace, tmp_path, capsys):
         code = main(
@@ -544,6 +575,8 @@ def test_any_loader_document_exits_cleanly(loader_sites, case):
         ("scene spec", {**_VALID_DOCS["scene spec"], "widht": 48}, 3),
         ("scene spec", {**_VALID_DOCS["scene spec"], "background": {"red": math.nan}}, 2),
         ("augment spec", {"operations": [{"op": "crop", "size": 12.5}]}, 3),
+        # used to warn of an overflow, write a mostly non-finite scene and exit 0
+        ("scene spec", {"width": 48, "height": 48, "counts": {"healthy": 1, "smallish": 0, "dead": 0}, "noise_sigma": 1e300}, 2),
     ],
 )
 def test_malformed_documents_exit_with_their_code(loader_sites, site, doc, expected):

@@ -1,7 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from palmwatch.errors import (
     BandLookupError,
@@ -10,6 +14,7 @@ from palmwatch.errors import (
     ParameterError,
     ShapeError,
 )
+from palmwatch.cli import predict_tiled
 from palmwatch.indices import ndvi
 from palmwatch.pixel_model import (
     ModelParams,
@@ -22,7 +27,7 @@ from palmwatch.pixel_model import (
     save_params,
     train,
 )
-from palmwatch.raster_core import Mask
+from palmwatch.raster_core import Band, Mask, Raster
 
 from conftest import make_raster, random_raster
 
@@ -56,7 +61,8 @@ class TestFeaturize:
         raster = random_raster(rng, 8, 8, band_names=("red", "green", "blue", "nir"))
         grid = featurize(raster, raster.valid_mask())
         assert grid.names == ("red", "green", "blue", "nir", "ndvi", "gndvi")
-        assert grid.values.shape == (8, 8, 6)
+        assert len(grid.planes) == 6
+        assert all(plane.shape == (8, 8) for plane in grid.planes)
 
     def test_ndvi_feature_matches_indices_module(self, rng):
         raster = random_raster(rng, 16, 16, band_names=("red", "green", "blue", "nir"))
@@ -65,7 +71,7 @@ class TestFeaturize:
         expected = ndvi(raster.band("nir"), raster.band("red"), mask)
         i = grid.names.index("ndvi")
         np.testing.assert_array_equal(
-            grid.values[..., i][grid.valid], expected.values[grid.valid]
+            grid.planes[i][grid.valid], expected.values[grid.valid]
         )
 
     def test_masked_pixel_yields_no_row(self, rng):
@@ -254,6 +260,92 @@ class TestPredict:
         )
         with pytest.raises(CompatibilityError, match="green"):
             predict_map(raster, raster.valid_mask(), params)
+
+
+FOUR_BANDS = ("red", "green", "blue", "nir")
+ALL_FEATURES = FOUR_BANDS + ("ndvi", "gndvi")
+
+
+@st.composite
+def scenes_with_invalid_pixels(draw):
+    """A small four-band raster whose invalid pixels hold NaN or nodata, and a mask."""
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodata = draw(st.sampled_from([None, -9999.0, 0.0, float("nan")]))
+    bands = []
+    for name in FOUR_BANDS:
+        samples = rng.random((height, width), dtype=np.float32)
+        samples[rng.random((height, width)) < 0.1] = np.nan
+        if nodata is not None:
+            samples[rng.random((height, width)) < 0.1] = nodata
+        bands.append(Band(name=name, samples=samples))
+    raster = Raster(bands=tuple(bands), nodata_value=nodata)
+    mask = Mask(raster.valid_mask().bits & (rng.random((height, width)) < 0.9))
+    return raster, mask
+
+
+@st.composite
+def model_params(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(ALL_FEATURES)
+    return ModelParams(
+        features=ALL_FEATURES,
+        weights=rng.uniform(-10, 10, n),
+        bias=float(rng.uniform(-5, 5)),
+        norm_mean=rng.uniform(-1, 1, n),
+        norm_std=rng.uniform(0.05, 10, n),
+    )
+
+
+class TestPlaneByPlanePrediction:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        scene=scenes_with_invalid_pixels(),
+        params=model_params(),
+        tiling=st.integers(1, 30).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t - 1))),
+        jobs=st.sampled_from([1, 2]),
+    )
+    def test_tiled_equals_untiled_and_stacked_reference(self, scene, params, tiling, jobs):
+        raster, mask = scene
+        tile_size, overlap = tiling
+        whole = predict_map(raster, mask, params)
+        tiled = predict_tiled(raster, mask, params, tile_size, overlap, jobs)
+        np.testing.assert_array_equal(tiled.valid, whole.valid)
+        np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
+
+        # the stacked formulation: one (H, W, F) array standardized in float64
+        grid = featurize(raster, mask, params.features)
+        x64 = np.stack(grid.planes, axis=-1)[grid.valid].astype(np.float64)
+        reference = expit(((x64 - params.norm_mean) / params.norm_std) @ params.weights + params.bias)
+        np.testing.assert_array_equal(whole.valid, grid.valid)
+        assert np.isnan(whole.values[~whole.valid]).all()
+        np.testing.assert_array_max_ulp(whole.values[whole.valid], reference.astype(np.float32), maxulp=1)
+
+    @pytest.mark.parametrize("nodata", [-9999.0, -3.4028235e38, float("nan")])
+    def test_invalid_pixel_values_raise_no_warning(self, rng, nodata):
+        bands = {name: rng.random((6, 6), dtype=np.float32) for name in FOUR_BANDS}
+        for name, samples in bands.items():
+            samples[0, :] = np.nan
+            samples[1, :] = np.inf
+            samples[2, :] = -np.inf
+            samples[3, :] = nodata
+        bands["red"][4, 0] = np.inf  # one band invalid, the others valid
+        raster = make_raster(bands, nodata=nodata)
+        params = ModelParams(
+            features=ALL_FEATURES,
+            # mixed signs turn +inf rows into inf - inf, and the tiny std
+            # overflows float64 at the nodata value -3.4e38
+            weights=np.array([3.0, -3.0, 3.0, -3.0, 3.0, -3.0]),
+            bias=0.5,
+            norm_mean=np.full(6, 0.2),
+            norm_std=np.full(6, 1e-300),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = predict_map(raster, raster.valid_mask(), params)
+        assert not prob.valid[:5, 0].any() and prob.valid[5].all()
+        assert np.isnan(prob.values[~prob.valid]).all()
+        assert np.isfinite(prob.values[prob.valid]).all()
 
 
 class TestParamsSerialization:

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from palmwatch.annotations import AnnotationSet, CrownAnnotation
 from palmwatch.errors import CapacityError, ParameterError
 from palmwatch.indices import ndvi, vegetation_mask
 from palmwatch.raster_core import save_raster
 from palmwatch.synth_scene import (
+    BAND_NAMES,
     DEFAULT_BACKGROUND,
     DEFAULT_DIAMETERS,
     DEFAULT_PROFILES,
+    MAX_SAMPLE_PARAM,
     MAX_SCENE_PIXELS,
     SceneSpec,
     generate_scene,
@@ -97,6 +101,15 @@ class TestGenerate:
             min_spacing=8.0,
         )
         with pytest.raises(CapacityError):
+            generate_scene(spec)
+
+    def test_crown_one_pixel_too_wide_is_capacity_error(self):
+        # margin 3.75 each side needs 7.5 of the 7 px between the first and
+        # last pixel centres (was a ValueError from rng.uniform)
+        spec = SceneSpec(
+            width=8, height=8, counts={"dead": 1}, diameter_ranges={"dead": (3.5, 3.5)}, min_spacing=0.0
+        )
+        with pytest.raises(CapacityError, match="cannot fit"):
             generate_scene(spec)
 
     def test_class_separability(self):
@@ -190,6 +203,11 @@ class TestSpecSerialization:
             ("min_spacing", math.nan),
             ("diameter_ranges", {**DEFAULT_DIAMETERS, "healthy": (16.0, math.inf)}),
             ("diameter_ranges", {**DEFAULT_DIAMETERS, "dead": (math.nan, 20.0)}),
+            # finite, but past the cap that keeps every float32 sample finite
+            ("noise_sigma", 1e300),
+            ("jitter_std", 3e38),
+            ("background", {**DEFAULT_BACKGROUND, "nir": 1e39}),
+            ("profiles", {**DEFAULT_PROFILES, "dead": {"red": MAX_SAMPLE_PARAM * 2}}),
         ],
     )
     def test_non_finite_values_rejected(self, field, value):
@@ -209,3 +227,44 @@ class TestSpecSerialization:
         path = tmp_path / "spec.json"
         path.write_text(spec_to_json(small_spec()))
         assert load_spec(path) == small_spec()
+
+
+# Any float, and floats from the accepted range so most specs are accepted.
+_sample_params = st.floats(0, MAX_SAMPLE_PARAM) | st.floats()
+_profiles = st.fixed_dictionaries({}, optional={band: _sample_params for band in BAND_NAMES})
+
+
+@st.composite
+def _small_spec_fields(draw):
+    labels = ("healthy", "smallish", "dead")
+    ranges = {}
+    for label in labels:
+        lo = draw(st.floats(1.0, 6.0))
+        ranges[label] = (lo, lo + draw(st.floats(0.0, 4.0)))
+    return dict(
+        width=draw(st.integers(8, 40)),
+        height=draw(st.integers(8, 40)),
+        counts={label: draw(st.integers(0, 2)) for label in labels},
+        diameter_ranges=ranges,
+        profiles={label: draw(_profiles) for label in labels},
+        background=draw(_profiles),
+        jitter_std=draw(_sample_params),
+        noise_sigma=draw(_sample_params),
+        min_spacing=draw(st.floats(0.0, 4.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fields=_small_spec_fields())
+def test_accepted_specs_generate_finite_samples(fields):
+    try:
+        spec = SceneSpec(**fields)
+    except ParameterError:
+        return
+    try:
+        raster, _ = generate_scene(spec)
+    except CapacityError:
+        return
+    for band in raster.bands:
+        assert np.isfinite(band.samples).all(), band.name
