@@ -29,6 +29,7 @@ from .annotations import CLASS_LABELS, AnnotationSet, load_annotations, save_ann
 from .augment import apply_spec, load_spec as load_augment_spec
 from .crown_detect import (
     DetectorConfig,
+    check_max_centroid_dist,
     classify_detections,
     detect_crowns,
     load_geojson,
@@ -209,6 +210,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         raise ConfigurationError(f"jobs must be >= 1, got {config.jobs}")
     if config.averaging not in AVERAGING_MODES:
         raise ConfigurationError(f"averaging must be macro, micro or weighted, got {config.averaging!r}")
+    check_max_centroid_dist(config.match_max_dist)
     detector = config.detector_config()
 
     out_dir = Path(config.out_dir)

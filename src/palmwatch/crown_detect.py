@@ -1,7 +1,10 @@
 """Crown detection, 3-class labeling, truth matching and export.
 
 Detection binarizes the probability map, labels 8-connected components,
-and splits oversized components at probability peaks. Health labels come
+and splits oversized components at probability peaks. Each stage is
+near-linear in pixels, components, seeds and crowns: component areas
+come from one ``bincount``, and splitting and truth matching look up
+neighbours in k-d trees instead of comparing all pairs. Health labels come
 from a rule cascade over crown spectra and geometry: low mean NDVI means
 dead, small equivalent diameter means smallish, otherwise healthy.
 
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .annotations import AnnotationSet, CrownAnnotation
 from .errors import FormatError, ParameterError, UnclassifiableError
@@ -48,10 +52,13 @@ class DetectorConfig:
                 f"areas must satisfy 0 < min_area <= max_area, got "
                 f"({self.min_area}, {self.max_area})"
             )
-        if self.split_min_distance <= 0:
+        if not 0 < self.split_min_distance < math.inf:
             raise ParameterError(
-                f"split_min_distance must be > 0, got {self.split_min_distance}"
+                f"split_min_distance must be finite and > 0, got {self.split_min_distance}"
             )
+        for name in ("smallish_diameter_px", "dead_ndvi_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -86,25 +93,25 @@ def _make_detection(ys: np.ndarray, xs: np.ndarray, prob: MaskedGrid) -> CrownDe
 def detect_crowns(prob: MaskedGrid, cfg: DetectorConfig) -> list[CrownDetection]:
     """Threshold, label 8-connected components, and filter by area.
 
-    Components larger than max_area go through split_touching; split
-    parts below min_area are discarded like any other small component.
-    Detections come back sorted by descending score, ties broken by
-    centroid (y, x), with ids assigned 1..n in that order.
+    Component areas are counted once, so components below min_area are
+    skipped before any per-component work. Components larger than
+    max_area go through split_touching; split parts below min_area are
+    discarded like any other small component. Detections come back
+    sorted by descending score, ties broken by centroid (y, x), with ids
+    assigned 1..n in that order.
     """
     binary = prob.valid & (prob.values > cfg.prob_threshold)
     labels, _ = ndimage.label(binary, structure=_EIGHT_CONNECTED)
+    areas = np.bincount(labels[binary])
+    objects = ndimage.find_objects(labels)
     detections = []
-    for comp, slc in enumerate(ndimage.find_objects(labels), start=1):
-        if slc is None:
-            continue
-        sub = labels[slc] == comp
-        ys, xs = np.nonzero(sub)
+    # label 0 is the background and has area 0 < min_area
+    for comp in np.flatnonzero(areas >= cfg.min_area):
+        slc = objects[comp - 1]
+        ys, xs = np.nonzero(labels[slc] == comp)
         ys = ys + slc[0].start
         xs = xs + slc[1].start
-        area = len(xs)
-        if area < cfg.min_area:
-            continue
-        if area <= cfg.max_area:
+        if areas[comp] <= cfg.max_area:
             detections.append(_make_detection(ys, xs, prob))
         else:
             for part_ys, part_xs in split_touching((ys, xs), prob, cfg):
@@ -118,11 +125,12 @@ def detect_crowns(prob: MaskedGrid, cfg: DetectorConfig) -> list[CrownDetection]
 
 def _plateau_seeds(
     ys: np.ndarray, xs: np.ndarray, prob: MaskedGrid
-) -> list[tuple[float, int, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local maxima of the map within a component, one seed per plateau.
 
-    Returns (value, y, x) triples; a flat plateau contributes the pixel
-    nearest its own centroid.
+    Returns (values, ys, xs) arrays, one entry per plateau in label
+    order. A flat plateau contributes its pixel nearest its own centroid,
+    the first in raster order on a tie.
     """
     y0, x0 = ys.min(), xs.min()
     h = ys.max() - y0 + 1
@@ -134,15 +142,73 @@ def _plateau_seeds(
     neighborhood_max = ndimage.maximum_filter(grid, size=3, mode="constant", cval=-np.inf)
     maxima = member & (grid >= neighborhood_max)
     plateau_labels, n_plateaus = ndimage.label(maxima, structure=_EIGHT_CONNECTED)
-    seeds = []
-    for p in range(1, n_plateaus + 1):
-        pys, pxs = np.nonzero(plateau_labels == p)
-        cy, cx = pys.mean(), pxs.mean()
-        best = np.argmin((pys - cy) ** 2 + (pxs - cx) ** 2)
-        seeds.append(
-            (float(grid[pys[best], pxs[best]]), int(pys[best] + y0), int(pxs[best] + x0))
-        )
-    return seeds
+    pys, pxs = np.nonzero(maxima)
+    plateau = plateau_labels[pys, pxs] - 1
+    counts = np.bincount(plateau, minlength=n_plateaus)
+    # sums of integers in float64 are exact, so these equal each plateau's mean
+    cy = np.bincount(plateau, weights=pys, minlength=n_plateaus) / counts
+    cx = np.bincount(plateau, weights=pxs, minlength=n_plateaus) / counts
+    d2 = (pys - cy[plateau]) ** 2 + (pxs - cx[plateau]) ** 2
+    order = np.lexsort((np.arange(len(pys)), d2, plateau))
+    best = order[np.cumsum(counts) - counts]
+    return grid[pys[best], pxs[best]], pys[best] + y0, pxs[best] + x0
+
+
+def _suppress_close_seeds(
+    seed_ys: np.ndarray, seed_xs: np.ndarray, min_distance: float
+) -> np.ndarray:
+    """Indices of the seeds a greedy pass keeps, in input (strength) order.
+
+    A seed is kept unless an earlier kept seed lies closer than
+    ``min_distance``, tested exactly on integer squared distances. Only
+    kept seeds query the k-d tree, and kept seeds are at least
+    ``min_distance`` apart, so each seed is returned by a handful of
+    queries whatever ``min_distance`` is.
+    """
+    points = np.column_stack((seed_ys, seed_xs))
+    tree = cKDTree(points)
+    # ** rounds like earlier versions (r * r differs in the last bit for
+    # some r); a square beyond the float range means no seed is far enough
+    min_d2 = min_distance**2 if min_distance < 1e154 else math.inf
+    # the tree's radius test is in floating point, so it searches a hair
+    # wider and the exact integer test decides
+    radius = min_distance * (1 + 1e-9)
+    suppressed = np.zeros(len(points), dtype=bool)
+    kept = []
+    for i in range(len(points)):
+        if suppressed[i]:
+            continue
+        kept.append(i)
+        near = np.array(tree.query_ball_point(points[i], radius), dtype=np.intp)
+        near = near[((points[near] - points[i]) ** 2).sum(axis=1) < min_d2]
+        suppressed[near] = True
+    return np.array(kept)
+
+
+def _nearest_seed(
+    ys: np.ndarray, xs: np.ndarray, seed_ys: np.ndarray, seed_xs: np.ndarray
+) -> np.ndarray:
+    """Index of each pixel's nearest seed, the lowest index on a tie.
+
+    Takes the k nearest candidates from a k-d tree and compares exact
+    integer squared distances. Where the k-th candidate ties the
+    minimum, more seeds may tie, so those rows fall back to a full
+    argmin, in blocks that keep memory bounded.
+    """
+    n = len(seed_ys)
+    k = min(n, 4)
+    _, cand = cKDTree(np.column_stack((seed_ys, seed_xs))).query(np.column_stack((ys, xs)), k=k)
+    d2 = (ys[:, None] - seed_ys[cand]) ** 2 + (xs[:, None] - seed_xs[cand]) ** 2
+    best = d2.min(axis=1)
+    owner = np.where(d2 == best[:, None], cand, n).min(axis=1)
+    if k < n:
+        tied = np.flatnonzero(d2[:, -1] == best)
+        block = max(1, 2**20 // n)
+        for start in range(0, len(tied), block):
+            rows = tied[start : start + block]
+            full = (ys[rows, None] - seed_ys) ** 2 + (xs[rows, None] - seed_xs) ** 2
+            owner[rows] = np.argmin(full, axis=1)
+    return owner
 
 
 def split_touching(
@@ -150,25 +216,24 @@ def split_touching(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Partition an oversized component at its probability peaks.
 
-    Peaks closer than split_min_distance are merged (the strongest wins);
-    a single surviving peak returns the component whole. Otherwise each
-    pixel joins its nearest seed, which yields an exact partition.
+    Seeds are taken strongest first (ties by y, then x); a seed closer
+    than split_min_distance to a stronger kept seed is dropped. A single
+    surviving seed returns the component whole. Otherwise each pixel
+    joins its nearest kept seed, the strongest on a tie, which yields an
+    exact partition; each part keeps the component's pixel order. Time
+    and memory grow near-linearly with pixels and seeds.
     """
     ys, xs = pixels
-    seeds = _plateau_seeds(ys, xs, prob)
-    seeds.sort(key=lambda s: (-s[0], s[1], s[2]))
-    kept: list[tuple[int, int]] = []
-    min_d2 = cfg.split_min_distance**2
-    for _, sy, sx in seeds:
-        if all((sy - ky) ** 2 + (sx - kx) ** 2 >= min_d2 for ky, kx in kept):
-            kept.append((sy, sx))
+    values, seed_ys, seed_xs = _plateau_seeds(ys, xs, prob)
+    strength = np.lexsort((seed_xs, seed_ys, -values))
+    seed_ys, seed_xs = seed_ys[strength], seed_xs[strength]
+    kept = _suppress_close_seeds(seed_ys, seed_xs, cfg.split_min_distance)
     if len(kept) <= 1:
         return [(ys, xs)]
-    seed_ys = np.array([s[0] for s in kept])
-    seed_xs = np.array([s[1] for s in kept])
-    d2 = (ys[:, None] - seed_ys[None, :]) ** 2 + (xs[:, None] - seed_xs[None, :]) ** 2
-    owner = np.argmin(d2, axis=1)
-    return [(ys[owner == i], xs[owner == i]) for i in range(len(kept))]
+    owner = _nearest_seed(ys, xs, seed_ys[kept], seed_xs[kept])
+    order = np.argsort(owner, kind="stable")
+    ends = np.cumsum(np.bincount(owner, minlength=len(kept)))[:-1]
+    return [(ys[part], xs[part]) for part in np.split(order, ends)]
 
 
 def classify_crown(
@@ -223,6 +288,12 @@ def classify_detections(
     return detections
 
 
+def check_max_centroid_dist(value: float) -> None:
+    """Raise ParameterError unless ``0 < value < inf``."""
+    if not 0 < value < math.inf:
+        raise ParameterError(f"max_centroid_dist must be finite and > 0, got {value}")
+
+
 @dataclass
 class MatchResult:
     matches: list[tuple[CrownDetection, CrownAnnotation]]
@@ -240,16 +311,26 @@ def match_detections(
     Candidate pairs are ordered by (distance, detection index, truth
     index), so ties resolve stably; pairs beyond max_centroid_dist are
     rejected. Unmatched detections are false positives, unmatched truth
-    crowns false negatives.
+    crowns false negatives. Candidates come from a k-d tree, so the cost
+    grows with the pairs within reach, not with detections x crowns.
     """
-    if max_centroid_dist <= 0:
-        raise ParameterError(f"max_centroid_dist must be > 0, got {max_centroid_dist}")
+    check_max_centroid_dist(max_centroid_dist)
     crowns = list(truth.crowns)
+    # The tree's squared distances overflow beyond about 1e154, so it sees
+    # coordinates clipped to +-1e150: clipping lengthens no pair, and every
+    # clipped pair is closer than 1e151, so no pair within reach is lost.
+    # Its distances may differ from hypot in the last bits, so it searches
+    # a hair wider and hypot decides, as it did for every pair.
+    det_points = np.array([d.centroid for d in detections], dtype=np.float64).reshape(-1, 2)
+    truth_points = np.array([(c.cx, c.cy) for c in crowns], dtype=np.float64).reshape(-1, 2)
+    tree = cKDTree(np.clip(truth_points, -1e150, 1e150))
+    radius = min(max_centroid_dist * (1 + 1e-9), 1e151)
+    near = tree.query_ball_point(np.clip(det_points, -1e150, 1e150), radius)
     pairs = []
-    for di, det in enumerate(detections):
+    for di, (det, candidates) in enumerate(zip(detections, near)):
         dx, dy = det.centroid
-        for ti, crown in enumerate(crowns):
-            dist = math.hypot(dx - crown.cx, dy - crown.cy)
+        for ti in candidates:
+            dist = math.hypot(dx - crowns[ti].cx, dy - crowns[ti].cy)
             if dist <= max_centroid_dist:
                 pairs.append((dist, di, ti))
     pairs.sort()
@@ -320,19 +401,23 @@ def load_geojson(path) -> list[CrownDetection]:
         at = f"{where} features[{i}]"
         geometry = take(feature, "geometry", dict, at)
         props = take(feature, "properties", dict, at)
-        detections.append(
-            CrownDetection(
-                id=take(props, "id", int, at),
-                centroid=take(geometry, "coordinates", tuple[float, float], at),
-                bbox=take(props, "bbox", tuple[int, int, int, int], at),
-                pixel_count=take(props, "pixel_count", int, at),
-                diameter_px=take(props, "diameter_px", float, at),
-                score=take(props, "score", float, at),
-                class_label=take(props, "class", str | None, at, default=None),
-                mean_ndvi=take(props, "mean_ndvi", float | None, at, default=None),
-                mean_gndvi=take(props, "mean_gndvi", float | None, at, default=None),
-            )
+        det = CrownDetection(
+            id=take(props, "id", int, at),
+            centroid=take(geometry, "coordinates", tuple[float, float], at),
+            bbox=take(props, "bbox", tuple[int, int, int, int], at),
+            pixel_count=take(props, "pixel_count", int, at),
+            diameter_px=take(props, "diameter_px", float, at),
+            score=take(props, "score", float, at),
+            class_label=take(props, "class", str | None, at, default=None),
+            mean_ndvi=take(props, "mean_ndvi", float | None, at, default=None),
+            mean_gndvi=take(props, "mean_gndvi", float | None, at, default=None),
         )
+        numbers = (*det.centroid, det.score, det.diameter_px, det.mean_ndvi, det.mean_gndvi)
+        if not all(math.isfinite(v) for v in numbers if v is not None):
+            raise FormatError(
+                f"{at}: coordinates, score, diameter_px, mean_ndvi and mean_gndvi must be finite"
+            )
+        detections.append(det)
     return detections
 
 

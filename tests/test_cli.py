@@ -340,6 +340,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("out of memory")
 
+    @pytest.mark.parametrize("max_dist", ["nan", "inf"])
+    def test_non_finite_match_distance_is_config_error(self, workspace, tmp_path, max_dist):
+        # both used to exit 0: NaN matched nothing, inf matched every pair
+        scene = workspace["scenes"][2]
+        truth = scene.parent / "scene.json"
+        out = tmp_path / "run"
+        code = main([
+            "pipeline", "--scene", str(scene), "--model", str(workspace["model"]),
+            "--truth", str(truth), "--out", str(out), "--max-dist", max_dist,
+        ])
+        assert code == 2
+        assert not out.exists()  # rejected before any work
+        dets = tmp_path / "dets.geojson"
+        dets.write_text(json.dumps(_VALID_DOCS["detections"]))
+        assert main(["eval", str(dets), str(truth), "--max-dist", max_dist]) == 2
+
     def test_negative_synth_seed_is_config_error(self, workspace, tmp_path):
         assert main(["synth", str(tmp_path), "--spec", str(workspace["spec"]), "--seed", "-1"]) == 2
 
@@ -452,6 +468,15 @@ _VALID_DOCS = {
         "bands": [{"name": n, "wavelength_nm": None} for n in ("red", "green", "nir")],
     },
 }
+
+
+def _with_detection_field(where, key, value):
+    """The valid detections document with one number of its feature set to ``value``."""
+    doc = json.loads(json.dumps(_VALID_DOCS["detections"]))
+    part = doc["features"][0][where]
+    part[key] = [value, 5.0] if key == "coordinates" else value
+    return doc
+
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
@@ -577,6 +602,15 @@ def test_any_loader_document_exits_cleanly(loader_sites, case):
         ("augment spec", {"operations": [{"op": "crop", "size": 12.5}]}, 3),
         # used to warn of an overflow, write a mostly non-finite scene and exit 0
         ("scene spec", {"width": 48, "height": 48, "counts": {"healthy": 1, "smallish": 0, "dead": 0}, "noise_sigma": 1e300}, 2),
+        # non-finite numbers in a detection used to load; eval then exited 0
+        *(
+            ("detections", _with_detection_field(where, key, value), 3)
+            for where, key in (
+                ("geometry", "coordinates"), ("properties", "score"), ("properties", "diameter_px"),
+                ("properties", "mean_ndvi"), ("properties", "mean_gndvi"),
+            )
+            for value in (math.nan, math.inf, -math.inf)
+        ),
     ],
 )
 def test_malformed_documents_exit_with_their_code(loader_sites, site, doc, expected):

@@ -1,13 +1,20 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from palmwatch.annotations import AnnotationSet, CrownAnnotation
 from palmwatch.crown_detect import (
     CrownDetection,
     DetectorConfig,
+    _make_detection,
+    _nearest_seed,
     classify_crown,
     classify_detections,
     detect_crowns,
@@ -44,6 +51,25 @@ def peaked_prob_map(shape, peaks, radius, floor=0.02):
         cone = np.maximum(0.0, top * (1 - d / radius))
         values = np.maximum(values, np.where(d <= radius, np.maximum(cone, floor), floor))
     return ProbabilityMap(values=values.astype(np.float32), valid=np.ones((h, w), bool))
+
+
+class TestDetectorConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *(
+                (field, value)
+                for field in ("split_min_distance", "smallish_diameter_px", "dead_ndvi_max")
+                for value in (math.nan, math.inf, -math.inf)
+            ),
+            ("split_min_distance", 0.0),
+            ("split_min_distance", -1.0),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        # a NaN used to switch splitting, the smallish class or the dead class off
+        with pytest.raises(ParameterError, match=field):
+            DetectorConfig(**{field: value})
 
 
 class TestDetect:
@@ -168,6 +194,20 @@ class TestSplitTouching:
         cfg = DetectorConfig(prob_threshold=0.3, min_area=20, max_area=800)
         dets = detect_crowns(prob, cfg)
         assert len(dets) == 2
+
+    def test_huge_split_distance_keeps_component_whole(self):
+        # its square overflows: used to raise OverflowError
+        prob = peaked_prob_map((60, 120), [(40, 30, 0.9), (80, 30, 0.9)], radius=25)
+        ys, xs = np.nonzero(prob.values > 0.3)
+        assert len(split_touching((ys, xs), prob, DetectorConfig(split_min_distance=1e200))) == 1
+
+    def test_max_area_is_inclusive(self):
+        # two overlapping cones: one component with two peaks
+        prob = peaked_prob_map((60, 120), [(40, 30, 0.95), (66, 30, 0.95)], radius=25)
+        area = int((prob.values > 0.3).sum())
+        for max_area, expected in ((area, 1), (area - 1, 2)):
+            cfg = DetectorConfig(prob_threshold=0.3, max_area=max_area)
+            assert len(detect_crowns(prob, cfg)) == expected
 
     def test_flat_plateau_single_seed(self):
         values = np.full((50, 50), 0.0, np.float32)
@@ -304,8 +344,10 @@ class TestMatch:
         assert len(matched_dets) == len(result.matches)  # one-to-one
 
     def test_bad_max_dist(self):
-        with pytest.raises(ParameterError):
-            match_detections([], AnnotationSet(()), 0.0)
+        # inf used to pair every detection with every crown, NaN to match nothing
+        for max_dist in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                match_detections([self.det_at(0, 0)], AnnotationSet((self.truth_at(0, 0),)), max_dist)
 
 
 class TestExport:
@@ -372,3 +414,248 @@ class TestExport:
             "x_min,y_min,x_max,y_max,mean_ndvi,mean_gndvi"
         )
         assert len(lines) == 3
+
+
+# The all-pairs algorithms crown_detect used before its k-d tree versions,
+# kept as references: the k-d tree versions must agree with them exactly,
+# tie-breaks included.
+
+
+def reference_plateau_seeds(ys, xs, prob):
+    y0, x0 = ys.min(), xs.min()
+    h = ys.max() - y0 + 1
+    w = xs.max() - x0 + 1
+    grid = np.full((h, w), -np.inf)
+    member = np.zeros((h, w), dtype=bool)
+    grid[ys - y0, xs - x0] = prob.values[ys, xs]
+    member[ys - y0, xs - x0] = True
+    neighborhood_max = ndimage.maximum_filter(grid, size=3, mode="constant", cval=-np.inf)
+    maxima = member & (grid >= neighborhood_max)
+    plateau_labels, n_plateaus = ndimage.label(maxima, structure=np.ones((3, 3), int))
+    seeds = []
+    for p in range(1, n_plateaus + 1):
+        pys, pxs = np.nonzero(plateau_labels == p)
+        cy, cx = pys.mean(), pxs.mean()
+        best = np.argmin((pys - cy) ** 2 + (pxs - cx) ** 2)
+        seeds.append((float(grid[pys[best], pxs[best]]), int(pys[best] + y0), int(pxs[best] + x0)))
+    return seeds
+
+
+def reference_split(pixels, prob, cfg):
+    ys, xs = pixels
+    seeds = reference_plateau_seeds(ys, xs, prob)
+    seeds.sort(key=lambda s: (-s[0], s[1], s[2]))
+    kept = []
+    min_d2 = cfg.split_min_distance**2
+    for _, sy, sx in seeds:
+        if all((sy - ky) ** 2 + (sx - kx) ** 2 >= min_d2 for ky, kx in kept):
+            kept.append((sy, sx))
+    if len(kept) <= 1:
+        return [(ys, xs)]
+    seed_ys = np.array([s[0] for s in kept])
+    seed_xs = np.array([s[1] for s in kept])
+    d2 = (ys[:, None] - seed_ys[None, :]) ** 2 + (xs[:, None] - seed_xs[None, :]) ** 2
+    owner = np.argmin(d2, axis=1)
+    return [(ys[owner == i], xs[owner == i]) for i in range(len(kept))]
+
+
+def reference_detect(prob, cfg):
+    binary = prob.valid & (prob.values > cfg.prob_threshold)
+    labels, _ = ndimage.label(binary, structure=np.ones((3, 3), int))
+    detections = []
+    for comp, slc in enumerate(ndimage.find_objects(labels), start=1):
+        if slc is None:
+            continue
+        ys, xs = np.nonzero(labels[slc] == comp)
+        ys = ys + slc[0].start
+        xs = xs + slc[1].start
+        if len(xs) < cfg.min_area:
+            continue
+        parts = [(ys, xs)] if len(xs) <= cfg.max_area else reference_split((ys, xs), prob, cfg)
+        detections += [_make_detection(pys, pxs, prob) for pys, pxs in parts if len(pxs) >= cfg.min_area]
+    detections.sort(key=lambda d: (-d.score, d.centroid[1], d.centroid[0]))
+    for i, det in enumerate(detections, start=1):
+        det.id = i
+    return detections
+
+
+def reference_match(detections, truth, max_centroid_dist):
+    crowns = list(truth.crowns)
+    pairs = []
+    for di, det in enumerate(detections):
+        dx, dy = det.centroid
+        for ti, crown in enumerate(crowns):
+            dist = math.hypot(dx - crown.cx, dy - crown.cy)
+            if dist <= max_centroid_dist:
+                pairs.append((dist, di, ti))
+    pairs.sort()
+    used_d, used_t, matches = set(), set(), []
+    for _, di, ti in pairs:
+        if di not in used_d and ti not in used_t:
+            used_d.add(di)
+            used_t.add(ti)
+            matches.append((di, ti))
+    return (
+        matches,
+        [i for i in range(len(detections)) if i not in used_d],
+        [i for i in range(len(crowns)) if i not in used_t],
+    )
+
+
+def assert_same_parts(parts, expected):
+    assert len(parts) == len(expected)
+    for (ys, xs), (eys, exs) in zip(parts, expected):
+        np.testing.assert_array_equal(ys, eys)
+        np.testing.assert_array_equal(xs, exs)
+
+
+def detection_fields(dets):
+    return [
+        (d.id, d.centroid, d.bbox, d.pixel_count, d.diameter_px, d.score,
+         d.pixels[0].tolist(), d.pixels[1].tolist())
+        for d in dets
+    ]
+
+
+# Few probability levels make flat plateaus and equal seed strengths
+# likely; small grids make equidistant pixels and seeds likely.
+_LEVELS = np.array([0.55, 0.7, 0.8, 0.9], np.float32)
+_SPLIT_DISTANCES = st.sampled_from([1.0, 2.0, 2.5, math.sqrt(2), math.sqrt(5), 3.0, 8.0]) | st.floats(0.5, 12.0)
+
+
+@st.composite
+def level_maps(draw, max_side):
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    levels = draw(hnp.arrays(np.int8, (h, w), elements=st.integers(0, len(_LEVELS) - 1)))
+    member = draw(hnp.arrays(bool, (h, w)))
+    return _LEVELS[levels], member
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=level_maps(max_side=14), min_distance=_SPLIT_DISTANCES)
+def test_split_touching_matches_all_pairs_reference(grid, min_distance):
+    values, member = grid
+    assume(member.any())
+    prob = ProbabilityMap(values, np.ones(values.shape, bool))
+    pixels = np.nonzero(member)
+    cfg = DetectorConfig(split_min_distance=min_distance)
+    parts = split_touching(pixels, prob, cfg)
+    assert_same_parts(parts, reference_split(pixels, prob, cfg))
+    # the parts partition the component exactly
+    w = values.shape[1]
+    flat = np.sort(np.concatenate([ys * w + xs for ys, xs in parts]))
+    np.testing.assert_array_equal(flat, pixels[0] * w + pixels[1])
+
+
+@pytest.mark.parametrize("strongest", range(8))
+def test_split_touching_pixel_equidistant_from_many_seeds(strongest):
+    # eight peaks at distance 5 from the centre pixel, none closer: the
+    # centre joins the strongest, and the tie is wider than the nearest-4
+    # candidates a k-d tree query returns
+    offsets = [(0, 5), (0, -5), (5, 0), (-5, 0), (3, 4), (-3, -4), (4, -3), (-4, 3)]
+    yy, xx = np.mgrid[0:13, 0:13]
+    nearest = np.min([np.hypot(yy - 6 - dy, xx - 6 - dx) for dy, dx in offsets], axis=0)
+    values = (0.9 - 0.01 * nearest).astype(np.float32)
+    top_y, top_x = 6 + offsets[strongest][0], 6 + offsets[strongest][1]
+    values[top_y, top_x] = 0.95
+    prob = ProbabilityMap(values, np.ones((13, 13), bool))
+    pixels = np.nonzero(np.ones((13, 13), bool))
+    cfg = DetectorConfig(split_min_distance=2.0)
+    parts = split_touching(pixels, prob, cfg)
+    assert_same_parts(parts, reference_split(pixels, prob, cfg))
+    assert len(parts) == 8
+    centre_part = [i for i, (ys, xs) in enumerate(parts) if ((ys == 6) & (xs == 6)).any()]
+    top_part = [i for i, (ys, xs) in enumerate(parts) if ((ys == top_y) & (xs == top_x)).any()]
+    assert centre_part == top_part == [0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(side=st.integers(1, 48), density=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+def test_nearest_seed_matches_full_argmin(side, density, seed):
+    # seeds in random order on a lattice: many pixels tie between more
+    # seeds than the k-d tree's nearest-4 candidates, and the lowest
+    # seed index must win
+    rng = np.random.default_rng(seed)
+    n = max(1, min(600, int(density * side * side)))
+    cells = rng.permutation(side * side)[:n]
+    seed_ys, seed_xs = cells // side, cells % side
+    ys, xs = (a.ravel() for a in np.mgrid[0:side, 0:side])
+    full = (ys[:, None] - seed_ys) ** 2 + (xs[:, None] - seed_xs) ** 2
+    np.testing.assert_array_equal(_nearest_seed(ys, xs, seed_ys, seed_xs), np.argmin(full, axis=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=level_maps(max_side=40),
+    min_area=st.integers(1, 8),
+    extra_area=st.integers(0, 40),
+    min_distance=_SPLIT_DISTANCES,
+)
+def test_detect_crowns_matches_per_component_reference(grid, min_area, extra_area, min_distance):
+    """Maps full of specks below min_area, plus components big enough to split."""
+    values, member = grid
+    values = np.where(member, values, np.float32(0.1))
+    prob = ProbabilityMap(values, np.ones(values.shape, bool))
+    cfg = DetectorConfig(min_area=min_area, max_area=min_area + extra_area, split_min_distance=min_distance)
+    assert detection_fields(detect_crowns(prob, cfg)) == detection_fields(reference_detect(prob, cfg))
+
+
+_HALF_STEPS = st.integers(0, 12).map(lambda v: v / 2)
+# far-apart huge coordinates would overflow a k-d tree's squared distances
+_CENTROIDS = (
+    st.tuples(_HALF_STEPS, _HALF_STEPS)
+    | st.tuples(st.floats(0, 6), st.floats(0, 6))
+    | st.tuples(st.floats(-1e305, 1e305), st.floats(-1e305, 1e305))
+)
+
+
+@st.composite
+def match_cases(draw):
+    """Detections, truth and a radius, often the exact distance of some pair."""
+    dets = [
+        CrownDetection(id=i, centroid=xy, bbox=(0, 0, 0, 0), pixel_count=1, diameter_px=1.0, score=0.9)
+        for i, xy in enumerate(draw(st.lists(_CENTROIDS, max_size=14)))
+    ]
+    truth = AnnotationSet(tuple(
+        CrownAnnotation(i, "healthy", x, y, 1.0) for i, (x, y) in enumerate(draw(st.lists(_CENTROIDS, max_size=14)))
+    ))
+    exact = [
+        d for d in (math.hypot(det.centroid[0] - c.cx, det.centroid[1] - c.cy) for det in dets for c in truth.crowns)
+        if d > 0
+    ]
+    limits = st.floats(0.01, 10.0) | st.floats(1e-300, 1e308)
+    if exact:
+        limits = st.sampled_from(exact) | limits
+    return dets, truth, draw(limits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=match_cases())
+def test_match_detections_matches_all_pairs_reference(case):
+    dets, truth, max_dist = case
+    result = match_detections(dets, truth, max_dist)
+    matches, fps, fns = reference_match(dets, truth, max_dist)
+    assert [(d.id, c.id) for d, c in result.matches] == matches
+    assert [d.id for d in result.false_positives] == fps
+    assert [c.id for c in result.false_negatives] == fns
+
+
+def test_split_touching_memory_is_linear():
+    # a 240x240 noisy component: ~6k local maxima and ~570 parts. An
+    # all-pairs owner assignment holds pixels x seeds int64 matrices
+    # (57,600 x 573 x 8 B = 264 MB each).
+    rng = np.random.default_rng(0)
+    values = np.zeros((244, 244), np.float32)
+    values[2:-2, 2:-2] = rng.uniform(0.55, 1.0, (240, 240))
+    prob = ProbabilityMap(values, np.ones(values.shape, bool))
+    pixels = np.nonzero(values > 0.5)
+    tracemalloc.start()
+    try:
+        parts = split_touching(pixels, prob, DetectorConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parts) > 500
+    assert sum(len(xs) for _, xs in parts) == 240 * 240
+    assert peak < 64 << 20
