@@ -44,7 +44,6 @@ from .indices import (
 from .pixel_model import (
     FeatureGrid,
     ModelParams,
-    ProbabilityMap,
     TrainConfig,
     featurize,
     gradient,

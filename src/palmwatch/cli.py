@@ -365,6 +365,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    config = config_from(TrainConfig, args)
     pairs = []
     for scene_path in args.scenes:
         header = _require_file(scene_path, "scene")
@@ -372,9 +373,9 @@ def _cmd_train(args) -> int:
         _require_file(ann_path, f"annotations for {header.name}")
         pairs.append((load_raster(header), load_annotations(ann_path)))
     X, y, names = build_training_set(
-        pairs, negative_ratio=args.neg_ratio, seed=args.seed
+        pairs, negative_ratio=args.neg_ratio, seed=config.seed
     )
-    params = train(X, y, names, config_from(TrainConfig, args))
+    params = train(X, y, names, config)
     save_params(params, args.out)
     print(
         f"trained on {len(y)} rows ({int(y.sum())} palm) from {len(pairs)} scenes; "
@@ -550,11 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the pixel model on annotated scenes")
     p.add_argument("scenes", nargs="+", help=".rhdr scenes; annotations expected at <stem>.json")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--learning-rate", type=float, default=t.learning_rate, help="descent step (default %(default)s)")
-    p.add_argument("--epochs", type=int, default=t.epochs, help="training epochs (default %(default)s)")
-    p.add_argument("--batch-size", type=int, default=t.batch_size, help="mini-batch size (default %(default)s)")
-    p.add_argument("--l2", type=float, default=t.l2, help="L2 penalty (default %(default)s)")
-    p.add_argument("--seed", type=int, default=t.seed, help="shuffle/subsample seed (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=t.epochs, help="Newton iteration cap; each iteration uses every row (default %(default)s)")
+    p.add_argument("--l2", type=float, default=t.l2, help="L2 penalty on the weights, finite (default %(default)s)")
+    p.add_argument("--seed", type=int, default=t.seed, help="background-row sampling seed (default %(default)s)")
     p.add_argument(
         "--neg-ratio",
         type=float,

@@ -36,9 +36,16 @@ from .raster_core import Mask, MaskedGrid, Raster
 DEFAULT_INDEX_FEATURES = ("ndvi", "gndvi")
 DEFAULT_NEGATIVE_RATIO = 5.0
 
-
-# The model's output: a masked grid named "palm_probability".
-ProbabilityMap = MaskedGrid
+# train stops once every component of the gradient is this small
+GRADIENT_TOLERANCE = 1e-10
+# a step is taken once the loss falls by at least this fraction of the
+# decrease the gradient predicts for it (the Armijo condition)
+ARMIJO_FRACTION = 1e-4
+# loss changes this small relative to the loss are rounding noise
+LOSS_ROUNDING = 16 * np.finfo(np.float64).eps
+# a Newton step that passes neither line-search test even when halved
+# this often (to 2**-60 of its length) cannot lower the loss: train stops
+MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -119,21 +126,20 @@ def featurize(
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 300
-    batch_size: int = 4096
+    """``epochs`` caps the Newton iterations of ``train``, each over every
+    row; ``seed`` seeds the negative sampling of ``build_training_set``."""
+
+    epochs: int = 100
     seed: int = 0
     l2: float = 1e-4
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.l2 < 0:
-            raise ParameterError(f"l2 must be >= 0, got {self.l2}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.l2 < np.inf:
+            raise ParameterError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 @dataclass
@@ -203,19 +209,50 @@ def standardization_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+def newton_step(
+    weights: np.ndarray, bias: float, X: np.ndarray, grad: np.ndarray, l2: float
+) -> np.ndarray:
+    """The Newton direction of ``loss`` for (weights, bias): solves H d = -grad.
+
+    H = [X, 1]^T diag(p(1-p)) [X, 1] / n plus ``l2`` on the weight
+    diagonal (the bias is not penalized). The system is scaled to a unit
+    diagonal first, so the rank cutoff of the least-squares solve judges
+    each variable against its own curvature; where H is singular (l2 = 0
+    with a constant or repeated feature) the minimum-norm step is taken.
+    """
+    n, f = X.shape
+    p = expit(X @ weights + bias)
+    s = p * (1.0 - p)
+    sx = X * s[:, None]
+    H = np.empty((f + 1, f + 1))
+    H[:f, :f] = sx.T @ X / n
+    H[:f, f] = H[f, :f] = sx.sum(axis=0) / n
+    H[f, f] = s.mean()
+    H[range(f), range(f)] += l2
+    scale = np.sqrt(np.diag(H))
+    scale[scale == 0] = 1.0
+    u = np.linalg.lstsq(H / np.outer(scale, scale), -grad / scale, rcond=None)[0]
+    return u / scale
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
     feature_names: tuple[str, ...],
     config: TrainConfig | None = None,
 ) -> ModelParams:
-    """Fit logistic-regression parameters by seeded mini-batch descent.
+    """Fit logistic-regression parameters by damped Newton (IRLS).
 
     Features are standardized with statistics taken from ``X`` and stored
-    on the returned params. Weights and bias start at zero (the objective
-    is convex), so zero epochs returns the 0.5-everywhere model. Raises
-    DegenerateDataError when only one label value is present and
-    DivergenceError (naming the epoch) if the loss goes non-finite.
+    on the returned params. Weights and bias start at zero. Each iteration
+    takes the Newton step of the convex objective ``loss``, halved until
+    the loss meets the Armijo decrease. Training stops once every gradient
+    component is at most GRADIENT_TOLERANCE, when MAX_HALVINGS halvings
+    find no decrease (the optimum to working precision), or after
+    ``config.epochs`` iterations; zero iterations return the
+    0.5-everywhere model. Raises DegenerateDataError when only one label
+    value is present and DivergenceError (naming the iteration) if the
+    loss is non-finite.
     """
     config = config or TrainConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -237,27 +274,47 @@ def train(
 
     mean, std = standardization_stats(X)
     Xs = (X - mean) / std
-    weights = np.zeros(len(feature_names), dtype=np.float64)
-    bias = 0.0
-    rng = np.random.default_rng(config.seed)
-    n = len(y)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grad_w, grad_b = gradient(weights, bias, Xs[batch], y[batch], config.l2)
-            weights -= config.learning_rate * grad_w
-            bias -= config.learning_rate * grad_b
-        if not (np.isfinite(weights).all() and np.isfinite(bias)):
-            raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
 
-    final = loss(weights, bias, Xs, y, config.l2)
+    def objective(theta):
+        return loss(theta[:-1], theta[-1], Xs, y, config.l2)
+
+    def gradient_at(theta):
+        return np.append(*gradient(theta[:-1], theta[-1], Xs, y, config.l2))
+
+    theta = np.zeros(len(feature_names) + 1)  # the weights, then the bias
+    final = objective(theta)
     if not np.isfinite(final):
-        raise DivergenceError(f"training loss became non-finite at epoch {config.epochs - 1}")
+        # a step is taken only to a finite loss, so only the start can fail
+        raise DivergenceError("training loss became non-finite at iteration 0")
+    for _ in range(config.epochs):
+        grad = gradient_at(theta)
+        largest = np.abs(grad).max()
+        if largest <= GRADIENT_TOLERANCE:
+            break
+        step = newton_step(theta[:-1], theta[-1], Xs, grad, config.l2)
+        armijo = ARMIJO_FRACTION * float(grad @ step)  # < 0, per unit of t
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            candidate = theta + t * step
+            # a step so long that z overflows gives a NaN or inf loss,
+            # which fails the tests below and is halved like any other
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = objective(candidate)
+            # near the optimum the decrease drowns in the loss's rounding;
+            # there a smaller gradient is the evidence of progress
+            if trial <= final + t * armijo or (
+                abs(trial - final) <= LOSS_ROUNDING * final
+                and np.abs(gradient_at(candidate)).max() < largest
+            ):
+                break
+            t /= 2
+        else:
+            break
+        theta, final = candidate, trial
     return ModelParams(
         features=tuple(feature_names),
-        weights=weights,
-        bias=bias,
+        weights=theta[:-1],
+        bias=float(theta[-1]),
         norm_mean=mean,
         norm_std=std,
         final_loss=final,
@@ -302,6 +359,8 @@ def build_training_set(
     """
     from .synth_scene import rasterize_labels
 
+    if not 0 <= negative_ratio < np.inf:
+        raise ParameterError(f"negative_ratio must be finite and >= 0, got {negative_ratio}")
     if not scenes:
         raise DegenerateDataError("no scenes to build a training set from")
     rng = np.random.default_rng(seed)
@@ -324,7 +383,7 @@ def build_training_set(
         palm = rasterize_labels(ann, raster.width, raster.height)
         pos_idx = np.flatnonzero((palm & valid).ravel())
         neg_candidates = np.flatnonzero((~palm & valid).ravel())
-        keep = min(len(neg_candidates), int(round(negative_ratio * len(pos_idx))))
+        keep = int(round(min(negative_ratio * len(pos_idx), len(neg_candidates))))
         chosen = rng.choice(len(neg_candidates), size=keep, replace=False)
         chosen.sort()
         neg_idx = neg_candidates[chosen]

@@ -44,7 +44,6 @@ from palmwatch.evaluate import (
 )
 from palmwatch.indices import gndvi, ndvi
 from palmwatch.pixel_model import (
-    ProbabilityMap,
     TrainConfig,
     build_training_set,
     gradient,
@@ -52,7 +51,7 @@ from palmwatch.pixel_model import (
     save_params,
     train,
 )
-from palmwatch.raster_core import Band, Mask, Raster, save_raster
+from palmwatch.raster_core import Band, Mask, MaskedGrid, Raster, save_raster
 from palmwatch.synth_scene import SceneSpec, generate_scene
 from palmwatch.tiling import extract_tile, stitch, tile_plan
 
@@ -190,7 +189,7 @@ def test_criterion_4_tiling_round_trip():
                 tile = extract_tile(raster, window)
                 samples = tile.band("p").samples
                 outputs.append(
-                    (window, ProbabilityMap(samples, np.isfinite(samples)))
+                    (window, MaskedGrid(samples, np.isfinite(samples)))
                 )
             stitched = stitch(plan, outputs)
             assert stitched.valid.all()
@@ -201,8 +200,8 @@ def test_criterion_4_tiling_round_trip():
         # constructed two-tile overlap: stride 2 with tile 4 -> columns 2..3 shared
         plan = tile_plan(6, 2, 4, 2)
         w0, w1 = plan.windows
-        m0 = ProbabilityMap(np.full((4, 4), 0.2, np.float32), np.ones((4, 4), bool))
-        m1 = ProbabilityMap(np.full((4, 4), 0.6, np.float32), np.ones((4, 4), bool))
+        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32), np.ones((4, 4), bool))
+        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32), np.ones((4, 4), bool))
         blended = stitch(plan, [(w0, m0), (w1, m1)])
         np.testing.assert_array_equal(blended.values[:, 2:4], np.float32((0.2 + 0.6) / 2))
         np.testing.assert_array_equal(blended.values[:, :2], np.float32(0.2))

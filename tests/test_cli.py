@@ -3,6 +3,7 @@ import io
 import json
 import math
 import resource
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,38 @@ class TestExitCodes:
 
     def test_negative_synth_seed_is_config_error(self, workspace, tmp_path):
         assert main(["synth", str(tmp_path), "--spec", str(workspace["spec"]), "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", "-1"],
+            ["--l2", "nan"],
+            ["--l2", "inf"],
+            ["--l2", "-1"],
+            ["--neg-ratio", "nan"],
+            ["--neg-ratio", "inf"],
+            ["--neg-ratio", "-1"],
+            ["--learning-rate", "0.1"],  # no such flag: argparse exits 2
+            ["--batch-size", "32"],
+        ],
+    )
+    def test_bad_train_parameter_is_config_error(self, workspace, tmp_path, capsys, flags):
+        model = tmp_path / "m.json"
+        try:
+            code = main(["train", str(workspace["scenes"][0]), "--out", str(model), *flags])
+        except SystemExit as err:
+            code = err.code
+        assert code == 2
+        assert not model.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--l2", "1e300"], ["--neg-ratio", "1e308"]])
+    def test_extreme_finite_train_parameters_train_quietly(self, workspace, tmp_path, flags):
+        model = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", str(workspace["scenes"][0]), "--out", str(model), *flags]) == 0
+        assert model.is_file()
 
     def test_argparse_unknown_flag(self):
         with pytest.raises(SystemExit) as err:

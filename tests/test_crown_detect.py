@@ -26,7 +26,7 @@ from palmwatch.crown_detect import (
     write_geojson,
 )
 from palmwatch.errors import ParameterError, UnclassifiableError
-from palmwatch.pixel_model import ProbabilityMap
+from palmwatch.raster_core import MaskedGrid
 
 from conftest import make_raster
 
@@ -38,7 +38,7 @@ def disc_prob_map(shape, discs, inside=0.9, outside=0.05):
     yy, xx = np.mgrid[0:h, 0:w]
     for cx, cy, r in discs:
         values[(xx - cx) ** 2 + (yy - cy) ** 2 <= r * r] = inside
-    return ProbabilityMap(values=values, valid=np.ones((h, w), bool))
+    return MaskedGrid(values=values, valid=np.ones((h, w), bool))
 
 
 def peaked_prob_map(shape, peaks, radius, floor=0.02):
@@ -50,7 +50,7 @@ def peaked_prob_map(shape, peaks, radius, floor=0.02):
         d = np.sqrt((xx - cx) ** 2 + (yy - cy) ** 2)
         cone = np.maximum(0.0, top * (1 - d / radius))
         values = np.maximum(values, np.where(d <= radius, np.maximum(cone, floor), floor))
-    return ProbabilityMap(values=values.astype(np.float32), valid=np.ones((h, w), bool))
+    return MaskedGrid(values=values.astype(np.float32), valid=np.ones((h, w), bool))
 
 
 class TestDetectorConfig:
@@ -74,7 +74,7 @@ class TestDetectorConfig:
 
 class TestDetect:
     def test_all_zero_empty(self):
-        prob = ProbabilityMap(np.zeros((64, 64), np.float32), np.ones((64, 64), bool))
+        prob = MaskedGrid(np.zeros((64, 64), np.float32), np.ones((64, 64), bool))
         assert detect_crowns(prob, DetectorConfig()) == []
 
     def test_single_disc(self):
@@ -126,7 +126,7 @@ class TestDetect:
 
     def test_thresholded_area_monotone(self, rng):
         values = rng.random((80, 80)).astype(np.float32)
-        prob = ProbabilityMap(values, np.ones((80, 80), bool))
+        prob = MaskedGrid(values, np.ones((80, 80), bool))
         low = detect_crowns(prob, DetectorConfig(prob_threshold=0.3, min_area=1))
         high = detect_crowns(prob, DetectorConfig(prob_threshold=0.7, min_area=1))
         assert sum(d.pixel_count for d in high) <= sum(d.pixel_count for d in low)
@@ -135,7 +135,7 @@ class TestDetect:
         values = np.full((40, 80), 0.0, np.float32)
         values[5:15, 5:15] = 0.7
         values[5:15, 40:50] = 0.9
-        prob = ProbabilityMap(values, np.ones((40, 80), bool))
+        prob = MaskedGrid(values, np.ones((40, 80), bool))
         dets = detect_crowns(prob, DetectorConfig())
         assert [round(d.score, 1) for d in dets] == [0.9, 0.7]
         assert [d.id for d in dets] == [1, 2]
@@ -143,7 +143,7 @@ class TestDetect:
     def test_invalid_pixels_not_detected(self):
         values = np.full((50, 50), 0.9, np.float32)
         valid = np.zeros((50, 50), bool)
-        prob = ProbabilityMap(values, valid)
+        prob = MaskedGrid(values, valid)
         assert detect_crowns(prob, DetectorConfig()) == []
 
 
@@ -212,7 +212,7 @@ class TestSplitTouching:
     def test_flat_plateau_single_seed(self):
         values = np.full((50, 50), 0.0, np.float32)
         values[10:40, 10:40] = 0.9  # constant plateau, 900 px
-        prob = ProbabilityMap(values, np.ones((50, 50), bool))
+        prob = MaskedGrid(values, np.ones((50, 50), bool))
         cfg = DetectorConfig(max_area=400)
         dets = detect_crowns(prob, cfg)
         assert len(dets) == 1
@@ -537,7 +537,7 @@ def level_maps(draw, max_side):
 def test_split_touching_matches_all_pairs_reference(grid, min_distance):
     values, member = grid
     assume(member.any())
-    prob = ProbabilityMap(values, np.ones(values.shape, bool))
+    prob = MaskedGrid(values, np.ones(values.shape, bool))
     pixels = np.nonzero(member)
     cfg = DetectorConfig(split_min_distance=min_distance)
     parts = split_touching(pixels, prob, cfg)
@@ -559,7 +559,7 @@ def test_split_touching_pixel_equidistant_from_many_seeds(strongest):
     values = (0.9 - 0.01 * nearest).astype(np.float32)
     top_y, top_x = 6 + offsets[strongest][0], 6 + offsets[strongest][1]
     values[top_y, top_x] = 0.95
-    prob = ProbabilityMap(values, np.ones((13, 13), bool))
+    prob = MaskedGrid(values, np.ones((13, 13), bool))
     pixels = np.nonzero(np.ones((13, 13), bool))
     cfg = DetectorConfig(split_min_distance=2.0)
     parts = split_touching(pixels, prob, cfg)
@@ -596,7 +596,7 @@ def test_detect_crowns_matches_per_component_reference(grid, min_area, extra_are
     """Maps full of specks below min_area, plus components big enough to split."""
     values, member = grid
     values = np.where(member, values, np.float32(0.1))
-    prob = ProbabilityMap(values, np.ones(values.shape, bool))
+    prob = MaskedGrid(values, np.ones(values.shape, bool))
     cfg = DetectorConfig(min_area=min_area, max_area=min_area + extra_area, split_min_distance=min_distance)
     assert detection_fields(detect_crowns(prob, cfg)) == detection_fields(reference_detect(prob, cfg))
 
@@ -648,7 +648,7 @@ def test_split_touching_memory_is_linear():
     rng = np.random.default_rng(0)
     values = np.zeros((244, 244), np.float32)
     values[2:-2, 2:-2] = rng.uniform(0.55, 1.0, (240, 240))
-    prob = ProbabilityMap(values, np.ones(values.shape, bool))
+    prob = MaskedGrid(values, np.ones(values.shape, bool))
     pixels = np.nonzero(values > 0.5)
     tracemalloc.start()
     try:

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from palmwatch.errors import (
     BandLookupError,
     CompatibilityError,
     DegenerateDataError,
+    DivergenceError,
     ParameterError,
     ShapeError,
 )
 from palmwatch.cli import predict_tiled
 from palmwatch.indices import ndvi
 from palmwatch.pixel_model import (
+    GRADIENT_TOLERANCE,
     ModelParams,
     TrainConfig,
     featurize,
@@ -136,7 +139,7 @@ class TestTrain:
 
     def test_deterministic_bit_for_bit(self):
         X, y = separable_blobs(150, seed=5)
-        config = TrainConfig(epochs=50, batch_size=32, seed=11)
+        config = TrainConfig(epochs=50, seed=11)
         a = train(X, y, ("f0", "f1"), config)
         b = train(X, y, ("f0", "f1"), config)
         np.testing.assert_array_equal(
@@ -156,7 +159,7 @@ class TestTrain:
         base = np.stack(cols, axis=1)
         y = (base.sum(axis=1) > 0).astype(np.float64)
         y[:4] = 1 - y[:4]  # keep both classes guaranteed
-        config = TrainConfig(epochs=30, batch_size=16, seed=2)
+        config = TrainConfig(epochs=30, seed=2)
         standard = train(base, y, ("a", "b", "c"), config)
         assert (standard.norm_mean == 0).all() and (standard.norm_std == 1).all()
         pre = train((base - standard.norm_mean) / standard.norm_std, y, ("a", "b", "c"), config)
@@ -167,6 +170,103 @@ class TestTrain:
         X, y = separable_blobs(80)
         params = train(X, y, ("f0", "f1"), TrainConfig(epochs=20))
         assert params.final_loss is not None and np.isfinite(params.final_loss)
+
+
+@st.composite
+def logistic_problems(draw):
+    """A small random (X, y, l2) with both labels present."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    f = draw(st.integers(1, 6))
+    X = rng.normal(size=(n, f)) * rng.uniform(0.1, 10, f) + rng.uniform(-5, 5, f)
+    X[:, 0] += 3.0 * (rng.random(n) < draw(st.floats(0, 1)))
+    y = (rng.random(n) < draw(st.floats(0.05, 0.95))).astype(np.float64)
+    y[:2] = (0.0, 1.0)
+    l2 = 10.0 ** draw(st.floats(-6, 1))
+    return X, y, l2
+
+
+def feature_names_for(X):
+    return tuple(f"f{i}" for i in range(X.shape[1]))
+
+
+def exit_gradient(params, X, y, l2):
+    Xs = (X - params.norm_mean) / params.norm_std
+    grad_w, grad_b = gradient(params.weights, params.bias, Xs, y, l2)
+    return max(np.abs(grad_w).max(), abs(grad_b))
+
+
+class TestNewtonSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=logistic_problems())
+    def test_gradient_within_tolerance_at_exit(self, problem):
+        X, y, l2 = problem
+        params = train(X, y, feature_names_for(X), TrainConfig(l2=l2))
+        assert exit_gradient(params, X, y, l2) <= GRADIENT_TOLERANCE
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=logistic_problems())
+    def test_loss_at_most_bfgs(self, problem):
+        X, y, l2 = problem
+        params = train(X, y, feature_names_for(X), TrainConfig(l2=l2))
+        Xs = (X - params.norm_mean) / params.norm_std
+        result = minimize(
+            lambda theta: loss(theta[:-1], theta[-1], Xs, y, l2),
+            np.zeros(X.shape[1] + 1),
+            jac=lambda theta: np.append(*gradient(theta[:-1], theta[-1], Xs, y, l2)),
+            method="BFGS",
+        )
+        assert params.final_loss == loss(params.weights, params.bias, Xs, y, l2)
+        assert params.final_loss <= result.fun + 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=logistic_problems())
+    def test_two_runs_bit_identical(self, problem):
+        X, y, l2 = problem
+        a = train(X, y, feature_names_for(X), TrainConfig(l2=l2))
+        b = train(X, y, feature_names_for(X), TrainConfig(l2=l2))
+        np.testing.assert_array_equal(a.weights.view(np.uint64), b.weights.view(np.uint64))
+        assert np.float64(a.bias).view(np.uint64) == np.float64(b.bias).view(np.uint64)
+        assert a.final_loss == b.final_loss
+
+    @pytest.mark.parametrize("seed", [65, 802])
+    def test_overshooting_steps_are_halved(self, seed):
+        # heavy-tailed features and no penalty, with a finite optimum:
+        # on these draws undamped Newton steps diverge
+        rng = np.random.default_rng(seed)
+        X = rng.exponential(size=(12, 3)) ** 3
+        y = (rng.random(12) < 0.5).astype(np.float64)
+        params = train(X, y, feature_names_for(X), TrainConfig(l2=0.0))
+        assert exit_gradient(params, X, y, 0.0) <= GRADIENT_TOLERANCE
+
+    def test_overwhelming_l2_fits_the_bias_alone(self):
+        # the weights' curvature is 1e300 and the bias's about 0.16: each
+        # is judged against its own scale, so the bias still converges
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(300, 3))
+        y = (rng.random(300) < 0.2).astype(np.float64)
+        params = train(X, y, feature_names_for(X), TrainConfig(l2=1e300))
+        assert np.abs(params.weights).max() < 1e-290
+        assert params.bias == pytest.approx(np.log(y.mean() / (1 - y.mean())), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("extra", ["none", "constant", "repeated"])
+    def test_separable_without_l2_stays_finite(self, seed, extra):
+        # l2 = 0 has no finite optimum here, and a constant or repeated
+        # column makes the Hessian exactly singular
+        X, y = separable_blobs(seed=seed)
+        if extra == "constant":
+            X = np.column_stack([X, np.zeros(len(X))])
+        elif extra == "repeated":
+            X = np.column_stack([X, X[:, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                params = train(X, y, feature_names_for(X), TrainConfig(l2=0.0))
+            except DivergenceError:
+                return
+        assert np.isfinite(params.weights).all() and np.isfinite(params.bias)
+        assert exit_gradient(params, X, y, 0.0) <= GRADIENT_TOLERANCE
 
 
 class TestGradient:

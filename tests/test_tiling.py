@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from palmwatch.errors import BoundsError, CompletenessError, ParameterError
-from palmwatch.pixel_model import ProbabilityMap
+from palmwatch.raster_core import MaskedGrid
 from palmwatch.tiling import TileWindow, extract_tile, stitch, tile_plan
 
 from conftest import random_raster
@@ -11,7 +11,7 @@ from conftest import random_raster
 def band_as_probability(raster, window=None):
     samples = raster.bands[0].samples
     valid = raster.valid_mask().bits
-    return ProbabilityMap(values=np.where(valid, samples, np.nan), valid=valid)
+    return MaskedGrid(values=np.where(valid, samples, np.nan), valid=valid)
 
 
 class TestPlan:
@@ -135,8 +135,8 @@ class TestStitch:
         plan = tile_plan(6, 2, 4, 2)
         assert len(plan.windows) == 2
         w0, w1 = plan.windows
-        m0 = ProbabilityMap(np.full((4, 4), 0.2, np.float32), np.ones((4, 4), bool))
-        m1 = ProbabilityMap(np.full((4, 4), 0.6, np.float32), np.ones((4, 4), bool))
+        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32), np.ones((4, 4), bool))
+        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32), np.ones((4, 4), bool))
         out = stitch(plan, [(w0, m0), (w1, m1)])
         np.testing.assert_array_equal(out.values[:, :2], np.float32(0.2))
         np.testing.assert_array_equal(out.values[:, 2:4], np.float32(0.4))
@@ -146,7 +146,7 @@ class TestStitch:
     def test_constant_tiles_constant_scene(self, overlap):
         plan = tile_plan(100, 80, 32, overlap)
         outputs = [
-            (w, ProbabilityMap(np.full((32, 32), 0.7, np.float32), np.ones((32, 32), bool)))
+            (w, MaskedGrid(np.full((32, 32), 0.7, np.float32), np.ones((32, 32), bool)))
             for w in plan.windows
         ]
         out = stitch(plan, outputs)
@@ -156,7 +156,7 @@ class TestStitch:
     def test_missing_window_named(self):
         plan = tile_plan(64, 64, 32, 0)
         outputs = [
-            (w, ProbabilityMap(np.zeros((32, 32), np.float32), np.ones((32, 32), bool)))
+            (w, MaskedGrid(np.zeros((32, 32), np.float32), np.ones((32, 32), bool)))
             for w in plan.windows[:-1]
         ]
         with pytest.raises(CompletenessError, match=r"\(32, 32\)"):
@@ -164,7 +164,7 @@ class TestStitch:
 
     def test_duplicate_window_rejected(self):
         plan = tile_plan(32, 32, 32, 0)
-        m = ProbabilityMap(np.zeros((32, 32), np.float32), np.ones((32, 32), bool))
+        m = MaskedGrid(np.zeros((32, 32), np.float32), np.ones((32, 32), bool))
         with pytest.raises(CompletenessError, match="more than once"):
             stitch(plan, [(plan.windows[0], m), (plan.windows[0], m)])
 
@@ -173,13 +173,13 @@ class TestStitch:
         w0, w1 = plan.windows
         valid0 = np.ones((4, 4), bool)
         valid0[:, 2:] = False  # w0's overlap columns carry no data
-        m0 = ProbabilityMap(np.full((4, 4), 0.2, np.float32), valid0)
-        m1 = ProbabilityMap(np.full((4, 4), 0.6, np.float32), np.ones((4, 4), bool))
+        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32), valid0)
+        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32), np.ones((4, 4), bool))
         out = stitch(plan, [(w0, m0), (w1, m1)])
         np.testing.assert_array_equal(out.values[:, 2:4], np.float32(0.6))
 
     def test_all_invalid_stays_invalid(self):
         plan = tile_plan(4, 4, 4, 0)
-        m = ProbabilityMap(np.full((4, 4), np.nan, np.float32), np.zeros((4, 4), bool))
+        m = MaskedGrid(np.full((4, 4), np.nan, np.float32), np.zeros((4, 4), bool))
         out = stitch(plan, [(plan.windows[0], m)])
         assert not out.valid.any()
