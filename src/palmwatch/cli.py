@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import zlib
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -59,6 +60,8 @@ from .pixel_model import (
     ModelParams,
     TrainConfig,
     build_training_set,
+    check_negative_ratio,
+    feature_planes,
     load_params,
     predict_map,
     save_params,
@@ -66,7 +69,14 @@ from .pixel_model import (
 )
 from .raster_core import Band, Mask, MaskedGrid, Raster, load_raster, save_raster
 from .synth_scene import SceneSpec, generate_scene, load_spec as load_scene_spec, spec_to_json
-from .tiling import DEFAULT_PREDICT_OVERLAP, DEFAULT_TILE_SIZE, extract_tile, stitch, tile_plan
+from .tiling import (
+    DEFAULT_PREDICT_OVERLAP,
+    DEFAULT_TILE_SIZE,
+    extract_tile,
+    stitch,
+    tile_plan,
+    window_of,
+)
 
 
 @dataclass
@@ -121,8 +131,10 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
+    samples = mask.bits.astype(np.float32)
+    samples.setflags(write=False)
     return Raster(
-        bands=(Band(name=name, samples=mask.bits.astype(np.float32)),),
+        bands=(Band(name=name, samples=samples),),
         nodata_value=None,
         origin=origin,
     )
@@ -135,22 +147,34 @@ def predict_tiled(
     tile_size: int,
     overlap: int,
     jobs: int = 1,
+    computed: Mapping[str, MaskedGrid] | None = None,
 ) -> MaskedGrid:
     """Tile the scene, predict per tile (optionally in parallel), stitch.
 
-    Outputs are collected in plan order, so the result is independent of
-    the number of workers.
+    The model's feature planes are built once for the whole scene: each
+    index feature is computed once, or taken from ``computed`` (indices
+    already computed over the scene, by name), and joins the scene's
+    bands as a band of its own. Every tile is a view of those bands,
+    masked to the pixels where the prediction mask holds and every
+    feature is valid. Outputs are collected in plan order, so the result
+    is independent of the number of workers.
     """
     plan = tile_plan(scene.width, scene.height, tile_size, overlap)
-    bits = prediction_mask.bits
+    names = tuple(dict.fromkeys(params.features))
+    planes, valid = feature_planes(scene, prediction_mask, names, computed)
+    features = Raster(
+        bands=scene.bands + tuple(
+            Band(name=name, samples=plane)
+            for name, plane in zip(names, planes)
+            if not scene.has_band(name)
+        ),
+        nodata_value=scene.nodata_value,
+        origin=scene.origin,
+    )
 
     def predict_window(window):
-        tile = extract_tile(scene, window)
-        tile_bits = np.zeros((window.tile_height, window.tile_width), dtype=bool)
-        tile_bits[: window.height, : window.width] = bits[
-            window.y : window.y + window.height, window.x : window.x + window.width
-        ]
-        return window, predict_map(tile, Mask(tile_bits), params)
+        tile = extract_tile(features, window)
+        return window, predict_map(tile, Mask(window_of(valid, window, False)), params)
 
     if jobs <= 1:
         outputs = [predict_window(w) for w in plan.windows]
@@ -229,12 +253,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     prediction_mask = Mask(valid.bits & veg.bits) if config.veg_gate else valid
     prob = predict_tiled(
-        scene, prediction_mask, params, config.tile_size, config.overlap, config.jobs
+        scene,
+        prediction_mask,
+        params,
+        config.tile_size,
+        config.overlap,
+        config.jobs,
+        computed={config.veg_index: index},
     )
     save_raster(prob.to_raster(origin=scene.origin), out_dir / "probability")
 
     detections = detect_crowns(prob, detector)
-    classify_detections(detections, scene, detector)
+    classify_detections(detections, scene, detector, valid.bits)
     write_geojson(detections, out_dir / "detections.geojson", origin=scene.origin)
     write_csv(detections, out_dir / "detections.csv", origin=scene.origin)
 
@@ -366,6 +396,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     config = config_from(TrainConfig, args)
+    check_negative_ratio(args.neg_ratio)
     pairs = []
     for scene_path in args.scenes:
         header = _require_file(scene_path, "scene")

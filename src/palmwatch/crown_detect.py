@@ -280,9 +280,15 @@ def classify_crown(
 
 
 def classify_detections(
-    detections: list[CrownDetection], raster: Raster, cfg: DetectorConfig
+    detections: list[CrownDetection],
+    raster: Raster,
+    cfg: DetectorConfig,
+    valid_bits: np.ndarray | None = None,
 ) -> list[CrownDetection]:
-    valid_bits = raster.valid_mask().bits
+    """Classify every detection; ``valid_bits`` is the raster's validity
+    mask when the caller already has it, and is computed otherwise."""
+    if valid_bits is None:
+        valid_bits = raster.valid_mask().bits
     for det in detections:
         classify_crown(det, raster, cfg, valid_bits)
     return detections

@@ -33,6 +33,8 @@ def normalized_difference(
     A ratio is invalid where ``ok`` is false or a + b == 0; invalid
     entries hold NaN. No arithmetic touches a pixel outside ``ok``, so
     the NaN, infinities or nodata such pixels hold raise no warning.
+    Both results come back read-only, so a MaskedGrid takes them without
+    a copy.
     """
     if a.shape != b.shape or a.shape != ok.shape:
         raise ShapeError(f"band/mask shapes disagree: {a.shape} vs {b.shape} vs mask {ok.shape}")
@@ -41,6 +43,8 @@ def normalized_difference(
     values = np.full(a.shape, np.nan, dtype=a.dtype)
     np.subtract(a, b, out=values, where=valid)
     np.divide(values, den, out=values, where=valid)
+    values.setflags(write=False)
+    valid.setflags(write=False)
     return values, valid
 
 
@@ -81,7 +85,9 @@ def vegetation_mask(index: MaskedGrid, threshold: float) -> Mask:
     """
     if not -1.0 <= threshold <= 1.0:
         raise ParameterError(f"vegetation threshold must be in [-1, 1], got {threshold}")
-    return Mask(index.valid & (index.values > threshold))
+    bits = index.valid & (index.values > threshold)
+    bits.setflags(write=False)
+    return Mask(bits)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ Model parameters serialize to JSON as
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +47,13 @@ LOSS_ROUNDING = 16 * np.finfo(np.float64).eps
 # a Newton step that passes neither line-search test even when halved
 # this often (to 2**-60 of its length) cannot lower the loss: train stops
 MAX_HALVINGS = 60
+# a feature whose std is at most this many ulp of its mean's magnitude is
+# constant up to the rounding of the mean, and is not scaled
+CONSTANT_STD_ULPS = 4
+# predict_map sums z over blocks of whole rows of about this many pixels,
+# so that z and each feature's term (8 bytes a pixel each, 1 MiB together)
+# stay in a core's L2 cache instead of streaming through memory
+PREDICT_BLOCK_PX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,20 +82,24 @@ def default_feature_names(raster: Raster) -> tuple[str, ...]:
 
 
 def feature_planes(
-    raster: Raster, mask: Mask, names: tuple[str, ...]
+    raster: Raster,
+    mask: Mask,
+    names: tuple[str, ...],
+    computed: Mapping[str, MaskedGrid] | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """One float32 plane per feature name, and where every feature is valid.
 
     A band feature is that band's samples; an index feature is computed
-    over ``mask`` and is valid only where the index is defined. Raises
-    CompatibilityError naming every band or feature the raster cannot
-    supply.
+    over ``mask`` and is valid only where the index is defined. An index
+    in ``computed`` (by name) was already computed over this raster, over
+    ``mask`` or any mask that covers it, and is taken as it is: it holds
+    the same value at every pixel of ``mask``. The validity mask comes
+    back read-only. Raises CompatibilityError naming every band or
+    feature the raster cannot supply.
     """
-    if mask.bits.shape != (raster.height, raster.width):
-        raise ShapeError(
-            f"mask {mask.bits.shape} does not match raster "
-            f"{(raster.height, raster.width)}"
-        )
+    shape = (raster.height, raster.width)
+    if mask.bits.shape != shape:
+        raise ShapeError(f"mask {mask.bits.shape} does not match raster {shape}")
     missing = set()
     for name in names:
         if not raster.has_band(name):
@@ -104,9 +116,12 @@ def feature_planes(
         if raster.has_band(name):
             planes.append(raster.band(name).samples)
         else:
-            index = compute_index(raster, mask, name)
+            index = (computed or {}).get(name) or compute_index(raster, mask, name)
+            if index.valid.shape != shape:
+                raise ShapeError(f"index {name!r} {index.valid.shape} does not match raster {shape}")
             planes.append(index.values)
             valid &= index.valid
+    valid.setflags(write=False)
     return planes, valid
 
 
@@ -202,11 +217,20 @@ def gradient(
 
 
 def standardization_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and population std; zero-variance features get std 1."""
-    mean = X.mean(axis=0)
-    std = X.std(axis=0, ddof=0)
-    std = np.where(std > 0, std, 1.0)
-    return mean, std
+    """Per-feature mean and population std of the rows of ``X``.
+
+    A constant feature gets its own value as mean and std 1, so it
+    standardizes to exactly 0; its computed std would be rounding noise
+    (1.4e-17 for a column of 0.1) or, near the float64 limit, overflow.
+    A feature whose std is at most CONSTANT_STD_ULPS ulp of its mean is
+    constant up to rounding and gets std 1 too.
+    """
+    constant = (X == X[0]).all(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.where(constant, X[0], X.mean(axis=0))
+        std = X.std(axis=0, ddof=0)
+        flat = constant | (std <= CONSTANT_STD_ULPS * np.spacing(np.abs(mean)))
+    return mean, np.where(flat, 1.0, std)
 
 
 def newton_step(
@@ -324,24 +348,41 @@ def train(
 def predict_map(raster: Raster, mask: Mask, params: ModelParams) -> MaskedGrid:
     """sigmoid(w . x_standardized + b) per valid pixel.
 
-    z is summed plane by plane in float64, in feature order. Invalid
-    pixels come out NaN; what they hold may overflow or be NaN in z, so
-    the loop runs silenced. Raises CompatibilityError listing the
-    manifest features the raster cannot supply.
+    z is summed plane by plane in float64, in feature order, over blocks
+    of whole rows of about PREDICT_BLOCK_PX pixels; each block goes
+    straight into the float32 result. Invalid pixels come out NaN; what
+    they hold may overflow or be NaN in z, so the loop runs silenced.
+    Raises CompatibilityError listing the manifest features the raster
+    cannot supply.
     """
     grid = featurize(raster, mask, params.features)
-    z = np.zeros((grid.height, grid.width), dtype=np.float64)
-    t = np.empty_like(z)
+    height, width = grid.height, grid.width
+    rows = max(1, PREDICT_BLOCK_PX // width)
+    values = np.empty((height, width), dtype=np.float32)
+    z_rows = np.empty((min(rows, height), width), dtype=np.float64)
+    t_rows = np.empty_like(z_rows)
     with np.errstate(invalid="ignore", over="ignore"):
-        for f, plane in enumerate(grid.planes):
-            np.subtract(plane, params.norm_mean[f], out=t, dtype=np.float64)
-            t /= params.norm_std[f]
-            t *= params.weights[f]
-            z += t
-    z += params.bias
-    values = expit(z, out=z).astype(np.float32)
-    values[~grid.valid] = np.nan
+        for top in range(0, height, rows):
+            block = slice(top, top + rows)
+            n = min(rows, height - top)
+            z, t = z_rows[:n], t_rows[:n]
+            z.fill(0.0)
+            for f, plane in enumerate(grid.planes):
+                np.subtract(plane[block], params.norm_mean[f], out=t, dtype=np.float64)
+                t /= params.norm_std[f]
+                t *= params.weights[f]
+                z += t
+            z += params.bias
+            values[block] = expit(z, out=z)
+            values[block][~grid.valid[block]] = np.nan
+    values.setflags(write=False)
     return MaskedGrid(values=values, valid=grid.valid)
+
+
+def check_negative_ratio(value: float) -> None:
+    """Raise ParameterError unless ``0 <= value < inf``."""
+    if not 0 <= value < np.inf:
+        raise ParameterError(f"negative_ratio must be finite and >= 0, got {value}")
 
 
 def build_training_set(
@@ -359,8 +400,7 @@ def build_training_set(
     """
     from .synth_scene import rasterize_labels
 
-    if not 0 <= negative_ratio < np.inf:
-        raise ParameterError(f"negative_ratio must be finite and >= 0, got {negative_ratio}")
+    check_negative_ratio(negative_ratio)
     if not scenes:
         raise DegenerateDataError("no scenes to build a training set from")
     rng = np.random.default_rng(seed)

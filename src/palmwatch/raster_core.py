@@ -9,9 +9,15 @@ A raster is stored as two sibling files:
 * ``<name>.rbin`` -- bands back-to-back, each row-major, 32-bit IEEE-754
   little-endian. Its length must equal 4 * width * height * band_count.
 
-Rasters are immutable after construction: sample arrays are copied in and
-marked read-only, so any number of readers may share one safely. New pixel
-values always mean a new Raster.
+Rasters are immutable after construction, so any number of readers may
+share one safely, and new pixel values always mean a new Raster. A
+``Band``, ``Mask`` or ``MaskedGrid`` keeps an array it is given as-is when
+that array is 2-D, has the right dtype and is frozen: neither it nor any
+array it views is writeable, and its memory comes from no other object.
+Every other input is copied and frozen, so a caller's later writes never
+reach the grid. Frozen arrays are therefore shared without a copy: the
+bands of a loaded raster are views of its one payload buffer, and a tile
+cut from a scene is a view of the scene's bands.
 
 All bands of a raster share one pixel grid. Sources whose bands differ in
 native resolution are expected to be resampled to a common grid before
@@ -21,6 +27,7 @@ ingestion; this library does no resampling of its own.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +42,27 @@ _DTYPE_TAG = "f32le"
 _LAYOUT_TAG = "band-sequential"
 
 
+def _is_frozen(arr: np.ndarray) -> bool:
+    """True when no array along ``arr``'s base chain is writeable and the
+    chain ends in memory of its own (or in immutable ``bytes``)."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None or isinstance(arr, bytes)
+
+
+def _frozen(arr, dtype, what: str) -> np.ndarray:
+    """``arr`` itself when it is a frozen 2-D array of ``dtype``; otherwise
+    a read-only C-ordered copy. Raises ShapeError unless the result is 2-D."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and _is_frozen(arr)):
+        arr = np.array(arr, dtype=dtype, order="C", copy=True)
+        arr.setflags(write=False)
+    if arr.ndim != 2:
+        raise ShapeError(f"{what} must be 2-D, got {arr.ndim}-D")
+    return arr
+
+
 @dataclass(frozen=True)
 class Band:
     """One spectral band: a named row-major float32 grid."""
@@ -44,11 +72,8 @@ class Band:
     wavelength_nm: float | None = None
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float32, order="C", copy=True)
-        if arr.ndim != 2:
-            raise ShapeError(f"band {self.name!r}: samples must be 2-D, got {arr.ndim}-D")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        samples = _frozen(self.samples, np.float32, f"band {self.name!r}: samples")
+        object.__setattr__(self, "samples", samples)
 
     @property
     def height(self) -> int:
@@ -66,11 +91,7 @@ class Mask:
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.bits, dtype=bool, order="C", copy=True)
-        if arr.ndim != 2:
-            raise ShapeError(f"mask must be 2-D, got {arr.ndim}-D")
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
+        object.__setattr__(self, "bits", _frozen(self.bits, np.bool_, "mask"))
 
     @property
     def height(self) -> int:
@@ -97,15 +118,13 @@ class MaskedGrid:
     name: str = "palm_probability"
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float32, order="C", copy=True)
-        valid = np.array(self.valid, dtype=bool, order="C", copy=True)
-        if values.ndim != 2 or values.shape != valid.shape:
+        values = _frozen(self.values, np.float32, f"grid {self.name!r}: values")
+        valid = _frozen(self.valid, np.bool_, f"grid {self.name!r}: valid")
+        if values.shape != valid.shape:
             raise ShapeError(
                 f"grid {self.name!r}: values {values.shape} and "
                 f"valid {valid.shape} must be matching 2-D grids"
             )
-        values.setflags(write=False)
-        valid.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "valid", valid)
 
@@ -120,6 +139,7 @@ class MaskedGrid:
     def to_raster(self, origin: tuple[int, int] = (0, 0)) -> Raster:
         """Single-band raster named ``name``; invalid pixels become NaN nodata."""
         values = np.where(self.valid, self.values, np.float32(np.nan))
+        values.setflags(write=False)
         return Raster(
             bands=(Band(name=self.name, samples=values),),
             nodata_value=float("nan"),
@@ -201,6 +221,7 @@ class Raster:
             bits &= np.isfinite(b.samples)
             if nodata_bits is not None:
                 bits &= b.samples.view(np.uint32) != nodata_bits
+        bits.setflags(write=False)
         return Mask(bits)
 
 
@@ -233,10 +254,10 @@ def save_raster(raster: Raster, path) -> None:
         ],
     }
     header_path.write_text(json.dumps(header, indent=2) + "\n")
-    payload = b"".join(
-        np.ascontiguousarray(b.samples, dtype="<f4").tobytes() for b in raster.bands
-    )
-    payload_path.write_bytes(payload)
+    with open(payload_path, "wb") as f:
+        for b in raster.bands:
+            # a no-op for the C-ordered little-endian bands rasters usually hold
+            f.write(np.ascontiguousarray(b.samples, dtype="<f4"))
 
 
 def load_raster(path) -> Raster:
@@ -244,7 +265,8 @@ def load_raster(path) -> Raster:
 
     Raises FormatError for a missing or malformed header (naming the
     offending field) and PayloadSizeError when the binary payload does
-    not match the header geometry.
+    not match the header geometry. The payload is read into one buffer,
+    which is then frozen; the bands are views of it.
     """
     header_path, payload_path = _paths_for(path)
     header = read_document(header_path, "header")
@@ -269,17 +291,23 @@ def load_raster(path) -> Raster:
     if len(set(names)) != len(names):
         raise FormatError(f"{where} field 'bands' has duplicate names: {names}")
 
+    expected = 4 * width * height * len(names)
     try:
-        payload = payload_path.read_bytes()
+        with open(payload_path, "rb") as f:
+            # the size is checked before anything is allocated, so a header
+            # claiming a huge grid over a small payload costs nothing
+            size = os.fstat(f.fileno()).st_size
+            if size == expected:
+                grid = np.empty((len(names), height, width), dtype="<f4")
+                # a file that shrank or grew since fstat fails the check below
+                size = f.readinto(grid) + len(f.read(1))
     except OSError as exc:
         raise FormatError(f"cannot read payload {payload_path}: {exc}") from exc
-    expected = 4 * width * height * len(names)
-    if len(payload) != expected:
+    if size != expected:
         raise PayloadSizeError(
-            f"payload {payload_path} holds {len(payload)} bytes, expected {expected}"
+            f"payload {payload_path} holds {size} bytes, expected {expected}"
         )
-
-    grid = np.frombuffer(payload, dtype="<f4").reshape(len(names), height, width)
+    grid.setflags(write=False)
     bands = tuple(
         Band(name=name, samples=grid[i], wavelength_nm=wavelengths[i])
         for i, name in enumerate(names)

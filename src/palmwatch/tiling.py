@@ -2,9 +2,12 @@
 
 Windows are laid out row-major with stride = tile_size - overlap. The
 final row/column is padded with nodata rather than shifted inward, so
-every tile handed to the pixel model has identical geometry. Stitching
-discards padding and averages overlapping contributions, which makes the
-result independent of tile evaluation order.
+every tile handed to the pixel model has identical geometry; a window
+that needs no padding is cut as a view of the scene, with no copy.
+Stitching discards padding and averages overlapping contributions, which
+makes the result independent of tile evaluation order. At overlap 0 each
+pixel has one contributor, so stitching copies each window's valid
+region straight into the scene grid.
 
 Prediction defaults to overlap 0: the pixel model is pixelwise, so an
 overlap only evaluates shared pixels again and changes no output byte.
@@ -111,12 +114,28 @@ def tile_plan(scene_w: int, scene_h: int, tile_size: int = DEFAULT_TILE_SIZE, ov
     )
 
 
+def window_of(grid: np.ndarray, window: TileWindow, fill) -> np.ndarray:
+    """The window's tile_height x tile_width cut of a scene-sized 2-D grid.
+
+    An unpadded window is a view of ``grid``; a padded one is a new array
+    whose right/bottom strip holds ``fill``.
+    """
+    region = grid[window.y : window.y + window.height, window.x : window.x + window.width]
+    if not (window.padded_right or window.padded_bottom):
+        return region
+    tile = np.full((window.tile_height, window.tile_width), fill, dtype=grid.dtype)
+    tile[: window.height, : window.width] = region
+    tile.setflags(write=False)
+    return tile
+
+
 def extract_tile(raster: Raster, window: TileWindow) -> Raster:
     """Cut one window out of a scene as a tile_size x tile_size raster.
 
     The padded strip (right/bottom only) is filled with the raster's
     nodata value, or NaN when no nodata is declared; either way those
-    pixels come out invalid. The tile's origin records (x, y).
+    pixels come out invalid. An unpadded tile's bands are views of the
+    scene's. The tile's origin records (x, y).
     """
     if (
         window.x < 0
@@ -130,15 +149,11 @@ def extract_tile(raster: Raster, window: TileWindow) -> Raster:
             f"{raster.width}x{raster.height} scene"
         )
     fill = np.float32(raster.nodata_value if raster.nodata_value is not None else np.nan)
-    bands = []
-    for band in raster.bands:
-        tile = np.full((window.tile_height, window.tile_width), fill, dtype=np.float32)
-        tile[: window.height, : window.width] = band.samples[
-            window.y : window.y + window.height, window.x : window.x + window.width
-        ]
-        bands.append(Band(name=band.name, samples=tile, wavelength_nm=band.wavelength_nm))
     return Raster(
-        bands=tuple(bands),
+        bands=tuple(
+            Band(name=b.name, samples=window_of(b.samples, window, fill), wavelength_nm=b.wavelength_nm)
+            for b in raster.bands
+        ),
         nodata_value=raster.nodata_value,
         origin=(raster.origin[0] + window.x, raster.origin[1] + window.y),
     )
@@ -151,6 +166,11 @@ def stitch(plan: TilePlan, outputs: list[tuple[TileWindow, MaskedGrid]]) -> Mask
     the arithmetic mean of the valid contributors (accumulated in
     float64). A pixel with no valid contributor stays invalid. Every
     window of the plan must appear exactly once.
+
+    At overlap 0 a pixel has at most one contributor, whose mean is its
+    own value, so each window's valid region is written straight into
+    the float32 result. Adding 0.0 there turns -0.0 into +0.0 as the
+    float64 sum from 0.0 does, so both paths give the same bits.
     """
     seen = {}
     for window, pmap in outputs:
@@ -167,8 +187,7 @@ def stitch(plan: TilePlan, outputs: list[tuple[TileWindow, MaskedGrid]]) -> Mask
     if extras:
         raise CompletenessError(f"outputs include windows not in the plan: {sorted(extras)}")
 
-    total = np.zeros((plan.scene_height, plan.scene_width), dtype=np.float64)
-    count = np.zeros((plan.scene_height, plan.scene_width), dtype=np.int32)
+    parts = []
     for window, pmap in seen.values():
         if (pmap.height, pmap.width) != (window.tile_height, window.tile_width):
             raise ShapeError(
@@ -176,16 +195,34 @@ def stitch(plan: TilePlan, outputs: list[tuple[TileWindow, MaskedGrid]]) -> Mask
                 f"{pmap.width}x{pmap.height}, expected "
                 f"{window.tile_width}x{window.tile_height}"
             )
-        vals = pmap.values[: window.height, : window.width]
-        ok = pmap.valid[: window.height, : window.width]
         region = (
             slice(window.y, window.y + window.height),
             slice(window.x, window.x + window.width),
         )
-        np.add(total[region], vals, out=total[region], where=ok)
-        count[region] += ok
-    valid = count > 0
-    np.divide(total, count, out=total, where=valid)
-    values = total.astype(np.float32)
-    values[~valid] = np.nan
+        crop = (slice(window.height), slice(window.width))
+        parts.append((region, pmap.values[crop], pmap.valid[crop]))
+
+    shape = (plan.scene_height, plan.scene_width)
+    if plan.overlap == 0:
+        # the windows tile the scene exactly, so every pixel is written once
+        values = np.empty(shape, dtype=np.float32)
+        valid = np.empty(shape, dtype=bool)
+        for region, vals, ok in parts:
+            # invalid pixels may hold any bits, a signalling NaN included
+            with np.errstate(invalid="ignore"):
+                np.add(vals, np.float32(0.0), out=values[region])
+            values[region][~ok] = np.nan
+            valid[region] = ok
+    else:
+        total = np.zeros(shape, dtype=np.float64)
+        count = np.zeros(shape, dtype=np.int32)
+        for region, vals, ok in parts:
+            np.add(total[region], vals, out=total[region], where=ok)
+            count[region] += ok
+        valid = count > 0
+        np.divide(total, count, out=total, where=valid)
+        values = total.astype(np.float32)
+        values[~valid] = np.nan
+    values.setflags(write=False)
+    valid.setflags(write=False)
     return MaskedGrid(values=values, valid=valid)

@@ -1,3 +1,7 @@
+import contextlib
+import resource
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,3 +24,26 @@ def random_raster(rng, width, height, band_names=("red", "nir"), nodata=None) ->
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240803)
+
+
+@contextlib.contextmanager
+def address_space_cap(headroom=256 << 20):
+    """Let the process map at most ``headroom`` more bytes than it maps now.
+
+    A fuzzed size that is valid but huge (a 2000000x48 scene spec, say)
+    then fails at allocation, as MemoryError, instead of taking the
+    machine's memory. Without /proc/self/statm the run is uncapped.
+    """
+    statm = Path("/proc/self/statm")
+    if not statm.is_file():
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(statm.read_text().split()[0]) * resource.getpagesize() + headroom
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

@@ -2,9 +2,7 @@ import contextlib
 import io
 import json
 import math
-import resource
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from palmwatch.raster_core import MaskedGrid, load_raster, save_raster
 from palmwatch.synth_scene import SceneSpec, spec_to_json as scene_spec_to_json
 from palmwatch.tiling import DEFAULT_TILE_SIZE, tile_plan
 
-from conftest import random_raster
+from conftest import address_space_cap, random_raster
 
 
 def small_scene_spec(seed):
@@ -384,6 +382,18 @@ class TestExitCodes:
         assert not model.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-1"])
+    def test_bad_neg_ratio_is_rejected_before_any_scene_is_read(self, workspace, tmp_path, ratio):
+        # the scene's payload is truncated: reading it would exit 3
+        scene = workspace["scenes"][0]
+        header = tmp_path / "trunc.rhdr"
+        header.write_text(scene.read_text())
+        (tmp_path / "trunc.rbin").write_bytes(scene.with_suffix(".rbin").read_bytes()[:-4])
+        (tmp_path / "trunc.json").write_text(scene.with_suffix(".json").read_text())
+        model = tmp_path / "m.json"
+        assert main(["train", str(header), "--out", str(model), "--neg-ratio", ratio]) == 2
+        assert not model.exists()
+
     @pytest.mark.parametrize("flags", [["--l2", "1e300"], ["--neg-ratio", "1e308"]])
     def test_extreme_finite_train_parameters_train_quietly(self, workspace, tmp_path, flags):
         model = tmp_path / "m.json"
@@ -567,36 +577,13 @@ def loader_sites(tmp_path_factory):
     }
 
 
-@contextlib.contextmanager
-def _address_space_cap(headroom=256 << 20):
-    """Let the process map at most ``headroom`` more bytes than it maps now.
-
-    A fuzzed size that is valid but huge (a 2000000x48 scene spec, say)
-    then fails at allocation, as MemoryError, instead of taking the
-    machine's memory. Without /proc/self/statm the run is uncapped.
-    """
-    statm = Path("/proc/self/statm")
-    if not statm.is_file():
-        yield
-        return
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = int(statm.read_text().split()[0]) * resource.getpagesize() + headroom
-    if hard != resource.RLIM_INFINITY:
-        cap = min(cap, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-
 def _run_on(loader_sites, site, doc):
     """Write ``doc`` (bytes, or a value to encode as JSON) to the site's file and run its command."""
     path, argv = loader_sites[site]
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        with _address_space_cap():
+        with address_space_cap():
             code = main(argv)
     return code, err.getvalue().strip().splitlines()
 

@@ -1,5 +1,6 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from palmwatch.errors import (
     ShapeError,
 )
 from palmwatch.cli import predict_tiled
-from palmwatch.indices import ndvi
+from palmwatch import pixel_model
+from palmwatch.indices import compute_index, ndvi, vegetation_mask
 from palmwatch.pixel_model import (
     GRADIENT_TOLERANCE,
     ModelParams,
@@ -28,6 +30,7 @@ from palmwatch.pixel_model import (
     loss,
     predict_map,
     save_params,
+    standardization_stats,
     train,
 )
 from palmwatch.raster_core import Band, Mask, Raster
@@ -165,6 +168,26 @@ class TestTrain:
         pre = train((base - standard.norm_mean) / standard.norm_std, y, ("a", "b", "c"), config)
         np.testing.assert_array_equal(standard.weights, pre.weights)
         assert standard.bias == pre.bias
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        value=st.floats(allow_nan=False, allow_infinity=False),
+        rows=st.integers(1, 3000),
+        other=st.lists(st.integers(-1000, 1000), min_size=2, max_size=2, unique=True),
+    )
+    def test_constant_feature_is_not_scaled(self, value, rows, other):
+        # a column of 1000 x 0.1 has std 1.39e-17, not 0, in float64
+        X = np.empty((rows, 2))
+        X[:, 0] = value
+        X[:, 1] = np.resize(other, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, std = standardization_stats(X)
+        assert mean[0] == value and std[0] == 1.0
+        assert ((X[:, 0] - mean[0]) / std[0] == 0).all()
+        if rows > 1:
+            with np.errstate(over="ignore"):  # column 0's std may overflow
+                assert std[1] == X.std(axis=0)[1]
 
     def test_reports_final_loss(self):
         X, y = separable_blobs(80)
@@ -368,17 +391,24 @@ ALL_FEATURES = FOUR_BANDS + ("ndvi", "gndvi")
 
 @st.composite
 def scenes_with_invalid_pixels(draw):
-    """A small four-band raster whose invalid pixels hold NaN or nodata, and a mask."""
+    """A small four-band raster whose invalid pixels hold NaN or nodata, and a mask.
+
+    Some pixels have nir + red == 0 or nir + green == 0, where NDVI or
+    gNDVI is undefined.
+    """
     height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nodata = draw(st.sampled_from([None, -9999.0, 0.0, float("nan")]))
+    samples = {name: rng.random((height, width), dtype=np.float32) for name in FOUR_BANDS}
+    for other in ("red", "green"):
+        spots = rng.random((height, width)) < 0.1
+        samples[other][spots] = -samples["nir"][spots]
     bands = []
     for name in FOUR_BANDS:
-        samples = rng.random((height, width), dtype=np.float32)
-        samples[rng.random((height, width)) < 0.1] = np.nan
+        samples[name][rng.random((height, width)) < 0.1] = np.nan
         if nodata is not None:
-            samples[rng.random((height, width)) < 0.1] = nodata
-        bands.append(Band(name=name, samples=samples))
+            samples[name][rng.random((height, width)) < 0.1] = nodata
+        bands.append(Band(name=name, samples=samples[name]))
     raster = Raster(bands=tuple(bands), nodata_value=nodata)
     mask = Mask(raster.valid_mask().bits & (rng.random((height, width)) < 0.9))
     return raster, mask
@@ -397,19 +427,68 @@ def model_params(draw):
     )
 
 
+def unblocked_predict_map(raster, mask, params):
+    """predict_map with z summed over the whole grid at once, in the same
+    per-element order: (x - mean) / std * w added feature by feature, + b."""
+    grid = featurize(raster, mask, params.features)
+    z = np.zeros((grid.height, grid.width), dtype=np.float64)
+    t = np.empty_like(z)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for f, plane in enumerate(grid.planes):
+            np.subtract(plane, params.norm_mean[f], out=t, dtype=np.float64)
+            t /= params.norm_std[f]
+            t *= params.weights[f]
+            z += t
+    z += params.bias
+    values = expit(z, out=z).astype(np.float32)
+    values[~grid.valid] = np.nan
+    return values, grid.valid
+
+
 class TestPlaneByPlanePrediction:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scene=scenes_with_invalid_pixels(), params=model_params(), block_px=st.integers(1, 700))
+    def test_blocked_equals_unblocked(self, scene, params, block_px):
+        # blocks above, below and not dividing the grid width, 1-px grids
+        # included; invalid pixels hold NaN, infinities or nodata
+        raster, mask = scene
+        values, valid = unblocked_predict_map(raster, mask, params)
+        with mock.patch.object(pixel_model, "PREDICT_BLOCK_PX", block_px):
+            prob = predict_map(raster, mask, params)
+        np.testing.assert_array_equal(prob.valid, valid)
+        np.testing.assert_array_equal(prob.values.view(np.uint32), values.view(np.uint32))
+
+    @pytest.mark.parametrize("shape", [(2, 70_001), (300, 1000), (1, 1)])
+    def test_blocked_equals_unblocked_at_the_default_block(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        raster = random_raster(rng, shape[1], shape[0], band_names=FOUR_BANDS)
+        params = ModelParams(ALL_FEATURES, rng.uniform(-5, 5, 6), 0.3, rng.uniform(0, 1, 6), rng.uniform(0.1, 2, 6))
+        values, _ = unblocked_predict_map(raster, raster.valid_mask(), params)
+        prob = predict_map(raster, raster.valid_mask(), params)
+        np.testing.assert_array_equal(prob.values.view(np.uint32), values.view(np.uint32))
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         scene=scenes_with_invalid_pixels(),
         params=model_params(),
         tiling=st.integers(1, 30).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t - 1))),
         jobs=st.sampled_from([1, 2]),
+        veg_gate=st.booleans(),
+        share_ndvi=st.booleans(),
     )
-    def test_tiled_equals_untiled_and_stacked_reference(self, scene, params, tiling, jobs):
+    def test_tiled_equals_untiled_and_stacked_reference(
+        self, scene, params, tiling, jobs, veg_gate, share_ndvi
+    ):
         raster, mask = scene
         tile_size, overlap = tiling
+        # as run_pipeline does: NDVI over the valid mask, optionally gating
+        # prediction to vegetation and handing the NDVI on for reuse
+        index = compute_index(raster, mask, "ndvi")
+        if veg_gate:
+            mask = Mask(mask.bits & vegetation_mask(index, 0.2).bits)
+        computed = {"ndvi": index} if share_ndvi else None
         whole = predict_map(raster, mask, params)
-        tiled = predict_tiled(raster, mask, params, tile_size, overlap, jobs)
+        tiled = predict_tiled(raster, mask, params, tile_size, overlap, jobs, computed)
         np.testing.assert_array_equal(tiled.valid, whole.valid)
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
@@ -420,6 +499,15 @@ class TestPlaneByPlanePrediction:
         np.testing.assert_array_equal(whole.valid, grid.valid)
         assert np.isnan(whole.values[~whole.valid]).all()
         np.testing.assert_array_max_ulp(whole.values[whole.valid], reference.astype(np.float32), maxulp=1)
+
+    @pytest.mark.parametrize("features", [(), ("ndvi", "red", "ndvi")])
+    def test_tiled_handles_empty_and_repeated_manifests(self, rng, features):
+        raster = random_raster(rng, 13, 10, band_names=FOUR_BANDS)
+        n = len(features)
+        params = ModelParams(features, np.ones(n), 0.3, np.zeros(n), np.ones(n))
+        whole = predict_map(raster, raster.valid_mask(), params)
+        tiled = predict_tiled(raster, raster.valid_mask(), params, 4, 1, 2)
+        np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
     @pytest.mark.parametrize("nodata", [-9999.0, -3.4028235e38, float("nan")])
     def test_invalid_pixel_values_raise_no_warning(self, rng, nodata):

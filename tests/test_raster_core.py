@@ -10,9 +10,9 @@ from palmwatch.errors import (
     PayloadSizeError,
     ShapeError,
 )
-from palmwatch.raster_core import Band, Mask, Raster, load_raster, save_raster
+from palmwatch.raster_core import Band, Mask, MaskedGrid, Raster, load_raster, save_raster
 
-from conftest import make_raster, random_raster
+from conftest import address_space_cap, make_raster, random_raster
 
 
 def write_container(tmp_path, header: dict, payload: bytes, stem="scene"):
@@ -45,13 +45,31 @@ class TestLoad:
 
     def test_truncated_payload(self, tmp_path):
         path = write_container(tmp_path, minimal_header(), b"\x00" * 31)
-        with pytest.raises(PayloadSizeError, match="31.*expected 32|expected 32"):
+        with pytest.raises(PayloadSizeError, match="holds 31 bytes, expected 32"):
             load_raster(path)
 
     def test_oversized_payload(self, tmp_path):
         path = write_container(tmp_path, minimal_header(), b"\x00" * 33)
-        with pytest.raises(PayloadSizeError):
+        with pytest.raises(PayloadSizeError, match="holds 33 bytes, expected 32"):
             load_raster(path)
+
+    def test_huge_header_over_tiny_payload_allocates_nothing(self, tmp_path):
+        # 2**20 x 2**20 x 2 bands would be 8 TiB; under the cap, allocating
+        # it would raise MemoryError instead of PayloadSizeError
+        header = minimal_header(width=2**20, height=2**20)
+        path = write_container(tmp_path, header, b"\x00" * 32)
+        with address_space_cap(), pytest.raises(PayloadSizeError, match="holds 32 bytes"):
+            load_raster(path)
+
+    def test_bands_are_read_only_views_of_one_buffer(self, tmp_path, rng):
+        raster = random_raster(rng, 7, 5, band_names=("a", "b", "c"))
+        save_raster(raster, tmp_path / "x")
+        loaded = load_raster(tmp_path / "x")
+        buffer = loaded.bands[0].samples.base
+        assert buffer.shape == (3, 5, 7) and not buffer.flags.writeable
+        for i, band in enumerate(loaded.bands):
+            assert band.samples.base is buffer and not band.samples.flags.writeable
+            np.testing.assert_array_equal(band.samples, raster.bands[i].samples)
 
     def test_missing_header(self, tmp_path):
         with pytest.raises(FormatError):
@@ -244,3 +262,61 @@ class TestInvariants:
     def test_mask_shape(self):
         with pytest.raises(ShapeError):
             Mask(np.zeros(4, dtype=bool))
+
+
+def _frozen_array(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+# one constructor per grid type, each fed the array under test in every slot
+_CONSTRUCTORS = {
+    "band": (np.float32, lambda a: Band("a", a).samples),
+    "mask": (np.bool_, lambda a: Mask(a).bits),
+    "grid values": (np.float32, lambda a: MaskedGrid(a, np.ones(np.shape(a), bool)).values),
+    "grid valid": (np.bool_, lambda a: MaskedGrid(np.zeros(np.shape(a), np.float32), a).valid),
+}
+
+
+class TestZeroCopy:
+    @pytest.mark.parametrize("kind", sorted(_CONSTRUCTORS))
+    def test_frozen_input_is_shared(self, kind):
+        dtype, build = _CONSTRUCTORS[kind]
+        arr = _frozen_array(np.zeros((4, 6), dtype))
+        assert build(arr) is arr
+        view = arr[1:3, 2:5]  # a frozen view of a frozen base
+        assert build(view) is view
+
+    @pytest.mark.parametrize("kind", sorted(_CONSTRUCTORS))
+    def test_writeable_input_is_copied_and_frozen(self, kind):
+        dtype, build = _CONSTRUCTORS[kind]
+        arr = np.zeros((4, 6), dtype)
+        kept = build(arr)
+        assert not np.shares_memory(kept, arr) and not kept.flags.writeable
+        arr[0, 0] = 1
+        assert kept[0, 0] == 0
+
+    @pytest.mark.parametrize("kind", sorted(_CONSTRUCTORS))
+    def test_frozen_view_of_writeable_base_is_copied(self, kind):
+        dtype, build = _CONSTRUCTORS[kind]
+        base = np.zeros((4, 6), dtype)
+        view = _frozen_array(base[1:3])
+        kept = build(view)
+        assert not np.shares_memory(kept, base)
+        base[1, 0] = 1
+        assert kept[0, 0] == 0
+
+    @pytest.mark.parametrize("kind", sorted(_CONSTRUCTORS))
+    def test_other_dtypes_and_lists_are_converted(self, kind):
+        dtype, build = _CONSTRUCTORS[kind]
+        for arr in (_frozen_array(np.zeros((2, 3), np.float64)), [[0, 0, 0], [0, 0, 0]]):
+            kept = build(arr)
+            assert kept.dtype == dtype and kept.shape == (2, 3) and not kept.flags.writeable
+
+    def test_frozen_bytes_buffer_is_shared(self):
+        arr = np.frombuffer(bytes(24), dtype=np.float32).reshape(2, 3)
+        assert Band("a", arr).samples is arr
+
+    def test_frozen_3d_input_still_rejected(self):
+        with pytest.raises(ShapeError):
+            Band("a", _frozen_array(np.zeros((1, 2, 2), np.float32)))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palmwatch.errors import BoundsError, CompletenessError, ParameterError
 from palmwatch.raster_core import MaskedGrid
-from palmwatch.tiling import TileWindow, extract_tile, stitch, tile_plan
+from palmwatch.tiling import TileWindow, extract_tile, stitch, tile_plan, window_of
 
 from conftest import random_raster
 
@@ -183,3 +185,77 @@ class TestStitch:
         m = MaskedGrid(np.full((4, 4), np.nan, np.float32), np.zeros((4, 4), bool))
         out = stitch(plan, [(plan.windows[0], m)])
         assert not out.valid.any()
+
+
+def reference_stitch(plan, outputs):
+    """The contributor mean accumulated in float64, as stitch does at overlap > 0."""
+    total = np.zeros((plan.scene_height, plan.scene_width), dtype=np.float64)
+    count = np.zeros((plan.scene_height, plan.scene_width), dtype=np.int32)
+    for window, pmap in outputs:
+        region = np.s_[window.y : window.y + window.height, window.x : window.x + window.width]
+        ok = pmap.valid[: window.height, : window.width]
+        with np.errstate(invalid="ignore"):  # casting a signalling NaN
+            np.add(total[region], pmap.values[: window.height, : window.width], out=total[region], where=ok)
+        count[region] += ok
+    valid = count > 0
+    np.divide(total, count, out=total, where=valid)
+    values = total.astype(np.float32)
+    values[~valid] = np.nan
+    return values, valid
+
+
+SIGNALLING_NAN = np.array(0x7F800001, dtype=np.uint32).view(np.float32)
+
+
+@st.composite
+def overlap_zero_outputs(draw):
+    """A random overlap-0 plan and one map per window: values include
+    -0.0, +0.0 and infinities; invalid pixels hold a quiet or signalling
+    NaN, or anything."""
+    scene_w, scene_h = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    plan = tile_plan(scene_w, scene_h, draw(st.integers(1, 40)), 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+    outputs = []
+    for window in plan.windows:
+        shape = (window.tile_height, window.tile_width)
+        values = rng.standard_normal(shape).astype(np.float32)
+        spots = rng.random(shape) < 0.3
+        values[spots] = rng.choice(specials, size=int(spots.sum()))
+        valid = (rng.random(shape) < 0.8) & ~np.isnan(values)
+        fill = draw(st.sampled_from([None, np.nan, SIGNALLING_NAN]))
+        if fill is not None:
+            values[~valid] = fill
+        outputs.append((window, MaskedGrid(values, valid)))
+    order = draw(st.permutations(range(len(outputs))))
+    return plan, [outputs[i] for i in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=overlap_zero_outputs())
+def test_overlap_zero_stitch_equals_float64_contributor_mean(case):
+    plan, outputs = case
+    values, valid = reference_stitch(plan, outputs)
+    stitched = stitch(plan, outputs)  # RuntimeWarnings fail the test run
+    np.testing.assert_array_equal(stitched.valid, valid)
+    np.testing.assert_array_equal(stitched.values.view(np.uint32), values.view(np.uint32))
+
+
+def test_window_of_views_unpadded_and_fills_padded(rng):
+    grid = rng.random((10, 12), dtype=np.float32)
+    grid.setflags(write=False)
+    plan = tile_plan(12, 10, 8, 0)
+    inner, padded = plan.windows[0], plan.windows[-1]
+    view = window_of(grid, inner, np.nan)
+    assert np.shares_memory(view, grid) and view.shape == (8, 8)
+    tile = window_of(grid, padded, np.nan)
+    assert not np.shares_memory(tile, grid) and tile.shape == (8, 8)
+    np.testing.assert_array_equal(tile[:2, :4], grid[8:, 8:])
+    assert np.isnan(tile[2:]).all() and np.isnan(tile[:, 4:]).all()
+
+
+def test_unpadded_tile_bands_are_views(rng):
+    raster = random_raster(rng, 64, 64, band_names=("a", "b"))
+    tile = extract_tile(raster, tile_plan(64, 64, 32, 0).windows[3])
+    for name in ("a", "b"):
+        assert np.shares_memory(tile.band(name).samples, raster.band(name).samples)
