@@ -50,6 +50,7 @@ from .evaluate import (
 from .indices import (
     DEFAULT_VEGETATION_THRESHOLD,
     INDEX_REGISTRY,
+    check_vegetation_threshold,
     compute_index,
     index_stats_by_class,
     vegetation_mask,
@@ -72,6 +73,7 @@ from .synth_scene import SceneSpec, generate_scene, load_spec as load_scene_spec
 from .tiling import (
     DEFAULT_PREDICT_OVERLAP,
     DEFAULT_TILE_SIZE,
+    check_tiling,
     extract_tile,
     stitch,
     tile_plan,
@@ -138,6 +140,13 @@ def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
         nodata_value=None,
         origin=origin,
     )
+
+
+def check_prediction_settings(tile_size: int, overlap: int, jobs: int) -> None:
+    """Raise ConfigurationError unless predict_tiled accepts these settings."""
+    check_tiling(tile_size, overlap)
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
 
 
 def predict_tiled(
@@ -230,8 +239,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     truth = None
     if config.truth_path is not None:
         truth_path = _require_file(config.truth_path, "truth annotations")
-    if config.jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {config.jobs}")
+    if config.veg_index not in INDEX_REGISTRY:
+        raise ConfigurationError(
+            f"veg_index must be one of {sorted(INDEX_REGISTRY)}, got {config.veg_index!r}"
+        )
+    check_vegetation_threshold(config.veg_threshold)
+    check_prediction_settings(config.tile_size, config.overlap, config.jobs)
     if config.averaging not in AVERAGING_MODES:
         raise ConfigurationError(f"averaging must be macro, micro or weighted, got {config.averaging!r}")
     check_max_centroid_dist(config.match_max_dist)
@@ -306,6 +319,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 
 def _cmd_index(args) -> int:
+    if args.veg_mask is not None:
+        check_vegetation_threshold(args.veg_threshold)
     scene = load_raster(_require_file(args.scene, "scene"))
     valid = scene.valid_mask()
     index = compute_index(scene, valid, args.index)
@@ -340,6 +355,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_tile(args) -> int:
+    check_tiling(args.tile_size, args.overlap)
     scene = load_raster(_require_file(args.scene, "scene"))
     plan = tile_plan(scene.width, scene.height, args.tile_size, args.overlap)
     out_dir = Path(args.out_dir)
@@ -416,6 +432,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    check_prediction_settings(args.tile_size, args.overlap, args.jobs)
     scene = load_raster(_require_file(args.scene, "scene"))
     params = load_params(_require_file(args.model, "model"))
     prob = predict_tiled(
@@ -523,7 +540,7 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prob-threshold", type=float, default=d.prob_threshold, help="crown probability threshold (default %(default)s)")
     parser.add_argument("--min-area", type=int, default=d.min_area, help="minimum crown area in px (default %(default)s)")
     parser.add_argument("--max-area", type=int, default=d.max_area, help="area above which components are split (default %(default)s)")
-    parser.add_argument("--split-min-distance", type=float, default=d.split_min_distance, help="minimum distance between split seeds (default %(default)s)")
+    parser.add_argument("--split-min-distance", type=float, default=d.split_min_distance, help="half-width in px of the split-marker window: a marker is the highest point within it (default %(default)s)")
     parser.add_argument("--smallish-diameter", dest="smallish_diameter_px", type=float, default=d.smallish_diameter_px, help="diameter cutoff for the smallish class (default %(default)s)")
     parser.add_argument("--dead-ndvi-max", type=float, default=d.dead_ndvi_max, help="mean NDVI at or below which a crown is dead (default %(default)s)")
 

@@ -1,10 +1,13 @@
 """Crown detection, 3-class labeling, truth matching and export.
 
 Detection binarizes the probability map, labels 8-connected components,
-and splits oversized components at probability peaks. Each stage is
-near-linear in pixels, components, seeds and crowns: component areas
-come from one ``bincount``, and splitting and truth matching look up
-neighbours in k-d trees instead of comparing all pairs. Health labels come
+and splits oversized components by marker-controlled watershed on the
+smoothed probability (Meyer & Beucher 1990; Wang, Gong & Biging 2004
+for tree crowns). Each stage is near-linear in pixels, components and
+crowns: component areas come from one ``bincount``, splitting runs a
+fixed number of filters and one watershed over the component's bounding
+box, and truth matching looks up neighbours in a k-d tree instead of
+comparing all pairs. Health labels come
 from a rule cascade over crown spectra and geometry: low mean NDVI means
 dead, small equivalent diameter means smallish, otherwise healthy.
 
@@ -33,6 +36,9 @@ from .jsondoc import read_document, take
 from .raster_core import MaskedGrid, Raster
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+# Smoothing of the splitting relief in px: it merges the noise peaks
+# inside one crown and keeps the peaks of touching crowns apart.
+_SPLIT_SIGMA = 2.0
 
 
 @dataclass
@@ -123,116 +129,58 @@ def detect_crowns(prob: MaskedGrid, cfg: DetectorConfig) -> list[CrownDetection]
     return detections
 
 
-def _plateau_seeds(
-    ys: np.ndarray, xs: np.ndarray, prob: MaskedGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local maxima of the map within a component, one seed per plateau.
-
-    Returns (values, ys, xs) arrays, one entry per plateau in label
-    order. A flat plateau contributes its pixel nearest its own centroid,
-    the first in raster order on a tie.
-    """
-    y0, x0 = ys.min(), xs.min()
-    h = ys.max() - y0 + 1
-    w = xs.max() - x0 + 1
-    grid = np.full((h, w), -np.inf)
-    member = np.zeros((h, w), dtype=bool)
-    grid[ys - y0, xs - x0] = prob.values[ys, xs]
-    member[ys - y0, xs - x0] = True
-    neighborhood_max = ndimage.maximum_filter(grid, size=3, mode="constant", cval=-np.inf)
-    maxima = member & (grid >= neighborhood_max)
-    plateau_labels, n_plateaus = ndimage.label(maxima, structure=_EIGHT_CONNECTED)
-    pys, pxs = np.nonzero(maxima)
-    plateau = plateau_labels[pys, pxs] - 1
-    counts = np.bincount(plateau, minlength=n_plateaus)
-    # sums of integers in float64 are exact, so these equal each plateau's mean
-    cy = np.bincount(plateau, weights=pys, minlength=n_plateaus) / counts
-    cx = np.bincount(plateau, weights=pxs, minlength=n_plateaus) / counts
-    d2 = (pys - cy[plateau]) ** 2 + (pxs - cx[plateau]) ** 2
-    order = np.lexsort((np.arange(len(pys)), d2, plateau))
-    best = order[np.cumsum(counts) - counts]
-    return grid[pys[best], pxs[best]], pys[best] + y0, pxs[best] + x0
-
-
-def _suppress_close_seeds(
-    seed_ys: np.ndarray, seed_xs: np.ndarray, min_distance: float
-) -> np.ndarray:
-    """Indices of the seeds a greedy pass keeps, in input (strength) order.
-
-    A seed is kept unless an earlier kept seed lies closer than
-    ``min_distance``, tested exactly on integer squared distances. Only
-    kept seeds query the k-d tree, and kept seeds are at least
-    ``min_distance`` apart, so each seed is returned by a handful of
-    queries whatever ``min_distance`` is.
-    """
-    points = np.column_stack((seed_ys, seed_xs))
-    tree = cKDTree(points)
-    # ** rounds like earlier versions (r * r differs in the last bit for
-    # some r); a square beyond the float range means no seed is far enough
-    min_d2 = min_distance**2 if min_distance < 1e154 else math.inf
-    # the tree's radius test is in floating point, so it searches a hair
-    # wider and the exact integer test decides
-    radius = min_distance * (1 + 1e-9)
-    suppressed = np.zeros(len(points), dtype=bool)
-    kept = []
-    for i in range(len(points)):
-        if suppressed[i]:
-            continue
-        kept.append(i)
-        near = np.array(tree.query_ball_point(points[i], radius), dtype=np.intp)
-        near = near[((points[near] - points[i]) ** 2).sum(axis=1) < min_d2]
-        suppressed[near] = True
-    return np.array(kept)
-
-
-def _nearest_seed(
-    ys: np.ndarray, xs: np.ndarray, seed_ys: np.ndarray, seed_xs: np.ndarray
-) -> np.ndarray:
-    """Index of each pixel's nearest seed, the lowest index on a tie.
-
-    Takes the k nearest candidates from a k-d tree and compares exact
-    integer squared distances. Where the k-th candidate ties the
-    minimum, more seeds may tie, so those rows fall back to a full
-    argmin, in blocks that keep memory bounded.
-    """
-    n = len(seed_ys)
-    k = min(n, 4)
-    _, cand = cKDTree(np.column_stack((seed_ys, seed_xs))).query(np.column_stack((ys, xs)), k=k)
-    d2 = (ys[:, None] - seed_ys[cand]) ** 2 + (xs[:, None] - seed_xs[cand]) ** 2
-    best = d2.min(axis=1)
-    owner = np.where(d2 == best[:, None], cand, n).min(axis=1)
-    if k < n:
-        tied = np.flatnonzero(d2[:, -1] == best)
-        block = max(1, 2**20 // n)
-        for start in range(0, len(tied), block):
-            rows = tied[start : start + block]
-            full = (ys[rows, None] - seed_ys) ** 2 + (xs[rows, None] - seed_xs) ** 2
-            owner[rows] = np.argmin(full, axis=1)
-    return owner
-
-
 def split_touching(
     pixels: tuple[np.ndarray, np.ndarray], prob: MaskedGrid, cfg: DetectorConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Partition an oversized component at its probability peaks.
+    """Partition an oversized component by marker-controlled watershed.
 
-    Seeds are taken strongest first (ties by y, then x); a seed closer
-    than split_min_distance to a stronger kept seed is dropped. A single
-    surviving seed returns the component whole. Otherwise each pixel
-    joins its nearest kept seed, the strongest on a tie, which yields an
-    exact partition; each part keeps the component's pixel order. Time
-    and memory grow near-linearly with pixels and seeds.
+    The relief is the component's probability (0 outside it) smoothed by
+    a Gaussian of ``_SPLIT_SIGMA`` px. The markers are the component
+    pixels where the relief equals its maximum over the square window of
+    half-width split_min_distance (at least 1 px) around them, one marker
+    per 8-connected group; of equal groups within one window only the
+    last in raster order is kept, so separate markers lie more than
+    split_min_distance apart. A single marker returns the component
+    whole. Otherwise the watershed of the inverted relief floods from the
+    markers inside the component, and each pixel joins the marker whose
+    basin reaches it, which yields an exact partition; each part keeps
+    the component's pixel order. Time and memory grow near-linearly with
+    the component's bounding box.
     """
     ys, xs = pixels
-    values, seed_ys, seed_xs = _plateau_seeds(ys, xs, prob)
-    strength = np.lexsort((seed_xs, seed_ys, -values))
-    seed_ys, seed_xs = seed_ys[strength], seed_xs[strength]
-    kept = _suppress_close_seeds(seed_ys, seed_xs, cfg.split_min_distance)
-    if len(kept) <= 1:
+    # the component's bounding box and a 1 px border of background
+    y0, x0 = ys.min() - 1, xs.min() - 1
+    box = (ys.max() - y0 + 2, xs.max() - x0 + 2)
+    ly, lx = ys - y0, xs - x0
+    relief = np.zeros(box)
+    relief[ly, lx] = prob.values[ys, xs]
+    relief = ndimage.gaussian_filter(relief, _SPLIT_SIGMA, mode="constant")
+    inside = relief[ly, lx]
+    # a marker tops at least its 8 neighbours, and a window wider than
+    # the box finds the same maxima
+    size = 2 * int(min(max(cfg.split_min_distance, 1.0), max(box))) + 1
+    peaks = np.zeros(box, dtype=bool)
+    peaks[ly, lx] = inside == ndimage.maximum_filter(relief, size=size)[ly, lx]
+    # a flat top is one group; of equal groups that share a window (mirror-
+    # image crowns) only the last in raster order stays a marker
+    groups, n_groups = ndimage.label(peaks, structure=_EIGHT_CONNECTED)
+    keep = np.ones(n_groups + 1, dtype=bool)
+    keep[0] = False
+    keep[groups[peaks & (groups != ndimage.maximum_filter(groups, size=size))]] = False
+    n_markers = np.count_nonzero(keep)
+    if n_markers <= 1:
         return [(ys, xs)]
-    owner = _nearest_seed(ys, xs, seed_ys[kept], seed_xs[kept])
+    # the kept groups, numbered 1..n_markers in raster order
+    markers = (np.cumsum(keep) * keep).astype(np.int32)[groups]
+    # watershed_ift floods uint16 levels: the component's inverted relief
+    # spans 0..65534, so the 65535 outside it never offers a cheaper path.
+    # Only a pixel set of several components can be flat with two markers.
+    levels = np.full(box, 65535, dtype=np.uint16)
+    levels[ly, lx] = np.rint((inside.max() - inside) / (np.ptp(inside) or 1.0) * 65534)
+    basins = ndimage.watershed_ift(levels, markers, structure=_EIGHT_CONNECTED)
+    owner = basins[ly, lx] - 1
     order = np.argsort(owner, kind="stable")
-    ends = np.cumsum(np.bincount(owner, minlength=len(kept)))[:-1]
+    ends = np.cumsum(np.bincount(owner, minlength=n_markers))[:-1]
     return [(ys[part], xs[part]) for part in np.split(order, ends)]
 
 

@@ -31,17 +31,31 @@ def normalized_difference(
     """(a - b) / (a + b) in the inputs' dtype, and where that ratio is valid.
 
     A ratio is invalid where ``ok`` is false or a + b == 0; invalid
-    entries hold NaN. No arithmetic touches a pixel outside ``ok``, so
-    the NaN, infinities or nodata such pixels hold raise no warning.
+    entries hold NaN. Where a + b or a - b would leave the dtype's
+    range, the ratio comes from the halved operands instead, with no
+    warning. No arithmetic touches a pixel outside ``ok``, so the NaN,
+    infinities or nodata such pixels hold raise no warning.
     Both results come back read-only, so a MaskedGrid takes them without
     a copy.
     """
     if a.shape != b.shape or a.shape != ok.shape:
         raise ShapeError(f"band/mask shapes disagree: {a.shape} vs {b.shape} vs mask {ok.shape}")
-    den = np.add(a, b, out=np.zeros_like(a), where=ok)
-    valid = ok & (den != 0)
-    values = np.full(a.shape, np.nan, dtype=a.dtype)
-    np.subtract(a, b, out=values, where=valid)
+    overflow = []
+    with np.errstate(over="call", call=lambda *_: overflow.append(True)):
+        den = np.add(a, b, out=np.zeros_like(a), where=ok)
+        valid = ok & (den != 0)
+        values = np.full(a.shape, np.nan, dtype=a.dtype)
+        np.subtract(a, b, out=values, where=valid)
+    if overflow:
+        # where a + b or a - b left the dtype's range, both operands are
+        # far above the subnormals, so halving them is exact and keeps
+        # the ratio; an infinite operand is left as it is
+        over = np.nonzero(valid & (np.isinf(den) | np.isinf(values)))
+        finite = np.isfinite(a[over]) & np.isfinite(b[over])
+        over = tuple(axis[finite] for axis in over)
+        half_a, half_b = a[over] / 2, b[over] / 2
+        den[over] = half_a + half_b
+        values[over] = half_a - half_b
     np.divide(values, den, out=values, where=valid)
     values.setflags(write=False)
     valid.setflags(write=False)
@@ -77,14 +91,19 @@ def compute_index(raster: Raster, mask: Mask, name: str) -> MaskedGrid:
     return builder(raster, mask)
 
 
+def check_vegetation_threshold(threshold: float) -> None:
+    """Raise ParameterError unless ``-1 <= threshold <= 1``."""
+    if not -1.0 <= threshold <= 1.0:
+        raise ParameterError(f"vegetation threshold must be in [-1, 1], got {threshold}")
+
+
 def vegetation_mask(index: MaskedGrid, threshold: float) -> Mask:
     """Pixels strictly above ``threshold`` with a valid index value.
 
     The boundary is exclusive: a value exactly equal to the threshold is
     not vegetation.
     """
-    if not -1.0 <= threshold <= 1.0:
-        raise ParameterError(f"vegetation threshold must be in [-1, 1], got {threshold}")
+    check_vegetation_threshold(threshold)
     bits = index.valid & (index.values > threshold)
     bits.setflags(write=False)
     return Mask(bits)

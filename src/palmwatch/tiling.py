@@ -71,18 +71,23 @@ def _starts(extent: int, tile_size: int, stride: int) -> list[int]:
     return starts
 
 
-def tile_plan(scene_w: int, scene_h: int, tile_size: int = DEFAULT_TILE_SIZE, overlap: int = 0) -> TilePlan:
-    """Plan row-major windows covering a scene exactly.
-
-    Requires 0 <= overlap < tile_size. Deterministic: equal inputs always
-    produce an identical plan.
-    """
+def check_tiling(tile_size: int, overlap: int) -> None:
+    """Raise ParameterError unless ``tile_size >= 1`` and ``0 <= overlap < tile_size``."""
     if tile_size < 1:
         raise ParameterError(f"tile_size must be >= 1, got {tile_size}")
     if not 0 <= overlap < tile_size:
         raise ParameterError(
             f"overlap must satisfy 0 <= overlap < tile_size ({tile_size}), got {overlap}"
         )
+
+
+def tile_plan(scene_w: int, scene_h: int, tile_size: int = DEFAULT_TILE_SIZE, overlap: int = 0) -> TilePlan:
+    """Plan row-major windows covering a scene exactly.
+
+    Requires 0 <= overlap < tile_size. Deterministic: equal inputs always
+    produce an identical plan.
+    """
+    check_tiling(tile_size, overlap)
     if scene_w < 1 or scene_h < 1:
         raise ParameterError(f"scene dimensions must be >= 1, got {scene_w}x{scene_h}")
     stride = tile_size - overlap

@@ -318,6 +318,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_tile_checks_its_flags_before_reading_the_scene(self, workspace, tmp_path):
+        # the scene's payload is truncated: reading it would exit 3
+        scene = workspace["scenes"][0]
+        header = tmp_path / "trunc.rhdr"
+        header.write_text(scene.read_text())
+        (tmp_path / "trunc.rbin").write_bytes(scene.with_suffix(".rbin").read_bytes()[:-4])
+        assert main(["tile", str(header), str(tmp_path / "tiles"), "--tile-size", "0"]) == 2
+        assert not (tmp_path / "tiles").exists()
+
     # Both requests need far more address space than exists (PiB, TiB),
     # so numpy fails at once without touching memory.
     def test_oversized_annotation_is_out_of_memory(self, workspace, tmp_path, capsys):
@@ -354,6 +363,54 @@ class TestExitCodes:
         dets = tmp_path / "dets.geojson"
         dets.write_text(json.dumps(_VALID_DOCS["detections"]))
         assert main(["eval", str(dets), str(truth), "--max-dist", max_dist]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--overlap", "2000"], ["--tile-size", "0"], ["--veg-threshold", "5"], ["--jobs", "0"]],
+    )
+    def test_bad_pipeline_setting_is_rejected_before_any_io(self, workspace, tmp_path, flags):
+        # overlap and tile size used to be rejected only after the scene
+        # was read and veg_mask written
+        out = tmp_path / "run"
+        code = main([
+            "pipeline", "--scene", str(workspace["scenes"][2]), "--model", str(workspace["model"]),
+            "--out", str(out), *flags,
+        ])
+        assert code == 2
+        assert not out.exists()
+
+    def test_unknown_manifest_veg_index_is_config_error(self, workspace, tmp_path, capsys):
+        # used to exit 3, as a data error, after reading the scene
+        out = tmp_path / "run"
+        config = PipelineConfig(
+            scene_path=str(workspace["scenes"][2]), model_path=str(workspace["model"]),
+            out_dir=str(out), veg_index="foo",
+        )
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(config.to_manifest()))
+        assert main(["pipeline", "--config", str(manifest)]) == 2
+        assert "veg_index" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_predict_needs_a_worker(self, workspace, tmp_path, jobs):
+        # both used to exit 0
+        out = tmp_path / "prob"
+        code = main([
+            "predict", str(workspace["scenes"][2]), "--model", str(workspace["model"]),
+            "--out", str(out), "--jobs", jobs,
+        ])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_index_rejects_veg_threshold_before_writing(self, workspace, tmp_path):
+        # the index raster used to be written before the threshold was rejected
+        code = main([
+            "index", str(workspace["scenes"][2]), str(tmp_path / "ndvi"),
+            "--veg-mask", str(tmp_path / "veg"), "--veg-threshold", "5",
+        ])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_synth_seed_is_config_error(self, workspace, tmp_path):
         assert main(["synth", str(tmp_path), "--spec", str(workspace["spec"]), "--seed", "-1"]) == 2

@@ -14,7 +14,6 @@ from palmwatch.crown_detect import (
     CrownDetection,
     DetectorConfig,
     _make_detection,
-    _nearest_seed,
     classify_crown,
     classify_detections,
     detect_crowns,
@@ -200,6 +199,26 @@ class TestSplitTouching:
         prob = peaked_prob_map((60, 120), [(40, 30, 0.9), (80, 30, 0.9)], radius=25)
         ys, xs = np.nonzero(prob.values > 0.3)
         assert len(split_touching((ys, xs), prob, DetectorConfig(split_min_distance=1e200))) == 1
+
+    @pytest.mark.parametrize("min_distance", [0.5, 1.0, 8.0])
+    def test_marker_window_is_at_least_one_px(self, min_distance):
+        # a 1 px window would make every pixel a peak, so the whole
+        # component would be one flat group and never split
+        prob = peaked_prob_map((60, 120), [(40, 30, 0.95), (66, 30, 0.95)], radius=25)
+        cfg = DetectorConfig(prob_threshold=0.3, max_area=800, split_min_distance=min_distance)
+        assert len(detect_crowns(prob, cfg)) == 2
+
+    def test_flat_top_is_one_marker(self):
+        # an arch of constant probability, 30 px thick: after smoothing its
+        # inner core is exactly flat, and the two legs' ends are far apart
+        values = np.zeros((100, 110), np.float32)
+        values[5:35, 5:105] = 0.9
+        values[5:95, 5:35] = 0.9
+        values[5:95, 75:105] = 0.9
+        prob = MaskedGrid(values, np.ones(values.shape, bool))
+        pixels = np.nonzero(values > 0.5)
+        parts = split_touching(pixels, prob, DetectorConfig(split_min_distance=2.0))
+        assert len(parts) == 1
 
     def test_max_area_is_inclusive(self):
         # two overlapping cones: one component with two peaks
@@ -416,47 +435,10 @@ class TestExport:
         assert len(lines) == 3
 
 
-# The all-pairs algorithms crown_detect used before its k-d tree versions,
-# kept as references: the k-d tree versions must agree with them exactly,
-# tie-breaks included.
-
-
-def reference_plateau_seeds(ys, xs, prob):
-    y0, x0 = ys.min(), xs.min()
-    h = ys.max() - y0 + 1
-    w = xs.max() - x0 + 1
-    grid = np.full((h, w), -np.inf)
-    member = np.zeros((h, w), dtype=bool)
-    grid[ys - y0, xs - x0] = prob.values[ys, xs]
-    member[ys - y0, xs - x0] = True
-    neighborhood_max = ndimage.maximum_filter(grid, size=3, mode="constant", cval=-np.inf)
-    maxima = member & (grid >= neighborhood_max)
-    plateau_labels, n_plateaus = ndimage.label(maxima, structure=np.ones((3, 3), int))
-    seeds = []
-    for p in range(1, n_plateaus + 1):
-        pys, pxs = np.nonzero(plateau_labels == p)
-        cy, cx = pys.mean(), pxs.mean()
-        best = np.argmin((pys - cy) ** 2 + (pxs - cx) ** 2)
-        seeds.append((float(grid[pys[best], pxs[best]]), int(pys[best] + y0), int(pxs[best] + x0)))
-    return seeds
-
-
-def reference_split(pixels, prob, cfg):
-    ys, xs = pixels
-    seeds = reference_plateau_seeds(ys, xs, prob)
-    seeds.sort(key=lambda s: (-s[0], s[1], s[2]))
-    kept = []
-    min_d2 = cfg.split_min_distance**2
-    for _, sy, sx in seeds:
-        if all((sy - ky) ** 2 + (sx - kx) ** 2 >= min_d2 for ky, kx in kept):
-            kept.append((sy, sx))
-    if len(kept) <= 1:
-        return [(ys, xs)]
-    seed_ys = np.array([s[0] for s in kept])
-    seed_xs = np.array([s[1] for s in kept])
-    d2 = (ys[:, None] - seed_ys[None, :]) ** 2 + (xs[:, None] - seed_xs[None, :]) ** 2
-    owner = np.argmin(d2, axis=1)
-    return [(ys[owner == i], xs[owner == i]) for i in range(len(kept))]
+# Plain versions of what crown_detect does faster, kept as references:
+# reference_detect measures and filters one component at a time, and
+# reference_match compares all pairs. The fast versions must agree with
+# them exactly, tie-breaks included.
 
 
 def reference_detect(prob, cfg):
@@ -471,7 +453,7 @@ def reference_detect(prob, cfg):
         xs = xs + slc[1].start
         if len(xs) < cfg.min_area:
             continue
-        parts = [(ys, xs)] if len(xs) <= cfg.max_area else reference_split((ys, xs), prob, cfg)
+        parts = [(ys, xs)] if len(xs) <= cfg.max_area else split_touching((ys, xs), prob, cfg)
         detections += [_make_detection(pys, pxs, prob) for pys, pxs in parts if len(pxs) >= cfg.min_area]
     detections.sort(key=lambda d: (-d.score, d.centroid[1], d.centroid[0]))
     for i, det in enumerate(detections, start=1):
@@ -502,13 +484,6 @@ def reference_match(detections, truth, max_centroid_dist):
     )
 
 
-def assert_same_parts(parts, expected):
-    assert len(parts) == len(expected)
-    for (ys, xs), (eys, exs) in zip(parts, expected):
-        np.testing.assert_array_equal(ys, eys)
-        np.testing.assert_array_equal(xs, exs)
-
-
 def detection_fields(dets):
     return [
         (d.id, d.centroid, d.bbox, d.pixel_count, d.diameter_px, d.score,
@@ -517,8 +492,8 @@ def detection_fields(dets):
     ]
 
 
-# Few probability levels make flat plateaus and equal seed strengths
-# likely; small grids make equidistant pixels and seeds likely.
+# Few probability levels make flat plateaus and equal peaks likely, and
+# small grids put many of them inside one marker window.
 _LEVELS = np.array([0.55, 0.7, 0.8, 0.9], np.float32)
 _SPLIT_DISTANCES = st.sampled_from([1.0, 2.0, 2.5, math.sqrt(2), math.sqrt(5), 3.0, 8.0]) | st.floats(0.5, 12.0)
 
@@ -534,55 +509,19 @@ def level_maps(draw, max_side):
 
 @settings(max_examples=300, deadline=None)
 @given(grid=level_maps(max_side=14), min_distance=_SPLIT_DISTANCES)
-def test_split_touching_matches_all_pairs_reference(grid, min_distance):
+def test_split_touching_partitions_exactly(grid, min_distance):
+    """Every component pixel lands in exactly one part, in pixel order."""
     values, member = grid
     assume(member.any())
     prob = MaskedGrid(values, np.ones(values.shape, bool))
     pixels = np.nonzero(member)
-    cfg = DetectorConfig(split_min_distance=min_distance)
-    parts = split_touching(pixels, prob, cfg)
-    assert_same_parts(parts, reference_split(pixels, prob, cfg))
-    # the parts partition the component exactly
+    parts = split_touching(pixels, prob, DetectorConfig(split_min_distance=min_distance))
     w = values.shape[1]
+    for ys, xs in parts:
+        flat = ys * w + xs
+        assert np.all(np.diff(flat) > 0)
     flat = np.sort(np.concatenate([ys * w + xs for ys, xs in parts]))
     np.testing.assert_array_equal(flat, pixels[0] * w + pixels[1])
-
-
-@pytest.mark.parametrize("strongest", range(8))
-def test_split_touching_pixel_equidistant_from_many_seeds(strongest):
-    # eight peaks at distance 5 from the centre pixel, none closer: the
-    # centre joins the strongest, and the tie is wider than the nearest-4
-    # candidates a k-d tree query returns
-    offsets = [(0, 5), (0, -5), (5, 0), (-5, 0), (3, 4), (-3, -4), (4, -3), (-4, 3)]
-    yy, xx = np.mgrid[0:13, 0:13]
-    nearest = np.min([np.hypot(yy - 6 - dy, xx - 6 - dx) for dy, dx in offsets], axis=0)
-    values = (0.9 - 0.01 * nearest).astype(np.float32)
-    top_y, top_x = 6 + offsets[strongest][0], 6 + offsets[strongest][1]
-    values[top_y, top_x] = 0.95
-    prob = MaskedGrid(values, np.ones((13, 13), bool))
-    pixels = np.nonzero(np.ones((13, 13), bool))
-    cfg = DetectorConfig(split_min_distance=2.0)
-    parts = split_touching(pixels, prob, cfg)
-    assert_same_parts(parts, reference_split(pixels, prob, cfg))
-    assert len(parts) == 8
-    centre_part = [i for i, (ys, xs) in enumerate(parts) if ((ys == 6) & (xs == 6)).any()]
-    top_part = [i for i, (ys, xs) in enumerate(parts) if ((ys == top_y) & (xs == top_x)).any()]
-    assert centre_part == top_part == [0]
-
-
-@settings(max_examples=100, deadline=None)
-@given(side=st.integers(1, 48), density=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
-def test_nearest_seed_matches_full_argmin(side, density, seed):
-    # seeds in random order on a lattice: many pixels tie between more
-    # seeds than the k-d tree's nearest-4 candidates, and the lowest
-    # seed index must win
-    rng = np.random.default_rng(seed)
-    n = max(1, min(600, int(density * side * side)))
-    cells = rng.permutation(side * side)[:n]
-    seed_ys, seed_xs = cells // side, cells % side
-    ys, xs = (a.ravel() for a in np.mgrid[0:side, 0:side])
-    full = (ys[:, None] - seed_ys) ** 2 + (xs[:, None] - seed_xs) ** 2
-    np.testing.assert_array_equal(_nearest_seed(ys, xs, seed_ys, seed_xs), np.argmin(full, axis=1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -642,9 +581,8 @@ def test_match_detections_matches_all_pairs_reference(case):
 
 
 def test_split_touching_memory_is_linear():
-    # a 240x240 noisy component: ~6k local maxima and ~570 parts. An
-    # all-pairs owner assignment holds pixels x seeds int64 matrices
-    # (57,600 x 573 x 8 B = 264 MB each).
+    # a 240x240 noisy component with thousands of local maxima: an
+    # all-pairs owner assignment would hold pixels x seeds matrices
     rng = np.random.default_rng(0)
     values = np.zeros((244, 244), np.float32)
     values[2:-2, 2:-2] = rng.uniform(0.55, 1.0, (240, 240))
@@ -656,6 +594,5 @@ def test_split_touching_memory_is_linear():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(parts) > 500
     assert sum(len(xs) for _, xs in parts) == 240 * 240
     assert peak < 64 << 20

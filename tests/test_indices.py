@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from palmwatch.indices import (
     gndvi,
     index_stats_by_class,
     ndvi,
+    normalized_difference,
     vegetation_mask,
 )
 from palmwatch.raster_core import Band, Mask, MaskedGrid, load_raster, save_raster
@@ -38,6 +41,24 @@ class TestNdvi:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ndvi(band([[0.5]]), band([[0.5, 0.5]]), full_mask((1, 1)))
+
+    def test_sum_or_difference_beyond_float32_is_exact(self, rng):
+        # 3e38 vs 1e38 used to give 0 with an overflow warning, 1e38 vs
+        # -3e38 gave -inf
+        huge = np.array([3e38, 1e38, 3.4e38, 2e38, -3e38], np.float32)
+        other = np.array([1e38, -3e38, 3.4e38, -1.9e38, -2e38], np.float32)
+        a = np.concatenate([huge, rng.random(200, dtype=np.float32)])
+        b = np.concatenate([other, rng.random(200, dtype=np.float32)])
+        ok = np.ones(a.shape, bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, valid = normalized_difference(a, b, ok)
+        assert valid.all()
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        np.testing.assert_allclose(values[:5], (a64 - b64)[:5] / (a64 + b64)[:5], rtol=1e-6)
+        assert values[0] == pytest.approx(0.5, rel=1e-6)
+        # pixels without overflow keep the plain float32 arithmetic, bit for bit
+        np.testing.assert_array_equal(values[5:], (a[5:] - b[5:]) / (a[5:] + b[5:]))
 
 
 class TestGndvi:
