@@ -19,7 +19,6 @@ from .annotations import (
 from .crown_detect import (
     CrownDetection,
     DetectorConfig,
-    classify_crown,
     classify_detections,
     detect_crowns,
     match_detections,

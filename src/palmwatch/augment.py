@@ -280,12 +280,7 @@ def scale(
             + w11 * s[np.ix_(yi1, xi1)]
         ).astype(np.float32)
         out.append(np.where(out_valid, resampled, fill))
-    bands = tuple(
-        Band(name=b.name, samples=s, wavelength_nm=b.wavelength_nm)
-        for b, s in zip(tile.bands, out)
-    )
-    scaled_tile = Raster(bands=bands, nodata_value=tile.nodata_value, origin=tile.origin)
-    return scaled_tile, ann.scaled(factor)
+    return _rebuild(tile, out), ann.scaled(factor)
 
 
 def apply_spec(

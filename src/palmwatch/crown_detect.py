@@ -6,10 +6,11 @@ smoothed probability (Meyer & Beucher 1990; Wang, Gong & Biging 2004
 for tree crowns). Each stage is near-linear in pixels, components and
 crowns: component areas come from one ``bincount``, splitting runs a
 fixed number of filters and one watershed over the component's bounding
-box, and truth matching looks up neighbours in a k-d tree instead of
-comparing all pairs. Health labels come
-from a rule cascade over crown spectra and geometry: low mean NDVI means
-dead, small equivalent diameter means smallish, otherwise healthy.
+box, classification reads the bands once per block of crowns, at all
+their pixels together, and truth matching looks up neighbours in a k-d
+tree instead of comparing all pairs. Health labels come from a rule
+cascade over crown spectra and geometry: low mean NDVI means dead,
+small equivalent diameter means smallish, otherwise healthy.
 
 Detections export as a GeoJSON FeatureCollection (Point = centroid in
 scene pixel coordinates offset by the raster origin) and as CSV with the
@@ -33,12 +34,15 @@ from .annotations import AnnotationSet, CrownAnnotation
 from .errors import FormatError, ParameterError, UnclassifiableError
 from .indices import normalized_difference
 from .jsondoc import read_document, take
-from .raster_core import MaskedGrid, Raster
+from .raster_core import Band, MaskedGrid, Raster
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 # Smoothing of the splitting relief in px: it merges the noise peaks
 # inside one crown and keeps the peaks of touching crowns apart.
 _SPLIT_SIGMA = 2.0
+# Crown pixels classified together: about 5 MB of float64 working set, so
+# classification adds no peak memory however many crowns a scene holds.
+_CLASSIFY_BLOCK_PX = 1 << 16
 
 
 @dataclass
@@ -184,62 +188,66 @@ def split_touching(
     return [(ys[part], xs[part]) for part in np.split(order, ends)]
 
 
-def classify_crown(
-    det: CrownDetection,
-    raster: Raster,
-    cfg: DetectorConfig,
-    valid_bits: np.ndarray | None = None,
-) -> str:
-    """Apply the health-rule cascade and record crown spectra on ``det``.
+def classify_detections(
+    detections: list[CrownDetection], raster: Raster, cfg: DetectorConfig
+) -> list[CrownDetection]:
+    """Apply the health-rule cascade to every detection and record its
+    crown spectra (mean NDVI and gNDVI over the crown's valid pixels):
 
     dead  if mean NDVI <= dead_ndvi_max,
     else smallish if equivalent diameter < smallish_diameter_px,
     else healthy.
 
-    ``valid_bits`` lets callers reuse one validity mask across many
-    detections. Raises UnclassifiableError when the crown has no valid
-    pixels.
+    Consecutive detections are classified in blocks of about
+    ``_CLASSIFY_BLOCK_PX`` pixels: the bands are read once per block, at
+    the pixels of all its crowns together, and a pixel is valid by the
+    raster's own rule (``valid_mask``). Raises UnclassifiableError when a
+    detection carries no pixels or has no valid ones.
     """
-    if det.pixels is None:
-        raise UnclassifiableError(f"detection {det.id} carries no pixel set")
-    if valid_bits is None:
-        valid_bits = raster.valid_mask().bits
-    ys, xs = det.pixels
-    nir, red, green = (
-        raster.band(name).samples[ys, xs].astype(np.float64) for name in ("nir", "red", "green")
+    block, size = [], 0
+    for i, det in enumerate(detections, start=1):
+        if det.pixels is None or len(det.pixels[1]) == 0:
+            raise UnclassifiableError(f"detection {det.id} carries no pixels")
+        block.append(det)
+        size += len(det.pixels[1])
+        if size >= _CLASSIFY_BLOCK_PX or i == len(detections):
+            _classify_block(block, raster, cfg)
+            block, size = [], 0
+    return detections
+
+
+def _classify_block(detections: list[CrownDetection], raster: Raster, cfg: DetectorConfig) -> None:
+    ys = np.concatenate([det.pixels[0] for det in detections])[np.newaxis]
+    xs = np.concatenate([det.pixels[1] for det in detections])[np.newaxis]
+    # every band at every crown pixel, as one 1 x N raster
+    crowns = Raster(
+        bands=tuple(Band(name=b.name, samples=b.samples[ys, xs]) for b in raster.bands),
+        nodata_value=raster.nodata_value,
     )
-    ok = valid_bits[ys, xs]
+    ok = crowns.valid_mask().bits[0]
+    nir, red, green = (
+        crowns.band(name).samples[0].astype(np.float64) for name in ("nir", "red", "green")
+    )
     ndvi_values, ndvi_ok = normalized_difference(nir, red, ok)
     gndvi_values, gndvi_ok = normalized_difference(nir, green, ok)
-    if not ndvi_ok.any() or not gndvi_ok.any():
-        raise UnclassifiableError(
-            f"detection {det.id} at {det.centroid} has no valid pixels to classify"
-        )
-    det.mean_ndvi = float(ndvi_values[ndvi_ok].mean())
-    det.mean_gndvi = float(gndvi_values[gndvi_ok].mean())
-
-    if det.mean_ndvi <= cfg.dead_ndvi_max:
-        det.class_label = "dead"
-    elif det.diameter_px < cfg.smallish_diameter_px:
-        det.class_label = "smallish"
-    else:
-        det.class_label = "healthy"
-    return det.class_label
-
-
-def classify_detections(
-    detections: list[CrownDetection],
-    raster: Raster,
-    cfg: DetectorConfig,
-    valid_bits: np.ndarray | None = None,
-) -> list[CrownDetection]:
-    """Classify every detection; ``valid_bits`` is the raster's validity
-    mask when the caller already has it, and is computed otherwise."""
-    if valid_bits is None:
-        valid_bits = raster.valid_mask().bits
+    stop = 0
     for det in detections:
-        classify_crown(det, raster, cfg, valid_bits)
-    return detections
+        start, stop = stop, stop + len(det.pixels[1])
+        ndvi_in, gndvi_in = ndvi_ok[start:stop], gndvi_ok[start:stop]
+        if not ndvi_in.any() or not gndvi_in.any():
+            raise UnclassifiableError(
+                f"detection {det.id} at {det.centroid} has no valid pixels to classify"
+            )
+        # np.mean over each crown's own slice: summing by reduceat would
+        # change the last digit of the means
+        det.mean_ndvi = float(ndvi_values[start:stop][ndvi_in].mean())
+        det.mean_gndvi = float(gndvi_values[start:stop][gndvi_in].mean())
+        if det.mean_ndvi <= cfg.dead_ndvi_max:
+            det.class_label = "dead"
+        elif det.diameter_px < cfg.smallish_diameter_px:
+            det.class_label = "smallish"
+        else:
+            det.class_label = "healthy"
 
 
 def check_max_centroid_dist(value: float) -> None:
@@ -304,10 +312,6 @@ def match_detections(
     )
 
 
-def _round_trip_float(value: float | None):
-    return None if value is None else float(value)
-
-
 def detections_to_geojson(
     detections: list[CrownDetection], origin: tuple[int, int] = (0, 0)
 ) -> dict:
@@ -332,8 +336,8 @@ def detections_to_geojson(
                         det.bbox[2] + origin[0],
                         det.bbox[3] + origin[1],
                     ],
-                    "mean_ndvi": _round_trip_float(det.mean_ndvi),
-                    "mean_gndvi": _round_trip_float(det.mean_gndvi),
+                    "mean_ndvi": det.mean_ndvi,
+                    "mean_gndvi": det.mean_gndvi,
                 },
             }
         )

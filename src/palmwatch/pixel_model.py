@@ -33,6 +33,7 @@ from .errors import (
 from .indices import INDEX_REGISTRY, compute_index
 from .jsondoc import read_document, take
 from .raster_core import Mask, MaskedGrid, Raster
+from .synth_scene import rasterize_labels
 
 DEFAULT_INDEX_FEATURES = ("ndvi", "gndvi")
 DEFAULT_NEGATIVE_RATIO = 5.0
@@ -398,8 +399,6 @@ def build_training_set(
     positive count (seeded, without replacement) to keep desk-scale
     training sets tractable.
     """
-    from .synth_scene import rasterize_labels
-
     check_negative_ratio(negative_ratio)
     if not scenes:
         raise DegenerateDataError("no scenes to build a training set from")

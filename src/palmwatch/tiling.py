@@ -56,13 +56,6 @@ class TilePlan:
     n_rows: int
     windows: tuple[TileWindow, ...]
 
-    @property
-    def stride(self) -> int:
-        return self.tile_size - self.overlap
-
-    def window_at(self, row: int, col: int) -> TileWindow:
-        return self.windows[row * self.n_cols + col]
-
 
 def _starts(extent: int, tile_size: int, stride: int) -> list[int]:
     starts = [0]

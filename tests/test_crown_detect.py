@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
+from palmwatch import crown_detect
 from palmwatch.annotations import AnnotationSet, CrownAnnotation
 from palmwatch.crown_detect import (
     CrownDetection,
     DetectorConfig,
     _make_detection,
-    classify_crown,
     classify_detections,
     detect_crowns,
     detections_to_geojson,
@@ -25,7 +27,8 @@ from palmwatch.crown_detect import (
     write_geojson,
 )
 from palmwatch.errors import ParameterError, UnclassifiableError
-from palmwatch.raster_core import MaskedGrid
+from palmwatch.indices import normalized_difference
+from palmwatch.raster_core import Band, MaskedGrid, Raster
 
 from conftest import make_raster
 
@@ -267,19 +270,19 @@ class TestClassify:
 
     def test_dead_overrides_size(self):
         det = self.detection(area_px=400)  # diameter ~22 px, not smallish
-        label = classify_crown(det, self.scene(0.05), DetectorConfig(dead_ndvi_max=0.15))
-        assert label == "dead"
+        assert classify_detections([det], self.scene(0.05), DetectorConfig(dead_ndvi_max=0.15)) == [det]
+        assert det.class_label == "dead"
         assert det.mean_ndvi == pytest.approx(0.05, abs=1e-3)
 
     def test_smallish_by_diameter(self):
         det = self.detection(area_px=50)  # diameter ~8 px
-        label = classify_crown(det, self.scene(0.6), DetectorConfig(smallish_diameter_px=12.0))
-        assert label == "smallish"
+        classify_detections([det], self.scene(0.6), DetectorConfig(smallish_diameter_px=12.0))
+        assert det.class_label == "smallish"
 
     def test_healthy(self):
         det = self.detection(area_px=314)  # diameter ~20 px
-        label = classify_crown(det, self.scene(0.6), DetectorConfig())
-        assert label == "healthy"
+        classify_detections([det], self.scene(0.6), DetectorConfig())
+        assert det.class_label == "healthy"
         assert det.mean_gndvi is not None
 
     def test_unclassifiable_when_all_invalid(self):
@@ -290,7 +293,7 @@ class TestClassify:
             nodata=-1.0,
         )
         with pytest.raises(UnclassifiableError):
-            classify_crown(det, nodata_scene, DetectorConfig())
+            classify_detections([det], nodata_scene, DetectorConfig())
 
     def test_cascade_total(self, rng):
         # every detection with >= 1 valid pixel gets exactly one label
@@ -298,8 +301,24 @@ class TestClassify:
         cfg = DetectorConfig()
         for area in (25, 60, 150, 500):
             det = self.detection(area)
-            label = classify_crown(det, scene, cfg)
-            assert label in ("healthy", "smallish", "dead")
+            classify_detections([det], scene, cfg)
+            assert det.class_label in ("healthy", "smallish", "dead")
+
+    def test_empty_list(self):
+        assert classify_detections([], self.scene(0.6), DetectorConfig()) == []
+
+    def test_unclassifiable_when_pixel_set_empty(self):
+        # not the ShapeError of a 0-width raster of gathered pixels
+        det = self.detection(area_px=100)
+        det.pixels = (np.array([], np.intp), np.array([], np.intp))
+        with pytest.raises(UnclassifiableError):
+            classify_detections([det], self.scene(0.6), DetectorConfig())
+
+    def test_unclassifiable_without_pixel_set(self):
+        det = self.detection(area_px=100)
+        det.pixels = None
+        with pytest.raises(UnclassifiableError):
+            classify_detections([self.detection(area_px=100), det], self.scene(0.6), DetectorConfig())
 
 
 class TestMatch:
@@ -484,6 +503,30 @@ def reference_match(detections, truth, max_centroid_dist):
     )
 
 
+def reference_classify(det, raster, cfg):
+    """One detection at a time, reading the three bands at its own pixels."""
+    if det.pixels is None:
+        raise UnclassifiableError(f"detection {det.id} carries no pixel set")
+    ys, xs = det.pixels
+    nir, red, green = (
+        raster.band(name).samples[ys, xs].astype(np.float64) for name in ("nir", "red", "green")
+    )
+    ok = raster.valid_mask().bits[ys, xs]
+    ndvi_values, ndvi_ok = normalized_difference(nir, red, ok)
+    gndvi_values, gndvi_ok = normalized_difference(nir, green, ok)
+    if not ndvi_ok.any() or not gndvi_ok.any():
+        raise UnclassifiableError(f"detection {det.id} has no valid pixels to classify")
+    det.mean_ndvi = float(ndvi_values[ndvi_ok].mean())
+    det.mean_gndvi = float(gndvi_values[gndvi_ok].mean())
+    if det.mean_ndvi <= cfg.dead_ndvi_max:
+        det.class_label = "dead"
+    elif det.diameter_px < cfg.smallish_diameter_px:
+        det.class_label = "smallish"
+    else:
+        det.class_label = "healthy"
+    return det.class_label
+
+
 def detection_fields(dets):
     return [
         (d.id, d.centroid, d.bbox, d.pixel_count, d.diameter_px, d.score,
@@ -596,3 +639,67 @@ def test_split_touching_memory_is_linear():
         tracemalloc.stop()
     assert sum(len(xs) for _, xs in parts) == 240 * 240
     assert peak < 64 << 20
+
+
+# Few sample values make zero denominators (0 + 0, 0.25 - 0.25), nodata
+# and non-finite pixels common.
+_SAMPLES = st.sampled_from([0.0, 0.25, -0.25, 0.5, -1.0, math.nan, math.inf]) | st.floats(
+    -2, 2, width=32
+)
+
+
+@st.composite
+def classify_cases(draw):
+    h = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 6))
+    nodata = draw(st.sampled_from([None, -1.0, math.nan]))
+    raster = Raster(
+        bands=tuple(
+            Band(name=name, samples=draw(hnp.arrays(np.float32, (h, w), elements=_SAMPLES)))
+            for name in ("blue", "green", "red", "nir")
+        ),
+        nodata_value=nodata,
+    )
+    detections = []
+    # pixel sets drawn independently, so they overlap
+    for i in range(draw(st.integers(1, 5))):
+        flat = draw(st.lists(st.integers(0, h * w - 1), min_size=1, max_size=h * w, unique=True))
+        ys, xs = np.divmod(np.array(flat, np.intp), w)
+        detections.append(
+            CrownDetection(
+                id=i + 1,
+                centroid=(float(xs.mean()), float(ys.mean())),
+                bbox=(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())),
+                pixel_count=len(xs),
+                diameter_px=2 * math.sqrt(len(xs) / math.pi),
+                score=0.9,
+                pixels=(ys, xs),
+            )
+        )
+    cfg = DetectorConfig(
+        smallish_diameter_px=draw(st.floats(0, 8)), dead_ndvi_max=draw(st.floats(-1, 1))
+    )
+    return detections, raster, cfg
+
+
+def classify_fields(dets):
+    return [(repr(d.mean_ndvi), repr(d.mean_gndvi), d.class_label) for d in dets]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=classify_cases(), block_px=st.sampled_from([1, 3, 8, crown_detect._CLASSIFY_BLOCK_PX]))
+def test_classify_detections_matches_per_detection_reference(case, block_px):
+    """Bit for bit, the first unclassifiable detection included, for any
+    split of the detections into blocks."""
+    detections, raster, cfg = case
+    expected = copy.deepcopy(detections)
+    with mock.patch.object(crown_detect, "_CLASSIFY_BLOCK_PX", block_px):
+        try:
+            for det in expected:
+                reference_classify(det, raster, cfg)
+        except UnclassifiableError:
+            with pytest.raises(UnclassifiableError):
+                classify_detections(detections, raster, cfg)
+        else:
+            assert classify_detections(detections, raster, cfg) is detections
+    assert classify_fields(detections) == classify_fields(expected)
