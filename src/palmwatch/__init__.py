@@ -41,7 +41,6 @@ from .indices import (
     vegetation_mask,
 )
 from .pixel_model import (
-    FeatureGrid,
     ModelParams,
     TrainConfig,
     featurize,

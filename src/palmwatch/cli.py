@@ -38,7 +38,7 @@ from .crown_detect import (
     write_csv,
     write_geojson,
 )
-from .errors import ConfigurationError, DataError, PalmwatchError, ShapeError
+from .errors import ConfigurationError, DataError, DomainError, PalmwatchError, ShapeError
 from .evaluate import (
     AVERAGING_MODES,
     confusion_matrix,
@@ -62,7 +62,7 @@ from .pixel_model import (
     TrainConfig,
     build_training_set,
     check_negative_ratio,
-    feature_planes,
+    featurize,
     load_params,
     predict_map,
     save_params,
@@ -160,26 +160,15 @@ def predict_tiled(
 ) -> MaskedGrid:
     """Tile the scene, predict per tile (optionally in parallel), stitch.
 
-    The model's feature planes are built once for the whole scene: each
-    index feature is computed once, or taken from ``computed`` (indices
-    already computed over the scene, by name), and joins the scene's
-    bands as a band of its own. Every tile is a view of those bands,
-    masked to the pixels where the prediction mask holds and every
-    feature is valid. Outputs are collected in plan order, so the result
-    is independent of the number of workers.
+    The feature raster (``featurize``) is built once for the whole scene:
+    each index feature is computed once, or taken from ``computed``
+    (indices already computed over the scene, by name). Every tile is a
+    view of its bands, masked to the pixels where the prediction mask
+    holds and every feature is valid. Outputs are collected in plan
+    order, so the result is independent of the number of workers.
     """
     plan = tile_plan(scene.width, scene.height, tile_size, overlap)
-    names = tuple(dict.fromkeys(params.features))
-    planes, valid = feature_planes(scene, prediction_mask, names, computed)
-    features = Raster(
-        bands=scene.bands + tuple(
-            Band(name=name, samples=plane)
-            for name, plane in zip(names, planes)
-            if not scene.has_band(name)
-        ),
-        nodata_value=scene.nodata_value,
-        origin=scene.origin,
-    )
+    features, valid = featurize(scene, prediction_mask, params.features, computed)
 
     def predict_window(window):
         tile = extract_tile(features, window)
@@ -459,6 +448,11 @@ def _cmd_detect(args) -> int:
             f"({scene.width}x{scene.height} at {scene.origin})"
         )
     prob = MaskedGrid.from_raster(prob_raster)
+    probs = prob.values[prob.valid]
+    if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
+        raise DomainError(
+            f"probability map values must lie in [0, 1], got {probs.min()} to {probs.max()}"
+        )
     cfg = config_from(DetectorConfig, args)
     detections = detect_crowns(prob, cfg)
     classify_detections(detections, scene, cfg)

@@ -32,7 +32,7 @@ from scipy.spatial import cKDTree
 
 from .annotations import AnnotationSet, CrownAnnotation
 from .errors import FormatError, ParameterError, UnclassifiableError
-from .indices import normalized_difference
+from .indices import INDEX_REGISTRY, normalized_difference
 from .jsondoc import read_document, take
 from .raster_core import Band, MaskedGrid, Raster
 
@@ -225,11 +225,12 @@ def _classify_block(detections: list[CrownDetection], raster: Raster, cfg: Detec
         nodata_value=raster.nodata_value,
     )
     ok = crowns.valid_mask().bits[0]
-    nir, red, green = (
-        crowns.band(name).samples[0].astype(np.float64) for name in ("nir", "red", "green")
+    pairs = INDEX_REGISTRY["ndvi"], INDEX_REGISTRY["gndvi"]
+    # each band of the two pairs, cast to float64 once
+    f64 = {b: crowns.band(b).samples[0].astype(np.float64) for b in dict.fromkeys(sum(pairs, ()))}
+    (ndvi_values, ndvi_ok), (gndvi_values, gndvi_ok) = (
+        normalized_difference(f64[a], f64[b], ok) for a, b in pairs
     )
-    ndvi_values, ndvi_ok = normalized_difference(nir, red, ok)
-    gndvi_values, gndvi_ok = normalized_difference(nir, green, ok)
     stop = 0
     for det in detections:
         start, stop = stop, stop + len(det.pixels[1])

@@ -72,23 +72,26 @@ def gndvi(nir: Band, green: Band, mask: Mask) -> MaskedGrid:
     return MaskedGrid(*normalized_difference(nir.samples, green.samples, mask.bits), name="gndvi")
 
 
-# name -> (required bands, builder). Extensible: register new entries to make
-# an index available to featurize() and the CLI by name.
-INDEX_REGISTRY = {
-    "ndvi": (("nir", "red"), lambda r, m: ndvi(r.band("nir"), r.band("red"), m)),
-    "gndvi": (("nir", "green"), lambda r, m: gndvi(r.band("nir"), r.band("green"), m)),
-}
+# index name -> the (a, b) band pair of its normalized difference (a - b) / (a + b)
+INDEX_REGISTRY = {"ndvi": ("nir", "red"), "gndvi": ("nir", "green")}
 
 
 def compute_index(raster: Raster, mask: Mask, name: str) -> MaskedGrid:
-    """Compute a registered index over a raster."""
+    """The registered index ``name`` over ``mask``: the normalized
+    difference of its band pair, in float32.
+
+    Raises BandLookupError for an unknown index or a missing band.
+    """
     try:
-        _, builder = INDEX_REGISTRY[name]
+        a, b = INDEX_REGISTRY[name]
     except KeyError:
         raise BandLookupError(
             f"unknown index {name!r}; registered: {sorted(INDEX_REGISTRY)}"
         ) from None
-    return builder(raster, mask)
+    values, valid = normalized_difference(
+        raster.band(a).samples, raster.band(b).samples, mask.bits
+    )
+    return MaskedGrid(values, valid, name=name)
 
 
 def check_vegetation_threshold(threshold: float) -> None:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .indices import INDEX_REGISTRY, compute_index
 from .jsondoc import read_document, take
-from .raster_core import Mask, MaskedGrid, Raster
+from .raster_core import Band, Mask, MaskedGrid, Raster
 from .synth_scene import rasterize_labels
 
 DEFAULT_INDEX_FEATURES = ("ndvi", "gndvi")
@@ -57,87 +57,55 @@ CONSTANT_STD_ULPS = 4
 PREDICT_BLOCK_PX = 1 << 16
 
 
-@dataclass(frozen=True)
-class FeatureGrid:
-    """One 2-D float32 plane per feature name, and where every feature is valid."""
-
-    names: tuple[str, ...]
-    planes: tuple[np.ndarray, ...]
-    valid: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.valid.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.valid.shape[1]
-
-    def rows(self) -> np.ndarray:
-        """Feature matrix of the valid pixels, float64, row-major pixel order."""
-        return np.stack([plane[self.valid] for plane in self.planes], axis=1).astype(np.float64)
-
-
 def default_feature_names(raster: Raster) -> tuple[str, ...]:
     return tuple(raster.band_names) + DEFAULT_INDEX_FEATURES
 
 
-def feature_planes(
+def featurize(
     raster: Raster,
     mask: Mask,
-    names: tuple[str, ...],
+    feature_names: tuple[str, ...] | None = None,
     computed: Mapping[str, MaskedGrid] | None = None,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """One float32 plane per feature name, and where every feature is valid.
+) -> tuple[Raster, np.ndarray]:
+    """The feature raster and where every feature is valid.
 
-    A band feature is that band's samples; an index feature is computed
-    over ``mask`` and is valid only where the index is defined. An index
-    in ``computed`` (by name) was already computed over this raster, over
-    ``mask`` or any mask that covers it, and is taken as it is: it holds
-    the same value at every pixel of ``mask``. The validity mask comes
-    back read-only. Raises CompatibilityError naming every band or
-    feature the raster cannot supply.
+    The feature raster is ``raster`` with each index feature that is not
+    one of its bands joined as a band of its own (float32, computed over
+    ``mask``); no samples are copied. An index in ``computed`` (by name)
+    was already computed over this raster, over ``mask`` or any mask that
+    covers it, and is taken as it is: it holds the same value at every
+    pixel of ``mask``. A pixel is valid when ``mask`` holds and every
+    index feature is defined there; invalid pixels keep whatever the
+    planes hold (NaN, nodata, any finite value) and yield no training
+    rows or predictions. The validity array comes back read-only. The
+    default features are every band, then DEFAULT_INDEX_FEATURES. Raises
+    CompatibilityError naming every band the raster cannot supply, and
+    ShapeError when ``mask`` or a computed index is not on its grid.
     """
+    names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
     shape = (raster.height, raster.width)
     if mask.bits.shape != shape:
         raise ShapeError(f"mask {mask.bits.shape} does not match raster {shape}")
-    missing = set()
-    for name in names:
-        if not raster.has_band(name):
-            required = INDEX_REGISTRY[name][0] if name in INDEX_REGISTRY else (name,)
-            missing.update(b for b in required if not raster.has_band(b))
+    indices = tuple(dict.fromkeys(n for n in names if not raster.has_band(n)))
+    missing = {b for n in indices for b in INDEX_REGISTRY.get(n, (n,)) if not raster.has_band(b)}
     if missing:
         raise CompatibilityError(
             f"raster with bands {list(raster.band_names)} cannot supply "
             f"features {sorted(missing)}; registered indices: {sorted(INDEX_REGISTRY)}"
         )
     valid = mask.bits.copy()
-    planes = []
-    for name in names:
-        if raster.has_band(name):
-            planes.append(raster.band(name).samples)
-        else:
-            index = (computed or {}).get(name) or compute_index(raster, mask, name)
-            if index.valid.shape != shape:
-                raise ShapeError(f"index {name!r} {index.valid.shape} does not match raster {shape}")
-            planes.append(index.values)
-            valid &= index.valid
+    joined = []
+    for name in indices:
+        index = (computed or {}).get(name) or compute_index(raster, mask, name)
+        if index.valid.shape != shape:
+            raise ShapeError(f"index {name!r} {index.valid.shape} does not match raster {shape}")
+        joined.append(Band(name=name, samples=index.values))
+        valid &= index.valid
     valid.setflags(write=False)
-    return planes, valid
-
-
-def featurize(
-    raster: Raster, mask: Mask, feature_names: tuple[str, ...] | None = None
-) -> FeatureGrid:
-    """Raw bands and computed indices as per-pixel feature planes.
-
-    A pixel is valid when the input mask is true and every index feature
-    is defined there; invalid pixels keep whatever the planes hold (NaN,
-    nodata, any finite value) and yield no training rows or predictions.
-    """
-    names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
-    planes, valid = feature_planes(raster, mask, names)
-    return FeatureGrid(names=names, planes=tuple(planes), valid=valid)
+    features = Raster(
+        bands=raster.bands + tuple(joined), nodata_value=raster.nodata_value, origin=raster.origin
+    )
+    return features, valid
 
 
 @dataclass
@@ -356,8 +324,9 @@ def predict_map(raster: Raster, mask: Mask, params: ModelParams) -> MaskedGrid:
     Raises CompatibilityError listing the manifest features the raster
     cannot supply.
     """
-    grid = featurize(raster, mask, params.features)
-    height, width = grid.height, grid.width
+    features, valid = featurize(raster, mask, params.features)
+    planes = [features.band(name).samples for name in params.features]
+    height, width = valid.shape
     rows = max(1, PREDICT_BLOCK_PX // width)
     values = np.empty((height, width), dtype=np.float32)
     z_rows = np.empty((min(rows, height), width), dtype=np.float64)
@@ -368,16 +337,16 @@ def predict_map(raster: Raster, mask: Mask, params: ModelParams) -> MaskedGrid:
             n = min(rows, height - top)
             z, t = z_rows[:n], t_rows[:n]
             z.fill(0.0)
-            for f, plane in enumerate(grid.planes):
+            for f, plane in enumerate(planes):
                 np.subtract(plane[block], params.norm_mean[f], out=t, dtype=np.float64)
                 t /= params.norm_std[f]
                 t *= params.weights[f]
                 z += t
             z += params.bias
             values[block] = expit(z, out=z)
-            values[block][~grid.valid[block]] = np.nan
+            values[block][~valid[block]] = np.nan
     values.setflags(write=False)
-    return MaskedGrid(values=values, valid=grid.valid)
+    return MaskedGrid(values=values, valid=valid)
 
 
 def check_negative_ratio(value: float) -> None:
@@ -414,10 +383,10 @@ def build_training_set(
         elif scene_names != names:
             raise CompatibilityError(f"scene features {scene_names} != {names}")
 
-        # full-grid feature planes are cheap; materializing per-pixel rows
-        # for the whole scene is not, so rows are gathered only at the
-        # sampled pixels below
-        planes, valid = feature_planes(raster, raster.valid_mask(), names)
+        # the feature raster is cheap; materializing per-pixel rows for the
+        # whole scene is not, so rows are gathered only at the sampled
+        # pixels below
+        features, valid = featurize(raster, raster.valid_mask(), names)
 
         palm = rasterize_labels(ann, raster.width, raster.height)
         pos_idx = np.flatnonzero((palm & valid).ravel())
@@ -428,7 +397,9 @@ def build_training_set(
         neg_idx = neg_candidates[chosen]
         for idx, label in ((pos_idx, 1.0), (neg_idx, 0.0)):
             xs.append(
-                np.stack([p.ravel()[idx] for p in planes], axis=1).astype(np.float64)
+                np.stack(
+                    [features.band(n).samples.ravel()[idx] for n in names], axis=1
+                ).astype(np.float64)
             )
             ys.append(np.full(len(idx), label))
     return np.concatenate(xs), np.concatenate(ys), names

@@ -148,7 +148,11 @@ class MaskedGrid:
 
     @classmethod
     def from_raster(cls, raster: Raster) -> "MaskedGrid":
-        band = raster.bands[0]
+        """The grid a single-band raster holds; raises ShapeError for any
+        other band count."""
+        if len(raster.bands) != 1:
+            raise ShapeError(f"a grid is a single-band raster, got bands {list(raster.band_names)}")
+        (band,) = raster.bands
         return cls(values=band.samples, valid=raster.valid_mask().bits, name=band.name)
 
 
@@ -279,6 +283,9 @@ def load_raster(path) -> Raster:
         if take(header, key, str, where) != tag:
             raise FormatError(f"{where} field {key!r} must be {tag!r}, got {header[key]!r:.80}")
     nodata = take(header, "nodata", float | None, where, default=None)
+    with np.errstate(over="ignore"):
+        if nodata is not None and np.isfinite(nodata) and np.isinf(np.float32(nodata)):
+            raise FormatError(f"{where} field 'nodata' must be a float32 value or NaN, got {nodata!r}")
     origin = take(header, "origin", tuple[int, int], where, default=(0, 0))
     band_entries = take(header, "bands", tuple[dict, ...], where)
     if not band_entries:

@@ -511,6 +511,42 @@ class TestBadGridsAndModels:
         assert "does not cover the scene" in capsys.readouterr().err
         assert not (tmp_path / "d.geojson").exists()
 
+    def test_detect_rejects_a_multiband_map(self, workspace, tmp_path, capsys):
+        # the scene itself is no probability map: its first band is red
+        scene = workspace["scenes"][0]
+        code = main(["detect", str(scene), str(scene), "--out", str(tmp_path / "d")])
+        assert code == 3
+        assert "single-band" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5, 255.0])
+    def test_detect_rejects_values_outside_unit_interval(self, workspace, tmp_path, capsys, bad):
+        values = np.full((220, 220), 0.9, np.float32)
+        values[7, 150] = bad
+        valid = np.ones((220, 220), bool)
+        valid[:, :100] = False  # NaN once saved, and not checked
+        save_raster(MaskedGrid(values, valid).to_raster(), tmp_path / "prob")
+        code = main(
+            ["detect", str(tmp_path / "prob.rhdr"), str(workspace["scenes"][0]), "--out", str(tmp_path / "d")]
+        )
+        assert code == 3
+        assert "[0, 1]" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prob.rbin", "prob.rhdr"]
+
+    @pytest.mark.parametrize("nodata", [1e300, -1e39])
+    def test_nodata_beyond_float32_is_data_error(self, workspace, tmp_path, capsys, nodata):
+        scene = workspace["scenes"][0]
+        header = json.loads(scene.read_text())
+        header["nodata"] = nodata
+        (tmp_path / "s.rhdr").write_text(json.dumps(header))
+        (tmp_path / "s.rbin").write_bytes(scene.with_suffix(".rbin").read_bytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["index", str(tmp_path / "s.rhdr"), str(tmp_path / "ndvi")])
+        assert code == 3
+        assert "'nodata'" in capsys.readouterr().err
+        assert not (tmp_path / "ndvi.rhdr").exists()
+
     def test_non_finite_model_weight_is_data_error(self, workspace, tmp_path, capsys):
         payload = json.loads(workspace["model"].read_text())
         payload["weights"][0] = math.nan

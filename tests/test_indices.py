@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels
-from palmwatch.errors import BoundsError, ParameterError, ShapeError
+from palmwatch.errors import BandLookupError, BoundsError, ParameterError, ShapeError
 from palmwatch.indices import (
+    INDEX_REGISTRY,
+    compute_index,
     gndvi,
     index_stats_by_class,
     ndvi,
@@ -13,6 +15,8 @@ from palmwatch.indices import (
     vegetation_mask,
 )
 from palmwatch.raster_core import Band, Mask, MaskedGrid, load_raster, save_raster
+
+from conftest import random_raster
 
 
 def band(values):
@@ -206,3 +210,21 @@ class TestPersistence:
         assert loaded.name == "gndvi"
         np.testing.assert_array_equal(loaded.valid, valid)
         np.testing.assert_array_equal(loaded.values[valid], values[valid])
+
+
+class TestIndexTable:
+    @pytest.mark.parametrize("name", sorted(INDEX_REGISTRY))
+    def test_index_is_normalized_difference_of_its_pair(self, rng, name):
+        raster = random_raster(rng, 9, 7, band_names=("red", "green", "blue", "nir"), nodata=0.5)
+        mask = Mask(raster.valid_mask().bits & (rng.random((7, 9)) < 0.8))
+        a, b = INDEX_REGISTRY[name]
+        values, valid = normalized_difference(raster.band(a).samples, raster.band(b).samples, mask.bits)
+        index = compute_index(raster, mask, name)
+        assert index.name == name
+        np.testing.assert_array_equal(index.valid, valid)
+        np.testing.assert_array_equal(index.values.view(np.uint32), values.view(np.uint32))
+
+    def test_unknown_index(self, rng):
+        raster = random_raster(rng, 2, 2, band_names=("red", "nir"))
+        with pytest.raises(BandLookupError, match="unknown index 'evi'"):
+            compute_index(raster, raster.valid_mask(), "evi")

@@ -1,0 +1,72 @@
+"""The traced benchmark still binds every span it expects.
+
+perfbench/tracing.py swaps palmwatch functions, at the module attribute
+their caller looks them up by, for span recorders, and some of its
+counters read parameters by name. A refactor that renames such a
+binding or parameter would only show in a ``--trace 1`` benchmark run;
+this test runs a small traced pipeline so that it fails here too. The
+benchmark's files are only read: they are loaded without writing
+bytecode next to them.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from palmwatch import cli
+from palmwatch.synth_scene import SceneSpec, generate_scene
+from palmwatch.raster_core import save_raster
+from palmwatch.annotations import save_annotations
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return _load("tracing"), _load("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+
+
+def test_traced_pipeline_records_every_expected_span(perfbench, tmp_path):
+    tracing, workloads = perfbench
+    raster, ann = generate_scene(
+        SceneSpec(width=300, height=300, counts={"healthy": 6, "smallish": 3, "dead": 3}, seed=5)
+    )
+    save_raster(raster, tmp_path / "scene")
+    save_annotations(ann, tmp_path / "scene.json")
+    config = cli.PipelineConfig(
+        scene_path=str(tmp_path / "scene.rhdr"),
+        model_path=str(workloads.MODEL_PATH),
+        out_dir=str(tmp_path / "out"),
+        truth_path=str(tmp_path / "scene.json"),
+        tile_size=128,
+        overlap=16,
+        # healthy crowns (16-28 px across) exceed this, so split_touching runs
+        max_area=150,
+    )
+    with tracing.installed(tracing.Tracer()) as tracer:
+        cli.run_pipeline(config)
+    spans = tracer.take()
+    recorded = {span.name for span in spans}
+    # grove's spans: every pipeline span, and split_touching
+    assert set(workloads.WORKLOADS["grove"].spans) <= recorded
+    metrics = tracing.layer_metrics(spans)
+    assert metrics["crown_detect.split_calls"] > 0
+    assert metrics["tiling.tiles"] == 9
+    assert metrics["tiling.evaluated_px_ratio"] > 1.0
+    assert metrics["crown_detect.detections"] > 0
+    assert metrics["raster_core.bytes_read"] > 0

@@ -65,28 +65,27 @@ def separable_blobs(n=200, seed=0):
 class TestFeaturize:
     def test_feature_count(self, rng):
         raster = random_raster(rng, 8, 8, band_names=("red", "green", "blue", "nir"))
-        grid = featurize(raster, raster.valid_mask())
-        assert grid.names == ("red", "green", "blue", "nir", "ndvi", "gndvi")
-        assert len(grid.planes) == 6
-        assert all(plane.shape == (8, 8) for plane in grid.planes)
+        features, _ = featurize(raster, raster.valid_mask())
+        assert features.band_names == ("red", "green", "blue", "nir", "ndvi", "gndvi")
+        assert len(features.bands) == 6
+        assert all(band.samples.shape == (8, 8) for band in features.bands)
 
     def test_ndvi_feature_matches_indices_module(self, rng):
         raster = random_raster(rng, 16, 16, band_names=("red", "green", "blue", "nir"))
         mask = raster.valid_mask()
-        grid = featurize(raster, mask)
+        features, valid = featurize(raster, mask)
         expected = ndvi(raster.band("nir"), raster.band("red"), mask)
-        i = grid.names.index("ndvi")
         np.testing.assert_array_equal(
-            grid.planes[i][grid.valid], expected.values[grid.valid]
+            features.band("ndvi").samples[valid], expected.values[valid]
         )
 
     def test_masked_pixel_yields_no_row(self, rng):
         raster = random_raster(rng, 4, 4, band_names=("red", "green", "blue", "nir"))
         bits = np.ones((4, 4), bool)
         bits[2, 3] = False
-        grid = featurize(raster, Mask(bits))
-        assert grid.rows().shape == (15, 6)
-        assert not grid.valid[2, 3]
+        features, valid = featurize(raster, Mask(bits))
+        assert np.stack([band.samples[valid] for band in features.bands], axis=1).shape == (15, 6)
+        assert not valid[2, 3]
 
     def test_missing_band(self, rng):
         raster = random_raster(rng, 4, 4, band_names=("red", "nir"))
@@ -97,6 +96,32 @@ class TestFeaturize:
         raster = random_raster(rng, 4, 4, band_names=("red", "nir"))
         with pytest.raises(BandLookupError, match="swir"):
             featurize(raster, raster.valid_mask(), ("red", "swir"))
+
+    @pytest.mark.parametrize("wrong", ["mask", "computed"])
+    def test_grid_shape_mismatch(self, rng, wrong):
+        raster = random_raster(rng, 5, 4, band_names=FOUR_BANDS)
+        mask, small = raster.valid_mask(), Mask(np.ones((4, 4), bool))
+        other = compute_index(random_raster(rng, 4, 4, band_names=FOUR_BANDS), small, "ndvi")
+        computed = {"ndvi": other} if wrong == "computed" else None
+        with pytest.raises(ShapeError, match="does not match raster"):
+            featurize(raster, small if wrong == "mask" else mask, computed=computed)
+
+    def test_bands_are_shared_and_indices_joined(self, rng):
+        raster = random_raster(rng, 6, 5, band_names=FOUR_BANDS)
+        ndvi_grid = compute_index(raster, raster.valid_mask(), "ndvi")
+        features, valid = featurize(
+            raster, raster.valid_mask(), ("ndvi", "nir", "gndvi", "ndvi"), {"ndvi": ndvi_grid}
+        )
+        assert features.band_names == FOUR_BANDS + ("ndvi", "gndvi")
+        assert all(a is b for a, b in zip(features.bands, raster.bands))
+        assert features.band("ndvi").samples is ndvi_grid.values
+        assert not valid.flags.writeable
+
+    def test_empty_manifest_is_the_raster(self, rng):
+        raster = random_raster(rng, 3, 3, band_names=FOUR_BANDS)
+        features, valid = featurize(raster, raster.valid_mask(), ())
+        assert features.bands == raster.bands
+        np.testing.assert_array_equal(valid, raster.valid_mask().bits)
 
 
 class TestTrain:
@@ -430,19 +455,19 @@ def model_params(draw):
 def unblocked_predict_map(raster, mask, params):
     """predict_map with z summed over the whole grid at once, in the same
     per-element order: (x - mean) / std * w added feature by feature, + b."""
-    grid = featurize(raster, mask, params.features)
-    z = np.zeros((grid.height, grid.width), dtype=np.float64)
+    features, valid = featurize(raster, mask, params.features)
+    z = np.zeros(valid.shape, dtype=np.float64)
     t = np.empty_like(z)
     with np.errstate(invalid="ignore", over="ignore"):
-        for f, plane in enumerate(grid.planes):
-            np.subtract(plane, params.norm_mean[f], out=t, dtype=np.float64)
+        for f, name in enumerate(params.features):
+            np.subtract(features.band(name).samples, params.norm_mean[f], out=t, dtype=np.float64)
             t /= params.norm_std[f]
             t *= params.weights[f]
             z += t
     z += params.bias
     values = expit(z, out=z).astype(np.float32)
-    values[~grid.valid] = np.nan
-    return values, grid.valid
+    values[~valid] = np.nan
+    return values, valid
 
 
 class TestPlaneByPlanePrediction:
@@ -493,10 +518,11 @@ class TestPlaneByPlanePrediction:
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
         # the stacked formulation: one (H, W, F) array standardized in float64
-        grid = featurize(raster, mask, params.features)
-        x64 = np.stack(grid.planes, axis=-1)[grid.valid].astype(np.float64)
+        features, valid = featurize(raster, mask, params.features)
+        planes = [features.band(name).samples for name in params.features]
+        x64 = np.stack(planes, axis=-1)[valid].astype(np.float64)
         reference = expit(((x64 - params.norm_mean) / params.norm_std) @ params.weights + params.bias)
-        np.testing.assert_array_equal(whole.valid, grid.valid)
+        np.testing.assert_array_equal(whole.valid, valid)
         assert np.isnan(whole.values[~whole.valid]).all()
         np.testing.assert_array_max_ulp(whole.values[whole.valid], reference.astype(np.float32), maxulp=1)
 

@@ -103,6 +103,19 @@ class TestLoad:
         with pytest.raises(FormatError, match=field):
             load_raster(path)
 
+    @pytest.mark.parametrize("nodata", [1e300, -1e39, 3.4028236e38])
+    def test_nodata_beyond_float32_names_field(self, tmp_path, nodata):
+        path = write_container(tmp_path, minimal_header(nodata=nodata), b"\x00" * 32)
+        with pytest.raises(FormatError, match="'nodata'"):
+            load_raster(path)
+
+    @pytest.mark.parametrize("nodata", [3.4028235e38, -3.4028235e38, float("inf"), float("nan")])
+    def test_nodata_within_float32_loads(self, tmp_path, nodata):
+        values = np.array([nodata, 0.5, 0.25, np.nan] * 2, dtype="<f4")
+        path = write_container(tmp_path, minimal_header(nodata=nodata), values.tobytes())
+        raster = load_raster(path)
+        np.testing.assert_array_equal(raster.valid_mask().bits, [[False, True], [True, False]])
+
     def test_duplicate_band_names(self, tmp_path):
         header = minimal_header(bands=("nir", "nir"))
         path = write_container(tmp_path, header, b"\x00" * 32)
@@ -262,6 +275,10 @@ class TestInvariants:
     def test_mask_shape(self):
         with pytest.raises(ShapeError):
             Mask(np.zeros(4, dtype=bool))
+
+    def test_grid_from_multiband_raster(self, rng):
+        with pytest.raises(ShapeError, match="single-band"):
+            MaskedGrid.from_raster(random_raster(rng, 3, 2, band_names=("a", "b")))
 
 
 def _frozen_array(arr):
