@@ -14,6 +14,7 @@ from .annotations import (
     AnnotationSet,
     CrownAnnotation,
     load_annotations,
+    rasterize_labels,
     save_annotations,
 )
 from .crown_detect import (
@@ -25,6 +26,7 @@ from .crown_detect import (
     split_touching,
 )
 from .evaluate import (
+    Aggregate,
     ConfusionMatrix,
     MetricsReport,
     confusion_matrix,
@@ -52,5 +54,5 @@ from .pixel_model import (
     train,
 )
 from .raster_core import Band, Mask, MaskedGrid, Raster, load_raster, save_raster
-from .synth_scene import SceneSpec, generate_scene, rasterize_labels
+from .synth_scene import SceneSpec, generate_scene
 from .tiling import TilePlan, TileWindow, extract_tile, stitch, tile_plan

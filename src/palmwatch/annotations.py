@@ -3,7 +3,10 @@
 Serialized form is JSON: ``{"crowns": [{"id", "class", "cx", "cy",
 "radius_px"}, ...]}``. Crowns are discs; a crown's pixel set is every
 lattice point within ``radius_px`` of its centroid, clipped to the grid
-it is being evaluated against.
+it is being evaluated against. This module holds the one disc rule:
+``disc_pixels`` gives one crown's pixels and ``rasterize_labels`` the
+union mask of a set of crowns, which training labels and per-class
+index statistics both use.
 """
 
 from __future__ import annotations
@@ -103,9 +106,6 @@ class AnnotationSet:
     def of_class(self, label: str) -> tuple[CrownAnnotation, ...]:
         return tuple(c for c in self.crowns if c.class_label == label)
 
-    def crown_pixels(self, crown: CrownAnnotation, width: int, height: int):
-        return disc_pixels(crown.cx, crown.cy, crown.radius_px, width, height)
-
     def check_within(self, width: int, height: int) -> None:
         """Raise BoundsError naming the first crown whose disc leaves the grid."""
         for crown in self.crowns:
@@ -121,11 +121,6 @@ class AnnotationSet:
                     f"{width}x{height} grid"
                 )
 
-    def shifted(self, dx: float, dy: float) -> "AnnotationSet":
-        return AnnotationSet(
-            tuple(replace(c, cx=c.cx + dx, cy=c.cy + dy) for c in self.crowns)
-        )
-
     def scaled(self, factor: float) -> "AnnotationSet":
         return AnnotationSet(
             tuple(
@@ -133,6 +128,15 @@ class AnnotationSet:
                 for c in self.crowns
             )
         )
+
+
+def rasterize_labels(ann: AnnotationSet, width: int, height: int) -> np.ndarray:
+    """Boolean palm mask: True inside any crown disc (clipped to the grid)."""
+    out = np.zeros((height, width), dtype=bool)
+    for crown in ann.crowns:
+        ys, xs = disc_pixels(crown.cx, crown.cy, crown.radius_px, width, height)
+        out[ys, xs] = True
+    return out
 
 
 def save_annotations(ann: AnnotationSet, path) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from .annotations import AnnotationSet, disc_pixels
 from .errors import DomainError, FormatError, ParameterError
 from .jsondoc import from_fields, parse_document, read_document, take
-from .raster_core import Band, Raster
+from .raster_core import MAX_SAMPLE_PARAM, Band, Raster
 
 CROP_KEEP_FRACTION = 0.5
 # Largest scale factor a spec may ask for: output tiles grow with its
@@ -79,8 +79,8 @@ class AugmentSpec:
         for op in self.operations:
             if isinstance(op, CropOp) and op.size < 1:
                 raise ParameterError(f"crop size must be >= 1, got {op.size}")
-            if isinstance(op, GaussianNoiseOp) and not 0 <= op.sigma < math.inf:
-                raise ParameterError(f"noise sigma must be finite and >= 0, got {op.sigma}")
+            if isinstance(op, GaussianNoiseOp) and not 0 <= op.sigma < MAX_SAMPLE_PARAM:
+                raise ParameterError(f"noise sigma must be in [0, {MAX_SAMPLE_PARAM:g}), got {op.sigma}")
             if isinstance(op, GammaOp) and not (0 < op.lo <= op.hi < math.inf):
                 raise ParameterError(f"gamma exponents must satisfy 0 < lo <= hi < inf, got ({op.lo}, {op.hi})")
             if isinstance(op, ScaleOp) and not (0 < op.lo <= op.hi <= MAX_SCALE_FACTOR):
@@ -157,7 +157,7 @@ def random_crop(
 ) -> tuple[Raster, AnnotationSet]:
     """Uniformly positioned size x size crop with consistent annotations.
 
-    Crowns keep their disc parameters shifted into crop coordinates;
+    Crowns keep their disc parameters, translated into crop coordinates;
     a crown retaining less than half of its original pixel area (or none)
     is dropped.
     """
@@ -188,8 +188,8 @@ def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Rast
 
     Nodata pixels are left bit-identical; sigma 0 is the identity.
     """
-    if sigma < 0:
-        raise ParameterError(f"noise sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < MAX_SAMPLE_PARAM:
+        raise ParameterError(f"noise sigma must be in [0, {MAX_SAMPLE_PARAM:g}), got {sigma}")
     if sigma == 0:
         return tile
     valid = tile.valid_mask().bits
@@ -204,8 +204,10 @@ def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Rast
 def gamma_adjust(tile: Raster, exponent: float) -> Raster:
     """Raise every valid sample to ``exponent``; expects a [0, 1] domain.
 
-    Raises DomainError if any valid sample is negative. Nodata pixels are
-    untouched. Monotone, so pixel value ordering is preserved.
+    Raises DomainError if any valid sample is negative, or if a result
+    exceeds the float32 range (a sample above 1 raised to a large
+    exponent). Nodata pixels are untouched. Monotone, so pixel value
+    ordering is preserved.
     """
     if not exponent > 0:
         raise ParameterError(f"gamma exponent must be > 0, got {exponent}")
@@ -218,7 +220,13 @@ def gamma_adjust(tile: Raster, exponent: float) -> Raster:
                 f"band {band.name!r} has negative samples; gamma expects [0, 1] reflectance"
             )
         adjusted = band.samples.copy()
-        adjusted[valid] = np.power(values.astype(np.float64), exponent).astype(np.float32)
+        try:
+            with np.errstate(over="raise"):
+                adjusted[valid] = np.power(values.astype(np.float64), exponent).astype(np.float32)
+        except FloatingPointError:
+            raise DomainError(
+                f"band {band.name!r} raised to gamma {exponent} exceeds the float32 range"
+            ) from None
         out.append(adjusted)
     return _rebuild(tile, out)
 

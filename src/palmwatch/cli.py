@@ -237,7 +237,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     check_vegetation_threshold(config.veg_threshold)
     check_prediction_settings(config.tile_size, config.overlap, config.jobs)
     if config.averaging not in AVERAGING_MODES:
-        raise ConfigurationError(f"averaging must be macro, micro or weighted, got {config.averaging!r}")
+        raise ConfigurationError(f"averaging must be one of {AVERAGING_MODES}, got {config.averaging!r}")
     check_max_centroid_dist(config.match_max_dist)
     detector = config.detector_config()
 
@@ -404,19 +404,22 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     config = config_from(TrainConfig, args)
     check_negative_ratio(args.neg_ratio)
-    pairs = []
+    paths = []
     for scene_path in args.scenes:
         header = _require_file(scene_path, "scene")
         ann_path = header.with_suffix(".json")
         _require_file(ann_path, f"annotations for {header.name}")
-        pairs.append((load_raster(header), load_annotations(ann_path)))
+        paths.append((header, ann_path))
+    # scenes are read one at a time, as build_training_set asks for them
     X, y, names = build_training_set(
-        pairs, negative_ratio=args.neg_ratio, seed=config.seed
+        ((load_raster(header), load_annotations(ann_path)) for header, ann_path in paths),
+        negative_ratio=args.neg_ratio,
+        seed=config.seed,
     )
     params = train(X, y, names, config)
     save_params(params, args.out)
     print(
-        f"trained on {len(y)} rows ({int(y.sum())} palm) from {len(pairs)} scenes; "
+        f"trained on {len(y)} rows ({int(y.sum())} palm) from {len(paths)} scenes; "
         f"final loss {params.final_loss:.6f}; wrote {args.out}"
     )
     return 0

@@ -4,8 +4,10 @@ Pearson-based feature pruning.
 Metric conventions: per-class precision/recall/F1 are one-vs-rest;
 accuracy is trace/total. Per-class values with a zero denominator are
 reported as 0 and flagged rather than omitted, which keeps aggregates
-comparable across runs. Macro, micro and weighted aggregates are always
-computed; ``averaging`` only selects the headline mode.
+comparable across runs. A report always holds one ``Aggregate``
+(precision, recall, F1) for each of ``AVERAGING_MODES``; ``averaging``
+only selects the headline mode. The CSV and JSON writers emit the modes
+in that order.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,28 +117,26 @@ class ClassMetrics:
     f1_undefined: bool = False
 
 
+class Aggregate(NamedTuple):
+    """Precision, recall and F1 of one averaging mode."""
+
+    precision: float
+    recall: float
+    f1: float
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     accuracy: float
     per_class: tuple[ClassMetrics, ...]
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    micro_precision: float
-    micro_recall: float
-    micro_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
+    macro: Aggregate
+    micro: Aggregate
+    weighted: Aggregate
     averaging: str
 
-    def headline(self) -> tuple[float, float, float]:
-        """(precision, recall, f1) under the selected averaging mode."""
-        return {
-            "macro": (self.macro_precision, self.macro_recall, self.macro_f1),
-            "micro": (self.micro_precision, self.micro_recall, self.micro_f1),
-            "weighted": (self.weighted_precision, self.weighted_recall, self.weighted_f1),
-        }[self.averaging]
+    def headline(self) -> Aggregate:
+        """The aggregate of the selected averaging mode."""
+        return getattr(self, self.averaging)
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -183,29 +183,17 @@ def metrics(cm: ConfusionMatrix, averaging: str = "macro") -> MetricsReport:
         )
 
     accuracy = float(tp.sum() / total)
-    macro_p = float(np.mean([m.precision for m in per_class]))
-    macro_r = float(np.mean([m.recall for m in per_class]))
-    macro_f = float(np.mean([m.f1 for m in per_class]))
+    columns = [[getattr(m, name) for m in per_class] for name in Aggregate._fields]
     # single-label multiclass: every FP is some other class's FN
     micro_p = float(tp.sum() / (tp.sum() + fp.sum()))
     micro_r = float(tp.sum() / (tp.sum() + fn.sum()))
-    micro_f = f1_score(micro_p, micro_r)
     w = support / total
-    weighted_p = float(np.dot(w, [m.precision for m in per_class]))
-    weighted_r = float(np.dot(w, [m.recall for m in per_class]))
-    weighted_f = float(np.dot(w, [m.f1 for m in per_class]))
     return MetricsReport(
         accuracy=accuracy,
         per_class=tuple(per_class),
-        macro_precision=macro_p,
-        macro_recall=macro_r,
-        macro_f1=macro_f,
-        micro_precision=micro_p,
-        micro_recall=micro_r,
-        micro_f1=micro_f,
-        weighted_precision=weighted_p,
-        weighted_recall=weighted_r,
-        weighted_f1=weighted_f,
+        macro=Aggregate(*(float(np.mean(column)) for column in columns)),
+        micro=Aggregate(micro_p, micro_r, f1_score(micro_p, micro_r)),
+        weighted=Aggregate(*(float(np.dot(w, column)) for column in columns)),
         averaging=averaging,
     )
 
@@ -216,20 +204,13 @@ def report_rows(report: MetricsReport) -> list[list]:
     for m in report.per_class:
         flags = ";".join(
             name
-            for name, hit in (
-                ("precision_undefined", m.precision_undefined),
-                ("recall_undefined", m.recall_undefined),
-                ("f1_undefined", m.f1_undefined),
-            )
-            if hit
+            for name in ("precision_undefined", "recall_undefined", "f1_undefined")
+            if getattr(m, name)
         )
         rows.append([m.label, repr(m.precision), repr(m.recall), repr(m.f1), m.support, flags])
     total = sum(m.support for m in report.per_class)
-    rows.append(["macro", repr(report.macro_precision), repr(report.macro_recall), repr(report.macro_f1), total, ""])
-    rows.append(["micro", repr(report.micro_precision), repr(report.micro_recall), repr(report.micro_f1), total, ""])
-    rows.append(
-        ["weighted", repr(report.weighted_precision), repr(report.weighted_recall), repr(report.weighted_f1), total, ""]
-    )
+    for mode in AVERAGING_MODES:
+        rows.append([mode, *map(repr, getattr(report, mode)), total, ""])
     rows.append(["accuracy", repr(report.accuracy), "", "", total, ""])
     return rows
 
@@ -243,26 +224,8 @@ def report_to_dict(report: MetricsReport) -> dict:
     return {
         "accuracy": report.accuracy,
         "averaging": report.averaging,
-        "per_class": [
-            {
-                "label": m.label,
-                "support": m.support,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "precision_undefined": m.precision_undefined,
-                "recall_undefined": m.recall_undefined,
-                "f1_undefined": m.f1_undefined,
-            }
-            for m in report.per_class
-        ],
-        "macro": {"precision": report.macro_precision, "recall": report.macro_recall, "f1": report.macro_f1},
-        "micro": {"precision": report.micro_precision, "recall": report.micro_recall, "f1": report.micro_f1},
-        "weighted": {
-            "precision": report.weighted_precision,
-            "recall": report.weighted_recall,
-            "f1": report.weighted_f1,
-        },
+        "per_class": [asdict(m) for m in report.per_class],
+        **{mode: getattr(report, mode)._asdict() for mode in AVERAGING_MODES},
     }
 
 

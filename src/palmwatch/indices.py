@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import CLASS_LABELS, AnnotationSet
+from .annotations import CLASS_LABELS, AnnotationSet, rasterize_labels
 from .errors import BandLookupError, ParameterError, ShapeError
 from .raster_core import Band, Mask, MaskedGrid, Raster
 
@@ -145,10 +145,7 @@ def index_stats_by_class(index: MaskedGrid, annotations: AnnotationSet) -> list[
         crowns = annotations.of_class(label)
         if not crowns:
             continue
-        member = np.zeros((index.height, index.width), dtype=bool)
-        for crown in crowns:
-            ys, xs = annotations.crown_pixels(crown, index.width, index.height)
-            member[ys, xs] = True
+        member = rasterize_labels(AnnotationSet(crowns), index.width, index.height)
         vals = index.values[member & index.valid].astype(np.float64)
         if vals.size == 0:
             out.append(ClassIndexStats(label, index.name, count=0))

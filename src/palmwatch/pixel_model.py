@@ -14,14 +14,14 @@ Model parameters serialize to JSON as
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .annotations import AnnotationSet
+from .annotations import AnnotationSet, rasterize_labels
 from .errors import (
     CompatibilityError,
     DegenerateDataError,
@@ -33,7 +33,6 @@ from .errors import (
 from .indices import INDEX_REGISTRY, compute_index
 from .jsondoc import read_document, take
 from .raster_core import Band, Mask, MaskedGrid, Raster
-from .synth_scene import rasterize_labels
 
 DEFAULT_INDEX_FEATURES = ("ndvi", "gndvi")
 DEFAULT_NEGATIVE_RATIO = 5.0
@@ -356,7 +355,7 @@ def check_negative_ratio(value: float) -> None:
 
 
 def build_training_set(
-    scenes: list[tuple[Raster, AnnotationSet]],
+    scenes: Iterable[tuple[Raster, AnnotationSet]],
     feature_names: tuple[str, ...] | None = None,
     negative_ratio: float = DEFAULT_NEGATIVE_RATIO,
     seed: int = 0,
@@ -366,11 +365,11 @@ def build_training_set(
     Every palm pixel (inside any crown disc) becomes a positive row;
     background pixels are subsampled to ``negative_ratio`` times the
     positive count (seeded, without replacement) to keep desk-scale
-    training sets tractable.
+    training sets tractable. ``scenes`` may be any iterable, such as a
+    generator that loads each scene from disk: one scene is held at a
+    time, and only its sampled rows outlive it.
     """
     check_negative_ratio(negative_ratio)
-    if not scenes:
-        raise DegenerateDataError("no scenes to build a training set from")
     rng = np.random.default_rng(seed)
     names = None
     xs, ys = [], []
@@ -402,6 +401,10 @@ def build_training_set(
                 ).astype(np.float64)
             )
             ys.append(np.full(len(idx), label))
+        # release this scene before the iterable loads the next one
+        del raster, ann, features, valid, palm, neg_candidates
+    if names is None:
+        raise DegenerateDataError("no scenes to build a training set from")
     return np.concatenate(xs), np.concatenate(ys), names
 
 

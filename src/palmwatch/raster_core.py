@@ -40,6 +40,11 @@ HEADER_SUFFIX = ".rhdr"
 PAYLOAD_SUFFIX = ".rbin"
 _DTYPE_TAG = "f32le"
 _LAYOUT_TAG = "band-sequential"
+# Bound on every parameter that sets the scale of a generated sample: a
+# scene spec's reflectances, jitter_std and noise_sigma, and an augment
+# spec's noise sigma. A sample is a value plus draws of a few sigma, so
+# below it every sample stays far inside float32's 3.4e38 range.
+MAX_SAMPLE_PARAM = 1e30
 
 
 def _is_frozen(arr: np.ndarray) -> bool:

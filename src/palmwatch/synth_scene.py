@@ -25,7 +25,7 @@ import numpy as np
 from .annotations import CLASS_LABELS, AnnotationSet, CrownAnnotation, disc_pixels
 from .errors import CapacityError, ParameterError
 from .jsondoc import from_fields, parse_document, read_document
-from .raster_core import Band, Raster
+from .raster_core import MAX_SAMPLE_PARAM, Band, Raster
 
 BAND_NAMES = ("red", "green", "blue", "nir")
 
@@ -43,10 +43,6 @@ _PLACEMENT_ATTEMPTS_PER_CROWN = 2000
 # float32 bands take 64 GiB. Far larger sizes would fail inside numpy
 # with errors other than MemoryError.
 MAX_SCENE_PIXELS = 2**32
-# Bound on a spec's reflectances, jitter_std and noise_sigma. A sample is
-# a reflectance plus jitter and noise draws of a few sigma, so below it
-# every sample stays far inside float32's 3.4e38 range.
-MAX_SAMPLE_PARAM = 1e30
 
 
 @dataclass
@@ -188,12 +184,3 @@ def generate_scene(spec: SceneSpec) -> tuple[Raster, AnnotationSet]:
         bands.append(Band(name=band, samples=samples))
     raster = Raster(bands=tuple(bands), nodata_value=None, origin=(0, 0))
     return raster, AnnotationSet(tuple(crowns))
-
-
-def rasterize_labels(ann: AnnotationSet, width: int, height: int) -> np.ndarray:
-    """Boolean palm mask: True inside any crown disc (clipped to the grid)."""
-    out = np.zeros((height, width), dtype=bool)
-    for crown in ann.crowns:
-        ys, xs = disc_pixels(crown.cx, crown.cy, crown.radius_px, width, height)
-        out[ys, xs] = True
-    return out

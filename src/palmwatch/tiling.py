@@ -1,7 +1,7 @@
 """Fixed-size tile planning, extraction and stitching for large scenes.
 
 Windows are laid out row-major with stride = tile_size - overlap. The
-final row/column is padded with nodata rather than shifted inward, so
+final row/column is padded with nodata rather than moved inward, so
 every tile handed to the pixel model has identical geometry; a window
 that needs no padding is cut as a view of the scene, with no copy.
 Stitching discards padding and averages overlapping contributions, which

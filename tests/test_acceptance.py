@@ -106,7 +106,7 @@ def test_criterion_1_metric_formula_fidelity():
                 row = counts[i, :].sum()
                 assert m.precision == (tp / col if col else 0.0)
                 assert m.recall == (tp / row if row else 0.0)
-            assert abs(report.micro_f1 - report.accuracy) < 1e-12
+            assert abs(report.micro.f1 - report.accuracy) < 1e-12
 
 
 def test_criterion_2_gradient_correctness():
@@ -323,11 +323,11 @@ def test_criterion_6_end_to_end_synthetic_oracle():
         elapsed = time.perf_counter() - start
         print(
             f"      [detection precision {precision:.4f}, recall {recall:.4f}, "
-            f"macro F1 {report.macro_f1:.4f}, {elapsed:.0f}s]"
+            f"macro F1 {report.macro.f1:.4f}, {elapsed:.0f}s]"
         )
         assert precision >= 0.98
         assert recall >= 0.98
-        assert report.macro_f1 >= 0.95
+        assert report.macro.f1 >= 0.95
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
 
 

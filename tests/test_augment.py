@@ -23,6 +23,7 @@ from palmwatch.augment import (
     spec_to_json,
 )
 from palmwatch.errors import DomainError, ParameterError
+from palmwatch.raster_core import MAX_SAMPLE_PARAM
 
 from conftest import make_raster, random_raster
 
@@ -188,6 +189,13 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_adjust(tile, 2.0)
 
+    def test_result_beyond_float32_domain_error(self):
+        tile = make_raster({"b": np.full((2, 2), 2.0, np.float32)})
+        with pytest.raises(DomainError, match="'b'"):
+            gamma_adjust(tile, 200.0)
+        # 2**127 is still a float32
+        assert gamma_adjust(tile, 127.0).band("b").samples[0, 0] == 2.0**127
+
     def test_nodata_untouched(self):
         samples = np.array([[0.25, -999.0]], np.float32)
         tile = make_raster({"b": samples}, nodata=-999.0)
@@ -320,3 +328,8 @@ class TestSpecPipeline:
             AugmentSpec(operations=(ScaleOp(lo=1.0, hi=MAX_SCALE_FACTOR * 1.01),))
         with pytest.raises(ParameterError, match="scale"):
             spec_from_json('{"operations": [{"op": "scale", "lo": 1e7, "hi": 1e7}]}')
+
+    def test_noise_sigma_shares_the_scene_sample_bound(self):
+        AugmentSpec(operations=(GaussianNoiseOp(sigma=MAX_SAMPLE_PARAM / 2),))
+        with pytest.raises(ParameterError, match="sigma"):
+            AugmentSpec(operations=(GaussianNoiseOp(sigma=MAX_SAMPLE_PARAM),))

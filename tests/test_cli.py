@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from palmwatch.annotations import load_annotations
+from palmwatch.annotations import load_annotations, save_annotations
 from palmwatch.augment import AugmentSpec, FlipHOp, GaussianNoiseOp, spec_to_json
 from palmwatch import cli
 from palmwatch.cli import PipelineConfig, build_parser, config_from, main, run_pipeline
 from palmwatch.crown_detect import DetectorConfig
 from palmwatch.pixel_model import ModelParams, TrainConfig, save_params
-from palmwatch.raster_core import MaskedGrid, load_raster, save_raster
-from palmwatch.synth_scene import SceneSpec, spec_to_json as scene_spec_to_json
+from palmwatch.raster_core import Band, MaskedGrid, Raster, load_raster, save_raster
+from palmwatch.synth_scene import SceneSpec, generate_scene, spec_to_json as scene_spec_to_json
 from palmwatch.tiling import DEFAULT_TILE_SIZE, tile_plan
 
 from conftest import address_space_cap, random_raster
@@ -132,6 +133,55 @@ class TestAugmentCommand:
         assert (tmp_path / "a" / "tile_0_0.rbin").read_bytes() == (
             tmp_path / "b" / "tile_0_0.rbin"
         ).read_bytes()
+
+    def _augment_probe(self, tmp_path, capsys, raster, op):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        save_raster(raster, in_dir / "tile")
+        spec_path = tmp_path / "aug.json"
+        spec_path.write_text(json.dumps({"operations": [op]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["augment", str(in_dir), str(tmp_path / "out"), "--spec", str(spec_path)])
+        assert not list((tmp_path / "out").glob("*.rhdr"))
+        return code, capsys.readouterr().err.splitlines()
+
+    def test_noise_sigma_beyond_the_sample_bound_is_config_error(self, tmp_path, capsys):
+        # noise of sigma 1e300 would turn most pixels into inf at the float32 cast
+        raster = random_raster(np.random.default_rng(0), 64, 64, ("red", "green", "blue", "nir"))
+        code, err = self._augment_probe(tmp_path, capsys, raster, {"op": "gaussian_noise", "sigma": 1e300})
+        assert code == 2
+        assert len(err) == 1 and "sigma" in err[0]
+
+    def test_gamma_beyond_float32_is_data_error(self, tmp_path, capsys):
+        raster = Raster(bands=(Band("red", np.full((16, 16), 2.0, np.float32)),), nodata_value=None)
+        code, err = self._augment_probe(tmp_path, capsys, raster, {"op": "gamma", "lo": 200, "hi": 200})
+        assert code == 3
+        assert len(err) == 1 and "'red'" in err[0]
+
+
+class TestTrainCommand:
+    def test_train_holds_one_scene_at_a_time(self, tmp_path):
+        paths = []
+        for i in range(4):
+            raster, ann = generate_scene(
+                SceneSpec(width=512, height=512, counts={"healthy": 4, "smallish": 2, "dead": 2}, seed=10 + i)
+            )
+            save_raster(raster, tmp_path / f"s{i}")
+            save_annotations(ann, tmp_path / f"s{i}.json")
+            paths.append(str(tmp_path / f"s{i}.rhdr"))
+        del raster, ann
+
+        def peak(scenes):
+            tracemalloc.start()
+            try:
+                assert main(["train", *scenes, "--out", str(tmp_path / "m.json")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the sampled rows grow with the scene count; the scenes held must not
+        assert peak(paths) <= 1.5 * peak(paths[:1])
 
 
 class TestPredictDetectEval:

@@ -16,6 +16,8 @@ from palmwatch.evaluate import (
     prune_features,
     report_rows,
     split_dataset,
+    write_metrics_csv,
+    write_metrics_json,
 )
 
 
@@ -110,7 +112,7 @@ class TestMetrics:
         assert report.accuracy == 1.0
         for m in report.per_class:
             assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
-        assert report.macro_f1 == report.micro_f1 == report.weighted_f1 == 1.0
+        assert report.macro.f1 == report.micro.f1 == report.weighted.f1 == 1.0
 
     def test_binary_hand_values(self):
         # TP=2, FP=1, FN=1, TN=6 in the (neg, pos) layout
@@ -126,9 +128,9 @@ class TestMetrics:
         counts[0, 0] += 1  # non-empty
         cm = ConfusionMatrix(("a", "b", "c", "d"), counts)
         report = metrics(cm, averaging="micro")
-        assert abs(report.micro_precision - report.accuracy) < 1e-12
-        assert abs(report.micro_recall - report.accuracy) < 1e-12
-        assert abs(report.micro_f1 - report.accuracy) < 1e-12
+        assert abs(report.micro.precision - report.accuracy) < 1e-12
+        assert abs(report.micro.recall - report.accuracy) < 1e-12
+        assert abs(report.micro.f1 - report.accuracy) < 1e-12
 
     def test_per_class_f1_is_harmonic_mean(self, rng):
         counts = rng.integers(1, 40, size=(3, 3))
@@ -154,7 +156,7 @@ class TestMetrics:
         cm = ConfusionMatrix(("a", "b"), np.array([[8, 2], [0, 0]]))
         report = metrics(cm)
         # support 10 and 0: weighted == class-a metrics
-        assert report.weighted_recall == pytest.approx(report.per_class[0].recall)
+        assert report.weighted.recall == pytest.approx(report.per_class[0].recall)
 
     def test_empty_matrix_rejected(self):
         cm = ConfusionMatrix(("a", "b"), np.zeros((2, 2), dtype=int))
@@ -171,6 +173,88 @@ class TestMetrics:
         rows = report_rows(metrics(cm))
         labels = [r[0] for r in rows]
         assert labels == ["label", "a", "b", "macro", "micro", "weighted", "accuracy"]
+
+
+# "smallish" is never predicted and "dead" is never actual, so every
+# undefined flag shows up in the files
+PINNED_COUNTS = [[6, 0, 2], [3, 0, 1], [0, 0, 0]]
+PINNED_CSV = (
+    "label,precision,recall,f1,support,flags\r\n"
+    "healthy,0.6666666666666666,0.75,0.7058823529411765,8,\r\n"
+    "smallish,0.0,0.0,0.0,4,precision_undefined;f1_undefined\r\n"
+    "dead,0.0,0.0,0.0,0,recall_undefined;f1_undefined\r\n"
+    "macro,0.2222222222222222,0.25,0.23529411764705885,12,\r\n"
+    "micro,0.5,0.5,0.5,12,\r\n"
+    "weighted,0.4444444444444444,0.5,0.47058823529411764,12,\r\n"
+    "accuracy,0.5,,,12,\r\n"
+)
+PINNED_JSON = """{
+  "accuracy": 0.5,
+  "averaging": "weighted",
+  "per_class": [
+    {
+      "label": "healthy",
+      "support": 8,
+      "precision": 0.6666666666666666,
+      "recall": 0.75,
+      "f1": 0.7058823529411765,
+      "precision_undefined": false,
+      "recall_undefined": false,
+      "f1_undefined": false
+    },
+    {
+      "label": "smallish",
+      "support": 4,
+      "precision": 0.0,
+      "recall": 0.0,
+      "f1": 0.0,
+      "precision_undefined": true,
+      "recall_undefined": false,
+      "f1_undefined": true
+    },
+    {
+      "label": "dead",
+      "support": 0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "f1": 0.0,
+      "precision_undefined": false,
+      "recall_undefined": true,
+      "f1_undefined": true
+    }
+  ],
+  "macro": {
+    "precision": 0.2222222222222222,
+    "recall": 0.25,
+    "f1": 0.23529411764705885
+  },
+  "micro": {
+    "precision": 0.5,
+    "recall": 0.5,
+    "f1": 0.5
+  },
+  "weighted": {
+    "precision": 0.4444444444444444,
+    "recall": 0.5,
+    "f1": 0.47058823529411764
+  }
+}
+"""
+
+
+class TestReportFiles:
+    @pytest.fixture
+    def report(self):
+        cm = ConfusionMatrix(("healthy", "smallish", "dead"), np.array(PINNED_COUNTS))
+        return metrics(cm, averaging="weighted")
+
+    def test_csv_bytes_pinned(self, report, tmp_path):
+        write_metrics_csv(report, tmp_path / "metrics.csv")
+        assert (tmp_path / "metrics.csv").read_bytes() == PINNED_CSV.encode()
+
+    def test_json_bytes_pinned(self, report, tmp_path):
+        write_metrics_json(report, tmp_path / "metrics.json")
+        assert (tmp_path / "metrics.json").read_bytes() == PINNED_JSON.encode()
 
 
 class TestPearson:

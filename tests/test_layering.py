@@ -1,0 +1,38 @@
+"""Import layering of the palmwatch package.
+
+The synthetic-scene generator is a test and demo fixture: the pipeline's
+stages must not depend on it, so only the command line and the package
+root may import it.
+"""
+
+import ast
+from pathlib import Path
+
+import palmwatch
+
+PACKAGE = Path(palmwatch.__file__).parent
+MAY_IMPORT_SYNTH_SCENE = {"cli.py", "__init__.py"}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every module name ``path`` imports, relative ones as written (``.x``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            # "from . import synth_scene" names the module as an alias
+            names.update(f"{base}.{alias.name}" if node.module else base + alias.name for alias in node.names)
+    return names
+
+
+def test_only_cli_and_package_root_import_synth_scene():
+    offenders = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name not in MAY_IMPORT_SYNTH_SCENE
+        and any(name.split(".")[-1] == "synth_scene" for name in imported_modules(path))
+    )
+    assert offenders == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from palmwatch.annotations import AnnotationSet, CrownAnnotation
+from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels, rasterize_labels
 from palmwatch.errors import CapacityError, ParameterError
 from palmwatch.indices import ndvi, vegetation_mask
 from palmwatch.raster_core import save_raster
@@ -19,7 +19,6 @@ from palmwatch.synth_scene import (
     SceneSpec,
     generate_scene,
     load_spec,
-    rasterize_labels,
     spec_from_json,
     spec_to_json,
 )
@@ -119,7 +118,7 @@ class TestGenerate:
         for label in ("healthy", "smallish", "dead"):
             member = np.zeros((256, 256), bool)
             for crown in ann.of_class(label):
-                ys, xs = ann.crown_pixels(crown, 256, 256)
+                ys, xs = disc_pixels(crown.cx, crown.cy, crown.radius_px, 256, 256)
                 # core pixels only: the rim blends into background
                 d = np.sqrt((xs - crown.cx) ** 2 + (ys - crown.cy) ** 2)
                 core = d <= 0.5 * crown.radius_px
