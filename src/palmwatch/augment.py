@@ -76,6 +76,8 @@ class AugmentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**128:
+            raise ParameterError(f"augment seed must be in [0, 2**128), got {self.seed}")
         for op in self.operations:
             if isinstance(op, CropOp) and op.size < 1:
                 raise ParameterError(f"crop size must be >= 1, got {op.size}")
@@ -118,15 +120,17 @@ def load_spec(path) -> AugmentSpec:
 def op_rng(seed: int, tile_id: int, op_index: int) -> np.random.Generator:
     """Independent Philox stream for one (tile, operation) slot.
 
-    The key carries the spec seed; tile id and op index land in separate
-    64-bit lanes of the counter, so streams never collide and results do
-    not depend on evaluation order.
+    The key is the spec seed, in [0, 2**128); tile id and op index land
+    in separate 64-bit lanes of the counter, so streams never collide and
+    results do not depend on evaluation order.
     """
     counter = (int(tile_id) & 0xFFFFFFFFFFFFFFFF) * 2**64 + (int(op_index) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=int(seed) & (2**128 - 1), counter=counter))
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
 
 def _rebuild(tile: Raster, new_samples: list[np.ndarray]) -> Raster:
+    for s in new_samples:
+        s.setflags(write=False)  # so Band keeps the array the op built, not a copy
     bands = tuple(
         Band(name=b.name, samples=s, wavelength_nm=b.wavelength_nm)
         for b, s in zip(tile.bands, new_samples)
@@ -196,7 +200,8 @@ def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Rast
     out = []
     for band in tile.bands:
         noise = rng.normal(0.0, sigma, size=band.samples.shape)
-        noisy = np.maximum(band.samples.astype(np.float64) + noise, 0.0).astype(np.float32)
+        # float32 samples promote exactly to the float64 noise
+        noisy = np.maximum(band.samples + noise, 0.0).astype(np.float32)
         out.append(np.where(valid, noisy, band.samples))
     return _rebuild(tile, out)
 
@@ -231,13 +236,21 @@ def gamma_adjust(tile: Raster, exponent: float) -> Raster:
     return _rebuild(tile, out)
 
 
+def _axis(n_out: int, n_in: int, factor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per output index along one axis: the source index below, the one above, the fraction."""
+    pos = np.clip(np.arange(n_out, dtype=np.float64) / factor, 0.0, n_in - 1)
+    below = np.floor(pos).astype(np.intp)
+    return below, np.minimum(below + 1, n_in - 1), pos - below
+
+
 def scale(
     tile: Raster, ann: AnnotationSet, factor: float
 ) -> tuple[Raster, AnnotationSet]:
     """Bilinear resample to floor(factor * dim); annotations scale by factor.
 
-    An output pixel is nodata when any input pixel it interpolates from
-    is invalid. Factor 1 is an exact identity.
+    Each output pixel is the weighted sum of its four corners, the source
+    pixels below and above its position on each axis, and is nodata when
+    a corner of nonzero weight is invalid. Factor 1 is an exact identity.
     """
     if not factor > 0:
         raise ParameterError(f"scale factor must be > 0, got {factor}")
@@ -249,45 +262,33 @@ def scale(
             f"{out_w}x{out_h}"
         )
 
-    xs = np.arange(out_w, dtype=np.float64) / factor
-    ys = np.arange(out_h, dtype=np.float64) / factor
-    xs = np.clip(xs, 0.0, tile.width - 1)
-    ys = np.clip(ys, 0.0, tile.height - 1)
-    xi = np.floor(xs).astype(np.intp)
-    yi = np.floor(ys).astype(np.intp)
-    fx = xs - xi
-    fy = ys - yi
-    xi1 = np.minimum(xi + 1, tile.width - 1)
-    yi1 = np.minimum(yi + 1, tile.height - 1)
-
-    fx2 = fx[np.newaxis, :]
-    fy2 = fy[:, np.newaxis]
-    w00 = (1.0 - fx2) * (1.0 - fy2)
-    w01 = fx2 * (1.0 - fy2)
-    w10 = (1.0 - fx2) * fy2
-    w11 = fx2 * fy2
+    y0, y1, fy = _axis(out_h, tile.height, factor)
+    x0, x1, fx = _axis(out_w, tile.width, factor)
+    fy = fy[:, np.newaxis]
+    corners = [
+        (np.ix_(ys, xs), wy * wx)
+        for ys, wy in ((y0, 1.0 - fy), (y1, fy))
+        for xs, wx in ((x0, 1.0 - fx), (x1, fx))
+    ]
 
     valid = tile.valid_mask().bits
-    need_x = fx2 > 0
-    need_y = fy2 > 0
-    out_valid = (
-        valid[np.ix_(yi, xi)]
-        & (~need_x | valid[np.ix_(yi, xi1)])
-        & (~need_y | valid[np.ix_(yi1, xi)])
-        & (~(need_x & need_y) | valid[np.ix_(yi1, xi1)])
-    )
+    out_valid = np.logical_and.reduce([valid[at] | (weight == 0) for at, weight in corners])
     fill = np.float32(tile.nodata_value if tile.nodata_value is not None else np.nan)
 
     out = []
+    # buffers shared by every band: fresh ones per band fragment the heap and raise peak RSS
+    total = np.empty((out_h, out_w))
+    product = np.empty((out_h, out_w))
+    (first_at, first_weight), *rest = corners
     for band in tile.bands:
-        s = band.samples.astype(np.float64)
-        resampled = (
-            w00 * s[np.ix_(yi, xi)]
-            + w01 * s[np.ix_(yi, xi1)]
-            + w10 * s[np.ix_(yi1, xi)]
-            + w11 * s[np.ix_(yi1, xi1)]
-        ).astype(np.float32)
-        out.append(np.where(out_valid, resampled, fill))
+        # float32 samples promote exactly; summing from 0.0 would turn -0.0 into +0.0
+        np.multiply(first_weight, band.samples[first_at], out=total)
+        for at, weight in rest:
+            np.multiply(weight, band.samples[at], out=product)
+            total += product
+        values = total.astype(np.float32)
+        values[~out_valid] = fill
+        out.append(values)
     return _rebuild(tile, out), ann.scaled(factor)
 
 

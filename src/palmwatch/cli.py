@@ -164,24 +164,25 @@ def predict_tiled(
     each index feature is computed once, or taken from ``computed``
     (indices already computed over the scene, by name). Every tile is a
     view of its bands, masked to the pixels where the prediction mask
-    holds and every feature is valid. Outputs are collected in plan
-    order, so the result is independent of the number of workers.
+    holds and every feature is valid. Maps are collected in plan order,
+    as ``stitch`` takes them, so the result is independent of the
+    number of workers.
     """
     plan = tile_plan(scene.width, scene.height, tile_size, overlap)
     features, valid = featurize(scene, prediction_mask, params.features, computed)
 
     def predict_window(window):
         tile = extract_tile(features, window)
-        return window, predict_map(tile, Mask(window_of(valid, window, False)), params)
+        return predict_map(tile, Mask(window_of(valid, window, False)), params)
 
     if jobs <= 1:
         # not a one-worker pool: the worker thread allocates from a malloc
         # arena of its own, and a 2048x2048 pipeline run peaked 27 MB higher
-        outputs = [predict_window(w) for w in plan.windows]
+        maps = [predict_window(w) for w in plan.windows]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(predict_window, plan.windows))
-    return stitch(plan, outputs)
+            maps = list(pool.map(predict_window, plan.windows))
+    return stitch(plan, maps)
 
 
 def evaluate_detections(detections, truth: AnnotationSet, max_dist: float, averaging: str):
@@ -361,25 +362,36 @@ def _cmd_tile(args) -> int:
 def _cmd_augment(args) -> int:
     spec = load_augment_spec(_require_file(args.spec, "augment spec"))
     if args.seed is not None:
-        spec = type(spec)(operations=spec.operations, seed=args.seed)
+        spec = replace(spec, seed=args.seed)
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
         raise ConfigurationError(f"input directory not found: {in_dir}")
     out_dir = Path(args.out_dir)
+    if out_dir.resolve() == in_dir.resolve():
+        raise ConfigurationError(f"output directory {out_dir} is the input directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     headers = sorted(in_dir.glob("*.rhdr"))
     if not headers:
         raise ConfigurationError(f"no .rhdr tiles in {in_dir}")
-    for header in headers:
-        tile = load_raster(header)
-        ann_path = header.with_suffix(".json")
-        ann = load_annotations(ann_path) if ann_path.is_file() else AnnotationSet(())
-        # tile id from the file stem keeps streams stable when the
-        # directory gains or loses other tiles
-        tile_id = zlib.crc32(header.stem.encode())
-        out_tile, out_ann = apply_spec(tile, ann, spec, tile_id)
-        save_raster(out_tile, out_dir / header.stem)
-        save_annotations(out_ann, out_dir / (header.stem + ".json"))
+    written = []
+    try:
+        for header in headers:
+            tile = load_raster(header)
+            ann_path = header.with_suffix(".json")
+            ann = load_annotations(ann_path) if ann_path.is_file() else AnnotationSet(())
+            # tile id from the file stem keeps streams stable when the
+            # directory gains or loses other tiles
+            tile_id = zlib.crc32(header.stem.encode())
+            out_tile, out_ann = apply_spec(tile, ann, spec, tile_id)
+            # names are stem + suffix: a stem may itself contain dots
+            written += [out_dir / (header.stem + suffix) for suffix in (".rhdr", ".rbin", ".json")]
+            save_raster(out_tile, out_dir / header.stem)
+            save_annotations(out_ann, out_dir / (header.stem + ".json"))
+    except BaseException:
+        # so no tile left in the output directory looks finished
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     print(f"augmented {len(headers)} tiles into {out_dir}")
     return 0
 

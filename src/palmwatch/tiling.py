@@ -4,10 +4,10 @@ Windows are laid out row-major with stride = tile_size - overlap. The
 final row/column is padded with nodata rather than moved inward, so
 every tile handed to the pixel model has identical geometry; a window
 that needs no padding is cut as a view of the scene, with no copy.
-Stitching discards padding and averages overlapping contributions, which
-makes the result independent of tile evaluation order. At overlap 0 each
-pixel has one contributor, so stitching copies each window's valid
-region straight into the scene grid.
+Stitching takes one map per window in plan order, discards padding and
+averages overlapping contributions. At overlap 0 each pixel has one
+contributor, so stitching copies each window's valid region straight
+into the scene grid.
 
 Prediction defaults to overlap 0: the pixel model is pixelwise, so an
 overlap only evaluates shared pixels again and changes no output byte.
@@ -48,7 +48,6 @@ class TileWindow:
 
 @dataclass(frozen=True)
 class TilePlan:
-    tile_size: int
     overlap: int
     scene_width: int
     scene_height: int
@@ -102,7 +101,6 @@ def tile_plan(scene_w: int, scene_h: int, tile_size: int = DEFAULT_TILE_SIZE, ov
                 )
             )
     return TilePlan(
-        tile_size=tile_size,
         overlap=overlap,
         scene_width=scene_w,
         scene_height=scene_h,
@@ -157,36 +155,23 @@ def extract_tile(raster: Raster, window: TileWindow) -> Raster:
     )
 
 
-def stitch(plan: TilePlan, outputs: list[tuple[TileWindow, MaskedGrid]]) -> MaskedGrid:
+def stitch(plan: TilePlan, maps: list[MaskedGrid]) -> MaskedGrid:
     """Reassemble per-tile maps into one scene-sized map.
 
+    ``maps`` holds one map per window of the plan, in plan order.
     Padding is discarded; where unpadded windows overlap, the result is
     the arithmetic mean of the valid contributors (accumulated in
-    float64). A pixel with no valid contributor stays invalid. Every
-    window of the plan must appear exactly once.
+    float64). A pixel with no valid contributor stays invalid.
 
     At overlap 0 a pixel has at most one contributor, whose mean is its
     own value, so each window's valid region is written straight into
     the float32 result. Adding 0.0 there turns -0.0 into +0.0 as the
     float64 sum from 0.0 does, so both paths give the same bits.
     """
-    seen = {}
-    for window, pmap in outputs:
-        key = (window.x, window.y)
-        if key in seen:
-            raise CompletenessError(f"window at {key} supplied more than once")
-        seen[key] = (window, pmap)
-    missing = [
-        (w.x, w.y) for w in plan.windows if (w.x, w.y) not in seen
-    ]
-    if missing:
-        raise CompletenessError(f"missing stitch outputs for windows at {missing}")
-    extras = set(seen) - {(w.x, w.y) for w in plan.windows}
-    if extras:
-        raise CompletenessError(f"outputs include windows not in the plan: {sorted(extras)}")
-
+    if len(maps) != len(plan.windows):
+        raise CompletenessError(f"stitch got {len(maps)} tile maps for {len(plan.windows)} windows")
     parts = []
-    for window, pmap in seen.values():
+    for window, pmap in zip(plan.windows, maps):
         if (pmap.height, pmap.width) != (window.tile_height, window.tile_width):
             raise ShapeError(
                 f"tile map for window at ({window.x}, {window.y}) is "

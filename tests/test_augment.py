@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels
+from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels, save_annotations
 from palmwatch.augment import (
     MAX_SCALE_FACTOR,
+    _rebuild,
     AugmentSpec,
     CropOp,
     FlipHOp,
@@ -321,6 +324,14 @@ class TestSpecPipeline:
         with pytest.raises(ParameterError):
             AugmentSpec(operations=(ScaleOp(lo=2.0, hi=1.0),))
 
+    def test_seed_is_a_philox_key(self):
+        # outside [0, 2**128) a seed would alias one inside it
+        AugmentSpec(operations=(), seed=0)
+        AugmentSpec(operations=(), seed=2**128 - 1)
+        for seed in (-1, 2**128):
+            with pytest.raises(ParameterError, match="seed"):
+                AugmentSpec(operations=(), seed=seed)
+
     def test_scale_factor_is_capped(self):
         # never applied: at 1e7 the output tile alone would need petabytes
         AugmentSpec(operations=(ScaleOp(lo=1.0, hi=MAX_SCALE_FACTOR),))
@@ -333,3 +344,67 @@ class TestSpecPipeline:
         AugmentSpec(operations=(GaussianNoiseOp(sigma=MAX_SAMPLE_PARAM / 2),))
         with pytest.raises(ParameterError, match="sigma"):
             AugmentSpec(operations=(GaussianNoiseOp(sigma=MAX_SAMPLE_PARAM),))
+
+
+def test_output_band_is_the_array_the_op_built(rng):
+    tile = random_raster(rng, 8, 8, band_names=("red",))
+    built = np.zeros((8, 8), np.float32)
+    out = _rebuild(tile, [built])
+    assert out.band("red").samples is built
+    assert not built.flags.writeable
+
+
+class TestPinnedBytes:
+    """Every op's arithmetic, pinned: a rewrite of any op (scale's
+    resampling, say) must reproduce these bytes exactly."""
+
+    def tile(self):
+        rng = np.random.default_rng(1207)
+        bands = {name: rng.random((64, 64), dtype=np.float32) for name in ("red", "green", "blue", "nir")}
+        bands["red"][10:14, 20:30] = -9999.0
+        bands["nir"][40:44, 5:9] = -9999.0
+        bands["green"][50, 50] = np.nan
+        bands["blue"][0, :8] = 0.0
+        crowns = (
+            CrownAnnotation(1, "healthy", 32.0, 30.5, 6.0),
+            CrownAnnotation(2, "smallish", 12.25, 50.0, 3.0),
+            CrownAnnotation(3, "dead", 55.0, 8.0, 5.5),
+        )
+        return make_raster(bands, nodata=-9999.0), AnnotationSet(crowns)
+
+    def test_all_six_ops_bytes(self, tmp_path):
+        spec = AugmentSpec(
+            operations=(
+                CropOp(size=56),
+                GaussianNoiseOp(sigma=0.02),
+                GammaOp(lo=0.7, hi=1.4),
+                FlipHOp(),
+                FlipVOp(),
+                ScaleOp(lo=0.75, hi=1.25),
+            ),
+            seed=11,
+        )
+        tile, ann = self.tile()
+        digests = {}
+        for tile_id in (0, 8):  # scale factors below and above 1
+            out_tile, out_ann = apply_spec(tile, ann, spec, tile_id)
+            bands = hashlib.sha256()
+            for band in out_tile.bands:
+                bands.update(np.ascontiguousarray(band.samples, dtype="<f4").tobytes())
+            save_annotations(out_ann, tmp_path / "ann.json")
+            annotations = hashlib.sha256((tmp_path / "ann.json").read_bytes())
+            digests[tile_id] = (out_tile.width, out_tile.height, bands.hexdigest(), annotations.hexdigest())
+        assert digests == {
+            0: (
+                46,
+                46,
+                "89a4ae5564c0ce520ce7c7a06b14f710f6deac31e25cf742b88306a5a78761e0",
+                "8e0d3196ba2647abb6c4dfd4b3ea93a145934e95b790500b98a80e7b4fef4140",
+            ),
+            8: (
+                57,
+                57,
+                "e9720c614740591b61ad72b285fa167625f8b9f5d4e69ac5b44f68fa141b2d5a",
+                "a7407cb672cc76da37f4d7f8ffa8129ec9c4dad106d09e1633f8d3f7b02b0592",
+            ),
+        }

@@ -159,6 +159,46 @@ class TestAugmentCommand:
         assert code == 3
         assert len(err) == 1 and "'red'" in err[0]
 
+    def test_failed_run_leaves_no_tile(self, tmp_path, capsys):
+        # tile a augments fine and is written before tile b fails
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        for stem, value in (("a", 0.5), ("b", 2.0)):
+            save_raster(Raster(bands=(Band("red", np.full((16, 16), value, np.float32)),)), in_dir / stem)
+        spec_path = tmp_path / "aug.json"
+        spec_path.write_text(json.dumps({"operations": [{"op": "gamma", "lo": 200, "hi": 200}]}))
+        out_dir = tmp_path / "out"
+        assert main(["augment", str(in_dir), str(out_dir), "--spec", str(spec_path)]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not list(out_dir.iterdir())
+
+    def test_output_directory_must_differ_from_input(self, tmp_path, capsys):
+        # a failed run deletes what it wrote, which would be the input tiles
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        save_raster(Raster(bands=(Band("red", np.full((16, 16), 0.5, np.float32)),)), in_dir / "a")
+        before = {p.name: p.read_bytes() for p in in_dir.iterdir()}
+        spec_path = tmp_path / "aug.json"
+        spec_path.write_text(json.dumps({"operations": [{"op": "flip_h"}]}))
+        assert main(["augment", str(in_dir), str(tmp_path / "." / "in"), "--spec", str(spec_path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in in_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("how", ["flag", "spec"])
+    def test_seed_outside_philox_key_range_is_config_error(self, workspace, tmp_path, capsys, how):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        assert main(["tile", str(workspace["scenes"][0]), str(in_dir), "--tile-size", "220"]) == 0
+        capsys.readouterr()
+        spec_path = tmp_path / "aug.json"
+        seed_args = ["--seed", "-1"] if how == "flag" else []
+        spec_path.write_text(json.dumps({"seed": 0 if how == "flag" else 2**128, "operations": []}))
+        out_dir = tmp_path / "out"
+        assert main(["augment", str(in_dir), str(out_dir), "--spec", str(spec_path), *seed_args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "seed" in err[0]
+        assert not out_dir.exists()
+
 
 class TestTrainCommand:
     def test_train_holds_one_scene_at_a_time(self, tmp_path):

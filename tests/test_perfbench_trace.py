@@ -4,18 +4,21 @@ perfbench/tracing.py swaps palmwatch functions, at the module attribute
 their caller looks them up by, for span recorders, and some of its
 counters read parameters by name. A refactor that renames such a
 binding or parameter would only show in a ``--trace 1`` benchmark run;
-this test runs a small traced pipeline so that it fails here too. The
-benchmark's files are only read: they are loaded without writing
-bytecode next to them.
+these tests run a small traced pipeline and a small traced augment run
+so that it fails here too. The benchmark's files are only read: they
+are loaded without writing bytecode next to them.
 """
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import pytest
 
 from palmwatch import cli
+from palmwatch.augment import AugmentSpec, CropOp, FlipHOp, FlipVOp, GammaOp, GaussianNoiseOp, ScaleOp, spec_to_json
 from palmwatch.synth_scene import SceneSpec, generate_scene
 from palmwatch.raster_core import save_raster
 from palmwatch.annotations import save_annotations
@@ -70,3 +73,23 @@ def test_traced_pipeline_records_every_expected_span(perfbench, tmp_path):
     assert metrics["tiling.evaluated_px_ratio"] > 1.0
     assert metrics["crown_detect.detections"] > 0
     assert metrics["raster_core.bytes_read"] > 0
+
+
+def test_traced_augment_records_every_expected_span(perfbench, tmp_path):
+    tracing, workloads = perfbench
+    tiles = tmp_path / "tiles"
+    tiles.mkdir()
+    for i in range(2):
+        raster, ann = generate_scene(SceneSpec(width=96, height=96, counts={"healthy": 2}, seed=20 + i))
+        save_raster(raster, tiles / f"tile_{i}")
+        save_annotations(ann, tiles / f"tile_{i}.json")
+    spec = AugmentSpec(
+        operations=(CropOp(80), GaussianNoiseOp(0.01), GammaOp(0.8, 1.25), FlipHOp(), FlipVOp(), ScaleOp(0.75, 1.25)),
+        seed=3,
+    )
+    (tmp_path / "spec.json").write_text(spec_to_json(spec))
+    argv = ["augment", str(tiles), str(tmp_path / "out"), "--spec", str(tmp_path / "spec.json")]
+    with tracing.installed(tracing.Tracer()) as tracer, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    recorded = {span.name for span in tracer.take()}
+    assert set(workloads.WORKLOADS["augment"].spans) <= recorded
