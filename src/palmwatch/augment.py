@@ -27,6 +27,9 @@ CROP_KEEP_FRACTION = 0.5
 # Largest scale factor a spec may ask for: output tiles grow with its
 # square, so an unbounded factor is an unbounded allocation.
 MAX_SCALE_FACTOR = 4.0
+# gaussian_noise and scale work through blocks of this many rows, so
+# their float64 working buffers are block-sized, not tile-sized.
+_BLOCK_ROWS = 64
 
 
 # Each op's ``tag`` is its "op" value in a spec's JSON.
@@ -128,6 +131,27 @@ def op_rng(seed: int, tile_id: int, op_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
 
+def _row_blocks(n_rows: int):
+    """Slices of ``_BLOCK_ROWS`` consecutive rows (the last may be shorter) covering n_rows."""
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, n_rows))
+
+
+def _nodata_bits(tile: Raster) -> np.uint32 | None:
+    """The float32 bit pattern of the tile's nodata value; None when it has
+    none or it is NaN, since a NaN sample is invalid whatever its bits."""
+    if tile.nodata_value is None or math.isnan(tile.nodata_value):
+        return None
+    return np.array(tile.nodata_value, dtype=np.float32).view(np.uint32)
+
+
+def _check_stays_valid(values, valid, nodata_bits, band_name: str, op: str) -> None:
+    """Raise DomainError if a valid float32 output sample is bitwise the
+    nodata value, which the output tile would silently read as nodata."""
+    if nodata_bits is not None and ((values.view(np.uint32) == nodata_bits) & valid).any():
+        raise DomainError(f"{op} turns a valid sample of band {band_name!r} into the nodata value")
+
+
 def _rebuild(tile: Raster, new_samples: list[np.ndarray]) -> Raster:
     for s in new_samples:
         s.setflags(write=False)  # so Band keeps the array the op built, not a copy
@@ -190,48 +214,63 @@ def random_crop(
 def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Raster:
     """Add i.i.d. zero-mean normal noise, clamped at zero reflectance.
 
-    Nodata pixels are left bit-identical; sigma 0 is the identity.
+    Nodata pixels are left bit-identical; sigma 0 is the identity. Works
+    through blocks of ``_BLOCK_ROWS`` rows, drawing each block's noise in
+    turn, which gives the values of one draw per band. Raises DomainError
+    if a valid sample would become the nodata value.
     """
     if not 0 <= sigma < MAX_SAMPLE_PARAM:
         raise ParameterError(f"noise sigma must be in [0, {MAX_SAMPLE_PARAM:g}), got {sigma}")
     if sigma == 0:
         return tile
     valid = tile.valid_mask().bits
+    invalid = ~valid
+    nodata_bits = _nodata_bits(tile)
     out = []
     for band in tile.bands:
-        noise = rng.normal(0.0, sigma, size=band.samples.shape)
-        # float32 samples promote exactly to the float64 noise
-        noisy = np.maximum(band.samples + noise, 0.0).astype(np.float32)
-        out.append(np.where(valid, noisy, band.samples))
+        noisy = np.empty(band.samples.shape, np.float32)
+        for rows in _row_blocks(tile.height):
+            block = rng.normal(0.0, sigma, size=noisy[rows].shape)
+            # float32 samples promote exactly to the float64 noise
+            block += band.samples[rows]
+            np.maximum(block, 0.0, out=block)
+            noisy[rows] = block
+            _check_stays_valid(noisy[rows], valid[rows], nodata_bits, band.name, "gaussian noise")
+            np.copyto(noisy[rows], band.samples[rows], where=invalid[rows])
+        out.append(noisy)
     return _rebuild(tile, out)
 
 
 def gamma_adjust(tile: Raster, exponent: float) -> Raster:
     """Raise every valid sample to ``exponent``; expects a [0, 1] domain.
 
-    Raises DomainError if any valid sample is negative, or if a result
+    Raises DomainError if any valid sample is negative, if a result
     exceeds the float32 range (a sample above 1 raised to a large
-    exponent). Nodata pixels are untouched. Monotone, so pixel value
-    ordering is preserved.
+    exponent), or if a result is the nodata value. Nodata pixels are
+    untouched. Monotone, so pixel value ordering is preserved.
     """
     if not exponent > 0:
         raise ParameterError(f"gamma exponent must be > 0, got {exponent}")
     valid = tile.valid_mask().bits
+    nodata_bits = _nodata_bits(tile)
     out = []
+    values = np.empty((tile.height, tile.width))  # shared by every band
     for band in tile.bands:
-        values = band.samples[valid]
-        if (values < 0).any():
+        if ((band.samples < 0) & valid).any():
             raise DomainError(
                 f"band {band.name!r} has negative samples; gamma expects [0, 1] reflectance"
             )
         adjusted = band.samples.copy()
+        values[...] = band.samples
         try:
             with np.errstate(over="raise"):
-                adjusted[valid] = np.power(values.astype(np.float64), exponent).astype(np.float32)
+                np.power(values, exponent, out=values, where=valid)
+                np.copyto(adjusted, values, where=valid)
         except FloatingPointError:
             raise DomainError(
                 f"band {band.name!r} raised to gamma {exponent} exceeds the float32 range"
             ) from None
+        _check_stays_valid(adjusted, valid, nodata_bits, band.name, f"gamma {exponent}")
         out.append(adjusted)
     return _rebuild(tile, out)
 
@@ -251,6 +290,9 @@ def scale(
     Each output pixel is the weighted sum of its four corners, the source
     pixels below and above its position on each axis, and is nodata when
     a corner of nonzero weight is invalid. Factor 1 is an exact identity.
+    Works through blocks of ``_BLOCK_ROWS`` output rows, so beyond the
+    output it holds only block-sized buffers. Raises DomainError if a
+    valid output sample would be the nodata value.
     """
     if not factor > 0:
         raise ParameterError(f"scale factor must be > 0, got {factor}")
@@ -264,31 +306,45 @@ def scale(
 
     y0, y1, fy = _axis(out_h, tile.height, factor)
     x0, x1, fx = _axis(out_w, tile.width, factor)
-    fy = fy[:, np.newaxis]
-    corners = [
-        (np.ix_(ys, xs), wy * wx)
-        for ys, wy in ((y0, 1.0 - fy), (y1, fy))
-        for xs, wx in ((x0, 1.0 - fx), (x1, fx))
-    ]
-
     valid = tile.valid_mask().bits
-    out_valid = np.logical_and.reduce([valid[at] | (weight == 0) for at, weight in corners])
     fill = np.float32(tile.nodata_value if tile.nodata_value is not None else np.nan)
+    nodata_bits = _nodata_bits(tile)
 
-    out = []
-    # buffers shared by every band: fresh ones per band fragment the heap and raise peak RSS
-    total = np.empty((out_h, out_w))
-    product = np.empty((out_h, out_w))
-    (first_at, first_weight), *rest = corners
-    for band in tile.bands:
-        # float32 samples promote exactly; summing from 0.0 would turn -0.0 into +0.0
-        np.multiply(first_weight, band.samples[first_at], out=total)
-        for at, weight in rest:
-            np.multiply(weight, band.samples[at], out=product)
-            total += product
-        values = total.astype(np.float32)
-        values[~out_valid] = fill
-        out.append(values)
+    out = [np.empty((out_h, out_w), np.float32) for _ in tile.bands]
+    # each axis's corner weights, below then above
+    wys, wxs = (1.0 - fy, fy), (1.0 - fx, fx)
+    # buffers shared by every block and band: fresh ones fragment the heap and raise peak RSS
+    buffers = np.empty((2, min(_BLOCK_ROWS, out_h), out_w))
+    for rows in _row_blocks(out_h):
+        total, product = buffers[:, : rows.stop - rows.start]
+        # y0 and y1 never decrease, so the block reads source rows lo:hi only
+        lo, hi = y0[rows.start], y1[rows.stop - 1] + 1
+        # per corner, in the order below-left, below-right, above-left,
+        # above-right: its rows within lo:hi, its column (x0 or x1), its weight
+        picks = [(ys[rows] - lo, col) for ys in (y0, y1) for col in (0, 1)]
+        weights = [wy[rows, np.newaxis] * wx for wy in wys for wx in wxs]
+
+        def corners(plane):
+            """The block's four corner grids of one plane, gathered column-first."""
+            cols = (np.take(plane[lo:hi], x0, axis=1), np.take(plane[lo:hi], x1, axis=1))
+            return (cols[col][ys] for ys, col in picks)
+
+        block_valid = np.logical_and.reduce(
+            [v | (weight == 0) for v, weight in zip(corners(valid), weights)]
+        )
+        block_invalid = ~block_valid
+        for band, values in zip(tile.bands, out):
+            samples = corners(band.samples)
+            # float32 samples promote exactly; summing from 0.0 would turn -0.0 into +0.0
+            total[...] = next(samples)
+            total *= weights[0]
+            for corner, weight in zip(samples, weights[1:]):
+                product[...] = corner
+                product *= weight
+                total += product
+            values[rows] = total
+            _check_stays_valid(values[rows], block_valid, nodata_bits, band.name, f"scale {factor}")
+            np.copyto(values[rows], fill, where=block_invalid)
     return _rebuild(tile, out), ann.scaled(factor)
 
 

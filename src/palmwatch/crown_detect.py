@@ -91,7 +91,8 @@ def _make_detection(ys: np.ndarray, xs: np.ndarray, prob: MaskedGrid) -> CrownDe
     area = len(xs)
     return CrownDetection(
         id=0,
-        centroid=(float(xs.mean()), float(ys.mean())),
+        # the integer sums are exact, so this is the division mean makes
+        centroid=(float(xs.sum()) / area, float(ys.sum()) / area),
         bbox=(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())),
         pixel_count=area,
         diameter_px=2.0 * math.sqrt(area / math.pi),

@@ -1,10 +1,14 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels, save_annotations
 from palmwatch.augment import (
+    _BLOCK_ROWS,
     MAX_SCALE_FACTOR,
     _rebuild,
     AugmentSpec,
@@ -25,8 +29,8 @@ from palmwatch.augment import (
     spec_from_json,
     spec_to_json,
 )
-from palmwatch.errors import DomainError, ParameterError
-from palmwatch.raster_core import MAX_SAMPLE_PARAM
+from palmwatch.errors import DomainError, PalmwatchError, ParameterError
+from palmwatch.raster_core import MAX_SAMPLE_PARAM, Band, Raster
 
 from conftest import make_raster, random_raster
 
@@ -168,6 +172,19 @@ class TestGaussianNoise:
         valid = out.valid_mask().bits
         assert (out.band("b").samples[valid] >= 0).all()
 
+    def test_clamp_to_a_zero_nodata_is_domain_error(self):
+        # about half the samples clamp to +0.0, bitwise the nodata value
+        tile = make_raster({"b": np.full((100, 100), 0.001, np.float32)}, nodata=0.0)
+        with pytest.raises(DomainError, match="'b'.*nodata"):
+            gaussian_noise(tile, 0.01, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("nodata", [None, np.nan, -9999.0])
+    def test_clamp_to_zero_is_fine_when_zero_is_not_nodata(self, nodata):
+        tile = make_raster({"b": np.full((100, 100), 0.001, np.float32)}, nodata=nodata)
+        out = gaussian_noise(tile, 0.01, np.random.default_rng(0))
+        assert (out.band("b").samples == 0).any()
+        assert out.valid_mask().bits.all()
+
 
 class TestGamma:
     def test_exponent_one_identity(self, rng):
@@ -205,6 +222,13 @@ class TestGamma:
         out = gamma_adjust(tile, 0.5)
         assert out.band("b").samples[0, 1] == -999.0
 
+    @pytest.mark.parametrize("sample", [-0.0, 1e-30])
+    def test_result_equal_to_nodata_is_domain_error(self, sample):
+        # -0.0 is valid under a +0.0 nodata but raises to +0.0; 1e-30 squared underflows to it
+        tile = make_raster({"b": np.array([[0.25, sample]], np.float32)}, nodata=0.0)
+        with pytest.raises(DomainError, match="'b'.*nodata"):
+            gamma_adjust(tile, 2.0)
+
 
 class TestScale:
     def test_factor_one_identity(self, rng):
@@ -236,6 +260,179 @@ class TestScale:
         tile = random_raster(rng, 4, 4)
         with pytest.raises(ParameterError):
             scale(tile, AnnotationSet(()), 0.1)
+
+    def test_interpolated_nodata_is_domain_error(self):
+        # halfway between 0 and 1 is 0.5, the nodata value
+        samples = np.tile(np.array([0.0, 1.0], np.float32), (70, 4))
+        tile = make_raster({"red": np.full((70, 8), 0.25, np.float32), "nir": samples}, nodata=0.5)
+        with pytest.raises(DomainError, match="'nir'.*nodata"):
+            scale(tile, AnnotationSet(()), 2.0)
+
+
+class TestBlockMemory:
+    """Memory beyond the output bands is block-sized, not tile-sized."""
+
+    def tile(self):
+        rng = np.random.default_rng(896)
+        bands = {name: rng.random((896, 896), dtype=np.float32) for name in ("red", "green", "blue", "nir")}
+        return make_raster(bands, nodata=-9999.0)
+
+    def peak_beyond_output(self, run):
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = _BLOCK_ROWS * out.width * 8  # one float64 block buffer
+        return (peak - sum(b.samples.nbytes for b in out.bands)) / block
+
+    def test_scale(self):
+        # about 12 at 64-row blocks; the whole-plane form took 111
+        tile = self.tile()
+        assert self.peak_beyond_output(lambda: scale(tile, AnnotationSet(()), 1.25)[0]) <= 16
+
+    def test_gaussian_noise(self):
+        # about 6 at 64-row blocks; the whole-plane form took 44
+        tile = self.tile()
+        assert self.peak_beyond_output(lambda: gaussian_noise(tile, 0.02, np.random.default_rng(3))) <= 8
+
+
+def reference_gaussian_noise(tile, sigma, rng):
+    """Whole-plane noise: the output bands, and the input's validity."""
+    if not 0 <= sigma < MAX_SAMPLE_PARAM:
+        raise ParameterError(f"noise sigma must be in [0, {MAX_SAMPLE_PARAM:g}), got {sigma}")
+    valid = tile.valid_mask().bits
+    if sigma == 0:
+        return [b.samples for b in tile.bands], valid
+    out = []
+    for band in tile.bands:
+        noise = rng.normal(0.0, sigma, size=band.samples.shape)
+        noisy = np.maximum(band.samples + noise, 0.0).astype(np.float32)
+        out.append(np.where(valid, noisy, band.samples))
+    return out, valid
+
+
+def reference_scale(tile, factor):
+    """Whole-plane bilinear resampling: the output bands and their validity."""
+    if not factor > 0:
+        raise ParameterError(f"scale factor must be > 0, got {factor}")
+    out_w = int(np.floor(factor * tile.width))
+    out_h = int(np.floor(factor * tile.height))
+    if out_w < 1 or out_h < 1:
+        raise ParameterError(
+            f"scale factor {factor} collapses {tile.width}x{tile.height} to "
+            f"{out_w}x{out_h}"
+        )
+
+    def axis(n_out, n_in):
+        pos = np.clip(np.arange(n_out, dtype=np.float64) / factor, 0.0, n_in - 1)
+        below = np.floor(pos).astype(np.intp)
+        return below, np.minimum(below + 1, n_in - 1), pos - below
+
+    y0, y1, fy = axis(out_h, tile.height)
+    x0, x1, fx = axis(out_w, tile.width)
+    fy = fy[:, np.newaxis]
+    corners = [
+        (np.ix_(ys, xs), wy * wx)
+        for ys, wy in ((y0, 1.0 - fy), (y1, fy))
+        for xs, wx in ((x0, 1.0 - fx), (x1, fx))
+    ]
+    valid = tile.valid_mask().bits
+    out_valid = np.logical_and.reduce([valid[at] | (weight == 0) for at, weight in corners])
+    fill = np.float32(tile.nodata_value if tile.nodata_value is not None else np.nan)
+    out = []
+    (first_at, first_weight), *rest = corners
+    for band in tile.bands:
+        total = first_weight * band.samples[first_at]
+        for at, weight in rest:
+            total += weight * band.samples[at]
+        values = total.astype(np.float32)
+        values[~out_valid] = fill
+        out.append(values)
+    return out, out_valid
+
+
+def outcome(op, *args):
+    """What ``op`` returns, or the palmwatch error it raises.
+
+    Both forms multiply inf samples by zero weights, which warns; the
+    warning is silenced so that the bits can be compared.
+    """
+    try:
+        with np.errstate(invalid="ignore"):
+            return op(*args)
+    except PalmwatchError as exc:
+        return exc
+
+
+def assert_matches_reference(got, want, nodata):
+    """``got`` has the reference's bits or its error, or is the
+    DomainError for a valid reference sample that is bitwise nodata."""
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    bands, valid = want
+    if nodata is not None and not np.isnan(nodata):
+        nodata_bits = np.float32(nodata).view(np.uint32)
+        if any(((b.view(np.uint32) == nodata_bits) & valid).any() for b in bands):
+            assert isinstance(got, DomainError) and "nodata" in str(got)
+            return
+    assert isinstance(got, Raster), got
+    assert len(got.bands) == len(bands)
+    for band, expected in zip(got.bands, bands):
+        np.testing.assert_array_equal(band.samples.view(np.uint32), expected.view(np.uint32))
+
+
+@st.composite
+def odd_tiles(draw):
+    """Tiles on and around the 64-row block boundaries, with nodata of
+    None, NaN, -9999 or +0.0, samples of +-0.0, NaN, inf and the nodata
+    value itself, and bands that may be flipped (negative strides)."""
+    height = draw(st.sampled_from([1, 63, 64, 65, 129, 200]))
+    width = draw(st.one_of(st.integers(1, 9), st.integers(10, 120)))
+    nodata = draw(st.sampled_from([None, np.nan, -9999.0, 0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-3, -9999.0], np.float32)
+    bands = []
+    for name in ("red", "nir")[: draw(st.integers(1, 2))]:
+        samples = rng.random((height, width), dtype=np.float32)
+        n_special = draw(st.integers(0, 12))
+        samples.flat[rng.integers(0, samples.size, n_special)] = rng.choice(specials, n_special)
+        flip = draw(st.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]))
+        samples = samples[:: flip[0], :: flip[1]]
+        samples.setflags(write=False)  # so Band keeps the flipped view
+        bands.append(Band(name, samples))
+    return Raster(bands=tuple(bands), nodata_value=nodata)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tile=odd_tiles(), sigma=st.sampled_from([0.0, 1e-3, 0.01, 0.5, -1.0, MAX_SAMPLE_PARAM]), seed=st.integers(0, 2**64 - 1))
+def test_gaussian_noise_matches_whole_plane_reference(tile, sigma, seed):
+    got = outcome(gaussian_noise, tile, sigma, op_rng(seed, 0, 0))
+    want = outcome(reference_gaussian_noise, tile, sigma, op_rng(seed, 0, 0))
+    assert_matches_reference(got, want, tile.nodata_value)
+
+
+@st.composite
+def scale_factors(draw, tile):
+    """1.0, anything in range, or a factor that leaves one row or one column."""
+    kind = draw(st.sampled_from(["one", "any", "one_row", "one_col"]))
+    if kind == "one":
+        return 1.0
+    if kind == "any":
+        return draw(st.floats(0.05, MAX_SCALE_FACTOR))
+    n = tile.height if kind == "one_row" else tile.width
+    return draw(st.floats(1.0 / n, min(2.0 / n, MAX_SCALE_FACTOR), exclude_max=n > 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), tile=odd_tiles())
+def test_scale_matches_whole_plane_reference(data, tile):
+    factor = data.draw(scale_factors(tile))
+    got = outcome(lambda: scale(tile, AnnotationSet(()), factor)[0])
+    want = outcome(reference_scale, tile, factor)
+    assert_matches_reference(got, want, tile.nodata_value)
 
 
 class TestSpecPipeline:
@@ -372,6 +569,18 @@ class TestPinnedBytes:
         )
         return make_raster(bands, nodata=-9999.0), AnnotationSet(crowns)
 
+    def digests(self, tile, ann, spec, tile_ids, tmp_path):
+        digests = {}
+        for tile_id in tile_ids:
+            out_tile, out_ann = apply_spec(tile, ann, spec, tile_id)
+            bands = hashlib.sha256()
+            for band in out_tile.bands:
+                bands.update(np.ascontiguousarray(band.samples, dtype="<f4").tobytes())
+            save_annotations(out_ann, tmp_path / "ann.json")
+            annotations = hashlib.sha256((tmp_path / "ann.json").read_bytes())
+            digests[tile_id] = (out_tile.width, out_tile.height, bands.hexdigest(), annotations.hexdigest())
+        return digests
+
     def test_all_six_ops_bytes(self, tmp_path):
         spec = AugmentSpec(
             operations=(
@@ -385,16 +594,8 @@ class TestPinnedBytes:
             seed=11,
         )
         tile, ann = self.tile()
-        digests = {}
-        for tile_id in (0, 8):  # scale factors below and above 1
-            out_tile, out_ann = apply_spec(tile, ann, spec, tile_id)
-            bands = hashlib.sha256()
-            for band in out_tile.bands:
-                bands.update(np.ascontiguousarray(band.samples, dtype="<f4").tobytes())
-            save_annotations(out_ann, tmp_path / "ann.json")
-            annotations = hashlib.sha256((tmp_path / "ann.json").read_bytes())
-            digests[tile_id] = (out_tile.width, out_tile.height, bands.hexdigest(), annotations.hexdigest())
-        assert digests == {
+        # scale factors below and above 1
+        assert self.digests(tile, ann, spec, (0, 8), tmp_path) == {
             0: (
                 46,
                 46,
@@ -406,5 +607,52 @@ class TestPinnedBytes:
                 57,
                 "e9720c614740591b61ad72b285fa167625f8b9f5d4e69ac5b44f68fa141b2d5a",
                 "a7407cb672cc76da37f4d7f8ffa8129ec9c4dad106d09e1633f8d3f7b02b0592",
+            ),
+        }
+
+    def test_bytes_across_row_blocks(self, tmp_path):
+        # taller than two 64-row blocks, with nodata and NaN on and next
+        # to block boundaries; the flips hand scale negative-stride bands
+        rng = np.random.default_rng(1304)
+        bands = {name: rng.random((150, 200), dtype=np.float32) for name in ("red", "green", "blue", "nir")}
+        bands["red"][60:70, 20:40] = -9999.0
+        bands["nir"][127:130, 150:160] = -9999.0
+        bands["green"][64, 64] = np.nan
+        bands["green"][128, :5] = np.nan
+        bands["blue"][63, 190:] = -9999.0
+        tile = make_raster(bands, nodata=-9999.0)
+        ann = AnnotationSet((
+            CrownAnnotation(1, "healthy", 100.0, 64.0, 7.0),
+            CrownAnnotation(2, "dead", 20.5, 130.25, 4.0),
+        ))
+        spec = AugmentSpec(
+            operations=(
+                GaussianNoiseOp(sigma=0.03),
+                GammaOp(lo=0.8, hi=1.25),
+                FlipVOp(),
+                FlipHOp(),
+                ScaleOp(lo=0.6, hi=1.6),
+            ),
+            seed=13,
+        )
+        # scale factors 0.72, 0.97 and 1.45
+        assert self.digests(tile, ann, spec, (0, 2, 3), tmp_path) == {
+            0: (
+                144,
+                108,
+                "f6df197b2e2d488d937600315337407880a8de7a36a0db273f452ec5edc1b092",
+                "c8ee176aa885fe9eda6182dc785283415d09b53f22320f119411600b7dd7c378",
+            ),
+            2: (
+                193,
+                145,
+                "afb401d66449837f565814c92dc226124b4b2e2e59b8cc5b32b70619bd2da707",
+                "51616632be38e12a820cfabe54bedc003fac70be6cc01698252c53a48144339c",
+            ),
+            3: (
+                290,
+                217,
+                "606bbc9dc95c9ee2246710e4cb3a10bcb1a0c93e71fa52dd8df48856b48a806c",
+                "4493da46d18cf563b68875c644a246644db0b761f0dd26c23d4a9ed96ef45671",
             ),
         }

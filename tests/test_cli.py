@@ -159,6 +159,22 @@ class TestAugmentCommand:
         assert code == 3
         assert len(err) == 1 and "'red'" in err[0]
 
+    @pytest.mark.parametrize(
+        "samples, nodata, op",
+        [
+            (np.full((100, 100), 0.001, np.float32), 0.0, {"op": "gaussian_noise", "sigma": 0.01}),
+            (np.full((8, 8), -0.0, np.float32), 0.0, {"op": "gamma", "lo": 2.0, "hi": 2.0}),
+            (np.tile(np.array([0.0, 1.0], np.float32), (70, 4)), 0.5, {"op": "scale", "lo": 2.0, "hi": 2.0}),
+        ],
+        ids=["noise", "gamma", "scale"],
+    )
+    def test_valid_sample_turned_nodata_is_data_error(self, tmp_path, capsys, samples, nodata, op):
+        raster = Raster(bands=(Band("red", samples),), nodata_value=nodata)
+        code, err = self._augment_probe(tmp_path, capsys, raster, op)
+        assert code == 3
+        assert len(err) == 1 and "'red'" in err[0] and "nodata" in err[0]
+        assert not list((tmp_path / "out").iterdir())
+
     def test_failed_run_leaves_no_tile(self, tmp_path, capsys):
         # tile a augments fine and is written before tile b fails
         in_dir = tmp_path / "in"
