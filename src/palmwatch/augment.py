@@ -27,8 +27,8 @@ CROP_KEEP_FRACTION = 0.5
 # Largest scale factor a spec may ask for: output tiles grow with its
 # square, so an unbounded factor is an unbounded allocation.
 MAX_SCALE_FACTOR = 4.0
-# gaussian_noise and scale work through blocks of this many rows, so
-# their float64 working buffers are block-sized, not tile-sized.
+# gaussian_noise, gamma_adjust and scale work through blocks of this many
+# rows, so their float64 working buffers are block-sized, not tile-sized.
 _BLOCK_ROWS = 64
 
 
@@ -137,14 +137,6 @@ def _row_blocks(n_rows: int):
         yield slice(start, min(start + _BLOCK_ROWS, n_rows))
 
 
-def _nodata_bits(tile: Raster) -> np.uint32 | None:
-    """The float32 bit pattern of the tile's nodata value; None when it has
-    none or it is NaN, since a NaN sample is invalid whatever its bits."""
-    if tile.nodata_value is None or math.isnan(tile.nodata_value):
-        return None
-    return np.array(tile.nodata_value, dtype=np.float32).view(np.uint32)
-
-
 def _check_stays_valid(values, valid, nodata_bits, band_name: str, op: str) -> None:
     """Raise DomainError if a valid float32 output sample is bitwise the
     nodata value, which the output tile would silently read as nodata."""
@@ -211,6 +203,37 @@ def random_crop(
     return cropped, AnnotationSet(tuple(kept))
 
 
+def _map_valid(tile: Raster, op: str, fn) -> Raster:
+    """Map every band through ``fn`` in blocks of ``_BLOCK_ROWS`` rows.
+
+    For each band and each block in order, the source rows are copied
+    into one reused float64 buffer and ``fn(name, block, valid)`` maps it
+    in place; the result is cast into the float32 output rows. Invalid
+    samples keep their bits. Raises DomainError, naming ``op``, if a
+    result exceeds the float32 range or a valid sample would become the
+    nodata value.
+    """
+    valid = tile.valid_mask().bits
+    nodata_bits = tile.nodata_bits
+    buffer = np.empty((min(_BLOCK_ROWS, tile.height), tile.width))  # shared by every block and band
+    out = []
+    for band in tile.bands:
+        values = np.empty(band.samples.shape, np.float32)
+        for rows in _row_blocks(tile.height):
+            block = buffer[: rows.stop - rows.start]
+            block[...] = band.samples[rows]  # float32 samples promote exactly
+            try:
+                with np.errstate(over="raise"):
+                    fn(band.name, block, valid[rows])
+                    values[rows] = block
+            except FloatingPointError:
+                raise DomainError(f"{op} takes band {band.name!r} beyond the float32 range") from None
+            _check_stays_valid(values[rows], valid[rows], nodata_bits, band.name, op)
+            np.copyto(values[rows], band.samples[rows], where=~valid[rows])
+        out.append(values)
+    return _rebuild(tile, out)
+
+
 def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Raster:
     """Add i.i.d. zero-mean normal noise, clamped at zero reflectance.
 
@@ -223,63 +246,42 @@ def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Rast
         raise ParameterError(f"noise sigma must be in [0, {MAX_SAMPLE_PARAM:g}), got {sigma}")
     if sigma == 0:
         return tile
-    valid = tile.valid_mask().bits
-    invalid = ~valid
-    nodata_bits = _nodata_bits(tile)
-    out = []
-    for band in tile.bands:
-        noisy = np.empty(band.samples.shape, np.float32)
-        for rows in _row_blocks(tile.height):
-            block = rng.normal(0.0, sigma, size=noisy[rows].shape)
-            # float32 samples promote exactly to the float64 noise
-            block += band.samples[rows]
-            np.maximum(block, 0.0, out=block)
-            noisy[rows] = block
-            _check_stays_valid(noisy[rows], valid[rows], nodata_bits, band.name, "gaussian noise")
-            np.copyto(noisy[rows], band.samples[rows], where=invalid[rows])
-        out.append(noisy)
-    return _rebuild(tile, out)
+
+    def add_noise(name, block, valid):
+        block += rng.normal(0.0, sigma, size=block.shape)
+        np.maximum(block, 0.0, out=block)
+
+    return _map_valid(tile, "gaussian noise", add_noise)
 
 
 def gamma_adjust(tile: Raster, exponent: float) -> Raster:
     """Raise every valid sample to ``exponent``; expects a [0, 1] domain.
 
-    Raises DomainError if any valid sample is negative, if a result
-    exceeds the float32 range (a sample above 1 raised to a large
-    exponent), or if a result is the nodata value. Nodata pixels are
+    Works through blocks of ``_BLOCK_ROWS`` rows. Raises DomainError if
+    a valid sample is negative, if a result exceeds the float32 range (a
+    sample above 1 raised to a large exponent), or if a result is the
+    nodata value; the first faulty block decides which. Nodata pixels are
     untouched. Monotone, so pixel value ordering is preserved.
     """
     if not exponent > 0:
         raise ParameterError(f"gamma exponent must be > 0, got {exponent}")
-    valid = tile.valid_mask().bits
-    nodata_bits = _nodata_bits(tile)
-    out = []
-    values = np.empty((tile.height, tile.width))  # shared by every band
-    for band in tile.bands:
-        if ((band.samples < 0) & valid).any():
-            raise DomainError(
-                f"band {band.name!r} has negative samples; gamma expects [0, 1] reflectance"
-            )
-        adjusted = band.samples.copy()
-        values[...] = band.samples
-        try:
-            with np.errstate(over="raise"):
-                np.power(values, exponent, out=values, where=valid)
-                np.copyto(adjusted, values, where=valid)
-        except FloatingPointError:
-            raise DomainError(
-                f"band {band.name!r} raised to gamma {exponent} exceeds the float32 range"
-            ) from None
-        _check_stays_valid(adjusted, valid, nodata_bits, band.name, f"gamma {exponent}")
-        out.append(adjusted)
-    return _rebuild(tile, out)
+
+    def raise_to(name, block, valid):
+        if ((block < 0) & valid).any():
+            raise DomainError(f"band {name!r} has negative samples; gamma expects [0, 1] reflectance")
+        np.power(block, exponent, out=block, where=valid)
+
+    return _map_valid(tile, f"gamma {exponent}", raise_to)
 
 
 def _axis(n_out: int, n_in: int, factor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per output index along one axis: the source index below, the one above, the fraction."""
+    """Per output index along one axis: the source index below, the one
+    above, and the fraction. When the position falls on a source index,
+    the fraction is 0 and above is below, so a zero-weight corner is
+    always the same pixel as one of nonzero weight."""
     pos = np.clip(np.arange(n_out, dtype=np.float64) / factor, 0.0, n_in - 1)
     below = np.floor(pos).astype(np.intp)
-    return below, np.minimum(below + 1, n_in - 1), pos - below
+    return below, below + (pos > below), pos - below
 
 
 def scale(
@@ -288,8 +290,8 @@ def scale(
     """Bilinear resample to floor(factor * dim); annotations scale by factor.
 
     Each output pixel is the weighted sum of its four corners, the source
-    pixels below and above its position on each axis, and is nodata when
-    a corner of nonzero weight is invalid. Factor 1 is an exact identity.
+    pixels below and above its position on each axis (see ``_axis``), and
+    is nodata when any corner is invalid. Factor 1 is an exact identity.
     Works through blocks of ``_BLOCK_ROWS`` output rows, so beyond the
     output it holds only block-sized buffers. Raises DomainError if a
     valid output sample would be the nodata value.
@@ -308,7 +310,7 @@ def scale(
     x0, x1, fx = _axis(out_w, tile.width, factor)
     valid = tile.valid_mask().bits
     fill = np.float32(tile.nodata_value if tile.nodata_value is not None else np.nan)
-    nodata_bits = _nodata_bits(tile)
+    nodata_bits = tile.nodata_bits
 
     out = [np.empty((out_h, out_w), np.float32) for _ in tile.bands]
     # each axis's corner weights, below then above
@@ -329,19 +331,20 @@ def scale(
             cols = (np.take(plane[lo:hi], x0, axis=1), np.take(plane[lo:hi], x1, axis=1))
             return (cols[col][ys] for ys, col in picks)
 
-        block_valid = np.logical_and.reduce(
-            [v | (weight == 0) for v, weight in zip(corners(valid), weights)]
-        )
+        block_valid = np.logical_and.reduce(list(corners(valid)))
         block_invalid = ~block_valid
         for band, values in zip(tile.bands, out):
             samples = corners(band.samples)
             # float32 samples promote exactly; summing from 0.0 would turn -0.0 into +0.0
             total[...] = next(samples)
             total *= weights[0]
-            for corner, weight in zip(samples, weights[1:]):
-                product[...] = corner
-                product *= weight
-                total += product
+            # an inf corner can meet a zero weight or a -inf corner, which warns;
+            # such an output has an invalid corner and is filled below
+            with np.errstate(invalid="ignore"):
+                for corner, weight in zip(samples, weights[1:]):
+                    product[...] = corner
+                    product *= weight
+                    total += product
             values[rows] = total
             _check_stays_valid(values[rows], block_valid, nodata_bits, band.name, f"scale {factor}")
             np.copyto(values[rows], fill, where=block_invalid)

@@ -15,6 +15,8 @@ Exit codes: 0 success, 2 configuration error, 3 data/format error
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import zlib
@@ -327,17 +329,13 @@ def _cmd_index(args) -> int:
         )
     if args.annotations is not None:
         ann = load_annotations(_require_file(args.annotations, "annotations"))
-        stats = index_stats_by_class(index, ann)
-        rows = ["class,index,count,mean,std_dev,min,q1,median,q3,max"]
-        for s in stats:
-            if s.count == 0:
-                rows.append(f"{s.class_label},{s.index_name},0,,,,,,,")
-            else:
-                rows.append(
-                    f"{s.class_label},{s.index_name},{s.count},{s.mean!r},{s.std_dev!r},"
-                    f"{s.min!r},{s.q1!r},{s.median!r},{s.q3!r},{s.max!r}"
-                )
-        text = "\n".join(rows) + "\n"
+        columns = ("class_label", "index_name", "count", "mean", "std_dev", "min", "q1", "median", "q3", "max")
+        buffer = io.StringIO()
+        # a class with no valid pixels has None statistics, which csv writes as empty fields
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("class", "index", *columns[2:]))
+        writer.writerows([getattr(s, c) for c in columns] for s in index_stats_by_class(index, ann))
+        text = buffer.getvalue()
         if args.stats_out is not None:
             Path(args.stats_out).write_text(text)
             print(f"wrote per-class stats to {args.stats_out}")
@@ -450,6 +448,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    cfg = config_from(DetectorConfig, args)
     prob_raster = load_raster(_require_file(args.prob, "probability map"))
     scene = load_raster(_require_file(args.scene, "scene"))
     if (prob_raster.width, prob_raster.height, prob_raster.origin) != (
@@ -468,7 +467,6 @@ def _cmd_detect(args) -> int:
         raise DomainError(
             f"probability map values must lie in [0, 1], got {probs.min()} to {probs.max()}"
         )
-    cfg = config_from(DetectorConfig, args)
     detections = detect_crowns(prob, cfg)
     classify_detections(detections, scene, cfg)
     write_geojson(detections, args.out + ".geojson", origin=scene.origin)
@@ -482,6 +480,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    check_max_centroid_dist(args.match_max_dist)
     detections = load_geojson(_require_file(args.detections, "detections"))
     truth = load_annotations(_require_file(args.truth, "truth annotations"))
     payload, cm, report = evaluate_detections(

@@ -318,29 +318,15 @@ def detections_to_geojson(
     detections: list[CrownDetection], origin: tuple[int, int] = (0, 0)
 ) -> dict:
     features = []
-    for det in detections:
+    for row in (_export_row(det, origin) for det in detections):
+        props = {k: row[k] for k in ("id", "class", "score", "diameter_px", "pixel_count")}
+        props["bbox"] = [row[k] for k in ("x_min", "y_min", "x_max", "y_max")]
+        props.update(mean_ndvi=row["mean_ndvi"], mean_gndvi=row["mean_gndvi"])
         features.append(
             {
                 "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [det.centroid[0] + origin[0], det.centroid[1] + origin[1]],
-                },
-                "properties": {
-                    "id": det.id,
-                    "class": det.class_label,
-                    "score": det.score,
-                    "diameter_px": det.diameter_px,
-                    "pixel_count": det.pixel_count,
-                    "bbox": [
-                        det.bbox[0] + origin[0],
-                        det.bbox[1] + origin[1],
-                        det.bbox[2] + origin[0],
-                        det.bbox[3] + origin[1],
-                    ],
-                    "mean_ndvi": det.mean_ndvi,
-                    "mean_gndvi": det.mean_gndvi,
-                },
+                "geometry": {"type": "Point", "coordinates": [row["x"], row["y"]]},
+                "properties": props,
             }
         )
     return {"type": "FeatureCollection", "features": features}
@@ -398,25 +384,21 @@ CSV_COLUMNS = (
 )
 
 
+def _export_row(det: CrownDetection, origin: tuple[int, int]) -> dict:
+    """The ``CSV_COLUMNS`` fields of one detection, in scene coordinates."""
+    (x, y), (ox, oy) = det.centroid, origin
+    x_min, y_min, x_max, y_max = det.bbox
+    return {
+        "id": det.id, "class": det.class_label, "x": x + ox, "y": y + oy, "score": det.score,
+        "diameter_px": det.diameter_px, "pixel_count": det.pixel_count,
+        "x_min": x_min + ox, "y_min": y_min + oy, "x_max": x_max + ox, "y_max": y_max + oy,
+        "mean_ndvi": det.mean_ndvi, "mean_gndvi": det.mean_gndvi,
+    }
+
+
 def write_csv(detections: list[CrownDetection], path, origin: tuple[int, int] = (0, 0)) -> None:
+    # csv writes None as an empty field and a float as its repr
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for det in detections:
-            writer.writerow(
-                [
-                    det.id,
-                    det.class_label if det.class_label is not None else "",
-                    repr(det.centroid[0] + origin[0]),
-                    repr(det.centroid[1] + origin[1]),
-                    repr(det.score),
-                    repr(det.diameter_px),
-                    det.pixel_count,
-                    det.bbox[0] + origin[0],
-                    det.bbox[1] + origin[1],
-                    det.bbox[2] + origin[0],
-                    det.bbox[3] + origin[1],
-                    "" if det.mean_ndvi is None else repr(det.mean_ndvi),
-                    "" if det.mean_gndvi is None else repr(det.mean_gndvi),
-                ]
-            )
+        writer = csv.DictWriter(fh, CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(_export_row(det, origin) for det in detections)

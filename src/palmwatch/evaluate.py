@@ -207,11 +207,11 @@ def report_rows(report: MetricsReport) -> list[list]:
             for name in ("precision_undefined", "recall_undefined", "f1_undefined")
             if getattr(m, name)
         )
-        rows.append([m.label, repr(m.precision), repr(m.recall), repr(m.f1), m.support, flags])
+        rows.append([m.label, m.precision, m.recall, m.f1, m.support, flags])
     total = sum(m.support for m in report.per_class)
     for mode in AVERAGING_MODES:
-        rows.append([mode, *map(repr, getattr(report, mode)), total, ""])
-    rows.append(["accuracy", repr(report.accuracy), "", "", total, ""])
+        rows.append([mode, *getattr(report, mode), total, ""])
+    rows.append(["accuracy", report.accuracy, "", "", total, ""])
     return rows
 
 

@@ -27,6 +27,7 @@ ingestion; this library does no resampling of its own.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -216,16 +217,19 @@ class Raster:
     def has_band(self, name: str) -> bool:
         return any(b.name == name for b in self.bands)
 
-    def valid_mask(self) -> Mask:
-        """Pixels where every band is finite and not equal to nodata.
+    @property
+    def nodata_bits(self) -> np.ndarray | None:
+        """The float32 bit pattern of the nodata value; None when there is
+        none or it is NaN, since a NaN sample is invalid whatever its bits."""
+        if self.nodata_value is None or math.isnan(self.nodata_value):
+            return None
+        return np.array(self.nodata_value, dtype=np.float32).view(np.uint32)
 
-        Nodata equality is bitwise on the float32 pattern, so a NaN
-        nodata value flags exactly the NaN pixels that carry it.
-        """
+    def valid_mask(self) -> Mask:
+        """Pixels where every band is finite and not bitwise equal to
+        nodata (as a float32 pattern)."""
         bits = np.ones((self.height, self.width), dtype=bool)
-        nodata_bits = None
-        if self.nodata_value is not None:
-            nodata_bits = np.array(self.nodata_value, dtype=np.float32).view(np.uint32)
+        nodata_bits = self.nodata_bits
         for b in self.bands:
             bits &= np.isfinite(b.samples)
             if nodata_bits is not None:

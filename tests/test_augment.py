@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,21 @@ class TestScale:
         with pytest.raises(ParameterError):
             scale(tile, AnnotationSet(()), 0.1)
 
+    @pytest.mark.parametrize("nodata", [None, np.nan])
+    def test_factor_one_keeps_every_bit(self, nodata):
+        # a zero-weight NaN neighbour used to turn 0.5 into NaN, and -0.0 came back +0.0
+        samples = np.array([[0.5, np.nan, 0.25, -0.0, 0.75]], np.float32)
+        out_tile, _ = scale(make_raster({"b": samples}, nodata=nodata), AnnotationSet(()), 1.0)
+        np.testing.assert_array_equal(out_tile.band("b").samples.view(np.uint32), samples.view(np.uint32))
+
+    def test_zero_weight_inf_neighbour_is_silent(self):
+        # inf times a zero weight used to warn
+        tile = make_raster({"b": np.array([[0.5, np.inf], [-np.inf, 0.25]], np.float32)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = scale(tile, AnnotationSet(()), 2.0)[0].band("b").samples
+        np.testing.assert_array_equal(out[::2, ::2], np.array([[0.5, np.nan], [np.nan, 0.25]], np.float32))
+
     def test_interpolated_nodata_is_domain_error(self):
         # halfway between 0 and 1 is 0.5, the nodata value
         samples = np.tile(np.array([0.0, 1.0], np.float32), (70, 4))
@@ -297,6 +313,11 @@ class TestBlockMemory:
         tile = self.tile()
         assert self.peak_beyond_output(lambda: gaussian_noise(tile, 0.02, np.random.default_rng(3))) <= 8
 
+    def test_gamma(self):
+        # about 3 at 64-row blocks; the whole-plane form took 17.5
+        tile = self.tile()
+        assert self.peak_beyond_output(lambda: gamma_adjust(tile, 1.3)) <= 8
+
 
 def reference_gaussian_noise(tile, sigma, rng):
     """Whole-plane noise: the output bands, and the input's validity."""
@@ -325,10 +346,13 @@ def reference_scale(tile, factor):
             f"{out_w}x{out_h}"
         )
 
+    # a position on a source index reads that index as both corners, so no
+    # output sums a zero-weight neighbour; validity below still spells out
+    # the older rule that a zero-weight corner does not count
     def axis(n_out, n_in):
         pos = np.clip(np.arange(n_out, dtype=np.float64) / factor, 0.0, n_in - 1)
         below = np.floor(pos).astype(np.intp)
-        return below, np.minimum(below + 1, n_in - 1), pos - below
+        return below, below + (pos > below), pos - below
 
     y0, y1, fy = axis(out_h, tile.height)
     x0, x1, fx = axis(out_w, tile.width)
@@ -356,8 +380,9 @@ def reference_scale(tile, factor):
 def outcome(op, *args):
     """What ``op`` returns, or the palmwatch error it raises.
 
-    Both forms multiply inf samples by zero weights, which warns; the
-    warning is silenced so that the bits can be compared.
+    The whole-plane scale reference multiplies an inf corner by a zero
+    weight, or sums inf and -inf corners, which warns; the warning is
+    silenced so that the bits can be compared.
     """
     try:
         with np.errstate(invalid="ignore"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from palmwatch.annotations import load_annotations, save_annotations
+from palmwatch.annotations import AnnotationSet, CrownAnnotation, load_annotations, save_annotations
 from palmwatch.augment import AugmentSpec, FlipHOp, GaussianNoiseOp, spec_to_json
 from palmwatch import cli
 from palmwatch.cli import PipelineConfig, build_parser, config_from, main, run_pipeline
@@ -91,6 +91,26 @@ class TestIndexCommand:
         lines = stats_out.read_text().strip().splitlines()
         assert lines[0].startswith("class,index,count")
         assert len(lines) == 4  # header + 3 classes
+
+    def test_stats_bytes_pinned(self, tmp_path, capsys):
+        # the dead crown lies wholly in nodata, so its class has no valid pixels
+        red = np.full((12, 12), 0.25, np.float32)
+        red[:, 8:] = -9999.0
+        nir = np.linspace(0.3, 0.8, 144, dtype=np.float32).reshape(12, 12)
+        save_raster(Raster((Band("red", red), Band("nir", nir)), nodata_value=-9999.0), tmp_path / "s")
+        ann = AnnotationSet((CrownAnnotation(1, "healthy", 3.0, 4.0, 2.0), CrownAnnotation(2, "dead", 10.0, 6.0, 1.5)))
+        save_annotations(ann, tmp_path / "a.json")
+        args = ["index", str(tmp_path / "s.rhdr"), str(tmp_path / "ndvi"), "--annotations", str(tmp_path / "a.json")]
+        expected = (
+            "class,index,count,mean,std_dev,min,q1,median,q3,max\n"
+            "healthy,ndvi,13,0.31099699093745303,0.04167227220387216,0.22409117221832275,"
+            "0.27521541714668274,0.3134901523590088,0.34792524576187134,0.38441669940948486\n"
+            "dead,ndvi,0,,,,,,,\n"
+        )
+        assert main(args) == 0
+        assert capsys.readouterr().out.endswith(expected)
+        assert main([*args, "--stats-out", str(tmp_path / "stats.csv")]) == 0
+        assert (tmp_path / "stats.csv").read_bytes() == expected.encode()
 
 
 class TestTileCommand:
@@ -432,6 +452,27 @@ class TestExitCodes:
         (tmp_path / "trunc.rbin").write_bytes(scene.with_suffix(".rbin").read_bytes()[:-4])
         assert main(["tile", str(header), str(tmp_path / "tiles"), "--tile-size", "0"]) == 2
         assert not (tmp_path / "tiles").exists()
+
+    def test_detect_checks_its_flags_before_reading_the_map(self, workspace, tmp_path, capsys):
+        # the map's payload is truncated: reading it first used to exit 3
+        grid = MaskedGrid(np.full((220, 220), 0.9, np.float32), np.ones((220, 220), bool))
+        save_raster(grid.to_raster(), tmp_path / "p")
+        (tmp_path / "p.rbin").write_bytes((tmp_path / "p.rbin").read_bytes()[:-4])
+        code = main([
+            "detect", str(tmp_path / "p.rhdr"), str(workspace["scenes"][0]), "--out", str(tmp_path / "o"),
+            "--min-area", "0",
+        ])
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "o.geojson").exists()
+
+    def test_eval_checks_max_dist_before_reading_inputs(self, workspace, tmp_path, capsys):
+        # the detections file is no FeatureCollection: reading it first used to exit 3
+        (tmp_path / "bad.geojson").write_text("{}")
+        truth = workspace["scenes"][0].parent / "scene.json"
+        code = main(["eval", str(tmp_path / "bad.geojson"), str(truth), "--max-dist", "nan"])
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     # Both requests need far more address space than exists (PiB, TiB),
     # so numpy fails at once without touching memory.

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import tracemalloc
@@ -452,6 +453,30 @@ class TestExport:
             "x_min,y_min,x_max,y_max,mean_ndvi,mean_gndvi"
         )
         assert len(lines) == 3
+
+    def test_export_bytes_pinned(self, tmp_path):
+        # one classified and one unclassified detection, at a nonzero origin
+        dets = [
+            CrownDetection(
+                id=1, centroid=(10.5, 20.25), bbox=(5, 15, 16, 26), pixel_count=120,
+                diameter_px=12.36, score=0.875, class_label="healthy", mean_ndvi=0.61, mean_gndvi=1 / 3,
+            ),
+            CrownDetection(
+                id=2, centroid=(40.0, 0.1), bbox=(36, 0, 44, 3), pixel_count=9,
+                diameter_px=3.385137501286538, score=0.1 + 0.2,
+            ),
+        ]
+        write_csv(dets, tmp_path / "d.csv", origin=(7, 300))
+        write_geojson(dets, tmp_path / "d.geojson", origin=(7, 300))
+        assert (tmp_path / "d.csv").read_bytes() == (
+            b"id,class,x,y,score,diameter_px,pixel_count,x_min,y_min,x_max,y_max,mean_ndvi,mean_gndvi\r\n"
+            b"1,healthy,17.5,320.25,0.875,12.36,120,12,315,23,326,0.61,0.3333333333333333\r\n"
+            b"2,,47.0,300.1,0.30000000000000004,3.385137501286538,9,43,300,51,303,,\r\n"
+        )
+        digest = hashlib.sha256((tmp_path / "d.geojson").read_bytes()).hexdigest()
+        assert digest == "be04c23e545c07790698b5f191ef6ae599b29d34556d6aef867f10fe9061460c"
+        props = json.loads((tmp_path / "d.geojson").read_text())["features"][1]["properties"]
+        assert (props["class"], props["mean_ndvi"], props["bbox"]) == (None, None, [43, 300, 51, 303])
 
 
 # Plain versions of what crown_detect does faster, kept as references:
