@@ -21,7 +21,6 @@ import json
 import sys
 import zlib
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -96,7 +95,7 @@ class PipelineConfig:
     veg_gate: bool = False
     tile_size: int = DEFAULT_TILE_SIZE
     overlap: int = DEFAULT_PREDICT_OVERLAP
-    jobs: int = 1
+    jobs: int | None = None
     prob_threshold: float = DetectorConfig.prob_threshold
     min_area: int = DetectorConfig.min_area
     max_area: int = DetectorConfig.max_area
@@ -144,10 +143,10 @@ def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
     )
 
 
-def check_prediction_settings(tile_size: int, overlap: int, jobs: int) -> None:
+def check_prediction_settings(tile_size: int, overlap: int, jobs: int | None) -> None:
     """Raise ConfigurationError unless predict_tiled accepts these settings."""
     check_tiling(tile_size, overlap)
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
 
 
@@ -157,33 +156,26 @@ def predict_tiled(
     params: ModelParams,
     tile_size: int,
     overlap: int,
-    jobs: int = 1,
+    jobs: int | None = None,
     computed: Mapping[str, MaskedGrid] | None = None,
 ) -> MaskedGrid:
-    """Tile the scene, predict per tile (optionally in parallel), stitch.
+    """Tile the scene, predict tile by tile in plan order, stitch.
 
     The feature raster (``featurize``) is built once for the whole scene:
     each index feature is computed once, or taken from ``computed``
     (indices already computed over the scene, by name). Every tile is a
     view of its bands, masked to the pixels where the prediction mask
-    holds and every feature is valid. Maps are collected in plan order,
-    as ``stitch`` takes them, so the result is independent of the
-    number of workers.
+    holds and every feature is valid. ``jobs`` worker threads (None:
+    every CPU this process may use) share the row blocks of each pixel
+    kernel, the index features and each tile's prediction; every pixel's
+    arithmetic is the same for any ``jobs``, so the result is too.
     """
     plan = tile_plan(scene.width, scene.height, tile_size, overlap)
-    features, valid = featurize(scene, prediction_mask, params.features, computed)
-
-    def predict_window(window):
-        tile = extract_tile(features, window)
-        return predict_map(tile, Mask(window_of(valid, window, False)), params)
-
-    if jobs <= 1:
-        # not a one-worker pool: the worker thread allocates from a malloc
-        # arena of its own, and a 2048x2048 pipeline run peaked 27 MB higher
-        maps = [predict_window(w) for w in plan.windows]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            maps = list(pool.map(predict_window, plan.windows))
+    features, valid = featurize(scene, prediction_mask, params.features, computed, workers=jobs)
+    maps = [
+        predict_map(extract_tile(features, w), Mask(window_of(valid, w, False)), params, workers=jobs)
+        for w in plan.windows
+    ]
     return stitch(plan, maps)
 
 
@@ -253,7 +245,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         truth = load_annotations(truth_path)
 
     valid = scene.valid_mask()
-    index = compute_index(scene, valid, config.veg_index)
+    index = compute_index(scene, valid, config.veg_index, workers=config.jobs)
     veg = vegetation_mask(index, config.veg_threshold)
     save_raster(_mask_to_raster(veg, "veg_mask", scene.origin), out_dir / "veg_mask")
     veg_fraction = veg.count() / max(valid.count(), 1)
@@ -542,7 +534,7 @@ def _cmd_pipeline(args) -> int:
 def _add_tiling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tile-size", type=int, default=DEFAULT_TILE_SIZE, help="tile edge in px (default %(default)s)")
     parser.add_argument("--overlap", type=int, default=DEFAULT_PREDICT_OVERLAP, help="tile overlap for prediction (default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=PipelineConfig.jobs, help="parallel tile workers (default %(default)s)")
+    parser.add_argument("--jobs", type=int, default=PipelineConfig.jobs, help="worker threads per pixel kernel (default: every CPU the process may use)")
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:

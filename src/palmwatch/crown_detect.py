@@ -34,7 +34,7 @@ from .annotations import AnnotationSet, CrownAnnotation
 from .errors import FormatError, ParameterError, UnclassifiableError
 from .indices import INDEX_REGISTRY, normalized_difference
 from .jsondoc import read_document, take
-from .raster_core import Band, MaskedGrid, Raster
+from .raster_core import Band, MaskedGrid, Raster, map_row_blocks
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 # Smoothing of the splitting relief in px: it merges the noise peaks
@@ -105,24 +105,33 @@ def detect_crowns(prob: MaskedGrid, cfg: DetectorConfig) -> list[CrownDetection]
     """Threshold, label 8-connected components, and filter by area.
 
     Component areas are counted once, so components below min_area are
-    skipped before any per-component work. Components larger than
-    max_area go through split_touching; split parts below min_area are
-    discarded like any other small component. Detections come back
-    sorted by descending score, ties broken by centroid (y, x), with ids
-    assigned 1..n in that order.
+    skipped before any per-component work, bounding boxes included.
+    Components larger than max_area go through split_touching; split
+    parts below min_area are discarded like any other small component.
+    Detections come back sorted by descending score, ties broken by
+    centroid (y, x), with ids assigned 1..n in that order.
     """
     binary = prob.valid & (prob.values > cfg.prob_threshold)
     labels, _ = ndimage.label(binary, structure=_EIGHT_CONNECTED)
-    areas = np.bincount(labels[binary])
-    objects = ndimage.find_objects(labels)
-    detections = []
     # label 0 is the background and has area 0 < min_area
-    for comp in np.flatnonzero(areas >= cfg.min_area):
-        slc = objects[comp - 1]
+    kept = np.bincount(labels[binary], minlength=1) >= cfg.min_area
+    # the kept components renumbered 1..K in label order and the others
+    # cleared, so that bounding boxes are found for the kept ones only; in
+    # row blocks, as an in-place take of the whole plane buffers a copy of
+    # it, and in this thread: on a 4096² map a second thread saved about 5
+    # of its 24 ms
+    rank = (np.cumsum(kept) * kept).astype(labels.dtype)
+    map_row_blocks(
+        *labels.shape,
+        lambda rows, _: np.take(rank, labels[rows], out=labels[rows], mode="clip"),
+        workers=1,
+    )
+    detections = []
+    for comp, slc in enumerate(ndimage.find_objects(labels), start=1):
         ys, xs = np.nonzero(labels[slc] == comp)
         ys = ys + slc[0].start
         xs = xs + slc[1].start
-        if areas[comp] <= cfg.max_area:
+        if len(xs) <= cfg.max_area:
             detections.append(_make_detection(ys, xs, prob))
         else:
             for part_ys, part_xs in split_touching((ys, xs), prob, cfg):
@@ -229,8 +238,9 @@ def _classify_block(detections: list[CrownDetection], raster: Raster, cfg: Detec
     pairs = INDEX_REGISTRY["ndvi"], INDEX_REGISTRY["gndvi"]
     # each band of the two pairs, cast to float64 once
     f64 = {b: crowns.band(b).samples[0].astype(np.float64) for b in dict.fromkeys(sum(pairs, ()))}
+    # a block of crowns is about one row block of pixels: no pool pays off
     (ndvi_values, ndvi_ok), (gndvi_values, gndvi_ok) = (
-        normalized_difference(f64[a], f64[b], ok) for a, b in pairs
+        normalized_difference(f64[a], f64[b], ok, workers=1) for a, b in pairs
     )
     stop = 0
     for det in detections:

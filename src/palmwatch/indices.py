@@ -14,19 +14,20 @@ reading.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .annotations import CLASS_LABELS, AnnotationSet, rasterize_labels
 from .errors import BandLookupError, ParameterError, ShapeError
-from .raster_core import Band, Mask, MaskedGrid, Raster
+from .raster_core import Band, Mask, MaskedGrid, Raster, map_row_blocks
 
 DEFAULT_VEGETATION_THRESHOLD = 0.2
 
 
 def normalized_difference(
-    a: np.ndarray, b: np.ndarray, ok: np.ndarray
+    a: np.ndarray, b: np.ndarray, ok: np.ndarray, *, workers: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a - b) / (a + b) in the inputs' dtype, and where that ratio is valid.
 
@@ -35,28 +36,45 @@ def normalized_difference(
     range, the ratio comes from the halved operands instead, with no
     warning. No arithmetic touches a pixel outside ``ok``, so the NaN,
     infinities or nodata such pixels hold raise no warning.
+    The work is split into blocks of whole rows (along the first axis)
+    that ``workers`` threads share (``map_row_blocks``); every pixel's
+    arithmetic is the same for any number of workers.
     Both results come back read-only, so a MaskedGrid takes them without
     a copy.
     """
     if a.shape != b.shape or a.shape != ok.shape:
         raise ShapeError(f"band/mask shapes disagree: {a.shape} vs {b.shape} vs mask {ok.shape}")
-    overflow = []
-    with np.errstate(over="call", call=lambda *_: overflow.append(True)):
-        den = np.add(a, b, out=np.zeros_like(a), where=ok)
-        valid = ok & (den != 0)
-        values = np.full(a.shape, np.nan, dtype=a.dtype)
-        np.subtract(a, b, out=values, where=valid)
-    if overflow:
-        # where a + b or a - b left the dtype's range, both operands are
-        # far above the subnormals, so halving them is exact and keeps
-        # the ratio; an infinite operand is left as it is
-        over = np.nonzero(valid & (np.isinf(den) | np.isinf(values)))
-        finite = np.isfinite(a[over]) & np.isfinite(b[over])
-        over = tuple(axis[finite] for axis in over)
-        half_a, half_b = a[over] / 2, b[over] / 2
-        den[over] = half_a + half_b
-        values[over] = half_a - half_b
-    np.divide(values, den, out=values, where=valid)
+    values = np.empty(a.shape, dtype=a.dtype)
+    valid = np.empty(a.shape, dtype=bool)
+    # every input seen as rows, as views for 1-D and 2-D inputs
+    n_rows, width = (a.shape[0] if a.ndim else 1), math.prod(a.shape[1:])
+    a2, b2, ok2, values2, valid2 = (x.reshape(n_rows, width) for x in (a, b, ok, values, valid))
+
+    def block(rows, den):
+        a, b, ok, out, good = a2[rows], b2[rows], ok2[rows], values2[rows], valid2[rows]
+        den = den[: len(out)]
+        den.fill(0)
+        overflow = []
+        # numpy's error state is per thread, so each block sets its own
+        with np.errstate(over="call", call=lambda *_: overflow.append(True)):
+            np.add(a, b, out=den, where=ok)
+            np.not_equal(den, 0, out=good)
+            good &= ok
+            out.fill(np.nan)
+            np.subtract(a, b, out=out, where=good)
+        if overflow:
+            # where a + b or a - b left the dtype's range, both operands are
+            # far above the subnormals, so halving them is exact and keeps
+            # the ratio; an infinite operand is left as it is
+            over = np.nonzero(good & (np.isinf(den) | np.isinf(out)))
+            finite = np.isfinite(a[over]) & np.isfinite(b[over])
+            over = tuple(axis[finite] for axis in over)
+            half_a, half_b = a[over] / 2, b[over] / 2
+            den[over] = half_a + half_b
+            out[over] = half_a - half_b
+        np.divide(out, den, out=out, where=good)
+
+    map_row_blocks(n_rows, width, block, workers, scratch=lambda rows: np.empty((rows, width), a.dtype))
     values.setflags(write=False)
     valid.setflags(write=False)
     return values, valid
@@ -76,9 +94,10 @@ def gndvi(nir: Band, green: Band, mask: Mask) -> MaskedGrid:
 INDEX_REGISTRY = {"ndvi": ("nir", "red"), "gndvi": ("nir", "green")}
 
 
-def compute_index(raster: Raster, mask: Mask, name: str) -> MaskedGrid:
+def compute_index(raster: Raster, mask: Mask, name: str, *, workers: int | None = None) -> MaskedGrid:
     """The registered index ``name`` over ``mask``: the normalized
-    difference of its band pair, in float32.
+    difference of its band pair, in float32, over ``workers`` threads
+    (None: every CPU this process may use).
 
     Raises BandLookupError for an unknown index or a missing band.
     """
@@ -89,7 +108,7 @@ def compute_index(raster: Raster, mask: Mask, name: str) -> MaskedGrid:
             f"unknown index {name!r}; registered: {sorted(INDEX_REGISTRY)}"
         ) from None
     values, valid = normalized_difference(
-        raster.band(a).samples, raster.band(b).samples, mask.bits
+        raster.band(a).samples, raster.band(b).samples, mask.bits, workers=workers
     )
     return MaskedGrid(values, valid, name=name)
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .indices import INDEX_REGISTRY, compute_index
 from .jsondoc import read_document, take
-from .raster_core import Band, Mask, MaskedGrid, Raster
+from .raster_core import Band, Mask, MaskedGrid, Raster, map_row_blocks
 
 DEFAULT_INDEX_FEATURES = ("ndvi", "gndvi")
 DEFAULT_NEGATIVE_RATIO = 5.0
@@ -50,10 +50,6 @@ MAX_HALVINGS = 60
 # a feature whose std is at most this many ulp of its mean's magnitude is
 # constant up to the rounding of the mean, and is not scaled
 CONSTANT_STD_ULPS = 4
-# predict_map sums z over blocks of whole rows of about this many pixels,
-# so that z and each feature's term (8 bytes a pixel each, 1 MiB together)
-# stay in a core's L2 cache instead of streaming through memory
-PREDICT_BLOCK_PX = 1 << 16
 
 
 def default_feature_names(raster: Raster) -> tuple[str, ...]:
@@ -65,21 +61,24 @@ def featurize(
     mask: Mask,
     feature_names: tuple[str, ...] | None = None,
     computed: Mapping[str, MaskedGrid] | None = None,
+    *,
+    workers: int | None = None,
 ) -> tuple[Raster, np.ndarray]:
     """The feature raster and where every feature is valid.
 
     The feature raster is ``raster`` with each index feature that is not
     one of its bands joined as a band of its own (float32, computed over
-    ``mask``); no samples are copied. An index in ``computed`` (by name)
-    was already computed over this raster, over ``mask`` or any mask that
-    covers it, and is taken as it is: it holds the same value at every
-    pixel of ``mask``. A pixel is valid when ``mask`` holds and every
-    index feature is defined there; invalid pixels keep whatever the
-    planes hold (NaN, nodata, any finite value) and yield no training
-    rows or predictions. The validity array comes back read-only. The
-    default features are every band, then DEFAULT_INDEX_FEATURES. Raises
-    CompatibilityError naming every band the raster cannot supply, and
-    ShapeError when ``mask`` or a computed index is not on its grid.
+    ``mask``, over ``workers`` threads); no samples are copied. An index
+    in ``computed`` (by name) was already computed over this raster, over
+    ``mask`` or any mask that covers it, and is taken as it is: it holds
+    the same value at every pixel of ``mask``. A pixel is valid when
+    ``mask`` holds and every index feature is defined there; invalid
+    pixels keep whatever the planes hold (NaN, nodata, any finite value)
+    and yield no training rows or predictions. The validity array comes
+    back read-only. The default features are every band, then
+    DEFAULT_INDEX_FEATURES. Raises CompatibilityError naming every band
+    the raster cannot supply, and ShapeError when ``mask`` or a computed
+    index is not on its grid.
     """
     names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
     shape = (raster.height, raster.width)
@@ -95,7 +94,7 @@ def featurize(
     valid = mask.bits.copy()
     joined = []
     for name in indices:
-        index = (computed or {}).get(name) or compute_index(raster, mask, name)
+        index = (computed or {}).get(name) or compute_index(raster, mask, name, workers=workers)
         if index.valid.shape != shape:
             raise ShapeError(f"index {name!r} {index.valid.shape} does not match raster {shape}")
         joined.append(Band(name=name, samples=index.values))
@@ -313,37 +312,40 @@ def train(
     )
 
 
-def predict_map(raster: Raster, mask: Mask, params: ModelParams) -> MaskedGrid:
+def predict_map(
+    raster: Raster, mask: Mask, params: ModelParams, *, workers: int | None = None
+) -> MaskedGrid:
     """sigmoid(w . x_standardized + b) per valid pixel.
 
     z is summed plane by plane in float64, in feature order, over blocks
-    of whole rows of about PREDICT_BLOCK_PX pixels; each block goes
-    straight into the float32 result. Invalid pixels come out NaN; what
-    they hold may overflow or be NaN in z, so the loop runs silenced.
-    Raises CompatibilityError listing the manifest features the raster
-    cannot supply.
+    of whole rows of about BLOCK_PX pixels, which ``workers`` threads
+    share (``map_row_blocks``; None: every CPU this process may use);
+    each block goes straight into the float32 result, so the result is
+    the same for any number of workers. Invalid pixels come out NaN;
+    what they hold may overflow or be NaN in z, so the blocks run
+    silenced. Raises CompatibilityError listing the manifest features the
+    raster cannot supply.
     """
-    features, valid = featurize(raster, mask, params.features)
+    features, valid = featurize(raster, mask, params.features, workers=workers)
     planes = [features.band(name).samples for name in params.features]
     height, width = valid.shape
-    rows = max(1, PREDICT_BLOCK_PX // width)
     values = np.empty((height, width), dtype=np.float32)
-    z_rows = np.empty((min(rows, height), width), dtype=np.float64)
-    t_rows = np.empty_like(z_rows)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for top in range(0, height, rows):
-            block = slice(top, top + rows)
-            n = min(rows, height - top)
-            z, t = z_rows[:n], t_rows[:n]
+
+    def block(rows, buffers):
+        z, t = buffers[:, : rows.stop - rows.start]
+        # numpy's error state is per thread, so each block sets its own
+        with np.errstate(invalid="ignore", over="ignore"):
             z.fill(0.0)
             for f, plane in enumerate(planes):
-                np.subtract(plane[block], params.norm_mean[f], out=t, dtype=np.float64)
+                np.subtract(plane[rows], params.norm_mean[f], out=t, dtype=np.float64)
                 t /= params.norm_std[f]
                 t *= params.weights[f]
                 z += t
             z += params.bias
-            values[block] = expit(z, out=z)
-            values[block][~valid[block]] = np.nan
+            values[rows] = expit(z, out=z)
+            values[rows][~valid[rows]] = np.nan
+
+    map_row_blocks(height, width, block, workers, scratch=lambda rows: np.empty((2, rows, width)))
     values.setflags(write=False)
     return MaskedGrid(values=values, valid=valid)
 

@@ -29,12 +29,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BandLookupError, FormatError, PayloadSizeError, ShapeError
+from .errors import BandLookupError, FormatError, ParameterError, PayloadSizeError, ShapeError
 from .jsondoc import read_document, take
 
 HEADER_SUFFIX = ".rhdr"
@@ -46,6 +47,10 @@ _LAYOUT_TAG = "band-sequential"
 # spec's noise sigma. A sample is a value plus draws of a few sigma, so
 # below it every sample stays far inside float32's 3.4e38 range.
 MAX_SAMPLE_PARAM = 1e30
+# Pixel kernels work through blocks of whole rows of about this many
+# pixels, so that a block's float64 buffers (8 bytes a pixel each, 1 MiB
+# for two) stay in a core's L2 cache instead of streaming through memory.
+BLOCK_PX = 1 << 16
 
 
 def _is_frozen(arr: np.ndarray) -> bool:
@@ -329,3 +334,56 @@ def load_raster(path) -> Raster:
         for i, name in enumerate(names)
     )
     return Raster(bands=bands, nodata_value=nodata, origin=origin)
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def map_row_blocks(n_rows: int, width: int, fn, workers: int | None = None, scratch=None) -> None:
+    """Call ``fn(rows, buffers)`` once for every block of ``n_rows`` rows of
+    ``width`` pixels.
+
+    A block is the slice ``rows`` of max(1, BLOCK_PX // width) whole rows
+    (the last one may be shorter). Block i goes to worker i mod k, where k
+    is ``workers`` (None: every CPU this process may use) or the number of
+    blocks if that is smaller; each worker takes its blocks in order.
+    ``scratch(block_rows)``, when given, is called once per worker in the
+    calling thread, and its result is the ``buffers`` that worker hands to
+    ``fn``; otherwise ``buffers`` is None. With one worker the blocks run
+    in the calling thread. Otherwise they run in a pool of k threads that
+    is opened for this call and closed before it returns, and an exception
+    raised by a block is raised here.
+
+    ``fn`` must write only its own rows of outputs that the caller
+    allocated, and must call no public palmwatch function: a tracer that
+    wraps those records spans on one stack. In a pool thread numpy's error
+    state is the default one, not the caller's, so ``fn`` enters its own
+    ``np.errstate``. Raises ParameterError when ``workers`` is below 1.
+    """
+    if workers is None:
+        workers = usable_cpus()
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    rows = max(1, BLOCK_PX // max(width, 1))
+    blocks = [slice(top, min(top + rows, n_rows)) for top in range(0, n_rows, rows)]
+    if not blocks:
+        return
+    k = min(workers, len(blocks))
+    # allocated here, so that no buffer comes from a pool thread's malloc arena
+    buffers = [scratch(min(rows, n_rows)) if scratch is not None else None for _ in range(k)]
+
+    def run(worker):
+        for block in blocks[worker::k]:
+            fn(block, buffers[worker])
+
+    if k == 1:
+        run(0)
+        return
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        for future in [pool.submit(run, worker) for worker in range(k)]:
+            future.result()

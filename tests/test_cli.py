@@ -375,11 +375,11 @@ class TestPipeline:
         coverage = np.zeros((size, size), dtype=int)
         predict_map = cli.predict_map
 
-        def spy(tile, mask, params):
+        def spy(tile, mask, params, **kwargs):
             evaluated.append(tile.width * tile.height)
             x, y = tile.origin
             coverage[y : y + tile.height, x : x + tile.width] += 1
-            return predict_map(tile, mask, params)
+            return predict_map(tile, mask, params, **kwargs)
 
         monkeypatch.setattr(cli, "predict_map", spy)
         config = PipelineConfig(

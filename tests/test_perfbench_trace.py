@@ -13,11 +13,13 @@ import contextlib
 import importlib.util
 import io
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from palmwatch import cli
+from palmwatch import cli, raster_core
 from palmwatch.augment import AugmentSpec, CropOp, FlipHOp, FlipVOp, GammaOp, GaussianNoiseOp, ScaleOp, spec_to_json
 from palmwatch.synth_scene import SceneSpec, generate_scene
 from palmwatch.raster_core import save_raster
@@ -73,6 +75,42 @@ def test_traced_pipeline_records_every_expected_span(perfbench, tmp_path):
     assert metrics["tiling.evaluated_px_ratio"] > 1.0
     assert metrics["crown_detect.detections"] > 0
     assert metrics["raster_core.bytes_read"] > 0
+
+
+def test_traced_pipeline_with_worker_threads_keeps_every_span_in_order(perfbench, tmp_path):
+    # worker threads may call no function the tracer wraps: its spans form
+    # one stack, and a span that a worker opened would close out of order
+    tracing, workloads = perfbench
+    size, tile_size = 512, 384
+    # the index and every tile's prediction split into several row blocks
+    assert size * size > 2 * raster_core.BLOCK_PX and tile_size**2 > 2 * raster_core.BLOCK_PX
+    raster, ann = generate_scene(
+        SceneSpec(width=size, height=size, counts={"healthy": 10, "smallish": 4, "dead": 4}, seed=6)
+    )
+    save_raster(raster, tmp_path / "scene")
+    save_annotations(ann, tmp_path / "scene.json")
+    config = cli.PipelineConfig(
+        scene_path=str(tmp_path / "scene.rhdr"),
+        model_path=str(workloads.MODEL_PATH),
+        out_dir=str(tmp_path / "out"),
+        truth_path=str(tmp_path / "scene.json"),
+        tile_size=tile_size,
+        jobs=2,
+        max_area=150,
+    )
+    with (
+        tracing.installed(tracing.Tracer()) as tracer,
+        mock.patch.object(raster_core, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pools,
+    ):
+        cli.run_pipeline(config)
+    spans = tracer.take()  # raises while a span is open
+    # the veg index, gNDVI and four tiles' predictions each ran a pool
+    assert pools.call_count >= 6
+    assert set(workloads.WORKLOADS["grove"].spans) <= {span.name for span in spans}
+    for span in spans:
+        if span.parent is not None:
+            parent = spans[span.parent]
+            assert parent.start <= span.start <= span.end <= parent.end, span.name
 
 
 def test_traced_augment_records_every_expected_span(perfbench, tmp_path):

@@ -18,7 +18,7 @@ from palmwatch.errors import (
     ShapeError,
 )
 from palmwatch.cli import predict_tiled
-from palmwatch import pixel_model
+from palmwatch import raster_core
 from palmwatch.indices import compute_index, ndvi, vegetation_mask
 from palmwatch.pixel_model import (
     GRADIENT_TOLERANCE,
@@ -478,7 +478,7 @@ class TestPlaneByPlanePrediction:
         # included; invalid pixels hold NaN, infinities or nodata
         raster, mask = scene
         values, valid = unblocked_predict_map(raster, mask, params)
-        with mock.patch.object(pixel_model, "PREDICT_BLOCK_PX", block_px):
+        with mock.patch.object(raster_core, "BLOCK_PX", block_px):
             prob = predict_map(raster, mask, params)
         np.testing.assert_array_equal(prob.valid, valid)
         np.testing.assert_array_equal(prob.values.view(np.uint32), values.view(np.uint32))
