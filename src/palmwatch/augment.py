@@ -21,15 +21,12 @@ import numpy as np
 from .annotations import AnnotationSet, disc_pixels
 from .errors import DomainError, FormatError, ParameterError
 from .jsondoc import from_fields, parse_document, read_document, take
-from .raster_core import MAX_SAMPLE_PARAM, Band, Raster
+from .raster_core import MAX_SAMPLE_PARAM, Band, Raster, map_row_blocks
 
 CROP_KEEP_FRACTION = 0.5
 # Largest scale factor a spec may ask for: output tiles grow with its
 # square, so an unbounded factor is an unbounded allocation.
 MAX_SCALE_FACTOR = 4.0
-# gaussian_noise, gamma_adjust and scale work through blocks of this many
-# rows, so their float64 working buffers are block-sized, not tile-sized.
-_BLOCK_ROWS = 64
 
 
 # Each op's ``tag`` is its "op" value in a spec's JSON.
@@ -131,12 +128,6 @@ def op_rng(seed: int, tile_id: int, op_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
 
-def _row_blocks(n_rows: int):
-    """Slices of ``_BLOCK_ROWS`` consecutive rows (the last may be shorter) covering n_rows."""
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        yield slice(start, min(start + _BLOCK_ROWS, n_rows))
-
-
 def _check_stays_valid(values, valid, nodata_bits, band_name: str, op: str) -> None:
     """Raise DomainError if a valid float32 output sample is bitwise the
     nodata value, which the output tile would silently read as nodata."""
@@ -204,22 +195,21 @@ def random_crop(
 
 
 def _map_valid(tile: Raster, op: str, fn) -> Raster:
-    """Map every band through ``fn`` in blocks of ``_BLOCK_ROWS`` rows.
+    """Map every band through ``fn``, one row block at a time.
 
-    For each band and each block in order, the source rows are copied
-    into one reused float64 buffer and ``fn(name, block, valid)`` maps it
-    in place; the result is cast into the float32 output rows. Invalid
-    samples keep their bits. Raises DomainError, naming ``op``, if a
-    result exceeds the float32 range or a valid sample would become the
-    nodata value.
+    Each band makes one serial ``map_row_blocks`` call. For each of its
+    blocks in order, the source rows are copied into that call's float64
+    buffer and ``fn(name, block, valid)`` maps it in place; the result is
+    cast into the float32 output rows. Invalid samples keep their bits.
+    Raises DomainError, naming ``op``, if a result exceeds the float32
+    range or a valid sample would become the nodata value.
     """
     valid = tile.valid_mask().bits
-    nodata_bits = tile.nodata_bits
-    buffer = np.empty((min(_BLOCK_ROWS, tile.height), tile.width))  # shared by every block and band
     out = []
     for band in tile.bands:
         values = np.empty(band.samples.shape, np.float32)
-        for rows in _row_blocks(tile.height):
+
+        def map_block(rows, buffer):
             block = buffer[: rows.stop - rows.start]
             block[...] = band.samples[rows]  # float32 samples promote exactly
             try:
@@ -228,8 +218,12 @@ def _map_valid(tile: Raster, op: str, fn) -> Raster:
                     values[rows] = block
             except FloatingPointError:
                 raise DomainError(f"{op} takes band {band.name!r} beyond the float32 range") from None
-            _check_stays_valid(values[rows], valid[rows], nodata_bits, band.name, op)
+            _check_stays_valid(values[rows], valid[rows], tile.nodata_bits, band.name, op)
             np.copyto(values[rows], band.samples[rows], where=~valid[rows])
+
+        map_row_blocks(
+            tile.height, tile.width, map_block, workers=1, scratch=lambda rows: np.empty((rows, tile.width))
+        )
         out.append(values)
     return _rebuild(tile, out)
 
@@ -237,10 +231,10 @@ def _map_valid(tile: Raster, op: str, fn) -> Raster:
 def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Raster:
     """Add i.i.d. zero-mean normal noise, clamped at zero reflectance.
 
-    Nodata pixels are left bit-identical; sigma 0 is the identity. Works
-    through blocks of ``_BLOCK_ROWS`` rows, drawing each block's noise in
-    turn, which gives the values of one draw per band. Raises DomainError
-    if a valid sample would become the nodata value.
+    Nodata pixels are left bit-identical; sigma 0 is the identity. Each
+    band runs through ``map_row_blocks`` on one worker, drawing each
+    block's noise in turn, which gives the values of one draw per band.
+    Raises DomainError if a valid sample would become the nodata value.
     """
     if not 0 <= sigma < MAX_SAMPLE_PARAM:
         raise ParameterError(f"noise sigma must be in [0, {MAX_SAMPLE_PARAM:g}), got {sigma}")
@@ -257,11 +251,11 @@ def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Rast
 def gamma_adjust(tile: Raster, exponent: float) -> Raster:
     """Raise every valid sample to ``exponent``; expects a [0, 1] domain.
 
-    Works through blocks of ``_BLOCK_ROWS`` rows. Raises DomainError if
-    a valid sample is negative, if a result exceeds the float32 range (a
-    sample above 1 raised to a large exponent), or if a result is the
-    nodata value; the first faulty block decides which. Nodata pixels are
-    untouched. Monotone, so pixel value ordering is preserved.
+    Raises DomainError if a valid sample is negative, if a result
+    exceeds the float32 range (a sample above 1 raised to a large
+    exponent), or if a result is the nodata value; the first faulty row
+    block (``map_row_blocks``, one worker) decides which. Nodata pixels
+    are untouched. Monotone, so pixel value ordering is preserved.
     """
     if not exponent > 0:
         raise ParameterError(f"gamma exponent must be > 0, got {exponent}")
@@ -292,9 +286,9 @@ def scale(
     Each output pixel is the weighted sum of its four corners, the source
     pixels below and above its position on each axis (see ``_axis``), and
     is nodata when any corner is invalid. Factor 1 is an exact identity.
-    Works through blocks of ``_BLOCK_ROWS`` output rows, so beyond the
-    output it holds only block-sized buffers. Raises DomainError if a
-    valid output sample would be the nodata value.
+    Works through the output's row blocks (``map_row_blocks``, one
+    worker), so beyond the output it holds only block-sized buffers.
+    Raises DomainError if a valid output sample would be the nodata value.
     """
     if not factor > 0:
         raise ParameterError(f"scale factor must be > 0, got {factor}")
@@ -309,15 +303,12 @@ def scale(
     y0, y1, fy = _axis(out_h, tile.height, factor)
     x0, x1, fx = _axis(out_w, tile.width, factor)
     valid = tile.valid_mask().bits
-    fill = np.float32(tile.nodata_value if tile.nodata_value is not None else np.nan)
-    nodata_bits = tile.nodata_bits
 
     out = [np.empty((out_h, out_w), np.float32) for _ in tile.bands]
     # each axis's corner weights, below then above
     wys, wxs = (1.0 - fy, fy), (1.0 - fx, fx)
-    # buffers shared by every block and band: fresh ones fragment the heap and raise peak RSS
-    buffers = np.empty((2, min(_BLOCK_ROWS, out_h), out_w))
-    for rows in _row_blocks(out_h):
+
+    def scale_block(rows, buffers):
         total, product = buffers[:, : rows.stop - rows.start]
         # y0 and y1 never decrease, so the block reads source rows lo:hi only
         lo, hi = y0[rows.start], y1[rows.stop - 1] + 1
@@ -332,7 +323,6 @@ def scale(
             return (cols[col][ys] for ys, col in picks)
 
         block_valid = np.logical_and.reduce(list(corners(valid)))
-        block_invalid = ~block_valid
         for band, values in zip(tile.bands, out):
             samples = corners(band.samples)
             # float32 samples promote exactly; summing from 0.0 would turn -0.0 into +0.0
@@ -346,8 +336,11 @@ def scale(
                     product *= weight
                     total += product
             values[rows] = total
-            _check_stays_valid(values[rows], block_valid, nodata_bits, band.name, f"scale {factor}")
-            np.copyto(values[rows], fill, where=block_invalid)
+            _check_stays_valid(values[rows], block_valid, tile.nodata_bits, band.name, f"scale {factor}")
+            np.copyto(values[rows], tile.fill_value, where=~block_valid)
+
+    # the two buffers are shared by every block and band: fresh ones fragment the heap and raise peak RSS
+    map_row_blocks(out_h, out_w, scale_block, workers=1, scratch=lambda rows: np.empty((2, rows, out_w)))
     return _rebuild(tile, out), ann.scaled(factor)
 
 

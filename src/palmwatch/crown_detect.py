@@ -30,6 +30,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from . import raster_core
 from .annotations import AnnotationSet, CrownAnnotation
 from .errors import FormatError, ParameterError, UnclassifiableError
 from .indices import INDEX_REGISTRY, normalized_difference
@@ -40,9 +41,6 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 # Smoothing of the splitting relief in px: it merges the noise peaks
 # inside one crown and keeps the peaks of touching crowns apart.
 _SPLIT_SIGMA = 2.0
-# Crown pixels classified together: about 5 MB of float64 working set, so
-# classification adds no peak memory however many crowns a scene holds.
-_CLASSIFY_BLOCK_PX = 1 << 16
 
 
 @dataclass
@@ -209,10 +207,11 @@ def classify_detections(
     else healthy.
 
     Consecutive detections are classified in blocks of about
-    ``_CLASSIFY_BLOCK_PX`` pixels: the bands are read once per block, at
-    the pixels of all its crowns together, and a pixel is valid by the
-    raster's own rule (``valid_mask``). Raises UnclassifiableError when a
-    detection carries no pixels or has no valid ones.
+    ``raster_core.BLOCK_PX`` pixels, a few MB of working set on any
+    scene: the bands are read once per block, at the pixels of all its
+    crowns together, and a pixel is valid by the raster's own rule
+    (``valid_mask``). Raises UnclassifiableError when a detection carries
+    no pixels or has no valid ones.
     """
     block, size = [], 0
     for i, det in enumerate(detections, start=1):
@@ -220,7 +219,7 @@ def classify_detections(
             raise UnclassifiableError(f"detection {det.id} carries no pixels")
         block.append(det)
         size += len(det.pixels[1])
-        if size >= _CLASSIFY_BLOCK_PX or i == len(detections):
+        if size >= raster_core.BLOCK_PX or i == len(detections):
             _classify_block(block, raster, cfg)
             block, size = [], 0
     return detections

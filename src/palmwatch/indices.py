@@ -6,10 +6,10 @@ Built-in indices are the two normalized differences
     gndvi = (nir - green) / (nir + green)
 
 computed per pixel in the samples' dtype (float32 for raster bands). A
-pixel is invalid exactly where the input mask is false or the
-denominator is zero; zero denominators are never reported as 0.0
-because that would masquerade as a meaningful "equal reflectance"
-reading.
+pixel is invalid exactly where the input mask is false, an operand is
+NaN or infinite, or the denominator is zero; zero denominators are
+never reported as 0.0 because that would masquerade as a meaningful
+"equal reflectance" reading.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ def normalized_difference(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a - b) / (a + b) in the inputs' dtype, and where that ratio is valid.
 
-    A ratio is invalid where ``ok`` is false or a + b == 0; invalid
-    entries hold NaN. Where a + b or a - b would leave the dtype's
-    range, the ratio comes from the halved operands instead, with no
-    warning. No arithmetic touches a pixel outside ``ok``, so the NaN,
-    infinities or nodata such pixels hold raise no warning.
+    A ratio is invalid where ``ok`` is false, where a or b is NaN or
+    infinite, or where a + b == 0; invalid entries hold NaN. Where
+    a + b or a - b would leave the dtype's range, the ratio comes from
+    the halved operands instead. No input raises a warning, and no
+    arithmetic touches a pixel outside ``ok``.
     The work is split into blocks of whole rows (along the first axis)
     that ``workers`` threads share (``map_row_blocks``); every pixel's
     arithmetic is the same for any number of workers.
@@ -56,22 +56,23 @@ def normalized_difference(
         den.fill(0)
         overflow = []
         # numpy's error state is per thread, so each block sets its own
-        with np.errstate(over="call", call=lambda *_: overflow.append(True)):
+        with np.errstate(over="call", invalid="ignore", call=lambda *_: overflow.append(True)):
             np.add(a, b, out=den, where=ok)
-            np.not_equal(den, 0, out=good)
-            good &= ok
+            # a NaN or infinite operand leaves the sum non-finite (inf + -inf
+            # is NaN, silently); so does an overflow, which is mended below
+            np.isfinite(den, out=good)
+            good &= den != 0
             out.fill(np.nan)
             np.subtract(a, b, out=out, where=good)
         if overflow:
             # where a + b or a - b left the dtype's range, both operands are
             # far above the subnormals, so halving them is exact and keeps
-            # the ratio; an infinite operand is left as it is
-            over = np.nonzero(good & (np.isinf(den) | np.isinf(out)))
-            finite = np.isfinite(a[over]) & np.isfinite(b[over])
-            over = tuple(axis[finite] for axis in over)
+            # the ratio
+            over = np.nonzero((np.isinf(den) | np.isinf(out)) & np.isfinite(a) & np.isfinite(b))
             half_a, half_b = a[over] / 2, b[over] / 2
             den[over] = half_a + half_b
             out[over] = half_a - half_b
+            good[over] = True
         np.divide(out, den, out=out, where=good)
 
     map_row_blocks(n_rows, width, block, workers, scratch=lambda rows: np.empty((rows, width), a.dtype))
@@ -81,12 +82,14 @@ def normalized_difference(
 
 
 def ndvi(nir: Band, red: Band, mask: Mask) -> MaskedGrid:
-    """Normalized difference of NIR against red reflectance."""
+    """Normalized difference of NIR against red reflectance, invalid
+    outside ``mask``, at a NaN or infinite sample and at a zero sum."""
     return MaskedGrid(*normalized_difference(nir.samples, red.samples, mask.bits), name="ndvi")
 
 
 def gndvi(nir: Band, green: Band, mask: Mask) -> MaskedGrid:
-    """Normalized difference of NIR against green reflectance."""
+    """Normalized difference of NIR against green reflectance, invalid
+    outside ``mask``, at a NaN or infinite sample and at a zero sum."""
     return MaskedGrid(*normalized_difference(nir.samples, green.samples, mask.bits), name="gndvi")
 
 
@@ -97,7 +100,8 @@ INDEX_REGISTRY = {"ndvi": ("nir", "red"), "gndvi": ("nir", "green")}
 def compute_index(raster: Raster, mask: Mask, name: str, *, workers: int | None = None) -> MaskedGrid:
     """The registered index ``name`` over ``mask``: the normalized
     difference of its band pair, in float32, over ``workers`` threads
-    (None: every CPU this process may use).
+    (None: every CPU this process may use); invalid outside ``mask``, at
+    a NaN or infinite sample of the pair and where the pair sums to zero.
 
     Raises BandLookupError for an unknown index or a missing band.
     """

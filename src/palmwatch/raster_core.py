@@ -230,6 +230,11 @@ class Raster:
             return None
         return np.array(self.nodata_value, dtype=np.float32).view(np.uint32)
 
+    @property
+    def fill_value(self) -> np.float32:
+        """The float32 value a written invalid sample holds: nodata, or NaN without one."""
+        return np.float32(self.nodata_value if self.nodata_value is not None else np.nan)
+
     def valid_mask(self) -> Mask:
         """Pixels where every band is finite and not bitwise equal to
         nodata (as a float32 pattern)."""

@@ -128,10 +128,9 @@ def window_of(grid: np.ndarray, window: TileWindow, fill) -> np.ndarray:
 def extract_tile(raster: Raster, window: TileWindow) -> Raster:
     """Cut one window out of a scene as a tile_size x tile_size raster.
 
-    The padded strip (right/bottom only) is filled with the raster's
-    nodata value, or NaN when no nodata is declared; either way those
-    pixels come out invalid. An unpadded tile's bands are views of the
-    scene's. The tile's origin records (x, y).
+    The padded strip (right/bottom only) holds the raster's
+    ``fill_value``, so those pixels come out invalid. An unpadded tile's
+    bands are views of the scene's. The tile's origin records (x, y).
     """
     if (
         window.x < 0
@@ -144,10 +143,9 @@ def extract_tile(raster: Raster, window: TileWindow) -> Raster:
             f"{window.width}x{window.height} leaves the "
             f"{raster.width}x{raster.height} scene"
         )
-    fill = np.float32(raster.nodata_value if raster.nodata_value is not None else np.nan)
     return Raster(
         bands=tuple(
-            Band(name=b.name, samples=window_of(b.samples, window, fill), wavelength_nm=b.wavelength_nm)
+            Band(name=b.name, samples=window_of(b.samples, window, raster.fill_value), wavelength_nm=b.wavelength_nm)
             for b in raster.bands
         ),
         nodata_value=raster.nodata_value,

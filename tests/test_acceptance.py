@@ -287,7 +287,7 @@ def test_criterion_5_augmentation_algebra():
 
 def test_criterion_6_end_to_end_synthetic_oracle():
     with criterion(6, "4096x4096 oracle: detection precision/recall >= 0.98, "
-                      "3-class macro F1 >= 0.95, < 120 s single-threaded"):
+                      "3-class macro F1 >= 0.95, < 120 s predicting at jobs=1"):
         start = time.perf_counter()
         train_scenes = [generate_scene(SceneSpec(seed=1000 + i)) for i in range(4)]
         held_raster, held_ann = generate_scene(SceneSpec(seed=2000))

@@ -1,15 +1,16 @@
 import hashlib
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palmwatch import raster_core
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels, save_annotations
 from palmwatch.augment import (
-    _BLOCK_ROWS,
     MAX_SCALE_FACTOR,
     _rebuild,
     AugmentSpec,
@@ -288,35 +289,48 @@ class TestScale:
 class TestBlockMemory:
     """Memory beyond the output bands is block-sized, not tile-sized."""
 
-    def tile(self):
+    def tile(self, height, width):
         rng = np.random.default_rng(896)
-        bands = {name: rng.random((896, 896), dtype=np.float32) for name in ("red", "green", "blue", "nir")}
+        bands = {name: rng.random((height, width), dtype=np.float32) for name in ("red", "green", "blue", "nir")}
         return make_raster(bands, nodata=-9999.0)
 
     def peak_beyond_output(self, run):
+        """The peak, less the output bands, in float64 buffers of one row
+        block of the output (``map_row_blocks``' rows)."""
         tracemalloc.start()
         try:
             out = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = _BLOCK_ROWS * out.width * 8  # one float64 block buffer
+        block = max(1, raster_core.BLOCK_PX // out.width) * out.width * 8
         return (peak - sum(b.samples.nbytes for b in out.bands)) / block
 
     def test_scale(self):
-        # about 12 at 64-row blocks; the whole-plane form took 111
-        tile = self.tile()
-        assert self.peak_beyond_output(lambda: scale(tile, AnnotationSet(()), 1.25)[0]) <= 16
+        # about 10 here (58-row blocks); 17 is within the old bound of 16
+        # buffers of 64 rows, and the whole-plane form took 111 of those
+        tile = self.tile(896, 896)
+        assert self.peak_beyond_output(lambda: scale(tile, AnnotationSet(()), 1.25)[0]) <= 17
 
     def test_gaussian_noise(self):
-        # about 6 at 64-row blocks; the whole-plane form took 44
-        tile = self.tile()
-        assert self.peak_beyond_output(lambda: gaussian_noise(tile, 0.02, np.random.default_rng(3))) <= 8
+        # about 3.5 here (73-row blocks); 7 is within the old bound of 8
+        # buffers of 64 rows, and the whole-plane form took 44 of those
+        tile = self.tile(896, 896)
+        assert self.peak_beyond_output(lambda: gaussian_noise(tile, 0.02, np.random.default_rng(3))) <= 7
 
     def test_gamma(self):
-        # about 3 at 64-row blocks; the whole-plane form took 17.5
-        tile = self.tile()
-        assert self.peak_beyond_output(lambda: gamma_adjust(tile, 1.3)) <= 8
+        # about 3 here (73-row blocks); 7 is within the old bound of 8
+        # buffers of 64 rows, and the whole-plane form took 17.5 of those
+        tile = self.tile(896, 896)
+        assert self.peak_beyond_output(lambda: gamma_adjust(tile, 1.3)) <= 7
+
+    def test_wide_tile(self):
+        # about 11, 4 and 3.3 here, in blocks of 8 rows (6 of scale's
+        # output); blocks of 64 rows, whatever the width, took 117.5, 18 and 11
+        tile = self.tile(128, 8192)
+        assert self.peak_beyond_output(lambda: scale(tile, AnnotationSet(()), 1.25)[0]) <= 17
+        assert self.peak_beyond_output(lambda: gaussian_noise(tile, 0.02, np.random.default_rng(3))) <= 7
+        assert self.peak_beyond_output(lambda: gamma_adjust(tile, 1.3)) <= 7
 
 
 def reference_gaussian_noise(tile, sigma, rng):
@@ -411,9 +425,10 @@ def assert_matches_reference(got, want, nodata):
 
 @st.composite
 def odd_tiles(draw):
-    """Tiles on and around the 64-row block boundaries, with nodata of
-    None, NaN, -9999 or +0.0, samples of +-0.0, NaN, inf and the nodata
-    value itself, and bands that may be flipped (negative strides)."""
+    """Tiles up to 200 x 120, with nodata of None, NaN, -9999 or +0.0,
+    samples of +-0.0, NaN, inf and the nodata value itself, and bands
+    that may be flipped (negative strides). ``block_sizes`` cuts them
+    into blocks of one row up to the whole tile."""
     height = draw(st.sampled_from([1, 63, 64, 65, 129, 200]))
     width = draw(st.one_of(st.integers(1, 9), st.integers(10, 120)))
     nodata = draw(st.sampled_from([None, np.nan, -9999.0, 0.0]))
@@ -431,10 +446,20 @@ def odd_tiles(draw):
     return Raster(bands=tuple(bands), nodata_value=nodata)
 
 
+# values of raster_core.BLOCK_PX, the default last
+block_sizes = st.sampled_from([1, 97, 4096, raster_core.BLOCK_PX])
+
+
 @settings(max_examples=200, deadline=None)
-@given(tile=odd_tiles(), sigma=st.sampled_from([0.0, 1e-3, 0.01, 0.5, -1.0, MAX_SAMPLE_PARAM]), seed=st.integers(0, 2**64 - 1))
-def test_gaussian_noise_matches_whole_plane_reference(tile, sigma, seed):
-    got = outcome(gaussian_noise, tile, sigma, op_rng(seed, 0, 0))
+@given(
+    tile=odd_tiles(),
+    sigma=st.sampled_from([0.0, 1e-3, 0.01, 0.5, -1.0, MAX_SAMPLE_PARAM]),
+    seed=st.integers(0, 2**64 - 1),
+    block_px=block_sizes,
+)
+def test_gaussian_noise_matches_whole_plane_reference(tile, sigma, seed, block_px):
+    with mock.patch.object(raster_core, "BLOCK_PX", block_px):
+        got = outcome(gaussian_noise, tile, sigma, op_rng(seed, 0, 0))
     want = outcome(reference_gaussian_noise, tile, sigma, op_rng(seed, 0, 0))
     assert_matches_reference(got, want, tile.nodata_value)
 
@@ -452,10 +477,11 @@ def scale_factors(draw, tile):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), tile=odd_tiles())
-def test_scale_matches_whole_plane_reference(data, tile):
+@given(data=st.data(), tile=odd_tiles(), block_px=block_sizes)
+def test_scale_matches_whole_plane_reference(data, tile, block_px):
     factor = data.draw(scale_factors(tile))
-    got = outcome(lambda: scale(tile, AnnotationSet(()), factor)[0])
+    with mock.patch.object(raster_core, "BLOCK_PX", block_px):
+        got = outcome(lambda: scale(tile, AnnotationSet(()), factor)[0])
     want = outcome(reference_scale, tile, factor)
     assert_matches_reference(got, want, tile.nodata_value)
 
@@ -636,8 +662,9 @@ class TestPinnedBytes:
         }
 
     def test_bytes_across_row_blocks(self, tmp_path):
-        # taller than two 64-row blocks, with nodata and NaN on and next
-        # to block boundaries; the flips hand scale negative-stride bands
+        # blocks of 64 rows of the 200-px-wide tile, which is taller than
+        # two of them, with nodata and NaN on and next to block boundaries;
+        # the flips hand scale negative-stride bands
         rng = np.random.default_rng(1304)
         bands = {name: rng.random((150, 200), dtype=np.float32) for name in ("red", "green", "blue", "nir")}
         bands["red"][60:70, 20:40] = -9999.0
@@ -661,7 +688,9 @@ class TestPinnedBytes:
             seed=13,
         )
         # scale factors 0.72, 0.97 and 1.45
-        assert self.digests(tile, ann, spec, (0, 2, 3), tmp_path) == {
+        with mock.patch.object(raster_core, "BLOCK_PX", 64 * 200):
+            digests = self.digests(tile, ann, spec, (0, 2, 3), tmp_path)
+        assert digests == {
             0: (
                 144,
                 108,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from palmwatch import crown_detect
+from palmwatch import raster_core
 from palmwatch.annotations import AnnotationSet, CrownAnnotation
 from palmwatch.crown_detect import (
     CrownDetection,
@@ -712,13 +712,13 @@ def classify_fields(dets):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=classify_cases(), block_px=st.sampled_from([1, 3, 8, crown_detect._CLASSIFY_BLOCK_PX]))
+@given(case=classify_cases(), block_px=st.sampled_from([1, 3, 8, raster_core.BLOCK_PX]))
 def test_classify_detections_matches_per_detection_reference(case, block_px):
     """Bit for bit, the first unclassifiable detection included, for any
     split of the detections into blocks."""
     detections, raster, cfg = case
     expected = copy.deepcopy(detections)
-    with mock.patch.object(crown_detect, "_CLASSIFY_BLOCK_PX", block_px):
+    with mock.patch.object(raster_core, "BLOCK_PX", block_px):
         try:
             for det in expected:
                 reference_classify(det, raster, cfg)

@@ -1,8 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from palmwatch import raster_core
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels
 from palmwatch.errors import BandLookupError, BoundsError, ParameterError, ShapeError
 from palmwatch.indices import (
@@ -63,6 +65,25 @@ class TestNdvi:
         assert values[0] == pytest.approx(0.5, rel=1e-6)
         # pixels without overflow keep the plain float32 arithmetic, bit for bit
         np.testing.assert_array_equal(values[5:], (a[5:] - b[5:]) / (a[5:] + b[5:]))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_operand_is_invalid(self, rng, workers):
+        # inside ok, inf against 1 used to come back valid with a NaN ratio,
+        # and warn
+        bad_a = np.array([np.inf, -np.inf, np.inf, np.nan], np.float32)
+        bad_b = np.array([1, 1, -np.inf, 1], np.float32)
+        good_a, good_b = rng.random(200, dtype=np.float32), rng.random(200, dtype=np.float32)
+        a, b = np.concatenate([good_a, bad_a]), np.concatenate([good_b, bad_b])
+        ok = np.ones(a.shape, bool)
+        # blocks of 16 pixels, shared by the workers
+        with mock.patch.object(raster_core, "BLOCK_PX", 16), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, valid = normalized_difference(a, b, ok, workers=workers)
+            swapped = normalized_difference(b, a, ok, workers=workers)
+        assert not valid[200:].any() and np.isnan(values[200:]).all()
+        assert not swapped[1][200:].any()
+        assert valid[:200].all()
+        np.testing.assert_array_equal(values[:200], (good_a - good_b) / (good_a + good_b))
 
 
 class TestGndvi:

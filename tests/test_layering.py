@@ -2,7 +2,9 @@
 
 The synthetic-scene generator is a test and demo fixture: the pipeline's
 stages must not depend on it, so only the command line and the package
-root may import it.
+root may import it. Threads and processes are opened in one place,
+``raster_core.map_row_blocks``, so only ``raster_core`` may import a
+concurrency module.
 """
 
 import ast
@@ -12,6 +14,7 @@ import palmwatch
 
 PACKAGE = Path(palmwatch.__file__).parent
 MAY_IMPORT_SYNTH_SCENE = {"cli.py", "__init__.py"}
+CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -34,5 +37,15 @@ def test_only_cli_and_package_root_import_synth_scene():
         for path in PACKAGE.glob("*.py")
         if path.name not in MAY_IMPORT_SYNTH_SCENE
         and any(name.split(".")[-1] == "synth_scene" for name in imported_modules(path))
+    )
+    assert offenders == []
+
+
+def test_only_raster_core_imports_concurrency():
+    offenders = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "raster_core.py"
+        and any(name.split(".")[0] in CONCURRENCY_MODULES for name in imported_modules(path))
     )
     assert offenders == []
