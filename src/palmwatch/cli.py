@@ -62,6 +62,7 @@ from .pixel_model import (
     ModelParams,
     TrainConfig,
     build_training_set,
+    check_features,
     check_negative_ratio,
     featurize,
     load_params,
@@ -74,6 +75,7 @@ from .synth_scene import SceneSpec, generate_scene, load_spec as load_scene_spec
 from .tiling import (
     DEFAULT_PREDICT_OVERLAP,
     DEFAULT_TILE_SIZE,
+    TileWindow,
     check_tiling,
     extract_tile,
     stitch,
@@ -161,22 +163,47 @@ def predict_tiled(
 ) -> MaskedGrid:
     """Tile the scene, predict tile by tile in plan order, stitch.
 
-    The feature raster (``featurize``) is built once for the whole scene:
-    each index feature is computed once, or taken from ``computed``
-    (indices already computed over the scene, by name). Every tile is a
-    view of its bands, masked to the pixels where the prediction mask
-    holds and every feature is valid. ``jobs`` worker threads (None:
+    The model's features are checked against the scene before any pixel
+    work. Features are built one plan row at a time, as the feature
+    raster (``featurize``) of the full-width band of scene rows under
+    that row's windows: each index feature is computed once per plan
+    row (rows that two plan rows share at overlap > 0 twice, to the same
+    values), or sliced out of ``computed`` (indices already computed
+    over the scene, by name). Every tile is a view of its band's
+    features, masked to the pixels where the prediction mask holds and
+    every feature is valid. Tile maps stream into ``stitch`` as they are
+    predicted, so besides the scene and the output only one plan row of
+    features and one tile map are alive. ``jobs`` worker threads (None:
     every CPU this process may use) share the row blocks of each pixel
     kernel, the index features and each tile's prediction; every pixel's
     arithmetic is the same for any ``jobs``, so the result is too.
     """
+    check_features(scene, prediction_mask, params.features, computed)
     plan = tile_plan(scene.width, scene.height, tile_size, overlap)
-    features, valid = featurize(scene, prediction_mask, params.features, computed, workers=jobs)
-    maps = [
-        predict_map(extract_tile(features, w), Mask(window_of(valid, w, False)), params, workers=jobs)
-        for w in plan.windows
-    ]
-    return stitch(plan, maps)
+
+    def maps():
+        for start in range(0, len(plan.windows), plan.n_cols):
+            row = plan.windows[start : start + plan.n_cols]
+            band = TileWindow(x=0, y=row[0].y, width=scene.width, height=row[0].height)
+            band_computed = {
+                name: MaskedGrid(window_of(g.values, band, np.nan), window_of(g.valid, band, False), g.name)
+                for name, g in (computed or {}).items()
+            }
+            features, valid = featurize(
+                extract_tile(scene, band),
+                Mask(window_of(prediction_mask.bits, band, False)),
+                params.features,
+                band_computed,
+                workers=jobs,
+            )
+            for window in row:
+                window = replace(window, y=0)  # its place in the band
+                yield predict_map(
+                    extract_tile(features, window), Mask(window_of(valid, window, False)), params, workers=jobs
+                )
+            del features, valid
+
+    return stitch(plan, maps())
 
 
 def evaluate_detections(detections, truth: AnnotationSet, max_dist: float, averaging: str):
@@ -245,6 +272,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         truth = load_annotations(truth_path)
 
     valid = scene.valid_mask()
+    # an incompatible model fails here, before any output is written
+    check_features(scene, valid, params.features)
     index = compute_index(scene, valid, config.veg_index, workers=config.jobs)
     veg = vegetation_mask(index, config.veg_threshold)
     save_raster(_mask_to_raster(veg, "veg_mask", scene.origin), out_dir / "veg_mask")
@@ -260,6 +289,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         config.jobs,
         computed={config.veg_index: index},
     )
+    # the pixel stage's planes would otherwise sit under detection's peak
+    del valid, index, veg, prediction_mask
     save_raster(prob.to_raster(origin=scene.origin), out_dir / "probability")
 
     detections = detect_crowns(prob, detector)

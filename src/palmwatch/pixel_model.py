@@ -56,6 +56,37 @@ def default_feature_names(raster: Raster) -> tuple[str, ...]:
     return tuple(raster.band_names) + DEFAULT_INDEX_FEATURES
 
 
+def check_features(
+    raster: Raster,
+    mask: Mask,
+    feature_names: tuple[str, ...],
+    computed: Mapping[str, MaskedGrid] | None = None,
+) -> tuple[str, ...]:
+    """The index features among ``feature_names`` (those that are not
+    bands of ``raster``, each once, in order), once ``raster`` is shown
+    to supply every feature over ``mask``; no pixel is touched.
+
+    Raises CompatibilityError naming every band the raster cannot
+    supply, and ShapeError when ``mask``, or an index of ``computed``
+    that is used, is not on the raster's grid.
+    """
+    shape = (raster.height, raster.width)
+    if mask.bits.shape != shape:
+        raise ShapeError(f"mask {mask.bits.shape} does not match raster {shape}")
+    indices = tuple(dict.fromkeys(n for n in feature_names if not raster.has_band(n)))
+    missing = {b for n in indices for b in INDEX_REGISTRY.get(n, (n,)) if not raster.has_band(b)}
+    if missing:
+        raise CompatibilityError(
+            f"raster with bands {list(raster.band_names)} cannot supply "
+            f"features {sorted(missing)}; registered indices: {sorted(INDEX_REGISTRY)}"
+        )
+    for name in indices:
+        index = (computed or {}).get(name)
+        if index is not None and index.valid.shape != shape:
+            raise ShapeError(f"index {name!r} {index.valid.shape} does not match raster {shape}")
+    return indices
+
+
 def featurize(
     raster: Raster,
     mask: Mask,
@@ -76,27 +107,15 @@ def featurize(
     pixels keep whatever the planes hold (NaN, nodata, any finite value)
     and yield no training rows or predictions. The validity array comes
     back read-only. The default features are every band, then
-    DEFAULT_INDEX_FEATURES. Raises CompatibilityError naming every band
-    the raster cannot supply, and ShapeError when ``mask`` or a computed
-    index is not on its grid.
+    DEFAULT_INDEX_FEATURES. Raises what ``check_features`` raises, before
+    any index is computed.
     """
     names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
-    shape = (raster.height, raster.width)
-    if mask.bits.shape != shape:
-        raise ShapeError(f"mask {mask.bits.shape} does not match raster {shape}")
-    indices = tuple(dict.fromkeys(n for n in names if not raster.has_band(n)))
-    missing = {b for n in indices for b in INDEX_REGISTRY.get(n, (n,)) if not raster.has_band(b)}
-    if missing:
-        raise CompatibilityError(
-            f"raster with bands {list(raster.band_names)} cannot supply "
-            f"features {sorted(missing)}; registered indices: {sorted(INDEX_REGISTRY)}"
-        )
+    indices = check_features(raster, mask, names, computed)
     valid = mask.bits.copy()
     joined = []
     for name in indices:
         index = (computed or {}).get(name) or compute_index(raster, mask, name, workers=workers)
-        if index.valid.shape != shape:
-            raise ShapeError(f"index {name!r} {index.valid.shape} does not match raster {shape}")
         joined.append(Band(name=name, samples=index.values))
         valid &= index.valid
     valid.setflags(write=False)

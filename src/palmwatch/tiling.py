@@ -4,8 +4,10 @@ Windows are laid out row-major with stride = tile_size - overlap. The
 final row/column is padded with nodata rather than moved inward, so
 every tile handed to the pixel model has identical geometry; a window
 that needs no padding is cut as a view of the scene, with no copy.
-Stitching takes one map per window in plan order, discards padding and
-averages overlapping contributions. At overlap 0 each pixel has one
+Stitching takes one map per window in plan order, from any iterable,
+discards padding and averages overlapping contributions. It writes each
+map as it arrives and keeps none, so a caller that makes the maps
+lazily holds at most one of them. At overlap 0 each pixel has one
 contributor, so stitching copies each window's valid region straight
 into the scene grid.
 
@@ -15,6 +17,7 @@ overlap only evaluates shared pixels again and changes no output byte.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,23 +156,38 @@ def extract_tile(raster: Raster, window: TileWindow) -> Raster:
     )
 
 
-def stitch(plan: TilePlan, maps: list[MaskedGrid]) -> MaskedGrid:
+def stitch(plan: TilePlan, maps: Iterable[MaskedGrid]) -> MaskedGrid:
     """Reassemble per-tile maps into one scene-sized map.
 
-    ``maps`` holds one map per window of the plan, in plan order.
+    ``maps`` is any iterable of one map per window of the plan, in plan
+    order, such as a generator that predicts each tile as it is asked
+    for. Each map is written into the result as it arrives, and no
+    reference to it is kept, so at most one map is held at a time.
     Padding is discarded; where unpadded windows overlap, the result is
     the arithmetic mean of the valid contributors (accumulated in
-    float64). A pixel with no valid contributor stays invalid.
+    float64). A pixel with no valid contributor stays invalid. Raises
+    CompletenessError naming both counts when ``maps`` holds fewer or
+    more maps than the plan has windows (a surplus is counted to its
+    end), and ShapeError for a map of the wrong size.
 
     At overlap 0 a pixel has at most one contributor, whose mean is its
     own value, so each window's valid region is written straight into
     the float32 result. Adding 0.0 there turns -0.0 into +0.0 as the
     float64 sum from 0.0 does, so both paths give the same bits.
     """
-    if len(maps) != len(plan.windows):
-        raise CompletenessError(f"stitch got {len(maps)} tile maps for {len(plan.windows)} windows")
-    parts = []
-    for window, pmap in zip(plan.windows, maps):
+    shape = (plan.scene_height, plan.scene_width)
+    if plan.overlap == 0:
+        # the windows tile the scene exactly, so every pixel is written once
+        values = np.empty(shape, dtype=np.float32)
+        valid = np.empty(shape, dtype=bool)
+    else:
+        total = np.zeros(shape, dtype=np.float64)
+        count = np.zeros(shape, dtype=np.int32)
+    maps = iter(maps)
+    for n, window in enumerate(plan.windows):
+        pmap = next(maps, None)
+        if pmap is None:
+            raise CompletenessError(f"stitch got {n} tile maps for {len(plan.windows)} windows")
         if (pmap.height, pmap.width) != (window.tile_height, window.tile_width):
             raise ShapeError(
                 f"tile map for window at ({window.x}, {window.y}) is "
@@ -181,25 +199,25 @@ def stitch(plan: TilePlan, maps: list[MaskedGrid]) -> MaskedGrid:
             slice(window.x, window.x + window.width),
         )
         crop = (slice(window.height), slice(window.width))
-        parts.append((region, pmap.values[crop], pmap.valid[crop]))
-
-    shape = (plan.scene_height, plan.scene_width)
-    if plan.overlap == 0:
-        # the windows tile the scene exactly, so every pixel is written once
-        values = np.empty(shape, dtype=np.float32)
-        valid = np.empty(shape, dtype=bool)
-        for region, vals, ok in parts:
+        vals, ok = pmap.values[crop], pmap.valid[crop]
+        if plan.overlap == 0:
             # invalid pixels may hold any bits, a signalling NaN included
             with np.errstate(invalid="ignore"):
                 np.add(vals, np.float32(0.0), out=values[region])
             values[region][~ok] = np.nan
             valid[region] = ok
-    else:
-        total = np.zeros(shape, dtype=np.float64)
-        count = np.zeros(shape, dtype=np.int32)
-        for region, vals, ok in parts:
+        else:
             np.add(total[region], vals, out=total[region], where=ok)
             count[region] += ok
+        # the next map is made while this loop waits for it; this one is done
+        del pmap, vals, ok
+    surplus = sum(1 for _ in maps)
+    if surplus:
+        raise CompletenessError(
+            f"stitch got {len(plan.windows) + surplus} tile maps for {len(plan.windows)} windows"
+        )
+
+    if plan.overlap:
         valid = count > 0
         np.divide(total, count, out=total, where=valid)
         values = total.astype(np.float32)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,47 @@ class TestStitch:
         m = MaskedGrid(np.zeros((32, 32), np.float32), np.ones((32, 32), bool))
         with pytest.raises(CompletenessError, match="2 tile maps for 1 windows"):
             stitch(plan, [m, m])
+
+    @pytest.mark.parametrize("overlap", [0, 7])
+    def test_generator_equals_list(self, rng, overlap):
+        plan = tile_plan(70, 45, 16, overlap)
+        outputs = []
+        for w in plan.windows:
+            values = rng.standard_normal((16, 16)).astype(np.float32)
+            outputs.append(MaskedGrid(values, rng.random((16, 16)) < 0.8))
+        from_list = stitch(plan, outputs)
+        from_generator = stitch(plan, (m for m in outputs))
+        np.testing.assert_array_equal(from_generator.valid, from_list.valid)
+        np.testing.assert_array_equal(from_generator.values.view(np.uint32), from_list.values.view(np.uint32))
+
+    @pytest.mark.parametrize("overlap", [0, 8])
+    @pytest.mark.parametrize("n_maps", [0, 3, 5, 7])
+    def test_short_or_long_generator_named(self, overlap, n_maps):
+        plan = tile_plan(50, 50, 32, overlap)
+        assert len(plan.windows) == 4
+        maps = (MaskedGrid(np.zeros((32, 32), np.float32), np.ones((32, 32), bool)) for _ in range(n_maps))
+        with pytest.raises(CompletenessError, match=f"got {n_maps} tile maps for 4 windows"):
+            stitch(plan, maps)
+
+    @pytest.mark.parametrize("overlap", [0, 8])
+    def test_holds_one_map_at_a_time(self, overlap):
+        plan = tile_plan(100, 70, 32, overlap)
+        made = []
+
+        def new_map():
+            pmap = MaskedGrid(np.full((32, 32), 0.5, np.float32), np.ones((32, 32), bool))
+            made.append(weakref.ref(pmap.values))
+            return pmap
+
+        def maps():
+            for _ in plan.windows:
+                # stitch is done with the previous map before it asks for this one
+                assert all(ref() is None for ref in made)
+                yield new_map()
+
+        out = stitch(plan, maps())
+        assert len(made) == len(plan.windows)
+        np.testing.assert_array_equal(out.values, np.float32(0.5))
 
     def test_invalid_pixels_excluded_from_mean(self):
         plan = tile_plan(6, 2, 4, 2)
