@@ -186,7 +186,7 @@ def predict_tiled(
             row = plan.windows[start : start + plan.n_cols]
             band = TileWindow(x=0, y=row[0].y, width=scene.width, height=row[0].height)
             band_computed = {
-                name: MaskedGrid(window_of(g.values, band, np.nan), window_of(g.valid, band, False), g.name)
+                name: MaskedGrid(window_of(g.values, band, np.nan), name=g.name)
                 for name, g in (computed or {}).items()
             }
             features, valid = featurize(

@@ -238,21 +238,19 @@ def _classify_block(detections: list[CrownDetection], raster: Raster, cfg: Detec
     # each band of the two pairs, cast to float64 once
     f64 = {b: crowns.band(b).samples[0].astype(np.float64) for b in dict.fromkeys(sum(pairs, ()))}
     # a block of crowns is about one row block of pixels: no pool pays off
-    (ndvi_values, ndvi_ok), (gndvi_values, gndvi_ok) = (
-        normalized_difference(f64[a], f64[b], ok, workers=1) for a, b in pairs
-    )
+    ndvi_values, gndvi_values = (normalized_difference(f64[a], f64[b], ok, workers=1) for a, b in pairs)
     stop = 0
     for det in detections:
         start, stop = stop, stop + len(det.pixels[1])
-        ndvi_in, gndvi_in = ndvi_ok[start:stop], gndvi_ok[start:stop]
-        if not ndvi_in.any() or not gndvi_in.any():
+        crown_ndvi, crown_gndvi = (r[np.isfinite(r)] for r in (ndvi_values[start:stop], gndvi_values[start:stop]))
+        if not crown_ndvi.size or not crown_gndvi.size:
             raise UnclassifiableError(
                 f"detection {det.id} at {det.centroid} has no valid pixels to classify"
             )
         # np.mean over each crown's own slice: summing by reduceat would
         # change the last digit of the means
-        det.mean_ndvi = float(ndvi_values[start:stop][ndvi_in].mean())
-        det.mean_gndvi = float(gndvi_values[start:stop][gndvi_in].mean())
+        det.mean_ndvi = float(crown_ndvi.mean())
+        det.mean_gndvi = float(crown_gndvi.mean())
         if det.mean_ndvi <= cfg.dead_ndvi_max:
             det.class_label = "dead"
         elif det.diameter_px < cfg.smallish_diameter_px:

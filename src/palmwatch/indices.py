@@ -28,8 +28,8 @@ DEFAULT_VEGETATION_THRESHOLD = 0.2
 
 def normalized_difference(
     a: np.ndarray, b: np.ndarray, ok: np.ndarray, *, workers: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(a - b) / (a + b) in the inputs' dtype, and where that ratio is valid.
+) -> np.ndarray:
+    """(a - b) / (a + b) in the inputs' dtype, finite exactly where it is valid.
 
     A ratio is invalid where ``ok`` is false, where a or b is NaN or
     infinite, or where a + b == 0; invalid entries hold NaN. Where
@@ -39,20 +39,19 @@ def normalized_difference(
     The work is split into blocks of whole rows (along the first axis)
     that ``workers`` threads share (``map_row_blocks``); every pixel's
     arithmetic is the same for any number of workers.
-    Both results come back read-only, so a MaskedGrid takes them without
-    a copy.
+    The ratio comes back read-only, so a MaskedGrid takes it without a
+    copy.
     """
     if a.shape != b.shape or a.shape != ok.shape:
         raise ShapeError(f"band/mask shapes disagree: {a.shape} vs {b.shape} vs mask {ok.shape}")
     values = np.empty(a.shape, dtype=a.dtype)
-    valid = np.empty(a.shape, dtype=bool)
     # every input seen as rows, as views for 1-D and 2-D inputs
     n_rows, width = (a.shape[0] if a.ndim else 1), math.prod(a.shape[1:])
-    a2, b2, ok2, values2, valid2 = (x.reshape(n_rows, width) for x in (a, b, ok, values, valid))
+    a2, b2, ok2, values2 = (x.reshape(n_rows, width) for x in (a, b, ok, values))
 
-    def block(rows, den):
-        a, b, ok, out, good = a2[rows], b2[rows], ok2[rows], values2[rows], valid2[rows]
-        den = den[: len(out)]
+    def block(rows, buffers):
+        a, b, ok, out = a2[rows], b2[rows], ok2[rows], values2[rows]
+        den, good = (x[: len(out)] for x in buffers)
         den.fill(0)
         overflow = []
         # numpy's error state is per thread, so each block sets its own
@@ -75,22 +74,25 @@ def normalized_difference(
             good[over] = True
         np.divide(out, den, out=out, where=good)
 
-    map_row_blocks(n_rows, width, block, workers, scratch=lambda rows: np.empty((rows, width), a.dtype))
+    def scratch(rows):
+        # the block's a + b, and where its ratio is valid
+        return np.empty((rows, width), a.dtype), np.empty((rows, width), bool)
+
+    map_row_blocks(n_rows, width, block, workers, scratch)
     values.setflags(write=False)
-    valid.setflags(write=False)
-    return values, valid
+    return values
 
 
 def ndvi(nir: Band, red: Band, mask: Mask) -> MaskedGrid:
     """Normalized difference of NIR against red reflectance, invalid
     outside ``mask``, at a NaN or infinite sample and at a zero sum."""
-    return MaskedGrid(*normalized_difference(nir.samples, red.samples, mask.bits), name="ndvi")
+    return MaskedGrid(normalized_difference(nir.samples, red.samples, mask.bits), name="ndvi")
 
 
 def gndvi(nir: Band, green: Band, mask: Mask) -> MaskedGrid:
     """Normalized difference of NIR against green reflectance, invalid
     outside ``mask``, at a NaN or infinite sample and at a zero sum."""
-    return MaskedGrid(*normalized_difference(nir.samples, green.samples, mask.bits), name="gndvi")
+    return MaskedGrid(normalized_difference(nir.samples, green.samples, mask.bits), name="gndvi")
 
 
 # index name -> the (a, b) band pair of its normalized difference (a - b) / (a + b)
@@ -111,10 +113,8 @@ def compute_index(raster: Raster, mask: Mask, name: str, *, workers: int | None 
         raise BandLookupError(
             f"unknown index {name!r}; registered: {sorted(INDEX_REGISTRY)}"
         ) from None
-    values, valid = normalized_difference(
-        raster.band(a).samples, raster.band(b).samples, mask.bits, workers=workers
-    )
-    return MaskedGrid(values, valid, name=name)
+    values = normalized_difference(raster.band(a).samples, raster.band(b).samples, mask.bits, workers=workers)
+    return MaskedGrid(values, name=name)
 
 
 def check_vegetation_threshold(threshold: float) -> None:
@@ -163,13 +163,14 @@ def index_stats_by_class(index: MaskedGrid, annotations: AnnotationSet) -> list[
     annotation's disc leaves the index grid.
     """
     annotations.check_within(index.width, index.height)
+    valid = index.valid
     out = []
     for label in CLASS_LABELS:
         crowns = annotations.of_class(label)
         if not crowns:
             continue
         member = rasterize_labels(AnnotationSet(crowns), index.width, index.height)
-        vals = index.values[member & index.valid].astype(np.float64)
+        vals = index.values[member & valid].astype(np.float64)
         if vals.size == 0:
             out.append(ClassIndexStats(label, index.name, count=0))
             continue

@@ -82,8 +82,8 @@ def check_features(
         )
     for name in indices:
         index = (computed or {}).get(name)
-        if index is not None and index.valid.shape != shape:
-            raise ShapeError(f"index {name!r} {index.valid.shape} does not match raster {shape}")
+        if index is not None and index.values.shape != shape:
+            raise ShapeError(f"index {name!r} {index.values.shape} does not match raster {shape}")
     return indices
 
 
@@ -103,7 +103,7 @@ def featurize(
     in ``computed`` (by name) was already computed over this raster, over
     ``mask`` or any mask that covers it, and is taken as it is: it holds
     the same value at every pixel of ``mask``. A pixel is valid when
-    ``mask`` holds and every index feature is defined there; invalid
+    ``mask`` holds and every index feature is finite there; invalid
     pixels keep whatever the planes hold (NaN, nodata, any finite value)
     and yield no training rows or predictions. The validity array comes
     back read-only. The default features are every band, then
@@ -340,10 +340,12 @@ def predict_map(
     of whole rows of about BLOCK_PX pixels, which ``workers`` threads
     share (``map_row_blocks``; None: every CPU this process may use);
     each block goes straight into the float32 result, so the result is
-    the same for any number of workers. Invalid pixels come out NaN;
-    what they hold may overflow or be NaN in z, so the blocks run
-    silenced. Raises CompatibilityError listing the manifest features the
-    raster cannot supply.
+    the same for any number of workers. A pixel comes out NaN, and so
+    invalid, where a feature is invalid or z is NaN (weighted features
+    that overflow to +inf and -inf); what invalid pixels hold may
+    overflow or be NaN in z, so the blocks run silenced. Raises
+    CompatibilityError listing the manifest features the raster cannot
+    supply.
     """
     features, valid = featurize(raster, mask, params.features, workers=workers)
     planes = [features.band(name).samples for name in params.features]
@@ -366,7 +368,7 @@ def predict_map(
 
     map_row_blocks(height, width, block, workers, scratch=lambda rows: np.empty((2, rows, width)))
     values.setflags(write=False)
-    return MaskedGrid(values=values, valid=valid)
+    return MaskedGrid(values)
 
 
 def check_negative_ratio(value: float) -> None:

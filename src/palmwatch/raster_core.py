@@ -118,26 +118,24 @@ class Mask:
 
 @dataclass(frozen=True)
 class MaskedGrid:
-    """One float32 value per pixel with an explicit validity mask.
+    """One float32 value per pixel, valid exactly where it is finite.
 
+    That is the rule ``Raster.valid_mask`` applies to the NaN-nodata
+    raster a grid is written as, so validity survives a round trip.
     Vegetation indices and the palm-probability map are both masked
     grids; ``name`` is the band name the grid carries as a raster.
     """
 
     values: np.ndarray
-    valid: np.ndarray
-    name: str = "palm_probability"
+    name: str = field(default="palm_probability", kw_only=True)
 
     def __post_init__(self):
-        values = _frozen(self.values, np.float32, f"grid {self.name!r}: values")
-        valid = _frozen(self.valid, np.bool_, f"grid {self.name!r}: valid")
-        if values.shape != valid.shape:
-            raise ShapeError(
-                f"grid {self.name!r}: values {values.shape} and "
-                f"valid {valid.shape} must be matching 2-D grids"
-            )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "values", _frozen(self.values, np.float32, f"grid {self.name!r}: values"))
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Where ``values`` is finite, computed anew on each call."""
+        return np.isfinite(self.values)
 
     @property
     def height(self) -> int:
@@ -148,23 +146,26 @@ class MaskedGrid:
         return self.values.shape[1]
 
     def to_raster(self, origin: tuple[int, int] = (0, 0)) -> Raster:
-        """Single-band raster named ``name``; invalid pixels become NaN nodata."""
-        values = np.where(self.valid, self.values, np.float32(np.nan))
-        values.setflags(write=False)
+        """Single-band NaN-nodata raster named ``name``; its samples are ``values``."""
         return Raster(
-            bands=(Band(name=self.name, samples=values),),
+            bands=(Band(name=self.name, samples=self.values),),
             nodata_value=float("nan"),
             origin=origin,
         )
 
     @classmethod
     def from_raster(cls, raster: Raster) -> "MaskedGrid":
-        """The grid a single-band raster holds; raises ShapeError for any
-        other band count."""
+        """The grid a single-band raster holds: its samples as they are when
+        nodata is None or NaN, else a copy with NaN where a sample is
+        nodata. Raises ShapeError for any other band count."""
         if len(raster.bands) != 1:
             raise ShapeError(f"a grid is a single-band raster, got bands {list(raster.band_names)}")
         (band,) = raster.bands
-        return cls(values=band.samples, valid=raster.valid_mask().bits, name=band.name)
+        values = band.samples
+        if raster.nodata_bits is not None:
+            values = np.where(raster.valid_mask().bits, values, np.float32(np.nan))
+            values.setflags(write=False)
+        return cls(values, name=band.name)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,11 @@ final row/column is padded with nodata rather than moved inward, so
 every tile handed to the pixel model has identical geometry; a window
 that needs no padding is cut as a view of the scene, with no copy.
 Stitching takes one map per window in plan order, from any iterable,
-discards padding and averages overlapping contributions. It writes each
-map as it arrives and keeps none, so a caller that makes the maps
-lazily holds at most one of them. At overlap 0 each pixel has one
-contributor, so stitching copies each window's valid region straight
-into the scene grid.
+discards padding and averages overlapping valid (finite) contributions;
+an invalid result pixel holds ``np.nan`` whatever the maps held. It
+writes each map as it arrives and keeps none, so a caller that makes the
+maps lazily holds at most one of them. At overlap 0 each pixel has one
+contributor, and each window's region is copied straight into the scene.
 
 Prediction defaults to overlap 0: the pixel model is pixelwise, so an
 overlap only evaluates shared pixels again and changes no output byte.
@@ -164,22 +164,21 @@ def stitch(plan: TilePlan, maps: Iterable[MaskedGrid]) -> MaskedGrid:
     for. Each map is written into the result as it arrives, and no
     reference to it is kept, so at most one map is held at a time.
     Padding is discarded; where unpadded windows overlap, the result is
-    the arithmetic mean of the valid contributors (accumulated in
-    float64). A pixel with no valid contributor stays invalid. Raises
+    the arithmetic mean of the valid (finite) contributors, accumulated
+    in float64. A pixel with no valid contributor holds ``np.nan``. Raises
     CompletenessError naming both counts when ``maps`` holds fewer or
     more maps than the plan has windows (a surplus is counted to its
     end), and ShapeError for a map of the wrong size.
 
     At overlap 0 a pixel has at most one contributor, whose mean is its
-    own value, so each window's valid region is written straight into
-    the float32 result. Adding 0.0 there turns -0.0 into +0.0 as the
-    float64 sum from 0.0 does, so both paths give the same bits.
+    own value, so each window's region is written straight into the
+    float32 result. Adding 0.0 there turns -0.0 into +0.0 as the float64
+    sum from 0.0 does, so both paths give the same bits.
     """
     shape = (plan.scene_height, plan.scene_width)
     if plan.overlap == 0:
         # the windows tile the scene exactly, so every pixel is written once
         values = np.empty(shape, dtype=np.float32)
-        valid = np.empty(shape, dtype=bool)
     else:
         total = np.zeros(shape, dtype=np.float64)
         count = np.zeros(shape, dtype=np.int32)
@@ -199,13 +198,13 @@ def stitch(plan: TilePlan, maps: Iterable[MaskedGrid]) -> MaskedGrid:
             slice(window.x, window.x + window.width),
         )
         crop = (slice(window.height), slice(window.width))
-        vals, ok = pmap.values[crop], pmap.valid[crop]
+        vals = pmap.values[crop]
+        ok = np.isfinite(vals)
         if plan.overlap == 0:
-            # invalid pixels may hold any bits, a signalling NaN included
+            # an invalid pixel may hold ±inf or any NaN, a signalling one too
             with np.errstate(invalid="ignore"):
                 np.add(vals, np.float32(0.0), out=values[region])
             values[region][~ok] = np.nan
-            valid[region] = ok
         else:
             np.add(total[region], vals, out=total[region], where=ok)
             count[region] += ok
@@ -223,5 +222,4 @@ def stitch(plan: TilePlan, maps: Iterable[MaskedGrid]) -> MaskedGrid:
         values = total.astype(np.float32)
         values[~valid] = np.nan
     values.setflags(write=False)
-    valid.setflags(write=False)
-    return MaskedGrid(values=values, valid=valid)
+    return MaskedGrid(values)

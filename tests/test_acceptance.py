@@ -188,7 +188,7 @@ def test_criterion_4_tiling_round_trip():
             for window in plan.windows:
                 tile = extract_tile(raster, window)
                 samples = tile.band("p").samples
-                outputs.append(MaskedGrid(samples, np.isfinite(samples)))
+                outputs.append(MaskedGrid(samples))
             stitched = stitch(plan, outputs)
             assert stitched.valid.all()
             np.testing.assert_array_equal(
@@ -197,8 +197,8 @@ def test_criterion_4_tiling_round_trip():
 
         # constructed two-tile overlap: stride 2 with tile 4 -> columns 2..3 shared
         plan = tile_plan(6, 2, 4, 2)
-        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32), np.ones((4, 4), bool))
-        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32), np.ones((4, 4), bool))
+        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32))
+        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32))
         blended = stitch(plan, [m0, m1])
         np.testing.assert_array_equal(blended.values[:, 2:4], np.float32((0.2 + 0.6) / 2))
         np.testing.assert_array_equal(blended.values[:, :2], np.float32(0.2))

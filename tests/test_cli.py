@@ -488,7 +488,7 @@ class TestExitCodes:
 
     def test_detect_checks_its_flags_before_reading_the_map(self, workspace, tmp_path, capsys):
         # the map's payload is truncated: reading it first used to exit 3
-        grid = MaskedGrid(np.full((220, 220), 0.9, np.float32), np.ones((220, 220), bool))
+        grid = MaskedGrid(np.full((220, 220), 0.9, np.float32))
         save_raster(grid.to_raster(), tmp_path / "p")
         (tmp_path / "p.rbin").write_bytes((tmp_path / "p.rbin").read_bytes()[:-4])
         code = main([
@@ -682,7 +682,7 @@ class TestBadGridsAndModels:
         "shape, origin", [((240, 220), (0, 0)), ((220, 220), (4, 0))], ids=["larger", "shifted"]
     )
     def test_detect_grid_must_match_scene(self, workspace, tmp_path, capsys, shape, origin):
-        grid = MaskedGrid(np.full(shape, 0.9, np.float32), np.ones(shape, bool))
+        grid = MaskedGrid(np.full(shape, 0.9, np.float32))
         save_raster(grid.to_raster(origin=origin), tmp_path / "prob")
         code = main(
             ["detect", str(tmp_path / "prob.rhdr"), str(workspace["scenes"][0]), "--out", str(tmp_path / "d")]
@@ -703,9 +703,8 @@ class TestBadGridsAndModels:
     def test_detect_rejects_values_outside_unit_interval(self, workspace, tmp_path, capsys, bad):
         values = np.full((220, 220), 0.9, np.float32)
         values[7, 150] = bad
-        valid = np.ones((220, 220), bool)
-        valid[:, :100] = False  # NaN once saved, and not checked
-        save_raster(MaskedGrid(values, valid).to_raster(), tmp_path / "prob")
+        values[:, :100] = np.nan  # invalid, and not checked
+        save_raster(MaskedGrid(values).to_raster(), tmp_path / "prob")
         code = main(
             ["detect", str(tmp_path / "prob.rhdr"), str(workspace["scenes"][0]), "--out", str(tmp_path / "d")]
         )

@@ -41,7 +41,7 @@ def disc_prob_map(shape, discs, inside=0.9, outside=0.05):
     yy, xx = np.mgrid[0:h, 0:w]
     for cx, cy, r in discs:
         values[(xx - cx) ** 2 + (yy - cy) ** 2 <= r * r] = inside
-    return MaskedGrid(values=values, valid=np.ones((h, w), bool))
+    return MaskedGrid(values)
 
 
 def peaked_prob_map(shape, peaks, radius, floor=0.02):
@@ -53,7 +53,7 @@ def peaked_prob_map(shape, peaks, radius, floor=0.02):
         d = np.sqrt((xx - cx) ** 2 + (yy - cy) ** 2)
         cone = np.maximum(0.0, top * (1 - d / radius))
         values = np.maximum(values, np.where(d <= radius, np.maximum(cone, floor), floor))
-    return MaskedGrid(values=values.astype(np.float32), valid=np.ones((h, w), bool))
+    return MaskedGrid(values.astype(np.float32))
 
 
 class TestDetectorConfig:
@@ -77,7 +77,7 @@ class TestDetectorConfig:
 
 class TestDetect:
     def test_all_zero_empty(self):
-        prob = MaskedGrid(np.zeros((64, 64), np.float32), np.ones((64, 64), bool))
+        prob = MaskedGrid(np.zeros((64, 64), np.float32))
         assert detect_crowns(prob, DetectorConfig()) == []
 
     def test_single_disc(self):
@@ -129,7 +129,7 @@ class TestDetect:
 
     def test_thresholded_area_monotone(self, rng):
         values = rng.random((80, 80)).astype(np.float32)
-        prob = MaskedGrid(values, np.ones((80, 80), bool))
+        prob = MaskedGrid(values)
         low = detect_crowns(prob, DetectorConfig(prob_threshold=0.3, min_area=1))
         high = detect_crowns(prob, DetectorConfig(prob_threshold=0.7, min_area=1))
         assert sum(d.pixel_count for d in high) <= sum(d.pixel_count for d in low)
@@ -138,15 +138,14 @@ class TestDetect:
         values = np.full((40, 80), 0.0, np.float32)
         values[5:15, 5:15] = 0.7
         values[5:15, 40:50] = 0.9
-        prob = MaskedGrid(values, np.ones((40, 80), bool))
+        prob = MaskedGrid(values)
         dets = detect_crowns(prob, DetectorConfig())
         assert [round(d.score, 1) for d in dets] == [0.9, 0.7]
         assert [d.id for d in dets] == [1, 2]
 
     def test_invalid_pixels_not_detected(self):
-        values = np.full((50, 50), 0.9, np.float32)
-        valid = np.zeros((50, 50), bool)
-        prob = MaskedGrid(values, valid)
+        # +inf is above any threshold, but not finite
+        prob = MaskedGrid(np.full((50, 50), np.inf, np.float32))
         assert detect_crowns(prob, DetectorConfig()) == []
 
 
@@ -219,7 +218,7 @@ class TestSplitTouching:
         values[5:35, 5:105] = 0.9
         values[5:95, 5:35] = 0.9
         values[5:95, 75:105] = 0.9
-        prob = MaskedGrid(values, np.ones(values.shape, bool))
+        prob = MaskedGrid(values)
         pixels = np.nonzero(values > 0.5)
         parts = split_touching(pixels, prob, DetectorConfig(split_min_distance=2.0))
         assert len(parts) == 1
@@ -235,7 +234,7 @@ class TestSplitTouching:
     def test_flat_plateau_single_seed(self):
         values = np.full((50, 50), 0.0, np.float32)
         values[10:40, 10:40] = 0.9  # constant plateau, 900 px
-        prob = MaskedGrid(values, np.ones((50, 50), bool))
+        prob = MaskedGrid(values)
         cfg = DetectorConfig(max_area=400)
         dets = detect_crowns(prob, cfg)
         assert len(dets) == 1
@@ -537,8 +536,9 @@ def reference_classify(det, raster, cfg):
         raster.band(name).samples[ys, xs].astype(np.float64) for name in ("nir", "red", "green")
     )
     ok = raster.valid_mask().bits[ys, xs]
-    ndvi_values, ndvi_ok = normalized_difference(nir, red, ok)
-    gndvi_values, gndvi_ok = normalized_difference(nir, green, ok)
+    ndvi_values = normalized_difference(nir, red, ok)
+    gndvi_values = normalized_difference(nir, green, ok)
+    ndvi_ok, gndvi_ok = np.isfinite(ndvi_values), np.isfinite(gndvi_values)
     if not ndvi_ok.any() or not gndvi_ok.any():
         raise UnclassifiableError(f"detection {det.id} has no valid pixels to classify")
     det.mean_ndvi = float(ndvi_values[ndvi_ok].mean())
@@ -581,7 +581,7 @@ def test_split_touching_partitions_exactly(grid, min_distance):
     """Every component pixel lands in exactly one part, in pixel order."""
     values, member = grid
     assume(member.any())
-    prob = MaskedGrid(values, np.ones(values.shape, bool))
+    prob = MaskedGrid(values)
     pixels = np.nonzero(member)
     parts = split_touching(pixels, prob, DetectorConfig(split_min_distance=min_distance))
     w = values.shape[1]
@@ -603,7 +603,7 @@ def test_detect_crowns_matches_per_component_reference(grid, min_area, extra_are
     """Maps full of specks below min_area, plus components big enough to split."""
     values, member = grid
     values = np.where(member, values, np.float32(0.1))
-    prob = MaskedGrid(values, np.ones(values.shape, bool))
+    prob = MaskedGrid(values)
     cfg = DetectorConfig(min_area=min_area, max_area=min_area + extra_area, split_min_distance=min_distance)
     assert detection_fields(detect_crowns(prob, cfg)) == detection_fields(reference_detect(prob, cfg))
 
@@ -654,7 +654,7 @@ def test_split_touching_memory_is_linear():
     rng = np.random.default_rng(0)
     values = np.zeros((244, 244), np.float32)
     values[2:-2, 2:-2] = rng.uniform(0.55, 1.0, (240, 240))
-    prob = MaskedGrid(values, np.ones(values.shape, bool))
+    prob = MaskedGrid(values)
     pixels = np.nonzero(values > 0.5)
     tracemalloc.start()
     try:

@@ -58,8 +58,8 @@ class TestNdvi:
         ok = np.ones(a.shape, bool)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, valid = normalized_difference(a, b, ok)
-        assert valid.all()
+            values = normalized_difference(a, b, ok)
+        assert np.isfinite(values).all()
         a64, b64 = a.astype(np.float64), b.astype(np.float64)
         np.testing.assert_allclose(values[:5], (a64 - b64)[:5] / (a64 + b64)[:5], rtol=1e-6)
         assert values[0] == pytest.approx(0.5, rel=1e-6)
@@ -78,11 +78,10 @@ class TestNdvi:
         # blocks of 16 pixels, shared by the workers
         with mock.patch.object(raster_core, "BLOCK_PX", 16), warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, valid = normalized_difference(a, b, ok, workers=workers)
+            values = normalized_difference(a, b, ok, workers=workers)
             swapped = normalized_difference(b, a, ok, workers=workers)
-        assert not valid[200:].any() and np.isnan(values[200:]).all()
-        assert not swapped[1][200:].any()
-        assert valid[:200].all()
+        assert np.isnan(values[200:]).all() and np.isnan(swapped[200:]).all()
+        assert np.isfinite(values[:200]).all()
         np.testing.assert_array_equal(values[:200], (good_a - good_b) / (good_a + good_b))
 
 
@@ -128,34 +127,33 @@ class TestProperties:
 
 class TestVegetationMask:
     def test_all_above(self):
-        index = MaskedGrid(np.full((3, 3), 0.9, np.float32), np.ones((3, 3), bool), "ndvi")
+        index = MaskedGrid(np.full((3, 3), 0.9, np.float32), name="ndvi")
         assert vegetation_mask(index, 0.2).bits.all()
 
     def test_boundary_is_strict(self):
-        index = MaskedGrid(np.full((2, 2), 0.2, np.float32), np.ones((2, 2), bool), "ndvi")
+        index = MaskedGrid(np.full((2, 2), 0.2, np.float32), name="ndvi")
         assert not vegetation_mask(index, 0.2).bits.any()
 
     def test_fraction_matches_planted(self, rng):
         values = np.full((40, 40), 0.0, np.float32)
         flat = rng.choice(values.size, size=300, replace=False)
         values.ravel()[flat] = 0.8
-        index = MaskedGrid(values, np.ones((40, 40), bool), "ndvi")
+        index = MaskedGrid(values, name="ndvi")
         assert vegetation_mask(index, 0.5).count() == 300
 
     def test_invalid_never_vegetation(self):
-        valid = np.array([[True, False]])
-        index = MaskedGrid(np.full((1, 2), 0.9, np.float32), valid, "ndvi")
+        index = MaskedGrid(np.array([[0.9, np.nan]], np.float32), name="ndvi")
         np.testing.assert_array_equal(vegetation_mask(index, 0.2).bits, [[True, False]])
 
     def test_threshold_monotone_containment(self, rng):
         values = rng.uniform(-1, 1, size=(50, 50)).astype(np.float32)
-        index = MaskedGrid(values, np.ones((50, 50), bool), "ndvi")
+        index = MaskedGrid(values, name="ndvi")
         low = vegetation_mask(index, -0.3).bits
         high = vegetation_mask(index, 0.4).bits
         assert (low | high == low).all()  # high subset of low
 
     def test_threshold_out_of_range(self):
-        index = MaskedGrid(np.zeros((1, 1), np.float32), np.ones((1, 1), bool), "ndvi")
+        index = MaskedGrid(np.zeros((1, 1), np.float32), name="ndvi")
         with pytest.raises(ParameterError):
             vegetation_mask(index, 1.5)
 
@@ -163,7 +161,7 @@ class TestVegetationMask:
 class TestStatsByClass:
     def test_constant_crown(self):
         values = np.full((32, 32), 0.5, np.float32)
-        index = MaskedGrid(values, np.ones((32, 32), bool), "ndvi")
+        index = MaskedGrid(values, name="ndvi")
         ann = AnnotationSet((CrownAnnotation(1, "healthy", 16, 16, 5.0),))
         (stats,) = index_stats_by_class(index, ann)
         assert stats.class_label == "healthy"
@@ -175,9 +173,8 @@ class TestStatsByClass:
     def test_empty_class_flagged(self):
         # crown pixels all invalid -> count 0, stats absent
         values = np.full((32, 32), 0.5, np.float32)
-        valid = np.ones((32, 32), bool)
-        valid[:16, :] = False
-        index = MaskedGrid(values, valid, "ndvi")
+        values[:16, :] = np.nan
+        index = MaskedGrid(values, name="ndvi")
         ann = AnnotationSet(
             (
                 CrownAnnotation(1, "dead", 8, 8, 4.0),
@@ -192,7 +189,7 @@ class TestStatsByClass:
     def test_matches_flat_recomputation(self, rng):
         values = rng.random((64, 64)).astype(np.float32)
         valid = rng.random((64, 64)) > 0.1
-        index = MaskedGrid(values, valid, "ndvi")
+        index = MaskedGrid(np.where(valid, values, np.nan), name="ndvi")
         crowns = (
             CrownAnnotation(1, "smallish", 20.0, 20.0, 6.0),
             CrownAnnotation(2, "smallish", 26.0, 22.0, 5.0),  # overlaps crown 1
@@ -215,7 +212,7 @@ class TestStatsByClass:
         assert stats.min <= stats.q1 <= stats.median <= stats.q3 <= stats.max
 
     def test_out_of_bounds_names_crown(self):
-        index = MaskedGrid(np.zeros((16, 16), np.float32), np.ones((16, 16), bool), "ndvi")
+        index = MaskedGrid(np.zeros((16, 16), np.float32), name="ndvi")
         ann = AnnotationSet((CrownAnnotation(7, "healthy", 15.0, 8.0, 4.0),))
         with pytest.raises(BoundsError, match="crown 7"):
             index_stats_by_class(index, ann)
@@ -225,7 +222,7 @@ class TestPersistence:
     def test_raster_round_trip(self, tmp_path, rng):
         values = rng.random((20, 20)).astype(np.float32)
         valid = rng.random((20, 20)) > 0.2
-        index = MaskedGrid(values, valid, "gndvi")
+        index = MaskedGrid(np.where(valid, values, np.nan), name="gndvi")
         save_raster(index.to_raster(), tmp_path / "idx")
         loaded = MaskedGrid.from_raster(load_raster(tmp_path / "idx"))
         assert loaded.name == "gndvi"
@@ -239,10 +236,9 @@ class TestIndexTable:
         raster = random_raster(rng, 9, 7, band_names=("red", "green", "blue", "nir"), nodata=0.5)
         mask = Mask(raster.valid_mask().bits & (rng.random((7, 9)) < 0.8))
         a, b = INDEX_REGISTRY[name]
-        values, valid = normalized_difference(raster.band(a).samples, raster.band(b).samples, mask.bits)
+        values = normalized_difference(raster.band(a).samples, raster.band(b).samples, mask.bits)
         index = compute_index(raster, mask, name)
         assert index.name == name
-        np.testing.assert_array_equal(index.valid, valid)
         np.testing.assert_array_equal(index.values.view(np.uint32), values.view(np.uint32))
 
     def test_unknown_index(self, rng):

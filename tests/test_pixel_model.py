@@ -561,6 +561,16 @@ class TestPlaneByPlanePrediction:
         assert np.isnan(prob.values[~prob.valid]).all()
         assert np.isfinite(prob.values[prob.valid]).all()
 
+    def test_nan_logit_is_invalid(self):
+        # 3e38 over a std of 1e-300 overflows float64, so z = inf - inf
+        raster = make_raster({"a": np.array([[3e38, 0.5]], np.float32), "b": np.array([[3e38, 0.25]], np.float32)})
+        params = ModelParams(("a", "b"), np.array([1.0, -1.0]), 0.0, np.zeros(2), np.full(2, 1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = predict_map(raster, raster.valid_mask(), params)
+        assert np.isnan(prob.values[0, 0]) and not prob.valid[0, 0]
+        assert prob.valid[0, 1] and prob.values[0, 1] == 1.0
+
 
 class TestParamsSerialization:
     def test_json_schema(self, tmp_path):

@@ -1,8 +1,13 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from palmwatch.errors import (
     BandLookupError,
@@ -290,8 +295,7 @@ def _frozen_array(arr):
 _CONSTRUCTORS = {
     "band": (np.float32, lambda a: Band("a", a).samples),
     "mask": (np.bool_, lambda a: Mask(a).bits),
-    "grid values": (np.float32, lambda a: MaskedGrid(a, np.ones(np.shape(a), bool)).values),
-    "grid valid": (np.bool_, lambda a: MaskedGrid(np.zeros(np.shape(a), np.float32), a).valid),
+    "grid values": (np.float32, lambda a: MaskedGrid(a).values),
 }
 
 
@@ -337,3 +341,58 @@ class TestZeroCopy:
     def test_frozen_3d_input_still_rejected(self):
         with pytest.raises(ShapeError):
             Band("a", _frozen_array(np.zeros((1, 2, 2), np.float32)))
+
+
+# float32 bit patterns at the edges of validity: ±0, subnormals, the
+# largest finite value, ±inf, quiet NaNs and signalling NaNs
+EDGE_BITS = (
+    0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x3F800000, 0x7F7FFFFF,
+    0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFA00000,
+)
+planes = arrays(
+    np.uint32,
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    elements=st.one_of(st.sampled_from(EDGE_BITS), st.integers(0, 2**32 - 1)),
+).map(lambda bits: bits.view(np.float32))
+
+
+class TestGridValidityRule:
+    """A grid pixel is valid exactly where its value is finite, the rule
+    ``valid_mask`` applies to the NaN-nodata raster the grid is written as."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plane=planes)
+    def test_round_trip_keeps_validity_and_valid_bits(self, plane):
+        grid = MaskedGrid(plane, name="p")
+        np.testing.assert_array_equal(grid.valid, np.isfinite(plane))
+        raster = grid.to_raster()
+        assert raster.bands[0].samples is grid.values
+        np.testing.assert_array_equal(raster.valid_mask().bits, grid.valid)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_raster(raster, Path(tmp) / "grid")
+            loaded = load_raster(Path(tmp) / "grid")
+        back = MaskedGrid.from_raster(loaded)
+        assert back.name == "p" and back.values is loaded.bands[0].samples
+        np.testing.assert_array_equal(back.valid, grid.valid)
+        np.testing.assert_array_equal(back.values[back.valid].view(np.uint32), plane[grid.valid].view(np.uint32))
+
+    @settings(max_examples=150, deadline=None)
+    @given(plane=planes, nodata=st.sampled_from([None, float("nan"), 0.0, -0.0, 1.0, 1e-45, -1e-45]))
+    def test_from_raster_turns_nodata_into_nan(self, plane, nodata):
+        raster = Raster(bands=(Band("p", plane),), nodata_value=nodata)
+        samples = raster.bands[0].samples
+        grid = MaskedGrid.from_raster(raster)
+        valid = raster.valid_mask().bits
+        np.testing.assert_array_equal(grid.valid, valid)
+        np.testing.assert_array_equal(grid.values[valid].view(np.uint32), plane[valid].view(np.uint32))
+        if raster.nodata_bits is None:
+            assert grid.values is samples
+        else:
+            assert not np.shares_memory(grid.values, samples)
+            assert np.isnan(grid.values[~valid]).all()
+
+    def test_name_is_keyword_only(self):
+        values = np.zeros((2, 2), np.float32)
+        with pytest.raises(TypeError):
+            MaskedGrid(values, np.ones((2, 2), bool))
+        assert MaskedGrid(values, name="ndvi").name == "ndvi"

@@ -14,8 +14,7 @@ from conftest import random_raster
 
 def band_as_probability(raster, window=None):
     samples = raster.bands[0].samples
-    valid = raster.valid_mask().bits
-    return MaskedGrid(values=np.where(valid, samples, np.nan), valid=valid)
+    return MaskedGrid(np.where(raster.valid_mask().bits, samples, np.nan))
 
 
 class TestPlan:
@@ -138,8 +137,8 @@ class TestStitch:
     def test_overlap_mean(self):
         plan = tile_plan(6, 2, 4, 2)
         assert len(plan.windows) == 2
-        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32), np.ones((4, 4), bool))
-        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32), np.ones((4, 4), bool))
+        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32))
+        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32))
         out = stitch(plan, [m0, m1])
         np.testing.assert_array_equal(out.values[:, :2], np.float32(0.2))
         np.testing.assert_array_equal(out.values[:, 2:4], np.float32(0.4))
@@ -149,7 +148,7 @@ class TestStitch:
     def test_constant_tiles_constant_scene(self, overlap):
         plan = tile_plan(100, 80, 32, overlap)
         outputs = [
-            MaskedGrid(np.full((32, 32), 0.7, np.float32), np.ones((32, 32), bool))
+            MaskedGrid(np.full((32, 32), 0.7, np.float32))
             for _ in plan.windows
         ]
         out = stitch(plan, outputs)
@@ -159,7 +158,7 @@ class TestStitch:
     def test_missing_window_named(self):
         plan = tile_plan(64, 64, 32, 0)
         outputs = [
-            MaskedGrid(np.zeros((32, 32), np.float32), np.ones((32, 32), bool))
+            MaskedGrid(np.zeros((32, 32), np.float32))
             for _ in plan.windows[:-1]
         ]
         with pytest.raises(CompletenessError, match="3 tile maps for 4 windows"):
@@ -167,7 +166,7 @@ class TestStitch:
 
     def test_extra_map_rejected(self):
         plan = tile_plan(32, 32, 32, 0)
-        m = MaskedGrid(np.zeros((32, 32), np.float32), np.ones((32, 32), bool))
+        m = MaskedGrid(np.zeros((32, 32), np.float32))
         with pytest.raises(CompletenessError, match="2 tile maps for 1 windows"):
             stitch(plan, [m, m])
 
@@ -177,7 +176,7 @@ class TestStitch:
         outputs = []
         for w in plan.windows:
             values = rng.standard_normal((16, 16)).astype(np.float32)
-            outputs.append(MaskedGrid(values, rng.random((16, 16)) < 0.8))
+            outputs.append(MaskedGrid(np.where(rng.random((16, 16)) < 0.8, values, np.nan)))
         from_list = stitch(plan, outputs)
         from_generator = stitch(plan, (m for m in outputs))
         np.testing.assert_array_equal(from_generator.valid, from_list.valid)
@@ -188,7 +187,7 @@ class TestStitch:
     def test_short_or_long_generator_named(self, overlap, n_maps):
         plan = tile_plan(50, 50, 32, overlap)
         assert len(plan.windows) == 4
-        maps = (MaskedGrid(np.zeros((32, 32), np.float32), np.ones((32, 32), bool)) for _ in range(n_maps))
+        maps = (MaskedGrid(np.zeros((32, 32), np.float32)) for _ in range(n_maps))
         with pytest.raises(CompletenessError, match=f"got {n_maps} tile maps for 4 windows"):
             stitch(plan, maps)
 
@@ -198,7 +197,7 @@ class TestStitch:
         made = []
 
         def new_map():
-            pmap = MaskedGrid(np.full((32, 32), 0.5, np.float32), np.ones((32, 32), bool))
+            pmap = MaskedGrid(np.full((32, 32), 0.5, np.float32))
             made.append(weakref.ref(pmap.values))
             return pmap
 
@@ -214,16 +213,16 @@ class TestStitch:
 
     def test_invalid_pixels_excluded_from_mean(self):
         plan = tile_plan(6, 2, 4, 2)
-        valid0 = np.ones((4, 4), bool)
-        valid0[:, 2:] = False  # the first map's overlap columns carry no data
-        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32), valid0)
-        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32), np.ones((4, 4), bool))
+        values0 = np.full((4, 4), 0.2, np.float32)
+        values0[:, 2:] = np.nan  # the first map's overlap columns carry no data
+        m0 = MaskedGrid(values0)
+        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32))
         out = stitch(plan, [m0, m1])
         np.testing.assert_array_equal(out.values[:, 2:4], np.float32(0.6))
 
     def test_all_invalid_stays_invalid(self):
         plan = tile_plan(4, 4, 4, 0)
-        m = MaskedGrid(np.full((4, 4), np.nan, np.float32), np.zeros((4, 4), bool))
+        m = MaskedGrid(np.full((4, 4), np.nan, np.float32))
         out = stitch(plan, [m])
         assert not out.valid.any()
 
@@ -234,7 +233,7 @@ def reference_stitch(plan, outputs):
     count = np.zeros((plan.scene_height, plan.scene_width), dtype=np.int32)
     for window, pmap in zip(plan.windows, outputs):
         region = np.s_[window.y : window.y + window.height, window.x : window.x + window.width]
-        ok = pmap.valid[: window.height, : window.width]
+        ok = np.isfinite(pmap.values[: window.height, : window.width])
         with np.errstate(invalid="ignore"):  # casting a signalling NaN
             np.add(total[region], pmap.values[: window.height, : window.width], out=total[region], where=ok)
         count[region] += ok
@@ -245,29 +244,31 @@ def reference_stitch(plan, outputs):
     return values, valid
 
 
-SIGNALLING_NAN = np.array(0x7F800001, dtype=np.uint32).view(np.float32)
+# every bit pattern an invalid pixel may hold: quiet NaNs of either sign,
+# signalling NaNs of either sign and both infinities
+NON_FINITE = np.array(
+    [0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFA00001, 0x7F800000, 0xFF800000], dtype=np.uint32
+).view(np.float32)
 
 
 @st.composite
 def overlap_zero_outputs(draw):
-    """A random overlap-0 plan and one map per window: values include
-    -0.0, +0.0 and infinities; invalid pixels hold a quiet or signalling
-    NaN, or anything."""
+    """A random overlap-0 plan and one map per window: valid values
+    include -0.0 and +0.0, and an invalid pixel holds a quiet NaN, a
+    signalling NaN or an infinity."""
     scene_w, scene_h = draw(st.integers(1, 70)), draw(st.integers(1, 70))
     plan = tile_plan(scene_w, scene_h, draw(st.integers(1, 40)), 0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+    zeros = np.array([-0.0, 0.0], dtype=np.float32)
     outputs = []
     for window in plan.windows:
         shape = (window.tile_height, window.tile_width)
         values = rng.standard_normal(shape).astype(np.float32)
-        spots = rng.random(shape) < 0.3
-        values[spots] = rng.choice(specials, size=int(spots.sum()))
-        valid = (rng.random(shape) < 0.8) & ~np.isnan(values)
-        fill = draw(st.sampled_from([None, np.nan, SIGNALLING_NAN]))
-        if fill is not None:
-            values[~valid] = fill
-        outputs.append(MaskedGrid(values, valid))
+        spots = rng.random(shape) < 0.2
+        values[spots] = rng.choice(zeros, size=int(spots.sum()))
+        invalid = rng.random(shape) < 0.2
+        values[invalid] = rng.choice(NON_FINITE, size=int(invalid.sum()))
+        outputs.append(MaskedGrid(values))
     return plan, outputs
 
 
@@ -279,6 +280,7 @@ def test_overlap_zero_stitch_equals_float64_contributor_mean(case):
     stitched = stitch(plan, outputs)  # RuntimeWarnings fail the test run
     np.testing.assert_array_equal(stitched.valid, valid)
     np.testing.assert_array_equal(stitched.values.view(np.uint32), values.view(np.uint32))
+    assert (stitched.values[~valid].view(np.uint32) == 0x7FC00000).all()
 
 
 def test_window_of_views_unpadded_and_fills_padded(rng):
