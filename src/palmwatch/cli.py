@@ -20,7 +20,6 @@ import io
 import json
 import sys
 import zlib
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -64,7 +63,6 @@ from .pixel_model import (
     build_training_set,
     check_features,
     check_negative_ratio,
-    featurize,
     load_params,
     predict_map,
     save_params,
@@ -75,7 +73,6 @@ from .synth_scene import SceneSpec, generate_scene, load_spec as load_scene_spec
 from .tiling import (
     DEFAULT_PREDICT_OVERLAP,
     DEFAULT_TILE_SIZE,
-    TileWindow,
     check_tiling,
     extract_tile,
     stitch,
@@ -159,51 +156,33 @@ def predict_tiled(
     tile_size: int,
     overlap: int,
     jobs: int | None = None,
-    computed: Mapping[str, MaskedGrid] | None = None,
 ) -> MaskedGrid:
     """Tile the scene, predict tile by tile in plan order, stitch.
 
     The model's features are checked against the scene before any pixel
-    work. Features are built one plan row at a time, as the feature
-    raster (``featurize``) of the full-width band of scene rows under
-    that row's windows: each index feature is computed once per plan
-    row (rows that two plan rows share at overlap > 0 twice, to the same
-    values), or sliced out of ``computed`` (indices already computed
-    over the scene, by name). Every tile is a view of its band's
-    features, masked to the pixels where the prediction mask holds and
-    every feature is valid. Tile maps stream into ``stitch`` as they are
-    predicted, so besides the scene and the output only one plan row of
-    features and one tile map are alive. ``jobs`` worker threads (None:
-    every CPU this process may use) share the row blocks of each pixel
-    kernel, the index features and each tile's prediction; every pixel's
-    arithmetic is the same for any ``jobs``, so the result is too.
+    work. Each window is cut from the scene (``extract_tile``, a view
+    where it needs no padding) and predicted over the prediction mask's
+    window; ``predict_map`` takes each feature that is a band of the
+    scene as it is and derives the others over the tile, so an index
+    that a caller joined to the scene as a band is reused. Tile maps
+    stream into ``stitch`` as they are predicted, so besides the scene
+    and the output only one tile's features and map are alive. ``jobs``
+    worker threads (None: every CPU this process may use) share the row
+    blocks of each pixel kernel; every pixel's arithmetic is the same for
+    any ``jobs``, so the result is too.
     """
-    check_features(scene, prediction_mask, params.features, computed)
+    check_features(scene, prediction_mask, params.features)
     plan = tile_plan(scene.width, scene.height, tile_size, overlap)
-
-    def maps():
-        for start in range(0, len(plan.windows), plan.n_cols):
-            row = plan.windows[start : start + plan.n_cols]
-            band = TileWindow(x=0, y=row[0].y, width=scene.width, height=row[0].height)
-            band_computed = {
-                name: MaskedGrid(window_of(g.values, band, np.nan), name=g.name)
-                for name, g in (computed or {}).items()
-            }
-            features, valid = featurize(
-                extract_tile(scene, band),
-                Mask(window_of(prediction_mask.bits, band, False)),
-                params.features,
-                band_computed,
-                workers=jobs,
-            )
-            for window in row:
-                window = replace(window, y=0)  # its place in the band
-                yield predict_map(
-                    extract_tile(features, window), Mask(window_of(valid, window, False)), params, workers=jobs
-                )
-            del features, valid
-
-    return stitch(plan, maps())
+    maps = (
+        predict_map(
+            extract_tile(scene, window),
+            Mask(window_of(prediction_mask.bits, window, False)),
+            params,
+            workers=jobs,
+        )
+        for window in plan.windows
+    )
+    return stitch(plan, maps)
 
 
 def evaluate_detections(detections, truth: AnnotationSet, max_dist: float, averaging: str):
@@ -280,17 +259,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
     veg_fraction = veg.count() / max(valid.count(), 1)
 
     prediction_mask = Mask(valid.bits & veg.bits) if config.veg_gate else valid
+    # the index joins the scene as a band, so a model that reads it as a
+    # feature takes it as it is; a scene band of that name comes first
+    features = scene
+    if not scene.has_band(config.veg_index):
+        features = Raster(
+            bands=scene.bands + (Band(name=config.veg_index, samples=index.values),),
+            nodata_value=scene.nodata_value,
+            origin=scene.origin,
+        )
     prob = predict_tiled(
-        scene,
-        prediction_mask,
-        params,
-        config.tile_size,
-        config.overlap,
-        config.jobs,
-        computed={config.veg_index: index},
+        features, prediction_mask, params, config.tile_size, config.overlap, config.jobs
     )
     # the pixel stage's planes would otherwise sit under detection's peak
-    del valid, index, veg, prediction_mask
+    del valid, index, veg, prediction_mask, features
     save_raster(prob.to_raster(origin=scene.origin), out_dir / "probability")
 
     detections = detect_crowns(prob, detector)

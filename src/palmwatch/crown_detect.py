@@ -109,7 +109,7 @@ def detect_crowns(prob: MaskedGrid, cfg: DetectorConfig) -> list[CrownDetection]
     Detections come back sorted by descending score, ties broken by
     centroid (y, x), with ids assigned 1..n in that order.
     """
-    binary = prob.valid & (prob.values > cfg.prob_threshold)
+    binary = prob.above(cfg.prob_threshold)
     labels, _ = ndimage.label(binary, structure=_EIGHT_CONNECTED)
     # label 0 is the background and has area 0 < min_area
     kept = np.bincount(labels[binary], minlength=1) >= cfg.min_area

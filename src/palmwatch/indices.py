@@ -130,7 +130,7 @@ def vegetation_mask(index: MaskedGrid, threshold: float) -> Mask:
     not vegetation.
     """
     check_vegetation_threshold(threshold)
-    bits = index.valid & (index.values > threshold)
+    bits = index.above(threshold)
     bits.setflags(write=False)
     return Mask(bits)
 

@@ -14,7 +14,7 @@ Model parameters serialize to JSON as
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,19 +56,13 @@ def default_feature_names(raster: Raster) -> tuple[str, ...]:
     return tuple(raster.band_names) + DEFAULT_INDEX_FEATURES
 
 
-def check_features(
-    raster: Raster,
-    mask: Mask,
-    feature_names: tuple[str, ...],
-    computed: Mapping[str, MaskedGrid] | None = None,
-) -> tuple[str, ...]:
+def check_features(raster: Raster, mask: Mask, feature_names: tuple[str, ...]) -> tuple[str, ...]:
     """The index features among ``feature_names`` (those that are not
     bands of ``raster``, each once, in order), once ``raster`` is shown
     to supply every feature over ``mask``; no pixel is touched.
 
     Raises CompatibilityError naming every band the raster cannot
-    supply, and ShapeError when ``mask``, or an index of ``computed``
-    that is used, is not on the raster's grid.
+    supply, and ShapeError when ``mask`` is not on the raster's grid.
     """
     shape = (raster.height, raster.width)
     if mask.bits.shape != shape:
@@ -80,10 +74,6 @@ def check_features(
             f"raster with bands {list(raster.band_names)} cannot supply "
             f"features {sorted(missing)}; registered indices: {sorted(INDEX_REGISTRY)}"
         )
-    for name in indices:
-        index = (computed or {}).get(name)
-        if index is not None and index.values.shape != shape:
-            raise ShapeError(f"index {name!r} {index.values.shape} does not match raster {shape}")
     return indices
 
 
@@ -91,7 +81,6 @@ def featurize(
     raster: Raster,
     mask: Mask,
     feature_names: tuple[str, ...] | None = None,
-    computed: Mapping[str, MaskedGrid] | None = None,
     *,
     workers: int | None = None,
 ) -> tuple[Raster, np.ndarray]:
@@ -99,23 +88,22 @@ def featurize(
 
     The feature raster is ``raster`` with each index feature that is not
     one of its bands joined as a band of its own (float32, computed over
-    ``mask``, over ``workers`` threads); no samples are copied. An index
-    in ``computed`` (by name) was already computed over this raster, over
-    ``mask`` or any mask that covers it, and is taken as it is: it holds
-    the same value at every pixel of ``mask``. A pixel is valid when
-    ``mask`` holds and every index feature is finite there; invalid
-    pixels keep whatever the planes hold (NaN, nodata, any finite value)
-    and yield no training rows or predictions. The validity array comes
-    back read-only. The default features are every band, then
-    DEFAULT_INDEX_FEATURES. Raises what ``check_features`` raises, before
+    ``mask``, over ``workers`` threads); no samples are copied. A feature
+    that is a band of ``raster`` is taken as it is, so an index derived
+    once over a scene is reused by joining it to the scene as a band. A
+    pixel is valid when ``mask`` holds and every index joined here is
+    finite there; invalid pixels keep whatever the planes hold (NaN,
+    nodata, any finite value) and yield no training rows or predictions.
+    The validity array comes back read-only. The default features are
+    every band, then DEFAULT_INDEX_FEATURES. Raises what ``check_features`` raises, before
     any index is computed.
     """
     names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
-    indices = check_features(raster, mask, names, computed)
+    indices = check_features(raster, mask, names)
     valid = mask.bits.copy()
     joined = []
     for name in indices:
-        index = (computed or {}).get(name) or compute_index(raster, mask, name, workers=workers)
+        index = compute_index(raster, mask, name, workers=workers)
         joined.append(Band(name=name, samples=index.values))
         valid &= index.valid
     valid.setflags(write=False)

@@ -47,6 +47,10 @@ _LAYOUT_TAG = "band-sequential"
 # spec's noise sigma. A sample is a value plus draws of a few sigma, so
 # below it every sample stays far inside float32's 3.4e38 range.
 MAX_SAMPLE_PARAM = 1e30
+# Largest grid the package allocates: 65536x65536 pixels, whose four
+# float32 bands take 64 GiB. Far larger sizes would fail inside numpy
+# with errors other than MemoryError.
+MAX_SCENE_PIXELS = 2**32
 # Pixel kernels work through blocks of whole rows of about this many
 # pixels, so that a block's float64 buffers (8 bytes a pixel each, 1 MiB
 # for two) stay in a core's L2 cache instead of streaming through memory.
@@ -136,6 +140,15 @@ class MaskedGrid:
     def valid(self) -> np.ndarray:
         """Where ``values`` is finite, computed anew on each call."""
         return np.isfinite(self.values)
+
+    def above(self, threshold: float) -> np.ndarray:
+        """Where ``values`` is valid and strictly above ``threshold``.
+
+        ``(values > t) & (values < inf)`` is ``valid & (values > t)`` for
+        any threshold (NaN and -inf fail the first compare, +inf the
+        second) in two compares, without a pass of ``isfinite``.
+        """
+        return (self.values > threshold) & (self.values < np.inf)
 
     @property
     def height(self) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 from .annotations import CLASS_LABELS, AnnotationSet, CrownAnnotation, disc_pixels
 from .errors import CapacityError, ParameterError
 from .jsondoc import from_fields, parse_document, read_document
-from .raster_core import MAX_SAMPLE_PARAM, Band, Raster
+from .raster_core import MAX_SAMPLE_PARAM, MAX_SCENE_PIXELS, Band, Raster
 
 BAND_NAMES = ("red", "green", "blue", "nir")
 
@@ -39,10 +39,6 @@ DEFAULT_COUNTS = {"healthy": 90, "smallish": 45, "dead": 40}
 DEFAULT_DIAMETERS = {"healthy": (16.0, 28.0), "smallish": (7.0, 11.0), "dead": (14.0, 26.0)}
 
 _PLACEMENT_ATTEMPTS_PER_CROWN = 2000
-# Largest scene a spec may ask for: 65536x65536 pixels, whose four
-# float32 bands take 64 GiB. Far larger sizes would fail inside numpy
-# with errors other than MemoryError.
-MAX_SCENE_PIXELS = 2**32
 
 
 @dataclass

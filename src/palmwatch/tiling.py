@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, CompletenessError, ParameterError, ShapeError
-from .raster_core import Band, MaskedGrid, Raster
+from .raster_core import MAX_SCENE_PIXELS, Band, MaskedGrid, Raster
 
 DEFAULT_TILE_SIZE = 1024
 DEFAULT_PREDICT_OVERLAP = 0
@@ -67,9 +67,12 @@ def _starts(extent: int, tile_size: int, stride: int) -> list[int]:
 
 
 def check_tiling(tile_size: int, overlap: int) -> None:
-    """Raise ParameterError unless ``tile_size >= 1`` and ``0 <= overlap < tile_size``."""
+    """Raise ParameterError unless ``tile_size >= 1``, a tile holds at most
+    MAX_SCENE_PIXELS pixels and ``0 <= overlap < tile_size``."""
     if tile_size < 1:
         raise ParameterError(f"tile_size must be >= 1, got {tile_size}")
+    if tile_size**2 > MAX_SCENE_PIXELS:
+        raise ParameterError(f"a {tile_size}x{tile_size} tile exceeds {MAX_SCENE_PIXELS} pixels")
     if not 0 <= overlap < tile_size:
         raise ParameterError(
             f"overlap must satisfy 0 <= overlap < tile_size ({tile_size}), got {overlap}"

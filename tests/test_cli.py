@@ -15,7 +15,8 @@ from palmwatch.augment import AugmentSpec, FlipHOp, GaussianNoiseOp, spec_to_jso
 from palmwatch import cli
 from palmwatch.cli import PipelineConfig, build_parser, config_from, main, run_pipeline
 from palmwatch.crown_detect import DetectorConfig
-from palmwatch.pixel_model import ModelParams, TrainConfig, save_params
+from palmwatch.indices import compute_index
+from palmwatch.pixel_model import ModelParams, TrainConfig, predict_map, save_params
 from palmwatch.raster_core import Band, MaskedGrid, Raster, load_raster, save_raster
 from palmwatch.synth_scene import SceneSpec, generate_scene, spec_to_json as scene_spec_to_json
 from palmwatch.tiling import DEFAULT_TILE_SIZE, tile_plan
@@ -277,7 +278,7 @@ class TestPipelineMemory:
             scene_path=str(tmp_path / "scene.rhdr"),
             model_path=str(tmp_path / "model.json"),
             out_dir=str(tmp_path / "run"),
-            tile_size=256,  # 4 and 8 plan rows
+            tile_size=256,  # 16 and 64 tiles
             jobs=2,  # each worker holds its own block buffers
         )
         tracemalloc.start()
@@ -286,10 +287,10 @@ class TestPipelineMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1.92 and 1.81 here: the scene, the index and masks of the
-        # vegetation stage, the output, and one plan row of features and
-        # maps. Whole-scene features and every tile map held until
-        # stitching took 2.38 at both sizes.
+        # 1.73 and 1.65 here: the scene, the index and masks of the
+        # vegetation stage, the output, and one tile's features and map.
+        # Whole-scene features and every tile map held until stitching
+        # took 2.38 at both sizes.
         assert peak <= 2.0 * scene_bytes
 
 
@@ -426,6 +427,49 @@ class TestPipeline:
         assert sum(evaluated) == len(plan.windows) * DEFAULT_TILE_SIZE**2
         assert (coverage == 1).all()
 
+    def test_classification_reads_the_scene_bands(self, workspace, tmp_path, monkeypatch):
+        # prediction reads the vegetation index joined as a band; the
+        # classifier's validity must not see it
+        seen = []
+        classify = cli.classify_detections
+
+        def spy(detections, raster, cfg):
+            seen.append(raster.band_names)
+            return classify(detections, raster, cfg)
+
+        monkeypatch.setattr(cli, "classify_detections", spy)
+        scene = workspace["scenes"][2]
+        config = PipelineConfig(
+            scene_path=str(scene), model_path=str(workspace["model"]), out_dir=str(tmp_path / "run")
+        )
+        assert run_pipeline(config)["detections"] > 0
+        assert seen == [load_raster(scene).band_names]
+
+    def test_scene_band_named_like_the_index_is_the_feature(self, workspace, tmp_path):
+        # the scene's own "ndvi" band, mirrored so that it differs from the
+        # index of its nir and red bands, is what the model reads
+        scene = load_raster(workspace["scenes"][2])
+        own = compute_index(scene, scene.valid_mask(), "ndvi").values[:, ::-1]
+        with_band = Raster(
+            bands=scene.bands + (Band(name="ndvi", samples=np.nan_to_num(own)),),
+            nodata_value=scene.nodata_value,
+        )
+        save_raster(with_band, tmp_path / "scene")
+        params = ModelParams(("ndvi",), np.array([20.0]), -10.0, np.zeros(1), np.ones(1))
+        save_params(params, tmp_path / "model.json")
+        config = PipelineConfig(
+            scene_path=str(tmp_path / "scene.rhdr"),
+            model_path=str(tmp_path / "model.json"),
+            out_dir=str(tmp_path / "run"),
+            tile_size=64,
+        )
+        run_pipeline(config)
+        written = load_raster(tmp_path / "run" / "probability.rhdr").bands[0].samples
+        expected = predict_map(with_band, with_band.valid_mask(), params).values
+        np.testing.assert_array_equal(written.view(np.uint32), expected.view(np.uint32))
+        derived = predict_map(scene, scene.valid_mask(), params).values
+        assert not np.array_equal(written, derived, equal_nan=True)
+
     def test_missing_model_is_config_error(self, workspace, tmp_path, capsys):
         code = main(
             [
@@ -519,14 +563,37 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("out of memory")
 
-    def test_oversized_tile_is_out_of_memory(self, workspace, tmp_path, capsys):
+    def test_oversized_tile_is_config_error(self, workspace, tmp_path, capsys):
+        # a 10^7-px tile used to fail its allocation and exit 3
         code = main([
             "predict", str(workspace["scenes"][0]), "--model", str(workspace["model"]),
             "--out", str(tmp_path / "prob"), "--tile-size", "10000000",
         ])
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("out of memory")
+        assert len(err) == 1 and err[0].startswith("configuration error")
+
+    @pytest.mark.parametrize("command", ["tile", "predict", "pipeline", "config"])
+    def test_tile_beyond_the_grid_bound_writes_nothing(self, workspace, tmp_path, capsys, command):
+        # a 2^40-px tile edge used to end in numpy's "array is too big"
+        # traceback, and pipeline had written veg_mask by then
+        raster = random_raster(np.random.default_rng(0), 64, 64, ("red", "green", "blue", "nir"))
+        save_raster(raster, tmp_path / "scene")
+        scene, model, out = str(tmp_path / "scene.rhdr"), str(workspace["model"]), tmp_path / "out"
+        size = str(2**40)
+        argv = {
+            "tile": ["tile", scene, str(out), "--tile-size", size],
+            "predict": ["predict", scene, "--model", model, "--out", str(out), "--tile-size", size],
+            "pipeline": ["pipeline", "--scene", scene, "--model", model, "--out", str(out), "--tile-size", size],
+        }
+        if command == "config":
+            config = PipelineConfig(scene_path=scene, model_path=model, out_dir=str(out), tile_size=2**40)
+            (tmp_path / "manifest.json").write_text(json.dumps(config.to_manifest()))
+            argv["config"] = ["pipeline", "--config", str(tmp_path / "manifest.json")]
+        assert main(argv[command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error")
+        assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("max_dist", ["nan", "inf"])
     def test_non_finite_match_distance_is_config_error(self, workspace, tmp_path, max_dist):

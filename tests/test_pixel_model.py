@@ -97,23 +97,22 @@ class TestFeaturize:
         with pytest.raises(BandLookupError, match="swir"):
             featurize(raster, raster.valid_mask(), ("red", "swir"))
 
-    @pytest.mark.parametrize("wrong", ["mask", "computed"])
-    def test_grid_shape_mismatch(self, rng, wrong):
+    def test_grid_shape_mismatch(self, rng):
         raster = random_raster(rng, 5, 4, band_names=FOUR_BANDS)
-        mask, small = raster.valid_mask(), Mask(np.ones((4, 4), bool))
-        other = compute_index(random_raster(rng, 4, 4, band_names=FOUR_BANDS), small, "ndvi")
-        computed = {"ndvi": other} if wrong == "computed" else None
         with pytest.raises(ShapeError, match="does not match raster"):
-            featurize(raster, small if wrong == "mask" else mask, computed=computed)
+            featurize(raster, Mask(np.ones((4, 4), bool)))
 
     def test_bands_are_shared_and_indices_joined(self, rng):
         raster = random_raster(rng, 6, 5, band_names=FOUR_BANDS)
         ndvi_grid = compute_index(raster, raster.valid_mask(), "ndvi")
-        features, valid = featurize(
-            raster, raster.valid_mask(), ("ndvi", "nir", "gndvi", "ndvi"), {"ndvi": ndvi_grid}
-        )
+        with_ndvi = Raster(bands=raster.bands + (Band(name="ndvi", samples=ndvi_grid.values),))
+        with mock.patch("palmwatch.pixel_model.compute_index", wraps=compute_index) as spy:
+            features, valid = featurize(
+                with_ndvi, raster.valid_mask(), ("ndvi", "nir", "gndvi", "ndvi")
+            )
+        assert [c.args[2] for c in spy.call_args_list] == ["gndvi"]
         assert features.band_names == FOUR_BANDS + ("ndvi", "gndvi")
-        assert all(a is b for a, b in zip(features.bands, raster.bands))
+        assert all(a is b for a, b in zip(features.bands, with_ndvi.bands))
         assert features.band("ndvi").samples is ndvi_grid.values
         assert not valid.flags.writeable
 
@@ -507,13 +506,19 @@ class TestPlaneByPlanePrediction:
         raster, mask = scene
         tile_size, overlap = tiling
         # as run_pipeline does: NDVI over the valid mask, optionally gating
-        # prediction to vegetation and handing the NDVI on for reuse
+        # prediction to vegetation and joining the NDVI as a band for reuse
         index = compute_index(raster, mask, "ndvi")
         if veg_gate:
             mask = Mask(mask.bits & vegetation_mask(index, 0.2).bits)
-        computed = {"ndvi": index} if share_ndvi else None
+        scene_in = raster
+        if share_ndvi:
+            scene_in = Raster(
+                bands=raster.bands + (Band(name="ndvi", samples=index.values),),
+                nodata_value=raster.nodata_value,
+                origin=raster.origin,
+            )
         whole = predict_map(raster, mask, params)
-        tiled = predict_tiled(raster, mask, params, tile_size, overlap, jobs, computed)
+        tiled = predict_tiled(scene_in, mask, params, tile_size, overlap, jobs)
         np.testing.assert_array_equal(tiled.valid, whole.valid)
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 

@@ -391,6 +391,14 @@ class TestGridValidityRule:
             assert not np.shares_memory(grid.values, samples)
             assert np.isnan(grid.values[~valid]).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(plane=planes, data=st.data())
+    def test_above_is_valid_and_greater(self, plane, data):
+        # thresholds are the plane's own values, edges included
+        threshold = float(plane.flat[data.draw(st.integers(0, plane.size - 1))])
+        above = MaskedGrid(plane).above(threshold)
+        np.testing.assert_array_equal(above, np.isfinite(plane) & (plane > threshold))
+
     def test_name_is_keyword_only(self):
         values = np.zeros((2, 2), np.float32)
         with pytest.raises(TypeError):

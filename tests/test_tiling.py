@@ -40,6 +40,14 @@ class TestPlan:
         with pytest.raises(ParameterError):
             tile_plan(100, 100, 64, 64)
 
+    def test_tile_above_the_grid_bound(self):
+        # 65536² is the largest grid the package allocates
+        assert len(tile_plan(64, 64, 2**16, 0).windows) == 1
+        with pytest.raises(ParameterError, match="exceeds"):
+            tile_plan(64, 64, 2**16 + 1, 0)
+        with pytest.raises(ParameterError, match="exceeds"):
+            tile_plan(64, 64, 2**40, 0)
+
     def test_deterministic(self):
         assert tile_plan(513, 700, 128, 32) == tile_plan(513, 700, 128, 32)
 
