@@ -1,8 +1,9 @@
 """Deterministic, seed-driven tile augmentation.
 
 Each operation in an AugmentSpec gets its own counter-based random
-stream keyed by (seed, tile id, operation index), so neither the order
-augmentations run in nor any parallelism over tiles can change outputs.
+stream, ``raster_core.stream(seed, tile id, operation index)``, so neither
+the order augmentations run in nor any parallelism over tiles can change
+outputs.
 
 Geometric operations transform crown annotations consistently with the
 pixels. A crown clipped by cropping keeps its disc parameters; crowns
@@ -21,7 +22,7 @@ import numpy as np
 from .annotations import AnnotationSet, disc_pixels
 from .errors import DomainError, FormatError, ParameterError
 from .jsondoc import from_fields, parse_document, read_document, take
-from .raster_core import MAX_SAMPLE_PARAM, Band, Raster, map_row_blocks
+from .raster_core import MAX_SAMPLE_PARAM, Band, Raster, map_row_blocks, stream, stream_rows
 
 CROP_KEEP_FRACTION = 0.5
 # Largest scale factor a spec may ask for: output tiles grow with its
@@ -118,14 +119,10 @@ def load_spec(path) -> AugmentSpec:
 
 
 def op_rng(seed: int, tile_id: int, op_index: int) -> np.random.Generator:
-    """Independent Philox stream for one (tile, operation) slot.
-
-    The key is the spec seed, in [0, 2**128); tile id and op index land
-    in separate 64-bit lanes of the counter, so streams never collide and
-    results do not depend on evaluation order.
-    """
-    counter = (int(tile_id) & 0xFFFFFFFFFFFFFFFF) * 2**64 + (int(op_index) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
+    """The random stream of one (tile, operation) slot,
+    ``stream(seed, tile_id, op_index)``: independent of every other
+    slot's, whatever order the slots run in."""
+    return stream(seed, tile_id, op_index)
 
 
 def _check_stays_valid(values, valid, nodata_bits, band_name: str, op: str) -> None:
@@ -194,58 +191,67 @@ def random_crop(
     return cropped, AnnotationSet(tuple(kept))
 
 
-def _map_valid(tile: Raster, op: str, fn) -> Raster:
+def _map_valid(tile: Raster, op: str, fn, *, workers: int | None = 1, block_rows: int | None = None) -> Raster:
     """Map every band through ``fn``, one row block at a time.
 
-    Each band makes one serial ``map_row_blocks`` call. For each of its
-    blocks in order, the source rows are copied into that call's float64
-    buffer and ``fn(name, block, valid)`` maps it in place; the result is
-    cast into the float32 output rows. Invalid samples keep their bits.
-    Raises DomainError, naming ``op``, if a result exceeds the float32
-    range or a valid sample would become the nodata value.
+    One ``map_row_blocks`` call runs over the tile's rows, with every band
+    inside each block. A block computes its rows' validity (the rule of
+    ``Raster.valid_mask``), then for each band i in order
+    ``fn(i, rows, samples, block, valid)`` writes the mapped values of the
+    band's float32 ``samples`` in those rows into the worker's float64
+    ``block``, which are cast into the float32 output rows. Invalid
+    samples keep their bits. Raises DomainError, naming ``op``, if a
+    result exceeds the float32 range or a valid sample would become the
+    nodata value; the first faulty block decides which, at any
+    ``workers``.
     """
-    valid = tile.valid_mask().bits
-    out = []
-    for band in tile.bands:
-        values = np.empty(band.samples.shape, np.float32)
+    out = [np.empty(band.samples.shape, np.float32) for band in tile.bands]
 
-        def map_block(rows, buffer):
-            block = buffer[: rows.stop - rows.start]
-            block[...] = band.samples[rows]  # float32 samples promote exactly
+    def map_block(rows, buffer):
+        block = buffer[: rows.stop - rows.start]
+        valid = tile.valid_rows(rows)
+        for i, (band, values) in enumerate(zip(tile.bands, out)):
+            samples = band.samples[rows]
             try:
                 with np.errstate(over="raise"):
-                    fn(band.name, block, valid[rows])
+                    fn(i, rows, samples, block, valid)
                     values[rows] = block
             except FloatingPointError:
                 raise DomainError(f"{op} takes band {band.name!r} beyond the float32 range") from None
-            _check_stays_valid(values[rows], valid[rows], tile.nodata_bits, band.name, op)
-            np.copyto(values[rows], band.samples[rows], where=~valid[rows])
+            _check_stays_valid(values[rows], valid, tile.nodata_bits, band.name, op)
+            np.copyto(values[rows], samples, where=~valid)
 
-        map_row_blocks(
-            tile.height, tile.width, map_block, workers=1, scratch=lambda rows: np.empty((rows, tile.width))
-        )
-        out.append(values)
+    map_row_blocks(
+        tile.height, tile.width, map_block, workers=workers,
+        scratch=lambda rows: np.empty((rows, tile.width)), block_rows=block_rows,
+    )
     return _rebuild(tile, out)
 
 
 def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Raster:
     """Add i.i.d. zero-mean normal noise, clamped at zero reflectance.
 
-    Nodata pixels are left bit-identical; sigma 0 is the identity. Each
-    band runs through ``map_row_blocks`` on one worker, drawing each
-    block's noise in turn, which gives the values of one draw per band.
+    Nodata pixels are left bit-identical; sigma 0 is the identity. One
+    uint64 drawn from ``rng`` is the entropy of the noise: row band j
+    (``raster_core.stream_rows``) of band i adds sigma times float64
+    standard normals from ``stream(entropy, i, j)``. The row bands run on
+    every CPU, and the result does not depend on how many there are.
     Raises DomainError if a valid sample would become the nodata value.
     """
     if not 0 <= sigma < MAX_SAMPLE_PARAM:
         raise ParameterError(f"noise sigma must be in [0, {MAX_SAMPLE_PARAM:g}), got {sigma}")
     if sigma == 0:
         return tile
+    entropy = int(rng.integers(2**64, dtype=np.uint64))
+    band_rows = stream_rows(tile.width)
 
-    def add_noise(name, block, valid):
-        block += rng.normal(0.0, sigma, size=block.shape)
+    def add_noise(i, rows, samples, block, valid):
+        stream(entropy, i, rows.start // band_rows).standard_normal(out=block)
+        block *= sigma
+        block += samples  # float32 samples promote exactly
         np.maximum(block, 0.0, out=block)
 
-    return _map_valid(tile, "gaussian noise", add_noise)
+    return _map_valid(tile, "gaussian noise", add_noise, workers=None, block_rows=band_rows)
 
 
 def gamma_adjust(tile: Raster, exponent: float) -> Raster:
@@ -260,9 +266,10 @@ def gamma_adjust(tile: Raster, exponent: float) -> Raster:
     if not exponent > 0:
         raise ParameterError(f"gamma exponent must be > 0, got {exponent}")
 
-    def raise_to(name, block, valid):
-        if ((block < 0) & valid).any():
-            raise DomainError(f"band {name!r} has negative samples; gamma expects [0, 1] reflectance")
+    def raise_to(i, rows, samples, block, valid):
+        if ((samples < 0) & valid).any():
+            raise DomainError(f"band {tile.bands[i].name!r} has negative samples; gamma expects [0, 1] reflectance")
+        block[...] = samples  # float32 samples promote exactly
         np.power(block, exponent, out=block, where=valid)
 
     return _map_valid(tile, f"gamma {exponent}", raise_to)
@@ -287,7 +294,8 @@ def scale(
     pixels below and above its position on each axis (see ``_axis``), and
     is nodata when any corner is invalid. Factor 1 is an exact identity.
     Works through the output's row blocks (``map_row_blocks``, one
-    worker), so beyond the output it holds only block-sized buffers.
+    worker), each computing the validity of the source rows it reads, so
+    beyond the output it holds only block-sized buffers.
     Raises DomainError if a valid output sample would be the nodata value.
     """
     if not factor > 0:
@@ -302,7 +310,6 @@ def scale(
 
     y0, y1, fy = _axis(out_h, tile.height, factor)
     x0, x1, fx = _axis(out_w, tile.width, factor)
-    valid = tile.valid_mask().bits
 
     out = [np.empty((out_h, out_w), np.float32) for _ in tile.bands]
     # each axis's corner weights, below then above
@@ -318,13 +325,13 @@ def scale(
         weights = [wy[rows, np.newaxis] * wx for wy in wys for wx in wxs]
 
         def corners(plane):
-            """The block's four corner grids of one plane, gathered column-first."""
-            cols = (np.take(plane[lo:hi], x0, axis=1), np.take(plane[lo:hi], x1, axis=1))
+            """The block's four corner grids of one plane's rows lo:hi, gathered column-first."""
+            cols = (np.take(plane, x0, axis=1), np.take(plane, x1, axis=1))
             return (cols[col][ys] for ys, col in picks)
 
-        block_valid = np.logical_and.reduce(list(corners(valid)))
+        block_valid = np.logical_and.reduce(list(corners(tile.valid_rows(slice(lo, hi)))))
         for band, values in zip(tile.bands, out):
-            samples = corners(band.samples)
+            samples = corners(band.samples[lo:hi])
             # float32 samples promote exactly; summing from 0.0 would turn -0.0 into +0.0
             total[...] = next(samples)
             total *= weights[0]

@@ -55,6 +55,10 @@ MAX_SCENE_PIXELS = 2**32
 # pixels, so that a block's float64 buffers (8 bytes a pixel each, 1 MiB
 # for two) stay in a core's L2 cache instead of streaming through memory.
 BLOCK_PX = 1 << 16
+# Random draws over a grid come one row band of about this many pixels at
+# a time, each band from a stream of its own (see ``stream``). It is not
+# BLOCK_PX, so retuning the pool never changes a drawn value.
+STREAM_PX = 1 << 16
 
 
 def _is_frozen(arr: np.ndarray) -> bool:
@@ -252,14 +256,22 @@ class Raster:
     def valid_mask(self) -> Mask:
         """Pixels where every band is finite and not bitwise equal to
         nodata (as a float32 pattern)."""
-        bits = np.ones((self.height, self.width), dtype=bool)
-        nodata_bits = self.nodata_bits
-        for b in self.bands:
-            bits &= np.isfinite(b.samples)
-            if nodata_bits is not None:
-                bits &= b.samples.view(np.uint32) != nodata_bits
+        bits = self.valid_rows(slice(None))
         bits.setflags(write=False)
         return Mask(bits)
+
+    def valid_rows(self, rows: slice) -> np.ndarray:
+        """``valid_mask``'s rule on the rows ``rows`` alone, as a new
+        writeable array."""
+        nodata_bits = self.nodata_bits
+        bits = None
+        for b in self.bands:
+            samples = b.samples[rows]
+            ok = np.isfinite(samples)
+            if nodata_bits is not None:
+                ok &= samples.view(np.uint32) != nodata_bits
+            bits = ok if bits is None else np.logical_and(bits, ok, out=bits)
+        return bits
 
 
 def _paths_for(path) -> tuple[Path, Path]:
@@ -363,46 +375,81 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_row_blocks(n_rows: int, width: int, fn, workers: int | None = None, scratch=None) -> None:
+def stream(entropy: int, *key: int) -> np.random.Generator:
+    """The random stream of ``key`` under ``entropy``, all non-negative
+    integers.
+
+    This is the package's one rule for splitting randomness: a
+    counter-based Philox generator (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC 2011) keyed through
+    ``SeedSequence(entropy, spawn_key=key)``. Distinct keys give
+    independent streams, and a stream depends on its key alone.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy, spawn_key=key)))
+
+
+def stream_rows(width: int) -> int:
+    """The rows of one row band of a grid ``width`` pixels wide,
+    max(1, STREAM_PX // width).
+
+    A kernel that draws random values over a grid draws row band j of its
+    plane i from ``stream(entropy, i, j)``, in ``map_row_blocks`` blocks
+    of exactly these rows, so the values depend neither on the workers nor
+    on BLOCK_PX.
+    """
+    return max(1, STREAM_PX // max(width, 1))
+
+
+def map_row_blocks(
+    n_rows: int, width: int, fn, workers: int | None = None, scratch=None, *, block_rows: int | None = None
+) -> None:
     """Call ``fn(rows, buffers)`` once for every block of ``n_rows`` rows of
     ``width`` pixels.
 
-    A block is the slice ``rows`` of max(1, BLOCK_PX // width) whole rows
-    (the last one may be shorter). Block i goes to worker i mod k, where k
-    is ``workers`` (None: every CPU this process may use) or the number of
-    blocks if that is smaller; each worker takes its blocks in order.
-    ``scratch(block_rows)``, when given, is called once per worker in the
-    calling thread, and its result is the ``buffers`` that worker hands to
-    ``fn``; otherwise ``buffers`` is None. With one worker the blocks run
-    in the calling thread. Otherwise they run in a pool of k threads that
-    is opened for this call and closed before it returns, and an exception
-    raised by a block is raised here.
+    A block is the slice ``rows`` of ``block_rows`` whole rows, by default
+    max(1, BLOCK_PX // width); the last one may be shorter. Block i goes
+    to worker i mod k, where k is ``workers`` (None: every CPU this
+    process may use) or the number of blocks if that is smaller; each
+    worker takes its blocks in order. ``scratch(rows)``, when given, is
+    called with the block height once per worker in the calling thread,
+    and its result is the ``buffers`` that worker hands to ``fn``;
+    otherwise ``buffers`` is None. With one worker the blocks run in the
+    calling thread. Otherwise they run in a pool of k threads that is
+    opened for this call and closed before it returns. A worker stops at
+    the first block that raises, and the exception of the first block
+    that raised is raised here, so it is the one a single worker raises.
 
     ``fn`` must write only its own rows of outputs that the caller
-    allocated, and must call no public palmwatch function: a tracer that
-    wraps those records spans on one stack. In a pool thread numpy's error
-    state is the default one, not the caller's, so ``fn`` enters its own
-    ``np.errstate``. Raises ParameterError when ``workers`` is below 1.
+    allocated, and must call no public palmwatch function but ``stream``
+    and ``stream_rows``: a tracer that wraps those records spans on one
+    stack. In a pool thread numpy's error state is the default one, not
+    the caller's, so ``fn`` enters its own ``np.errstate``. Raises
+    ParameterError when ``workers`` is below 1.
     """
     if workers is None:
         workers = usable_cpus()
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    rows = max(1, BLOCK_PX // max(width, 1))
+    rows = block_rows or max(1, BLOCK_PX // max(width, 1))
     blocks = [slice(top, min(top + rows, n_rows)) for top in range(0, n_rows, rows)]
     if not blocks:
         return
     k = min(workers, len(blocks))
     # allocated here, so that no buffer comes from a pool thread's malloc arena
     buffers = [scratch(min(rows, n_rows)) if scratch is not None else None for _ in range(k)]
+    # the block each worker runs, or ran last
+    current = list(range(k))
 
     def run(worker):
-        for block in blocks[worker::k]:
-            fn(block, buffers[worker])
+        for i in range(worker, len(blocks), k):
+            current[worker] = i
+            fn(blocks[i], buffers[worker])
 
     if k == 1:
         run(0)
         return
     with ThreadPoolExecutor(max_workers=k) as pool:
-        for future in [pool.submit(run, worker) for worker in range(k)]:
-            future.result()
+        futures = [pool.submit(run, worker) for worker in range(k)]
+    failed = [worker for worker, future in enumerate(futures) if future.exception() is not None]
+    if failed:
+        raise futures[min(failed, key=current.__getitem__)].exception()

@@ -11,7 +11,8 @@ healthy profile at small diameters, and the background sits near
 NDVI 0.1.
 
 Generation is a pure function of the spec (including its seed): the same
-spec always produces byte-identical scenes and annotations.
+spec always produces byte-identical scenes and annotations, on any number
+of CPUs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .annotations import CLASS_LABELS, AnnotationSet, CrownAnnotation, disc_pixels
 from .errors import CapacityError, ParameterError
 from .jsondoc import from_fields, parse_document, read_document
-from .raster_core import MAX_SAMPLE_PARAM, MAX_SCENE_PIXELS, Band, Raster
+from .raster_core import MAX_SAMPLE_PARAM, MAX_SCENE_PIXELS, Band, Raster, map_row_blocks, stream, stream_rows
 
 BAND_NAMES = ("red", "green", "blue", "nir")
 
@@ -148,8 +149,12 @@ def generate_scene(spec: SceneSpec) -> tuple[Raster, AnnotationSet]:
     """Render a scene and its annotations from a spec, deterministically.
 
     Crowns blend their (jittered) class profile into the background with
-    a cosine falloff over the disc radius; independent Gaussian sensor
-    noise is added last and reflectance is clamped at zero.
+    a cosine falloff over the disc radius; their placement and jitter
+    come from ``default_rng(spec.seed)``. Independent Gaussian sensor
+    noise is added last, on every CPU, and reflectance is clamped at
+    zero. The noise of row band j (``raster_core.stream_rows``) of band i
+    is float32 standard normals from ``stream(spec.seed, i, j)`` times
+    ``noise_sigma``.
     """
     rng = np.random.default_rng(spec.seed)
     crowns = _place_crowns(spec, rng)
@@ -169,14 +174,26 @@ def generate_scene(spec: SceneSpec) -> tuple[Raster, AnnotationSet]:
             base = spec.background.get(band, 0.0)
             grids[band][ys, xs] = (base + (target - base) * falloff).astype(np.float32)
 
+    sigma = np.float32(spec.noise_sigma)
+    band_rows = stream_rows(spec.width)
+
+    def add_noise(rows, noise):
+        noise = noise[: rows.stop - rows.start]
+        for i, samples in enumerate(grids.values()):
+            block = samples[rows]
+            if sigma > 0:
+                stream(spec.seed, i, rows.start // band_rows).standard_normal(out=noise, dtype=np.float32)
+                noise *= sigma
+                block += noise
+            np.maximum(block, 0.0, out=block)
+
+    map_row_blocks(
+        spec.height, spec.width, add_noise, workers=None,
+        scratch=lambda rows: np.empty((rows, spec.width), np.float32), block_rows=band_rows,
+    )
     bands = []
-    for band in BAND_NAMES:
-        samples = grids[band]
-        if spec.noise_sigma > 0:
-            noise = rng.standard_normal(samples.shape, dtype=np.float32)
-            noise *= np.float32(spec.noise_sigma)
-            samples += noise
-        np.maximum(samples, 0.0, out=samples)
+    for band, samples in grids.items():
+        samples.setflags(write=False)  # so Band keeps the plane instead of copying it
         bands.append(Band(name=band, samples=samples))
     raster = Raster(bands=tuple(bands), nodata_value=None, origin=(0, 0))
     return raster, AnnotationSet(tuple(crowns))

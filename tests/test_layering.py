@@ -4,7 +4,9 @@ The synthetic-scene generator is a test and demo fixture: the pipeline's
 stages must not depend on it, so only the command line and the package
 root may import it. Threads and processes are opened in one place,
 ``raster_core.map_row_blocks``, so only ``raster_core`` may import a
-concurrency module.
+concurrency module. Random streams are split by one rule,
+``raster_core.stream``, so only ``raster_core`` may name the generator
+and the seed sequence that rule is built from.
 """
 
 import ast
@@ -15,6 +17,7 @@ import palmwatch
 PACKAGE = Path(palmwatch.__file__).parent
 MAY_IMPORT_SYNTH_SCENE = {"cli.py", "__init__.py"}
 CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
+STREAM_RULE_NAMES = {"Philox", "SeedSequence"}
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -47,5 +50,27 @@ def test_only_raster_core_imports_concurrency():
         for path in PACKAGE.glob("*.py")
         if path.name != "raster_core.py"
         and any(name.split(".")[0] in CONCURRENCY_MODULES for name in imported_modules(path))
+    )
+    assert offenders == []
+
+
+def named(path: Path) -> set[str]:
+    """Every identifier, attribute and imported name ``path`` spells out."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_only_raster_core_names_the_stream_rule():
+    offenders = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "raster_core.py" and named(path) & STREAM_RULE_NAMES
     )
     assert offenders == []

@@ -89,6 +89,22 @@ class TestMapRowBlocks:
         )
         assert made_in == [threading.get_ident()] * 2
 
+    @pytest.mark.parametrize("block_rows", [1, 3, 10, 11])
+    def test_block_rows_is_the_block_height(self, block_rows):
+        seen = []
+        map_row_blocks(10, BLOCK_PX, lambda rows, _: seen.append((rows.start, rows.stop)), 1, block_rows=block_rows)
+        assert seen == [(top, min(top + block_rows, 10)) for top in range(0, 10, block_rows)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_the_first_failing_block_is_raised(self, workers):
+        # at two workers block 4 is worker 0's and block 3 worker 1's
+        def fn(rows, _):
+            if rows.start in (3, 4):
+                raise ValueError(f"block {rows.start}")
+
+        with pytest.raises(ValueError, match="block 3"):
+            map_row_blocks(8, BLOCK_PX, fn, workers)
+
     def test_a_failing_block_raises_and_leaves_no_thread(self):
         before = threading.active_count()
 

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from palmwatch import raster_core
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels, rasterize_labels
 from palmwatch.errors import CapacityError, ParameterError
 from palmwatch.indices import ndvi, vegetation_mask
-from palmwatch.raster_core import save_raster
+from palmwatch.raster_core import save_raster, stream
 from palmwatch.synth_scene import (
     BAND_NAMES,
     DEFAULT_BACKGROUND,
@@ -267,3 +270,52 @@ def test_accepted_specs_generate_finite_samples(fields):
         return
     for band in raster.bands:
         assert np.isfinite(band.samples).all(), band.name
+
+
+# values of raster_core.BLOCK_PX and STREAM_PX, the default last
+_block_sizes = st.sampled_from([1, 97, 4096, raster_core.BLOCK_PX])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    width=st.integers(1, 300),
+    height=st.integers(1, 120),
+    sigma=st.sampled_from([0.0, 0.01, 0.3]),
+    seed=st.integers(0, 2**64),
+    block_px=_block_sizes,
+    stream_px=_block_sizes,
+)
+def test_noise_is_the_stream_of_each_row_band(data, width, height, sigma, seed, block_px, stream_px):
+    """Row band j of band i, of max(1, STREAM_PX // width) rows, adds
+    float32 normals from stream(seed, i, j) times sigma to the noise-free
+    render, clamped at zero: the same bits on 1, 2 or 3 CPUs, whatever
+    BLOCK_PX is."""
+    # up to six crowns of diameter 6 or less place easily on a 64 x 64 scene
+    fits = min(width, height) >= 64
+    spec = SceneSpec(
+        width=width,
+        height=height,
+        counts={label: data.draw(st.integers(0, 2)) if fits else 0 for label in ("healthy", "smallish", "dead")},
+        diameter_ranges={"healthy": (3.0, 6.0), "smallish": (2.0, 3.0), "dead": (3.0, 5.0)},
+        noise_sigma=sigma,
+        min_spacing=1.0,
+        seed=seed,
+    )
+    with mock.patch.object(raster_core, "STREAM_PX", stream_px):
+        quiet, quiet_ann = generate_scene(replace(spec, noise_sigma=0.0))
+        rows = max(1, stream_px // width)
+        want = []
+        for i, band in enumerate(quiet.bands):
+            normals = np.concatenate([
+                stream(seed, i, j).standard_normal((min(rows, height - top), width), dtype=np.float32)
+                for j, top in enumerate(range(0, height, rows))
+            ])
+            want.append(np.maximum(band.samples + normals * np.float32(sigma), 0) if sigma else band.samples)
+        for cpus in (1, 2, 3):
+            with mock.patch.object(raster_core, "BLOCK_PX", block_px), \
+                    mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
+                raster, ann = generate_scene(spec)
+            assert ann == quiet_ann
+            for band, expected in zip(raster.bands, want):
+                np.testing.assert_array_equal(band.samples.view(np.uint32), expected.view(np.uint32))
