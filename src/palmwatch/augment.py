@@ -191,19 +191,19 @@ def random_crop(
     return cropped, AnnotationSet(tuple(kept))
 
 
-def _map_valid(tile: Raster, op: str, fn, *, workers: int | None = 1, block_rows: int | None = None) -> Raster:
+def _map_valid(tile: Raster, op: str, fn, *, block_rows: int | None = None) -> Raster:
     """Map every band through ``fn``, one row block at a time.
 
-    One ``map_row_blocks`` call runs over the tile's rows, with every band
-    inside each block. A block computes its rows' validity (the rule of
-    ``Raster.valid_mask``), then for each band i in order
-    ``fn(i, rows, samples, block, valid)`` writes the mapped values of the
-    band's float32 ``samples`` in those rows into the worker's float64
-    ``block``, which are cast into the float32 output rows. Invalid
+    One ``map_row_blocks`` call runs over the tile's rows on every CPU,
+    with every band inside each block. A block computes its rows'
+    validity (the rule of ``Raster.valid_mask``), then for each band i in
+    order ``fn(i, rows, samples, block, valid)`` writes the mapped values
+    of the band's float32 ``samples`` in those rows into the worker's
+    float64 ``block``, which are cast into the float32 output rows. Invalid
     samples keep their bits. Raises DomainError, naming ``op``, if a
     result exceeds the float32 range or a valid sample would become the
-    nodata value; the first faulty block decides which, at any
-    ``workers``.
+    nodata value; the first faulty block decides which, so the error and
+    the output bits do not depend on the number of CPUs.
     """
     out = [np.empty(band.samples.shape, np.float32) for band in tile.bands]
 
@@ -222,7 +222,7 @@ def _map_valid(tile: Raster, op: str, fn, *, workers: int | None = 1, block_rows
             np.copyto(values[rows], samples, where=~valid)
 
     map_row_blocks(
-        tile.height, tile.width, map_block, workers=workers,
+        tile.height, tile.width, map_block,
         scratch=lambda rows: np.empty((rows, tile.width)), block_rows=block_rows,
     )
     return _rebuild(tile, out)
@@ -251,7 +251,7 @@ def gaussian_noise(tile: Raster, sigma: float, rng: np.random.Generator) -> Rast
         block += samples  # float32 samples promote exactly
         np.maximum(block, 0.0, out=block)
 
-    return _map_valid(tile, "gaussian noise", add_noise, workers=None, block_rows=band_rows)
+    return _map_valid(tile, "gaussian noise", add_noise, block_rows=band_rows)
 
 
 def gamma_adjust(tile: Raster, exponent: float) -> Raster:
@@ -260,8 +260,9 @@ def gamma_adjust(tile: Raster, exponent: float) -> Raster:
     Raises DomainError if a valid sample is negative, if a result
     exceeds the float32 range (a sample above 1 raised to a large
     exponent), or if a result is the nodata value; the first faulty row
-    block (``map_row_blocks``, one worker) decides which. Nodata pixels
-    are untouched. Monotone, so pixel value ordering is preserved.
+    block decides which (see ``_map_valid``; the row blocks run on every
+    CPU). Nodata pixels are untouched. Monotone, so pixel value ordering
+    is preserved.
     """
     if not exponent > 0:
         raise ParameterError(f"gamma exponent must be > 0, got {exponent}")
@@ -293,10 +294,12 @@ def scale(
     Each output pixel is the weighted sum of its four corners, the source
     pixels below and above its position on each axis (see ``_axis``), and
     is nodata when any corner is invalid. Factor 1 is an exact identity.
-    Works through the output's row blocks (``map_row_blocks``, one
-    worker), each computing the validity of the source rows it reads, so
-    beyond the output it holds only block-sized buffers.
-    Raises DomainError if a valid output sample would be the nodata value.
+    Works through the output's row blocks on every CPU
+    (``map_row_blocks``), each computing the validity of the source rows
+    it reads, so beyond the output each worker holds only block-sized
+    buffers, and the bits do not depend on the number of CPUs.
+    Raises DomainError if a valid output sample would be the nodata
+    value; the first faulty row block decides which band it names.
     """
     if not factor > 0:
         raise ParameterError(f"scale factor must be > 0, got {factor}")
@@ -320,9 +323,13 @@ def scale(
         # y0 and y1 never decrease, so the block reads source rows lo:hi only
         lo, hi = y0[rows.start], y1[rows.stop - 1] + 1
         # per corner, in the order below-left, below-right, above-left,
-        # above-right: its rows within lo:hi, its column (x0 or x1), its weight
+        # above-right: its rows within lo:hi and its column (x0 or x1)
         picks = [(ys[rows] - lo, col) for ys in (y0, y1) for col in (0, 1)]
-        weights = [wy[rows, np.newaxis] * wx for wy in wys for wx in wxs]
+        # each corner's weight wy * wx, in the same order; only the first two
+        # are kept as planes, and each band forms the others in product (IEEE
+        # products commute, so corner * weight has the same bits either way)
+        weights = [(wy[rows, np.newaxis], wx) for wy in wys for wx in wxs]
+        planes = [np.multiply(*weight) for weight in weights[:2]]
 
         def corners(plane):
             """The block's four corner grids of one plane's rows lo:hi, gathered column-first."""
@@ -334,20 +341,24 @@ def scale(
             samples = corners(band.samples[lo:hi])
             # float32 samples promote exactly; summing from 0.0 would turn -0.0 into +0.0
             total[...] = next(samples)
-            total *= weights[0]
+            total *= planes[0]
             # an inf corner can meet a zero weight or a -inf corner, which warns;
             # such an output has an invalid corner and is filled below
             with np.errstate(invalid="ignore"):
-                for corner, weight in zip(samples, weights[1:]):
-                    product[...] = corner
-                    product *= weight
+                for k, corner in enumerate(samples, start=1):
+                    if k < len(planes):
+                        product[...] = corner
+                        product *= planes[k]
+                    else:
+                        np.multiply(*weights[k], out=product)
+                        product *= corner
                     total += product
             values[rows] = total
             _check_stays_valid(values[rows], block_valid, tile.nodata_bits, band.name, f"scale {factor}")
             np.copyto(values[rows], tile.fill_value, where=~block_valid)
 
-    # the two buffers are shared by every block and band: fresh ones fragment the heap and raise peak RSS
-    map_row_blocks(out_h, out_w, scale_block, workers=1, scratch=lambda rows: np.empty((2, rows, out_w)))
+    # a worker's two buffers are shared by its blocks and bands: fresh ones fragment the heap and raise peak RSS
+    map_row_blocks(out_h, out_w, scale_block, scratch=lambda rows: np.empty((2, rows, out_w)))
     return _rebuild(tile, out), ann.scaled(factor)
 
 

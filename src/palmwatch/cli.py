@@ -258,7 +258,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     save_raster(_mask_to_raster(veg, "veg_mask", scene.origin), out_dir / "veg_mask")
     veg_fraction = veg.count() / max(valid.count(), 1)
 
-    prediction_mask = Mask(valid.bits & veg.bits) if config.veg_gate else valid
+    prediction_mask = valid
+    if config.veg_gate:
+        gated = valid.bits & veg.bits
+        gated.setflags(write=False)  # so Mask keeps the plane instead of copying it
+        prediction_mask = Mask(gated)
+        del gated  # the del after prediction frees the plane only if nothing else holds it
     # the index joins the scene as a band, so a model that reads it as a
     # feature takes it as it is; a scene band of that name comes first
     features = scene

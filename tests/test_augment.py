@@ -306,40 +306,43 @@ class TestBlockMemory:
         block = max(1, raster_core.BLOCK_PX // out.width) * out.width * 8
         return (peak - sum(b.samples.nbytes for b in out.bands)) / block
 
-    def test_scale(self):
-        # about 8 here (58-row blocks); 17 is within the old bound of 16
-        # buffers of 64 rows, and the whole-plane form took 111 of those
-        tile = self.tile(896, 896)
-        assert self.peak_beyond_output(lambda: scale(tile, AnnotationSet(()), 1.25)[0]) <= 17
-
-    def noise_peaks(self, tile):
-        """Noise's peak on one CPU and on two, whatever this host has."""
+    def peaks(self, run):
+        """The peak on one CPU and on two, whatever this host has: each
+        worker holds its own buffers."""
         peaks = []
         for cpus in (1, 2):
             with mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
-                peaks.append(self.peak_beyond_output(lambda: gaussian_noise(tile, 0.02, np.random.default_rng(3))))
+                peaks.append(self.peak_beyond_output(run))
         return peaks
+
+    def test_scale(self):
+        # about 6.1 on one CPU and 12.1 on two here (58-row blocks); 17 is
+        # within the old bound of 16 buffers of 64 rows, and the whole-plane
+        # form took 111 of those
+        tile = self.tile(896, 896)
+        assert max(self.peaks(lambda: scale(tile, AnnotationSet(()), 1.25)[0])) <= 17
 
     def test_gaussian_noise(self):
         # about 1.4 and 2.8 here (73-row blocks); 7 is within the old bound
         # of 8 buffers of 64 rows, and the whole-plane form took 44 of those
         tile = self.tile(896, 896)
-        assert max(self.noise_peaks(tile)) <= 7
+        assert max(self.peaks(lambda: gaussian_noise(tile, 0.02, np.random.default_rng(3)))) <= 7
 
     def test_gamma(self):
-        # about 1.4 here (73-row blocks); 7 is within the old bound of 8
-        # buffers of 64 rows, and the whole-plane form took 17.5 of those
+        # about 1.4 and 2.8 here (73-row blocks); 7 is within the old bound
+        # of 8 buffers of 64 rows, and the whole-plane form took 17.5 of those
         tile = self.tile(896, 896)
-        assert self.peak_beyond_output(lambda: gamma_adjust(tile, 1.3)) <= 7
+        assert max(self.peaks(lambda: gamma_adjust(tile, 1.3))) <= 7
 
     def test_wide_tile(self):
-        # about 8.8, 1.4 and 2.8 (noise on one and two CPUs) and 1.4 here,
-        # in blocks of 8 rows (6 of scale's output); blocks of 64 rows,
-        # whatever the width, took 117.5, 18 and 11
+        # about 6.8 and 13.0 (scale on one CPU and on two), 1.4 and 2.8
+        # (noise) and 1.4 and 2.8 (gamma) here, in blocks of 8 rows (6 of
+        # scale's output); blocks of 64 rows, whatever the width, took
+        # 117.5, 18 and 11
         tile = self.tile(128, 8192)
-        assert self.peak_beyond_output(lambda: scale(tile, AnnotationSet(()), 1.25)[0]) <= 17
-        assert max(self.noise_peaks(tile)) <= 7
-        assert self.peak_beyond_output(lambda: gamma_adjust(tile, 1.3)) <= 7
+        assert max(self.peaks(lambda: scale(tile, AnnotationSet(()), 1.25)[0])) <= 17
+        assert max(self.peaks(lambda: gaussian_noise(tile, 0.02, np.random.default_rng(3)))) <= 7
+        assert max(self.peaks(lambda: gamma_adjust(tile, 1.3))) <= 7
 
 
 def reference_gaussian_noise(tile, sigma, rng):
@@ -504,11 +507,35 @@ def scale_factors(draw, tile):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), tile=odd_tiles(), block_px=block_sizes)
 def test_scale_matches_whole_plane_reference(data, tile, block_px):
+    # the same bits on 1, 2 or 3 CPUs whatever BLOCK_PX is
     factor = data.draw(scale_factors(tile))
-    with mock.patch.object(raster_core, "BLOCK_PX", block_px):
-        got = outcome(lambda: scale(tile, AnnotationSet(()), factor)[0])
     want = outcome(reference_scale, tile, factor)
-    assert_matches_reference(got, want, tile.nodata_value)
+    for cpus in (1, 2, 3):
+        with mock.patch.object(raster_core, "BLOCK_PX", block_px), \
+                mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
+            got = outcome(lambda: scale(tile, AnnotationSet(()), factor)[0])
+        assert_matches_reference(got, want, tile.nodata_value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tile=odd_tiles(),
+    exponent=st.sampled_from([1e-3, 0.5, 1.0, 1.3, 300.0]),
+    block_px=block_sizes,
+)
+def test_gamma_is_the_same_on_any_cpu_count(tile, exponent, block_px):
+    # the bits of one CPU, or its error: odd tiles have negative, inf and
+    # nodata samples, so the first faulty block must decide which error
+    outcomes = []
+    for cpus in (1, 2, 3):
+        with mock.patch.object(raster_core, "BLOCK_PX", block_px), \
+                mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
+            outcomes.append(outcome(gamma_adjust, tile, exponent))
+    want, *others = outcomes
+    if isinstance(want, Raster):
+        want = [b.samples for b in want.bands], None  # a Raster has no valid nodata sample
+    for got in others:
+        assert_matches_reference(got, want, None)
 
 
 class TestSpecPipeline:
@@ -671,16 +698,23 @@ class TestPinnedBytes:
         return make_raster(bands, nodata=-9999.0), AnnotationSet(crowns)
 
     def digests(self, tile, ann, spec, tile_ids, tmp_path):
-        digests = {}
-        for tile_id in tile_ids:
-            out_tile, out_ann = apply_spec(tile, ann, spec, tile_id)
-            bands = hashlib.sha256()
-            for band in out_tile.bands:
-                bands.update(np.ascontiguousarray(band.samples, dtype="<f4").tobytes())
-            save_annotations(out_ann, tmp_path / "ann.json")
-            annotations = hashlib.sha256((tmp_path / "ann.json").read_bytes())
-            digests[tile_id] = (out_tile.width, out_tile.height, bands.hexdigest(), annotations.hexdigest())
-        return digests
+        """Each tile's size and digests, which must be the same on 1 and
+        on 3 CPUs."""
+        runs = []
+        for cpus in (1, 3):
+            digests = {}
+            with mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
+                for tile_id in tile_ids:
+                    out_tile, out_ann = apply_spec(tile, ann, spec, tile_id)
+                    bands = hashlib.sha256()
+                    for band in out_tile.bands:
+                        bands.update(np.ascontiguousarray(band.samples, dtype="<f4").tobytes())
+                    save_annotations(out_ann, tmp_path / "ann.json")
+                    annotations = hashlib.sha256((tmp_path / "ann.json").read_bytes())
+                    digests[tile_id] = (out_tile.width, out_tile.height, bands.hexdigest(), annotations.hexdigest())
+            runs.append(digests)
+        assert runs[0] == runs[1]
+        return runs[0]
 
     def test_all_six_ops_bytes(self, tmp_path):
         spec = AugmentSpec(
