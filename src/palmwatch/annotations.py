@@ -4,9 +4,10 @@ Serialized form is JSON: ``{"crowns": [{"id", "class", "cx", "cy",
 "radius_px"}, ...]}``. Crowns are discs; a crown's pixel set is every
 lattice point within ``radius_px`` of its centroid, clipped to the grid
 it is being evaluated against. This module holds the one disc rule:
-``disc_pixels`` gives one crown's pixels and ``rasterize_labels`` the
-union mask of a set of crowns, which training labels and per-class
-index statistics both use.
+``disc_pixels`` gives one crown's pixels, listing at most the grid,
+``rasterize_labels`` the union mask of a set of crowns, which training
+labels and per-class index statistics both use, and ``check_within``
+whether a disc leaves the grid, listing no pixel.
 """
 
 from __future__ import annotations
@@ -60,26 +61,28 @@ class CrownAnnotation:
             raise FormatError(f"crown {self.id}: radius_px must be > 0, got {self.radius_px}")
 
 
-def disc_pixels(
-    cx: float, cy: float, radius: float, width: int, height: int, clip: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice points within ``radius`` of (cx, cy), as (ys, xs) arrays.
+def _in_disc(xs, ys, cx: float, cy: float, radius: float):
+    """Whether lattice points (xs, ys) lie within ``radius`` of (cx, cy):
+    the one disc rule. A square that overflows is inf, and inf <= inf, so
+    a disc whose radius squared overflows (radius above about 1.3e154)
+    holds every point of its bounding square."""
+    with np.errstate(over="ignore"):
+        return np.square(np.subtract(xs, cx)) + np.square(np.subtract(ys, cy)) <= radius * radius
 
-    With ``clip=True`` points outside the width x height grid are dropped;
-    otherwise raw coordinates are returned (possibly negative or beyond
-    the grid), which callers use for bounds checking.
+
+def disc_pixels(cx: float, cy: float, radius: float, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice points of the width x height grid within ``radius`` of
+    (cx, cy), as (ys, xs) arrays in row-major order.
+
+    Only the part of the disc's bounding box inside the grid is listed,
+    so a disc far off or far larger than the grid costs at most the grid.
     """
-    x0 = math.floor(cx - radius)
-    x1 = math.ceil(cx + radius)
-    y0 = math.floor(cy - radius)
-    y1 = math.ceil(cy + radius)
-    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
-    inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius * radius
-    ys, xs = ys[inside], xs[inside]
-    if clip:
-        keep = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
-        ys, xs = ys[keep], xs[keep]
-    return ys, xs
+    # the bounding box's columns and rows as half-open ranges, clamped to the grid
+    x0, x1 = (min(max(v, 0), width) for v in (math.floor(cx - radius), math.ceil(cx + radius) + 1))
+    y0, y1 = (min(max(v, 0), height) for v in (math.floor(cy - radius), math.ceil(cy + radius) + 1))
+    ys, xs = np.mgrid[y0:y1, x0:x1]
+    inside = _in_disc(xs, ys, cx, cy, radius)
+    return ys[inside], xs[inside]
 
 
 @dataclass(frozen=True)
@@ -107,14 +110,19 @@ class AnnotationSet:
         return tuple(c for c in self.crowns if c.class_label == label)
 
     def check_within(self, width: int, height: int) -> None:
-        """Raise BoundsError naming the first crown whose disc leaves the grid."""
+        """Raise BoundsError naming the first crown whose disc leaves the grid.
+
+        A disc without its lattice point nearest the centre, (round(cx),
+        round(cy)), has no point; one with it off the grid leaves. A disc's
+        points are 4-connected, so one with it on the grid leaves exactly
+        when it has a point in the 1 px ring around the grid."""
         for crown in self.crowns:
-            ys, xs = disc_pixels(
-                crown.cx, crown.cy, crown.radius_px, width, height, clip=False
-            )
-            if len(xs) == 0:
+            cx, cy, r = crown.cx, crown.cy, crown.radius_px
+            px, py = np.rint(cx), np.rint(cy)
+            if not _in_disc(px, py, cx, cy, r):
                 continue
-            if xs.min() < 0 or xs.max() >= width or ys.min() < 0 or ys.max() >= height:
+            ring = ((px, -1), (px, height), (-1, py), (width, py))
+            if not (0 <= px < width and 0 <= py < height) or any(_in_disc(x, y, cx, cy, r) for x, y in ring):
                 raise BoundsError(
                     f"crown {crown.id} ({crown.class_label}) at "
                     f"({crown.cx}, {crown.cy}) r={crown.radius_px} leaves the "

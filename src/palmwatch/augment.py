@@ -118,13 +118,6 @@ def load_spec(path) -> AugmentSpec:
     return _spec_from(read_document(path, "augment spec"), f"augment spec {path}")
 
 
-def op_rng(seed: int, tile_id: int, op_index: int) -> np.random.Generator:
-    """The random stream of one (tile, operation) slot,
-    ``stream(seed, tile_id, op_index)``: independent of every other
-    slot's, whatever order the slots run in."""
-    return stream(seed, tile_id, op_index)
-
-
 def _check_stays_valid(values, valid, nodata_bits, band_name: str, op: str) -> None:
     """Raise DomainError if a valid float32 output sample is bitwise the
     nodata value, which the output tile would silently read as nodata."""
@@ -367,7 +360,7 @@ def apply_spec(
 ) -> tuple[Raster, AnnotationSet]:
     """Run the spec's operations in order, one seeded stream per slot."""
     for index, op in enumerate(spec.operations):
-        rng = op_rng(spec.seed, tile_id, index)
+        rng = stream(spec.seed, tile_id, index)
         if isinstance(op, CropOp):
             tile, ann = random_crop(tile, ann, op.size, rng)
         elif isinstance(op, GaussianNoiseOp):

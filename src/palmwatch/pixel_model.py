@@ -83,34 +83,23 @@ def featurize(
     feature_names: tuple[str, ...] | None = None,
     *,
     workers: int | None = None,
-) -> tuple[Raster, np.ndarray]:
-    """The feature raster and where every feature is valid.
-
-    The feature raster is ``raster`` with each index feature that is not
+) -> Raster:
+    """The feature raster: ``raster`` with each index feature that is not
     one of its bands joined as a band of its own (float32, computed over
     ``mask``, over ``workers`` threads); no samples are copied. A feature
     that is a band of ``raster`` is taken as it is, so an index derived
-    once over a scene is reused by joining it to the scene as a band. A
-    pixel is valid when ``mask`` holds and every index joined here is
-    finite there; invalid pixels keep whatever the planes hold (NaN,
-    nodata, any finite value) and yield no training rows or predictions.
-    The validity array comes back read-only. The default features are
-    every band, then DEFAULT_INDEX_FEATURES. Raises what ``check_features`` raises, before
-    any index is computed.
+    once over a scene is reused by joining it to the scene as a band.
+    Features follow the grid rule: a joined index is NaN wherever it is
+    invalid, outside ``mask`` too. The default features are every band,
+    then DEFAULT_INDEX_FEATURES. Raises what ``check_features`` raises,
+    before any index is computed.
     """
     names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
-    indices = check_features(raster, mask, names)
-    valid = mask.bits.copy()
-    joined = []
-    for name in indices:
-        index = compute_index(raster, mask, name, workers=workers)
-        joined.append(Band(name=name, samples=index.values))
-        valid &= index.valid
-    valid.setflags(write=False)
-    features = Raster(
-        bands=raster.bands + tuple(joined), nodata_value=raster.nodata_value, origin=raster.origin
+    joined = tuple(
+        Band(name=name, samples=compute_index(raster, mask, name, workers=workers).values)
+        for name in check_features(raster, mask, names)
     )
-    return features, valid
+    return Raster(bands=raster.bands + joined, nodata_value=raster.nodata_value, origin=raster.origin)
 
 
 @dataclass
@@ -328,16 +317,16 @@ def predict_map(
     of whole rows of about BLOCK_PX pixels, which ``workers`` threads
     share (``map_row_blocks``; None: every CPU this process may use);
     each block goes straight into the float32 result, so the result is
-    the same for any number of workers. A pixel comes out NaN, and so
-    invalid, where a feature is invalid or z is NaN (weighted features
-    that overflow to +inf and -inf); what invalid pixels hold may
-    overflow or be NaN in z, so the blocks run silenced. Raises
-    CompatibilityError listing the manifest features the raster cannot
-    supply.
+    the same for any number of workers. A pixel is invalid, and holds NaN
+    (0x7fc00000), where ``mask`` is false or z is NaN: an invalid feature
+    is NaN and makes z NaN at any weight, and so do weighted features
+    that overflow to +inf and -inf. The blocks run silenced, as invalid
+    pixels may overflow or be NaN in z. Raises CompatibilityError listing
+    the manifest features the raster cannot supply.
     """
-    features, valid = featurize(raster, mask, params.features, workers=workers)
+    features = featurize(raster, mask, params.features, workers=workers)
     planes = [features.band(name).samples for name in params.features]
-    height, width = valid.shape
+    height, width = mask.bits.shape
     values = np.empty((height, width), dtype=np.float32)
 
     def block(rows, buffers):
@@ -352,7 +341,7 @@ def predict_map(
                 z += t
             z += params.bias
             values[rows] = expit(z, out=z)
-            values[rows][~valid[rows]] = np.nan
+            values[rows][np.isnan(z) | ~mask.bits[rows]] = np.nan
 
     map_row_blocks(height, width, block, workers, scratch=lambda rows: np.empty((2, rows, width)))
     values.setflags(write=False)
@@ -373,12 +362,14 @@ def build_training_set(
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Assemble (X, y) pixel rows from annotated scenes.
 
-    Every palm pixel (inside any crown disc) becomes a positive row;
-    background pixels are subsampled to ``negative_ratio`` times the
-    positive count (seeded, without replacement) to keep desk-scale
-    training sets tractable. ``scenes`` may be any iterable, such as a
-    generator that loads each scene from disk: one scene is held at a
-    time, and only its sampled rows outlive it.
+    A pixel is a candidate where the scene's ``valid_mask`` holds and
+    every feature is finite. Every palm candidate (inside any crown disc)
+    becomes a positive row; background candidates are subsampled to
+    ``negative_ratio`` times the positive count (seeded, without
+    replacement) to keep desk-scale training sets tractable. ``scenes``
+    may be any iterable, such as a generator that loads each scene from
+    disk: one scene is held at a time, and only its sampled rows outlive
+    it.
     """
     check_negative_ratio(negative_ratio)
     rng = np.random.default_rng(seed)
@@ -396,7 +387,12 @@ def build_training_set(
         # the feature raster is cheap; materializing per-pixel rows for the
         # whole scene is not, so rows are gathered only at the sampled
         # pixels below
-        features, valid = featurize(raster, raster.valid_mask(), names)
+        mask = raster.valid_mask()
+        features = featurize(raster, mask, names)
+        # the bands are finite under the mask, so only joined indices are checked
+        valid = mask.bits.copy()
+        for band in features.bands[len(raster.bands) :]:
+            valid &= np.isfinite(band.samples)
 
         palm = rasterize_labels(ann, raster.width, raster.height)
         pos_idx = np.flatnonzero((palm & valid).ravel())
@@ -413,7 +409,7 @@ def build_training_set(
             )
             ys.append(np.full(len(idx), label))
         # release this scene before the iterable loads the next one
-        del raster, ann, features, valid, palm, neg_candidates
+        del raster, ann, mask, features, valid, palm, neg_candidates
     if names is None:
         raise DegenerateDataError("no scenes to build a training set from")
     return np.concatenate(xs), np.concatenate(ys), names

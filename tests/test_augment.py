@@ -25,7 +25,6 @@ from palmwatch.augment import (
     flip_v,
     gamma_adjust,
     gaussian_noise,
-    op_rng,
     random_crop,
     scale,
     spec_from_json,
@@ -484,11 +483,11 @@ def test_gaussian_noise_matches_whole_plane_reference(tile, sigma, seed, block_p
     # the row bands of stream_px, and the same bits on 1, 2 or 3 CPUs
     # whatever BLOCK_PX is
     with mock.patch.object(raster_core, "STREAM_PX", stream_px):
-        want = outcome(reference_gaussian_noise, tile, sigma, op_rng(seed, 0, 0))
+        want = outcome(reference_gaussian_noise, tile, sigma, stream(seed, 0, 0))
         for cpus in (1, 2, 3):
             with mock.patch.object(raster_core, "BLOCK_PX", block_px), \
                     mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
-                got = outcome(gaussian_noise, tile, sigma, op_rng(seed, 0, 0))
+                got = outcome(gaussian_noise, tile, sigma, stream(seed, 0, 0))
             assert_matches_reference(got, want, tile.nodata_value)
 
 
@@ -573,10 +572,11 @@ class TestSpecPipeline:
         assert not same
 
     def test_op_rng_streams_independent(self):
-        a = op_rng(5, 1, 0).normal(size=8)
-        b = op_rng(5, 1, 1).normal(size=8)
-        c = op_rng(5, 2, 0).normal(size=8)
-        again = op_rng(5, 1, 0).normal(size=8)
+        # apply_spec's (seed, tile, op) slots
+        a = stream(5, 1, 0).normal(size=8)
+        b = stream(5, 1, 1).normal(size=8)
+        c = stream(5, 2, 0).normal(size=8)
+        again = stream(5, 1, 0).normal(size=8)
         np.testing.assert_array_equal(a, again)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
@@ -584,9 +584,9 @@ class TestSpecPipeline:
     @pytest.mark.parametrize(
         "make, key, neighbours",
         [
-            # (seed, tile, op) slots: the next op and the next tile
-            (op_rng, (7, 0, 1), [(7, 0, 2), (7, 1, 1)]),
-            (op_rng, (7, 2**32 - 1, 5), [(7, 2**32 - 1, 6), (7, 0, 5)]),
+            # apply_spec's (seed, tile, op) slots: the next op and the next tile
+            (stream, (7, 0, 1), [(7, 0, 2), (7, 1, 1)]),
+            (stream, (7, 2**32 - 1, 5), [(7, 2**32 - 1, 6), (7, 0, 5)]),
             # noise (entropy, band, row band) keys: the next row band and the next band
             (stream, (2**63, 0, 0), [(2**63, 0, 1), (2**63, 1, 0)]),
             (stream, (2**63, 3, 63), [(2**63, 3, 64), (2**63, 2, 63)]),
@@ -602,9 +602,6 @@ class TestSpecPipeline:
         assert len(first) == 1000
         for neighbour in neighbours:
             assert first.isdisjoint(draws(neighbour))
-
-    def test_op_rng_is_the_stream_of_the_slot(self):
-        np.testing.assert_array_equal(op_rng(7, 0, 2).random(8), stream(7, 0, 2).random(8))
 
     def test_annotation_consistency_random_specs(self, rng):
         # retained crown pixel sets always lie inside the output tile

@@ -553,7 +553,9 @@ class TestExitCodes:
 
     # Both requests need far more address space than exists (PiB, TiB),
     # so numpy fails at once without touching memory.
-    def test_oversized_annotation_is_out_of_memory(self, workspace, tmp_path, capsys):
+    def test_oversized_annotation_is_a_bounds_error(self, workspace, tmp_path, capsys):
+        # the disc's 2e7-px bounding box used to be listed whole, and its
+        # 5.68 PiB allocation failed as "out of memory"
         ann = tmp_path / "ann.json"
         ann.write_text(json.dumps(
             {"crowns": [{"id": 1, "class": "healthy", "cx": 5.0, "cy": 5.0, "radius_px": 1e7}]}
@@ -561,7 +563,7 @@ class TestExitCodes:
         code = main(["index", str(workspace["scenes"][0]), str(tmp_path / "ndvi"), "--annotations", str(ann)])
         assert code == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("out of memory")
+        assert len(err) == 1 and err[0].startswith("data error: crown 1") and "leaves the 220x220 grid" in err[0]
 
     def test_oversized_tile_is_config_error(self, workspace, tmp_path, capsys):
         # a 10^7-px tile used to fail its allocation and exit 3

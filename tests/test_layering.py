@@ -6,7 +6,8 @@ root may import it. Threads and processes are opened in one place,
 ``raster_core.map_row_blocks``, so only ``raster_core`` may import a
 concurrency module. Random streams are split by one rule,
 ``raster_core.stream``, so only ``raster_core`` may name the generator
-and the seed sequence that rule is built from.
+and the seed sequence that rule is built from. Crowns are discs by one
+rule, in ``annotations``, so only ``annotations`` may list lattice points.
 """
 
 import ast
@@ -18,6 +19,7 @@ PACKAGE = Path(palmwatch.__file__).parent
 MAY_IMPORT_SYNTH_SCENE = {"cli.py", "__init__.py"}
 CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 STREAM_RULE_NAMES = {"Philox", "SeedSequence"}
+LATTICE_LISTERS = {"mgrid", "ogrid", "indices", "meshgrid"}
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -74,3 +76,25 @@ def test_only_raster_core_names_the_stream_rule():
         if path.name != "raster_core.py" and named(path) & STREAM_RULE_NAMES
     )
     assert offenders == []
+
+
+def numpy_names(path: Path) -> set[str]:
+    """Every name ``path`` takes from numpy: ``np.x`` or ``numpy.x``
+    attributes and ``from numpy import x`` names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}:
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_annotations_lists_lattice_points():
+    offenders = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "annotations.py" and numpy_names(path) & LATTICE_LISTERS
+    )
+    assert offenders == []
+    assert numpy_names(PACKAGE / "annotations.py") & LATTICE_LISTERS

@@ -20,10 +20,13 @@ from palmwatch.errors import (
 from palmwatch.cli import predict_tiled
 from palmwatch import raster_core
 from palmwatch.indices import compute_index, ndvi, vegetation_mask
+from palmwatch.annotations import AnnotationSet, CrownAnnotation, rasterize_labels
 from palmwatch.pixel_model import (
+    DEFAULT_INDEX_FEATURES,
     GRADIENT_TOLERANCE,
     ModelParams,
     TrainConfig,
+    build_training_set,
     featurize,
     gradient,
     load_params,
@@ -65,27 +68,30 @@ def separable_blobs(n=200, seed=0):
 class TestFeaturize:
     def test_feature_count(self, rng):
         raster = random_raster(rng, 8, 8, band_names=("red", "green", "blue", "nir"))
-        features, _ = featurize(raster, raster.valid_mask())
+        features = featurize(raster, raster.valid_mask())
+        assert isinstance(features, Raster)
         assert features.band_names == ("red", "green", "blue", "nir", "ndvi", "gndvi")
-        assert len(features.bands) == 6
         assert all(band.samples.shape == (8, 8) for band in features.bands)
 
     def test_ndvi_feature_matches_indices_module(self, rng):
         raster = random_raster(rng, 16, 16, band_names=("red", "green", "blue", "nir"))
         mask = raster.valid_mask()
-        features, valid = featurize(raster, mask)
+        features = featurize(raster, mask)
         expected = ndvi(raster.band("nir"), raster.band("red"), mask)
         np.testing.assert_array_equal(
-            features.band("ndvi").samples[valid], expected.values[valid]
+            features.band("ndvi").samples.view(np.uint32), expected.values.view(np.uint32)
         )
 
     def test_masked_pixel_yields_no_row(self, rng):
+        # the masked pixel's bands stay finite and its indices are NaN, so
+        # the rows with every feature finite are the other 15
         raster = random_raster(rng, 4, 4, band_names=("red", "green", "blue", "nir"))
         bits = np.ones((4, 4), bool)
         bits[2, 3] = False
-        features, valid = featurize(raster, Mask(bits))
-        assert np.stack([band.samples[valid] for band in features.bands], axis=1).shape == (15, 6)
-        assert not valid[2, 3]
+        features = featurize(raster, Mask(bits))
+        stacked = np.stack([band.samples for band in features.bands], axis=-1)
+        assert stacked[np.isfinite(stacked).all(axis=-1)].shape == (15, 6)
+        assert np.isnan(stacked[2, 3, 4:]).all() and np.isfinite(stacked[2, 3, :4]).all()
 
     def test_missing_band(self, rng):
         raster = random_raster(rng, 4, 4, band_names=("red", "nir"))
@@ -107,20 +113,16 @@ class TestFeaturize:
         ndvi_grid = compute_index(raster, raster.valid_mask(), "ndvi")
         with_ndvi = Raster(bands=raster.bands + (Band(name="ndvi", samples=ndvi_grid.values),))
         with mock.patch("palmwatch.pixel_model.compute_index", wraps=compute_index) as spy:
-            features, valid = featurize(
-                with_ndvi, raster.valid_mask(), ("ndvi", "nir", "gndvi", "ndvi")
-            )
+            features = featurize(with_ndvi, raster.valid_mask(), ("ndvi", "nir", "gndvi", "ndvi"))
         assert [c.args[2] for c in spy.call_args_list] == ["gndvi"]
         assert features.band_names == FOUR_BANDS + ("ndvi", "gndvi")
         assert all(a is b for a, b in zip(features.bands, with_ndvi.bands))
         assert features.band("ndvi").samples is ndvi_grid.values
-        assert not valid.flags.writeable
 
     def test_empty_manifest_is_the_raster(self, rng):
         raster = random_raster(rng, 3, 3, band_names=FOUR_BANDS)
-        features, valid = featurize(raster, raster.valid_mask(), ())
+        features = featurize(raster, raster.valid_mask(), ())
         assert features.bands == raster.bands
-        np.testing.assert_array_equal(valid, raster.valid_mask().bits)
 
 
 class TestTrain:
@@ -451,11 +453,40 @@ def model_params(draw):
     )
 
 
-def unblocked_predict_map(raster, mask, params):
-    """predict_map with z summed over the whole grid at once, in the same
+@st.composite
+def scenes_under_any_mask(draw):
+    """A scene of ``scenes_with_invalid_pixels`` whose bands also hold
+    +-inf and +-3.4e38, under a mask drawn without regard to any band."""
+    raster, _ = draw(scenes_with_invalid_pixels())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extremes = np.array([np.inf, -np.inf, 3.4e38, -3.4e38], np.float32)
+    bands = []
+    for band in raster.bands:
+        samples = band.samples.copy()
+        spots = rng.random(samples.shape) < 0.1
+        samples[spots] = rng.choice(extremes, int(spots.sum()))
+        bands.append(Band(name=band.name, samples=samples))
+    mask = Mask(rng.random((raster.height, raster.width)) < draw(st.sampled_from([0.5, 0.9, 1.0])))
+    return Raster(bands=tuple(bands), nodata_value=raster.nodata_value), mask
+
+
+@st.composite
+def extreme_model_params(draw):
+    """``model_params`` with some weights 0 and some stds so tiny that an
+    extreme sample overflows z to +-inf."""
+    params = draw(model_params())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(params.features)
+    weights = np.where(rng.random(n) < 0.3, 0.0, params.weights)
+    std = np.where(rng.random(n) < 0.3, 1e-300, params.norm_std)
+    return ModelParams(params.features, weights, params.bias, params.norm_mean, std)
+
+
+def unblocked_logits(raster, mask, params):
+    """predict_map's z summed over the whole grid at once, in the same
     per-element order: (x - mean) / std * w added feature by feature, + b."""
-    features, valid = featurize(raster, mask, params.features)
-    z = np.zeros(valid.shape, dtype=np.float64)
+    features = featurize(raster, mask, params.features)
+    z = np.zeros(mask.bits.shape, dtype=np.float64)
     t = np.empty_like(z)
     with np.errstate(invalid="ignore", over="ignore"):
         for f, name in enumerate(params.features):
@@ -464,9 +495,30 @@ def unblocked_predict_map(raster, mask, params):
             t *= params.weights[f]
             z += t
     z += params.bias
-    values = expit(z, out=z).astype(np.float32)
+    return z
+
+
+def unblocked_predict_map(raster, mask, params):
+    """The unblocked map and its validity: a pixel is valid where the mask
+    holds and z is not NaN, and every invalid pixel holds NaN."""
+    z = unblocked_logits(raster, mask, params)
+    valid = mask.bits & ~np.isnan(z)
+    values = expit(z).astype(np.float32)
     values[~valid] = np.nan
     return values, valid
+
+
+def parent_rule_predict_map(raster, mask, params):
+    """The map under the rule that featurize's bool plane used to carry: a
+    pixel is NaN where the mask is false or a joined index is not finite,
+    and elsewhere holds the expit of z as it comes, NaN or not."""
+    features = featurize(raster, mask, params.features)
+    valid = mask.bits.copy()
+    for band in features.bands[len(raster.bands) :]:
+        valid &= np.isfinite(band.samples)
+    values = expit(unblocked_logits(raster, mask, params)).astype(np.float32)
+    values[~valid] = np.nan
+    return values
 
 
 class TestPlaneByPlanePrediction:
@@ -481,6 +533,22 @@ class TestPlaneByPlanePrediction:
             prob = predict_map(raster, mask, params)
         np.testing.assert_array_equal(prob.valid, valid)
         np.testing.assert_array_equal(prob.values.view(np.uint32), values.view(np.uint32))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scene=scenes_under_any_mask(), params=extreme_model_params(), block_px=st.integers(1, 700))
+    def test_invalid_set_and_finite_bits_are_the_parent_rules(self, scene, params, block_px):
+        # the mask covers non-finite and nodata bands, and weights of 0
+        # meet NaN indices; only the NaN an invalid pixel holds may differ
+        raster, mask = scene
+        parent = parent_rule_predict_map(raster, mask, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(raster_core, "BLOCK_PX", block_px):
+                prob = predict_map(raster, mask, params)
+        valid = prob.valid
+        np.testing.assert_array_equal(valid, np.isfinite(parent))
+        np.testing.assert_array_equal(prob.values[valid].view(np.uint32), parent[valid].view(np.uint32))
+        assert (prob.values[~valid].view(np.uint32) == 0x7FC00000).all()
 
     @pytest.mark.parametrize("shape", [(2, 70_001), (300, 1000), (1, 1)])
     def test_blocked_equals_unblocked_at_the_default_block(self, shape):
@@ -522,13 +590,17 @@ class TestPlaneByPlanePrediction:
         np.testing.assert_array_equal(tiled.valid, whole.valid)
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
-        # the stacked formulation: one (H, W, F) array standardized in float64
-        features, valid = featurize(raster, mask, params.features)
+        # the stacked formulation: one (H, W, F) array standardized in
+        # float64; a pixel is valid where the mask holds and z is not NaN
+        features = featurize(raster, mask, params.features)
         planes = [features.band(name).samples for name in params.features]
-        x64 = np.stack(planes, axis=-1)[valid].astype(np.float64)
-        reference = expit(((x64 - params.norm_mean) / params.norm_std) @ params.weights + params.bias)
+        x64 = np.stack(planes, axis=-1)[mask.bits].astype(np.float64)
+        z = ((x64 - params.norm_mean) / params.norm_std) @ params.weights + params.bias
+        valid = mask.bits.copy()
+        valid[mask.bits] = ~np.isnan(z)
+        reference = expit(z[~np.isnan(z)])
         np.testing.assert_array_equal(whole.valid, valid)
-        assert np.isnan(whole.values[~whole.valid]).all()
+        assert (whole.values[~whole.valid].view(np.uint32) == 0x7FC00000).all()
         np.testing.assert_array_max_ulp(whole.values[whole.valid], reference.astype(np.float32), maxulp=1)
 
     @pytest.mark.parametrize("features", [(), ("ndvi", "red", "ndvi")])
@@ -575,6 +647,61 @@ class TestPlaneByPlanePrediction:
             prob = predict_map(raster, raster.valid_mask(), params)
         assert np.isnan(prob.values[0, 0]) and not prob.valid[0, 0]
         assert prob.valid[0, 1] and prob.values[0, 1] == 1.0
+
+
+def parent_rule_training_set(scenes, negative_ratio, seed):
+    """build_training_set's rows under the rule featurize's bool plane used
+    to carry: a pixel is a candidate where valid_mask holds and NDVI and
+    gNDVI are both finite. Rows come from the bands and compute_index."""
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    for raster, ann in scenes:
+        mask = raster.valid_mask()
+        indices = [compute_index(raster, mask, name).values for name in DEFAULT_INDEX_FEATURES]
+        planes = [band.samples for band in raster.bands] + indices
+        valid = mask.bits & np.isfinite(indices[0]) & np.isfinite(indices[1])
+        palm = rasterize_labels(ann, raster.width, raster.height)
+        pos = np.flatnonzero(palm & valid)
+        neg = np.flatnonzero(~palm & valid)
+        keep = int(round(min(negative_ratio * len(pos), len(neg))))
+        neg = neg[np.sort(rng.choice(len(neg), size=keep, replace=False))]
+        for idx, label in ((pos, 1.0), (neg, 0.0)):
+            xs.append(np.stack([plane.ravel()[idx] for plane in planes], axis=1).astype(np.float64))
+            ys.append(np.full(len(idx), label))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+@st.composite
+def annotated_scenes(draw):
+    """Scenes of ``scenes_with_invalid_pixels``, each with a few crowns on its grid."""
+    scenes = []
+    for _ in range(draw(st.integers(1, 3))):
+        raster, _ = draw(scenes_with_invalid_pixels())
+        crowns = tuple(
+            CrownAnnotation(
+                id=i,
+                class_label="healthy",
+                cx=draw(st.floats(0, raster.width - 1)),
+                cy=draw(st.floats(0, raster.height - 1)),
+                radius_px=draw(st.floats(0.5, 6)),
+            )
+            for i in range(draw(st.integers(0, 4)))
+        )
+        scenes.append((raster, AnnotationSet(crowns)))
+    return scenes
+
+
+class TestTrainingRows:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scenes=annotated_scenes(), ratio=st.sampled_from([0.0, 0.5, 5.0]), seed=st.integers(0, 2**32 - 1))
+    def test_rows_are_the_parent_rules(self, scenes, ratio, seed):
+        # bands hold NaN and nodata, and NDVI or gNDVI is undefined where
+        # a denominator is 0, so index validity decides some candidates
+        X, y, names = build_training_set(scenes, negative_ratio=ratio, seed=seed)
+        want_X, want_y = parent_rule_training_set(scenes, ratio, seed)
+        assert names == ALL_FEATURES
+        np.testing.assert_array_equal(X.view(np.uint64), want_X.view(np.uint64))
+        np.testing.assert_array_equal(y, want_y)
 
 
 class TestParamsSerialization:
