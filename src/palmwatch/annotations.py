@@ -4,10 +4,11 @@ Serialized form is JSON: ``{"crowns": [{"id", "class", "cx", "cy",
 "radius_px"}, ...]}``. Crowns are discs; a crown's pixel set is every
 lattice point within ``radius_px`` of its centroid, clipped to the grid
 it is being evaluated against. This module holds the one disc rule:
-``disc_pixels`` gives one crown's pixels, listing at most the grid,
-``rasterize_labels`` the union mask of a set of crowns, which training
-labels and per-class index statistics both use, and ``check_within``
-whether a disc leaves the grid, listing no pixel.
+``disc_box`` evaluates it over a disc's bounding box clamped to the grid,
+so a disc costs at most the grid; ``disc_pixels`` lists one crown's
+pixels from that box, ``rasterize_labels`` the union mask of a set of
+crowns, which training labels and per-class index statistics both use,
+and ``check_within`` whether a disc leaves the grid, listing no pixel.
 """
 
 from __future__ import annotations
@@ -62,27 +63,47 @@ class CrownAnnotation:
 
 
 def _in_disc(xs, ys, cx: float, cy: float, radius: float):
-    """Whether lattice points (xs, ys) lie within ``radius`` of (cx, cy):
-    the one disc rule. A square that overflows is inf, and inf <= inf, so
-    a disc whose radius squared overflows (radius above about 1.3e154)
-    holds every point of its bounding square."""
+    """The squared distances of lattice points (xs, ys) from (cx, cy), and
+    whether each lies within ``radius``: the one disc rule. Squares
+    decide; where a squared distance or the radius squared overflows to
+    inf, ``hypot`` decides, so a huge or far-off disc holds exactly its
+    points."""
+    dx, dy = np.subtract(xs, cx), np.subtract(ys, cy)
     with np.errstate(over="ignore"):
-        return np.square(np.subtract(xs, cx)) + np.square(np.subtract(ys, cy)) <= radius * radius
+        sq = np.square(dx) + np.square(dy)
+    r2 = radius * radius
+    inside = sq <= r2
+    if math.isinf(r2) or np.isinf(sq).any():
+        inside = np.where(np.isinf(sq) | math.isinf(r2), np.hypot(dx, dy) <= radius, inside)
+    return sq, inside
 
 
-def disc_pixels(cx: float, cy: float, radius: float, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice points of the width x height grid within ``radius`` of
-    (cx, cy), as (ys, xs) arrays in row-major order.
+def disc_box(
+    cx: float, cy: float, radius: float, width: int, height: int
+) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray]:
+    """The disc rule over the disc's bounding box clamped to the
+    width x height grid.
 
-    Only the part of the disc's bounding box inside the grid is listed,
-    so a disc far off or far larger than the grid costs at most the grid.
+    Returns ``(rows, cols)``, the box as slices of the grid, then the
+    squared distance of each of its lattice points from (cx, cy) and
+    whether each lies within ``radius``, both box-shaped. So
+    ``plane[rows, cols][inside]`` are the disc's samples in row-major
+    order, and a disc far off or far larger than the grid costs at most
+    the grid.
     """
     # the bounding box's columns and rows as half-open ranges, clamped to the grid
     x0, x1 = (min(max(v, 0), width) for v in (math.floor(cx - radius), math.ceil(cx + radius) + 1))
     y0, y1 = (min(max(v, 0), height) for v in (math.floor(cy - radius), math.ceil(cy + radius) + 1))
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    inside = _in_disc(xs, ys, cx, cy, radius)
-    return ys[inside], xs[inside]
+    ys, xs = np.ogrid[y0:y1, x0:x1]
+    return (slice(y0, y1), slice(x0, x1)), *_in_disc(xs, ys, cx, cy, radius)
+
+
+def disc_pixels(cx: float, cy: float, radius: float, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice points of the width x height grid within ``radius`` of
+    (cx, cy), as (ys, xs) arrays in row-major order, from ``disc_box``."""
+    (rows, cols), _, inside = disc_box(cx, cy, radius, width, height)
+    ys, xs = np.nonzero(inside)
+    return ys + rows.start, xs + cols.start
 
 
 @dataclass(frozen=True)
@@ -119,10 +140,10 @@ class AnnotationSet:
         for crown in self.crowns:
             cx, cy, r = crown.cx, crown.cy, crown.radius_px
             px, py = np.rint(cx), np.rint(cy)
-            if not _in_disc(px, py, cx, cy, r):
+            if not _in_disc(px, py, cx, cy, r)[1]:
                 continue
             ring = ((px, -1), (px, height), (-1, py), (width, py))
-            if not (0 <= px < width and 0 <= py < height) or any(_in_disc(x, y, cx, cy, r) for x, y in ring):
+            if not (0 <= px < width and 0 <= py < height) or any(_in_disc(x, y, cx, cy, r)[1] for x, y in ring):
                 raise BoundsError(
                     f"crown {crown.id} ({crown.class_label}) at "
                     f"({crown.cx}, {crown.cy}) r={crown.radius_px} leaves the "
@@ -142,8 +163,8 @@ def rasterize_labels(ann: AnnotationSet, width: int, height: int) -> np.ndarray:
     """Boolean palm mask: True inside any crown disc (clipped to the grid)."""
     out = np.zeros((height, width), dtype=bool)
     for crown in ann.crowns:
-        ys, xs = disc_pixels(crown.cx, crown.cy, crown.radius_px, width, height)
-        out[ys, xs] = True
+        box, _, inside = disc_box(crown.cx, crown.cy, crown.radius_px, width, height)
+        out[box] |= inside
     return out
 
 

@@ -369,12 +369,14 @@ def build_training_set(
     replacement) to keep desk-scale training sets tractable. ``scenes``
     may be any iterable, such as a generator that loads each scene from
     disk: one scene is held at a time, and only its sampled rows outlive
-    it.
+    it. Scenes whose crowns cover no candidate give no palm row, which
+    is a ``DegenerateDataError`` naming the candidate count.
     """
     check_negative_ratio(negative_ratio)
     rng = np.random.default_rng(seed)
     names = None
     xs, ys = [], []
+    positives = candidates = 0
     for raster, ann in scenes:
         scene_names = (
             tuple(feature_names) if feature_names is not None else default_feature_names(raster)
@@ -397,6 +399,8 @@ def build_training_set(
         palm = rasterize_labels(ann, raster.width, raster.height)
         pos_idx = np.flatnonzero((palm & valid).ravel())
         neg_candidates = np.flatnonzero((~palm & valid).ravel())
+        positives += len(pos_idx)
+        candidates += len(pos_idx) + len(neg_candidates)
         keep = int(round(min(negative_ratio * len(pos_idx), len(neg_candidates))))
         chosen = rng.choice(len(neg_candidates), size=keep, replace=False)
         chosen.sort()
@@ -412,6 +416,10 @@ def build_training_set(
         del raster, ann, mask, features, valid, palm, neg_candidates
     if names is None:
         raise DegenerateDataError("no scenes to build a training set from")
+    if not positives:
+        raise DegenerateDataError(
+            f"training needs palm pixels, but no crown covers any of the {candidates} valid pixels"
+        )
     return np.concatenate(xs), np.concatenate(ys), names
 
 

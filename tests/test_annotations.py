@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels, rasterize_labels
+from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_box, disc_pixels, rasterize_labels
 from palmwatch.errors import BoundsError
 
 from conftest import address_space_cap
@@ -90,6 +90,9 @@ EXTREME_CROWNS = [
     ((5.0, -1e6, 1e6 + 0.5), True, 64),  # of the grid, only row 0 lies within reach
     ((10.25, 10.5, 0.1), False, 0),  # no lattice point at all
     ((-1.0, 5.0, 0.5), True, 0),  # one point, just off the grid
+    # every square overflows: the grid lies about 4e299 px outside the disc
+    ((-FAR, FAR, FAR), True, 0),
+    ((5.0, 5.0, FAR), True, 64 * 64),  # only the radius squared overflows
 ]
 
 
@@ -103,3 +106,32 @@ def test_far_and_huge_crowns_list_at_most_the_grid(centre, leaves_grid, in_grid)
         assert leaves(crown, 64, 64) == leaves_grid
     assert len(xs) == labels.sum() == in_grid
     assert ((xs >= 0) & (xs < 64) & (ys >= 0) & (ys < 64)).all()
+
+
+def squares_rule(cx, cy, radius, width, height):
+    """The disc rule by squares alone, over the clamped bounding box: the
+    squared distances and which points lie inside, and whether every
+    square stayed finite."""
+    (rows, cols), _, _ = disc_box(cx, cy, radius, width, height)
+    ys, xs = np.mgrid[rows, cols]
+    with np.errstate(over="ignore"):
+        sq = np.square(xs - cx) + np.square(ys - cy)
+        r2 = radius * radius
+    return sq, sq <= r2, bool(np.isfinite(sq).all()) and math.isfinite(r2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    cx=on_lattice(-40, 64) | st.floats(-1e160, 1e160),
+    cy=on_lattice(-40, 64) | st.floats(-1e160, 1e160),
+    radius=on_lattice(0, 30).filter(bool) | st.floats(0.004, 1e160),
+    width=st.integers(1, 24),
+    height=st.integers(1, 24),
+)
+def test_finite_squares_keep_the_squares_rule(cx, cy, radius, width, height):
+    crown = CrownAnnotation(id=0, class_label="dead", cx=cx, cy=cy, radius_px=radius)
+    want_sq, want_inside, finite = squares_rule(crown.cx, crown.cy, crown.radius_px, width, height)
+    assume(finite)
+    _, sq, inside = disc_box(crown.cx, crown.cy, crown.radius_px, width, height)
+    np.testing.assert_array_equal(np.broadcast_to(sq, want_sq.shape).view(np.uint64), want_sq.view(np.uint64))
+    np.testing.assert_array_equal(inside, want_inside)

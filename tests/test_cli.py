@@ -260,6 +260,17 @@ class TestTrainCommand:
         # the sampled rows grow with the scene count; the scenes held must not
         assert peak(paths) <= 1.5 * peak(paths[:1])
 
+    def test_crowns_off_every_valid_pixel_are_named(self, tmp_path, capsys):
+        # the only crown lies far off the 64x64 grid: no palm row, 4,096 background pixels
+        raster = random_raster(np.random.default_rng(4), 64, 64, ("red", "green", "blue", "nir"))
+        save_raster(raster, tmp_path / "s")
+        save_annotations(AnnotationSet((CrownAnnotation(1, "healthy", 1e30, 5.0, 4.0),)), tmp_path / "s.json")
+        model = tmp_path / "m.json"
+        assert main(["train", str(tmp_path / "s.rhdr"), "--out", str(model)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: training needs palm pixels, but no crown covers any of the 4096 valid pixels"]
+        assert not model.exists()
+
 
 class TestPipelineMemory:
     @pytest.mark.parametrize("size", [1024, 2048])

@@ -697,8 +697,13 @@ class TestTrainingRows:
     def test_rows_are_the_parent_rules(self, scenes, ratio, seed):
         # bands hold NaN and nodata, and NDVI or gNDVI is undefined where
         # a denominator is 0, so index validity decides some candidates
-        X, y, names = build_training_set(scenes, negative_ratio=ratio, seed=seed)
         want_X, want_y = parent_rule_training_set(scenes, ratio, seed)
+        if not want_y.any():
+            # no crown covers a candidate: no row could teach the palm label
+            with pytest.raises(DegenerateDataError, match="no crown covers any of the"):
+                build_training_set(scenes, negative_ratio=ratio, seed=seed)
+            return
+        X, y, names = build_training_set(scenes, negative_ratio=ratio, seed=seed)
         assert names == ALL_FEATURES
         np.testing.assert_array_equal(X.view(np.uint64), want_X.view(np.uint64))
         np.testing.assert_array_equal(y, want_y)

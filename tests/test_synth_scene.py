@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from unittest import mock
@@ -7,12 +8,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from palmwatch import raster_core
-from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels, rasterize_labels
+from palmwatch import raster_core, synth_scene
+from palmwatch.annotations import (
+    CLASS_LABELS,
+    AnnotationSet,
+    CrownAnnotation,
+    disc_pixels,
+    rasterize_labels,
+    save_annotations,
+)
 from palmwatch.errors import CapacityError, ParameterError
 from palmwatch.indices import ndvi, vegetation_mask
 from palmwatch.raster_core import save_raster, stream
 from palmwatch.synth_scene import (
+    _PLACEMENT_ATTEMPTS_PER_CROWN,
     BAND_NAMES,
     DEFAULT_BACKGROUND,
     DEFAULT_DIAMETERS,
@@ -319,3 +328,183 @@ def test_noise_is_the_stream_of_each_row_band(data, width, height, sigma, seed, 
             assert ann == quiet_ann
             for band, expected in zip(raster.bands, want):
                 np.testing.assert_array_equal(band.samples.view(np.uint32), expected.view(np.uint32))
+
+
+# sha256 of the four bands (little-endian float32, in band order) and of
+# the saved annotations of DENSE_SPEC, as synthesis wrote them before
+# placement used a grid and crowns were drawn over their boxes
+DENSE_SPEC = SceneSpec(
+    width=512,
+    height=512,
+    counts={"healthy": 35, "smallish": 40, "dead": 25},
+    diameter_ranges={"healthy": (40.0, 64.0), "smallish": (7.0, 11.0), "dead": (40.0, 64.0)},
+    min_spacing=0.0,
+    seed=3,
+)
+DENSE_BANDS_SHA256 = "d2d76892ba54ed49bf179a2906ad06ae27773e329a3527b62d9d57fb011c70da"
+DENSE_ANNOTATIONS_SHA256 = "393cdbdca5bdc29a94a277b7d31224f744111d3248445d2789a317dfb276309d"
+
+
+def test_dense_scene_bytes_are_pinned(tmp_path):
+    raster, ann = generate_scene(DENSE_SPEC)
+    assert len(ann) == 100
+    bands = hashlib.sha256()
+    for band in raster.bands:
+        bands.update(band.samples.astype("<f4").tobytes())
+    save_annotations(ann, tmp_path / "a.json")
+    assert bands.hexdigest() == DENSE_BANDS_SHA256
+    assert hashlib.sha256((tmp_path / "a.json").read_bytes()).hexdigest() == DENSE_ANNOTATIONS_SHA256
+
+
+def reference_place_crowns(spec, rng):
+    """Placement checking each candidate against every crown placed: the
+    rule as first written, kept as the reference for the grid."""
+    placed = []
+    next_id = 1
+    for label in CLASS_LABELS:
+        count = spec.counts.get(label, 0)
+        if count == 0:
+            continue
+        lo, hi = spec.diameter_ranges[label]
+        for _ in range(count):
+            for attempt in range(_PLACEMENT_ATTEMPTS_PER_CROWN):
+                radius = float(rng.uniform(lo, hi)) / 2.0
+                margin = radius + 2.0
+                if 2 * margin > spec.width - 1 or 2 * margin > spec.height - 1:
+                    raise CapacityError(
+                        f"a {label} crown of radius {radius:.1f} cannot fit a "
+                        f"{spec.width}x{spec.height} scene"
+                    )
+                cx = float(rng.uniform(margin, spec.width - 1 - margin))
+                cy = float(rng.uniform(margin, spec.height - 1 - margin))
+                candidate = CrownAnnotation(id=next_id, class_label=label, cx=cx, cy=cy, radius_px=radius)
+                if all(
+                    math.hypot(candidate.cx - c.cx, candidate.cy - c.cy)
+                    >= spec.min_spacing + candidate.radius_px + c.radius_px
+                    for c in placed
+                ):
+                    placed.append(candidate)
+                    next_id += 1
+                    break
+            else:
+                raise CapacityError(
+                    f"could not place crown {next_id} ({label}) after "
+                    f"{_PLACEMENT_ATTEMPTS_PER_CROWN} attempts; reduce counts, "
+                    f"spacing or diameters"
+                )
+    return placed
+
+
+def placement_outcome(place, spec):
+    """The crowns placed, or the CapacityError message, and the rng state after."""
+    rng = np.random.default_rng(spec.seed)
+    try:
+        result = place(spec, rng)
+    except CapacityError as err:
+        result = str(err)
+    return result, rng.bit_generator.state
+
+
+@st.composite
+def placement_specs(draw):
+    """Small scenes, from roomy to past their capacity, with diameter
+    ranges that often overlap across classes, at zero, typical and huge
+    spacings."""
+    side = st.integers(8, 256)
+    ranges = {}
+    for label in CLASS_LABELS:
+        lo = draw(st.floats(1.0, 20.0))
+        ranges[label] = (lo, lo + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 12.0)))
+    return SceneSpec(
+        width=draw(side),
+        height=draw(side),
+        counts={label: draw(st.integers(0, 12)) for label in CLASS_LABELS},
+        diameter_ranges=ranges,
+        min_spacing=draw(st.sampled_from([0.0, 0.0, 1e4, 1e300]) | st.floats(0.0, 30.0) | st.floats(0.0, 8.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=placement_specs())
+def test_placement_is_the_all_pairs_rule(spec):
+    assert placement_outcome(synth_scene._place_crowns, spec) == placement_outcome(reference_place_crowns, spec)
+
+
+def test_placement_checks_per_crown_stay_bounded():
+    """At a fixed density, distance checks per placed crown stay flat as
+    the crown count doubles from 1,000 to 8,000; checking every pair they
+    would grow eightfold."""
+    real = synth_scene._spaced
+    per_crown = []
+    for count in (1000, 2000, 4000, 8000):
+        side = round(math.sqrt(count) * 32)  # one crown per 1,024 px
+        spec = SceneSpec(
+            width=side,
+            height=side,
+            counts={"healthy": count},
+            diameter_ranges={"healthy": (8.0, 12.0)},
+            min_spacing=2.0,
+            seed=count,
+        )
+        checks = 0
+
+        def counting(a, b, min_spacing):
+            nonlocal checks
+            checks += 1
+            return real(a, b, min_spacing)
+
+        with mock.patch.object(synth_scene, "_spaced", counting):
+            crowns = synth_scene._place_crowns(spec, np.random.default_rng(spec.seed))
+        assert len(crowns) == count
+        per_crown.append(checks / count)
+    assert max(per_crown) <= 1.25 * min(per_crown), per_crown
+
+
+def reference_render(spec, crowns, rng):
+    """Each crown drawn through ``disc_pixels`` and a fancy index: the
+    render as first written, kept as the reference for the box-local one."""
+    grids = {
+        band: np.full((spec.height, spec.width), spec.background.get(band, 0.0), dtype=np.float32)
+        for band in BAND_NAMES
+    }
+    for crown in crowns:
+        profile = spec.profiles[crown.class_label]
+        jitter = rng.normal(0.0, spec.jitter_std, size=len(BAND_NAMES)) if spec.jitter_std > 0 else np.zeros(len(BAND_NAMES))
+        ys, xs = disc_pixels(crown.cx, crown.cy, crown.radius_px, spec.width, spec.height)
+        d = np.sqrt((xs - crown.cx) ** 2 + (ys - crown.cy) ** 2)
+        falloff = np.cos(0.5 * math.pi * np.minimum(d / crown.radius_px, 1.0))
+        for i, band in enumerate(BAND_NAMES):
+            target = max(profile.get(band, 0.0) + jitter[i], 0.0)
+            base = spec.background.get(band, 0.0)
+            grids[band][ys, xs] = (base + (target - base) * falloff).astype(np.float32)
+    return grids
+
+
+@st.composite
+def crowns_on_small_grids(draw):
+    """Crowns across a small grid and over each of its borders, often
+    overlapping one another, with radii from under a pixel to past the grid."""
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    spec = SceneSpec(width=width, height=height, counts={}, jitter_std=draw(st.sampled_from([0.0, 0.01, 0.3])))
+    crowns = tuple(
+        CrownAnnotation(
+            id=i,
+            class_label=draw(st.sampled_from(CLASS_LABELS)),
+            cx=draw(st.floats(-8, width + 8) | st.sampled_from([0.0, width - 1.0, width - 0.5])),
+            cy=draw(st.floats(-8, height + 8) | st.sampled_from([0.0, height - 1.0, height - 0.5])),
+            radius_px=draw(st.floats(0.004, 1.0) | st.floats(0.004, 50)),
+        )
+        for i in range(draw(st.integers(0, 8)))
+    )
+    return spec, crowns
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=crowns_on_small_grids(), seed=st.integers(0, 2**32))
+def test_box_render_is_the_fancy_index_render(case, seed):
+    spec, crowns = case
+    got = synth_scene._render_crowns(spec, crowns, np.random.default_rng(seed))
+    want = reference_render(spec, crowns, np.random.default_rng(seed))
+    for band in BAND_NAMES:
+        np.testing.assert_array_equal(got[band].view(np.uint32), want[band].view(np.uint32))
