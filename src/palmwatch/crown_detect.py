@@ -290,12 +290,14 @@ def match_detections(
     # The tree's squared distances overflow beyond about 1e154, so it sees
     # coordinates clipped to +-1e150: clipping lengthens no pair, and every
     # clipped pair is closer than 1e151, so no pair within reach is lost.
-    # Its distances may differ from hypot in the last bits, so it searches
-    # a hair wider and hypot decides, as it did for every pair.
+    # Below about 1e-154 they are subnormal and lose their precision, so
+    # it searches at least 1e-150 wide. Its distances may differ from
+    # hypot in the last bits, so it searches a hair wider and hypot
+    # decides, as it did for every pair.
     det_points = np.array([d.centroid for d in detections], dtype=np.float64).reshape(-1, 2)
     truth_points = np.array([(c.cx, c.cy) for c in crowns], dtype=np.float64).reshape(-1, 2)
     tree = cKDTree(np.clip(truth_points, -1e150, 1e150))
-    radius = min(max_centroid_dist * (1 + 1e-9), 1e151)
+    radius = min(max(max_centroid_dist * (1 + 1e-9), 1e-150), 1e151)
     near = tree.query_ball_point(np.clip(det_points, -1e150, 1e150), radius)
     pairs = []
     for di, (det, candidates) in enumerate(zip(detections, near)):

@@ -367,6 +367,13 @@ class TestMatch:
         assert len(result.false_positives) == 1
         assert len(result.false_negatives) == 1
 
+    def test_pair_with_a_subnormal_squared_distance_matches(self):
+        # the squared distance and radius, about 2.5e-322, are subnormal:
+        # a k-d tree searching that radius alone missed the pair
+        xy = 1.1260866681251689e-161
+        result = match_detections([self.det_at(xy, xy)], AnnotationSet((self.truth_at(0, 0),)), math.hypot(xy, xy))
+        assert len(result.matches) == 1
+
     def test_count_identities(self, rng):
         dets = [self.det_at(float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), i + 1) for i in range(12)]
         truth = AnnotationSet(
