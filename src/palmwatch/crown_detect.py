@@ -4,13 +4,14 @@ Detection binarizes the probability map, labels 8-connected components,
 and splits oversized components by marker-controlled watershed on the
 smoothed probability (Meyer & Beucher 1990; Wang, Gong & Biging 2004
 for tree crowns). Each stage is near-linear in pixels, components and
-crowns: component areas come from one ``bincount``, splitting runs a
-fixed number of filters and one watershed over the component's bounding
-box, classification reads the bands once per block of crowns, at all
-their pixels together, and truth matching looks up neighbours in a k-d
-tree instead of comparing all pairs. Health labels come from a rule
-cascade over crown spectra and geometry: low mean NDVI means dead,
-small equivalent diameter means smallish, otherwise healthy.
+crowns: after labelling, only the foreground pixels are read, and one
+sort groups the kept components' pixels; splitting runs a fixed number
+of filters and one watershed over the component's bounding box,
+classification reads the bands once per block of crowns, at all their
+pixels together, and truth matching looks up neighbours in a k-d tree
+instead of comparing all pairs. Health labels come from a rule cascade
+over crown spectra and geometry: low mean NDVI means dead, small
+equivalent diameter means smallish, otherwise healthy.
 
 Detections export as a GeoJSON FeatureCollection (Point = centroid in
 scene pixel coordinates offset by the raster origin) and as CSV with the
@@ -35,7 +36,7 @@ from .annotations import AnnotationSet, CrownAnnotation
 from .errors import FormatError, ParameterError, UnclassifiableError
 from .indices import INDEX_REGISTRY, normalized_difference
 from .jsondoc import read_document, take
-from .raster_core import Band, MaskedGrid, Raster, map_row_blocks
+from .raster_core import Band, MaskedGrid, Raster
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 # Smoothing of the splitting relief in px: it merges the noise peaks
@@ -102,39 +103,56 @@ def _make_detection(ys: np.ndarray, xs: np.ndarray, prob: MaskedGrid) -> CrownDe
 def detect_crowns(prob: MaskedGrid, cfg: DetectorConfig) -> list[CrownDetection]:
     """Threshold, label 8-connected components, and filter by area.
 
-    Component areas are counted once, so components below min_area are
-    skipped before any per-component work, bounding boxes included.
+    After labelling, only the foreground pixels are read: component areas
+    are counted from their labels, components below min_area are dropped
+    before any per-component work, and the pixels of the kept ones are
+    grouped by one in-place sort, each component's in raster order.
     Components larger than max_area go through split_touching; split
     parts below min_area are discarded like any other small component.
     Detections come back sorted by descending score, ties broken by
     centroid (y, x), with ids assigned 1..n in that order.
     """
+    height, width = prob.values.shape
     binary = prob.above(cfg.prob_threshold)
     labels, _ = ndimage.label(binary, structure=_EIGHT_CONNECTED)
+    keys = np.flatnonzero(binary)
+    del binary
+    # each foreground pixel's label, then its component's rank
+    rank = labels.ravel()[keys]
+    del labels
+    sizes = np.bincount(rank, minlength=1)
     # label 0 is the background and has area 0 < min_area
-    kept = np.bincount(labels[binary], minlength=1) >= cfg.min_area
-    # the kept components renumbered 1..K in label order and the others
-    # cleared, so that bounding boxes are found for the kept ones only; in
-    # row blocks, as an in-place take of the whole plane buffers a copy of
-    # it, and in this thread: on a 4096² map a second thread saved about 5
-    # of its 24 ms
-    rank = (np.cumsum(kept) * kept).astype(labels.dtype)
-    map_row_blocks(
-        *labels.shape,
-        lambda rows, _: np.take(rank, labels[rows], out=labels[rows], mode="clip"),
-        workers=1,
-    )
+    kept = sizes >= cfg.min_area
+    # the kept components ranked 1..K in label order, the others 0; a take
+    # in mode "raise" would buffer a copy of its output
+    np.take((np.cumsum(kept) * kept).astype(rank.dtype), rank, out=rank, mode="clip")
+    # component i's pixels end up at bounds[i - 1]:bounds[i]
+    bounds = [0, *np.cumsum(sizes[kept]).tolist()]
+    # a pixel's key is rank * pixels + its raster offset, in int64 whatever
+    # the rank's dtype: the kept pixels' keys are distinct, so sorting them
+    # in place groups the pixels by component, each in raster order,
+    # without an index array
+    pixels = height * width
+    keys += np.multiply(rank, pixels, dtype=np.int64)
+    del rank
+    keys = keys[keys >= pixels]
+    keys.sort()
+    np.remainder(keys, pixels, out=keys)
+    ys = keys // width
+    xs = np.remainder(keys, width, out=keys)
     detections = []
-    for comp, slc in enumerate(ndimage.find_objects(labels), start=1):
-        ys, xs = np.nonzero(labels[slc] == comp)
-        ys = ys + slc[0].start
-        xs = xs + slc[1].start
-        if len(xs) <= cfg.max_area:
-            detections.append(_make_detection(ys, xs, prob))
-        else:
-            for part_ys, part_xs in split_touching((ys, xs), prob, cfg):
-                if len(part_xs) >= cfg.min_area:
-                    detections.append(_make_detection(part_ys, part_xs, prob))
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo <= cfg.max_area:
+            detections.append(_make_detection(ys[lo:hi], xs[lo:hi], prob))
+            continue
+        # each part is written back over the component's own pixels, so
+        # that every detection's pixels are views of ys and xs and no pixel
+        # is held twice
+        for part_ys, part_xs in split_touching((ys[lo:hi], xs[lo:hi]), prob, cfg):
+            part = slice(lo, lo + len(part_xs))
+            ys[part], xs[part], lo = part_ys, part_xs, part.stop
+            if len(part_xs) >= cfg.min_area:
+                detections.append(_make_detection(ys[part], xs[part], prob))
     detections.sort(key=lambda d: (-d.score, d.centroid[1], d.centroid[0]))
     for i, det in enumerate(detections, start=1):
         det.id = i

@@ -615,6 +615,23 @@ def test_detect_crowns_matches_per_component_reference(grid, min_area, extra_are
     assert detection_fields(detect_crowns(prob, cfg)) == detection_fields(reference_detect(prob, cfg))
 
 
+def test_component_ranks_times_pixels_past_int32():
+    # 65,536 one-pixel components on a 512² map: rank * pixels reaches
+    # 2^34, so keys computed in int32 would wrap and mix components
+    values = np.full((512, 512), np.float32(0.1))
+    values[::2, ::2] = 0.9
+    prob = MaskedGrid(values)
+    cfg = DetectorConfig(min_area=1, max_area=10**6)
+    dets = detect_crowns(prob, cfg)
+    assert len(dets) == 256 * 256
+    assert detection_fields(dets) == detection_fields(reference_detect(prob, cfg))
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_empty_map_has_no_detections(shape):
+    assert detect_crowns(MaskedGrid(np.zeros(shape, np.float32)), DetectorConfig()) == []
+
+
 _HALF_STEPS = st.integers(0, 12).map(lambda v: v / 2)
 # far-apart huge coordinates would overflow a k-d tree's squared distances
 _CENTROIDS = (
@@ -671,6 +688,35 @@ def test_split_touching_memory_is_linear():
         tracemalloc.stop()
     assert sum(len(xs) for _, xs in parts) == 240 * 240
     assert peak < 64 << 20
+
+
+def touching_discs_map(side, cell=32, r=9.0):
+    """Two discs of radius r in every cell of a square lattice, touching
+    each other and the discs of the next cells into rows of crowns wider
+    than max_area, over a noise background with specks above 0.5."""
+    y, x = np.mgrid[0:side, 0:side]
+    cy, cx = y % cell - cell / 2 + 0.5, x % cell - cell / 2 + 0.5
+    member = ((cx - r) ** 2 + cy**2 <= r * r) | ((cx + r) ** 2 + cy**2 <= r * r)
+    noise = np.random.default_rng(0).uniform(0, 0.6, member.shape).astype(np.float32)
+    return MaskedGrid(np.where(member, np.float32(0.9), noise))
+
+
+def test_detect_crowns_memory_stays_below_the_whole_plane_labelling():
+    # 47 % crown pixels, 9 % specks and 32 splits on a 1024² map. Finding
+    # each kept component in the whole label plane peaked at 16.1 MiB here
+    # (a bool and an int32 plane, the foreground's labels, each
+    # component's pixels); reading only the foreground pixels after
+    # labelling peaks at 11.5 MiB. The bound lies between the two; do not
+    # raise it.
+    prob = touching_discs_map(1024)
+    tracemalloc.start()
+    try:
+        dets = detect_crowns(prob, DetectorConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dets) == 2058
+    assert peak < 13.7 * 2**20
 
 
 # Few sample values make zero denominators (0 + 0, 0.25 - 0.25), nodata
