@@ -250,7 +250,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if config.truth_path is not None:
         truth = load_annotations(truth_path)
 
-    valid = scene.valid_mask()
+    valid = scene.valid_mask(workers=config.jobs)
     # an incompatible model fails here, before any output is written
     check_features(scene, valid, params.features)
     index = compute_index(scene, valid, config.veg_index, workers=config.jobs)
@@ -450,7 +450,7 @@ def _cmd_predict(args) -> int:
     scene = load_raster(_require_file(args.scene, "scene"))
     params = load_params(_require_file(args.model, "model"))
     prob = predict_tiled(
-        scene, scene.valid_mask(), params, args.tile_size, args.overlap, args.jobs
+        scene, scene.valid_mask(workers=args.jobs), params, args.tile_size, args.overlap, args.jobs
     )
     save_raster(prob.to_raster(origin=scene.origin), args.out)
     print(f"wrote probability map to {args.out}.rhdr")

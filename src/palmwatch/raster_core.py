@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,7 +122,7 @@ class Mask:
         return self.bits.shape[1]
 
     def count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
 
 @dataclass(frozen=True)
@@ -253,10 +254,21 @@ class Raster:
         """The float32 value a written invalid sample holds: nodata, or NaN without one."""
         return np.float32(self.nodata_value if self.nodata_value is not None else np.nan)
 
-    def valid_mask(self) -> Mask:
+    def valid_mask(self, workers: int | None = None) -> Mask:
         """Pixels where every band is finite and not bitwise equal to
-        nodata (as a float32 pattern)."""
-        bits = self.valid_rows(slice(None))
+        nodata (as a float32 pattern).
+
+        The plane is built from ``valid_rows`` over blocks of whole rows,
+        which ``workers`` threads share (``map_row_blocks``; None: every
+        CPU this process may use); the bits are the same for any number
+        of workers.
+        """
+        bits = np.empty((self.height, self.width), np.bool_)
+
+        def block(rows, _):
+            bits[rows] = self.valid_rows(rows)
+
+        map_row_blocks(self.height, self.width, block, workers)
         bits.setflags(write=False)
         return Mask(bits)
 
@@ -400,6 +412,44 @@ def stream_rows(width: int) -> int:
     return max(1, STREAM_PX // max(width, 1))
 
 
+# The process's one worker pool (see map_row_blocks): made on first use,
+# replaced by a larger one when a call asks for more workers than it has.
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+# in_pool is True in the pool's threads, whose nested calls run inline
+_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _thread.in_pool = True
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist here, and
+    its lock may have been held at the fork, so start over."""
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_of(k: int) -> ThreadPoolExecutor:
+    """The pool, made or replaced so that it has at least ``k`` threads.
+    Called with ``_pool_lock`` held."""
+    global _pool, _pool_size
+    if _pool_size < k:
+        if _pool is not None:
+            # waits for the work other callers queued on it; none of that
+            # work takes the lock, as a call from a pool thread runs inline
+            _pool.shutdown(wait=True)
+        _pool = ThreadPoolExecutor(max_workers=k, initializer=_mark_pool_thread)
+        _pool_size = k
+    return _pool
+
+
 def map_row_blocks(
     n_rows: int, width: int, fn, workers: int | None = None, scratch=None, *, block_rows: int | None = None
 ) -> None:
@@ -413,17 +463,30 @@ def map_row_blocks(
     worker takes its blocks in order. ``scratch(rows)``, when given, is
     called with the block height once per worker in the calling thread,
     and its result is the ``buffers`` that worker hands to ``fn``;
-    otherwise ``buffers`` is None. With one worker the blocks run in the
-    calling thread. Otherwise they run in a pool of k threads that is
-    opened for this call and closed before it returns. A worker stops at
-    the first block that raises, and the exception of the first block
-    that raised is raised here, so it is the one a single worker raises.
+    otherwise ``buffers`` is None. A worker stops at the first block that
+    raises, and the exception of the first block that raised is raised
+    here, so it is the one a single worker raises. The call returns or
+    raises only after every block it queued has ended.
+
+    With one worker the blocks run in the calling thread, and no thread
+    is started. Otherwise the k workers run on the process's one pool of
+    threads, which the first such call starts and which later calls
+    reuse; a call that asks for more workers than the pool has replaces
+    it with a larger one. Several threads may call at once. A call made
+    from inside a pool thread (by a block) runs its blocks in that
+    thread, as one worker, so it never waits on the pool it occupies. A
+    child forked from the process starts a pool of its own when it first
+    needs one. Idle pool threads do not keep the interpreter from
+    exiting.
 
     ``fn`` must write only its own rows of outputs that the caller
     allocated, and must call no public palmwatch function but ``stream``
     and ``stream_rows``: a tracer that wraps those records spans on one
     stack. In a pool thread numpy's error state is the default one, not
-    the caller's, so ``fn`` enters its own ``np.errstate``. Raises
+    the caller's, so ``fn`` enters its own ``np.errstate``; and as pool
+    threads outlive the call, ``fn`` changes that state only inside a
+    ``with np.errstate`` block, never by ``np.seterr``, or the change
+    would reach every later call's blocks on that thread. Raises
     ParameterError when ``workers`` is below 1.
     """
     if workers is None:
@@ -434,7 +497,7 @@ def map_row_blocks(
     blocks = [slice(top, min(top + rows, n_rows)) for top in range(0, n_rows, rows)]
     if not blocks:
         return
-    k = min(workers, len(blocks))
+    k = 1 if getattr(_thread, "in_pool", False) else min(workers, len(blocks))
     # allocated here, so that no buffer comes from a pool thread's malloc arena
     buffers = [scratch(min(rows, n_rows)) if scratch is not None else None for _ in range(k)]
     # the block each worker runs, or ran last
@@ -448,8 +511,16 @@ def map_row_blocks(
     if k == 1:
         run(0)
         return
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        futures = [pool.submit(run, worker) for worker in range(k)]
+    futures = []
+    try:
+        # submitted under the lock, so that no other caller replaces the
+        # pool between choosing it and submitting to it
+        with _pool_lock:
+            pool = _pool_of(k)
+            for worker in range(k):
+                futures.append(pool.submit(run, worker))
+    finally:
+        wait(futures)
     failed = [worker for worker, future in enumerate(futures) if future.exception() is not None]
     if failed:
         raise futures[min(failed, key=current.__getitem__)].exception()

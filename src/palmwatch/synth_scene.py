@@ -169,11 +169,16 @@ def _place_crowns(spec: SceneSpec, rng: np.random.Generator) -> list[CrownAnnota
 def _render_crowns(spec: SceneSpec, crowns, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """The noise-free float32 planes: background, then each crown in turn
     (a later crown overwrites an earlier one where they overlap), drawn
-    over its ``disc_box`` with its class profile jittered by ``rng``."""
-    grids = {
-        band: np.full((spec.height, spec.width), spec.background.get(band, 0.0), dtype=np.float32)
-        for band in BAND_NAMES
-    }
+    over its ``disc_box`` with its class profile jittered by ``rng``. The
+    background is filled one row block at a time on every CPU, so the
+    first touch of the planes' memory is shared too."""
+    grids = {band: np.empty((spec.height, spec.width), dtype=np.float32) for band in BAND_NAMES}
+
+    def fill(rows, _):
+        for band, samples in grids.items():
+            samples[rows] = spec.background.get(band, 0.0)
+
+    map_row_blocks(spec.height, spec.width, fill)
     for crown in crowns:
         profile = spec.profiles[crown.class_label]
         jitter = rng.normal(0.0, spec.jitter_std, size=len(BAND_NAMES)) if spec.jitter_std > 0 else np.zeros(len(BAND_NAMES))

@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import math
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, load_annotations, save_annotations
 from palmwatch.augment import AugmentSpec, FlipHOp, GaussianNoiseOp, spec_to_json
-from palmwatch import cli
+from palmwatch import cli, raster_core
 from palmwatch.cli import PipelineConfig, build_parser, config_from, main, run_pipeline
 from palmwatch.crown_detect import DetectorConfig
 from palmwatch.indices import compute_index
@@ -396,6 +399,20 @@ class TestPipeline:
             assert (tmp_path / "j1" / name).read_bytes() == (
                 tmp_path / "j4" / name
             ).read_bytes(), name
+
+    def test_one_job_starts_no_thread(self, workspace, tmp_path):
+        # blocks of 1024 px, so every pixel kernel has blocks to share
+        with mock.patch.object(raster_core, "BLOCK_PX", 1024):
+            with mock.patch.object(ThreadPoolExecutor, "submit", autospec=True, side_effect=ThreadPoolExecutor.submit) as submit:
+                assert self.run(workspace, tmp_path / "two", ("--jobs", "2")) == 0
+            assert submit.called
+            with (
+                mock.patch.object(threading.Thread, "start", side_effect=AssertionError("a thread started")) as start,
+                mock.patch.object(ThreadPoolExecutor, "submit", side_effect=AssertionError("the pool ran a task")) as submit,
+            ):
+                assert self.run(workspace, tmp_path / "one", ("--jobs", "1")) == 0
+        start.assert_not_called()
+        submit.assert_not_called()
 
     def test_config_rerun_identical(self, workspace, tmp_path):
         assert self.run(workspace, tmp_path / "orig") == 0

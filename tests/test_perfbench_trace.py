@@ -13,13 +13,13 @@ import contextlib
 import importlib.util
 import io
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from palmwatch import cli, raster_core
+from palmwatch import cli, indices, pixel_model, raster_core
 from palmwatch.augment import AugmentSpec, CropOp, FlipHOp, FlipVOp, GammaOp, GaussianNoiseOp, ScaleOp, spec_to_json
 from palmwatch.synth_scene import SceneSpec, generate_scene
 from palmwatch.raster_core import save_raster
@@ -98,14 +98,33 @@ def test_traced_pipeline_with_worker_threads_keeps_every_span_in_order(perfbench
         jobs=2,
         max_area=150,
     )
+    # for each kernel call, whether no block of it ran in the calling thread
+    off_caller = []
+
+    def recording(map_row_blocks):
+        def record(n_rows, width, fn, *args, **kwargs):
+            caller, threads = threading.get_ident(), set()
+
+            def block(rows, buffers):
+                threads.add(threading.get_ident())
+                fn(rows, buffers)
+
+            map_row_blocks(n_rows, width, block, *args, **kwargs)
+            off_caller.append(caller not in threads)
+
+        return record
+
     with (
         tracing.installed(tracing.Tracer()) as tracer,
-        mock.patch.object(raster_core, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pools,
+        mock.patch.object(indices, "map_row_blocks", recording(indices.map_row_blocks)),
+        mock.patch.object(pixel_model, "map_row_blocks", recording(pixel_model.map_row_blocks)),
     ):
         cli.run_pipeline(config)
     spans = tracer.take()  # raises while a span is open
-    # the veg index, gNDVI and four tiles' predictions each ran a pool
-    assert pools.call_count >= 6
+    # the veg index, then each of the four tiles' gNDVI and prediction, ran
+    # on pool threads alone; the classifier's two one-row indices ran in
+    # the caller
+    assert off_caller == [True] * 9 + [False] * 2
     assert set(workloads.WORKLOADS["grove"].spans) <= {span.name for span in spans}
     for span in spans:
         if span.parent is not None:

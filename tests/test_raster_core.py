@@ -244,6 +244,11 @@ class TestValidMask:
         raster = make_raster({"b": arr})
         np.testing.assert_array_equal(raster.valid_mask().bits, [[False, True], [False, True]])
 
+    @pytest.mark.parametrize("fill", ["empty", "full", "random"])
+    def test_count_is_the_number_of_set_bits(self, rng, fill):
+        bits = {"empty": np.zeros((37, 53), bool), "full": np.ones((37, 53), bool), "random": rng.random((37, 53)) < 0.3}[fill]
+        assert Mask(bits).count() == int(bits.sum())
+
     def test_idempotent(self, rng):
         raster = random_raster(rng, 16, 16, nodata=0.5)
         np.testing.assert_array_equal(raster.valid_mask().bits, raster.valid_mask().bits)

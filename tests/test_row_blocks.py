@@ -9,10 +9,16 @@ blocks that pool threads compute.
 """
 
 import itertools
+import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,16 +26,28 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import palmwatch
 from palmwatch import raster_core
 from palmwatch.errors import ParameterError
 from palmwatch.indices import normalized_difference
 from palmwatch.pixel_model import ModelParams, predict_map
 from palmwatch.raster_core import BLOCK_PX, Band, Mask, Raster, map_row_blocks
 
+SRC = Path(palmwatch.__file__).resolve().parent.parent
 NODATA = -9999.0
 # sums and differences of these leave the float32 range
 HUGE = (3e38, -3e38, 3.4e38, 2e38, -2e38, 1e38)
 SPECIAL = (np.nan, np.inf, -np.inf, NODATA, 0.0, -0.0) + HUGE
+
+
+def start_every_pool_thread(workers):
+    """Grow the pool to at least ``workers`` threads and start every one:
+    the pool starts its threads as work arrives, so one call whose blocks
+    wait for each other, one per pool thread, makes it start them all.
+    Later calls at up to that many workers then start no thread."""
+    size = max(workers, raster_core._pool_size)
+    everyone = threading.Barrier(size, timeout=30)
+    map_row_blocks(size, BLOCK_PX, lambda rows, _: everyone.wait(), size)
 
 
 def blocks_seen(n_rows, width, workers, block_px):
@@ -73,13 +91,23 @@ class TestMapRowBlocks:
             map_row_blocks(4, 4, lambda rows, _: None, workers)
 
     def test_none_is_every_usable_cpu(self):
-        with mock.patch.object(raster_core, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool:
-            map_row_blocks(1000, BLOCK_PX, lambda rows, _: None)
         usable = raster_core.usable_cpus()
-        if usable == 1:
-            pool.assert_not_called()
-        else:
-            pool.assert_called_once_with(max_workers=usable)
+        # each worker's first block waits for every worker's, so the
+        # workers run at once, on as many distinct threads
+        everyone = threading.Barrier(usable, timeout=30)
+        threads = set()
+        lock = threading.Lock()
+
+        def fn(rows, _):
+            if rows.start < usable:
+                everyone.wait()
+            with lock:
+                threads.add(threading.get_ident())
+
+        map_row_blocks(1000, BLOCK_PX, fn)
+        assert len(threads) == usable
+        # more than one worker runs on pool threads alone
+        assert (threading.get_ident() in threads) == (usable == 1)
 
     def test_scratch_is_made_in_the_calling_thread(self):
         made_in = []
@@ -106,15 +134,178 @@ class TestMapRowBlocks:
             map_row_blocks(8, BLOCK_PX, fn, workers)
 
     def test_a_failing_block_raises_and_leaves_no_thread(self):
+        start_every_pool_thread(3)
         before = threading.active_count()
+        out = np.zeros(8)
+
+        def fill(rows, _):
+            out[rows] = np.arange(rows.start, rows.stop)
 
         def fn(rows, _):
             if rows.start == 3:
                 raise ValueError("block 3")
 
-        with pytest.raises(ValueError, match="block 3"):
-            map_row_blocks(8, BLOCK_PX, fn, 3)
-        assert threading.active_count() == before
+        for _ in range(5):
+            map_row_blocks(8, BLOCK_PX, fill, 3)
+            with pytest.raises(ValueError, match="block 3"):
+                map_row_blocks(8, BLOCK_PX, fn, 3)
+            assert threading.active_count() == before
+        out[:] = -1
+        map_row_blocks(8, BLOCK_PX, fill, 3)
+        np.testing.assert_array_equal(out, np.arange(8))
+
+
+class TestOnePool:
+    """The pool outlives a call: calls share it, nest in it and fork with it."""
+
+    def test_a_nested_call_runs_in_its_block_and_gives_the_same_bytes(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.random((64, 300), dtype=np.float32), rng.random((64, 300), dtype=np.float32)
+        ok = np.ones(a.shape, bool)
+        reference = normalized_difference(a, b, ok, workers=1)
+        out = np.empty((4,) + a.shape, np.float32)
+        inner_threads = [set() for _ in out]
+
+        def fn(rows, _):
+            i = rows.start
+            map_row_blocks(8, BLOCK_PX, lambda _rows, _: inner_threads[i].add(threading.get_ident()), 2)
+            # the nested call ran in this block's own thread
+            assert inner_threads[i] == {threading.get_ident()}
+            out[i] = normalized_difference(a, b, ok, workers=2)
+
+        failed = []
+
+        def outer():
+            try:
+                with mock.patch.object(raster_core, "BLOCK_PX", 1000):
+                    map_row_blocks(4, 1, fn, 2, block_rows=1)
+            except BaseException as exc:
+                failed.append(exc)
+
+        # nested calls that waited on the pool their blocks occupy would hang
+        caller = threading.Thread(target=outer)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert failed == []
+        for plane in out:
+            identical(plane, reference)
+
+    def test_two_callers_share_the_pool(self):
+        rng = np.random.default_rng(4)
+        planes = [rng.random((256, 512), dtype=np.float32) for _ in range(4)]
+        ok = np.ones(planes[0].shape, bool)
+        expected = [normalized_difference(planes[i], planes[i + 1], ok, workers=1) for i in (0, 2)]
+        results = [[], []]
+
+        def caller(j):
+            for _ in range(20):
+                results[j].append(normalized_difference(planes[2 * j], planes[2 * j + 1], ok, workers=2))
+
+        callers = [threading.Thread(target=caller, args=(j,)) for j in range(2)]
+        with mock.patch.object(raster_core, "BLOCK_PX", 4096):
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in callers)
+        for j in range(2):
+            assert len(results[j]) == 20
+            for ratio in results[j]:
+                identical(ratio, expected[j])
+
+    def test_callers_that_grow_the_pool_at_once_lose_no_block(self):
+        # up to 8 workers, more than CPUs or any other test asks for, by
+        # four callers at once, so the pool is replaced while others submit
+        failed, done = [], []
+
+        def caller(j):
+            try:
+                for i in range(10):
+                    workers = 3 + (4 * i + j) % 6
+                    out = np.zeros(64, np.int64)
+
+                    def fn(rows, _):
+                        out[rows] += np.arange(rows.start, rows.stop)
+
+                    map_row_blocks(64, BLOCK_PX, fn, workers)
+                    if not np.array_equal(out, np.arange(64)):
+                        failed.append((j, i))
+                done.append(j)
+            except BaseException as exc:
+                failed.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(j,)) for j in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert failed == []
+        assert sorted(done) == [0, 1, 2, 3]
+
+    def test_a_failure_waits_for_every_other_block(self):
+        release = threading.Event()
+        ended = []
+
+        def fn(rows, _):
+            if rows.start == 0:
+                raise ValueError("block 0")
+            # worker 1's block is still running when block 0 has failed
+            assert release.wait(timeout=30)
+            ended.append(rows.start)
+
+        timer = threading.Timer(0.3, release.set)
+        timer.start()
+        try:
+            with pytest.raises(ValueError, match="block 0"):
+                map_row_blocks(2, BLOCK_PX, fn, 2)
+            assert ended == [1]
+        finally:
+            timer.cancel()
+            timer.join(timeout=30)
+
+    def test_a_forked_child_uses_a_pool_of_its_own(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        start_every_pool_thread(2)
+        rng = np.random.default_rng(5)
+        a, b = rng.random((64, 4096), dtype=np.float32), rng.random((64, 4096), dtype=np.float32)
+        ok = np.ones(a.shape, bool)
+        reference = normalized_difference(a, b, ok, workers=1)
+        pid = os.fork()
+        if pid == 0:  # the child reports by its exit code alone
+            code = 1
+            try:
+                same = np.array_equal(normalized_difference(a, b, ok, workers=2).view(np.uint32), reference.view(np.uint32))
+                code = 0 if same else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_idle_pool_threads_do_not_hang_exit(self, tmp_path):
+        # eight row bands of noise, so every CPU takes some
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"width": 512, "height": 1024, "counts": {"healthy": 3}, "seed": 2}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "palmwatch.cli", "synth", str(tmp_path / "out"), "--spec", str(spec)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "scene.rhdr").is_file()
 
 
 def operands(height, width, seed):
@@ -189,15 +380,31 @@ class TestSameBitsForAnyWorkers:
                 identical(prob.valid, reference.valid)
                 identical(prob.values, reference.values)
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        height=st.integers(1, 12), width=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+        block_px=st.integers(1, 200), nodata=st.sampled_from([None, NODATA, np.nan]),
+    )
+    def test_valid_mask(self, height, width, seed, block_px, nodata):
+        bands = tuple(Band(name, operands(height, width, seed + i)) for i, name in enumerate(("red", "nir")))
+        raster = Raster(bands=bands, nodata_value=nodata)
+        # one block: the rule on the whole plane
+        reference = raster.valid_rows(slice(None))
+        with mock.patch.object(raster_core, "BLOCK_PX", block_px):
+            for workers in (1, 2, 3):
+                identical(raster.valid_mask(workers=workers).bits, reference)
+
 
 class TestPoolMemoryAndThreads:
     """At two workers, memory beyond the outputs is a few block buffers per
-    worker, not a plane, and every thread the pool started has ended."""
+    worker, not a plane, and a pool whose threads have all started starts
+    no more."""
 
     SHAPE = (512, 4096)  # 32 blocks of 16 rows
     WORKERS = 2
 
     def beyond_outputs(self, run):
+        start_every_pool_thread(self.WORKERS)
         before = threading.active_count()
         tracemalloc.start()
         try:
