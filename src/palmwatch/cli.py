@@ -21,6 +21,7 @@ import json
 import sys
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +95,6 @@ class PipelineConfig:
     veg_gate: bool = False
     tile_size: int = DEFAULT_TILE_SIZE
     overlap: int = DEFAULT_PREDICT_OVERLAP
-    jobs: int | None = None
     prob_threshold: float = DetectorConfig.prob_threshold
     min_area: int = DetectorConfig.min_area
     max_area: int = DetectorConfig.max_area
@@ -113,6 +113,8 @@ class PipelineConfig:
     @classmethod
     def from_manifest(cls, payload: dict) -> "PipelineConfig":
         config = take(payload, "config", dict, "manifest", error=ConfigurationError)
+        # older manifests record a thread count, which never changed an output byte
+        config = {key: value for key, value in config.items() if key != "jobs"}
         return from_fields(cls, config, "manifest config", ConfigurationError)
 
 
@@ -142,20 +144,8 @@ def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
     )
 
 
-def check_prediction_settings(tile_size: int, overlap: int, jobs: int | None) -> None:
-    """Raise ConfigurationError unless predict_tiled accepts these settings."""
-    check_tiling(tile_size, overlap)
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-
-
 def predict_tiled(
-    scene: Raster,
-    prediction_mask: Mask,
-    params: ModelParams,
-    tile_size: int,
-    overlap: int,
-    jobs: int | None = None,
+    scene: Raster, prediction_mask: Mask, params: ModelParams, tile_size: int, overlap: int
 ) -> MaskedGrid:
     """Tile the scene, predict tile by tile in plan order, stitch.
 
@@ -166,19 +156,13 @@ def predict_tiled(
     scene as it is and derives the others over the tile, so an index
     that a caller joined to the scene as a band is reused. Tile maps
     stream into ``stitch`` as they are predicted, so besides the scene
-    and the output only one tile's features and map are alive. ``jobs``
-    worker threads (None: every CPU this process may use) share the row
-    blocks of each pixel kernel; every pixel's arithmetic is the same for
-    any ``jobs``, so the result is too.
+    and the output only one tile's features and map are alive.
     """
     check_features(scene, prediction_mask, params.features)
     plan = tile_plan(scene.width, scene.height, tile_size, overlap)
     maps = (
         predict_map(
-            extract_tile(scene, window),
-            Mask(window_of(prediction_mask.bits, window, False)),
-            params,
-            workers=jobs,
+            extract_tile(scene, window), Mask(window_of(prediction_mask.bits, window, False)), params
         )
         for window in plan.windows
     )
@@ -224,7 +208,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     Writes into ``config.out_dir``: manifest.json, veg_mask raster,
     probability raster, detections.geojson/.csv, and (with truth)
     metrics.csv/.json plus an eval.json holding detection-level counts
-    and the confusion matrix.
+    and the confusion matrix. An eval.json or metrics file that an
+    earlier run left there is removed first, so none outlives its run.
     """
     scene_path = _require_file(config.scene_path, "scene")
     model_path = _require_file(config.model_path, "model")
@@ -236,7 +221,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             f"veg_index must be one of {sorted(INDEX_REGISTRY)}, got {config.veg_index!r}"
         )
     check_vegetation_threshold(config.veg_threshold)
-    check_prediction_settings(config.tile_size, config.overlap, config.jobs)
+    check_tiling(config.tile_size, config.overlap)
     if config.averaging not in AVERAGING_MODES:
         raise ConfigurationError(f"averaging must be one of {AVERAGING_MODES}, got {config.averaging!r}")
     check_max_centroid_dist(config.match_max_dist)
@@ -244,16 +229,19 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's evaluation in this directory must not pass for this run's
+    for name in ("eval.json", "metrics.csv", "metrics.json"):
+        (out_dir / name).unlink(missing_ok=True)
 
     scene = load_raster(scene_path)
     params = load_params(model_path)
     if config.truth_path is not None:
         truth = load_annotations(truth_path)
 
-    valid = scene.valid_mask(workers=config.jobs)
+    valid = scene.valid_mask()
     # an incompatible model fails here, before any output is written
     check_features(scene, valid, params.features)
-    index = compute_index(scene, valid, config.veg_index, workers=config.jobs)
+    index = compute_index(scene, valid, config.veg_index)
     veg = vegetation_mask(index, config.veg_threshold)
     save_raster(_mask_to_raster(veg, "veg_mask", scene.origin), out_dir / "veg_mask")
     veg_fraction = veg.count() / max(valid.count(), 1)
@@ -273,9 +261,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             nodata_value=scene.nodata_value,
             origin=scene.origin,
         )
-    prob = predict_tiled(
-        features, prediction_mask, params, config.tile_size, config.overlap, config.jobs
-    )
+    prob = predict_tiled(features, prediction_mask, params, config.tile_size, config.overlap)
     # the pixel stage's planes would otherwise sit under detection's peak
     del valid, index, veg, prediction_mask, features
     save_raster(prob.to_raster(origin=scene.origin), out_dir / "probability")
@@ -446,12 +432,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    check_prediction_settings(args.tile_size, args.overlap, args.jobs)
+    check_tiling(args.tile_size, args.overlap)
     scene = load_raster(_require_file(args.scene, "scene"))
     params = load_params(_require_file(args.model, "model"))
-    prob = predict_tiled(
-        scene, scene.valid_mask(workers=args.jobs), params, args.tile_size, args.overlap, args.jobs
-    )
+    prob = predict_tiled(scene, scene.valid_mask(), params, args.tile_size, args.overlap)
     save_raster(prob.to_raster(origin=scene.origin), args.out)
     print(f"wrote probability map to {args.out}.rhdr")
     return 0
@@ -518,10 +502,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(parser: argparse.ArgumentParser, args) -> int:
     if args.config is not None:
-        if args.scene_path or args.model_path or args.out_dir:
-            raise ConfigurationError("--config replaces --scene/--model/--out; do not mix them")
+        # the manifest sets every other flag, so one given as well would be ignored
+        mixed = [
+            action.option_strings[0]
+            for action in parser._actions
+            if action.option_strings
+            and action.dest != "config"
+            and getattr(args, action.dest, action.default) != action.default
+        ]
+        if mixed:
+            raise ConfigurationError(
+                f"--config replaces every other pipeline flag; do not mix it with {', '.join(mixed)}"
+            )
         path = _require_file(args.config, "pipeline manifest")
         config = PipelineConfig.from_manifest(read_document(path, "manifest", ConfigurationError))
     else:
@@ -552,7 +546,6 @@ def _cmd_pipeline(args) -> int:
 def _add_tiling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tile-size", type=int, default=DEFAULT_TILE_SIZE, help="tile edge in px (default %(default)s)")
     parser.add_argument("--overlap", type=int, default=DEFAULT_PREDICT_OVERLAP, help="tile overlap for prediction (default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=PipelineConfig.jobs, help="worker threads per pixel kernel (default: every CPU the process may use)")
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
@@ -657,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", dest="model_path", default=None, help="model JSON path")
     p.add_argument("--out", dest="out_dir", default=None, help="output directory")
     p.add_argument("--truth", dest="truth_path", default=c.truth_path, help="truth annotations JSON (enables metrics)")
-    p.add_argument("--config", default=None, help="rerun from a manifest.json (replaces other path flags)")
+    p.add_argument("--config", default=None, help="rerun from a manifest.json (replaces every other flag)")
     p.add_argument("--veg-index", default=c.veg_index, choices=indices, help="index for the vegetation mask (default %(default)s)")
     p.add_argument(
         "--veg-threshold",
@@ -674,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tiling_flags(p)
     _add_detector_flags(p)
     _add_eval_flags(p)
-    p.set_defaults(func=_cmd_pipeline)
+    p.set_defaults(func=partial(_cmd_pipeline, p))
     return parser
 
 

@@ -224,22 +224,28 @@ def classify_detections(
     else smallish if equivalent diameter < smallish_diameter_px,
     else healthy.
 
-    Consecutive detections are classified in blocks of about
+    Consecutive detections are classified in blocks of at most
     ``raster_core.BLOCK_PX`` pixels, a few MB of working set on any
-    scene: the bands are read once per block, at the pixels of all its
-    crowns together, and a pixel is valid by the raster's own rule
-    (``valid_mask``). Raises UnclassifiableError when a detection carries
-    no pixels or has no valid ones.
+    scene. A block closes before the next crown would take it past that,
+    and a larger crown is a block of its own, so a block of several
+    crowns is one row block of the index kernel, which runs in the
+    calling thread. The bands are read once per block, at the pixels of
+    all its crowns together, and a pixel is valid by the raster's own
+    rule (``valid_mask``). Raises UnclassifiableError when a detection
+    carries no pixels or has no valid ones.
     """
     block, size = [], 0
-    for i, det in enumerate(detections, start=1):
+    for det in detections:
         if det.pixels is None or len(det.pixels[1]) == 0:
             raise UnclassifiableError(f"detection {det.id} carries no pixels")
-        block.append(det)
-        size += len(det.pixels[1])
-        if size >= raster_core.BLOCK_PX or i == len(detections):
+        n = len(det.pixels[1])
+        if block and size + n > raster_core.BLOCK_PX:
             _classify_block(block, raster, cfg)
             block, size = [], 0
+        block.append(det)
+        size += n
+    if block:
+        _classify_block(block, raster, cfg)
     return detections
 
 
@@ -255,8 +261,7 @@ def _classify_block(detections: list[CrownDetection], raster: Raster, cfg: Detec
     pairs = INDEX_REGISTRY["ndvi"], INDEX_REGISTRY["gndvi"]
     # each band of the two pairs, cast to float64 once
     f64 = {b: crowns.band(b).samples[0].astype(np.float64) for b in dict.fromkeys(sum(pairs, ()))}
-    # a block of crowns is about one row block of pixels: no pool pays off
-    ndvi_values, gndvi_values = (normalized_difference(f64[a], f64[b], ok, workers=1) for a, b in pairs)
+    ndvi_values, gndvi_values = (normalized_difference(f64[a], f64[b], ok) for a, b in pairs)
     stop = 0
     for det in detections:
         start, stop = stop, stop + len(det.pixels[1])

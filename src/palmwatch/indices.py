@@ -26,9 +26,7 @@ from .raster_core import Band, Mask, MaskedGrid, Raster, map_row_blocks
 DEFAULT_VEGETATION_THRESHOLD = 0.2
 
 
-def normalized_difference(
-    a: np.ndarray, b: np.ndarray, ok: np.ndarray, *, workers: int | None = None
-) -> np.ndarray:
+def normalized_difference(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """(a - b) / (a + b) in the inputs' dtype, finite exactly where it is valid.
 
     A ratio is invalid where ``ok`` is false, where a or b is NaN or
@@ -37,8 +35,8 @@ def normalized_difference(
     the halved operands instead. No input raises a warning, and no
     arithmetic touches a pixel outside ``ok``.
     The work is split into blocks of whole rows (along the first axis)
-    that ``workers`` threads share (``map_row_blocks``); every pixel's
-    arithmetic is the same for any number of workers.
+    that the pool's threads share (``map_row_blocks``); every pixel's
+    arithmetic is the same for any number of threads.
     The ratio comes back read-only, so a MaskedGrid takes it without a
     copy.
     """
@@ -78,7 +76,7 @@ def normalized_difference(
         # the block's a + b, and where its ratio is valid
         return np.empty((rows, width), a.dtype), np.empty((rows, width), bool)
 
-    map_row_blocks(n_rows, width, block, workers, scratch)
+    map_row_blocks(n_rows, width, block, scratch=scratch)
     values.setflags(write=False)
     return values
 
@@ -99,10 +97,9 @@ def gndvi(nir: Band, green: Band, mask: Mask) -> MaskedGrid:
 INDEX_REGISTRY = {"ndvi": ("nir", "red"), "gndvi": ("nir", "green")}
 
 
-def compute_index(raster: Raster, mask: Mask, name: str, *, workers: int | None = None) -> MaskedGrid:
+def compute_index(raster: Raster, mask: Mask, name: str) -> MaskedGrid:
     """The registered index ``name`` over ``mask``: the normalized
-    difference of its band pair, in float32, over ``workers`` threads
-    (None: every CPU this process may use); invalid outside ``mask``, at
+    difference of its band pair, in float32; invalid outside ``mask``, at
     a NaN or infinite sample of the pair and where the pair sums to zero.
 
     Raises BandLookupError for an unknown index or a missing band.
@@ -113,7 +110,7 @@ def compute_index(raster: Raster, mask: Mask, name: str, *, workers: int | None 
         raise BandLookupError(
             f"unknown index {name!r}; registered: {sorted(INDEX_REGISTRY)}"
         ) from None
-    values = normalized_difference(raster.band(a).samples, raster.band(b).samples, mask.bits, workers=workers)
+    values = normalized_difference(raster.band(a).samples, raster.band(b).samples, mask.bits)
     return MaskedGrid(values, name=name)
 
 

@@ -77,18 +77,12 @@ def check_features(raster: Raster, mask: Mask, feature_names: tuple[str, ...]) -
     return indices
 
 
-def featurize(
-    raster: Raster,
-    mask: Mask,
-    feature_names: tuple[str, ...] | None = None,
-    *,
-    workers: int | None = None,
-) -> Raster:
+def featurize(raster: Raster, mask: Mask, feature_names: tuple[str, ...] | None = None) -> Raster:
     """The feature raster: ``raster`` with each index feature that is not
     one of its bands joined as a band of its own (float32, computed over
-    ``mask``, over ``workers`` threads); no samples are copied. A feature
-    that is a band of ``raster`` is taken as it is, so an index derived
-    once over a scene is reused by joining it to the scene as a band.
+    ``mask``); no samples are copied. A feature that is a band of
+    ``raster`` is taken as it is, so an index derived once over a scene
+    is reused by joining it to the scene as a band.
     Features follow the grid rule: a joined index is NaN wherever it is
     invalid, outside ``mask`` too. The default features are every band,
     then DEFAULT_INDEX_FEATURES. Raises what ``check_features`` raises,
@@ -96,7 +90,7 @@ def featurize(
     """
     names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
     joined = tuple(
-        Band(name=name, samples=compute_index(raster, mask, name, workers=workers).values)
+        Band(name=name, samples=compute_index(raster, mask, name).values)
         for name in check_features(raster, mask, names)
     )
     return Raster(bands=raster.bands + joined, nodata_value=raster.nodata_value, origin=raster.origin)
@@ -308,23 +302,21 @@ def train(
     )
 
 
-def predict_map(
-    raster: Raster, mask: Mask, params: ModelParams, *, workers: int | None = None
-) -> MaskedGrid:
+def predict_map(raster: Raster, mask: Mask, params: ModelParams) -> MaskedGrid:
     """sigmoid(w . x_standardized + b) per valid pixel.
 
     z is summed plane by plane in float64, in feature order, over blocks
-    of whole rows of about BLOCK_PX pixels, which ``workers`` threads
-    share (``map_row_blocks``; None: every CPU this process may use);
-    each block goes straight into the float32 result, so the result is
-    the same for any number of workers. A pixel is invalid, and holds NaN
-    (0x7fc00000), where ``mask`` is false or z is NaN: an invalid feature
-    is NaN and makes z NaN at any weight, and so do weighted features
-    that overflow to +inf and -inf. The blocks run silenced, as invalid
-    pixels may overflow or be NaN in z. Raises CompatibilityError listing
-    the manifest features the raster cannot supply.
+    of whole rows of about BLOCK_PX pixels, which the pool's threads
+    share (``map_row_blocks``); each block goes straight into the float32
+    result, so the result is the same for any number of threads. A pixel
+    is invalid, and holds NaN (0x7fc00000), where ``mask`` is false or z
+    is NaN: an invalid feature is NaN and makes z NaN at any weight, and
+    so do weighted features that overflow to +inf and -inf. The blocks
+    run silenced, as invalid pixels may overflow or be NaN in z. Raises
+    CompatibilityError listing the manifest features the raster cannot
+    supply.
     """
-    features = featurize(raster, mask, params.features, workers=workers)
+    features = featurize(raster, mask, params.features)
     planes = [features.band(name).samples for name in params.features]
     height, width = mask.bits.shape
     values = np.empty((height, width), dtype=np.float32)
@@ -343,7 +335,7 @@ def predict_map(
             values[rows] = expit(z, out=z)
             values[rows][np.isnan(z) | ~mask.bits[rows]] = np.nan
 
-    map_row_blocks(height, width, block, workers, scratch=lambda rows: np.empty((2, rows, width)))
+    map_row_blocks(height, width, block, scratch=lambda rows: np.empty((2, rows, width)))
     values.setflags(write=False)
     return MaskedGrid(values)
 

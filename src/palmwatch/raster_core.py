@@ -254,21 +254,20 @@ class Raster:
         """The float32 value a written invalid sample holds: nodata, or NaN without one."""
         return np.float32(self.nodata_value if self.nodata_value is not None else np.nan)
 
-    def valid_mask(self, workers: int | None = None) -> Mask:
+    def valid_mask(self) -> Mask:
         """Pixels where every band is finite and not bitwise equal to
         nodata (as a float32 pattern).
 
         The plane is built from ``valid_rows`` over blocks of whole rows,
-        which ``workers`` threads share (``map_row_blocks``; None: every
-        CPU this process may use); the bits are the same for any number
-        of workers.
+        which the pool's threads share (``map_row_blocks``); the bits are
+        the same for any number of threads.
         """
         bits = np.empty((self.height, self.width), np.bool_)
 
         def block(rows, _):
             bits[rows] = self.valid_rows(rows)
 
-        map_row_blocks(self.height, self.width, block, workers)
+        map_row_blocks(self.height, self.width, block)
         bits.setflags(write=False)
         return Mask(bits)
 
@@ -458,8 +457,9 @@ def map_row_blocks(
 
     A block is the slice ``rows`` of ``block_rows`` whole rows, by default
     max(1, BLOCK_PX // width); the last one may be shorter. Block i goes
-    to worker i mod k, where k is ``workers`` (None: every CPU this
-    process may use) or the number of blocks if that is smaller; each
+    to worker i mod k, where k is ``workers`` (None, as every kernel in
+    the package passes: ``usable_cpus()``, so the process's CPU affinity
+    sets it) or the number of blocks if that is smaller; each
     worker takes its blocks in order. ``scratch(rows)``, when given, is
     called with the block height once per worker in the calling thread,
     and its result is the ``buffers`` that worker hands to ``fn``;

@@ -223,7 +223,7 @@ def generate_scene(spec: SceneSpec) -> tuple[Raster, AnnotationSet]:
             np.maximum(block, 0.0, out=block)
 
     map_row_blocks(
-        spec.height, spec.width, add_noise, workers=None,
+        spec.height, spec.width, add_noise,
         scratch=lambda rows: np.empty((rows, spec.width), np.float32), block_rows=band_rows,
     )
     bands = []

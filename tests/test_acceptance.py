@@ -7,10 +7,12 @@ line per criterion.
 import json
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from palmwatch import raster_core
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels
 from palmwatch.augment import (
     AugmentSpec,
@@ -287,7 +289,7 @@ def test_criterion_5_augmentation_algebra():
 
 def test_criterion_6_end_to_end_synthetic_oracle():
     with criterion(6, "4096x4096 oracle: detection precision/recall >= 0.98, "
-                      "3-class macro F1 >= 0.95, < 120 s predicting at jobs=1"):
+                      "3-class macro F1 >= 0.95, < 120 s predicting on one CPU"):
         start = time.perf_counter()
         train_scenes = [generate_scene(SceneSpec(seed=1000 + i)) for i in range(4)]
         held_raster, held_ann = generate_scene(SceneSpec(seed=2000))
@@ -300,9 +302,9 @@ def test_criterion_6_end_to_end_synthetic_oracle():
 
         from palmwatch.cli import predict_tiled
 
-        prob = predict_tiled(
-            held_raster, held_raster.valid_mask(), params, 1024, 128, jobs=1
-        )
+        valid = held_raster.valid_mask()
+        with mock.patch.object(raster_core, "usable_cpus", return_value=1):
+            prob = predict_tiled(held_raster, valid, params, 1024, 128)
         cfg = DetectorConfig()
         detections = detect_crowns(prob, cfg)
         classify_detections(detections, held_raster, cfg)
@@ -330,7 +332,7 @@ def test_criterion_6_end_to_end_synthetic_oracle():
 
 def test_criterion_7_determinism(tmp_path):
     with criterion(7, "identical manifests give byte-identical GeoJSON/CSV "
-                      "across reruns and --jobs settings"):
+                      "across reruns and CPU counts"):
         scenes = []
         for i in range(2):
             spec = SceneSpec(
@@ -359,7 +361,7 @@ def test_criterion_7_determinism(tmp_path):
         truth_path = tmp_path / "scene.json"
         save_annotations(ann, truth_path)
 
-        def run(out_name, jobs):
+        def run(out_name, cpus):
             config = PipelineConfig(
                 scene_path=str(tmp_path / "scene.rhdr"),
                 model_path=str(model_path),
@@ -367,14 +369,14 @@ def test_criterion_7_determinism(tmp_path):
                 truth_path=str(truth_path),
                 tile_size=128,
                 overlap=32,
-                jobs=jobs,
             )
-            run_pipeline(config)
+            with mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
+                run_pipeline(config)
             return tmp_path / out_name
 
-        first = run("run1", jobs=1)
-        second = run("run2", jobs=1)
-        parallel = run("run3", jobs=3)
+        first = run("run1", cpus=1)
+        second = run("run2", cpus=1)
+        parallel = run("run3", cpus=3)
         compared = 0
         for name in ("detections.geojson", "detections.csv", "metrics.csv", "probability.rbin"):
             reference = (first / name).read_bytes()

@@ -6,6 +6,8 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -293,11 +295,12 @@ class TestPipelineMemory:
             model_path=str(tmp_path / "model.json"),
             out_dir=str(tmp_path / "run"),
             tile_size=256,  # 16 and 64 tiles
-            jobs=2,  # each worker holds its own block buffers
         )
         tracemalloc.start()
         try:
-            assert run_pipeline(config)["detections"] > 0
+            # two CPUs: each worker holds its own block buffers
+            with mock.patch.object(raster_core, "usable_cpus", return_value=2):
+                assert run_pipeline(config)["detections"] > 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -393,8 +396,9 @@ class TestPipeline:
             ).read_bytes(), name
 
     def test_jobs_do_not_change_outputs(self, workspace, tmp_path):
-        assert self.run(workspace, tmp_path / "j1", ("--jobs", "1")) == 0
-        assert self.run(workspace, tmp_path / "j4", ("--jobs", "4")) == 0
+        for cpus in (1, 4):
+            with mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
+                assert self.run(workspace, tmp_path / f"j{cpus}") == 0
         for name in ("detections.geojson", "detections.csv", "probability.rbin"):
             assert (tmp_path / "j1" / name).read_bytes() == (
                 tmp_path / "j4" / name
@@ -403,14 +407,18 @@ class TestPipeline:
     def test_one_job_starts_no_thread(self, workspace, tmp_path):
         # blocks of 1024 px, so every pixel kernel has blocks to share
         with mock.patch.object(raster_core, "BLOCK_PX", 1024):
-            with mock.patch.object(ThreadPoolExecutor, "submit", autospec=True, side_effect=ThreadPoolExecutor.submit) as submit:
-                assert self.run(workspace, tmp_path / "two", ("--jobs", "2")) == 0
+            with (
+                mock.patch.object(raster_core, "usable_cpus", return_value=2),
+                mock.patch.object(ThreadPoolExecutor, "submit", autospec=True, side_effect=ThreadPoolExecutor.submit) as submit,
+            ):
+                assert self.run(workspace, tmp_path / "two") == 0
             assert submit.called
             with (
+                mock.patch.object(raster_core, "usable_cpus", return_value=1),
                 mock.patch.object(threading.Thread, "start", side_effect=AssertionError("a thread started")) as start,
                 mock.patch.object(ThreadPoolExecutor, "submit", side_effect=AssertionError("the pool ran a task")) as submit,
             ):
-                assert self.run(workspace, tmp_path / "one", ("--jobs", "1")) == 0
+                assert self.run(workspace, tmp_path / "one") == 0
         start.assert_not_called()
         submit.assert_not_called()
 
@@ -426,6 +434,99 @@ class TestPipeline:
             tmp_path / "replay" / "detections.geojson"
         ).read_bytes()
 
+    def test_manifest_with_a_thread_count_reruns_identically(self, workspace, tmp_path):
+        # manifests written before the thread count was left to the CPU
+        # affinity carry "jobs"; it never changed an output byte
+        scene = workspace["scenes"][2]
+        config = PipelineConfig(
+            scene_path=str(scene), model_path=str(workspace["model"]), out_dir=str(tmp_path / "orig"),
+            truth_path=str(scene.parent / "scene.json"), tile_size=128,
+        )
+        run_pipeline(config)
+        payload = config.to_manifest()
+        payload["config"].update(out_dir=str(tmp_path / "replay"), jobs=3)
+        (tmp_path / "manifest.json").write_text(json.dumps(payload))
+        assert main(["pipeline", "--config", str(tmp_path / "manifest.json")]) == 0
+        for name in (
+            "veg_mask.rbin", "probability.rbin", "detections.geojson", "detections.csv",
+            "metrics.csv", "metrics.json", "eval.json",
+        ):
+            assert (tmp_path / "orig" / name).read_bytes() == (tmp_path / "replay" / name).read_bytes(), name
+        assert "jobs" not in json.loads((tmp_path / "replay" / "manifest.json").read_text())["config"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scene", "scene.rhdr"],
+            ["--model", "model.json"],
+            ["--out", "elsewhere"],
+            ["--truth", "scene.json"],
+            ["--veg-index", "gndvi"],
+            ["--veg-threshold", "0.3"],
+            ["--veg-gate"],
+            ["--tile-size", "512"],
+            ["--overlap", "8"],
+            ["--prob-threshold", "0.6"],
+            ["--min-area", "5"],
+            ["--max-area", "900"],
+            ["--split-min-distance", "3"],
+            ["--smallish-diameter", "10"],
+            ["--dead-ndvi-max", "0.1"],
+            ["--max-dist", "5"],
+            ["--averaging", "micro"],
+            ["--min-area", "5", "--truth", "scene.json", "--veg-gate"],
+        ],
+    )
+    def test_config_rejects_every_other_flag(self, workspace, tmp_path, capsys, flags):
+        # every flag but --scene, --model and --out used to be ignored
+        # silently: the run took the manifest's value and exited 0
+        config = PipelineConfig(
+            scene_path=str(workspace["scenes"][2]), model_path=str(workspace["model"]),
+            out_dir=str(tmp_path / "run"),
+        )
+        (tmp_path / "manifest.json").write_text(json.dumps(config.to_manifest()))
+        assert main(["pipeline", "--config", str(tmp_path / "manifest.json"), *flags]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error")
+        named = err[0].split("do not mix it with ")[1].split(", ")
+        assert sorted(named) == sorted(flag for flag in flags if flag.startswith("--"))
+        assert not (tmp_path / "run").exists()
+
+    def test_config_takes_a_flag_at_its_default(self, workspace, tmp_path):
+        config = PipelineConfig(
+            scene_path=str(workspace["scenes"][2]), model_path=str(workspace["model"]),
+            out_dir=str(tmp_path / "run"), min_area=5,
+        )
+        (tmp_path / "manifest.json").write_text(json.dumps(config.to_manifest()))
+        assert main(["pipeline", "--config", str(tmp_path / "manifest.json"), "--min-area", "20"]) == 0
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]["min_area"] == 5
+
+    @pytest.mark.parametrize("second_truth", [None, "matches_nothing"])
+    def test_a_rerun_leaves_no_earlier_evaluation(self, workspace, tmp_path, second_truth):
+        # eval.json, metrics.csv and metrics.json of the first run used to
+        # stay beside the second run's outputs
+        scene = workspace["scenes"][2]
+        out = tmp_path / "run"
+        config = PipelineConfig(
+            scene_path=str(scene), model_path=str(workspace["model"]), out_dir=str(out),
+            truth_path=str(scene.parent / "scene.json"), tile_size=128,
+        )
+        run_pipeline(config)
+        assert json.loads((out / "eval.json").read_text())["detection"]["matched"] > 0
+        assert (out / "metrics.csv").is_file() and (out / "metrics.json").is_file()
+        truth_path = None
+        if second_truth is not None:
+            truth_path = str(tmp_path / "empty.json")
+            save_annotations(AnnotationSet(()), truth_path)
+        summary = run_pipeline(replace(config, truth_path=truth_path))
+        assert not (out / "metrics.csv").exists() and not (out / "metrics.json").exists()
+        if second_truth is None:
+            assert not (out / "eval.json").exists()
+        else:
+            assert json.loads((out / "eval.json").read_text())["detection"]["matched"] == 0
+        written = {Path(path).name for path in summary["outputs"].values()} | {"probability.rbin", "veg_mask.rbin"}
+        assert {path.name for path in out.iterdir()} == written
+
     def test_default_config_evaluates_each_pixel_once(self, tmp_path, monkeypatch):
         size = DEFAULT_TILE_SIZE + 1  # 2x2 tiles at the default tile size
         raster = random_raster(np.random.default_rng(3), size, size)
@@ -437,11 +538,11 @@ class TestPipeline:
         coverage = np.zeros((size, size), dtype=int)
         predict_map = cli.predict_map
 
-        def spy(tile, mask, params, **kwargs):
+        def spy(tile, mask, params):
             evaluated.append(tile.width * tile.height)
             x, y = tile.origin
             coverage[y : y + tile.height, x : x + tile.width] += 1
-            return predict_map(tile, mask, params, **kwargs)
+            return predict_map(tile, mask, params)
 
         monkeypatch.setattr(cli, "predict_map", spy)
         config = PipelineConfig(
@@ -643,7 +744,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--overlap", "2000"], ["--tile-size", "0"], ["--veg-threshold", "5"], ["--jobs", "0"]],
+        [["--overlap", "2000"], ["--tile-size", "0"], ["--veg-threshold", "5"]],
     )
     def test_bad_pipeline_setting_is_rejected_before_any_io(self, workspace, tmp_path, flags):
         # overlap and tile size used to be rejected only after the scene
@@ -668,17 +769,6 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(manifest)]) == 2
         assert "veg_index" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("jobs", ["0", "-5"])
-    def test_predict_needs_a_worker(self, workspace, tmp_path, jobs):
-        # both used to exit 0
-        out = tmp_path / "prob"
-        code = main([
-            "predict", str(workspace["scenes"][2]), "--model", str(workspace["model"]),
-            "--out", str(out), "--jobs", jobs,
-        ])
-        assert code == 2
-        assert list(tmp_path.iterdir()) == []
 
     def test_index_rejects_veg_threshold_before_writing(self, workspace, tmp_path):
         # the index raster used to be written before the threshold was rejected

@@ -4,7 +4,10 @@ The synthetic-scene generator is a test and demo fixture: the pipeline's
 stages must not depend on it, so only the command line and the package
 root may import it. Threads and processes are opened in one place,
 ``raster_core.map_row_blocks``, so only ``raster_core`` may import a
-concurrency module. Random streams are split by one rule,
+concurrency module, and the number of threads is decided there too:
+only ``raster_core`` names ``usable_cpus``, and no function elsewhere
+takes a ``workers`` or ``jobs`` parameter, so the process's CPU affinity
+is the one way to set it. Random streams are split by one rule,
 ``raster_core.stream``, so only ``raster_core`` may name the generator
 and the seed sequence that rule is built from. Crowns are discs by one
 rule, in ``annotations``, so only ``annotations`` may list lattice points.
@@ -20,6 +23,7 @@ MAY_IMPORT_SYNTH_SCENE = {"cli.py", "__init__.py"}
 CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 STREAM_RULE_NAMES = {"Philox", "SeedSequence"}
 LATTICE_LISTERS = {"mgrid", "ogrid", "indices", "meshgrid"}
+THREAD_COUNT_PARAMETERS = {"workers", "jobs"}
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -75,6 +79,21 @@ def test_only_raster_core_names_the_stream_rule():
         for path in PACKAGE.glob("*.py")
         if path.name != "raster_core.py" and named(path) & STREAM_RULE_NAMES
     )
+    assert offenders == []
+
+
+def test_only_raster_core_decides_the_thread_count():
+    offenders = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "raster_core.py":
+            continue
+        if "usable_cpus" in named(path):
+            offenders.append((path.name, "usable_cpus"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                offenders += [(path.name, p.arg) for p in params if p.arg in THREAD_COUNT_PARAMETERS]
     assert offenders == []
 
 

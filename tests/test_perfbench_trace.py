@@ -95,7 +95,6 @@ def test_traced_pipeline_with_worker_threads_keeps_every_span_in_order(perfbench
         out_dir=str(tmp_path / "out"),
         truth_path=str(tmp_path / "scene.json"),
         tile_size=tile_size,
-        jobs=2,
         max_area=150,
     )
     # for each kernel call, whether no block of it ran in the calling thread
@@ -115,6 +114,7 @@ def test_traced_pipeline_with_worker_threads_keeps_every_span_in_order(perfbench
         return record
 
     with (
+        mock.patch.object(raster_core, "usable_cpus", return_value=2),
         tracing.installed(tracing.Tracer()) as tracer,
         mock.patch.object(indices, "map_row_blocks", recording(indices.map_row_blocks)),
         mock.patch.object(pixel_model, "map_row_blocks", recording(pixel_model.map_row_blocks)),

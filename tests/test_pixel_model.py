@@ -564,12 +564,12 @@ class TestPlaneByPlanePrediction:
         scene=scenes_with_invalid_pixels(),
         params=model_params(),
         tiling=st.integers(1, 30).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t - 1))),
-        jobs=st.sampled_from([1, 2]),
+        cpus=st.sampled_from([1, 2]),
         veg_gate=st.booleans(),
         share_ndvi=st.booleans(),
     )
     def test_tiled_equals_untiled_and_stacked_reference(
-        self, scene, params, tiling, jobs, veg_gate, share_ndvi
+        self, scene, params, tiling, cpus, veg_gate, share_ndvi
     ):
         raster, mask = scene
         tile_size, overlap = tiling
@@ -586,7 +586,8 @@ class TestPlaneByPlanePrediction:
                 origin=raster.origin,
             )
         whole = predict_map(raster, mask, params)
-        tiled = predict_tiled(scene_in, mask, params, tile_size, overlap, jobs)
+        with mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
+            tiled = predict_tiled(scene_in, mask, params, tile_size, overlap)
         np.testing.assert_array_equal(tiled.valid, whole.valid)
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
@@ -609,7 +610,8 @@ class TestPlaneByPlanePrediction:
         n = len(features)
         params = ModelParams(features, np.ones(n), 0.3, np.zeros(n), np.ones(n))
         whole = predict_map(raster, raster.valid_mask(), params)
-        tiled = predict_tiled(raster, raster.valid_mask(), params, 4, 1, 2)
+        with mock.patch.object(raster_core, "usable_cpus", return_value=2):
+            tiled = predict_tiled(raster, raster.valid_mask(), params, 4, 1)
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
     @pytest.mark.parametrize("nodata", [-9999.0, -3.4028235e38, float("nan")])

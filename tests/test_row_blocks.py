@@ -50,6 +50,12 @@ def start_every_pool_thread(workers):
     map_row_blocks(size, BLOCK_PX, lambda rows, _: everyone.wait(), size)
 
 
+def cpus(n):
+    """Run the kernels, which take their worker count from the CPU
+    affinity, as if this process could use ``n`` CPUs."""
+    return mock.patch.object(raster_core, "usable_cpus", return_value=n)
+
+
 def blocks_seen(n_rows, width, workers, block_px):
     """(block, worker) pairs in call order; a worker is named by its scratch."""
     seen = []
@@ -162,7 +168,8 @@ class TestOnePool:
         rng = np.random.default_rng(3)
         a, b = rng.random((64, 300), dtype=np.float32), rng.random((64, 300), dtype=np.float32)
         ok = np.ones(a.shape, bool)
-        reference = normalized_difference(a, b, ok, workers=1)
+        with cpus(1):
+            reference = normalized_difference(a, b, ok)
         out = np.empty((4,) + a.shape, np.float32)
         inner_threads = [set() for _ in out]
 
@@ -171,13 +178,13 @@ class TestOnePool:
             map_row_blocks(8, BLOCK_PX, lambda _rows, _: inner_threads[i].add(threading.get_ident()), 2)
             # the nested call ran in this block's own thread
             assert inner_threads[i] == {threading.get_ident()}
-            out[i] = normalized_difference(a, b, ok, workers=2)
+            out[i] = normalized_difference(a, b, ok)
 
         failed = []
 
         def outer():
             try:
-                with mock.patch.object(raster_core, "BLOCK_PX", 1000):
+                with mock.patch.object(raster_core, "BLOCK_PX", 1000), cpus(2):
                     map_row_blocks(4, 1, fn, 2, block_rows=1)
             except BaseException as exc:
                 failed.append(exc)
@@ -195,15 +202,16 @@ class TestOnePool:
         rng = np.random.default_rng(4)
         planes = [rng.random((256, 512), dtype=np.float32) for _ in range(4)]
         ok = np.ones(planes[0].shape, bool)
-        expected = [normalized_difference(planes[i], planes[i + 1], ok, workers=1) for i in (0, 2)]
+        with cpus(1):
+            expected = [normalized_difference(planes[i], planes[i + 1], ok) for i in (0, 2)]
         results = [[], []]
 
         def caller(j):
             for _ in range(20):
-                results[j].append(normalized_difference(planes[2 * j], planes[2 * j + 1], ok, workers=2))
+                results[j].append(normalized_difference(planes[2 * j], planes[2 * j + 1], ok))
 
         callers = [threading.Thread(target=caller, args=(j,)) for j in range(2)]
-        with mock.patch.object(raster_core, "BLOCK_PX", 4096):
+        with mock.patch.object(raster_core, "BLOCK_PX", 4096), cpus(2):
             for thread in callers:
                 thread.start()
             for thread in callers:
@@ -277,12 +285,14 @@ class TestOnePool:
         rng = np.random.default_rng(5)
         a, b = rng.random((64, 4096), dtype=np.float32), rng.random((64, 4096), dtype=np.float32)
         ok = np.ones(a.shape, bool)
-        reference = normalized_difference(a, b, ok, workers=1)
+        with cpus(1):
+            reference = normalized_difference(a, b, ok)
         pid = os.fork()
         if pid == 0:  # the child reports by its exit code alone
             code = 1
             try:
-                same = np.array_equal(normalized_difference(a, b, ok, workers=2).view(np.uint32), reference.view(np.uint32))
+                with cpus(2):
+                    same = np.array_equal(normalized_difference(a, b, ok).view(np.uint32), reference.view(np.uint32))
                 code = 0 if same else 2
             finally:
                 os._exit(code)
@@ -345,11 +355,12 @@ class TestSameBitsForAnyWorkers:
     def test_normalized_difference(self, inputs, block_px):
         a, b, ok = inputs
         # one block: the whole-plane arithmetic
-        reference = normalized_difference(a, b, ok, workers=1)
+        reference = normalized_difference(a, b, ok)
         with mock.patch.object(raster_core, "BLOCK_PX", block_px), warnings.catch_warnings():
             warnings.simplefilter("error")
-            for workers in (1, 2, 3):
-                identical(normalized_difference(a, b, ok, workers=workers), reference)
+            for n in (1, 2, 3):
+                with cpus(n):
+                    identical(normalized_difference(a, b, ok), reference)
         # the overflowing pair went through the halving fallback
         assert reference.flat[-1] == pytest.approx(0.2, rel=1e-6)
 
@@ -372,11 +383,12 @@ class TestSameBitsForAnyWorkers:
             np.where(rng.random(5) < 0.3, 1e-300, rng.uniform(0.05, 10, 5)),
         )
         mask = Mask(raster.valid_mask().bits & (rng.random((height, width)) < 0.9))
-        reference = predict_map(raster, mask, params, workers=1)
+        reference = predict_map(raster, mask, params)
         with mock.patch.object(raster_core, "BLOCK_PX", block_px), warnings.catch_warnings():
             warnings.simplefilter("error")
-            for workers in (1, 2, 3):
-                prob = predict_map(raster, mask, params, workers=workers)
+            for n in (1, 2, 3):
+                with cpus(n):
+                    prob = predict_map(raster, mask, params)
                 identical(prob.valid, reference.valid)
                 identical(prob.values, reference.values)
 
@@ -391,8 +403,9 @@ class TestSameBitsForAnyWorkers:
         # one block: the rule on the whole plane
         reference = raster.valid_rows(slice(None))
         with mock.patch.object(raster_core, "BLOCK_PX", block_px):
-            for workers in (1, 2, 3):
-                identical(raster.valid_mask(workers=workers).bits, reference)
+            for n in (1, 2, 3):
+                with cpus(n):
+                    identical(raster.valid_mask().bits, reference)
 
 
 class TestPoolMemoryAndThreads:
@@ -408,7 +421,8 @@ class TestPoolMemoryAndThreads:
         before = threading.active_count()
         tracemalloc.start()
         try:
-            outputs = run()
+            with cpus(self.WORKERS):
+                outputs = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -421,7 +435,7 @@ class TestPoolMemoryAndThreads:
         a, b = rng.random(self.SHAPE, dtype=np.float32), rng.random(self.SHAPE, dtype=np.float32)
         ok = np.ones(self.SHAPE, bool)
         # a float32 plane is 16 block buffers here
-        assert self.beyond_outputs(lambda: [normalized_difference(a, b, ok, workers=self.WORKERS)]) <= 4 * self.WORKERS
+        assert self.beyond_outputs(lambda: [normalized_difference(a, b, ok)]) <= 4 * self.WORKERS
 
     def test_predict_map(self):
         rng = np.random.default_rng(8)
@@ -430,7 +444,7 @@ class TestPoolMemoryAndThreads:
         params = ModelParams(("red", "nir"), np.ones(2), 0.1, np.zeros(2), np.ones(2))
 
         def run():
-            prob = predict_map(raster, mask, params, workers=self.WORKERS)
+            prob = predict_map(raster, mask, params)
             return prob.values, prob.valid
 
         assert self.beyond_outputs(run) <= 4 * self.WORKERS
