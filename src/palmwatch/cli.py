@@ -72,7 +72,6 @@ from .pixel_model import (
 from .raster_core import Band, Mask, MaskedGrid, Raster, load_raster, save_raster
 from .synth_scene import SceneSpec, generate_scene, load_spec as load_scene_spec, spec_to_json
 from .tiling import (
-    DEFAULT_PREDICT_OVERLAP,
     DEFAULT_TILE_SIZE,
     check_tiling,
     extract_tile,
@@ -94,7 +93,6 @@ class PipelineConfig:
     veg_threshold: float = DEFAULT_VEGETATION_THRESHOLD
     veg_gate: bool = False
     tile_size: int = DEFAULT_TILE_SIZE
-    overlap: int = DEFAULT_PREDICT_OVERLAP
     prob_threshold: float = DetectorConfig.prob_threshold
     min_area: int = DetectorConfig.min_area
     max_area: int = DetectorConfig.max_area
@@ -113,8 +111,9 @@ class PipelineConfig:
     @classmethod
     def from_manifest(cls, payload: dict) -> "PipelineConfig":
         config = take(payload, "config", dict, "manifest", error=ConfigurationError)
-        # older manifests record a thread count, which never changed an output byte
-        config = {key: value for key, value in config.items() if key != "jobs"}
+        # older manifests record a thread count and a prediction tile margin,
+        # neither of which ever changed an output byte
+        config = {key: value for key, value in config.items() if key not in ("jobs", "overlap")}
         return from_fields(cls, config, "manifest config", ConfigurationError)
 
 
@@ -144,9 +143,7 @@ def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
     )
 
 
-def predict_tiled(
-    scene: Raster, prediction_mask: Mask, params: ModelParams, tile_size: int, overlap: int
-) -> MaskedGrid:
+def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams, tile_size: int) -> MaskedGrid:
     """Tile the scene, predict tile by tile in plan order, stitch.
 
     The model's features are checked against the scene before any pixel
@@ -157,9 +154,13 @@ def predict_tiled(
     that a caller joined to the scene as a band is reused. Tile maps
     stream into ``stitch`` as they are predicted, so besides the scene
     and the output only one tile's features and map are alive.
+
+    Prediction tiles share no pixel: the model reads each pixel's own
+    features alone, so a margin of context around a tile would only
+    predict those pixels again and change no output byte.
     """
     check_features(scene, prediction_mask, params.features)
-    plan = tile_plan(scene.width, scene.height, tile_size, overlap)
+    plan = tile_plan(scene.width, scene.height, tile_size)
     maps = (
         predict_map(
             extract_tile(scene, window), Mask(window_of(prediction_mask.bits, window, False)), params
@@ -202,14 +203,24 @@ def evaluate_detections(detections, truth: AnnotationSet, max_dist: float, avera
     return payload, cm, report
 
 
+# every file run_pipeline writes into its output directory but manifest.json
+PIPELINE_OUTPUTS = (
+    "veg_mask.rhdr", "veg_mask.rbin", "probability.rhdr", "probability.rbin",
+    "detections.geojson", "detections.csv", "eval.json", "metrics.csv", "metrics.json",
+)
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the composed pipeline and return a result summary.
 
     Writes into ``config.out_dir``: manifest.json, veg_mask raster,
     probability raster, detections.geojson/.csv, and (with truth)
     metrics.csv/.json plus an eval.json holding detection-level counts
-    and the confusion matrix. An eval.json or metrics file that an
-    earlier run left there is removed first, so none outlives its run.
+    and the confusion matrix. Nothing in the directory changes until
+    every input is read and the model is shown to fit the scene; then
+    every other file of PIPELINE_OUTPUTS is removed and manifest.json is
+    written before the first output, so each file there comes from the
+    settings its manifest records, even when the run fails later.
     """
     scene_path = _require_file(config.scene_path, "scene")
     model_path = _require_file(config.model_path, "model")
@@ -221,26 +232,28 @@ def run_pipeline(config: PipelineConfig) -> dict:
             f"veg_index must be one of {sorted(INDEX_REGISTRY)}, got {config.veg_index!r}"
         )
     check_vegetation_threshold(config.veg_threshold)
-    check_tiling(config.tile_size, config.overlap)
+    check_tiling(config.tile_size)
     if config.averaging not in AVERAGING_MODES:
         raise ConfigurationError(f"averaging must be one of {AVERAGING_MODES}, got {config.averaging!r}")
     check_max_centroid_dist(config.match_max_dist)
     detector = config.detector_config()
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # an earlier run's evaluation in this directory must not pass for this run's
-    for name in ("eval.json", "metrics.csv", "metrics.json"):
-        (out_dir / name).unlink(missing_ok=True)
-
     scene = load_raster(scene_path)
     params = load_params(model_path)
     if config.truth_path is not None:
         truth = load_annotations(truth_path)
-
     valid = scene.valid_mask()
-    # an incompatible model fails here, before any output is written
     check_features(scene, valid, params.features)
+
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's outputs in this directory must not pass for this run's
+    for name in PIPELINE_OUTPUTS:
+        (out_dir / name).unlink(missing_ok=True)
+    (out_dir / "manifest.json").write_text(
+        json.dumps(config.to_manifest(), indent=2, sort_keys=True) + "\n"
+    )
+
     index = compute_index(scene, valid, config.veg_index)
     veg = vegetation_mask(index, config.veg_threshold)
     save_raster(_mask_to_raster(veg, "veg_mask", scene.origin), out_dir / "veg_mask")
@@ -261,7 +274,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             nodata_value=scene.nodata_value,
             origin=scene.origin,
         )
-    prob = predict_tiled(features, prediction_mask, params, config.tile_size, config.overlap)
+    prob = predict_tiled(features, prediction_mask, params, config.tile_size)
     # the pixel stage's planes would otherwise sit under detection's peak
     del valid, index, veg, prediction_mask, features
     save_raster(prob.to_raster(origin=scene.origin), out_dir / "probability")
@@ -297,9 +310,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         summary["outputs"]["eval"] = str(out_dir / "eval.json")
         summary["evaluation"] = eval_payload
 
-    (out_dir / "manifest.json").write_text(
-        json.dumps(config.to_manifest(), indent=2, sort_keys=True) + "\n"
-    )
     summary["outputs"]["manifest"] = str(out_dir / "manifest.json")
     return summary
 
@@ -432,10 +442,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    check_tiling(args.tile_size, args.overlap)
+    check_tiling(args.tile_size)
     scene = load_raster(_require_file(args.scene, "scene"))
     params = load_params(_require_file(args.model, "model"))
-    prob = predict_tiled(scene, scene.valid_mask(), params, args.tile_size, args.overlap)
+    prob = predict_tiled(scene, scene.valid_mask(), params, args.tile_size)
     save_raster(prob.to_raster(origin=scene.origin), args.out)
     print(f"wrote probability map to {args.out}.rhdr")
     return 0
@@ -545,7 +555,6 @@ def _cmd_pipeline(parser: argparse.ArgumentParser, args) -> int:
 
 def _add_tiling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tile-size", type=int, default=DEFAULT_TILE_SIZE, help="tile edge in px (default %(default)s)")
-    parser.add_argument("--overlap", type=int, default=DEFAULT_PREDICT_OVERLAP, help="tile overlap for prediction (default %(default)s)")
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
@@ -590,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="split a scene into fixed-size tiles")
     p.add_argument("scene", help="scene .rhdr path")
     p.add_argument("out_dir", help="directory for tile_{row}_{col} containers")
-    p.add_argument("--tile-size", type=int, default=DEFAULT_TILE_SIZE, help="tile edge in px (default %(default)s)")
+    _add_tiling_flags(p)
     p.add_argument("--overlap", type=int, default=0, help="overlap between tiles in px (default %(default)s)")
     p.set_defaults(func=_cmd_tile)
 

@@ -77,21 +77,19 @@ def check_features(raster: Raster, mask: Mask, feature_names: tuple[str, ...]) -
     return indices
 
 
-def featurize(raster: Raster, mask: Mask, feature_names: tuple[str, ...] | None = None) -> Raster:
+def featurize(raster: Raster, mask: Mask, feature_names: tuple[str, ...]) -> Raster:
     """The feature raster: ``raster`` with each index feature that is not
     one of its bands joined as a band of its own (float32, computed over
     ``mask``); no samples are copied. A feature that is a band of
     ``raster`` is taken as it is, so an index derived once over a scene
     is reused by joining it to the scene as a band.
     Features follow the grid rule: a joined index is NaN wherever it is
-    invalid, outside ``mask`` too. The default features are every band,
-    then DEFAULT_INDEX_FEATURES. Raises what ``check_features`` raises,
-    before any index is computed.
+    invalid, outside ``mask`` too. Raises what ``check_features``
+    raises, before any index is computed.
     """
-    names = tuple(feature_names) if feature_names is not None else default_feature_names(raster)
     joined = tuple(
         Band(name=name, samples=compute_index(raster, mask, name).values)
-        for name in check_features(raster, mask, names)
+        for name in check_features(raster, mask, feature_names)
     )
     return Raster(bands=raster.bands + joined, nodata_value=raster.nodata_value, origin=raster.origin)
 
@@ -348,14 +346,15 @@ def check_negative_ratio(value: float) -> None:
 
 def build_training_set(
     scenes: Iterable[tuple[Raster, AnnotationSet]],
-    feature_names: tuple[str, ...] | None = None,
     negative_ratio: float = DEFAULT_NEGATIVE_RATIO,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Assemble (X, y) pixel rows from annotated scenes.
 
-    A pixel is a candidate where the scene's ``valid_mask`` holds and
-    every feature is finite. Every palm candidate (inside any crown disc)
+    The features are ``default_feature_names`` of each scene, every band
+    and then DEFAULT_INDEX_FEATURES, and must be the same for every
+    scene. A pixel is a candidate where the scene's ``valid_mask`` holds
+    and every feature is finite. Every palm candidate (inside any crown disc)
     becomes a positive row; background candidates are subsampled to
     ``negative_ratio`` times the positive count (seeded, without
     replacement) to keep desk-scale training sets tractable. ``scenes``
@@ -370,9 +369,7 @@ def build_training_set(
     xs, ys = [], []
     positives = candidates = 0
     for raster, ann in scenes:
-        scene_names = (
-            tuple(feature_names) if feature_names is not None else default_feature_names(raster)
-        )
+        scene_names = default_feature_names(raster)
         if names is None:
             names = scene_names
         elif scene_names != names:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BandLookupError, FormatError, ParameterError, PayloadSizeError, ShapeError
+from .errors import BandLookupError, FormatError, PayloadSizeError, ShapeError
 from .jsondoc import read_document, take
 
 HEADER_SUFFIX = ".rhdr"
@@ -449,17 +449,14 @@ def _pool_of(k: int) -> ThreadPoolExecutor:
     return _pool
 
 
-def map_row_blocks(
-    n_rows: int, width: int, fn, workers: int | None = None, scratch=None, *, block_rows: int | None = None
-) -> None:
+def map_row_blocks(n_rows: int, width: int, fn, *, scratch=None, block_rows: int | None = None) -> None:
     """Call ``fn(rows, buffers)`` once for every block of ``n_rows`` rows of
     ``width`` pixels.
 
     A block is the slice ``rows`` of ``block_rows`` whole rows, by default
     max(1, BLOCK_PX // width); the last one may be shorter. Block i goes
-    to worker i mod k, where k is ``workers`` (None, as every kernel in
-    the package passes: ``usable_cpus()``, so the process's CPU affinity
-    sets it) or the number of blocks if that is smaller; each
+    to worker i mod k, where k is ``usable_cpus()``, so the process's CPU
+    affinity sets it, or the number of blocks if that is smaller; each
     worker takes its blocks in order. ``scratch(rows)``, when given, is
     called with the block height once per worker in the calling thread,
     and its result is the ``buffers`` that worker hands to ``fn``;
@@ -486,18 +483,13 @@ def map_row_blocks(
     the caller's, so ``fn`` enters its own ``np.errstate``; and as pool
     threads outlive the call, ``fn`` changes that state only inside a
     ``with np.errstate`` block, never by ``np.seterr``, or the change
-    would reach every later call's blocks on that thread. Raises
-    ParameterError when ``workers`` is below 1.
+    would reach every later call's blocks on that thread.
     """
-    if workers is None:
-        workers = usable_cpus()
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
     rows = block_rows or max(1, BLOCK_PX // max(width, 1))
     blocks = [slice(top, min(top + rows, n_rows)) for top in range(0, n_rows, rows)]
     if not blocks:
         return
-    k = 1 if getattr(_thread, "in_pool", False) else min(workers, len(blocks))
+    k = 1 if getattr(_thread, "in_pool", False) else min(usable_cpus(), len(blocks))
     # allocated here, so that no buffer comes from a pool thread's malloc arena
     buffers = [scratch(min(rows, n_rows)) if scratch is not None else None for _ in range(k)]
     # the block each worker runs, or ran last

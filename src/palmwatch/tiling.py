@@ -10,9 +10,6 @@ an invalid result pixel holds ``np.nan`` whatever the maps held. It
 writes each map as it arrives and keeps none, so a caller that makes the
 maps lazily holds at most one of them. At overlap 0 each pixel has one
 contributor, and each window's region is copied straight into the scene.
-
-Prediction defaults to overlap 0: the pixel model is pixelwise, so an
-overlap only evaluates shared pixels again and changes no output byte.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from .errors import BoundsError, CompletenessError, ParameterError, ShapeError
 from .raster_core import MAX_SCENE_PIXELS, Band, MaskedGrid, Raster
 
 DEFAULT_TILE_SIZE = 1024
-DEFAULT_PREDICT_OVERLAP = 0
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ def _starts(extent: int, tile_size: int, stride: int) -> list[int]:
     return starts
 
 
-def check_tiling(tile_size: int, overlap: int) -> None:
+def check_tiling(tile_size: int, overlap: int = 0) -> None:
     """Raise ParameterError unless ``tile_size >= 1``, a tile holds at most
     MAX_SCENE_PIXELS pixels and ``0 <= overlap < tile_size``."""
     if tile_size < 1:

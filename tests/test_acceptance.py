@@ -304,7 +304,7 @@ def test_criterion_6_end_to_end_synthetic_oracle():
 
         valid = held_raster.valid_mask()
         with mock.patch.object(raster_core, "usable_cpus", return_value=1):
-            prob = predict_tiled(held_raster, valid, params, 1024, 128)
+            prob = predict_tiled(held_raster, valid, params, 1024)
         cfg = DetectorConfig()
         detections = detect_crowns(prob, cfg)
         classify_detections(detections, held_raster, cfg)
@@ -368,7 +368,6 @@ def test_criterion_7_determinism(tmp_path):
                 out_dir=str(tmp_path / out_name),
                 truth_path=str(truth_path),
                 tile_size=128,
-                overlap=32,
             )
             with mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
                 run_pipeline(config)

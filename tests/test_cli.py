@@ -359,8 +359,6 @@ class TestPipeline:
                 str(out_dir),
                 "--tile-size",
                 "128",
-                "--overlap",
-                "32",
                 *extra,
             ]
         )
@@ -436,23 +434,27 @@ class TestPipeline:
 
     def test_manifest_with_a_thread_count_reruns_identically(self, workspace, tmp_path):
         # manifests written before the thread count was left to the CPU
-        # affinity carry "jobs"; it never changed an output byte
+        # affinity carry "jobs", and those written before prediction tiles
+        # stopped overlapping carry "overlap"; neither changed an output byte
         scene = workspace["scenes"][2]
         config = PipelineConfig(
             scene_path=str(scene), model_path=str(workspace["model"]), out_dir=str(tmp_path / "orig"),
             truth_path=str(scene.parent / "scene.json"), tile_size=128,
         )
         run_pipeline(config)
-        payload = config.to_manifest()
-        payload["config"].update(out_dir=str(tmp_path / "replay"), jobs=3)
-        (tmp_path / "manifest.json").write_text(json.dumps(payload))
-        assert main(["pipeline", "--config", str(tmp_path / "manifest.json")]) == 0
-        for name in (
-            "veg_mask.rbin", "probability.rbin", "detections.geojson", "detections.csv",
-            "metrics.csv", "metrics.json", "eval.json",
-        ):
-            assert (tmp_path / "orig" / name).read_bytes() == (tmp_path / "replay" / name).read_bytes(), name
-        assert "jobs" not in json.loads((tmp_path / "replay" / "manifest.json").read_text())["config"]
+        for i, legacy in enumerate(({"jobs": 3}, {"overlap": 32}, {"jobs": 1, "overlap": 127})):
+            replay = tmp_path / f"replay{i}"
+            payload = config.to_manifest()
+            payload["config"].update(out_dir=str(replay), **legacy)
+            (tmp_path / "manifest.json").write_text(json.dumps(payload))
+            assert main(["pipeline", "--config", str(tmp_path / "manifest.json")]) == 0
+            for name in (
+                "veg_mask.rbin", "probability.rbin", "detections.geojson", "detections.csv",
+                "metrics.csv", "metrics.json", "eval.json",
+            ):
+                assert (tmp_path / "orig" / name).read_bytes() == (replay / name).read_bytes(), (legacy, name)
+            written = json.loads((replay / "manifest.json").read_text())["config"]
+            assert "jobs" not in written and "overlap" not in written
 
     @pytest.mark.parametrize(
         "flags",
@@ -465,7 +467,6 @@ class TestPipeline:
             ["--veg-threshold", "0.3"],
             ["--veg-gate"],
             ["--tile-size", "512"],
-            ["--overlap", "8"],
             ["--prob-threshold", "0.6"],
             ["--min-area", "5"],
             ["--max-area", "900"],
@@ -527,6 +528,48 @@ class TestPipeline:
         written = {Path(path).name for path in summary["outputs"].values()} | {"probability.rbin", "veg_mask.rbin"}
         assert {path.name for path in out.iterdir()} == written
 
+    def test_a_failed_rerun_leaves_no_earlier_output(self, workspace, tmp_path, monkeypatch):
+        # a second run that failed in detection used to leave its veg_mask
+        # and probability beside the first run's manifest and detections
+        out = tmp_path / "run"
+        assert self.run(workspace, out, ["--veg-threshold", "0.2"]) == 0
+        assert self.run(workspace, tmp_path / "fresh", ["--veg-threshold", "0.5"]) == 0
+        monkeypatch.setattr(cli, "detect_crowns", mock.Mock(side_effect=MemoryError("detection")))
+        assert self.run(workspace, out, ["--veg-threshold", "0.5"]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        fresh = json.loads((tmp_path / "fresh" / "manifest.json").read_text())
+        fresh["config"]["out_dir"] = str(out)
+        assert manifest == fresh and manifest["config"]["veg_threshold"] == 0.5
+        kept = ["probability.rbin", "probability.rhdr", "veg_mask.rbin", "veg_mask.rhdr"]
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", *kept]
+        for name in kept:
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_a_failed_config_rerun_in_place_keeps_its_manifest(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert self.run(workspace, out) == 0
+        manifest = (out / "manifest.json").read_bytes()
+        monkeypatch.setattr(cli, "detect_crowns", mock.Mock(side_effect=MemoryError("detection")))
+        assert main(["pipeline", "--config", str(out / "manifest.json")]) == 3
+        assert (out / "manifest.json").read_bytes() == manifest
+
+    def test_a_rejected_model_keeps_the_earlier_run(self, workspace, tmp_path, capsys):
+        # an incompatible model used to delete the earlier run's
+        # eval.json, metrics.csv and metrics.json before it was rejected
+        out = tmp_path / "run"
+        assert self.run(workspace, out) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert {"eval.json", "metrics.csv", "metrics.json"} <= set(before)
+        params = ModelParams(("swir", "ndvi"), np.ones(2), 0.0, np.zeros(2), np.ones(2))
+        save_params(params, tmp_path / "swir.json")
+        code = main([
+            "pipeline", "--scene", str(workspace["scenes"][2]), "--model", str(tmp_path / "swir.json"),
+            "--out", str(out),
+        ])
+        assert code == 3
+        assert "['swir']" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_default_config_evaluates_each_pixel_once(self, tmp_path, monkeypatch):
         size = DEFAULT_TILE_SIZE + 1  # 2x2 tiles at the default tile size
         raster = random_raster(np.random.default_rng(3), size, size)
@@ -551,7 +594,7 @@ class TestPipeline:
             out_dir=str(tmp_path / "run"),
         )
         run_pipeline(config)
-        plan = tile_plan(size, size, config.tile_size, config.overlap)
+        plan = tile_plan(size, size, config.tile_size)
         assert len(plan.windows) == len(evaluated) == 4
         assert sum(evaluated) == len(plan.windows) * DEFAULT_TILE_SIZE**2
         assert (coverage == 1).all()
@@ -744,11 +787,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--overlap", "2000"], ["--tile-size", "0"], ["--veg-threshold", "5"]],
+        [["--tile-size", "0"], ["--veg-threshold", "5"]],
     )
     def test_bad_pipeline_setting_is_rejected_before_any_io(self, workspace, tmp_path, flags):
-        # overlap and tile size used to be rejected only after the scene
-        # was read and veg_mask written
+        # the tile size used to be rejected only after the scene was read
+        # and veg_mask written
         out = tmp_path / "run"
         code = main([
             "pipeline", "--scene", str(workspace["scenes"][2]), "--model", str(workspace["model"]),
@@ -1046,7 +1089,7 @@ def loader_sites(tmp_path_factory):
         "pipeline config": (doc, ["pipeline", "--config", str(doc)]),
         "model params": (doc, [
             "pipeline", "--scene", str(root / "scene.rhdr"), "--model", str(doc),
-            "--out", str(root / "run"), "--tile-size", "16", "--overlap", "0",
+            "--out", str(root / "run"), "--tile-size", "16",
         ]),
         "scene spec": (doc, ["synth", str(root / "synth"), "--spec", str(doc)]),
         "raster header": (header, ["index", str(header), str(root / "ndvi")]),

@@ -5,9 +5,9 @@ stages must not depend on it, so only the command line and the package
 root may import it. Threads and processes are opened in one place,
 ``raster_core.map_row_blocks``, so only ``raster_core`` may import a
 concurrency module, and the number of threads is decided there too:
-only ``raster_core`` names ``usable_cpus``, and no function elsewhere
-takes a ``workers`` or ``jobs`` parameter, so the process's CPU affinity
-is the one way to set it. Random streams are split by one rule,
+only ``raster_core`` names ``usable_cpus``, and no function anywhere,
+``map_row_blocks`` included, takes a ``workers`` or ``jobs`` parameter,
+so the process's CPU affinity is the one way to set it. Random streams are split by one rule,
 ``raster_core.stream``, so only ``raster_core`` may name the generator
 and the seed sequence that rule is built from. Crowns are discs by one
 rule, in ``annotations``, so only ``annotations`` may list lattice points.
@@ -85,9 +85,7 @@ def test_only_raster_core_names_the_stream_rule():
 def test_only_raster_core_decides_the_thread_count():
     offenders = []
     for path in PACKAGE.glob("*.py"):
-        if path.name == "raster_core.py":
-            continue
-        if "usable_cpus" in named(path):
+        if path.name != "raster_core.py" and "usable_cpus" in named(path):
             offenders.append((path.name, "usable_cpus"))
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):

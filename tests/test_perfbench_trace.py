@@ -59,7 +59,6 @@ def test_traced_pipeline_records_every_expected_span(perfbench, tmp_path):
         out_dir=str(tmp_path / "out"),
         truth_path=str(tmp_path / "scene.json"),
         tile_size=128,
-        overlap=16,
         # healthy crowns (16-28 px across) exceed this, so split_touching runs
         max_area=150,
     )

@@ -27,6 +27,7 @@ from palmwatch.pixel_model import (
     ModelParams,
     TrainConfig,
     build_training_set,
+    default_feature_names,
     featurize,
     gradient,
     load_params,
@@ -68,7 +69,7 @@ def separable_blobs(n=200, seed=0):
 class TestFeaturize:
     def test_feature_count(self, rng):
         raster = random_raster(rng, 8, 8, band_names=("red", "green", "blue", "nir"))
-        features = featurize(raster, raster.valid_mask())
+        features = featurize(raster, raster.valid_mask(), default_feature_names(raster))
         assert isinstance(features, Raster)
         assert features.band_names == ("red", "green", "blue", "nir", "ndvi", "gndvi")
         assert all(band.samples.shape == (8, 8) for band in features.bands)
@@ -76,7 +77,7 @@ class TestFeaturize:
     def test_ndvi_feature_matches_indices_module(self, rng):
         raster = random_raster(rng, 16, 16, band_names=("red", "green", "blue", "nir"))
         mask = raster.valid_mask()
-        features = featurize(raster, mask)
+        features = featurize(raster, mask, default_feature_names(raster))
         expected = ndvi(raster.band("nir"), raster.band("red"), mask)
         np.testing.assert_array_equal(
             features.band("ndvi").samples.view(np.uint32), expected.values.view(np.uint32)
@@ -88,7 +89,7 @@ class TestFeaturize:
         raster = random_raster(rng, 4, 4, band_names=("red", "green", "blue", "nir"))
         bits = np.ones((4, 4), bool)
         bits[2, 3] = False
-        features = featurize(raster, Mask(bits))
+        features = featurize(raster, Mask(bits), default_feature_names(raster))
         stacked = np.stack([band.samples for band in features.bands], axis=-1)
         assert stacked[np.isfinite(stacked).all(axis=-1)].shape == (15, 6)
         assert np.isnan(stacked[2, 3, 4:]).all() and np.isfinite(stacked[2, 3, :4]).all()
@@ -96,7 +97,7 @@ class TestFeaturize:
     def test_missing_band(self, rng):
         raster = random_raster(rng, 4, 4, band_names=("red", "nir"))
         with pytest.raises(BandLookupError, match="gndvi|green"):
-            featurize(raster, raster.valid_mask())
+            featurize(raster, raster.valid_mask(), default_feature_names(raster))
 
     def test_unknown_feature_name(self, rng):
         raster = random_raster(rng, 4, 4, band_names=("red", "nir"))
@@ -106,7 +107,7 @@ class TestFeaturize:
     def test_grid_shape_mismatch(self, rng):
         raster = random_raster(rng, 5, 4, band_names=FOUR_BANDS)
         with pytest.raises(ShapeError, match="does not match raster"):
-            featurize(raster, Mask(np.ones((4, 4), bool)))
+            featurize(raster, Mask(np.ones((4, 4), bool)), default_feature_names(raster))
 
     def test_bands_are_shared_and_indices_joined(self, rng):
         raster = random_raster(rng, 6, 5, band_names=FOUR_BANDS)
@@ -563,16 +564,15 @@ class TestPlaneByPlanePrediction:
     @given(
         scene=scenes_with_invalid_pixels(),
         params=model_params(),
-        tiling=st.integers(1, 30).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t - 1))),
+        tile_size=st.integers(1, 30),
         cpus=st.sampled_from([1, 2]),
         veg_gate=st.booleans(),
         share_ndvi=st.booleans(),
     )
     def test_tiled_equals_untiled_and_stacked_reference(
-        self, scene, params, tiling, cpus, veg_gate, share_ndvi
+        self, scene, params, tile_size, cpus, veg_gate, share_ndvi
     ):
         raster, mask = scene
-        tile_size, overlap = tiling
         # as run_pipeline does: NDVI over the valid mask, optionally gating
         # prediction to vegetation and joining the NDVI as a band for reuse
         index = compute_index(raster, mask, "ndvi")
@@ -587,7 +587,7 @@ class TestPlaneByPlanePrediction:
             )
         whole = predict_map(raster, mask, params)
         with mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
-            tiled = predict_tiled(scene_in, mask, params, tile_size, overlap)
+            tiled = predict_tiled(scene_in, mask, params, tile_size)
         np.testing.assert_array_equal(tiled.valid, whole.valid)
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
@@ -611,7 +611,7 @@ class TestPlaneByPlanePrediction:
         params = ModelParams(features, np.ones(n), 0.3, np.zeros(n), np.ones(n))
         whole = predict_map(raster, raster.valid_mask(), params)
         with mock.patch.object(raster_core, "usable_cpus", return_value=2):
-            tiled = predict_tiled(raster, raster.valid_mask(), params, 4, 1)
+            tiled = predict_tiled(raster, raster.valid_mask(), params, 4)
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
     @pytest.mark.parametrize("nodata", [-9999.0, -3.4028235e38, float("nan")])

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 import palmwatch
 from palmwatch import raster_core
-from palmwatch.errors import ParameterError
 from palmwatch.indices import normalized_difference
 from palmwatch.pixel_model import ModelParams, predict_map
 from palmwatch.raster_core import BLOCK_PX, Band, Mask, Raster, map_row_blocks
@@ -47,7 +46,8 @@ def start_every_pool_thread(workers):
     Later calls at up to that many workers then start no thread."""
     size = max(workers, raster_core._pool_size)
     everyone = threading.Barrier(size, timeout=30)
-    map_row_blocks(size, BLOCK_PX, lambda rows, _: everyone.wait(), size)
+    with cpus(size):
+        map_row_blocks(size, BLOCK_PX, lambda rows, _: everyone.wait())
 
 
 def cpus(n):
@@ -66,8 +66,8 @@ def blocks_seen(n_rows, width, workers, block_px):
             seen.append(((rows.start, rows.stop), worker))
 
     worker_ids = itertools.count()
-    with mock.patch.object(raster_core, "BLOCK_PX", block_px):
-        map_row_blocks(n_rows, width, fn, workers, scratch=lambda rows: next(worker_ids))
+    with mock.patch.object(raster_core, "BLOCK_PX", block_px), cpus(workers):
+        map_row_blocks(n_rows, width, fn, scratch=lambda rows: next(worker_ids))
     return seen
 
 
@@ -88,13 +88,9 @@ class TestMapRowBlocks:
 
     def test_no_rows_calls_nothing(self):
         scratch = mock.Mock()
-        map_row_blocks(0, 5, mock.Mock(side_effect=AssertionError), 2, scratch=scratch)
+        with cpus(2):
+            map_row_blocks(0, 5, mock.Mock(side_effect=AssertionError), scratch=scratch)
         scratch.assert_not_called()
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_are_rejected(self, workers):
-        with pytest.raises(ParameterError, match="workers"):
-            map_row_blocks(4, 4, lambda rows, _: None, workers)
 
     def test_none_is_every_usable_cpu(self):
         usable = raster_core.usable_cpus()
@@ -117,16 +113,15 @@ class TestMapRowBlocks:
 
     def test_scratch_is_made_in_the_calling_thread(self):
         made_in = []
-        map_row_blocks(
-            4, BLOCK_PX, lambda rows, _: None, 2,
-            scratch=lambda rows: made_in.append(threading.get_ident()),
-        )
+        with cpus(2):
+            map_row_blocks(4, BLOCK_PX, lambda rows, _: None, scratch=lambda rows: made_in.append(threading.get_ident()))
         assert made_in == [threading.get_ident()] * 2
 
     @pytest.mark.parametrize("block_rows", [1, 3, 10, 11])
     def test_block_rows_is_the_block_height(self, block_rows):
         seen = []
-        map_row_blocks(10, BLOCK_PX, lambda rows, _: seen.append((rows.start, rows.stop)), 1, block_rows=block_rows)
+        with cpus(1):
+            map_row_blocks(10, BLOCK_PX, lambda rows, _: seen.append((rows.start, rows.stop)), block_rows=block_rows)
         assert seen == [(top, min(top + block_rows, 10)) for top in range(0, 10, block_rows)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
@@ -136,8 +131,8 @@ class TestMapRowBlocks:
             if rows.start in (3, 4):
                 raise ValueError(f"block {rows.start}")
 
-        with pytest.raises(ValueError, match="block 3"):
-            map_row_blocks(8, BLOCK_PX, fn, workers)
+        with pytest.raises(ValueError, match="block 3"), cpus(workers):
+            map_row_blocks(8, BLOCK_PX, fn)
 
     def test_a_failing_block_raises_and_leaves_no_thread(self):
         start_every_pool_thread(3)
@@ -151,13 +146,14 @@ class TestMapRowBlocks:
             if rows.start == 3:
                 raise ValueError("block 3")
 
-        for _ in range(5):
-            map_row_blocks(8, BLOCK_PX, fill, 3)
-            with pytest.raises(ValueError, match="block 3"):
-                map_row_blocks(8, BLOCK_PX, fn, 3)
-            assert threading.active_count() == before
-        out[:] = -1
-        map_row_blocks(8, BLOCK_PX, fill, 3)
+        with cpus(3):
+            for _ in range(5):
+                map_row_blocks(8, BLOCK_PX, fill)
+                with pytest.raises(ValueError, match="block 3"):
+                    map_row_blocks(8, BLOCK_PX, fn)
+                assert threading.active_count() == before
+            out[:] = -1
+            map_row_blocks(8, BLOCK_PX, fill)
         np.testing.assert_array_equal(out, np.arange(8))
 
 
@@ -175,7 +171,7 @@ class TestOnePool:
 
         def fn(rows, _):
             i = rows.start
-            map_row_blocks(8, BLOCK_PX, lambda _rows, _: inner_threads[i].add(threading.get_ident()), 2)
+            map_row_blocks(8, BLOCK_PX, lambda _rows, _: inner_threads[i].add(threading.get_ident()))
             # the nested call ran in this block's own thread
             assert inner_threads[i] == {threading.get_ident()}
             out[i] = normalized_difference(a, b, ok)
@@ -185,7 +181,7 @@ class TestOnePool:
         def outer():
             try:
                 with mock.patch.object(raster_core, "BLOCK_PX", 1000), cpus(2):
-                    map_row_blocks(4, 1, fn, 2, block_rows=1)
+                    map_row_blocks(4, 1, fn, block_rows=1)
             except BaseException as exc:
                 failed.append(exc)
 
@@ -230,13 +226,12 @@ class TestOnePool:
         def caller(j):
             try:
                 for i in range(10):
-                    workers = 3 + (4 * i + j) % 6
                     out = np.zeros(64, np.int64)
 
                     def fn(rows, _):
                         out[rows] += np.arange(rows.start, rows.stop)
 
-                    map_row_blocks(64, BLOCK_PX, fn, workers)
+                    map_row_blocks(64, BLOCK_PX, fn)
                     if not np.array_equal(out, np.arange(64)):
                         failed.append((j, i))
                 done.append(j)
@@ -245,12 +240,15 @@ class TestOnePool:
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        # each call takes the next count of 3, 4, ..., 8, 3, ...
+        counts = mock.patch.object(raster_core, "usable_cpus", side_effect=itertools.cycle(range(3, 9)))
         try:
             callers = [threading.Thread(target=caller, args=(j,)) for j in range(4)]
-            for thread in callers:
-                thread.start()
-            for thread in callers:
-                thread.join(timeout=60)
+            with counts:
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in callers)
@@ -271,8 +269,8 @@ class TestOnePool:
         timer = threading.Timer(0.3, release.set)
         timer.start()
         try:
-            with pytest.raises(ValueError, match="block 0"):
-                map_row_blocks(2, BLOCK_PX, fn, 2)
+            with pytest.raises(ValueError, match="block 0"), cpus(2):
+                map_row_blocks(2, BLOCK_PX, fn)
             assert ended == [1]
         finally:
             timer.cancel()
