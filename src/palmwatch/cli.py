@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
@@ -92,7 +93,6 @@ class PipelineConfig:
     veg_index: str = "ndvi"
     veg_threshold: float = DEFAULT_VEGETATION_THRESHOLD
     veg_gate: bool = False
-    tile_size: int = DEFAULT_TILE_SIZE
     prob_threshold: float = DetectorConfig.prob_threshold
     min_area: int = DetectorConfig.min_area
     max_area: int = DetectorConfig.max_area
@@ -111,9 +111,9 @@ class PipelineConfig:
     @classmethod
     def from_manifest(cls, payload: dict) -> "PipelineConfig":
         config = take(payload, "config", dict, "manifest", error=ConfigurationError)
-        # older manifests record a thread count and a prediction tile margin,
-        # neither of which ever changed an output byte
-        config = {key: value for key, value in config.items() if key not in ("jobs", "overlap")}
+        # older manifests record a thread count and a prediction tile size and
+        # margin, none of which ever changed an output byte
+        config = {key: value for key, value in config.items() if key not in ("jobs", "overlap", "tile_size")}
         return from_fields(cls, config, "manifest config", ConfigurationError)
 
 
@@ -143,24 +143,25 @@ def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
     )
 
 
-def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams, tile_size: int) -> MaskedGrid:
-    """Tile the scene, predict tile by tile in plan order, stitch.
+def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams) -> MaskedGrid:
+    """Tile the scene at DEFAULT_TILE_SIZE, predict tile by tile in plan
+    order, stitch.
 
     The model's features are checked against the scene before any pixel
-    work. Each window is cut from the scene (``extract_tile``, a view
-    where it needs no padding) and predicted over the prediction mask's
-    window; ``predict_map`` takes each feature that is a band of the
-    scene as it is and derives the others over the tile, so an index
+    work. Edge windows are cut without their padding, so each tile is a
+    view of the scene and of the prediction mask and each pixel is
+    predicted once; ``predict_map`` takes each feature that is a band of
+    the scene as it is and derives the others over the tile, so an index
     that a caller joined to the scene as a band is reused. Tile maps
     stream into ``stitch`` as they are predicted, so besides the scene
     and the output only one tile's features and map are alive.
 
-    Prediction tiles share no pixel: the model reads each pixel's own
-    features alone, so a margin of context around a tile would only
-    predict those pixels again and change no output byte.
+    The model reads each pixel's own features alone, so neither the tile
+    size nor a margin around a tile could change an output byte.
     """
     check_features(scene, prediction_mask, params.features)
-    plan = tile_plan(scene.width, scene.height, tile_size)
+    plan = tile_plan(scene.width, scene.height, DEFAULT_TILE_SIZE)
+    plan = replace(plan, windows=tuple(replace(w, padded_right=0, padded_bottom=0) for w in plan.windows))
     maps = (
         predict_map(
             extract_tile(scene, window), Mask(window_of(prediction_mask.bits, window, False)), params
@@ -232,7 +233,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
             f"veg_index must be one of {sorted(INDEX_REGISTRY)}, got {config.veg_index!r}"
         )
     check_vegetation_threshold(config.veg_threshold)
-    check_tiling(config.tile_size)
     if config.averaging not in AVERAGING_MODES:
         raise ConfigurationError(f"averaging must be one of {AVERAGING_MODES}, got {config.averaging!r}")
     check_max_centroid_dist(config.match_max_dist)
@@ -274,7 +274,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             nodata_value=scene.nodata_value,
             origin=scene.origin,
         )
-    prob = predict_tiled(features, prediction_mask, params, config.tile_size)
+    prob = predict_tiled(features, prediction_mask, params)
     # the pixel stage's planes would otherwise sit under detection's peak
     del valid, index, veg, prediction_mask, features
     save_raster(prob.to_raster(origin=scene.origin), out_dir / "probability")
@@ -356,6 +356,10 @@ def _cmd_tile(args) -> int:
     plan = tile_plan(scene.width, scene.height, args.tile_size, args.overlap)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier plan's tiles in this directory must not pass for this plan's
+    for path in out_dir.glob("tile_*_*.r*"):
+        if re.fullmatch(r"tile_\d+_\d+\.(rhdr|rbin)", path.name):
+            path.unlink()
     for i, window in enumerate(plan.windows):
         row, col = divmod(i, plan.n_cols)
         save_raster(extract_tile(scene, window), out_dir / f"tile_{row}_{col}")
@@ -442,10 +446,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    check_tiling(args.tile_size)
     scene = load_raster(_require_file(args.scene, "scene"))
     params = load_params(_require_file(args.model, "model"))
-    prob = predict_tiled(scene, scene.valid_mask(), params, args.tile_size)
+    prob = predict_tiled(scene, scene.valid_mask(), params)
     save_raster(prob.to_raster(origin=scene.origin), args.out)
     print(f"wrote probability map to {args.out}.rhdr")
     return 0
@@ -553,10 +556,6 @@ def _cmd_pipeline(parser: argparse.ArgumentParser, args) -> int:
     return 0
 
 
-def _add_tiling_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tile-size", type=int, default=DEFAULT_TILE_SIZE, help="tile edge in px (default %(default)s)")
-
-
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     d = DetectorConfig
     parser.add_argument("--prob-threshold", type=float, default=d.prob_threshold, help="crown probability threshold (default %(default)s)")
@@ -599,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="split a scene into fixed-size tiles")
     p.add_argument("scene", help="scene .rhdr path")
     p.add_argument("out_dir", help="directory for tile_{row}_{col} containers")
-    _add_tiling_flags(p)
+    p.add_argument("--tile-size", type=int, default=DEFAULT_TILE_SIZE, help="tile edge in px (default %(default)s)")
     p.add_argument("--overlap", type=int, default=0, help="overlap between tiles in px (default %(default)s)")
     p.set_defaults(func=_cmd_tile)
 
@@ -636,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene .rhdr path")
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--out", required=True, help="output prefix for the probability raster")
-    _add_tiling_flags(p)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("detect", help="detect and classify crowns in a probability map")
@@ -673,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=c.veg_gate,
         help="restrict prediction to vegetation pixels (off by default: the mask is advisory)",
     )
-    _add_tiling_flags(p)
     _add_detector_flags(p)
     _add_eval_flags(p)
     p.set_defaults(func=partial(_cmd_pipeline, p))

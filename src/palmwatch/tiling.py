@@ -2,8 +2,9 @@
 
 Windows are laid out row-major with stride = tile_size - overlap. The
 final row/column is padded with nodata rather than moved inward, so
-every tile handed to the pixel model has identical geometry; a window
-that needs no padding is cut as a view of the scene, with no copy.
+every tile a plan cuts has identical geometry; a window that needs no
+padding is cut as a view of the scene, with no copy. A caller may clear
+a window's padding to cut only its scene pixels.
 Stitching takes one map per window in plan order, from any iterable,
 discards padding and averages overlapping valid (finite) contributions;
 an invalid result pixel holds ``np.nan`` whatever the maps held. It
@@ -62,7 +63,7 @@ def _starts(extent: int, tile_size: int, stride: int) -> list[int]:
     return starts
 
 
-def check_tiling(tile_size: int, overlap: int = 0) -> None:
+def check_tiling(tile_size: int, overlap: int) -> None:
     """Raise ParameterError unless ``tile_size >= 1``, a tile holds at most
     MAX_SCENE_PIXELS pixels and ``0 <= overlap < tile_size``."""
     if tile_size < 1:
@@ -128,7 +129,7 @@ def window_of(grid: np.ndarray, window: TileWindow, fill) -> np.ndarray:
 
 
 def extract_tile(raster: Raster, window: TileWindow) -> Raster:
-    """Cut one window out of a scene as a tile_size x tile_size raster.
+    """Cut one window out of a scene as a tile_height x tile_width raster.
 
     The padded strip (right/bottom only) holds the raster's
     ``fill_value``, so those pixels come out invalid. An unpadded tile's

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from palmwatch import raster_core
+from palmwatch import cli, raster_core
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels
 from palmwatch.augment import (
     AugmentSpec,
@@ -304,7 +304,7 @@ def test_criterion_6_end_to_end_synthetic_oracle():
 
         valid = held_raster.valid_mask()
         with mock.patch.object(raster_core, "usable_cpus", return_value=1):
-            prob = predict_tiled(held_raster, valid, params, 1024)
+            prob = predict_tiled(held_raster, valid, params)
         cfg = DetectorConfig()
         detections = detect_crowns(prob, cfg)
         classify_detections(detections, held_raster, cfg)
@@ -367,9 +367,12 @@ def test_criterion_7_determinism(tmp_path):
                 model_path=str(model_path),
                 out_dir=str(tmp_path / out_name),
                 truth_path=str(truth_path),
-                tile_size=128,
             )
-            with mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
+            # 3x3 tiles
+            with (
+                mock.patch.object(raster_core, "usable_cpus", return_value=cpus),
+                mock.patch.object(cli, "DEFAULT_TILE_SIZE", 128),
+            ):
                 run_pipeline(config)
             return tmp_path / out_name
 

@@ -130,6 +130,20 @@ class TestTileCommand:
         tile = load_raster(tmp_path / "tile_1_1.rhdr")
         assert tile.origin == (128, 128)
 
+    def test_a_rerun_replaces_the_earlier_plan(self, tmp_path):
+        # the first plan's nine tiles used to stay beside the second's four
+        save_raster(random_raster(np.random.default_rng(2), 600, 600), tmp_path / "scene")
+        out = tmp_path / "tiles"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        for size in ("200", "300"):
+            assert main(["tile", str(tmp_path / "scene.rhdr"), str(out), "--tile-size", size]) == 0
+        tiles = ["tile_0_0", "tile_0_1", "tile_1_0", "tile_1_1"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            [f"{t}.{suffix}" for t in tiles for suffix in ("rhdr", "rbin")] + ["notes.txt"]
+        )
+        assert (load_raster(out / "tile_1_1.rhdr").width, (out / "notes.txt").read_text()) == (300, "kept")
+
 
 class TestAugmentCommand:
     def test_augments_directory(self, workspace, tmp_path):
@@ -294,12 +308,15 @@ class TestPipelineMemory:
             scene_path=str(tmp_path / "scene.rhdr"),
             model_path=str(tmp_path / "model.json"),
             out_dir=str(tmp_path / "run"),
-            tile_size=256,  # 16 and 64 tiles
         )
         tracemalloc.start()
         try:
-            # two CPUs: each worker holds its own block buffers
-            with mock.patch.object(raster_core, "usable_cpus", return_value=2):
+            # two CPUs: each worker holds its own block buffers; 16 and 64
+            # tiles, where one tile at the default would hold a scene-sized plane
+            with (
+                mock.patch.object(raster_core, "usable_cpus", return_value=2),
+                mock.patch.object(cli, "DEFAULT_TILE_SIZE", 256),
+            ):
                 assert run_pipeline(config)["detections"] > 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -357,8 +374,6 @@ class TestPipeline:
                 str(truth),
                 "--out",
                 str(out_dir),
-                "--tile-size",
-                "128",
                 *extra,
             ]
         )
@@ -434,15 +449,21 @@ class TestPipeline:
 
     def test_manifest_with_a_thread_count_reruns_identically(self, workspace, tmp_path):
         # manifests written before the thread count was left to the CPU
-        # affinity carry "jobs", and those written before prediction tiles
-        # stopped overlapping carry "overlap"; neither changed an output byte
+        # affinity carry "jobs", those written before prediction tiles
+        # stopped overlapping carry "overlap", and those written before
+        # prediction used one tile plan carry "tile_size"; none changed an
+        # output byte
         scene = workspace["scenes"][2]
         config = PipelineConfig(
             scene_path=str(scene), model_path=str(workspace["model"]), out_dir=str(tmp_path / "orig"),
-            truth_path=str(scene.parent / "scene.json"), tile_size=128,
+            truth_path=str(scene.parent / "scene.json"),
         )
         run_pipeline(config)
-        for i, legacy in enumerate(({"jobs": 3}, {"overlap": 32}, {"jobs": 1, "overlap": 127})):
+        legacies = (
+            {"jobs": 3}, {"overlap": 32}, {"jobs": 1, "overlap": 127}, {"tile_size": 128},
+            {"jobs": 2, "overlap": 3, "tile_size": 7},
+        )
+        for i, legacy in enumerate(legacies):
             replay = tmp_path / f"replay{i}"
             payload = config.to_manifest()
             payload["config"].update(out_dir=str(replay), **legacy)
@@ -454,7 +475,7 @@ class TestPipeline:
             ):
                 assert (tmp_path / "orig" / name).read_bytes() == (replay / name).read_bytes(), (legacy, name)
             written = json.loads((replay / "manifest.json").read_text())["config"]
-            assert "jobs" not in written and "overlap" not in written
+            assert not {"jobs", "overlap", "tile_size"} & set(written)
 
     @pytest.mark.parametrize(
         "flags",
@@ -466,7 +487,6 @@ class TestPipeline:
             ["--veg-index", "gndvi"],
             ["--veg-threshold", "0.3"],
             ["--veg-gate"],
-            ["--tile-size", "512"],
             ["--prob-threshold", "0.6"],
             ["--min-area", "5"],
             ["--max-area", "900"],
@@ -510,7 +530,7 @@ class TestPipeline:
         out = tmp_path / "run"
         config = PipelineConfig(
             scene_path=str(scene), model_path=str(workspace["model"]), out_dir=str(out),
-            truth_path=str(scene.parent / "scene.json"), tile_size=128,
+            truth_path=str(scene.parent / "scene.json"),
         )
         run_pipeline(config)
         assert json.loads((out / "eval.json").read_text())["detection"]["matched"] > 0
@@ -594,9 +614,8 @@ class TestPipeline:
             out_dir=str(tmp_path / "run"),
         )
         run_pipeline(config)
-        plan = tile_plan(size, size, config.tile_size)
-        assert len(plan.windows) == len(evaluated) == 4
-        assert sum(evaluated) == len(plan.windows) * DEFAULT_TILE_SIZE**2
+        assert len(tile_plan(size, size, DEFAULT_TILE_SIZE).windows) == len(evaluated) == 4
+        assert sum(evaluated) == size * size
         assert (coverage == 1).all()
 
     def test_classification_reads_the_scene_bands(self, workspace, tmp_path, monkeypatch):
@@ -633,7 +652,6 @@ class TestPipeline:
             scene_path=str(tmp_path / "scene.rhdr"),
             model_path=str(tmp_path / "model.json"),
             out_dir=str(tmp_path / "run"),
-            tile_size=64,
         )
         run_pipeline(config)
         written = load_raster(tmp_path / "run" / "probability.rhdr").bands[0].samples
@@ -737,37 +755,28 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error: crown 1") and "leaves the 220x220 grid" in err[0]
 
-    def test_oversized_tile_is_config_error(self, workspace, tmp_path, capsys):
-        # a 10^7-px tile used to fail its allocation and exit 3
-        code = main([
-            "predict", str(workspace["scenes"][0]), "--model", str(workspace["model"]),
-            "--out", str(tmp_path / "prob"), "--tile-size", "10000000",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("configuration error")
-
-    @pytest.mark.parametrize("command", ["tile", "predict", "pipeline", "config"])
-    def test_tile_beyond_the_grid_bound_writes_nothing(self, workspace, tmp_path, capsys, command):
-        # a 2^40-px tile edge used to end in numpy's "array is too big"
-        # traceback, and pipeline had written veg_mask by then
+    @pytest.mark.parametrize("command", ["tile"])
+    def test_tile_beyond_the_grid_bound_writes_nothing(self, tmp_path, capsys, command):
+        # a 2^40-px tile edge used to end in numpy's "array is too big" traceback
         raster = random_raster(np.random.default_rng(0), 64, 64, ("red", "green", "blue", "nir"))
         save_raster(raster, tmp_path / "scene")
-        scene, model, out = str(tmp_path / "scene.rhdr"), str(workspace["model"]), tmp_path / "out"
-        size = str(2**40)
-        argv = {
-            "tile": ["tile", scene, str(out), "--tile-size", size],
-            "predict": ["predict", scene, "--model", model, "--out", str(out), "--tile-size", size],
-            "pipeline": ["pipeline", "--scene", scene, "--model", model, "--out", str(out), "--tile-size", size],
-        }
-        if command == "config":
-            config = PipelineConfig(scene_path=scene, model_path=model, out_dir=str(out), tile_size=2**40)
-            (tmp_path / "manifest.json").write_text(json.dumps(config.to_manifest()))
-            argv["config"] = ["pipeline", "--config", str(tmp_path / "manifest.json")]
-        assert main(argv[command]) == 2
+        assert main([command, str(tmp_path / "scene.rhdr"), str(tmp_path / "out"), "--tile-size", str(2**40)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error")
         assert not list(tmp_path.glob("out*"))
+
+    def test_prediction_takes_no_tile_size(self, workspace, tmp_path, capsys):
+        # prediction always tiles at DEFAULT_TILE_SIZE; only tile sets a size
+        scene, model, out = str(workspace["scenes"][0]), str(workspace["model"]), str(tmp_path / "out")
+        for argv in (
+            ["predict", scene, "--model", model, "--out", out, "--tile-size", "64"],
+            ["pipeline", "--scene", scene, "--model", model, "--out", out, "--tile-size", "64"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --tile-size 64" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("max_dist", ["nan", "inf"])
     def test_non_finite_match_distance_is_config_error(self, workspace, tmp_path, max_dist):
@@ -787,10 +796,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--tile-size", "0"], ["--veg-threshold", "5"]],
+        [["--veg-threshold", "5"]],
     )
     def test_bad_pipeline_setting_is_rejected_before_any_io(self, workspace, tmp_path, flags):
-        # the tile size used to be rejected only after the scene was read
+        # a bad setting used to be rejected only after the scene was read
         # and veg_mask written
         out = tmp_path / "run"
         code = main([
@@ -1014,7 +1023,7 @@ _VALID_DOCS = {
     },
     # the scene path does not exist, so a manifest that passes validation
     # still stops before any work
-    "pipeline config": {"config": {"scene_path": "missing.rhdr", "model_path": "m.json", "out_dir": "o", "tile_size": 16}},
+    "pipeline config": {"config": {"scene_path": "missing.rhdr", "model_path": "m.json", "out_dir": "o", "min_area": 16}},
     "model params": {
         "features": ["red", "nir", "ndvi"], "weights": [0.5, 1.0, 2.0], "bias": -1.0,
         "norm": {"mean": [0.1, 0.4, 0.3], "std": [0.1, 0.2, 0.3]},
@@ -1089,7 +1098,7 @@ def loader_sites(tmp_path_factory):
         "pipeline config": (doc, ["pipeline", "--config", str(doc)]),
         "model params": (doc, [
             "pipeline", "--scene", str(root / "scene.rhdr"), "--model", str(doc),
-            "--out", str(root / "run"), "--tile-size", "16",
+            "--out", str(root / "run"),
         ]),
         "scene spec": (doc, ["synth", str(root / "synth"), "--spec", str(doc)]),
         "raster header": (header, ["index", str(header), str(root / "ndvi")]),

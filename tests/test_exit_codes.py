@@ -139,11 +139,11 @@ def test_every_command_keeps_the_exit_code_contract(shared, case):
             "augment": ["augment", str(root / "tiles"), str(root / "aug"), "--spec", str(root / "spec.json")],
             "synth": ["synth", str(root / "synth"), "--spec", str(shared / "synth_spec.json")],
             "train": ["train", s, "--out", str(root / "trained.json"), "--epochs", "5"],
-            "predict": ["predict", s, "--model", model, "--out", str(root / "prob"), "--tile-size", t],
+            "predict": ["predict", s, "--model", model, "--out", str(root / "prob")],
             "detect": ["detect", str(root / "prob.rhdr"), s, "--out", str(root / "dets")],
             "eval": ["eval", str(root / "dets.geojson"), str(root / "scene.json"), "--out", str(root / "metrics")],
             "pipeline": ["pipeline", "--scene", s, "--model", model, "--out", str(root / "run"),
-                         "--truth", str(root / "scene.json"), "--tile-size", t],
+                         "--truth", str(root / "scene.json")],
         }
         codes, errs = {}, {}
         for name, argv in commands.items():

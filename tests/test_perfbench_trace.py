@@ -58,11 +58,10 @@ def test_traced_pipeline_records_every_expected_span(perfbench, tmp_path):
         model_path=str(workloads.MODEL_PATH),
         out_dir=str(tmp_path / "out"),
         truth_path=str(tmp_path / "scene.json"),
-        tile_size=128,
         # healthy crowns (16-28 px across) exceed this, so split_touching runs
         max_area=150,
     )
-    with tracing.installed(tracing.Tracer()) as tracer:
+    with tracing.installed(tracing.Tracer()) as tracer, mock.patch.object(cli, "DEFAULT_TILE_SIZE", 128):
         cli.run_pipeline(config)
     spans = tracer.take()
     recorded = {span.name for span in spans}
@@ -71,7 +70,7 @@ def test_traced_pipeline_records_every_expected_span(perfbench, tmp_path):
     metrics = tracing.layer_metrics(spans)
     assert metrics["crown_detect.split_calls"] > 0
     assert metrics["tiling.tiles"] == 9
-    assert metrics["tiling.evaluated_px_ratio"] > 1.0
+    assert metrics["tiling.evaluated_px_ratio"] == 1.0
     assert metrics["crown_detect.detections"] > 0
     assert metrics["raster_core.bytes_read"] > 0
 
@@ -80,7 +79,7 @@ def test_traced_pipeline_with_worker_threads_keeps_every_span_in_order(perfbench
     # worker threads may call no function the tracer wraps: its spans form
     # one stack, and a span that a worker opened would close out of order
     tracing, workloads = perfbench
-    size, tile_size = 512, 384
+    size, tile_size = 768, 384
     # the index and every tile's prediction split into several row blocks
     assert size * size > 2 * raster_core.BLOCK_PX and tile_size**2 > 2 * raster_core.BLOCK_PX
     raster, ann = generate_scene(
@@ -93,7 +92,6 @@ def test_traced_pipeline_with_worker_threads_keeps_every_span_in_order(perfbench
         model_path=str(workloads.MODEL_PATH),
         out_dir=str(tmp_path / "out"),
         truth_path=str(tmp_path / "scene.json"),
-        tile_size=tile_size,
         max_area=150,
     )
     # for each kernel call, whether no block of it ran in the calling thread
@@ -114,6 +112,7 @@ def test_traced_pipeline_with_worker_threads_keeps_every_span_in_order(perfbench
 
     with (
         mock.patch.object(raster_core, "usable_cpus", return_value=2),
+        mock.patch.object(cli, "DEFAULT_TILE_SIZE", tile_size),
         tracing.installed(tracing.Tracer()) as tracer,
         mock.patch.object(indices, "map_row_blocks", recording(indices.map_row_blocks)),
         mock.patch.object(pixel_model, "map_row_blocks", recording(pixel_model.map_row_blocks)),

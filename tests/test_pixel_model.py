@@ -18,7 +18,7 @@ from palmwatch.errors import (
     ShapeError,
 )
 from palmwatch.cli import predict_tiled
-from palmwatch import raster_core
+from palmwatch import cli, raster_core
 from palmwatch.indices import compute_index, ndvi, vegetation_mask
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, rasterize_labels
 from palmwatch.pixel_model import (
@@ -586,8 +586,11 @@ class TestPlaneByPlanePrediction:
                 origin=raster.origin,
             )
         whole = predict_map(raster, mask, params)
-        with mock.patch.object(raster_core, "usable_cpus", return_value=cpus):
-            tiled = predict_tiled(scene_in, mask, params, tile_size)
+        with (
+            mock.patch.object(raster_core, "usable_cpus", return_value=cpus),
+            mock.patch.object(cli, "DEFAULT_TILE_SIZE", tile_size),
+        ):
+            tiled = predict_tiled(scene_in, mask, params)
         np.testing.assert_array_equal(tiled.valid, whole.valid)
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
@@ -610,8 +613,11 @@ class TestPlaneByPlanePrediction:
         n = len(features)
         params = ModelParams(features, np.ones(n), 0.3, np.zeros(n), np.ones(n))
         whole = predict_map(raster, raster.valid_mask(), params)
-        with mock.patch.object(raster_core, "usable_cpus", return_value=2):
-            tiled = predict_tiled(raster, raster.valid_mask(), params, 4)
+        with (
+            mock.patch.object(raster_core, "usable_cpus", return_value=2),
+            mock.patch.object(cli, "DEFAULT_TILE_SIZE", 4),
+        ):
+            tiled = predict_tiled(raster, raster.valid_mask(), params)
         np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
 
     @pytest.mark.parametrize("nodata", [-9999.0, -3.4028235e38, float("nan")])
