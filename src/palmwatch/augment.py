@@ -21,7 +21,7 @@ import numpy as np
 
 from .annotations import AnnotationSet, disc_pixels
 from .errors import DomainError, FormatError, ParameterError
-from .jsondoc import from_fields, parse_document, read_document, take
+from .jsondoc import from_fields, read_document, take
 from .raster_core import MAX_SAMPLE_PARAM, Band, Raster, map_row_blocks, stream, stream_rows
 
 CROP_KEEP_FRACTION = 0.5
@@ -98,7 +98,9 @@ def spec_to_json(spec: AugmentSpec) -> str:
     return json.dumps({"seed": spec.seed, "operations": ops}, indent=2) + "\n"
 
 
-def _spec_from(doc: dict, where: str) -> AugmentSpec:
+def load_spec(path) -> AugmentSpec:
+    doc = read_document(path, "augment spec")
+    where = f"augment spec {path}"
     ops = []
     for i, entry in enumerate(take(doc, "operations", tuple[dict, ...], where, default=())):
         at = f"{where} operations[{i}]"
@@ -108,14 +110,6 @@ def _spec_from(doc: dict, where: str) -> AugmentSpec:
         params = {k: v for k, v in entry.items() if k != "op"}
         ops.append(from_fields(_OPS_BY_TAG[tag], params, f"{at} ({tag})"))
     return AugmentSpec(operations=tuple(ops), seed=take(doc, "seed", int, where, default=0))
-
-
-def spec_from_json(text: str) -> AugmentSpec:
-    return _spec_from(parse_document(text, "augment spec"), "augment spec")
-
-
-def load_spec(path) -> AugmentSpec:
-    return _spec_from(read_document(path, "augment spec"), f"augment spec {path}")
 
 
 def _check_stays_valid(values, valid, nodata_bits, band_name: str, op: str) -> None:

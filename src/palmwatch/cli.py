@@ -40,9 +40,8 @@ from .crown_detect import (
     write_csv,
     write_geojson,
 )
-from .errors import ConfigurationError, DataError, DomainError, PalmwatchError, ShapeError
+from .errors import ConfigurationError, DataError, DomainError, FormatError, PalmwatchError, ShapeError
 from .evaluate import (
-    AVERAGING_MODES,
     confusion_matrix,
     metrics,
     report_to_dict,
@@ -100,7 +99,6 @@ class PipelineConfig:
     smallish_diameter_px: float = DetectorConfig.smallish_diameter_px
     dead_ndvi_max: float = DetectorConfig.dead_ndvi_max
     match_max_dist: float = 10.0
-    averaging: str = "macro"
 
     def detector_config(self) -> DetectorConfig:
         return config_from(DetectorConfig, self)
@@ -110,11 +108,13 @@ class PipelineConfig:
 
     @classmethod
     def from_manifest(cls, payload: dict) -> "PipelineConfig":
-        config = take(payload, "config", dict, "manifest", error=ConfigurationError)
-        # older manifests record a thread count and a prediction tile size and
-        # margin, none of which ever changed an output byte
-        config = {key: value for key, value in config.items() if key not in ("jobs", "overlap", "tile_size")}
-        return from_fields(cls, config, "manifest config", ConfigurationError)
+        config = take(payload, "config", dict, "manifest")
+        # older manifests record a thread count, a prediction tile size and
+        # margin, and which aggregate to headline, none of which ever changed
+        # an output number
+        legacy = ("jobs", "overlap", "tile_size", "averaging")
+        config = {key: value for key, value in config.items() if key not in legacy}
+        return from_fields(cls, config, "manifest config")
 
 
 def config_from(cls, source):
@@ -171,7 +171,7 @@ def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams) -> 
     return stitch(plan, maps)
 
 
-def evaluate_detections(detections, truth: AnnotationSet, max_dist: float, averaging: str):
+def evaluate_detections(detections, truth: AnnotationSet, max_dist: float):
     """Match detections to truth, then score the matched crowns' classes.
 
     Returns the eval.json payload (detection counts, precision and
@@ -198,7 +198,7 @@ def evaluate_detections(detections, truth: AnnotationSet, max_dist: float, avera
     actual = [crown.class_label for _, crown in result.matches]
     predicted = [det.class_label for det, _ in result.matches]
     cm = confusion_matrix(actual, predicted, CLASS_LABELS)
-    report = metrics(cm, averaging=averaging)
+    report = metrics(cm)
     payload["confusion"] = {"classes": list(cm.classes), "counts": cm.counts.tolist()}
     payload["classification"] = report_to_dict(report)
     return payload, cm, report
@@ -233,8 +233,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
             f"veg_index must be one of {sorted(INDEX_REGISTRY)}, got {config.veg_index!r}"
         )
     check_vegetation_threshold(config.veg_threshold)
-    if config.averaging not in AVERAGING_MODES:
-        raise ConfigurationError(f"averaging must be one of {AVERAGING_MODES}, got {config.averaging!r}")
     check_max_centroid_dist(config.match_max_dist)
     detector = config.detector_config()
 
@@ -298,9 +296,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     }
 
     if truth is not None:
-        eval_payload, _, report = evaluate_detections(
-            detections, truth, config.match_max_dist, config.averaging
-        )
+        eval_payload, _, report = evaluate_detections(detections, truth, config.match_max_dist)
         if report is not None:
             write_metrics_csv(report, out_dir / "metrics.csv")
             write_metrics_json(report, out_dir / "metrics.json")
@@ -356,9 +352,10 @@ def _cmd_tile(args) -> int:
     plan = tile_plan(scene.width, scene.height, args.tile_size, args.overlap)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # an earlier plan's tiles in this directory must not pass for this plan's
-    for path in out_dir.glob("tile_*_*.r*"):
-        if re.fullmatch(r"tile_\d+_\d+\.(rhdr|rbin)", path.name):
+    # an earlier plan's tiles and their annotations in this directory must not
+    # pass for this plan's; only the names tile writes (ASCII digits) go
+    for path in out_dir.glob("tile_*_*.*"):
+        if re.fullmatch(r"tile_[0-9]+_[0-9]+\.(rhdr|rbin|json)", path.name):
             path.unlink()
     for i, window in enumerate(plan.windows):
         row, col = divmod(i, plan.n_cols)
@@ -490,9 +487,7 @@ def _cmd_eval(args) -> int:
     check_max_centroid_dist(args.match_max_dist)
     detections = load_geojson(_require_file(args.detections, "detections"))
     truth = load_annotations(_require_file(args.truth, "truth annotations"))
-    payload, cm, report = evaluate_detections(
-        detections, truth, args.match_max_dist, args.averaging
-    )
+    payload, cm, report = evaluate_detections(detections, truth, args.match_max_dist)
     det = payload["detection"]
     print(
         f"detection: {det['matched']} matched, {det['false_positives']} FP, "
@@ -503,9 +498,9 @@ def _cmd_eval(args) -> int:
         print("no matches; classification metrics skipped")
         return 0
     print(cm.format())
-    p, r, f = report.headline()
+    p, r, f = report.macro
     print(
-        f"accuracy {report.accuracy:.4f}; {args.averaging}: "
+        f"accuracy {report.accuracy:.4f}; macro: "
         f"precision {p:.4f}, recall {r:.4f}, F1 {f:.4f}"
     )
     if args.out is not None:
@@ -530,7 +525,11 @@ def _cmd_pipeline(parser: argparse.ArgumentParser, args) -> int:
                 f"--config replaces every other pipeline flag; do not mix it with {', '.join(mixed)}"
             )
         path = _require_file(args.config, "pipeline manifest")
-        config = PipelineConfig.from_manifest(read_document(path, "manifest", ConfigurationError))
+        # a malformed manifest is a configuration error, not a data error
+        try:
+            config = PipelineConfig.from_manifest(read_document(path, "manifest"))
+        except FormatError as exc:
+            raise ConfigurationError(str(exc)) from exc
     else:
         if not (args.scene_path and args.model_path and args.out_dir):
             raise ConfigurationError("pipeline needs --scene, --model and --out (or --config)")
@@ -547,11 +546,7 @@ def _cmd_pipeline(parser: argparse.ArgumentParser, args) -> int:
         )
         cls = summary["evaluation"].get("classification")
         if cls:
-            mode = cls["averaging"]
-            agg = cls[mode]
-            print(
-                f"classification accuracy {cls['accuracy']:.4f}; {mode} F1 {agg['f1']:.4f}"
-            )
+            print(f"classification accuracy {cls['accuracy']:.4f}; macro F1 {cls['macro']['f1']:.4f}")
     print(f"outputs in {config.out_dir}")
     return 0
 
@@ -568,7 +563,6 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-dist", dest="match_max_dist", type=float, default=PipelineConfig.match_max_dist, help="truth match radius in px (default %(default)s)")
-    parser.add_argument("--averaging", default=PipelineConfig.averaging, choices=AVERAGING_MODES, help="headline averaging mode (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

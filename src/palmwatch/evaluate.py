@@ -5,9 +5,8 @@ Metric conventions: per-class precision/recall/F1 are one-vs-rest;
 accuracy is trace/total. Per-class values with a zero denominator are
 reported as 0 and flagged rather than omitted, which keeps aggregates
 comparable across runs. A report always holds one ``Aggregate``
-(precision, recall, F1) for each of ``AVERAGING_MODES``; ``averaging``
-only selects the headline mode. The CSV and JSON writers emit the modes
-in that order.
+(precision, recall, F1) for each of ``AVERAGING_MODES``, and the CSV
+and JSON writers emit the modes in that order.
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ class ClassMetrics:
 
 
 class Aggregate(NamedTuple):
-    """Precision, recall and F1 of one averaging mode."""
+    """Precision, recall and F1 of one of ``AVERAGING_MODES``."""
 
     precision: float
     recall: float
@@ -132,11 +131,6 @@ class MetricsReport:
     macro: Aggregate
     micro: Aggregate
     weighted: Aggregate
-    averaging: str
-
-    def headline(self) -> Aggregate:
-        """The aggregate of the selected averaging mode."""
-        return getattr(self, self.averaging)
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -149,10 +143,8 @@ def f1_score(precision: float, recall: float) -> float:
 AVERAGING_MODES = ("macro", "micro", "weighted")
 
 
-def metrics(cm: ConfusionMatrix, averaging: str = "macro") -> MetricsReport:
+def metrics(cm: ConfusionMatrix) -> MetricsReport:
     """Derive accuracy and per-class/aggregate precision, recall and F1."""
-    if averaging not in AVERAGING_MODES:
-        raise ParameterError(f"averaging must be one of {AVERAGING_MODES}, got {averaging!r}")
     total = cm.total
     if total == 0:
         raise DegenerateDataError("confusion matrix is empty; no samples to score")
@@ -194,7 +186,6 @@ def metrics(cm: ConfusionMatrix, averaging: str = "macro") -> MetricsReport:
         macro=Aggregate(*(float(np.mean(column)) for column in columns)),
         micro=Aggregate(micro_p, micro_r, f1_score(micro_p, micro_r)),
         weighted=Aggregate(*(float(np.dot(w, column)) for column in columns)),
-        averaging=averaging,
     )
 
 
@@ -223,7 +214,6 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
 def report_to_dict(report: MetricsReport) -> dict:
     return {
         "accuracy": report.accuracy,
-        "averaging": report.averaging,
         "per_class": [asdict(m) for m in report.per_class],
         **{mode: getattr(report, mode)._asdict() for mode in AVERAGING_MODES},
     }

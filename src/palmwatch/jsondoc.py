@@ -2,7 +2,7 @@
 
 Every JSON input (raster headers, annotations, detections, model
 parameters, augment and scene specs, run manifests) goes through
-``read_document``/``parse_document`` and is typed by one rule, ``typed``:
+``read_document`` and is typed by one rule, ``typed``:
 
 * ``int`` is a JSON integer, never a bool;
 * ``float`` is a JSON integer or number, never a bool, returned as float;
@@ -30,21 +30,8 @@ from .errors import FormatError
 _REQUIRED = object()
 
 
-def parse_document(text: str, source: str, error=FormatError) -> dict:
-    """Decode ``text`` as a JSON object; raises ``error`` naming ``source``."""
-    # JSONDecodeError is a ValueError, as is an integer too long to convert;
-    # nesting deeper than the recursion limit raises RecursionError
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise error(f"{source} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise error(f"{source} must be a JSON object, got {type(doc).__name__}")
-    return doc
-
-
-def read_document(path, what: str, error=FormatError) -> dict:
-    """Read the JSON object in file ``path``; every failure raises ``error``.
+def read_document(path, what: str) -> dict:
+    """Read the JSON object in file ``path``; every failure raises FormatError.
 
     ``what`` names the document in messages ("annotations", "header", ...).
     """
@@ -52,31 +39,39 @@ def read_document(path, what: str, error=FormatError) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise error(f"cannot read {source}: {exc}") from exc
+        raise FormatError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise error(f"{source} is not UTF-8 text: {exc}") from exc
-    return parse_document(text, source, error)
+        raise FormatError(f"{source} is not UTF-8 text: {exc}") from exc
+    # JSONDecodeError is a ValueError, as is an integer too long to convert;
+    # nesting deeper than the recursion limit raises RecursionError
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{source} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{source} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
-def typed(value, tp, where: str, error=FormatError):
-    """``value`` as JSON type ``tp`` (see the module rule), or raise ``error``."""
+def typed(value, tp, where: str):
+    """``value`` as JSON type ``tp`` (see the module rule), or raise FormatError."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType:
         if value is None and type(None) in args:
             return None
         (inner,) = (a for a in args if a is not type(None))
-        return typed(value, inner, where, error)
+        return typed(value, inner, where)
     if origin is tuple:
         if isinstance(value, list):
             if args[-1] is Ellipsis:
                 args = (args[0],) * len(value)
             if len(value) == len(args):
                 return tuple(
-                    typed(v, t, f"{where}[{i}]", error) for i, (v, t) in enumerate(zip(value, args))
+                    typed(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, args))
                 )
     elif origin is dict:
         if isinstance(value, dict):
-            return {k: typed(v, args[1], f"{where}[{k!r}]", error) for k, v in value.items()}
+            return {k: typed(v, args[1], f"{where}[{k!r}]") for k, v in value.items()}
     elif isinstance(value, bool):
         if tp is bool:
             return value
@@ -88,30 +83,30 @@ def typed(value, tp, where: str, error=FormatError):
     elif isinstance(value, tp):
         return value
     name = tp.__name__ if origin is None else str(tp)
-    raise error(f"{where} must be {name}, got {value!r:.80}")
+    raise FormatError(f"{where} must be {name}, got {value!r:.80}")
 
 
-def take(doc: dict, key: str, tp, where: str, default=_REQUIRED, error=FormatError):
+def take(doc: dict, key: str, tp, where: str, default=_REQUIRED):
     """Field ``key`` of ``doc`` typed as ``tp``; ``default`` when absent, if given."""
     if key not in doc:
         if default is _REQUIRED:
-            raise error(f"{where} is missing field {key!r}")
+            raise FormatError(f"{where} is missing field {key!r}")
         return default
-    return typed(doc[key], tp, f"{where} field {key!r}", error)
+    return typed(doc[key], tp, f"{where} field {key!r}")
 
 
-def from_fields(cls, doc: dict, where: str, error=FormatError):
+def from_fields(cls, doc: dict, where: str):
     """Build dataclass ``cls`` from ``doc``, one key per field.
 
     Each value is typed by its field's annotation; unknown keys and
-    missing fields without a default raise ``error``.
+    missing fields without a default raise FormatError.
     """
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
-        raise error(f"{where} has unknown fields {unknown}")
+        raise FormatError(f"{where} has unknown fields {unknown}")
     hints = get_type_hints(cls)
     return cls(**{
-        f.name: take(doc, f.name, hints[f.name], where, error=error)
+        f.name: take(doc, f.name, hints[f.name], where)
         for f in fields(cls)
         if f.name in doc or (f.default is MISSING and f.default_factory is MISSING)
     })

@@ -25,7 +25,7 @@ import numpy as np
 
 from .annotations import CLASS_LABELS, AnnotationSet, CrownAnnotation, disc_box
 from .errors import CapacityError, ParameterError
-from .jsondoc import from_fields, parse_document, read_document
+from .jsondoc import from_fields, read_document
 from .raster_core import MAX_SAMPLE_PARAM, MAX_SCENE_PIXELS, Band, Raster, map_row_blocks, stream, stream_rows
 
 BAND_NAMES = ("red", "green", "blue", "nir")
@@ -93,10 +93,6 @@ class SceneSpec:
 
 def spec_to_json(spec: SceneSpec) -> str:
     return json.dumps(asdict(spec), indent=2) + "\n"
-
-
-def spec_from_json(text: str) -> SceneSpec:
-    return from_fields(SceneSpec, parse_document(text, "scene spec"), "scene spec")
 
 
 def load_spec(path) -> SceneSpec:

@@ -318,7 +318,7 @@ def test_criterion_6_end_to_end_synthetic_oracle():
             [det.class_label for det, _ in result.matches],
             ("healthy", "smallish", "dead"),
         )
-        report = metrics(cm, averaging="macro")
+        report = metrics(cm)
         elapsed = time.perf_counter() - start
         print(
             f"      [detection precision {precision:.4f}, recall {recall:.4f}, "

@@ -26,8 +26,8 @@ from palmwatch.augment import (
     gamma_adjust,
     gaussian_noise,
     random_crop,
+    load_spec,
     scale,
-    spec_from_json,
     spec_to_json,
 )
 from palmwatch.errors import DomainError, PalmwatchError, ParameterError
@@ -633,10 +633,11 @@ class TestSpecPipeline:
                     assert xs.min() >= 0 and xs.max() < out_tile.width
                     assert ys.min() >= 0 and ys.max() < out_tile.height
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         spec = self.spec()
-        again = spec_from_json(spec_to_json(spec))
-        assert again == spec
+        path = tmp_path / "spec.json"
+        path.write_text(spec_to_json(spec))
+        assert load_spec(path) == spec
 
     def test_bad_params_rejected(self):
         with pytest.raises(ParameterError):
@@ -654,13 +655,15 @@ class TestSpecPipeline:
             with pytest.raises(ParameterError, match="seed"):
                 AugmentSpec(operations=(), seed=seed)
 
-    def test_scale_factor_is_capped(self):
+    def test_scale_factor_is_capped(self, tmp_path):
         # never applied: at 1e7 the output tile alone would need petabytes
         AugmentSpec(operations=(ScaleOp(lo=1.0, hi=MAX_SCALE_FACTOR),))
         with pytest.raises(ParameterError, match="scale"):
             AugmentSpec(operations=(ScaleOp(lo=1.0, hi=MAX_SCALE_FACTOR * 1.01),))
+        path = tmp_path / "spec.json"
+        path.write_text('{"operations": [{"op": "scale", "lo": 1e7, "hi": 1e7}]}')
         with pytest.raises(ParameterError, match="scale"):
-            spec_from_json('{"operations": [{"op": "scale", "lo": 1e7, "hi": 1e7}]}')
+            load_spec(path)
 
     def test_noise_sigma_shares_the_scene_sample_bound(self):
         AugmentSpec(operations=(GaussianNoiseOp(sigma=MAX_SAMPLE_PARAM / 2),))

@@ -6,7 +6,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -131,18 +131,25 @@ class TestTileCommand:
         assert tile.origin == (128, 128)
 
     def test_a_rerun_replaces_the_earlier_plan(self, tmp_path):
-        # the first plan's nine tiles used to stay beside the second's four
+        # the first plan's nine tiles, and the annotations given to them,
+        # used to stay beside the second's four
         save_raster(random_raster(np.random.default_rng(2), 600, 600), tmp_path / "scene")
         out = tmp_path / "tiles"
         out.mkdir()
         (out / "notes.txt").write_text("kept")
-        for size in ("200", "300"):
-            assert main(["tile", str(tmp_path / "scene.rhdr"), str(out), "--tile-size", size]) == 0
+        assert main(["tile", str(tmp_path / "scene.rhdr"), str(out), "--tile-size", "200"]) == 0
+        for name in ("tile_0_0.json", "tile_2_2.json"):
+            (out / name).write_text('{"crowns": []}')
+        # Arabic-Indic digits: a name tile never writes, so it is not a tile
+        arabic = "tile_\u0663_\u0663.rhdr"
+        (out / arabic).write_text("kept")
+        assert main(["tile", str(tmp_path / "scene.rhdr"), str(out), "--tile-size", "300"]) == 0
         tiles = ["tile_0_0", "tile_0_1", "tile_1_0", "tile_1_1"]
         assert sorted(path.name for path in out.iterdir()) == sorted(
-            [f"{t}.{suffix}" for t in tiles for suffix in ("rhdr", "rbin")] + ["notes.txt"]
+            [f"{t}.{suffix}" for t in tiles for suffix in ("rhdr", "rbin")] + ["notes.txt", arabic]
         )
         assert (load_raster(out / "tile_1_1.rhdr").width, (out / "notes.txt").read_text()) == (300, "kept")
+        assert (out / arabic).read_text() == "kept"
 
 
 class TestAugmentCommand:
@@ -450,9 +457,10 @@ class TestPipeline:
     def test_manifest_with_a_thread_count_reruns_identically(self, workspace, tmp_path):
         # manifests written before the thread count was left to the CPU
         # affinity carry "jobs", those written before prediction tiles
-        # stopped overlapping carry "overlap", and those written before
-        # prediction used one tile plan carry "tile_size"; none changed an
-        # output byte
+        # stopped overlapping carry "overlap", those written before
+        # prediction used one tile plan carry "tile_size", and every one
+        # written before the headline was always macro carries "averaging";
+        # none changed an output number
         scene = workspace["scenes"][2]
         config = PipelineConfig(
             scene_path=str(scene), model_path=str(workspace["model"]), out_dir=str(tmp_path / "orig"),
@@ -461,7 +469,8 @@ class TestPipeline:
         run_pipeline(config)
         legacies = (
             {"jobs": 3}, {"overlap": 32}, {"jobs": 1, "overlap": 127}, {"tile_size": 128},
-            {"jobs": 2, "overlap": 3, "tile_size": 7},
+            {"jobs": 2, "overlap": 3, "tile_size": 7}, {"averaging": "micro"},
+            {"averaging": "weighted", "jobs": 2, "tile_size": 7},
         )
         for i, legacy in enumerate(legacies):
             replay = tmp_path / f"replay{i}"
@@ -475,7 +484,7 @@ class TestPipeline:
             ):
                 assert (tmp_path / "orig" / name).read_bytes() == (replay / name).read_bytes(), (legacy, name)
             written = json.loads((replay / "manifest.json").read_text())["config"]
-            assert not {"jobs", "overlap", "tile_size"} & set(written)
+            assert not {"jobs", "overlap", "tile_size", "averaging"} & set(written)
 
     @pytest.mark.parametrize(
         "flags",
@@ -494,7 +503,7 @@ class TestPipeline:
             ["--smallish-diameter", "10"],
             ["--dead-ndvi-max", "0.1"],
             ["--max-dist", "5"],
-            ["--averaging", "micro"],
+            ["--out", "elsewhere", "--max-dist", "5"],
             ["--min-area", "5", "--truth", "scene.json", "--veg-gate"],
         ],
     )
@@ -778,6 +787,22 @@ class TestExitCodes:
             assert "unrecognized arguments: --tile-size 64" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_headline_takes_no_averaging(self, workspace, tmp_path, capsys):
+        # the headline is always macro; the metrics files hold every aggregate
+        scene = workspace["scenes"][2]
+        truth = str(scene.parent / "scene.json")
+        dets = tmp_path / "dets.geojson"  # never read: parsing fails first
+        for argv in (
+            ["eval", str(dets), truth, "--out", str(tmp_path / "run"), "--averaging", "micro"],
+            ["pipeline", "--scene", str(scene), "--model", str(workspace["model"]), "--truth", truth,
+             "--out", str(tmp_path / "run"), "--averaging", "micro"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --averaging micro" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("max_dist", ["nan", "inf"])
     def test_non_finite_match_distance_is_config_error(self, workspace, tmp_path, max_dist):
         # both used to exit 0: NaN matched nothing, inf matched every pair
@@ -896,6 +921,13 @@ class TestFlagDefaults:
     def test_pipeline_defaults_are_the_config_defaults(self):
         args = self.parse("pipeline", "--scene", "s", "--model", "m", "--out", "o")
         assert config_from(PipelineConfig, args) == PipelineConfig("s", "m", "o")
+
+    def test_each_pipeline_setting_is_one_flag(self):
+        # a flag without a field would be ignored silently, outside --config too
+        parser = build_parser()
+        (subparsers,) = (a for a in parser._actions if a.choices and "pipeline" in a.choices)
+        dests = {a.dest for a in subparsers.choices["pipeline"]._actions} - {"config", "help"}
+        assert dests == {f.name for f in fields(PipelineConfig)}
 
     def test_detect_defaults_are_the_detector_defaults(self):
         args = self.parse("detect", "p.rhdr", "s.rhdr", "--out", "o")

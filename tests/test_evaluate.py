@@ -127,7 +127,7 @@ class TestMetrics:
         counts = rng.integers(0, 30, size=(4, 4))
         counts[0, 0] += 1  # non-empty
         cm = ConfusionMatrix(("a", "b", "c", "d"), counts)
-        report = metrics(cm, averaging="micro")
+        report = metrics(cm)
         assert abs(report.micro.precision - report.accuracy) < 1e-12
         assert abs(report.micro.recall - report.accuracy) < 1e-12
         assert abs(report.micro.f1 - report.accuracy) < 1e-12
@@ -163,11 +163,6 @@ class TestMetrics:
         with pytest.raises(DegenerateDataError):
             metrics(cm)
 
-    def test_unknown_averaging(self):
-        cm = ConfusionMatrix(("a",), np.array([[1]]))
-        with pytest.raises(ParameterError):
-            metrics(cm, averaging="harmonic")
-
     def test_report_rows_layout(self):
         cm = ConfusionMatrix(("a", "b"), np.array([[3, 1], [2, 4]]))
         rows = report_rows(metrics(cm))
@@ -190,7 +185,6 @@ PINNED_CSV = (
 )
 PINNED_JSON = """{
   "accuracy": 0.5,
-  "averaging": "weighted",
   "per_class": [
     {
       "label": "healthy",
@@ -246,7 +240,7 @@ class TestReportFiles:
     @pytest.fixture
     def report(self):
         cm = ConfusionMatrix(("healthy", "smallish", "dead"), np.array(PINNED_COUNTS))
-        return metrics(cm, averaging="weighted")
+        return metrics(cm)
 
     def test_csv_bytes_pinned(self, report, tmp_path):
         write_metrics_csv(report, tmp_path / "metrics.csv")

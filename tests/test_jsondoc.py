@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from palmwatch.errors import ConfigurationError, FormatError
+from palmwatch.errors import FormatError
 from palmwatch.jsondoc import from_fields, read_document, typed
 
 
@@ -70,8 +70,8 @@ def test_from_fields():
     assert from_fields(_Doc, {"name": "a"}, "doc") == _Doc("a")
     with pytest.raises(FormatError, match="unknown fields \\['nmae'\\]"):
         from_fields(_Doc, {"name": "a", "nmae": "b"}, "doc")
-    with pytest.raises(ConfigurationError, match="missing field 'name'"):
-        from_fields(_Doc, {"size": 2}, "doc", ConfigurationError)
+    with pytest.raises(FormatError, match="missing field 'name'"):
+        from_fields(_Doc, {"size": 2}, "doc")
 
 
 @pytest.mark.parametrize(
@@ -85,6 +85,6 @@ def test_reader_names_the_file(tmp_path, content):
 
 
 def test_reader_missing_file(tmp_path):
-    with pytest.raises(ConfigurationError, match="missing.json"):
-        read_document(tmp_path / "missing.json", "manifest", ConfigurationError)
+    with pytest.raises(FormatError, match="missing.json"):
+        read_document(tmp_path / "missing.json", "manifest")
 

@@ -31,7 +31,6 @@ from palmwatch.synth_scene import (
     SceneSpec,
     generate_scene,
     load_spec,
-    spec_from_json,
     spec_to_json,
 )
 
@@ -183,14 +182,16 @@ class TestRasterizeLabels:
 
 
 class TestSpecSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         spec = small_spec(noise_sigma=0.02, jitter_std=0.005, min_spacing=9.5)
-        again = spec_from_json(spec_to_json(spec))
-        assert again == spec
+        path = tmp_path / "spec.json"
+        path.write_text(spec_to_json(spec))
+        assert load_spec(path) == spec
 
-    def test_defaults_fill_missing(self):
-        spec = spec_from_json("{}")
-        assert spec == SceneSpec()
+    def test_defaults_fill_missing(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("{}")
+        assert load_spec(path) == SceneSpec()
 
     def test_bad_values_rejected(self):
         with pytest.raises(ParameterError):
