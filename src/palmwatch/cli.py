@@ -32,6 +32,7 @@ from .annotations import CLASS_LABELS, AnnotationSet, load_annotations, save_ann
 from .augment import apply_spec, load_spec as load_augment_spec
 from .crown_detect import (
     DetectorConfig,
+    PixelSamples,
     check_max_centroid_dist,
     classify_detections,
     detect_crowns,
@@ -69,10 +70,11 @@ from .pixel_model import (
     save_params,
     train,
 )
-from .raster_core import Band, Mask, MaskedGrid, Raster, load_raster, save_raster
+from .raster_core import Band, Mask, MaskedGrid, Raster, RasterWriter, load_raster, read_header, save_raster
 from .synth_scene import SceneSpec, generate_scene, load_spec as load_scene_spec, spec_to_json
 from .tiling import (
     DEFAULT_TILE_SIZE,
+    TilePlan,
     check_tiling,
     extract_tile,
     stitch,
@@ -143,32 +145,79 @@ def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
     )
 
 
-def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams) -> MaskedGrid:
-    """Tile the scene at DEFAULT_TILE_SIZE, predict tile by tile in plan
-    order, stitch.
+def _prediction_plan(width: int, height: int) -> TilePlan:
+    """The plan prediction walks: DEFAULT_TILE_SIZE tiles whose edge
+    windows are cut without their padding, so each pixel is predicted
+    once."""
+    plan = tile_plan(width, height, DEFAULT_TILE_SIZE)
+    return replace(plan, windows=tuple(replace(w, padded_right=0, padded_bottom=0) for w in plan.windows))
 
-    The model's features are checked against the scene before any pixel
-    work. Edge windows are cut without their padding, so each tile is a
-    view of the scene and of the prediction mask and each pixel is
-    predicted once; ``predict_map`` takes each feature that is a band of
-    the scene as it is and derives the others over the tile, so an index
-    that a caller joined to the scene as a band is reused. Tile maps
-    stream into ``stitch`` as they are predicted, so besides the scene
-    and the output only one tile's features and map are alive.
+
+def _row_bands(plan: TilePlan) -> list[slice]:
+    """The scene rows of each plan row, top to bottom."""
+    firsts = plan.windows[:: plan.n_cols]
+    return [slice(w.y, w.y + w.height) for w in firsts]
+
+
+def _rows_of(scene: Raster, rows: slice) -> Raster:
+    """The rows ``rows`` of an in-memory scene as a raster of views, its
+    origin shifted down to them, as ``load_raster`` reads a row window."""
+    return Raster(
+        bands=tuple(Band(name=b.name, samples=b.samples[rows], wavelength_nm=b.wavelength_nm) for b in scene.bands),
+        nodata_value=scene.nodata_value,
+        origin=(scene.origin[0], scene.origin[1] + rows.start),
+    )
+
+
+def predict_rows(plan: TilePlan, read_rows, params: ModelParams, on_map=None) -> MaskedGrid:
+    """The tiled prediction loop: walk ``plan`` one plan row at a time,
+    predict that row's tiles in plan order and stream them into
+    ``stitch``.
+
+    ``read_rows(rows)`` gives, for the scene rows ``rows`` of one plan
+    row, the features as a raster of those rows (origin shifted to them)
+    and the prediction mask of those rows; it is called once per plan row,
+    top to bottom, and only after the previous row's band is released, so
+    besides the output only one row band, one tile's features and one
+    tile map are alive. ``predict_map`` takes each feature that is a band
+    of the features as it is and derives the others over the tile, so an
+    index that a caller joined as a band is reused. The model's features
+    are checked against each band before its first tile.
+    ``on_map(window, map)``, when given, sees each tile's plan window and
+    map before ``stitch`` does.
 
     The model reads each pixel's own features alone, so neither the tile
-    size nor a margin around a tile could change an output byte.
+    size, a margin around a tile nor the row band could change an output
+    byte.
     """
+
+    def maps():
+        for row, rows in enumerate(_row_bands(plan)):
+            features, mask = read_rows(rows)
+            check_features(features, mask, params.features)
+            for window in plan.windows[row * plan.n_cols : (row + 1) * plan.n_cols]:
+                local = replace(window, y=0)
+                tile = extract_tile(features, local)
+                pmap = predict_map(tile, Mask(window_of(mask.bits, local, False)), params)
+                if on_map is not None:
+                    on_map(window, pmap)
+                yield pmap
+            # so that the next band is read after this one is freed
+            del features, mask, tile, pmap
+
+    return stitch(plan, maps())
+
+
+def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams) -> MaskedGrid:
+    """``predict_rows`` over an in-memory scene, handing it row views of
+    the scene and of ``prediction_mask``. The model's features are checked
+    against the scene before any pixel work."""
     check_features(scene, prediction_mask, params.features)
-    plan = tile_plan(scene.width, scene.height, DEFAULT_TILE_SIZE)
-    plan = replace(plan, windows=tuple(replace(w, padded_right=0, padded_bottom=0) for w in plan.windows))
-    maps = (
-        predict_map(
-            extract_tile(scene, window), Mask(window_of(prediction_mask.bits, window, False)), params
-        )
-        for window in plan.windows
+    return predict_rows(
+        _prediction_plan(scene.width, scene.height),
+        lambda rows: (_rows_of(scene, rows), Mask(prediction_mask.bits[rows])),
+        params,
     )
-    return stitch(plan, maps)
 
 
 def evaluate_detections(detections, truth: AnnotationSet, max_dist: float):
@@ -211,17 +260,53 @@ PIPELINE_OUTPUTS = (
 )
 
 
+def _vegetation_rows(band: Raster, config: PipelineConfig, params: ModelParams):
+    """A row band's vegetation stage: its prediction features (the band
+    with the index joined, unless a band of that name comes first), its
+    prediction mask, its valid pixel count and its vegetation mask."""
+    valid = band.valid_mask()
+    check_features(band, valid, params.features)
+    index = compute_index(band, valid, config.veg_index)
+    veg = vegetation_mask(index, config.veg_threshold)
+    prediction_mask = valid
+    if config.veg_gate:
+        gated = valid.bits & veg.bits
+        gated.setflags(write=False)  # so Mask keeps the plane instead of copying it
+        prediction_mask = Mask(gated)
+    # the index joins the band, so a model that reads it as a feature takes
+    # it as it is
+    features = band
+    if not band.has_band(config.veg_index):
+        features = Raster(
+            bands=band.bands + (Band(name=config.veg_index, samples=index.values),),
+            nodata_value=band.nodata_value,
+            origin=band.origin,
+        )
+    return features, prediction_mask, valid.count(), veg
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the composed pipeline and return a result summary.
 
     Writes into ``config.out_dir``: manifest.json, veg_mask raster,
     probability raster, detections.geojson/.csv, and (with truth)
     metrics.csv/.json plus an eval.json holding detection-level counts
-    and the confusion matrix. Nothing in the directory changes until
-    every input is read and the model is shown to fit the scene; then
-    every other file of PIPELINE_OUTPUTS is removed and manifest.json is
-    written before the first output, so each file there comes from the
-    settings its manifest records, even when the run fails later.
+    and the confusion matrix. Nothing in the directory changes until the
+    scene's header, its payload size and the model's fit to its bands are
+    checked (on the first plan row's band) and the model and truth are
+    read; then every other file of PIPELINE_OUTPUTS is removed and
+    manifest.json is written before the first output, so each file there
+    comes from the settings its manifest records, even when the run fails
+    later.
+
+    The scene is never held whole: ``predict_rows`` reads it one plan row
+    band at a time, and per band the valid, index and vegetation rows are
+    computed, the vegetation rows are written to veg_mask, the tiles are
+    predicted, and the scene's band samples are gathered at the pixels
+    above ``prob_threshold``, which are every pixel a detection can hold,
+    for classification. Besides one row band, memory holds the
+    probability map, then detection's planes and classification's
+    position plane in turn.
     """
     scene_path = _require_file(config.scene_path, "scene")
     model_path = _require_file(config.model_path, "model")
@@ -236,12 +321,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     check_max_centroid_dist(config.match_max_dist)
     detector = config.detector_config()
 
-    scene = load_raster(scene_path)
+    scene = read_header(scene_path)
+    plan = _prediction_plan(scene.width, scene.height)
     params = load_params(model_path)
     if config.truth_path is not None:
         truth = load_annotations(truth_path)
-    valid = scene.valid_mask()
-    check_features(scene, valid, params.features)
+    first = _row_bands(plan)[0]
+    pending = {first.start: _vegetation_rows(load_raster(scene_path, first), config, params)}
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,33 +338,44 @@ def run_pipeline(config: PipelineConfig) -> dict:
         json.dumps(config.to_manifest(), indent=2, sort_keys=True) + "\n"
     )
 
-    index = compute_index(scene, valid, config.veg_index)
-    veg = vegetation_mask(index, config.veg_threshold)
-    save_raster(_mask_to_raster(veg, "veg_mask", scene.origin), out_dir / "veg_mask")
-    veg_fraction = veg.count() / max(valid.count(), 1)
+    valid_px = veg_px = 0
+    parts = []
+    # the row band being predicted (the scene's own bands) and where its
+    # tile maps are above prob_threshold
+    band = foreground = None
 
-    prediction_mask = valid
-    if config.veg_gate:
-        gated = valid.bits & veg.bits
-        gated.setflags(write=False)  # so Mask keeps the plane instead of copying it
-        prediction_mask = Mask(gated)
-        del gated  # the del after prediction frees the plane only if nothing else holds it
-    # the index joins the scene as a band, so a model that reads it as a
-    # feature takes it as it is; a scene band of that name comes first
-    features = scene
-    if not scene.has_band(config.veg_index):
-        features = Raster(
-            bands=scene.bands + (Band(name=config.veg_index, samples=index.values),),
-            nodata_value=scene.nodata_value,
-            origin=scene.origin,
+    def read_rows(rows):
+        nonlocal valid_px, veg_px, band, foreground
+        features, prediction_mask, n_valid, veg = pending.pop(rows.start, None) or _vegetation_rows(
+            load_raster(scene_path, rows), config, params
         )
-    prob = predict_tiled(features, prediction_mask, params)
-    # the pixel stage's planes would otherwise sit under detection's peak
-    del valid, index, veg, prediction_mask, features
+        veg_out.write(_mask_to_raster(veg, "veg_mask", features.origin))
+        valid_px += n_valid
+        veg_px += veg.count()
+        band = Raster(bands=features.bands[: len(scene.bands)], nodata_value=features.nodata_value)
+        foreground = np.empty((rows.stop - rows.start, scene.width), dtype=bool)
+        return features, prediction_mask
+
+    def gather(window, pmap):
+        nonlocal band, foreground
+        foreground[:, window.x : window.x + window.width] = pmap.above(detector.prob_threshold)
+        if window.x + window.width == scene.width:
+            # the band's last tile: keep its samples at the foreground, then
+            # let the band go before the next is read
+            parts.append(PixelSamples.gather(band, foreground, scene.height, window.y))
+            band = foreground = None
+
+    with RasterWriter(out_dir / "veg_mask", scene.height) as veg_out:
+        prob = predict_rows(plan, read_rows, params, on_map=gather)
+    veg_fraction = veg_px / max(valid_px, 1)
+    samples = PixelSamples.join(parts)
+    del parts
     save_raster(prob.to_raster(origin=scene.origin), out_dir / "probability")
 
     detections = detect_crowns(prob, detector)
-    classify_detections(detections, scene, detector)
+    # classification reads the gathered samples, not the map
+    del prob
+    classify_detections(detections, samples, detector)
     write_geojson(detections, out_dir / "detections.geojson", origin=scene.origin)
     write_csv(detections, out_dir / "detections.csv", origin=scene.origin)
 
@@ -443,9 +540,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    scene = load_raster(_require_file(args.scene, "scene"))
+    scene_path = _require_file(args.scene, "scene")
+    scene = read_header(scene_path)
     params = load_params(_require_file(args.model, "model"))
-    prob = predict_tiled(scene, scene.valid_mask(), params)
+
+    def read_rows(rows):
+        band = load_raster(scene_path, rows)
+        return band, band.valid_mask()
+
+    prob = predict_rows(_prediction_plan(scene.width, scene.height), read_rows, params)
     save_raster(prob.to_raster(origin=scene.origin), args.out)
     print(f"wrote probability map to {args.out}.rhdr")
     return 0
@@ -454,7 +557,8 @@ def _cmd_predict(args) -> int:
 def _cmd_detect(args) -> int:
     cfg = config_from(DetectorConfig, args)
     prob_raster = load_raster(_require_file(args.prob, "probability map"))
-    scene = load_raster(_require_file(args.scene, "scene"))
+    scene_path = _require_file(args.scene, "scene")
+    scene = read_header(scene_path)
     if (prob_raster.width, prob_raster.height, prob_raster.origin) != (
         scene.width,
         scene.height,
@@ -471,8 +575,17 @@ def _cmd_detect(args) -> int:
         raise DomainError(
             f"probability map values must lie in [0, 1], got {probs.min()} to {probs.max()}"
         )
+    # the scene is read one plan row band at a time, keeping its samples at
+    # the foreground pixels alone
+    samples = PixelSamples.join([
+        PixelSamples.gather(
+            load_raster(scene_path, rows), MaskedGrid(prob.values[rows]).above(cfg.prob_threshold),
+            scene.height, rows.start,
+        )
+        for rows in _row_bands(_prediction_plan(scene.width, scene.height))
+    ])
     detections = detect_crowns(prob, cfg)
-    classify_detections(detections, scene, cfg)
+    classify_detections(detections, samples, cfg)
     write_geojson(detections, args.out + ".geojson", origin=scene.origin)
     write_csv(detections, args.out + ".csv", origin=scene.origin)
     by_class = {}

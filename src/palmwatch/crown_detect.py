@@ -7,9 +7,10 @@ for tree crowns). Each stage is near-linear in pixels, components and
 crowns: after labelling, only the foreground pixels are read, and one
 sort groups the kept components' pixels; splitting runs a fixed number
 of filters and one watershed over the component's bounding box,
-classification reads the bands once per block of crowns, at all their
-pixels together, and truth matching looks up neighbours in a k-d tree
-instead of comparing all pairs. Health labels come from a rule cascade
+classification reads the band samples gathered at the foreground pixels
+once per block of crowns, at all their pixels together, and truth
+matching looks up neighbours in a k-d tree instead of comparing all
+pairs. Health labels come from a rule cascade
 over crown spectra and geometry: low mean NDVI means dead, small
 equivalent diameter means smallish, otherwise healthy.
 
@@ -214,8 +215,50 @@ def split_touching(
     return [(ys[part], xs[part]) for part in np.split(order, ends)]
 
 
+@dataclass(frozen=True)
+class PixelSamples:
+    """A scene's band samples at some of its pixels: what classification
+    reads crown spectra from, so that no caller has to hold the scene.
+
+    Column i of ``values`` (bands x N, float32, in ``band_names`` order)
+    holds the samples at raster offset ``offsets[i]`` (y * width + x) of
+    the ``width`` x ``height`` scene, its nodata included as it is.
+    """
+
+    width: int
+    height: int
+    band_names: tuple[str, ...]
+    nodata_value: float | None
+    offsets: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def gather(cls, rows: Raster, where: np.ndarray, height: int | None = None, top: int = 0) -> "PixelSamples":
+        """The samples of ``rows`` where the boolean grid ``where`` (of
+        their shape) holds: ``rows`` are the rows from ``top`` on of a
+        scene of their width and ``height`` rows, by default the rows
+        themselves. A row band of a scene gathers with its place in the
+        scene, and ``join`` makes one set of the bands' parts."""
+        flat = np.flatnonzero(where)
+        values = np.empty((len(rows.bands), len(flat)), dtype=np.float32)
+        for out, band in zip(values, rows.bands):
+            np.take(band.samples.ravel(), flat, out=out)
+        flat += top * rows.width
+        return cls(rows.width, height or rows.height, rows.band_names, rows.nodata_value, flat, values)
+
+    @classmethod
+    def join(cls, parts: list["PixelSamples"]) -> "PixelSamples":
+        """One set of the pixels of ``parts``: disjoint sets of one scene's
+        pixels, gathered from the same bands."""
+        first = parts[0]
+        return cls(
+            first.width, first.height, first.band_names, first.nodata_value,
+            np.concatenate([p.offsets for p in parts]), np.concatenate([p.values for p in parts], axis=1),
+        )
+
+
 def classify_detections(
-    detections: list[CrownDetection], raster: Raster, cfg: DetectorConfig
+    detections: list[CrownDetection], samples: PixelSamples, cfg: DetectorConfig
 ) -> list[CrownDetection]:
     """Apply the health-rule cascade to every detection and record its
     crown spectra (mean NDVI and gNDVI over the crown's valid pixels):
@@ -224,38 +267,63 @@ def classify_detections(
     else smallish if equivalent diameter < smallish_diameter_px,
     else healthy.
 
-    Consecutive detections are classified in blocks of at most
-    ``raster_core.BLOCK_PX`` pixels, a few MB of working set on any
-    scene. A block closes before the next crown would take it past that,
-    and a larger crown is a block of its own, so a block of several
-    crowns is one row block of the index kernel, which runs in the
-    calling thread. The bands are read once per block, at the pixels of
-    all its crowns together, and a pixel is valid by the raster's own
-    rule (``valid_mask``). Raises UnclassifiableError when a detection
-    carries no pixels or has no valid ones.
+    The spectra come from ``samples``, which must hold every crown pixel;
+    the pixels of ``detect_crowns``' detections are foreground pixels, so
+    the samples gathered where the map is above ``cfg.prob_threshold``
+    hold them. Each pixel's column is looked up in one int32 plane of the
+    scene's grid, built here. Consecutive detections are classified in
+    blocks of at most ``raster_core.BLOCK_PX`` pixels, a few MB of
+    working set on any scene. A block closes before the next crown would
+    take it past that, and a larger crown is a block of its own, so a
+    block of several crowns is one row block of the index kernel, which
+    runs in the calling thread. The bands are read once per block, at
+    the pixels of all its crowns together, and a pixel is valid by the
+    raster's own rule (``valid_mask``). Raises UnclassifiableError when a
+    detection carries no pixels, has a pixel the samples lack, or has no
+    valid pixels.
     """
-    block, size = [], 0
     for det in detections:
         if det.pixels is None or len(det.pixels[1]) == 0:
             raise UnclassifiableError(f"detection {det.id} carries no pixels")
+    if not detections:
+        return detections
+    # each pixel's column in samples, -1 where it has none
+    n = len(samples.offsets)
+    columns = np.full(samples.height * samples.width, -1, dtype=np.int32 if n < 2**31 else np.int64)
+    columns[samples.offsets] = np.arange(n, dtype=columns.dtype)
+    columns = columns.reshape(samples.height, samples.width)
+    block, size = [], 0
+    for det in detections:
         n = len(det.pixels[1])
         if block and size + n > raster_core.BLOCK_PX:
-            _classify_block(block, raster, cfg)
+            _classify_block(block, columns, samples, cfg)
             block, size = [], 0
         block.append(det)
         size += n
     if block:
-        _classify_block(block, raster, cfg)
+        _classify_block(block, columns, samples, cfg)
     return detections
 
 
-def _classify_block(detections: list[CrownDetection], raster: Raster, cfg: DetectorConfig) -> None:
-    ys = np.concatenate([det.pixels[0] for det in detections])[np.newaxis]
-    xs = np.concatenate([det.pixels[1] for det in detections])[np.newaxis]
-    # every band at every crown pixel, as one 1 x N raster
+def _classify_block(
+    detections: list[CrownDetection], columns: np.ndarray, samples: PixelSamples, cfg: DetectorConfig
+) -> None:
+    ys = np.concatenate([det.pixels[0] for det in detections])
+    xs = np.concatenate([det.pixels[1] for det in detections])
+    cols = columns[ys, xs]
+    if cols.min() < 0:
+        stops = np.cumsum([len(det.pixels[1]) for det in detections])
+        det = detections[np.searchsorted(stops, np.argmax(cols < 0), side="right")]
+        raise UnclassifiableError(f"detection {det.id} at {det.centroid} has a pixel the samples lack")
+    # every band at every crown pixel, as one 1 x N raster; a take per
+    # band, as one fancy index over all bands reads them twice as slowly
+    values = np.empty((len(samples.band_names), len(cols)), dtype=np.float32)
+    for out, band in zip(values, samples.values):
+        np.take(band, cols, out=out)
+    values.setflags(write=False)
     crowns = Raster(
-        bands=tuple(Band(name=b.name, samples=b.samples[ys, xs]) for b in raster.bands),
-        nodata_value=raster.nodata_value,
+        bands=tuple(Band(name=name, samples=values[i, np.newaxis]) for i, name in enumerate(samples.band_names)),
+        nodata_value=samples.nodata_value,
     )
     ok = crowns.valid_mask().bits[0]
     pairs = INDEX_REGISTRY["ndvi"], INDEX_REGISTRY["gndvi"]

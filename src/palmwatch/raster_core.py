@@ -9,6 +9,12 @@ A raster is stored as two sibling files:
 * ``<name>.rbin`` -- bands back-to-back, each row-major, 32-bit IEEE-754
   little-endian. Its length must equal 4 * width * height * band_count.
 
+So rows ``r0:r1`` of band ``b`` are the contiguous bytes from offset
+``4·W·(b·H + r0)``. ``load_raster`` reads a scene whole or one such row
+window at a time, and ``RasterWriter`` writes one row band at a time by
+the same rule; this module is the only one that reads or writes a
+payload.
+
 Rasters are immutable after construction, so any number of readers may
 share one safely, and new pixel values always mean a new Raster. A
 ``Band``, ``Mask`` or ``MaskedGrid`` keeps an array it is given as-is when
@@ -16,8 +22,9 @@ that array is 2-D, has the right dtype and is frozen: neither it nor any
 array it views is writeable, and its memory comes from no other object.
 Every other input is copied and frozen, so a caller's later writes never
 reach the grid. Frozen arrays are therefore shared without a copy: the
-bands of a loaded raster are views of its one payload buffer, and a tile
-cut from a scene is a view of the scene's bands.
+bands of a loaded raster (or row window) are views of the one buffer it
+was read into, and a tile cut from a scene is a view of the scene's
+bands.
 
 All bands of a raster share one pixel grid. Sources whose bands differ in
 native resolution are expected to be resampled to a common grid before
@@ -36,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BandLookupError, FormatError, PayloadSizeError, ShapeError
+from .errors import BandLookupError, BoundsError, FormatError, PayloadSizeError, ShapeError
 from .jsondoc import read_document, take
 
 HEADER_SUFFIX = ".rhdr"
@@ -295,40 +302,26 @@ def _paths_for(path) -> tuple[Path, Path]:
     return header, payload
 
 
-def save_raster(raster: Raster, path) -> None:
-    """Write ``raster`` as a header/payload pair.
+@dataclass(frozen=True)
+class RasterHeader:
+    """What a ``.rhdr`` header declares: the grid, nodata, origin and the
+    ordered bands as ``(name, wavelength_nm)`` pairs."""
 
-    ``path`` may be the header path or a bare prefix; the ``.rhdr`` /
-    ``.rbin`` suffixes are supplied as needed.
+    width: int
+    height: int
+    nodata_value: float | None
+    origin: tuple[int, int]
+    bands: tuple[tuple[str, float | None], ...]
+
+
+def read_header(path) -> RasterHeader:
+    """The header of the raster at ``path`` (a header path or a bare
+    prefix), checked field by field; no payload byte is read.
+
+    Raises FormatError for a missing or malformed header, naming the
+    offending field.
     """
-    header_path, payload_path = _paths_for(path)
-    header = {
-        "width": raster.width,
-        "height": raster.height,
-        "dtype": _DTYPE_TAG,
-        "layout": _LAYOUT_TAG,
-        "nodata": raster.nodata_value,
-        "origin": [raster.origin[0], raster.origin[1]],
-        "bands": [
-            {"name": b.name, "wavelength_nm": b.wavelength_nm} for b in raster.bands
-        ],
-    }
-    header_path.write_text(json.dumps(header, indent=2) + "\n")
-    with open(payload_path, "wb") as f:
-        for b in raster.bands:
-            # a no-op for the C-ordered little-endian bands rasters usually hold
-            f.write(np.ascontiguousarray(b.samples, dtype="<f4"))
-
-
-def load_raster(path) -> Raster:
-    """Read a header/payload pair back into a Raster.
-
-    Raises FormatError for a missing or malformed header (naming the
-    offending field) and PayloadSizeError when the binary payload does
-    not match the header geometry. The payload is read into one buffer,
-    which is then frozen; the bands are views of it.
-    """
-    header_path, payload_path = _paths_for(path)
+    header_path, _ = _paths_for(path)
     header = read_document(header_path, "header")
     where = f"header {header_path}"
     width = take(header, "width", int, where)
@@ -353,29 +346,126 @@ def load_raster(path) -> Raster:
     ]
     if len(set(names)) != len(names):
         raise FormatError(f"{where} field 'bands' has duplicate names: {names}")
+    return RasterHeader(width, height, nodata, origin, tuple(zip(names, wavelengths)))
 
-    expected = 4 * width * height * len(names)
+
+class RasterWriter:
+    """Writes a raster of ``height`` rows to ``path`` one row band at a
+    time, top to bottom, as a context manager.
+
+    Each ``write`` takes the next rows as a Raster with the bands of the
+    first: rows ``r0:r1`` of band ``b`` go to byte offset
+    ``4·W·(b·H + r0)`` of the payload, the rule ``load_raster`` reads
+    by. The header records the first row band's nodata, bands and origin.
+    It is written when the context closes with every row written; a
+    writer closed short of that (by an exception) removes its payload
+    instead, so no header ever describes a partial payload.
+    """
+
+    def __init__(self, path, height: int):
+        self._header_path, self._payload_path = _paths_for(path)
+        self._height = height
+        self._top = 0
+        self._first: Raster | None = None
+        self._file = None
+
+    def __enter__(self) -> "RasterWriter":
+        self._file = open(self._payload_path, "wb")
+        return self
+
+    def write(self, rows: Raster) -> None:
+        first = self._first = self._first or rows
+        if (rows.width, rows.band_names) != (first.width, first.band_names):
+            raise ShapeError(
+                f"rows {rows.width} px wide with bands {list(rows.band_names)} do not continue "
+                f"a raster {first.width} px wide with bands {list(first.band_names)}"
+            )
+        if self._top + rows.height > self._height:
+            raise ShapeError(f"rows {self._top}:{self._top + rows.height} leave a raster of {self._height} rows")
+        for b, band in enumerate(rows.bands):
+            self._file.seek(4 * rows.width * (b * self._height + self._top))
+            # a no-op for the C-ordered little-endian bands rasters usually hold
+            self._file.write(np.ascontiguousarray(band.samples, dtype="<f4"))
+        self._top += rows.height
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
+        if self._top < self._height or self._first is None:
+            self._payload_path.unlink(missing_ok=True)
+            return
+        first = self._first
+        header = {
+            "width": first.width,
+            "height": self._height,
+            "dtype": _DTYPE_TAG,
+            "layout": _LAYOUT_TAG,
+            "nodata": first.nodata_value,
+            "origin": [first.origin[0], first.origin[1]],
+            "bands": [{"name": b.name, "wavelength_nm": b.wavelength_nm} for b in first.bands],
+        }
+        self._header_path.write_text(json.dumps(header, indent=2) + "\n")
+
+
+def save_raster(raster: Raster, path) -> None:
+    """Write ``raster`` as a header/payload pair.
+
+    ``path`` may be the header path or a bare prefix; the ``.rhdr`` /
+    ``.rbin`` suffixes are supplied as needed.
+    """
+    with RasterWriter(path, raster.height) as out:
+        out.write(raster)
+
+
+def load_raster(path, rows: slice | None = None) -> Raster:
+    """Read a header/payload pair back into a Raster: the whole grid, or
+    only the rows ``rows`` (a slice ``r0:r1`` with 0 <= r0 < r1 <= height,
+    step 1), whose origin is the header's shifted down by ``r0``.
+
+    Raises FormatError for a missing or malformed header (naming the
+    offending field), BoundsError for a window off the grid and
+    PayloadSizeError when the binary payload does not match the header
+    geometry; all of these before any payload byte is read. Each band's
+    rows are one contiguous read, at byte offset ``4·W·(b·H + r0)``, into
+    one buffer for every band, which is then frozen; the bands are views
+    of it.
+    """
+    header = read_header(path)
+    width, height = header.width, header.height
+    r0, r1 = 0, height
+    if rows is not None:
+        r0 = 0 if rows.start is None else rows.start
+        r1 = height if rows.stop is None else rows.stop
+        if rows.step not in (None, 1) or not 0 <= r0 < r1 <= height:
+            raise BoundsError(f"rows {rows.start}:{rows.stop}:{rows.step} are not a window of {height} rows")
+    _, payload_path = _paths_for(path)
+    expected = 4 * width * height * len(header.bands)
+    short = False
     try:
         with open(payload_path, "rb") as f:
             # the size is checked before anything is allocated, so a header
             # claiming a huge grid over a small payload costs nothing
             size = os.fstat(f.fileno()).st_size
             if size == expected:
-                grid = np.empty((len(names), height, width), dtype="<f4")
+                grid = np.empty((len(header.bands), r1 - r0, width), dtype="<f4")
+                for b, plane in enumerate(grid):
+                    f.seek(4 * width * (b * height + r0))
+                    short = f.readinto(plane) != plane.nbytes
+                    if short:
+                        break
                 # a file that shrank or grew since fstat fails the check below
-                size = f.readinto(grid) + len(f.read(1))
+                size = os.fstat(f.fileno()).st_size
     except OSError as exc:
         raise FormatError(f"cannot read payload {payload_path}: {exc}") from exc
-    if size != expected:
+    if short or size != expected:
         raise PayloadSizeError(
             f"payload {payload_path} holds {size} bytes, expected {expected}"
         )
     grid.setflags(write=False)
     bands = tuple(
-        Band(name=name, samples=grid[i], wavelength_nm=wavelengths[i])
-        for i, name in enumerate(names)
+        Band(name=name, samples=grid[i], wavelength_nm=wavelength)
+        for i, (name, wavelength) in enumerate(header.bands)
     )
-    return Raster(bands=bands, nodata_value=nodata, origin=origin)
+    return Raster(bands=bands, nodata_value=header.nodata_value, origin=(header.origin[0], header.origin[1] + r0))
 
 
 def usable_cpus() -> int:

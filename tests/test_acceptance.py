@@ -31,6 +31,7 @@ from palmwatch.augment import (
 from palmwatch.cli import PipelineConfig, run_pipeline
 from palmwatch.crown_detect import (
     DetectorConfig,
+    PixelSamples,
     classify_detections,
     detect_crowns,
     match_detections,
@@ -307,7 +308,8 @@ def test_criterion_6_end_to_end_synthetic_oracle():
             prob = predict_tiled(held_raster, valid, params)
         cfg = DetectorConfig()
         detections = detect_crowns(prob, cfg)
-        classify_detections(detections, held_raster, cfg)
+        samples = PixelSamples.gather(held_raster, prob.above(cfg.prob_threshold))
+        classify_detections(detections, samples, cfg)
         result = match_detections(detections, held_ann, 10.0)
 
         matched = len(result.matches)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, load_annotations, save_annotations
 from palmwatch.augment import AugmentSpec, FlipHOp, GaussianNoiseOp, spec_to_json
-from palmwatch import cli, raster_core
+from palmwatch import cli, crown_detect, raster_core
 from palmwatch.cli import PipelineConfig, build_parser, config_from, main, run_pipeline
 from palmwatch.crown_detect import DetectorConfig
 from palmwatch.indices import compute_index
@@ -328,11 +328,12 @@ class TestPipelineMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1.73 and 1.65 here: the scene, the index and masks of the
-        # vegetation stage, the output, and one tile's features and map.
-        # Whole-scene features and every tile map held until stitching
-        # took 2.38 at both sizes.
-        assert peak <= 2.0 * scene_bytes
+        # 0.77 and 0.60 here: the output and one row band (of 256 rows)
+        # with its index and masks, then detection's planes, then the
+        # classifier's position plane. Holding the whole scene with the
+        # vegetation stage's whole planes took 1.73 and 1.65; whole-scene
+        # features and every tile map held until stitching took 2.38.
+        assert peak <= 0.8 * scene_bytes
 
 
 class TestPredictDetectEval:
@@ -626,6 +627,39 @@ class TestPipeline:
         assert len(tile_plan(size, size, DEFAULT_TILE_SIZE).windows) == len(evaluated) == 4
         assert sum(evaluated) == size * size
         assert (coverage == 1).all()
+
+    def test_crowns_across_row_band_edges_keep_every_byte(self, tmp_path, monkeypatch):
+        # 64-row bands cut touching crowns, split components among them;
+        # every output must equal the one-band run's
+        raster, ann = generate_scene(
+            SceneSpec(width=200, height=256, counts={"healthy": 40, "smallish": 10, "dead": 10},
+                      min_spacing=0.0, seed=11)
+        )
+        save_raster(raster, tmp_path / "scene")
+        save_annotations(ann, tmp_path / "scene.json")
+        names = ("red", "green", "blue", "nir", "ndvi", "gndvi")
+        weights = np.array([0.0, 0.0, 0.0, 0.0, 20.0, 0.0])
+        save_params(ModelParams(names, weights, -10.0, np.zeros(6), np.ones(6)), tmp_path / "model.json")
+        splits = []
+        split = crown_detect.split_touching
+        monkeypatch.setattr(crown_detect, "split_touching", lambda *a: splits.append(1) or split(*a))
+        runs = {}
+        for tile_size in (DEFAULT_TILE_SIZE, 64):
+            config = PipelineConfig(
+                scene_path=str(tmp_path / "scene.rhdr"), model_path=str(tmp_path / "model.json"),
+                out_dir=str(tmp_path / f"run{tile_size}"), truth_path=str(tmp_path / "scene.json"), max_area=150,
+            )
+            with mock.patch.object(cli, "DEFAULT_TILE_SIZE", tile_size):
+                run_pipeline(config)
+            runs[tile_size] = {name: (tmp_path / f"run{tile_size}" / name).read_bytes() for name in cli.PIPELINE_OUTPUTS}
+        assert splits
+        crossing = [
+            f for f in json.loads(runs[64]["detections.geojson"])["features"]
+            if any(f["properties"]["bbox"][1] < edge <= f["properties"]["bbox"][3] for edge in (64, 128, 192))
+        ]
+        assert len(crossing) >= 5
+        for name in cli.PIPELINE_OUTPUTS:
+            assert runs[64][name] == runs[DEFAULT_TILE_SIZE][name], name
 
     def test_classification_reads_the_scene_bands(self, workspace, tmp_path, monkeypatch):
         # prediction reads the vegetation index joined as a band; the

@@ -17,6 +17,7 @@ from palmwatch.annotations import AnnotationSet, CrownAnnotation
 from palmwatch.crown_detect import (
     CrownDetection,
     DetectorConfig,
+    PixelSamples,
     _make_detection,
     classify_detections,
     detect_crowns,
@@ -241,6 +242,11 @@ class TestSplitTouching:
         assert dets[0].pixel_count == 900
 
 
+def all_samples(raster):
+    """The classifier's input for a whole in-memory raster: its samples at every pixel."""
+    return PixelSamples.gather(raster, np.ones((raster.height, raster.width), bool))
+
+
 class TestClassify:
     def scene(self, ndvi_target, size=40):
         # red fixed at 0.2; nir chosen so ndvi hits the target
@@ -251,7 +257,7 @@ class TestClassify:
             "blue": np.full((size, size), 0.2, np.float32),
             "nir": np.full((size, size), nir, np.float32),
         }
-        return make_raster(bands)
+        return all_samples(make_raster(bands))
 
     def detection(self, area_px):
         r = math.sqrt(area_px / math.pi)
@@ -293,7 +299,16 @@ class TestClassify:
             nodata=-1.0,
         )
         with pytest.raises(UnclassifiableError):
-            classify_detections([det], nodata_scene, DetectorConfig())
+            classify_detections([det], all_samples(nodata_scene), DetectorConfig())
+
+    def test_unclassifiable_when_a_pixel_has_no_samples(self):
+        det = self.detection(area_px=100)
+        raster = make_raster({"red": np.full((40, 40), 0.2, np.float32), "nir": np.full((40, 40), 0.6, np.float32),
+                              "green": np.full((40, 40), 0.2, np.float32)})
+        where = np.zeros((40, 40), bool)
+        where[det.pixels[0][1:], det.pixels[1][1:]] = True
+        with pytest.raises(UnclassifiableError, match="detection 1 at .* has a pixel the samples lack"):
+            classify_detections([det], PixelSamples.gather(raster, where), DetectorConfig())
 
     def test_cascade_total(self, rng):
         # every detection with >= 1 valid pixel gets exactly one label
@@ -757,7 +772,9 @@ def classify_cases(draw):
     cfg = DetectorConfig(
         smallish_diameter_px=draw(st.floats(0, 8)), dead_ndvi_max=draw(st.floats(-1, 1))
     )
-    return detections, raster, cfg
+    band_rows = draw(st.integers(1, h))
+    extra = draw(hnp.arrays(bool, (h, w)))
+    return detections, raster, cfg, band_rows, extra
 
 
 def classify_fields(dets):
@@ -769,15 +786,28 @@ def classify_fields(dets):
 def test_classify_detections_matches_per_detection_reference(case, block_px):
     """Bit for bit, the first unclassifiable detection included, for any
     split of the detections into blocks."""
-    detections, raster, cfg = case
+    detections, raster, cfg, band_rows, extra = case
     expected = copy.deepcopy(detections)
+    # gathered as the pipeline gathers them: row band by row band, at the
+    # crown pixels and some others, then joined
+    where = extra.copy()
+    for det in detections:
+        where[det.pixels] = True
+    samples = PixelSamples.join([
+        PixelSamples.gather(
+            Raster(bands=tuple(Band(b.name, b.samples[top : top + band_rows]) for b in raster.bands),
+                   nodata_value=raster.nodata_value),
+            where[top : top + band_rows], raster.height, top,
+        )
+        for top in range(0, raster.height, band_rows)
+    ])
     with mock.patch.object(raster_core, "BLOCK_PX", block_px):
         try:
             for det in expected:
                 reference_classify(det, raster, cfg)
         except UnclassifiableError:
             with pytest.raises(UnclassifiableError):
-                classify_detections(detections, raster, cfg)
+                classify_detections(detections, samples, cfg)
         else:
-            assert classify_detections(detections, raster, cfg) is detections
+            assert classify_detections(detections, samples, cfg) is detections
     assert classify_fields(detections) == classify_fields(expected)

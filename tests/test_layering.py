@@ -11,6 +11,9 @@ so the process's CPU affinity is the one way to set it. Random streams are split
 ``raster_core.stream``, so only ``raster_core`` may name the generator
 and the seed sequence that rule is built from. Crowns are discs by one
 rule, in ``annotations``, so only ``annotations`` may list lattice points.
+A raster payload is read and written by one rule, in ``raster_core``
+(band ``b``'s rows ``r0:r1`` at byte offset ``4·W·(b·H + r0)``), so no
+other module may name a call that reads or writes raw array bytes.
 """
 
 import ast
@@ -24,6 +27,7 @@ CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 STREAM_RULE_NAMES = {"Philox", "SeedSequence"}
 LATTICE_LISTERS = {"mgrid", "ogrid", "indices", "meshgrid"}
 THREAD_COUNT_PARAMETERS = {"workers", "jobs"}
+PAYLOAD_IO_NAMES = {"readinto", "pread", "preadv", "fromfile", "tofile", "memmap"}
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -115,3 +119,14 @@ def test_only_annotations_lists_lattice_points():
     )
     assert offenders == []
     assert numpy_names(PACKAGE / "annotations.py") & LATTICE_LISTERS
+
+
+def test_only_raster_core_reads_or_writes_a_payload():
+    offenders = sorted(
+        (path.name, name)
+        for path in PACKAGE.glob("*.py")
+        if path.name != "raster_core.py"
+        for name in named(path) & PAYLOAD_IO_NAMES
+    )
+    assert offenders == []
+    assert "readinto" in named(PACKAGE / "raster_core.py")

@@ -119,10 +119,10 @@ def test_traced_pipeline_with_worker_threads_keeps_every_span_in_order(perfbench
     ):
         cli.run_pipeline(config)
     spans = tracer.take()  # raises while a span is open
-    # the veg index, then each of the four tiles' gNDVI and prediction, ran
-    # on pool threads alone; the classifier's two one-row indices ran in
-    # the caller
-    assert off_caller == [True] * 9 + [False] * 2
+    # each of the two row bands' veg index, then each of its two tiles'
+    # gNDVI and prediction, ran on pool threads alone; the classifier's two
+    # one-row indices ran in the caller
+    assert off_caller == ([True] * 5) * 2 + [False] * 2
     assert set(workloads.WORKLOADS["grove"].spans) <= {span.name for span in spans}
     for span in spans:
         if span.parent is not None:

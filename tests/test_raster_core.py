@@ -1,7 +1,10 @@
 import json
+import math
+import os
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from palmwatch import raster_core
 from palmwatch.errors import (
     BandLookupError,
+    BoundsError,
     FormatError,
     PayloadSizeError,
     ShapeError,
@@ -409,3 +414,108 @@ class TestGridValidityRule:
         with pytest.raises(TypeError):
             MaskedGrid(values, np.ones((2, 2), bool))
         assert MaskedGrid(values, name="ndvi").name == "ndvi"
+
+
+class _NoPayloadRead:
+    """A payload file whose bytes must not be read: only its size is."""
+
+    def __init__(self, path, mode="rb"):
+        self.file = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def readinto(self, buffer):
+        raise AssertionError("a payload byte was read")
+
+    read = readinto
+
+
+# header mutations, each malformed, as (field, value); None deletes the field
+_BAD_HEADER_FIELDS = st.sampled_from([
+    ("width", 0), ("height", -1), ("width", "4"), ("dtype", "f64le"), ("layout", "pixel-interleaved"),
+    ("nodata", 1e39), ("origin", [0]), ("bands", []), ("bands", [{"name": "a"}, {"name": "a"}]),
+    ("bands", None), ("height", None),
+])
+
+
+class TestRowWindow:
+    """``load_raster(path, rows)`` reads rows r0:r1 of every band: the
+    whole read's rows bit for bit, the origin shifted down by r0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_window_is_the_whole_reads_rows(self, data):
+        w, h, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7)), data.draw(st.integers(1, 3))
+        nodata = data.draw(st.sampled_from([None, float("nan"), -1.0, 0.0]))
+        values = data.draw(planes.filter(lambda p: p.size >= n * h * w).map(lambda p: p.ravel()[: n * h * w]))
+        values = np.where(data.draw(arrays(bool, n * h * w)), np.float32(-1.0), values).reshape(n, h, w)
+        origin = (data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5)))
+        r0 = data.draw(st.integers(0, h - 1))
+        r1 = data.draw(st.integers(r0 + 1, h))
+        raster = Raster(
+            bands=tuple(Band(f"b{i}", values[i], wavelength_nm=float(i) if i else None) for i in range(n)),
+            nodata_value=nodata,
+            origin=origin,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            save_raster(raster, Path(tmp) / "r")
+            whole = load_raster(Path(tmp) / "r.rhdr")
+            window = load_raster(Path(tmp) / "r", slice(r0, r1))
+        assert (window.width, window.height) == (w, r1 - r0)
+        assert window.origin == (origin[0], origin[1] + r0)
+        assert window.nodata_value is nodata or window.nodata_value == nodata or math.isnan(nodata)
+        for a, b in zip(window.bands, whole.bands, strict=True):
+            assert (a.name, a.wavelength_nm) == (b.name, b.wavelength_nm)
+            np.testing.assert_array_equal(a.samples.view(np.uint32), b.samples[r0:r1].view(np.uint32))
+        np.testing.assert_array_equal(window.valid_mask().bits, whole.valid_mask().bits[r0:r1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_bad_container_raises_what_a_whole_read_raises_before_any_payload_byte(self, data):
+        w, h, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        header = minimal_header(width=w, height=h, bands=[f"b{i}" for i in range(n)])
+        size = 4 * w * h * n
+        if data.draw(st.booleans()):
+            size += data.draw(st.integers(-size, 8).filter(lambda k: k != 0))
+        else:
+            field, value = data.draw(_BAD_HEADER_FIELDS)
+            if value is None:
+                del header[field]
+            else:
+                header[field] = value
+        r0 = data.draw(st.integers(0, h - 1))
+        r1 = data.draw(st.integers(r0 + 1, h))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_container(Path(tmp), header, b"\0" * size)
+            with pytest.raises((FormatError, PayloadSizeError)) as whole:
+                load_raster(path)
+            with mock.patch.object(raster_core, "open", _NoPayloadRead, create=True):
+                with pytest.raises(type(whole.value)) as window:
+                    load_raster(path, slice(r0, r1))
+        assert str(window.value) == str(whole.value)
+
+    @pytest.mark.parametrize("rows", [slice(0, 0), slice(2, 1), slice(-1, 2), slice(0, 4), slice(0, 2, 2)])
+    def test_a_window_off_the_grid_is_a_bounds_error(self, tmp_path, rows):
+        path = write_container(tmp_path, minimal_header(width=2, height=3), b"\0" * 48)
+        with pytest.raises(BoundsError):
+            load_raster(path, rows)
+
+    def test_a_payload_that_shrinks_after_its_size_is_read_is_short(self, tmp_path):
+        path = write_container(tmp_path, minimal_header(width=2, height=3), b"\0" * 48)
+        fstat = os.fstat
+
+        def shrinking(fd):
+            stat = fstat(fd)
+            os.truncate(tmp_path / "scene.rbin", 30)
+            return stat
+
+        with mock.patch.object(raster_core.os, "fstat", shrinking):
+            with pytest.raises(PayloadSizeError, match="holds 30 bytes, expected 48"):
+                load_raster(path, slice(1, 3))
