@@ -59,12 +59,10 @@ from .indices import (
 )
 from .jsondoc import from_fields, read_document, take
 from .pixel_model import (
-    DEFAULT_NEGATIVE_RATIO,
     ModelParams,
     TrainConfig,
     build_training_set,
     check_features,
-    check_negative_ratio,
     load_params,
     predict_map,
     save_params,
@@ -517,7 +515,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     config = config_from(TrainConfig, args)
-    check_negative_ratio(args.neg_ratio)
     paths = []
     for scene_path in args.scenes:
         header = _require_file(scene_path, "scene")
@@ -527,8 +524,7 @@ def _cmd_train(args) -> int:
     # scenes are read one at a time, as build_training_set asks for them
     X, y, names = build_training_set(
         ((load_raster(header), load_annotations(ann_path)) for header, ann_path in paths),
-        negative_ratio=args.neg_ratio,
-        seed=config.seed,
+        config,
     )
     params = train(X, y, names, config)
     save_params(params, args.out)
@@ -727,15 +723,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the pixel model on annotated scenes")
     p.add_argument("scenes", nargs="+", help=".rhdr scenes; annotations expected at <stem>.json")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--epochs", type=int, default=t.epochs, help="Newton iteration cap; each iteration uses every row (default %(default)s)")
-    p.add_argument("--l2", type=float, default=t.l2, help="L2 penalty on the weights, finite (default %(default)s)")
     p.add_argument("--seed", type=int, default=t.seed, help="background-row sampling seed (default %(default)s)")
     p.add_argument(
         "--neg-ratio",
+        dest="negative_ratio",
         type=float,
-        default=DEFAULT_NEGATIVE_RATIO,
+        default=t.negative_ratio,
         help="background rows sampled per palm row (default %(default)s)",
     )
+    p.add_argument("--l2", type=float, default=t.l2, help="L2 penalty on the weights, finite (default %(default)s)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict a palm-probability map for a scene")

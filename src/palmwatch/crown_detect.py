@@ -271,7 +271,9 @@ def classify_detections(
     the pixels of ``detect_crowns``' detections are foreground pixels, so
     the samples gathered where the map is above ``cfg.prob_threshold``
     hold them. Each pixel's column is looked up in one int32 plane of the
-    scene's grid, built here. Consecutive detections are classified in
+    scene's grid, built here as a sparse set (Briggs and Torczon, 1993)
+    that is never filled: an entry is a pixel's column only where that
+    column's offset is the pixel. Consecutive detections are classified in
     blocks of at most ``raster_core.BLOCK_PX`` pixels, a few MB of
     working set on any scene. A block closes before the next crown would
     take it past that, and a larger crown is a block of its own, so a
@@ -287,9 +289,11 @@ def classify_detections(
             raise UnclassifiableError(f"detection {det.id} carries no pixels")
     if not detections:
         return detections
-    # each pixel's column in samples, -1 where it has none
     n = len(samples.offsets)
-    columns = np.full(samples.height * samples.width, -1, dtype=np.int32 if n < 2**31 else np.int64)
+    if n == 0:
+        _raise_missing(detections[0])
+    # each sample's column at its pixel; the other entries are garbage
+    columns = np.empty(samples.height * samples.width, dtype=np.int32 if n < 2**31 else np.int64)
     columns[samples.offsets] = np.arange(n, dtype=columns.dtype)
     columns = columns.reshape(samples.height, samples.width)
     block, size = [], 0
@@ -305,16 +309,23 @@ def classify_detections(
     return detections
 
 
+def _raise_missing(det: CrownDetection) -> None:
+    raise UnclassifiableError(f"detection {det.id} at {det.centroid} has a pixel the samples lack")
+
+
 def _classify_block(
     detections: list[CrownDetection], columns: np.ndarray, samples: PixelSamples, cfg: DetectorConfig
 ) -> None:
     ys = np.concatenate([det.pixels[0] for det in detections])
     xs = np.concatenate([det.pixels[1] for det in detections])
     cols = columns[ys, xs]
-    if cols.min() < 0:
+    pixel = np.multiply(ys, samples.width, dtype=np.int64)
+    pixel += xs
+    # a garbage entry may be any integer: mode "clip" reads it in range
+    missing = np.take(samples.offsets, cols, mode="clip") != pixel
+    if missing.any():
         stops = np.cumsum([len(det.pixels[1]) for det in detections])
-        det = detections[np.searchsorted(stops, np.argmax(cols < 0), side="right")]
-        raise UnclassifiableError(f"detection {det.id} at {det.centroid} has a pixel the samples lack")
+        _raise_missing(detections[np.searchsorted(stops, np.argmax(missing), side="right")])
     # every band at every crown pixel, as one 1 x N raster; a take per
     # band, as one fancy index over all bands reads them twice as slowly
     values = np.empty((len(samples.band_names), len(cols)), dtype=np.float32)

@@ -35,10 +35,11 @@ from .jsondoc import read_document, take
 from .raster_core import Band, Mask, MaskedGrid, Raster, map_row_blocks
 
 DEFAULT_INDEX_FEATURES = ("ndvi", "gndvi")
-DEFAULT_NEGATIVE_RATIO = 5.0
 
 # train stops once every component of the gradient is this small
 GRADIENT_TOLERANCE = 1e-10
+# train's safety bound on its iterations, each over every row
+MAX_NEWTON_ITERATIONS = 100
 # a step is taken once the loss falls by at least this fraction of the
 # decrease the gradient predicts for it (the Armijo condition)
 ARMIJO_FRACTION = 1e-4
@@ -96,18 +97,19 @@ def featurize(raster: Raster, mask: Mask, feature_names: tuple[str, ...]) -> Ras
 
 @dataclass
 class TrainConfig:
-    """``epochs`` caps the Newton iterations of ``train``, each over every
-    row; ``seed`` seeds the negative sampling of ``build_training_set``."""
+    """Every training setting: ``seed`` and ``negative_ratio`` choose the
+    background rows of ``build_training_set``, and ``l2`` penalizes the
+    weights in ``train``."""
 
-    epochs: int = 100
     seed: int = 0
+    negative_ratio: float = 5.0
     l2: float = 1e-4
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.negative_ratio < np.inf:
+            raise ParameterError(f"negative_ratio must be finite and >= 0, got {self.negative_ratio}")
         if not 0 <= self.l2 < np.inf:
             raise ParameterError(f"l2 must be finite and >= 0, got {self.l2}")
 
@@ -224,14 +226,15 @@ def train(
 
     Features are standardized with statistics taken from ``X`` and stored
     on the returned params. Weights and bias start at zero. Each iteration
-    takes the Newton step of the convex objective ``loss``, halved until
-    the loss meets the Armijo decrease. Training stops once every gradient
-    component is at most GRADIENT_TOLERANCE, when MAX_HALVINGS halvings
-    find no decrease (the optimum to working precision), or after
-    ``config.epochs`` iterations; zero iterations return the
-    0.5-everywhere model. Raises DegenerateDataError when only one label
-    value is present and DivergenceError (naming the iteration) if the
-    loss is non-finite.
+    takes the Newton step of the convex objective ``loss``, penalized by
+    ``config.l2``, halved until the loss meets the Armijo decrease.
+    Training stops once every gradient component is at most
+    GRADIENT_TOLERANCE, when MAX_HALVINGS halvings find no decrease (the
+    optimum to working precision), or after MAX_NEWTON_ITERATIONS
+    iterations. That cap is reached only on input like l2 = 1e300, where
+    each step is accepted on rounding noise while the gradient stays put.
+    Raises DegenerateDataError when only one label value is present and
+    DivergenceError (naming the iteration) if the loss is non-finite.
     """
     config = config or TrainConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -265,7 +268,7 @@ def train(
     if not np.isfinite(final):
         # a step is taken only to a finite loss, so only the start can fail
         raise DivergenceError("training loss became non-finite at iteration 0")
-    for _ in range(config.epochs):
+    for _ in range(MAX_NEWTON_ITERATIONS):
         grad = gradient_at(theta)
         largest = np.abs(grad).max()
         if largest <= GRADIENT_TOLERANCE:
@@ -338,16 +341,9 @@ def predict_map(raster: Raster, mask: Mask, params: ModelParams) -> MaskedGrid:
     return MaskedGrid(values)
 
 
-def check_negative_ratio(value: float) -> None:
-    """Raise ParameterError unless ``0 <= value < inf``."""
-    if not 0 <= value < np.inf:
-        raise ParameterError(f"negative_ratio must be finite and >= 0, got {value}")
-
-
 def build_training_set(
     scenes: Iterable[tuple[Raster, AnnotationSet]],
-    negative_ratio: float = DEFAULT_NEGATIVE_RATIO,
-    seed: int = 0,
+    config: TrainConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Assemble (X, y) pixel rows from annotated scenes.
 
@@ -356,15 +352,16 @@ def build_training_set(
     scene. A pixel is a candidate where the scene's ``valid_mask`` holds
     and every feature is finite. Every palm candidate (inside any crown disc)
     becomes a positive row; background candidates are subsampled to
-    ``negative_ratio`` times the positive count (seeded, without
-    replacement) to keep desk-scale training sets tractable. ``scenes``
-    may be any iterable, such as a generator that loads each scene from
-    disk: one scene is held at a time, and only its sampled rows outlive
-    it. Scenes whose crowns cover no candidate give no palm row, which
-    is a ``DegenerateDataError`` naming the candidate count.
+    ``config.negative_ratio`` times the positive count (without
+    replacement, seeded by ``config.seed``) to keep desk-scale training
+    sets tractable. ``scenes`` may be any iterable, such as a generator
+    that loads each scene from disk: one scene is held at a time, and
+    only its sampled rows outlive it. Scenes whose crowns cover no
+    candidate give no palm row, which is a ``DegenerateDataError``
+    naming the candidate count.
     """
-    check_negative_ratio(negative_ratio)
-    rng = np.random.default_rng(seed)
+    config = config or TrainConfig()
+    rng = np.random.default_rng(config.seed)
     names = None
     xs, ys = [], []
     positives = candidates = 0
@@ -390,7 +387,7 @@ def build_training_set(
         neg_candidates = np.flatnonzero((~palm & valid).ravel())
         positives += len(pos_idx)
         candidates += len(pos_idx) + len(neg_candidates)
-        keep = int(round(min(negative_ratio * len(pos_idx), len(neg_candidates))))
+        keep = int(round(min(config.negative_ratio * len(pos_idx), len(neg_candidates))))
         chosen = rng.choice(len(neg_candidates), size=keep, replace=False)
         chosen.sort()
         neg_idx = neg_candidates[chosen]

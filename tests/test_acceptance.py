@@ -298,8 +298,9 @@ def test_criterion_6_end_to_end_synthetic_oracle():
         assert len(held_ann) >= 150
         assert len(held_ann.classes_present()) == 3
 
-        X, y, names = build_training_set(train_scenes, seed=0)
-        params = train(X, y, names, TrainConfig(seed=0))
+        config = TrainConfig(seed=0)
+        X, y, names = build_training_set(train_scenes, config)
+        params = train(X, y, names, config)
 
         from palmwatch.cli import predict_tiled
 
@@ -344,8 +345,9 @@ def test_criterion_7_determinism(tmp_path):
                 seed=50 + i,
             )
             scenes.append(generate_scene(spec))
-        X, y, names = build_training_set(scenes, seed=0)
-        params = train(X, y, names, TrainConfig(epochs=80, seed=0))
+        config = TrainConfig(seed=0)
+        X, y, names = build_training_set(scenes, config)
+        params = train(X, y, names, config)
         model_path = tmp_path / "model.json"
         save_params(params, model_path)
 

@@ -50,10 +50,7 @@ def workspace(tmp_path_factory):
         assert main(["synth", str(out), "--spec", str(spec_path), "--seed", str(100 + i)]) == 0
         scene_paths.append(out / "scene.rhdr")
     model = root / "model.json"
-    code = main(
-        ["train", str(scene_paths[0]), str(scene_paths[1]), "--out", str(model), "--epochs", "60"]
-    )
-    assert code == 0
+    assert main(["train", str(scene_paths[0]), str(scene_paths[1]), "--out", str(model)]) == 0
     return {"root": root, "scenes": scene_paths, "model": model, "spec": spec_path}
 
 
@@ -905,6 +902,7 @@ class TestExitCodes:
             ["--neg-ratio", "-1"],
             ["--learning-rate", "0.1"],  # no such flag: argparse exits 2
             ["--batch-size", "32"],
+            ["--epochs", "5"],
         ],
     )
     def test_bad_train_parameter_is_config_error(self, workspace, tmp_path, capsys, flags):
@@ -970,6 +968,12 @@ class TestFlagDefaults:
     def test_train_defaults_are_the_train_defaults(self):
         args = self.parse("train", "s.rhdr", "--out", "m.json")
         assert config_from(TrainConfig, args) == TrainConfig()
+
+    def test_each_train_setting_is_one_flag(self):
+        parser = build_parser()
+        (subparsers,) = (a for a in parser._actions if a.choices and "train" in a.choices)
+        dests = {a.dest for a in subparsers.choices["train"]._actions} - {"scenes", "out", "help"}
+        assert dests == {f.name for f in fields(TrainConfig)}
 
     def test_flags_reach_their_fields(self):
         args = self.parse(

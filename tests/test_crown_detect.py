@@ -310,6 +310,26 @@ class TestClassify:
         with pytest.raises(UnclassifiableError, match="detection 1 at .* has a pixel the samples lack"):
             classify_detections([det], PixelSamples.gather(raster, where), DetectorConfig())
 
+    @pytest.mark.parametrize("garbage", [0, 1, -1, 2**31 - 1, -(2**31)])
+    def test_a_missing_pixel_is_found_whatever_the_position_plane_holds(self, garbage):
+        # the plane is never filled, so a pixel the samples lack may hold
+        # any column, a valid one included
+        first, second = self.detection(area_px=100), self.detection(area_px=60)
+        second.id, second.pixels = 2, (second.pixels[0], second.pixels[1] + 12)
+        raster = make_raster({name: np.full((40, 40), 0.4, np.float32) for name in ("red", "green", "nir")})
+        where = np.zeros((40, 40), bool)
+        where[first.pixels] = where[second.pixels] = True
+        complete = PixelSamples.gather(raster, where)
+        where[second.pixels[0][-1], second.pixels[1][-1]] = False
+        incomplete = PixelSamples.gather(raster, where)
+        empty = PixelSamples.gather(raster, np.zeros((40, 40), bool))
+        fill = lambda shape, dtype=float: np.full(shape, garbage, dtype)  # noqa: E731
+        with mock.patch.object(np, "empty", fill):
+            classify_detections([first, second], complete, DetectorConfig())
+            for samples, named in ((incomplete, 2), (empty, 1)):
+                with pytest.raises(UnclassifiableError, match=f"detection {named} at .* has a pixel the samples lack"):
+                    classify_detections([first, second], samples, DetectorConfig())
+
     def test_cascade_total(self, rng):
         # every detection with >= 1 valid pixel gets exactly one label
         scene = self.scene(0.4)

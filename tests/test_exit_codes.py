@@ -138,7 +138,7 @@ def test_every_command_keeps_the_exit_code_contract(shared, case):
             "tile": ["tile", s, str(root / "tiled"), "--tile-size", t],
             "augment": ["augment", str(root / "tiles"), str(root / "aug"), "--spec", str(root / "spec.json")],
             "synth": ["synth", str(root / "synth"), "--spec", str(shared / "synth_spec.json")],
-            "train": ["train", s, "--out", str(root / "trained.json"), "--epochs", "5"],
+            "train": ["train", s, "--out", str(root / "trained.json")],
             "predict": ["predict", s, "--model", model, "--out", str(root / "prob")],
             "detect": ["detect", str(root / "prob.rhdr"), s, "--out", str(root / "dets")],
             "eval": ["eval", str(root / "dets.geojson"), str(root / "scene.json"), "--out", str(root / "metrics")],

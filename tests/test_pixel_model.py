@@ -129,18 +129,10 @@ class TestFeaturize:
 class TestTrain:
     def test_separable_blobs_perfect_accuracy(self):
         X, y = separable_blobs()
-        params = train(X, y, ("f0", "f1"), TrainConfig(epochs=200, seed=0))
+        params = train(X, y, ("f0", "f1"))
         Xs = (X - params.norm_mean) / params.norm_std
         pred = (Xs @ params.weights + params.bias) > 0
         assert (pred == (y == 1)).mean() == 1.0
-
-    def test_zero_epochs_initialization(self, rng):
-        X, y = separable_blobs(50)
-        params = train(X, y, ("f0", "f1"), TrainConfig(epochs=0))
-        assert (params.weights == 0).all() and params.bias == 0.0
-        raster = random_raster(rng, 5, 5, band_names=("f0", "f1"))
-        prob = predict_map(raster, raster.valid_mask(), params)
-        np.testing.assert_array_equal(prob.values, np.float32(0.5))
 
     def test_full_batch_loss_non_increasing(self):
         X, y = separable_blobs(100, seed=3)
@@ -169,9 +161,8 @@ class TestTrain:
 
     def test_deterministic_bit_for_bit(self):
         X, y = separable_blobs(150, seed=5)
-        config = TrainConfig(epochs=50, seed=11)
-        a = train(X, y, ("f0", "f1"), config)
-        b = train(X, y, ("f0", "f1"), config)
+        a = train(X, y, ("f0", "f1"))
+        b = train(X, y, ("f0", "f1"))
         np.testing.assert_array_equal(
             a.weights.view(np.uint64), b.weights.view(np.uint64)
         )
@@ -189,10 +180,9 @@ class TestTrain:
         base = np.stack(cols, axis=1)
         y = (base.sum(axis=1) > 0).astype(np.float64)
         y[:4] = 1 - y[:4]  # keep both classes guaranteed
-        config = TrainConfig(epochs=30, seed=2)
-        standard = train(base, y, ("a", "b", "c"), config)
+        standard = train(base, y, ("a", "b", "c"))
         assert (standard.norm_mean == 0).all() and (standard.norm_std == 1).all()
-        pre = train((base - standard.norm_mean) / standard.norm_std, y, ("a", "b", "c"), config)
+        pre = train((base - standard.norm_mean) / standard.norm_std, y, ("a", "b", "c"))
         np.testing.assert_array_equal(standard.weights, pre.weights)
         assert standard.bias == pre.bias
 
@@ -218,8 +208,13 @@ class TestTrain:
 
     def test_reports_final_loss(self):
         X, y = separable_blobs(80)
-        params = train(X, y, ("f0", "f1"), TrainConfig(epochs=20))
+        params = train(X, y, ("f0", "f1"))
         assert params.final_loss is not None and np.isfinite(params.final_loss)
+
+    @pytest.mark.parametrize("ratio", [np.nan, np.inf, -1.0])
+    def test_bad_negative_ratio_is_rejected(self, ratio):
+        with pytest.raises(ParameterError, match="negative_ratio must be finite and >= 0"):
+            TrainConfig(negative_ratio=ratio)
 
 
 @st.composite
@@ -368,8 +363,12 @@ class TestPredict:
         )
 
     def test_zero_params_half_everywhere(self, rng):
+        # zero weights and bias predict 0.5 under any standardization
         raster = random_raster(rng, 6, 6)
         prob = predict_map(raster, raster.valid_mask(), self.params([0.0, 0.0], 0.0))
+        np.testing.assert_array_equal(prob.values, np.float32(0.5))
+        params = ModelParams(("red", "nir"), np.zeros(2), 0.0, rng.normal(size=2), rng.uniform(0.1, 10, 2))
+        prob = predict_map(raster, raster.valid_mask(), params)
         np.testing.assert_array_equal(prob.values, np.float32(0.5))
 
     def test_monotone_in_positive_weight(self, rng):
@@ -709,9 +708,9 @@ class TestTrainingRows:
         if not want_y.any():
             # no crown covers a candidate: no row could teach the palm label
             with pytest.raises(DegenerateDataError, match="no crown covers any of the"):
-                build_training_set(scenes, negative_ratio=ratio, seed=seed)
+                build_training_set(scenes, TrainConfig(seed=seed, negative_ratio=ratio))
             return
-        X, y, names = build_training_set(scenes, negative_ratio=ratio, seed=seed)
+        X, y, names = build_training_set(scenes, TrainConfig(seed=seed, negative_ratio=ratio))
         assert names == ALL_FEATURES
         np.testing.assert_array_equal(X.view(np.uint64), want_X.view(np.uint64))
         np.testing.assert_array_equal(y, want_y)
