@@ -18,7 +18,7 @@ from palmwatch.errors import (
     ShapeError,
 )
 from palmwatch.cli import predict_tiled
-from palmwatch import cli, raster_core
+from palmwatch import cli, pixel_model, raster_core
 from palmwatch.indices import compute_index, ndvi, vegetation_mask
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, rasterize_labels
 from palmwatch.pixel_model import (
@@ -133,6 +133,16 @@ class TestTrain:
         Xs = (X - params.norm_mean) / params.norm_std
         pred = (Xs @ params.weights + params.bias) > 0
         assert (pred == (y == 1)).mean() == 1.0
+
+    def test_zero_epochs_initialization(self, rng, monkeypatch):
+        # with no Newton iteration allowed the fit is its starting point
+        monkeypatch.setattr(pixel_model, "MAX_NEWTON_ITERATIONS", 0)
+        X, y = separable_blobs(50)
+        params = train(X, y, ("f0", "f1"))
+        assert (params.weights == 0).all() and params.bias == 0.0
+        raster = random_raster(rng, 5, 5, band_names=("f0", "f1"))
+        prob = predict_map(raster, raster.valid_mask(), params)
+        np.testing.assert_array_equal(prob.values, np.float32(0.5))
 
     def test_full_batch_loss_non_increasing(self):
         X, y = separable_blobs(100, seed=3)
