@@ -68,7 +68,9 @@ from .pixel_model import (
     save_params,
     train,
 )
-from .raster_core import Band, Mask, MaskedGrid, Raster, RasterWriter, load_raster, read_header, save_raster
+from .raster_core import (
+    Band, Mask, MaskedGrid, Raster, RasterWriter, load_raster, raster_paths, read_header, save_raster,
+)
 from .synth_scene import SceneSpec, generate_scene, load_spec as load_scene_spec, spec_to_json
 from .tiling import (
     DEFAULT_TILE_SIZE,
@@ -133,6 +135,17 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _refuse_to_replace(inputs, out_dir, replaced) -> None:
+    """Raise ConfigurationError when an input file is one that a run
+    removes or writes: a file in ``out_dir`` whose name ``replaced``
+    holds for. A symbolic link counts as itself and as its target."""
+    out_dir = Path(out_dir).resolve()
+    for path in inputs:
+        for entry in (path.parent.resolve() / path.name, path.resolve()):
+            if entry.parent == out_dir and replaced(entry.name):
+                raise ConfigurationError(f"input {path} is a file this run replaces in {out_dir}")
+
+
 def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
     samples = mask.bits.astype(np.float32)
     samples.setflags(write=False)
@@ -151,71 +164,36 @@ def _prediction_plan(width: int, height: int) -> TilePlan:
     return replace(plan, windows=tuple(replace(w, padded_right=0, padded_bottom=0) for w in plan.windows))
 
 
-def _row_bands(plan: TilePlan) -> list[slice]:
-    """The scene rows of each plan row, top to bottom."""
-    firsts = plan.windows[:: plan.n_cols]
-    return [slice(w.y, w.y + w.height) for w in firsts]
+def _plan_rows(plan: TilePlan):
+    """Each plan row, top to bottom: its scene rows and its windows,
+    shifted up to the row band's top."""
+    for first in range(0, len(plan.windows), plan.n_cols):
+        windows = plan.windows[first : first + plan.n_cols]
+        top = windows[0].y
+        yield slice(top, top + windows[0].height), [replace(w, y=0) for w in windows]
 
 
-def _rows_of(scene: Raster, rows: slice) -> Raster:
-    """The rows ``rows`` of an in-memory scene as a raster of views, its
-    origin shifted down to them, as ``load_raster`` reads a row window."""
-    return Raster(
-        bands=tuple(Band(name=b.name, samples=b.samples[rows], wavelength_nm=b.wavelength_nm) for b in scene.bands),
-        nodata_value=scene.nodata_value,
-        origin=(scene.origin[0], scene.origin[1] + rows.start),
-    )
-
-
-def predict_rows(plan: TilePlan, read_rows, params: ModelParams, on_map=None) -> MaskedGrid:
-    """The tiled prediction loop: walk ``plan`` one plan row at a time,
-    predict that row's tiles in plan order and stream them into
-    ``stitch``.
-
-    ``read_rows(rows)`` gives, for the scene rows ``rows`` of one plan
-    row, the features as a raster of those rows (origin shifted to them)
-    and the prediction mask of those rows; it is called once per plan row,
-    top to bottom, and only after the previous row's band is released, so
-    besides the output only one row band, one tile's features and one
-    tile map are alive. ``predict_map`` takes each feature that is a band
-    of the features as it is and derives the others over the tile, so an
-    index that a caller joined as a band is reused. The model's features
-    are checked against each band before its first tile.
-    ``on_map(window, map)``, when given, sees each tile's plan window and
-    map before ``stitch`` does.
-
-    The model reads each pixel's own features alone, so neither the tile
-    size, a margin around a tile nor the row band could change an output
-    byte.
+def _tile_maps(features: Raster, mask: Mask, windows, params: ModelParams):
+    """Each of ``windows`` of ``features`` in turn, with its tile's map
+    under ``mask``. A feature that is a band of ``features``, such as an
+    index a caller joined, is taken as it is. The model reads each
+    pixel's own features alone, so no tiling could change an output byte.
     """
-
-    def maps():
-        for row, rows in enumerate(_row_bands(plan)):
-            features, mask = read_rows(rows)
-            check_features(features, mask, params.features)
-            for window in plan.windows[row * plan.n_cols : (row + 1) * plan.n_cols]:
-                local = replace(window, y=0)
-                tile = extract_tile(features, local)
-                pmap = predict_map(tile, Mask(window_of(mask.bits, local, False)), params)
-                if on_map is not None:
-                    on_map(window, pmap)
-                yield pmap
-            # so that the next band is read after this one is freed
-            del features, mask, tile, pmap
-
-    return stitch(plan, maps())
+    for window in windows:
+        # bound until the next map is made: predict_map runs slower when
+        # the previous map's memory was handed back just before
+        pmap = predict_map(extract_tile(features, window), Mask(window_of(mask.bits, window, False)), params)
+        yield window, pmap
 
 
 def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams) -> MaskedGrid:
-    """``predict_rows`` over an in-memory scene, handing it row views of
-    the scene and of ``prediction_mask``. The model's features are checked
-    against the scene before any pixel work."""
+    """The probability map of an in-memory scene, its prediction plan's
+    tiles (views of the scene) predicted in turn and stitched. The
+    model's features are checked against the scene before any pixel
+    work."""
     check_features(scene, prediction_mask, params.features)
-    return predict_rows(
-        _prediction_plan(scene.width, scene.height),
-        lambda rows: (_rows_of(scene, rows), Mask(prediction_mask.bits[rows])),
-        params,
-    )
+    plan = _prediction_plan(scene.width, scene.height)
+    return stitch(plan, (pmap for _, pmap in _tile_maps(scene, prediction_mask, plan.windows, params)))
 
 
 def evaluate_detections(detections, truth: AnnotationSet, max_dist: float):
@@ -259,9 +237,10 @@ PIPELINE_OUTPUTS = (
 
 
 def _vegetation_rows(band: Raster, config: PipelineConfig, params: ModelParams):
-    """A row band's vegetation stage: its prediction features (the band
-    with the index joined, unless a band of that name comes first), its
-    prediction mask, its valid pixel count and its vegetation mask."""
+    """A row band's vegetation stage: the band, its prediction features
+    (the band with the index joined, unless a band of that name comes
+    first), its prediction mask, its valid pixel count and its vegetation
+    mask."""
     valid = band.valid_mask()
     check_features(band, valid, params.features)
     index = compute_index(band, valid, config.veg_index)
@@ -280,7 +259,7 @@ def _vegetation_rows(band: Raster, config: PipelineConfig, params: ModelParams):
             nodata_value=band.nodata_value,
             origin=band.origin,
         )
-    return features, prediction_mask, valid.count(), veg
+    return band, features, prediction_mask, valid.count(), veg
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -297,20 +276,24 @@ def run_pipeline(config: PipelineConfig) -> dict:
     comes from the settings its manifest records, even when the run fails
     later.
 
-    The scene is never held whole: ``predict_rows`` reads it one plan row
-    band at a time, and per band the valid, index and vegetation rows are
-    computed, the vegetation rows are written to veg_mask, the tiles are
-    predicted, and the scene's band samples are gathered at the pixels
-    above ``prob_threshold``, which are every pixel a detection can hold,
-    for classification. Besides one row band, memory holds the
-    probability map, then detection's planes and classification's
-    position plane in turn.
+    The scene is never held whole: a generator walks the prediction plan
+    one plan row at a time and hands ``stitch`` each tile map as it is
+    made. Per row band it reads the band, computes its valid, index and
+    vegetation rows, writes the vegetation rows to veg_mask and drops
+    them, predicts the band's tiles, and after the last tile gathers the
+    scene's band samples at the pixels above ``prob_threshold``, which
+    are every pixel a detection can hold, for classification; the band
+    is released before the next is read. Besides one row band, memory
+    holds the probability map, then detection's planes and
+    classification's position plane in turn.
     """
     scene_path = _require_file(config.scene_path, "scene")
     model_path = _require_file(config.model_path, "model")
+    inputs = [*raster_paths(scene_path), model_path]
     truth = None
     if config.truth_path is not None:
         truth_path = _require_file(config.truth_path, "truth annotations")
+        inputs.append(truth_path)
     if config.veg_index not in INDEX_REGISTRY:
         raise ConfigurationError(
             f"veg_index must be one of {sorted(INDEX_REGISTRY)}, got {config.veg_index!r}"
@@ -318,14 +301,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
     check_vegetation_threshold(config.veg_threshold)
     check_max_centroid_dist(config.match_max_dist)
     detector = config.detector_config()
+    _refuse_to_replace(inputs, config.out_dir, lambda name: name in PIPELINE_OUTPUTS or name == "manifest.json")
 
     scene = read_header(scene_path)
     plan = _prediction_plan(scene.width, scene.height)
     params = load_params(model_path)
     if config.truth_path is not None:
         truth = load_annotations(truth_path)
-    first = _row_bands(plan)[0]
-    pending = {first.start: _vegetation_rows(load_raster(scene_path, first), config, params)}
+    # the first row band's stage, which checks its payload and the model's
+    # fit to its bands
+    stage = _vegetation_rows(load_raster(scene_path, next(_plan_rows(plan))[0]), config, params)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -338,33 +323,29 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     valid_px = veg_px = 0
     parts = []
-    # the row band being predicted (the scene's own bands) and where its
-    # tile maps are above prob_threshold
-    band = foreground = None
 
-    def read_rows(rows):
-        nonlocal valid_px, veg_px, band, foreground
-        features, prediction_mask, n_valid, veg = pending.pop(rows.start, None) or _vegetation_rows(
-            load_raster(scene_path, rows), config, params
-        )
-        veg_out.write(_mask_to_raster(veg, "veg_mask", features.origin))
-        valid_px += n_valid
-        veg_px += veg.count()
-        band = Raster(bands=features.bands[: len(scene.bands)], nodata_value=features.nodata_value)
-        foreground = np.empty((rows.stop - rows.start, scene.width), dtype=bool)
-        return features, prediction_mask
-
-    def gather(window, pmap):
-        nonlocal band, foreground
-        foreground[:, window.x : window.x + window.width] = pmap.above(detector.prob_threshold)
-        if window.x + window.width == scene.width:
-            # the band's last tile: keep its samples at the foreground, then
-            # let the band go before the next is read
-            parts.append(PixelSamples.gather(band, foreground, scene.height, window.y))
-            band = foreground = None
+    def maps():
+        nonlocal stage, valid_px, veg_px
+        for rows, windows in _plan_rows(plan):
+            if stage is None:
+                stage = _vegetation_rows(load_raster(scene_path, rows), config, params)
+            band, features, prediction_mask, n_valid, veg = stage
+            stage = None
+            veg_out.write(_mask_to_raster(veg, "veg_mask", band.origin))
+            valid_px += n_valid
+            veg_px += veg.count()
+            del veg
+            # where the band's tile maps are above prob_threshold
+            foreground = np.empty((rows.stop - rows.start, scene.width), dtype=bool)
+            for window, pmap in _tile_maps(features, prediction_mask, windows, params):
+                foreground[:, window.x : window.x + window.width] = pmap.above(detector.prob_threshold)
+                yield pmap
+            parts.append(PixelSamples.gather(band, foreground, scene.height, rows.start))
+            # so that the next band is read after this one is freed
+            del band, features, prediction_mask, foreground, pmap
 
     with RasterWriter(out_dir / "veg_mask", scene.height) as veg_out:
-        prob = predict_rows(plan, read_rows, params, on_map=gather)
+        prob = stitch(plan, maps())
     veg_fraction = veg_px / max(valid_px, 1)
     samples = PixelSamples.join(parts)
     del parts
@@ -443,14 +424,18 @@ def _cmd_index(args) -> int:
 
 def _cmd_tile(args) -> int:
     check_tiling(args.tile_size, args.overlap)
-    scene = load_raster(_require_file(args.scene, "scene"))
+    scene_path = _require_file(args.scene, "scene")
+    # an earlier plan's tiles and their annotations in the output directory
+    # must not pass for this plan's; only the names tile writes (ASCII
+    # digits) go
+    replaced = partial(re.fullmatch, r"tile_[0-9]+_[0-9]+\.(rhdr|rbin|json)")
+    _refuse_to_replace(raster_paths(scene_path), args.out_dir, replaced)
+    scene = load_raster(scene_path)
     plan = tile_plan(scene.width, scene.height, args.tile_size, args.overlap)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # an earlier plan's tiles and their annotations in this directory must not
-    # pass for this plan's; only the names tile writes (ASCII digits) go
     for path in out_dir.glob("tile_*_*.*"):
-        if re.fullmatch(r"tile_[0-9]+_[0-9]+\.(rhdr|rbin|json)", path.name):
+        if replaced(path.name):
             path.unlink()
     for i, window in enumerate(plan.windows):
         row, col = divmod(i, plan.n_cols)
@@ -539,12 +524,17 @@ def _cmd_predict(args) -> int:
     scene_path = _require_file(args.scene, "scene")
     scene = read_header(scene_path)
     params = load_params(_require_file(args.model, "model"))
+    plan = _prediction_plan(scene.width, scene.height)
 
-    def read_rows(rows):
-        band = load_raster(scene_path, rows)
-        return band, band.valid_mask()
+    def maps():
+        for rows, windows in _plan_rows(plan):
+            band = load_raster(scene_path, rows)
+            for _, pmap in _tile_maps(band, band.valid_mask(), windows, params):
+                yield pmap
+            # so that the next band is read after this one is freed
+            del band, pmap
 
-    prob = predict_rows(_prediction_plan(scene.width, scene.height), read_rows, params)
+    prob = stitch(plan, maps())
     save_raster(prob.to_raster(origin=scene.origin), args.out)
     print(f"wrote probability map to {args.out}.rhdr")
     return 0
@@ -578,7 +568,7 @@ def _cmd_detect(args) -> int:
             load_raster(scene_path, rows), MaskedGrid(prob.values[rows]).above(cfg.prob_threshold),
             scene.height, rows.start,
         )
-        for rows in _row_bands(_prediction_plan(scene.width, scene.height))
+        for rows, _ in _plan_rows(_prediction_plan(scene.width, scene.height))
     ])
     detections = detect_crowns(prob, cfg)
     classify_detections(detections, samples, cfg)

@@ -231,8 +231,8 @@ def train(
     Training stops once every gradient component is at most
     GRADIENT_TOLERANCE, when MAX_HALVINGS halvings find no decrease (the
     optimum to working precision), or after MAX_NEWTON_ITERATIONS
-    iterations. That cap is reached only on input like l2 = 1e300, where
-    each step is accepted on rounding noise while the gradient stays put.
+    iterations, a safety bound: a step whose loss change is rounding
+    noise must lower the gradient, so even l2 = 1e300 stops on its own.
     Raises DegenerateDataError when only one label value is present and
     DivergenceError (naming the iteration) if the loss is non-finite.
     """
@@ -282,9 +282,9 @@ def train(
             # which fails the tests below and is halved like any other
             with np.errstate(over="ignore", invalid="ignore"):
                 trial = objective(candidate)
-            # near the optimum the decrease drowns in the loss's rounding;
-            # there a smaller gradient is the evidence of progress
-            if trial <= final + t * armijo or (
+            # Armijo, on a loss that strictly falls; near the optimum the
+            # decrease drowns in rounding, and a smaller gradient shows progress
+            if (trial < final and trial <= final + t * armijo) or (
                 abs(trial - final) <= LOSS_ROUNDING * final
                 and np.abs(gradient_at(candidate)).max() < largest
             ):

@@ -292,7 +292,8 @@ class Raster:
         return bits
 
 
-def _paths_for(path) -> tuple[Path, Path]:
+def raster_paths(path) -> tuple[Path, Path]:
+    """The (header, payload) paths of a raster's header path or prefix."""
     p = Path(path)
     if p.suffix == HEADER_SUFFIX:
         header = p
@@ -321,7 +322,7 @@ def read_header(path) -> RasterHeader:
     Raises FormatError for a missing or malformed header, naming the
     offending field.
     """
-    header_path, _ = _paths_for(path)
+    header_path, _ = raster_paths(path)
     header = read_document(header_path, "header")
     where = f"header {header_path}"
     width = take(header, "width", int, where)
@@ -363,7 +364,7 @@ class RasterWriter:
     """
 
     def __init__(self, path, height: int):
-        self._header_path, self._payload_path = _paths_for(path)
+        self._header_path, self._payload_path = raster_paths(path)
         self._height = height
         self._top = 0
         self._first: Raster | None = None
@@ -437,7 +438,7 @@ def load_raster(path, rows: slice | None = None) -> Raster:
         r1 = height if rows.stop is None else rows.stop
         if rows.step not in (None, 1) or not 0 <= r0 < r1 <= height:
             raise BoundsError(f"rows {rows.start}:{rows.stop}:{rows.step} are not a window of {height} rows")
-    _, payload_path = _paths_for(path)
+    _, payload_path = raster_paths(path)
     expected = 4 * width * height * len(header.bands)
     short = False
     try:

@@ -148,6 +148,14 @@ class TestTileCommand:
         assert (load_raster(out / "tile_1_1.rhdr").width, (out / "notes.txt").read_text()) == (300, "kept")
         assert (out / arabic).read_text() == "kept"
 
+    def test_a_scene_at_a_tile_name_is_refused(self, tmp_path, capsys):
+        # tile used to replace a scene at one of its tile names with a tile
+        save_raster(random_raster(np.random.default_rng(2), 300, 300), tmp_path / "tile_0_0")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(["tile", str(tmp_path / "tile_0_0.rhdr"), str(tmp_path), "--tile-size", "100"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: input ")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
 
 class TestAugmentCommand:
     def test_augments_directory(self, workspace, tmp_path):
@@ -331,6 +339,26 @@ class TestPipelineMemory:
         # vegetation stage's whole planes took 1.73 and 1.65; whole-scene
         # features and every tile map held until stitching took 2.38.
         assert peak <= 0.8 * scene_bytes
+
+    def test_predict_holds_one_row_band(self, tmp_path):
+        # 32 row bands of 64 rows, 8 tiles each
+        width, height, tile_size = 512, 2048, 64
+        raster = random_raster(np.random.default_rng(7), width, height, ("red", "green", "blue", "nir"))
+        save_raster(raster, tmp_path / "scene")
+        band_bytes = sum(b.samples.nbytes for b in raster.bands) * tile_size // height
+        del raster
+        save_params(ModelParams(("red", "nir", "ndvi"), np.ones(3), 0.0, np.zeros(3), np.ones(3)), tmp_path / "m.json")
+        tracemalloc.start()
+        try:
+            with mock.patch.object(cli, "DEFAULT_TILE_SIZE", tile_size):
+                assert main(["predict", str(tmp_path / "scene.rhdr"), "--model", str(tmp_path / "m.json"),
+                             "--out", str(tmp_path / "prob")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.67 bands besides the map; reading the next band before the
+        # last one is dropped took 2.36
+        assert peak <= 4 * width * height + 2 * band_bytes
 
 
 class TestPredictDetectEval:
@@ -541,7 +569,8 @@ class TestPipeline:
         )
         run_pipeline(config)
         assert json.loads((out / "eval.json").read_text())["detection"]["matched"] > 0
-        assert (out / "metrics.csv").is_file() and (out / "metrics.json").is_file()
+        # the list a run clears is every file a run with truth writes
+        assert sorted(path.name for path in out.iterdir()) == sorted([*cli.PIPELINE_OUTPUTS, "manifest.json"])
         truth_path = None
         if second_truth is not None:
             truth_path = str(tmp_path / "empty.json")
@@ -554,6 +583,22 @@ class TestPipeline:
             assert json.loads((out / "eval.json").read_text())["detection"]["matched"] == 0
         written = {Path(path).name for path in summary["outputs"].values()} | {"probability.rbin", "veg_mask.rbin"}
         assert {path.name for path in out.iterdir()} == written
+
+    @pytest.mark.parametrize("flag, name", [("--scene", "veg_mask"), ("--scene", "probability"), ("--truth", "eval")])
+    def test_an_input_at_an_output_path_is_refused(self, workspace, tmp_path, capsys, flag, name):
+        # a scene at veg_mask or probability, or truth at eval.json, used
+        # to be removed or overwritten by the run that read it
+        out = tmp_path / "run"
+        assert self.run(workspace, out) == 0
+        scene = workspace["scenes"][2]
+        suffixes = (".rhdr", ".rbin") if flag == "--scene" else (".json",)
+        for suffix in suffixes:
+            (out / (name + suffix)).write_bytes(scene.with_suffix(suffix).read_bytes())
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert self.run(workspace, out, [flag, str(out / (name + suffixes[0]))]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: input ")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_a_failed_rerun_leaves_no_earlier_output(self, workspace, tmp_path, monkeypatch):
         # a second run that failed in detection used to leave its veg_mask

@@ -304,6 +304,16 @@ class TestNewtonSolver:
         assert np.abs(params.weights).max() < 1e-290
         assert params.bias == pytest.approx(np.log(y.mean() / (1 - y.mean())), abs=1e-12)
 
+    def test_overwhelming_l2_stops_before_the_cap(self):
+        # every step's loss change rounds to 0 at l2 = 1e300; such steps
+        # used to pass the Armijo test, so all 100 iterations ran on noise
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(300, 3))
+        y = (rng.random(300) < 0.2).astype(np.float64)
+        with mock.patch.object(pixel_model, "newton_step", wraps=pixel_model.newton_step) as step:
+            train(X, y, feature_names_for(X), TrainConfig(l2=1e300))
+        assert step.call_count < pixel_model.MAX_NEWTON_ITERATIONS
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("extra", ["none", "constant", "repeated"])
     def test_separable_without_l2_stays_finite(self, seed, extra):
