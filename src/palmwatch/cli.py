@@ -146,6 +146,13 @@ def _refuse_to_replace(inputs, out_dir, replaced) -> None:
                 raise ConfigurationError(f"input {path} is a file this run replaces in {out_dir}")
 
 
+def _refuse_to_overwrite(inputs, prefix) -> None:
+    """``_refuse_to_replace`` for a command that writes the raster at
+    ``prefix``: an input may be neither its header nor its payload."""
+    written = raster_paths(prefix)
+    _refuse_to_replace(inputs, written[0].parent, lambda name: name in {path.name for path in written})
+
+
 def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
     samples = mask.bits.astype(np.float32)
     samples.setflags(write=False)
@@ -165,25 +172,26 @@ def _prediction_plan(width: int, height: int) -> TilePlan:
 
 
 def _plan_rows(plan: TilePlan):
-    """Each plan row, top to bottom: its scene rows and its windows,
-    shifted up to the row band's top."""
+    """Each plan row, top to bottom: its scene rows and the one-row plan
+    of its row band, the row's windows shifted up to the band's top."""
     for first in range(0, len(plan.windows), plan.n_cols):
         windows = plan.windows[first : first + plan.n_cols]
-        top = windows[0].y
-        yield slice(top, top + windows[0].height), [replace(w, y=0) for w in windows]
+        top, height = windows[0].y, windows[0].height
+        row_plan = replace(plan, scene_height=height, n_rows=1, windows=tuple(replace(w, y=0) for w in windows))
+        yield slice(top, top + height), row_plan
 
 
 def _tile_maps(features: Raster, mask: Mask, windows, params: ModelParams):
-    """Each of ``windows`` of ``features`` in turn, with its tile's map
-    under ``mask``. A feature that is a band of ``features``, such as an
-    index a caller joined, is taken as it is. The model reads each
-    pixel's own features alone, so no tiling could change an output byte.
+    """The map of each of ``windows`` of ``features`` in turn, under
+    ``mask``. A feature that is a band of ``features``, such as an index
+    a caller joined, is taken as it is. The model reads each pixel's own
+    features alone, so no tiling could change an output byte.
     """
     for window in windows:
         # bound until the next map is made: predict_map runs slower when
         # the previous map's memory was handed back just before
         pmap = predict_map(extract_tile(features, window), Mask(window_of(mask.bits, window, False)), params)
-        yield window, pmap
+        yield pmap
 
 
 def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams) -> MaskedGrid:
@@ -193,7 +201,7 @@ def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams) -> 
     work."""
     check_features(scene, prediction_mask, params.features)
     plan = _prediction_plan(scene.width, scene.height)
-    return stitch(plan, (pmap for _, pmap in _tile_maps(scene, prediction_mask, plan.windows, params)))
+    return stitch(plan, _tile_maps(scene, prediction_mask, plan.windows, params))
 
 
 def evaluate_detections(detections, truth: AnnotationSet, max_dist: float):
@@ -276,16 +284,19 @@ def run_pipeline(config: PipelineConfig) -> dict:
     comes from the settings its manifest records, even when the run fails
     later.
 
-    The scene is never held whole: a generator walks the prediction plan
-    one plan row at a time and hands ``stitch`` each tile map as it is
-    made. Per row band it reads the band, computes its valid, index and
-    vegetation rows, writes the vegetation rows to veg_mask and drops
-    them, predicts the band's tiles, and after the last tile gathers the
-    scene's band samples at the pixels above ``prob_threshold``, which
-    are every pixel a detection can hold, for classification; the band
-    is released before the next is read. Besides one row band, memory
-    holds the probability map, then detection's planes and
-    classification's position plane in turn.
+    Neither the scene nor the probability map is ever held whole: a
+    generator walks the prediction plan one plan row at a time and hands
+    ``save_raster`` the probability rows of each row band. Per row band
+    it reads the band, computes its valid, index and vegetation rows,
+    writes the vegetation rows to veg_mask and drops them, ``stitch``es
+    the band's tile maps on the row's one-row plan as they are made, and
+    gathers the foreground samples (``PixelSamples``): the pixels above
+    ``prob_threshold``, which are every pixel a detection can hold, with
+    their probability and the scene's band samples. The band map is
+    written to probability, and the band and its map are released before
+    the next band is read. Detection labels the samples one row band at a
+    time and classification reads them, so at any scene size memory holds
+    one row band's planes besides the foreground samples.
     """
     scene_path = _require_file(config.scene_path, "scene")
     model_path = _require_file(config.model_path, "model")
@@ -324,9 +335,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     valid_px = veg_px = 0
     parts = []
 
-    def maps():
+    def probability_rows():
         nonlocal stage, valid_px, veg_px
-        for rows, windows in _plan_rows(plan):
+        for rows, row_plan in _plan_rows(plan):
             if stage is None:
                 stage = _vegetation_rows(load_raster(scene_path, rows), config, params)
             band, features, prediction_mask, n_valid, veg = stage
@@ -335,25 +346,21 @@ def run_pipeline(config: PipelineConfig) -> dict:
             valid_px += n_valid
             veg_px += veg.count()
             del veg
-            # where the band's tile maps are above prob_threshold
-            foreground = np.empty((rows.stop - rows.start, scene.width), dtype=bool)
-            for window, pmap in _tile_maps(features, prediction_mask, windows, params):
-                foreground[:, window.x : window.x + window.width] = pmap.above(detector.prob_threshold)
-                yield pmap
-            parts.append(PixelSamples.gather(band, foreground, scene.height, rows.start))
+            prob = stitch(row_plan, _tile_maps(features, prediction_mask, row_plan.windows, params))
+            parts.append(PixelSamples.gather(prob, detector.prob_threshold, band, height=scene.height, top=rows.start))
+            origin = band.origin
             # so that the next band is read after this one is freed
-            del band, features, prediction_mask, foreground, pmap
+            del band, features, prediction_mask
+            yield prob.to_raster(origin)
+            del prob
 
     with RasterWriter(out_dir / "veg_mask", scene.height) as veg_out:
-        prob = stitch(plan, maps())
+        save_raster(probability_rows(), out_dir / "probability", scene.height)
     veg_fraction = veg_px / max(valid_px, 1)
     samples = PixelSamples.join(parts)
     del parts
-    save_raster(prob.to_raster(origin=scene.origin), out_dir / "probability")
 
-    detections = detect_crowns(prob, detector)
-    # classification reads the gathered samples, not the map
-    del prob
+    detections = detect_crowns(samples, detector)
     classify_detections(detections, samples, detector)
     write_geojson(detections, out_dir / "detections.geojson", origin=scene.origin)
     write_csv(detections, out_dir / "detections.csv", origin=scene.origin)
@@ -393,7 +400,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
 def _cmd_index(args) -> int:
     if args.veg_mask is not None:
         check_vegetation_threshold(args.veg_threshold)
-    scene = load_raster(_require_file(args.scene, "scene"))
+    scene_path = _require_file(args.scene, "scene")
+    for prefix in (args.out, args.veg_mask):
+        if prefix is not None:
+            _refuse_to_overwrite(raster_paths(scene_path), prefix)
+    scene = load_raster(scene_path)
     valid = scene.valid_mask()
     index = compute_index(scene, valid, args.index)
     save_raster(index.to_raster(origin=scene.origin), args.out)
@@ -522,55 +533,56 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     scene_path = _require_file(args.scene, "scene")
+    _refuse_to_overwrite(raster_paths(scene_path), args.out)
     scene = read_header(scene_path)
     params = load_params(_require_file(args.model, "model"))
     plan = _prediction_plan(scene.width, scene.height)
 
-    def maps():
-        for rows, windows in _plan_rows(plan):
+    def probability_rows():
+        for rows, row_plan in _plan_rows(plan):
             band = load_raster(scene_path, rows)
-            for _, pmap in _tile_maps(band, band.valid_mask(), windows, params):
-                yield pmap
+            prob = stitch(row_plan, _tile_maps(band, band.valid_mask(), row_plan.windows, params))
+            origin = band.origin
             # so that the next band is read after this one is freed
-            del band, pmap
+            del band
+            yield prob.to_raster(origin)
+            del prob
 
-    prob = stitch(plan, maps())
-    save_raster(prob.to_raster(origin=scene.origin), args.out)
+    save_raster(probability_rows(), args.out, scene.height)
     print(f"wrote probability map to {args.out}.rhdr")
     return 0
 
 
 def _cmd_detect(args) -> int:
     cfg = config_from(DetectorConfig, args)
-    prob_raster = load_raster(_require_file(args.prob, "probability map"))
+    prob_path = _require_file(args.prob, "probability map")
+    grid = read_header(prob_path)
     scene_path = _require_file(args.scene, "scene")
     scene = read_header(scene_path)
-    if (prob_raster.width, prob_raster.height, prob_raster.origin) != (
-        scene.width,
-        scene.height,
-        scene.origin,
-    ):
+    if (grid.width, grid.height, grid.origin) != (scene.width, scene.height, scene.origin):
         raise ShapeError(
-            f"probability map ({prob_raster.width}x{prob_raster.height} at "
-            f"{prob_raster.origin}) does not cover the scene's grid "
-            f"({scene.width}x{scene.height} at {scene.origin})"
+            f"probability map ({grid.width}x{grid.height} at {grid.origin}) does not cover the "
+            f"scene's grid ({scene.width}x{scene.height} at {scene.origin})"
         )
-    prob = MaskedGrid.from_raster(prob_raster)
-    probs = prob.values[prob.valid]
-    if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
-        raise DomainError(
-            f"probability map values must lie in [0, 1], got {probs.min()} to {probs.max()}"
+    # the map and the scene are read one plan row band at a time, keeping
+    # the foreground samples alone
+    parts = []
+    for rows, _ in _plan_rows(_prediction_plan(scene.width, scene.height)):
+        prob = MaskedGrid.from_raster(load_raster(prob_path, rows))
+        probs = prob.values[prob.valid]
+        if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
+            raise DomainError(
+                f"probability map values must lie in [0, 1], got {probs.min()} to {probs.max()} "
+                f"in rows {rows.start}:{rows.stop}"
+            )
+        del probs
+        parts.append(
+            PixelSamples.gather(prob, cfg.prob_threshold, load_raster(scene_path, rows), height=scene.height, top=rows.start)
         )
-    # the scene is read one plan row band at a time, keeping its samples at
-    # the foreground pixels alone
-    samples = PixelSamples.join([
-        PixelSamples.gather(
-            load_raster(scene_path, rows), MaskedGrid(prob.values[rows]).above(cfg.prob_threshold),
-            scene.height, rows.start,
-        )
-        for rows, _ in _plan_rows(_prediction_plan(scene.width, scene.height))
-    ])
-    detections = detect_crowns(prob, cfg)
+        del prob
+    samples = PixelSamples.join(parts)
+    del parts
+    detections = detect_crowns(samples, cfg)
     classify_detections(detections, samples, cfg)
     write_geojson(detections, args.out + ".geojson", origin=scene.origin)
     write_csv(detections, args.out + ".csv", origin=scene.origin)

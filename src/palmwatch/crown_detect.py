@@ -1,16 +1,25 @@
 """Crown detection, 3-class labeling, truth matching and export.
 
-Detection binarizes the probability map, labels 8-connected components,
-and splits oversized components by marker-controlled watershed on the
-smoothed probability (Meyer & Beucher 1990; Wang, Gong & Biging 2004
-for tree crowns). Each stage is near-linear in pixels, components and
-crowns: after labelling, only the foreground pixels are read, and one
-sort groups the kept components' pixels; splitting runs a fixed number
-of filters and one watershed over the component's bounding box,
-classification reads the band samples gathered at the foreground pixels
-once per block of crowns, at all their pixels together, and truth
-matching looks up neighbours in a k-d tree instead of comparing all
-pairs. Health labels come from a rule cascade
+Detection reads the foreground samples (``PixelSamples``): the pixels
+where the probability map is above ``prob_threshold``, with the map's
+value and the scene's bands at each, gathered one row band at a time so
+that no caller holds the map or the scene whole. It labels the
+8-connected components of each row band in a plane of the band's size,
+joins the labels that touch across the seam between two bands, and
+resolves every label once as a graph's connected components (the
+union-find of equivalences of two-pass labelling: Wu, Otoo and Suzuki,
+Pattern Analysis and Applications 12, 2009; He, Chao and Suzuki, IEEE
+TIP 17(5), 2008). The components come out numbered as whole-map
+labelling numbers them, by first pixel in raster order. Oversized
+components are split by marker-controlled watershed on the smoothed
+probability (Meyer & Beucher 1990; Wang, Gong & Biging 2004 for tree
+crowns). Each stage is near-linear in pixels, components and crowns:
+besides the samples, labelling holds one row band's planes, and one
+sort groups the kept components' sample columns; splitting runs a fixed
+number of filters and one watershed over the component's bounding box,
+classification reads each crown's samples at its columns once per block
+of crowns, and truth matching looks up neighbours in a k-d tree instead
+of comparing all pairs. Health labels come from a rule cascade
 over crown spectra and geometry: low mean NDVI means dead, small
 equivalent diameter means smallish, otherwise healthy.
 
@@ -30,11 +39,12 @@ from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from . import raster_core
 from .annotations import AnnotationSet, CrownAnnotation
-from .errors import FormatError, ParameterError, UnclassifiableError
+from .errors import FormatError, ParameterError, ShapeError, UnclassifiableError
 from .indices import INDEX_REGISTRY, normalized_difference
 from .jsondoc import read_document, take
 from .raster_core import Band, MaskedGrid, Raster
@@ -73,7 +83,12 @@ class DetectorConfig:
 
 @dataclass
 class CrownDetection:
-    """One detected palm crown."""
+    """One detected palm crown.
+
+    ``pixels`` are its (ys, xs) and ``columns`` the columns of those
+    pixels, in the same order, in the ``PixelSamples`` it was detected
+    in, which classification reads its spectra from.
+    """
 
     id: int
     centroid: tuple[float, float]
@@ -85,9 +100,75 @@ class CrownDetection:
     class_label: str | None = None
     mean_ndvi: float | None = None
     mean_gndvi: float | None = None
+    columns: np.ndarray | None = None
 
 
-def _make_detection(ys: np.ndarray, xs: np.ndarray, prob: MaskedGrid) -> CrownDetection:
+@dataclass(frozen=True)
+class PixelSamples:
+    """A scene's foreground: every pixel where its probability map is
+    valid and above a threshold, with the map's value and the scene's
+    band samples there. Detection labels these pixels and classification
+    reads crown spectra from them, so that no caller has to hold the map
+    or the scene.
+
+    Column i is raster offset ``offsets[i]`` (y * width + x) of the
+    ``width`` x ``height`` scene, the columns in raster order: its
+    probability is ``probability[i]`` and its band samples are
+    ``values[:, i]`` (bands x N, float32, in ``band_names`` order, nodata
+    included as it is). The pixels were gathered one row band at a time,
+    and ``band_ends`` holds the scene row after each band, top to bottom;
+    detection labels the same bands.
+    """
+
+    width: int
+    height: int
+    band_names: tuple[str, ...]
+    nodata_value: float | None
+    offsets: np.ndarray
+    probability: np.ndarray
+    values: np.ndarray
+    band_ends: tuple[int, ...]
+
+    @classmethod
+    def gather(
+        cls, prob: MaskedGrid, threshold: float, rows: Raster | None = None, *, height: int | None = None, top: int = 0
+    ) -> "PixelSamples":
+        """The samples of ``prob`` and of ``rows`` (a raster of its shape,
+        or None for no bands) where ``prob`` is above ``threshold``
+        (``MaskedGrid.above``): the grid's rows are the rows from ``top``
+        on of a scene of their width and ``height`` rows, by default
+        ``top`` plus their own. A row band of a scene gathers with its
+        place in the scene, and ``join`` makes one set of the bands'
+        samples."""
+        if rows is not None and (rows.height, rows.width) != (prob.height, prob.width):
+            raise ShapeError(
+                f"rows {rows.width}x{rows.height} do not match the {prob.width}x{prob.height} probability grid"
+            )
+        flat = np.flatnonzero(prob.above(threshold))
+        bands = () if rows is None else rows.bands
+        values = np.empty((len(bands), len(flat)), dtype=np.float32)
+        for out, band in zip(values, bands):
+            np.take(band.samples.ravel(), flat, out=out)
+        probability = np.take(prob.values.ravel(), flat)
+        flat += top * prob.width
+        return cls(
+            prob.width, height or top + prob.height, tuple(b.name for b in bands),
+            None if rows is None else rows.nodata_value, flat, probability, values, (top + prob.height,),
+        )
+
+    @classmethod
+    def join(cls, parts: list["PixelSamples"]) -> "PixelSamples":
+        """One set of the samples of ``parts``: consecutive row bands of
+        one scene, top to bottom, gathered from the same bands."""
+        first = parts[0]
+        return cls(
+            first.width, first.height, first.band_names, first.nodata_value,
+            np.concatenate([p.offsets for p in parts]), np.concatenate([p.probability for p in parts]),
+            np.concatenate([p.values for p in parts], axis=1), sum((p.band_ends for p in parts), ()),
+        )
+
+
+def _make_detection(ys: np.ndarray, xs: np.ndarray, columns: np.ndarray, probability: np.ndarray) -> CrownDetection:
     area = len(xs)
     return CrownDetection(
         id=0,
@@ -96,64 +177,148 @@ def _make_detection(ys: np.ndarray, xs: np.ndarray, prob: MaskedGrid) -> CrownDe
         bbox=(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())),
         pixel_count=area,
         diameter_px=2.0 * math.sqrt(area / math.pi),
-        score=float(prob.values[ys, xs].astype(np.float64).mean()),
+        score=float(probability[columns].astype(np.float64).mean()),
         pixels=(ys, xs),
+        columns=columns,
     )
 
 
-def detect_crowns(prob: MaskedGrid, cfg: DetectorConfig) -> list[CrownDetection]:
-    """Threshold, label 8-connected components, and filter by area.
+def _index_dtype(n: int):
+    """The integer type of an index into ``n`` items: int32 where it holds
+    every index, for half the memory of int64."""
+    return np.int32 if n < 2**31 else np.int64
 
-    After labelling, only the foreground pixels are read: component areas
-    are counted from their labels, components below min_area are dropped
-    before any per-component work, and the pixels of the kept ones are
-    grouped by one in-place sort, each component's in raster order.
-    Components larger than max_area go through split_touching; split
-    parts below min_area are discarded like any other small component.
-    Detections come back sorted by descending score, ties broken by
-    centroid (y, x), with ids assigned 1..n in that order.
+
+def _seam_pairs(above: np.ndarray, below: np.ndarray):
+    """The (above, below) label pairs of 8-connected pixels across a seam:
+    ``above`` is one band's last row of labels and ``below`` the next
+    band's first, 0 where there is no foreground."""
+    pairs = []
+    for a, b in ((above, below), (above[:-1], below[1:]), (above[1:], below[:-1])):
+        touch = (a > 0) & (b > 0)
+        pairs.append((a[touch], b[touch]))
+    return pairs
+
+
+def _components(samples: PixelSamples) -> np.ndarray:
+    """Each sample's 8-connected component of the foreground, numbered
+    1.. in the order of the components' first pixels in raster order:
+    the numbers ``ndimage.label`` gives the whole map.
+
+    Each row band of ``samples.band_ends`` is labelled in a plane of the
+    band's size, rebuilt from the offsets, each band's labels numbered
+    after the last band's; only the band's last row of labels outlives
+    it. Labels that touch across a seam, 8-connected, are joined, and
+    every label is resolved once by ``connected_components``. A
+    component's smallest label lies in its top band, at its first pixel,
+    so ordering by smallest label orders by first pixel.
     """
-    height, width = prob.values.shape
-    binary = prob.above(cfg.prob_threshold)
-    labels, _ = ndimage.label(binary, structure=_EIGHT_CONNECTED)
-    keys = np.flatnonzero(binary)
-    del binary
-    # each foreground pixel's label, then its component's rank
-    rank = labels.ravel()[keys]
-    del labels
+    width, offsets = samples.width, samples.offsets
+    labels = np.empty(len(offsets), dtype=_index_dtype(len(offsets)))
+    tops = (0, *samples.band_ends[:-1])
+    cuts = np.searchsorted(offsets, np.multiply((0, *samples.band_ends), width, dtype=np.int64)).tolist()
+    count, seams, above = 0, [], None
+    for top, end, lo, hi in zip(tops, samples.band_ends, cuts, cuts[1:]):
+        # the band's offsets in its own plane, a view for a band at the top
+        local = offsets[lo:hi] - top * width if top else offsets[lo:hi]
+        plane = np.zeros((end - top, width), dtype=bool)
+        plane.ravel()[local] = True
+        band, n = ndimage.label(plane, structure=_EIGHT_CONNECTED, output=labels.dtype)
+        del plane
+        np.take(band.ravel(), local, out=labels[lo:hi])
+        labels[lo:hi] += count
+        # the band's first and last rows of labels, numbered as the samples'
+        first_row, last_row = (np.where(row > 0, row + count, 0) for row in (band[0], band[-1]))
+        del band, local
+        if above is not None:
+            seams += _seam_pairs(above, first_row)
+        above = last_row
+        count += n
+    seams = [pair for pair in seams if len(pair[0])]
+    if not seams:
+        # the bands' own numbering: no component spans a seam
+        return labels
+    # imported here: its extension modules take about 3 MB, which the
+    # commands that never label a foreground (augment, synth, train) need
+    # not load
+    from scipy.sparse.csgraph import connected_components
+
+    a = np.concatenate([a for a, _ in seams])
+    b = np.concatenate([b for _, b in seams])
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(count + 1, count + 1))
+    _, root = connected_components(graph, directed=False)
+    # each label's component, numbered by its smallest label; label 0 stays 0
+    _, first, inverse = np.unique(root[1:], return_index=True, return_inverse=True)
+    number = np.zeros(count + 1, dtype=labels.dtype)
+    number[1:] = np.argsort(np.argsort(first))[inverse] + 1
+    return np.take(number, labels, out=labels, mode="clip")
+
+
+def detect_crowns(samples: PixelSamples, cfg: DetectorConfig) -> list[CrownDetection]:
+    """Label the 8-connected components of the foreground ``samples``
+    (gathered above ``cfg.prob_threshold``) and filter them by area.
+
+    Components are labelled one row band at a time (``_components``), so
+    besides the samples only one band's planes are held. Components below
+    min_area are dropped before any per-component work, and the sample
+    columns of the kept ones are grouped by one in-place sort, each
+    component's in raster order. Components larger than max_area go
+    through split_touching; split parts below min_area are discarded like
+    any other small component. Detections come back sorted by descending
+    score, ties broken by centroid (y, x), with ids assigned 1..n in that
+    order; each carries its pixels and their sample columns.
+    """
+    n = len(samples.offsets)
+    if n == 0:
+        return []
+    rank = _components(samples)
     sizes = np.bincount(rank, minlength=1)
-    # label 0 is the background and has area 0 < min_area
+    # component 0 would be the background, of area 0 < min_area
     kept = sizes >= cfg.min_area
-    # the kept components ranked 1..K in label order, the others 0; a take
-    # in mode "raise" would buffer a copy of its output
+    # the kept components ranked 1..K in order, the others 0; a take in
+    # mode "raise" would buffer a copy of its output
     np.take((np.cumsum(kept) * kept).astype(rank.dtype), rank, out=rank, mode="clip")
-    # component i's pixels end up at bounds[i - 1]:bounds[i]
+    # component i's columns end up at bounds[i - 1]:bounds[i]
     bounds = [0, *np.cumsum(sizes[kept]).tolist()]
-    # a pixel's key is rank * pixels + its raster offset, in int64 whatever
-    # the rank's dtype: the kept pixels' keys are distinct, so sorting them
-    # in place groups the pixels by component, each in raster order,
-    # without an index array
-    pixels = height * width
-    keys += np.multiply(rank, pixels, dtype=np.int64)
+    # a sample's key is rank * n + its column, in int64: the kept samples'
+    # keys are distinct, so sorting them in place groups the columns by
+    # component, each in raster order, without an index array
+    keys = np.arange(n, dtype=np.int64)
+    keys += np.multiply(rank, n, dtype=np.int64)
     del rank
-    keys = keys[keys >= pixels]
+    keys = keys[keys >= n]
     keys.sort()
-    np.remainder(keys, pixels, out=keys)
-    ys = keys // width
-    xs = np.remainder(keys, width, out=keys)
+    columns = np.remainder(keys, n, out=keys)
+    pixel = np.take(samples.offsets, columns)
+    # the coordinates in the narrowest type that holds them, computed in
+    # int64 a buffer at a time
+    ys, xs = (np.empty(len(pixel), dtype=_index_dtype(max(samples.width, samples.height))) for _ in range(2))
+    np.floor_divide(pixel, samples.width, out=ys, casting="unsafe")
+    np.remainder(pixel, samples.width, out=xs, casting="unsafe")
+    del pixel
+    probability = samples.probability
     detections = []
     for lo, hi in zip(bounds, bounds[1:]):
+        component = slice(lo, hi)
         if hi - lo <= cfg.max_area:
-            detections.append(_make_detection(ys[lo:hi], xs[lo:hi], prob))
+            detections.append(_make_detection(ys[component], xs[component], columns[component], probability))
             continue
-        # each part is written back over the component's own pixels, so
-        # that every detection's pixels are views of ys and xs and no pixel
-        # is held twice
-        for part_ys, part_xs in split_touching((ys[lo:hi], xs[lo:hi]), prob, cfg):
+        parts = split_touching((ys[component], xs[component]), probability[columns[component]], cfg)
+        if len(parts) > 1:
+            # each part is written back over the component's own pixels, so
+            # that every detection's pixels and columns are views of ys, xs
+            # and columns and no pixel is held twice; the columns, in raster
+            # order, follow their pixels to their places, which a stable
+            # sort finds fast, as each part is a run in raster order
+            ys[component] = np.concatenate([part_ys for part_ys, _ in parts])
+            xs[component] = np.concatenate([part_xs for _, part_xs in parts])
+            places = np.argsort(np.multiply(ys[component], samples.width, dtype=np.int64) + xs[component], kind="stable")
+            columns[component][places] = columns[component].copy()
+        for _, part_xs in parts:
             part = slice(lo, lo + len(part_xs))
-            ys[part], xs[part], lo = part_ys, part_xs, part.stop
+            lo = part.stop
             if len(part_xs) >= cfg.min_area:
-                detections.append(_make_detection(ys[part], xs[part], prob))
+                detections.append(_make_detection(ys[part], xs[part], columns[part], probability))
     detections.sort(key=lambda d: (-d.score, d.centroid[1], d.centroid[0]))
     for i, det in enumerate(detections, start=1):
         det.id = i
@@ -161,18 +326,19 @@ def detect_crowns(prob: MaskedGrid, cfg: DetectorConfig) -> list[CrownDetection]
 
 
 def split_touching(
-    pixels: tuple[np.ndarray, np.ndarray], prob: MaskedGrid, cfg: DetectorConfig
+    pixels: tuple[np.ndarray, np.ndarray], probability: np.ndarray, cfg: DetectorConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Partition an oversized component by marker-controlled watershed.
 
-    The relief is the component's probability (0 outside it) smoothed by
-    a Gaussian of ``_SPLIT_SIGMA`` px. The markers are the component
-    pixels where the relief equals its maximum over the square window of
-    half-width split_min_distance (at least 1 px) around them, one marker
-    per 8-connected group; of equal groups within one window only the
-    last in raster order is kept, so separate markers lie more than
-    split_min_distance apart. A single marker returns the component
-    whole. Otherwise the watershed of the inverted relief floods from the
+    ``probability`` holds the map's value at each of ``pixels``, in
+    their order. The relief is the component's probability (0 outside
+    it) smoothed by a Gaussian of ``_SPLIT_SIGMA`` px. The markers are
+    the component pixels where the relief equals its maximum over the
+    square window of half-width split_min_distance (at least 1 px) around
+    them, one marker per 8-connected group; of equal groups within one
+    window only the last in raster order is kept, so separate markers lie
+    more than split_min_distance apart. A single marker returns the
+    component whole. Otherwise the watershed of the inverted relief floods from the
     markers inside the component, and each pixel joins the marker whose
     basin reaches it, which yields an exact partition; each part keeps
     the component's pixel order. Time and memory grow near-linearly with
@@ -184,7 +350,7 @@ def split_touching(
     box = (ys.max() - y0 + 2, xs.max() - x0 + 2)
     ly, lx = ys - y0, xs - x0
     relief = np.zeros(box)
-    relief[ly, lx] = prob.values[ys, xs]
+    relief[ly, lx] = probability
     relief = ndimage.gaussian_filter(relief, _SPLIT_SIGMA, mode="constant")
     inside = relief[ly, lx]
     # a marker tops at least its 8 neighbours, and a window wider than
@@ -215,48 +381,6 @@ def split_touching(
     return [(ys[part], xs[part]) for part in np.split(order, ends)]
 
 
-@dataclass(frozen=True)
-class PixelSamples:
-    """A scene's band samples at some of its pixels: what classification
-    reads crown spectra from, so that no caller has to hold the scene.
-
-    Column i of ``values`` (bands x N, float32, in ``band_names`` order)
-    holds the samples at raster offset ``offsets[i]`` (y * width + x) of
-    the ``width`` x ``height`` scene, its nodata included as it is.
-    """
-
-    width: int
-    height: int
-    band_names: tuple[str, ...]
-    nodata_value: float | None
-    offsets: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def gather(cls, rows: Raster, where: np.ndarray, height: int | None = None, top: int = 0) -> "PixelSamples":
-        """The samples of ``rows`` where the boolean grid ``where`` (of
-        their shape) holds: ``rows`` are the rows from ``top`` on of a
-        scene of their width and ``height`` rows, by default the rows
-        themselves. A row band of a scene gathers with its place in the
-        scene, and ``join`` makes one set of the bands' parts."""
-        flat = np.flatnonzero(where)
-        values = np.empty((len(rows.bands), len(flat)), dtype=np.float32)
-        for out, band in zip(values, rows.bands):
-            np.take(band.samples.ravel(), flat, out=out)
-        flat += top * rows.width
-        return cls(rows.width, height or rows.height, rows.band_names, rows.nodata_value, flat, values)
-
-    @classmethod
-    def join(cls, parts: list["PixelSamples"]) -> "PixelSamples":
-        """One set of the pixels of ``parts``: disjoint sets of one scene's
-        pixels, gathered from the same bands."""
-        first = parts[0]
-        return cls(
-            first.width, first.height, first.band_names, first.nodata_value,
-            np.concatenate([p.offsets for p in parts]), np.concatenate([p.values for p in parts], axis=1),
-        )
-
-
 def classify_detections(
     detections: list[CrownDetection], samples: PixelSamples, cfg: DetectorConfig
 ) -> list[CrownDetection]:
@@ -267,45 +391,40 @@ def classify_detections(
     else smallish if equivalent diameter < smallish_diameter_px,
     else healthy.
 
-    The spectra come from ``samples``, which must hold every crown pixel;
-    the pixels of ``detect_crowns``' detections are foreground pixels, so
-    the samples gathered where the map is above ``cfg.prob_threshold``
-    hold them. Each pixel's column is looked up in one int32 plane of the
-    scene's grid, built here as a sparse set (Briggs and Torczon, 1993)
-    that is never filled: an entry is a pixel's column only where that
-    column's offset is the pixel. Consecutive detections are classified in
-    blocks of at most ``raster_core.BLOCK_PX`` pixels, a few MB of
-    working set on any scene. A block closes before the next crown would
-    take it past that, and a larger crown is a block of its own, so a
-    block of several crowns is one row block of the index kernel, which
-    runs in the calling thread. The bands are read once per block, at
-    the pixels of all its crowns together, and a pixel is valid by the
+    The spectra come from ``samples`` at each detection's ``columns``,
+    which ``detect_crowns`` sets to the columns of its pixels in the
+    samples it labelled. A column is read only where its offset is its
+    pixel, so samples other than those a detection came from fail loudly
+    rather than give another pixel's spectrum. Consecutive detections are
+    classified in blocks of at most ``raster_core.BLOCK_PX`` pixels, a few
+    MB of working set on any scene. A block closes before the next crown
+    would take it past that, and a larger crown is a block of its own, so
+    a block of several crowns is one row block of the index kernel, which
+    runs in the calling thread. The bands are read once per block, at the
+    columns of all its crowns together, and a pixel is valid by the
     raster's own rule (``valid_mask``). Raises UnclassifiableError when a
-    detection carries no pixels, has a pixel the samples lack, or has no
-    valid pixels.
+    detection carries no pixels or no column for each, has a pixel the
+    samples lack at its column, or has no valid pixels.
     """
     for det in detections:
         if det.pixels is None or len(det.pixels[1]) == 0:
             raise UnclassifiableError(f"detection {det.id} carries no pixels")
+        if det.columns is None or len(det.columns) != len(det.pixels[1]):
+            raise UnclassifiableError(f"detection {det.id} carries no sample column for each of its pixels")
     if not detections:
         return detections
-    n = len(samples.offsets)
-    if n == 0:
+    if len(samples.offsets) == 0:
         _raise_missing(detections[0])
-    # each sample's column at its pixel; the other entries are garbage
-    columns = np.empty(samples.height * samples.width, dtype=np.int32 if n < 2**31 else np.int64)
-    columns[samples.offsets] = np.arange(n, dtype=columns.dtype)
-    columns = columns.reshape(samples.height, samples.width)
     block, size = [], 0
     for det in detections:
         n = len(det.pixels[1])
         if block and size + n > raster_core.BLOCK_PX:
-            _classify_block(block, columns, samples, cfg)
+            _classify_block(block, samples, cfg)
             block, size = [], 0
         block.append(det)
         size += n
     if block:
-        _classify_block(block, columns, samples, cfg)
+        _classify_block(block, samples, cfg)
     return detections
 
 
@@ -313,15 +432,11 @@ def _raise_missing(det: CrownDetection) -> None:
     raise UnclassifiableError(f"detection {det.id} at {det.centroid} has a pixel the samples lack")
 
 
-def _classify_block(
-    detections: list[CrownDetection], columns: np.ndarray, samples: PixelSamples, cfg: DetectorConfig
-) -> None:
-    ys = np.concatenate([det.pixels[0] for det in detections])
-    xs = np.concatenate([det.pixels[1] for det in detections])
-    cols = columns[ys, xs]
-    pixel = np.multiply(ys, samples.width, dtype=np.int64)
-    pixel += xs
-    # a garbage entry may be any integer: mode "clip" reads it in range
+def _classify_block(detections: list[CrownDetection], samples: PixelSamples, cfg: DetectorConfig) -> None:
+    cols = np.concatenate([det.columns for det in detections])
+    pixel = np.multiply(np.concatenate([det.pixels[0] for det in detections]), samples.width, dtype=np.int64)
+    pixel += np.concatenate([det.pixels[1] for det in detections])
+    # a column out of range is read clipped, and so at another pixel
     missing = np.take(samples.offsets, cols, mode="clip") != pixel
     if missing.any():
         stops = np.cumsum([len(det.pixels[1]) for det in detections])

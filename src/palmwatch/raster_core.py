@@ -357,29 +357,44 @@ class RasterWriter:
     Each ``write`` takes the next rows as a Raster with the bands of the
     first: rows ``r0:r1`` of band ``b`` go to byte offset
     ``4·W·(b·H + r0)`` of the payload, the rule ``load_raster`` reads
-    by. The header records the first row band's nodata, bands and origin.
-    It is written when the context closes with every row written; a
-    writer closed short of that (by an exception) removes its payload
-    instead, so no header ever describes a partial payload.
+    by. The header records the first row band's nodata, bands and origin;
+    no row band is kept once written. Files already at the two paths are
+    removed on entry, so the payload is a new file, never one that a link
+    there leads to (a scene the run still reads, say). The header is
+    written when the context closes with every row written; a writer
+    closed short of that (by an exception) removes its payload instead,
+    so no header ever describes a partial payload.
     """
 
     def __init__(self, path, height: int):
         self._header_path, self._payload_path = raster_paths(path)
         self._height = height
         self._top = 0
-        self._first: Raster | None = None
+        self._header: dict | None = None
         self._file = None
 
     def __enter__(self) -> "RasterWriter":
-        self._file = open(self._payload_path, "wb")
+        for path in (self._header_path, self._payload_path):
+            path.unlink(missing_ok=True)
+        self._file = open(self._payload_path, "xb")
         return self
 
     def write(self, rows: Raster) -> None:
-        first = self._first = self._first or rows
-        if (rows.width, rows.band_names) != (first.width, first.band_names):
+        if self._header is None:
+            self._header = {
+                "width": rows.width,
+                "height": self._height,
+                "dtype": _DTYPE_TAG,
+                "layout": _LAYOUT_TAG,
+                "nodata": rows.nodata_value,
+                "origin": [rows.origin[0], rows.origin[1]],
+                "bands": [{"name": b.name, "wavelength_nm": b.wavelength_nm} for b in rows.bands],
+            }
+        width, names = self._header["width"], [b["name"] for b in self._header["bands"]]
+        if (rows.width, list(rows.band_names)) != (width, names):
             raise ShapeError(
                 f"rows {rows.width} px wide with bands {list(rows.band_names)} do not continue "
-                f"a raster {first.width} px wide with bands {list(first.band_names)}"
+                f"a raster {width} px wide with bands {names}"
             )
         if self._top + rows.height > self._height:
             raise ShapeError(f"rows {self._top}:{self._top + rows.height} leave a raster of {self._height} rows")
@@ -391,30 +406,30 @@ class RasterWriter:
 
     def __exit__(self, *exc_info) -> None:
         self._file.close()
-        if self._top < self._height or self._first is None:
+        if self._top < self._height or self._header is None:
             self._payload_path.unlink(missing_ok=True)
             return
-        first = self._first
-        header = {
-            "width": first.width,
-            "height": self._height,
-            "dtype": _DTYPE_TAG,
-            "layout": _LAYOUT_TAG,
-            "nodata": first.nodata_value,
-            "origin": [first.origin[0], first.origin[1]],
-            "bands": [{"name": b.name, "wavelength_nm": b.wavelength_nm} for b in first.bands],
-        }
-        self._header_path.write_text(json.dumps(header, indent=2) + "\n")
+        self._header_path.write_text(json.dumps(self._header, indent=2) + "\n")
 
 
-def save_raster(raster: Raster, path) -> None:
+def save_raster(raster, path, height: int | None = None) -> None:
     """Write ``raster`` as a header/payload pair.
 
-    ``path`` may be the header path or a bare prefix; the ``.rhdr`` /
-    ``.rbin`` suffixes are supplied as needed.
+    ``raster`` is a Raster, or, given the raster's ``height`` in rows, an
+    iterable of its row bands, top to bottom, each a Raster with the
+    bands of the first (as ``RasterWriter`` takes them). Each band is
+    written and let go before the next is asked for, so an iterable that
+    makes its bands as they are asked for holds one at a time. ``path``
+    may be the header path or a bare prefix; the ``.rhdr`` / ``.rbin``
+    suffixes are supplied as needed.
     """
-    with RasterWriter(path, raster.height) as out:
-        out.write(raster)
+    if isinstance(raster, Raster):
+        raster, height = (raster,), raster.height
+    with RasterWriter(path, height) as out:
+        for rows in raster:
+            out.write(rows)
+            # so that the next band is made after this one is let go
+            del rows
 
 
 def load_raster(path, rows: slice | None = None) -> Raster:

@@ -308,8 +308,8 @@ def test_criterion_6_end_to_end_synthetic_oracle():
         with mock.patch.object(raster_core, "usable_cpus", return_value=1):
             prob = predict_tiled(held_raster, valid, params)
         cfg = DetectorConfig()
-        detections = detect_crowns(prob, cfg)
-        samples = PixelSamples.gather(held_raster, prob.above(cfg.prob_threshold))
+        samples = PixelSamples.gather(prob, cfg.prob_threshold, held_raster)
+        detections = detect_crowns(samples, cfg)
         classify_detections(detections, samples, cfg)
         result = match_detections(detections, held_ann, 10.0)
 

@@ -115,6 +115,16 @@ class TestIndexCommand:
         assert main([*args, "--stats-out", str(tmp_path / "stats.csv")]) == 0
         assert (tmp_path / "stats.csv").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("flags", [["{scene}"], ["{other}", "--veg-mask", "{scene}"]], ids=["out", "veg_mask"])
+    def test_an_output_at_the_scene_is_refused(self, tmp_path, capsys, flags):
+        # index used to overwrite its own scene with the index map and exit 0
+        save_raster(random_raster(np.random.default_rng(3), 50, 40), tmp_path / "s")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        args = [flag.format(scene=tmp_path / "s", other=tmp_path / "ndvi") for flag in flags]
+        assert main(["index", str(tmp_path / "s.rhdr"), *args]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: input ")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
 
 class TestTileCommand:
     def test_tiles_written(self, workspace, tmp_path):
@@ -333,12 +343,14 @@ class TestPipelineMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 0.77 and 0.60 here: the output and one row band (of 256 rows)
-        # with its index and masks, then detection's planes, then the
-        # classifier's position plane. Holding the whole scene with the
-        # vegetation stage's whole planes took 1.73 and 1.65; whole-scene
-        # features and every tile map held until stitching took 2.38.
-        assert peak <= 0.8 * scene_bytes
+        # 0.52 and 0.23 here: one row band (of 256 rows) with its index,
+        # masks and map, and the foreground samples, so the share falls as
+        # the scene grows. Holding the whole probability map, detection's
+        # whole planes and the classifier's position plane took 0.78 and
+        # 0.60; holding the whole scene with the vegetation stage's whole
+        # planes took 1.73 and 1.65; whole-scene features and every tile
+        # map held until stitching took 2.38.
+        assert peak <= {1024: 0.55, 2048: 0.25}[size] * scene_bytes
 
     def test_predict_holds_one_row_band(self, tmp_path):
         # 32 row bands of 64 rows, 8 tiles each
@@ -356,12 +368,47 @@ class TestPipelineMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1.67 bands besides the map; reading the next band before the
-        # last one is dropped took 2.36
-        assert peak <= 4 * width * height + 2 * band_bytes
+        # 1.92 bands, the band's map among them. Holding the whole map (8
+        # bands) took 1.67 bands besides it, 9.65 in all; reading the next
+        # band before the last one was dropped took 2.36 besides it.
+        assert peak <= 2 * band_bytes
+
+    def test_detect_holds_one_row_band(self, tmp_path):
+        # the same scene, its map read one row band at a time: a whole map
+        # would be 8 bands' bytes by itself
+        width, height, tile_size = 512, 2048, 64
+        raster = random_raster(np.random.default_rng(7), width, height, ("red", "green", "blue", "nir"))
+        save_raster(raster, tmp_path / "scene")
+        band_bytes = sum(b.samples.nbytes for b in raster.bands) * tile_size // height
+        del raster
+        # about 0.2 % of the pixels, those with red below 0.002, are
+        # foreground, so the samples weigh a tenth of a band
+        save_params(ModelParams(("red",), np.array([-1000.0]), 2.0, np.zeros(1), np.ones(1)), tmp_path / "m.json")
+        with mock.patch.object(cli, "DEFAULT_TILE_SIZE", tile_size):
+            assert main(["predict", str(tmp_path / "scene.rhdr"), "--model", str(tmp_path / "m.json"),
+                         "--out", str(tmp_path / "prob")]) == 0
+            tracemalloc.start()
+            try:
+                assert main(["detect", str(tmp_path / "prob.rhdr"), str(tmp_path / "scene.rhdr"),
+                             "--out", str(tmp_path / "dets"), "--min-area", "2"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 1.84 bands; reading the map whole took 26.9
+        assert peak <= 2 * band_bytes
 
 
 class TestPredictDetectEval:
+    def test_predict_refuses_to_write_over_its_scene(self, workspace, tmp_path, capsys):
+        # predict used to overwrite its own scene with the map and exit 0;
+        # writing band by band, it would truncate the scene it still reads
+        save_raster(load_raster(workspace["scenes"][2]), tmp_path / "s")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code = main(["predict", str(tmp_path / "s.rhdr"), "--model", str(workspace["model"]), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: input ")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_stage_by_stage(self, workspace, tmp_path, capsys):
         scene = workspace["scenes"][2]
         truth = scene.parent / "scene.json"
@@ -1052,6 +1099,29 @@ class TestBadGridsAndModels:
         assert code == 3
         assert "single-band" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_detect_checks_the_grid_before_reading_the_map(self, workspace, tmp_path, capsys, monkeypatch):
+        # the map is off the scene's grid and its payload is truncated: the
+        # grid is the error, found from the headers alone
+        save_raster(MaskedGrid(np.full((240, 220), 0.9, np.float32)).to_raster(), tmp_path / "prob")
+        (tmp_path / "prob.rbin").write_bytes((tmp_path / "prob.rbin").read_bytes()[:-4])
+        monkeypatch.setattr(cli, "load_raster", mock.Mock(side_effect=AssertionError("a payload was read")))
+        code = main(["detect", str(tmp_path / "prob.rhdr"), str(workspace["scenes"][0]), "--out", str(tmp_path / "d")])
+        assert code == 3
+        assert "does not cover the scene" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prob.rbin", "prob.rhdr"]
+
+    def test_detect_checks_the_last_row_band(self, workspace, tmp_path, capsys, monkeypatch):
+        # four row bands of 64 rows: the bad value lies in the last, read
+        # after the others' samples are gathered
+        values = np.full((220, 220), 0.9, np.float32)
+        values[210, 30] = 1.5
+        save_raster(MaskedGrid(values).to_raster(), tmp_path / "prob")
+        monkeypatch.setattr(cli, "DEFAULT_TILE_SIZE", 64)
+        code = main(["detect", str(tmp_path / "prob.rhdr"), str(workspace["scenes"][0]), "--out", str(tmp_path / "d")])
+        assert code == 3
+        assert "[0, 1], got 0.8999999761581421 to 1.5 in rows 192:220" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prob.rbin", "prob.rhdr"]
 
     @pytest.mark.parametrize("bad", [-0.25, 1.5, 255.0])
     def test_detect_rejects_values_outside_unit_interval(self, workspace, tmp_path, capsys, bad):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -18,6 +18,7 @@ from palmwatch.crown_detect import (
     CrownDetection,
     DetectorConfig,
     PixelSamples,
+    _components,
     _make_detection,
     classify_detections,
     detect_crowns,
@@ -57,6 +58,34 @@ def peaked_prob_map(shape, peaks, radius, floor=0.02):
     return MaskedGrid(values.astype(np.float32))
 
 
+def detect_map(prob, cfg):
+    """Detection on an in-memory map: its foreground samples, gathered
+    whole, detected as one row band."""
+    return detect_crowns(PixelSamples.gather(prob, cfg.prob_threshold), cfg)
+
+
+def banded_samples(prob, threshold, heights, raster=None):
+    """The foreground samples of ``prob`` (and ``raster``), gathered one
+    row band of each of ``heights`` at a time, as the pipeline gathers
+    them, and joined."""
+    parts, top = [], 0
+    for height in heights:
+        rows = slice(top, top + height)
+        band = None if raster is None else Raster(
+            bands=tuple(Band(b.name, b.samples[rows]) for b in raster.bands), nodata_value=raster.nodata_value
+        )
+        parts.append(PixelSamples.gather(MaskedGrid(prob.values[rows]), threshold, band, height=prob.height, top=top))
+        top = rows.stop
+    return PixelSamples.join(parts)
+
+
+def columns_in(samples, det):
+    """The columns of ``det``'s pixels in ``samples``, -1 where they lack one."""
+    lookup = np.full(samples.width * samples.height, -1, np.int64)
+    lookup[samples.offsets] = np.arange(len(samples.offsets))
+    return lookup[np.multiply(det.pixels[0], samples.width, dtype=np.int64) + det.pixels[1]]
+
+
 class TestDetectorConfig:
     @pytest.mark.parametrize(
         "field, value",
@@ -79,11 +108,11 @@ class TestDetectorConfig:
 class TestDetect:
     def test_all_zero_empty(self):
         prob = MaskedGrid(np.zeros((64, 64), np.float32))
-        assert detect_crowns(prob, DetectorConfig()) == []
+        assert detect_map(prob, DetectorConfig()) == []
 
     def test_single_disc(self):
         prob = disc_prob_map((100, 100), [(50, 50, 10)])
-        dets = detect_crowns(prob, DetectorConfig())
+        dets = detect_map(prob, DetectorConfig())
         assert len(dets) == 1
         det = dets[0]
         assert abs(det.centroid[0] - 50) <= 1 and abs(det.centroid[1] - 50) <= 1
@@ -96,19 +125,19 @@ class TestDetect:
 
     def test_two_separated_discs(self):
         prob = disc_prob_map((120, 120), [(30, 30, 8), (90, 90, 8)])
-        dets = detect_crowns(prob, DetectorConfig())
+        dets = detect_map(prob, DetectorConfig())
         assert len(dets) == 2
         centers = sorted((round(d.centroid[0]), round(d.centroid[1])) for d in dets)
         assert centers == [(30, 30), (90, 90)]
 
     def test_min_area_filters(self):
         prob = disc_prob_map((64, 64), [(32, 32, 2)])  # ~13 px < 20
-        assert detect_crowns(prob, DetectorConfig()) == []
+        assert detect_map(prob, DetectorConfig()) == []
 
     def test_detections_satisfy_invariants(self):
         prob = disc_prob_map((200, 200), [(40, 40, 10), (150, 60, 6), (100, 160, 12)])
         cfg = DetectorConfig()
-        dets = detect_crowns(prob, cfg)
+        dets = detect_map(prob, cfg)
         for det in dets:
             assert det.pixel_count >= cfg.min_area
             assert det.score > cfg.prob_threshold
@@ -121,7 +150,7 @@ class TestDetect:
             (120, 200), [(40, 40, 0.5), (100, 40, 0.7), (160, 80, 0.9)], radius=18
         )
         counts = [
-            len(detect_crowns(prob, DetectorConfig(prob_threshold=t, min_area=10)))
+            len(detect_map(prob, DetectorConfig(prob_threshold=t, min_area=10)))
             for t in (0.1, 0.3, 0.45, 0.6, 0.8, 0.95)
         ]
         assert counts[0] == 3
@@ -131,8 +160,8 @@ class TestDetect:
     def test_thresholded_area_monotone(self, rng):
         values = rng.random((80, 80)).astype(np.float32)
         prob = MaskedGrid(values)
-        low = detect_crowns(prob, DetectorConfig(prob_threshold=0.3, min_area=1))
-        high = detect_crowns(prob, DetectorConfig(prob_threshold=0.7, min_area=1))
+        low = detect_map(prob, DetectorConfig(prob_threshold=0.3, min_area=1))
+        high = detect_map(prob, DetectorConfig(prob_threshold=0.7, min_area=1))
         assert sum(d.pixel_count for d in high) <= sum(d.pixel_count for d in low)
 
     def test_sorted_by_score_then_centroid(self):
@@ -140,21 +169,21 @@ class TestDetect:
         values[5:15, 5:15] = 0.7
         values[5:15, 40:50] = 0.9
         prob = MaskedGrid(values)
-        dets = detect_crowns(prob, DetectorConfig())
+        dets = detect_map(prob, DetectorConfig())
         assert [round(d.score, 1) for d in dets] == [0.9, 0.7]
         assert [d.id for d in dets] == [1, 2]
 
     def test_invalid_pixels_not_detected(self):
         # +inf is above any threshold, but not finite
         prob = MaskedGrid(np.full((50, 50), np.inf, np.float32))
-        assert detect_crowns(prob, DetectorConfig()) == []
+        assert detect_map(prob, DetectorConfig()) == []
 
 
 class TestSplitTouching:
     def test_single_peak_unsplit(self):
         prob = peaked_prob_map((60, 60), [(30, 30, 0.9)], radius=20)
         ys, xs = np.nonzero(prob.values > 0.5)
-        parts = split_touching((ys, xs), prob, DetectorConfig())
+        parts = split_touching((ys, xs), prob.values[ys, xs], DetectorConfig())
         assert len(parts) == 1
         np.testing.assert_array_equal(parts[0][0], ys)
 
@@ -162,7 +191,7 @@ class TestSplitTouching:
         prob = peaked_prob_map((60, 120), [(40, 30, 0.9), (80, 30, 0.9)], radius=25)
         ys, xs = np.nonzero(prob.values > 0.3)
         cfg = DetectorConfig()
-        parts = split_touching((ys, xs), prob, cfg)
+        parts = split_touching((ys, xs), prob.values[ys, xs], cfg)
         assert len(parts) == 2
         # each part contains its own peak
         peak_owners = set()
@@ -175,7 +204,7 @@ class TestSplitTouching:
     def test_partition_exact(self):
         prob = peaked_prob_map((60, 120), [(40, 30, 0.9), (80, 30, 0.85)], radius=25)
         ys, xs = np.nonzero(prob.values > 0.3)
-        parts = split_touching((ys, xs), prob, DetectorConfig())
+        parts = split_touching((ys, xs), prob.values[ys, xs], DetectorConfig())
         combined = set()
         total = 0
         for pys, pxs in parts:
@@ -189,20 +218,20 @@ class TestSplitTouching:
     def test_close_peaks_merged(self):
         prob = peaked_prob_map((40, 40), [(18, 20, 0.9), (22, 20, 0.88)], radius=12)
         ys, xs = np.nonzero(prob.values > 0.3)
-        parts = split_touching((ys, xs), prob, DetectorConfig(split_min_distance=8.0))
+        parts = split_touching((ys, xs), prob.values[ys, xs], DetectorConfig(split_min_distance=8.0))
         assert len(parts) == 1
 
     def test_oversized_component_split_in_detect(self):
         prob = peaked_prob_map((60, 120), [(40, 30, 0.95), (80, 30, 0.95)], radius=25)
         cfg = DetectorConfig(prob_threshold=0.3, min_area=20, max_area=800)
-        dets = detect_crowns(prob, cfg)
+        dets = detect_map(prob, cfg)
         assert len(dets) == 2
 
     def test_huge_split_distance_keeps_component_whole(self):
         # its square overflows: used to raise OverflowError
         prob = peaked_prob_map((60, 120), [(40, 30, 0.9), (80, 30, 0.9)], radius=25)
         ys, xs = np.nonzero(prob.values > 0.3)
-        assert len(split_touching((ys, xs), prob, DetectorConfig(split_min_distance=1e200))) == 1
+        assert len(split_touching((ys, xs), prob.values[ys, xs], DetectorConfig(split_min_distance=1e200))) == 1
 
     @pytest.mark.parametrize("min_distance", [0.5, 1.0, 8.0])
     def test_marker_window_is_at_least_one_px(self, min_distance):
@@ -210,7 +239,7 @@ class TestSplitTouching:
         # component would be one flat group and never split
         prob = peaked_prob_map((60, 120), [(40, 30, 0.95), (66, 30, 0.95)], radius=25)
         cfg = DetectorConfig(prob_threshold=0.3, max_area=800, split_min_distance=min_distance)
-        assert len(detect_crowns(prob, cfg)) == 2
+        assert len(detect_map(prob, cfg)) == 2
 
     def test_flat_top_is_one_marker(self):
         # an arch of constant probability, 30 px thick: after smoothing its
@@ -221,7 +250,7 @@ class TestSplitTouching:
         values[5:95, 75:105] = 0.9
         prob = MaskedGrid(values)
         pixels = np.nonzero(values > 0.5)
-        parts = split_touching(pixels, prob, DetectorConfig(split_min_distance=2.0))
+        parts = split_touching(pixels, prob.values[pixels], DetectorConfig(split_min_distance=2.0))
         assert len(parts) == 1
 
     def test_max_area_is_inclusive(self):
@@ -230,21 +259,28 @@ class TestSplitTouching:
         area = int((prob.values > 0.3).sum())
         for max_area, expected in ((area, 1), (area - 1, 2)):
             cfg = DetectorConfig(prob_threshold=0.3, max_area=max_area)
-            assert len(detect_crowns(prob, cfg)) == expected
+            assert len(detect_map(prob, cfg)) == expected
 
     def test_flat_plateau_single_seed(self):
         values = np.full((50, 50), 0.0, np.float32)
         values[10:40, 10:40] = 0.9  # constant plateau, 900 px
         prob = MaskedGrid(values)
         cfg = DetectorConfig(max_area=400)
-        dets = detect_crowns(prob, cfg)
+        dets = detect_map(prob, cfg)
         assert len(dets) == 1
         assert dets[0].pixel_count == 900
 
 
+def samples_at(raster, where):
+    """The samples of ``raster`` where the boolean grid ``where`` holds,
+    as the foreground of a map that is 1 there and 0 elsewhere."""
+    return PixelSamples.gather(MaskedGrid(where.astype(np.float32)), 0.5, raster)
+
+
 def all_samples(raster):
-    """The classifier's input for a whole in-memory raster: its samples at every pixel."""
-    return PixelSamples.gather(raster, np.ones((raster.height, raster.width), bool))
+    """The classifier's input for a whole in-memory raster: its samples at
+    every pixel, so that a pixel's column is its raster offset."""
+    return samples_at(raster, np.ones((raster.height, raster.width), bool))
 
 
 class TestClassify:
@@ -272,6 +308,8 @@ class TestClassify:
             diameter_px=2 * math.sqrt(len(xs) / math.pi),
             score=0.9,
             pixels=(ys, xs),
+            # its columns in the samples of every pixel of the 40x40 scene
+            columns=ys * 40 + xs,
         )
 
     def test_dead_overrides_size(self):
@@ -308,27 +346,42 @@ class TestClassify:
         where = np.zeros((40, 40), bool)
         where[det.pixels[0][1:], det.pixels[1][1:]] = True
         with pytest.raises(UnclassifiableError, match="detection 1 at .* has a pixel the samples lack"):
-            classify_detections([det], PixelSamples.gather(raster, where), DetectorConfig())
+            # its columns are those of every pixel's samples
+            classify_detections([det], samples_at(raster, where), DetectorConfig())
 
     @pytest.mark.parametrize("garbage", [0, 1, -1, 2**31 - 1, -(2**31)])
     def test_a_missing_pixel_is_found_whatever_the_position_plane_holds(self, garbage):
-        # the plane is never filled, so a pixel the samples lack may hold
-        # any column, a valid one included
+        # no plane of positions is built any more: each pixel is read at its
+        # column, and the column of a pixel the samples lack (-1 here) is
+        # read clipped, at another pixel. Memory left as np.empty found it
+        # must not decide the outcome either.
         first, second = self.detection(area_px=100), self.detection(area_px=60)
         second.id, second.pixels = 2, (second.pixels[0], second.pixels[1] + 12)
         raster = make_raster({name: np.full((40, 40), 0.4, np.float32) for name in ("red", "green", "nir")})
         where = np.zeros((40, 40), bool)
         where[first.pixels] = where[second.pixels] = True
-        complete = PixelSamples.gather(raster, where)
+        complete = samples_at(raster, where)
         where[second.pixels[0][-1], second.pixels[1][-1]] = False
-        incomplete = PixelSamples.gather(raster, where)
-        empty = PixelSamples.gather(raster, np.zeros((40, 40), bool))
+        incomplete = samples_at(raster, where)
+        empty = samples_at(raster, np.zeros((40, 40), bool))
         fill = lambda shape, dtype=float: np.full(shape, garbage, dtype)  # noqa: E731
-        with mock.patch.object(np, "empty", fill):
-            classify_detections([first, second], complete, DetectorConfig())
-            for samples, named in ((incomplete, 2), (empty, 1)):
+        for samples, named in ((complete, None), (incomplete, 2), (empty, 1)):
+            for det in (first, second):
+                det.columns = columns_in(samples, det)
+            with mock.patch.object(np, "empty", fill):
+                if named is None:
+                    classify_detections([first, second], samples, DetectorConfig())
+                    continue
                 with pytest.raises(UnclassifiableError, match=f"detection {named} at .* has a pixel the samples lack"):
                     classify_detections([first, second], samples, DetectorConfig())
+
+    def test_unclassifiable_without_columns(self):
+        # a detection made by hand, not by detect_crowns, carries none
+        det = self.detection(area_px=100)
+        for columns in (None, det.columns[1:]):
+            det.columns = columns
+            with pytest.raises(UnclassifiableError, match="carries no sample column"):
+                classify_detections([det], self.scene(0.6), DetectorConfig())
 
     def test_cascade_total(self, rng):
         # every detection with >= 1 valid pixel gets exactly one label
@@ -527,6 +580,8 @@ class TestExport:
 
 
 def reference_detect(prob, cfg):
+    """Whole-map labelling; its detections' columns are those of the
+    samples of every pixel."""
     binary = prob.valid & (prob.values > cfg.prob_threshold)
     labels, _ = ndimage.label(binary, structure=np.ones((3, 3), int))
     detections = []
@@ -538,8 +593,11 @@ def reference_detect(prob, cfg):
         xs = xs + slc[1].start
         if len(xs) < cfg.min_area:
             continue
-        parts = [(ys, xs)] if len(xs) <= cfg.max_area else split_touching((ys, xs), prob, cfg)
-        detections += [_make_detection(pys, pxs, prob) for pys, pxs in parts if len(pxs) >= cfg.min_area]
+        parts = [(ys, xs)] if len(xs) <= cfg.max_area else split_touching((ys, xs), prob.values[ys, xs], cfg)
+        detections += [
+            _make_detection(pys, pxs, pys * prob.width + pxs, prob.values.ravel())
+            for pys, pxs in parts if len(pxs) >= cfg.min_area
+        ]
     detections.sort(key=lambda d: (-d.score, d.centroid[1], d.centroid[0]))
     for i, det in enumerate(detections, start=1):
         det.id = i
@@ -625,7 +683,7 @@ def test_split_touching_partitions_exactly(grid, min_distance):
     assume(member.any())
     prob = MaskedGrid(values)
     pixels = np.nonzero(member)
-    parts = split_touching(pixels, prob, DetectorConfig(split_min_distance=min_distance))
+    parts = split_touching(pixels, prob.values[pixels], DetectorConfig(split_min_distance=min_distance))
     w = values.shape[1]
     for ys, xs in parts:
         flat = ys * w + xs
@@ -640,31 +698,129 @@ def test_split_touching_partitions_exactly(grid, min_distance):
     min_area=st.integers(1, 8),
     extra_area=st.integers(0, 40),
     min_distance=_SPLIT_DISTANCES,
+    band_rows=st.integers(1, 40),
 )
-def test_detect_crowns_matches_per_component_reference(grid, min_area, extra_area, min_distance):
-    """Maps full of specks below min_area, plus components big enough to split."""
+def test_detect_crowns_matches_per_component_reference(grid, min_area, extra_area, min_distance, band_rows):
+    """Maps full of specks below min_area, plus components big enough to
+    split, whole and gathered in row bands."""
     values, member = grid
     values = np.where(member, values, np.float32(0.1))
     prob = MaskedGrid(values)
     cfg = DetectorConfig(min_area=min_area, max_area=min_area + extra_area, split_min_distance=min_distance)
-    assert detection_fields(detect_crowns(prob, cfg)) == detection_fields(reference_detect(prob, cfg))
+    expected = detection_fields(reference_detect(prob, cfg))
+    assert detection_fields(detect_map(prob, cfg)) == expected
+    heights = [min(band_rows, prob.height - top) for top in range(0, prob.height, band_rows)]
+    samples = banded_samples(prob, cfg.prob_threshold, heights)
+    dets = detect_crowns(samples, cfg)
+    assert detection_fields(dets) == expected
+    # each detection's columns are its pixels' in the samples
+    for det in dets:
+        np.testing.assert_array_equal(det.columns, columns_in(samples, det))
+
+
+def band_heights(draw, height):
+    """Row band heights, each from 1 to ``height``, that sum to ``height``."""
+    heights = []
+    while sum(heights) < height:
+        heights.append(draw(st.integers(1, height - sum(heights))))
+    return heights
+
+
+@st.composite
+def banded_masks(draw):
+    """A foreground mask with shapes that only the seams between its row
+    bands join: tall bars across several bands, U shapes whose legs meet
+    only below, and staircases whose steps touch only diagonally; and the
+    band heights."""
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    mask = draw(hnp.arrays(bool, (h, w), elements=st.booleans() if draw(st.booleans()) else st.just(False)))
+    for _ in range(draw(st.integers(0, 3))):
+        y = draw(st.integers(0, h - 1))
+        x = draw(st.integers(0, w - 1))
+        size = draw(st.integers(1, max(h, w)))
+        shape = draw(st.sampled_from(["bar", "u", "stairs"]))
+        if shape == "bar":
+            mask[y : y + size, x] = True
+        elif shape == "u":
+            mask[y : y + size, x] = True
+            mask[y : y + size, min(x + 2, w - 1)] = True
+            mask[min(y + size, h) - 1, x : x + 3] = True
+        else:
+            step = draw(st.sampled_from([1, -1]))
+            for k in range(size):
+                if y + k < h and 0 <= x + step * k < w:
+                    mask[y + k, x + step * k] = True
+    return mask, band_heights(draw, h)
+
+
+def _u_shape():
+    # legs in rows 0-9, joined in row 9 only; bands of 3 rows
+    mask = np.zeros((10, 7), bool)
+    mask[:, 1] = mask[:, 5] = True
+    mask[9, 1:6] = True
+    return mask, [3, 3, 3, 1]
+
+
+def _diagonal_seams():
+    # two staircases, one down to the right and one down to the left: at
+    # every seam between the 1-row bands their steps touch only diagonally
+    mask = np.zeros((6, 14), bool)
+    mask[:, :6] = np.eye(6, dtype=bool)
+    mask[:, 8:] = np.eye(6, dtype=bool)[:, ::-1]
+    return mask, [1] * 6
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=banded_masks())
+@example(case=_u_shape())
+@example(case=_diagonal_seams())
+def test_banded_labelling_matches_whole_map_labelling(case):
+    """Every sample's component is the one whole-map ndimage.label gives
+    its pixel, under the same number: the same pixel sets, in the same
+    order."""
+    mask, heights = case
+    prob = MaskedGrid(mask.astype(np.float32))
+    samples = banded_samples(prob, 0.5, heights)
+    whole = ndimage.label(mask, structure=np.ones((3, 3), int))[0].ravel()
+    np.testing.assert_array_equal(_components(samples), whole[samples.offsets])
+
+
+def test_seam_examples_are_what_they_claim():
+    """The pinned examples above cross seams as they say: each component
+    spans three or more bands; the U's legs are two pieces in every band
+    but the last; the staircases' seams touch only diagonally."""
+    eight = np.ones((3, 3), int)
+    for mask, heights in (_u_shape(), _diagonal_seams()):
+        ends = np.cumsum(heights)[:-1]
+        labels, n = ndimage.label(mask, structure=eight)
+        for k in range(1, n + 1):
+            assert len(set(np.searchsorted(ends, np.nonzero(labels == k)[0], side="right"))) >= 3
+    mask, heights = _u_shape()
+    assert ndimage.label(mask[: heights[0]], structure=eight)[1] == 2
+    mask, heights = _diagonal_seams()
+    ends = np.cumsum(heights)[:-1]
+    assert not np.any(mask[ends - 1] & mask[ends])
+    # every seam joins one step down to the right and one down to the left
+    assert (mask[ends - 1, :-1] & mask[ends, 1:]).any(axis=1).all()
+    assert (mask[ends - 1, 1:] & mask[ends, :-1]).any(axis=1).all()
 
 
 def test_component_ranks_times_pixels_past_int32():
-    # 65,536 one-pixel components on a 512² map: rank * pixels reaches
-    # 2^34, so keys computed in int32 would wrap and mix components
+    # 65,536 one-pixel components on a 512² map: rank * samples reaches
+    # 2^32, so keys computed in int32 would wrap and mix components
     values = np.full((512, 512), np.float32(0.1))
     values[::2, ::2] = 0.9
     prob = MaskedGrid(values)
     cfg = DetectorConfig(min_area=1, max_area=10**6)
-    dets = detect_crowns(prob, cfg)
+    dets = detect_map(prob, cfg)
     assert len(dets) == 256 * 256
     assert detection_fields(dets) == detection_fields(reference_detect(prob, cfg))
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 def test_empty_map_has_no_detections(shape):
-    assert detect_crowns(MaskedGrid(np.zeros(shape, np.float32)), DetectorConfig()) == []
+    assert detect_map(MaskedGrid(np.zeros(shape, np.float32)), DetectorConfig()) == []
 
 
 _HALF_STEPS = st.integers(0, 12).map(lambda v: v / 2)
@@ -713,11 +869,11 @@ def test_split_touching_memory_is_linear():
     rng = np.random.default_rng(0)
     values = np.zeros((244, 244), np.float32)
     values[2:-2, 2:-2] = rng.uniform(0.55, 1.0, (240, 240))
-    prob = MaskedGrid(values)
     pixels = np.nonzero(values > 0.5)
+    probability = values[pixels]
     tracemalloc.start()
     try:
-        parts = split_touching(pixels, prob, DetectorConfig())
+        parts = split_touching(pixels, probability, DetectorConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -743,10 +899,10 @@ def test_detect_crowns_memory_stays_below_the_whole_plane_labelling():
     # component's pixels); reading only the foreground pixels after
     # labelling peaks at 11.5 MiB. The bound lies between the two; do not
     # raise it.
-    prob = touching_discs_map(1024)
+    samples = PixelSamples.gather(touching_discs_map(1024), DetectorConfig().prob_threshold)
     tracemalloc.start()
     try:
-        dets = detect_crowns(prob, DetectorConfig())
+        dets = detect_crowns(samples, DetectorConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -813,14 +969,10 @@ def test_classify_detections_matches_per_detection_reference(case, block_px):
     where = extra.copy()
     for det in detections:
         where[det.pixels] = True
-    samples = PixelSamples.join([
-        PixelSamples.gather(
-            Raster(bands=tuple(Band(b.name, b.samples[top : top + band_rows]) for b in raster.bands),
-                   nodata_value=raster.nodata_value),
-            where[top : top + band_rows], raster.height, top,
-        )
-        for top in range(0, raster.height, band_rows)
-    ])
+    heights = [min(band_rows, raster.height - top) for top in range(0, raster.height, band_rows)]
+    samples = banded_samples(MaskedGrid(where.astype(np.float32)), 0.5, heights, raster)
+    for det in detections:
+        det.columns = columns_in(samples, det)
     with mock.patch.object(raster_core, "BLOCK_PX", block_px):
         try:
             for det in expected:

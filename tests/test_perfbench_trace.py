@@ -68,6 +68,15 @@ def test_traced_pipeline_records_every_expected_span(perfbench, tmp_path):
     # grove's spans: every pipeline span, and split_touching
     assert set(workloads.WORKLOADS["grove"].spans) <= recorded
     metrics = tracing.layer_metrics(spans)
+    # one plan, and one stitch per plan row: tiles and evaluated_px_ratio
+    # count the plan's windows once
+    calls = [span.name for span in spans]
+    assert calls.count("tiling.tile_plan") == 1
+    assert calls.count("tiling.stitch") == 3
+    # the probability map is written through the traced save_raster
+    assert [span.counts["bytes_written"] for span in spans if span.name == "raster_core.save_raster"] == [
+        (tmp_path / "out" / "probability.rhdr").stat().st_size + 4 * 300 * 300
+    ]
     assert metrics["crown_detect.split_calls"] > 0
     assert metrics["tiling.tiles"] == 9
     assert metrics["tiling.evaluated_px_ratio"] == 1.0

@@ -163,6 +163,27 @@ class TestSave:
         with pytest.raises(OSError):
             save_raster(raster, tmp_path / "no" / "such" / "dir" / "x")
 
+    def test_row_bands_write_the_raster_bytes(self, tmp_path, rng):
+        raster = random_raster(rng, 5, 7, band_names=("nir", "red"))
+        save_raster(raster, tmp_path / "whole")
+        bands = (
+            Raster(bands=tuple(Band(b.name, b.samples[top : top + 3]) for b in raster.bands), origin=(0, top))
+            for top in range(0, 7, 3)
+        )
+        save_raster(bands, tmp_path / "banded", 7)
+        for suffix in (".rhdr", ".rbin"):
+            assert (tmp_path / ("banded" + suffix)).read_bytes() == (tmp_path / ("whole" + suffix)).read_bytes()
+
+    def test_a_link_at_the_path_is_replaced_not_written_through(self, tmp_path, rng):
+        # a payload written through a link at its path used to overwrite
+        # the file the link leads to, such as the scene being read
+        save_raster(random_raster(rng, 4, 4), tmp_path / "scene")
+        before = (tmp_path / "scene.rbin").read_bytes()
+        (tmp_path / "out.rbin").symlink_to(tmp_path / "scene.rbin")
+        save_raster(random_raster(rng, 3, 2, band_names=("p",)), tmp_path / "out")
+        assert (tmp_path / "scene.rbin").read_bytes() == before
+        assert not (tmp_path / "out.rbin").is_symlink() and load_raster(tmp_path / "out").band_names == ("p",)
+
 
 class TestRoundTrip:
     def test_random_rasters_bit_exact(self, tmp_path, rng):
