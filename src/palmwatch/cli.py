@@ -102,6 +102,13 @@ class PipelineConfig:
     dead_ndvi_max: float = DetectorConfig.dead_ndvi_max
     match_max_dist: float = 10.0
 
+    def __post_init__(self):
+        if self.veg_index not in INDEX_REGISTRY:
+            raise ConfigurationError(f"veg_index must be one of {sorted(INDEX_REGISTRY)}, got {self.veg_index!r}")
+        check_vegetation_threshold(self.veg_threshold)
+        check_max_centroid_dist(self.match_max_dist)
+        self.detector_config()  # DetectorConfig checks the detector fields
+
     def detector_config(self) -> DetectorConfig:
         return config_from(DetectorConfig, self)
 
@@ -135,22 +142,14 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _refuse_to_replace(inputs, out_dir, replaced) -> None:
-    """Raise ConfigurationError when an input file is one that a run
-    removes or writes: a file in ``out_dir`` whose name ``replaced``
-    holds for. A symbolic link counts as itself and as its target."""
-    out_dir = Path(out_dir).resolve()
-    for path in inputs:
-        for entry in (path.parent.resolve() / path.name, path.resolve()):
-            if entry.parent == out_dir and replaced(entry.name):
-                raise ConfigurationError(f"input {path} is a file this run replaces in {out_dir}")
-
-
-def _refuse_to_overwrite(inputs, prefix) -> None:
-    """``_refuse_to_replace`` for a command that writes the raster at
-    ``prefix``: an input may be neither its header nor its payload."""
-    written = raster_paths(prefix)
-    _refuse_to_replace(inputs, written[0].parent, lambda name: name in {path.name for path in written})
+def _refuse_to_replace(inputs, replaced) -> None:
+    """Raise ConfigurationError when an input file is one of the paths
+    ``replaced`` that a run removes or writes. A symbolic link, input or
+    output, counts as itself and as its target."""
+    replaced = {entry for path in map(Path, replaced) for entry in (path.parent.resolve() / path.name, path.resolve())}
+    for path in map(Path, inputs):
+        if {path.parent.resolve() / path.name, path.resolve()} & replaced:
+            raise ConfigurationError(f"input {path} is a file this run replaces")
 
 
 def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
@@ -244,30 +243,27 @@ PIPELINE_OUTPUTS = (
 )
 
 
-def _vegetation_rows(band: Raster, config: PipelineConfig, params: ModelParams):
-    """A row band's vegetation stage: the band, its prediction features
-    (the band with the index joined, unless a band of that name comes
-    first), its prediction mask, its valid pixel count and its vegetation
-    mask."""
-    valid = band.valid_mask()
-    check_features(band, valid, params.features)
-    index = compute_index(band, valid, config.veg_index)
-    veg = vegetation_mask(index, config.veg_threshold)
-    prediction_mask = valid
-    if config.veg_gate:
-        gated = valid.bits & veg.bits
-        gated.setflags(write=False)  # so Mask keeps the plane instead of copying it
-        prediction_mask = Mask(gated)
-    # the index joins the band, so a model that reads it as a feature takes
-    # it as it is
-    features = band
-    if not band.has_band(config.veg_index):
-        features = Raster(
-            bands=band.bands + (Band(name=config.veg_index, samples=index.values),),
-            nodata_value=band.nodata_value,
-            origin=band.origin,
-        )
-    return band, features, prediction_mask, valid.count(), veg
+def _check_scene(scene_path: Path, features):
+    """The scene's header, once its payload size and its bands' fit to
+    ``features`` (band and index names) are checked from its first row
+    alone, before a prediction removes or writes anything."""
+    header = read_header(scene_path)
+    row = load_raster(scene_path, slice(0, 1))
+    check_features(row, row.valid_mask(), features)
+    return header
+
+
+def _write_detections(parts: list, cfg: DetectorConfig, prefix, origin) -> list:
+    """The crowns in the foreground samples ``parts`` (a scene's row
+    bands, top to bottom; the list is emptied), detected and classified
+    by ``cfg`` and written to ``prefix``.geojson and ``prefix``.csv."""
+    samples = PixelSamples.join(parts)
+    parts.clear()
+    detections = detect_crowns(samples, cfg)
+    classify_detections(detections, samples, cfg)
+    write_geojson(detections, f"{prefix}.geojson", origin=origin)
+    write_csv(detections, f"{prefix}.csv", origin=origin)
+    return detections
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -277,93 +273,80 @@ def run_pipeline(config: PipelineConfig) -> dict:
     probability raster, detections.geojson/.csv, and (with truth)
     metrics.csv/.json plus an eval.json holding detection-level counts
     and the confusion matrix. Nothing in the directory changes until the
-    scene's header, its payload size and the model's fit to its bands are
-    checked (on the first plan row's band) and the model and truth are
-    read; then every other file of PIPELINE_OUTPUTS is removed and
-    manifest.json is written before the first output, so each file there
-    comes from the settings its manifest records, even when the run fails
-    later.
+    model and truth are read and the scene is checked as ``predict``
+    checks it (its header, its payload size and its bands' fit to the
+    model and to the vegetation index, from its first row); then every
+    other file of PIPELINE_OUTPUTS is removed and manifest.json is
+    written before the first output, so each file there comes from the
+    settings its manifest records, even when the run fails later.
 
-    Neither the scene nor the probability map is ever held whole: a
-    generator walks the prediction plan one plan row at a time and hands
-    ``save_raster`` the probability rows of each row band. Per row band
-    it reads the band, computes its valid, index and vegetation rows,
-    writes the vegetation rows to veg_mask and drops them, ``stitch``es
-    the band's tile maps on the row's one-row plan as they are made, and
-    gathers the foreground samples (``PixelSamples``): the pixels above
-    ``prob_threshold``, which are every pixel a detection can hold, with
-    their probability and the scene's band samples. The band map is
-    written to probability, and the band and its map are released before
-    the next band is read. Detection labels the samples one row band at a
-    time and classification reads them, so at any scene size memory holds
-    one row band's planes besides the foreground samples.
+    Neither the scene nor the probability map is ever held whole. One
+    loop walks the prediction plan a plan row at a time; per row band it
+    reads the band, writes its vegetation rows to veg_mask, ``stitch``es
+    the band's tile maps on the row's one-row plan, gathers the
+    foreground samples (``PixelSamples``: the pixels above
+    ``prob_threshold``, with their probability and band samples) and
+    hands the band map to ``save_raster``, and it releases the band and
+    its map before the next band is read. Detection and classification
+    read the samples alone, as in ``detect``, so memory holds one row
+    band's planes besides the foreground samples.
     """
     scene_path = _require_file(config.scene_path, "scene")
     model_path = _require_file(config.model_path, "model")
     inputs = [*raster_paths(scene_path), model_path]
-    truth = None
     if config.truth_path is not None:
         truth_path = _require_file(config.truth_path, "truth annotations")
         inputs.append(truth_path)
-    if config.veg_index not in INDEX_REGISTRY:
-        raise ConfigurationError(
-            f"veg_index must be one of {sorted(INDEX_REGISTRY)}, got {config.veg_index!r}"
-        )
-    check_vegetation_threshold(config.veg_threshold)
-    check_max_centroid_dist(config.match_max_dist)
-    detector = config.detector_config()
-    _refuse_to_replace(inputs, config.out_dir, lambda name: name in PIPELINE_OUTPUTS or name == "manifest.json")
-
-    scene = read_header(scene_path)
-    plan = _prediction_plan(scene.width, scene.height)
-    params = load_params(model_path)
-    if config.truth_path is not None:
-        truth = load_annotations(truth_path)
-    # the first row band's stage, which checks its payload and the model's
-    # fit to its bands
-    stage = _vegetation_rows(load_raster(scene_path, next(_plan_rows(plan))[0]), config, params)
-
     out_dir = Path(config.out_dir)
+    _refuse_to_replace(inputs, [out_dir / name for name in (*PIPELINE_OUTPUTS, "manifest.json")])
+
+    params = load_params(model_path)
+    truth = None if config.truth_path is None else load_annotations(truth_path)
+    # the index is computed from its band pair, whatever bands the scene has
+    scene = _check_scene(scene_path, (*params.features, *INDEX_REGISTRY[config.veg_index]))
+    plan = _prediction_plan(scene.width, scene.height)
+
     out_dir.mkdir(parents=True, exist_ok=True)
     # an earlier run's outputs in this directory must not pass for this run's
     for name in PIPELINE_OUTPUTS:
         (out_dir / name).unlink(missing_ok=True)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(config.to_manifest(), indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "manifest.json").write_text(json.dumps(config.to_manifest(), indent=2, sort_keys=True) + "\n")
 
     valid_px = veg_px = 0
     parts = []
 
     def probability_rows():
-        nonlocal stage, valid_px, veg_px
+        nonlocal valid_px, veg_px
         for rows, row_plan in _plan_rows(plan):
-            if stage is None:
-                stage = _vegetation_rows(load_raster(scene_path, rows), config, params)
-            band, features, prediction_mask, n_valid, veg = stage
-            stage = None
+            band = load_raster(scene_path, rows)
+            valid = band.valid_mask()
+            index = compute_index(band, valid, config.veg_index)
+            veg = vegetation_mask(index, config.veg_threshold)
             veg_out.write(_mask_to_raster(veg, "veg_mask", band.origin))
-            valid_px += n_valid
+            valid_px += valid.count()
             veg_px += veg.count()
-            del veg
-            prob = stitch(row_plan, _tile_maps(features, prediction_mask, row_plan.windows, params))
-            parts.append(PixelSamples.gather(prob, detector.prob_threshold, band, height=scene.height, top=rows.start))
+            if config.veg_gate:
+                gated = valid.bits & veg.bits
+                gated.setflags(write=False)  # so Mask keeps the plane instead of copying it
+                valid = Mask(gated)
+            # the index joins the band, unless a band of its name comes
+            # first, so a model that reads it as a feature takes it as it is
+            features = band if band.has_band(config.veg_index) else Raster(
+                band.bands + (Band(config.veg_index, index.values),), band.nodata_value, band.origin
+            )
+            del index, veg
+            prob = stitch(row_plan, _tile_maps(features, valid, row_plan.windows, params))
+            parts.append(PixelSamples.gather(prob, config.prob_threshold, band, height=scene.height, top=rows.start))
             origin = band.origin
             # so that the next band is read after this one is freed
-            del band, features, prediction_mask
+            del band, features, valid
             yield prob.to_raster(origin)
             del prob
 
     with RasterWriter(out_dir / "veg_mask", scene.height) as veg_out:
         save_raster(probability_rows(), out_dir / "probability", scene.height)
     veg_fraction = veg_px / max(valid_px, 1)
-    samples = PixelSamples.join(parts)
-    del parts
-
-    detections = detect_crowns(samples, detector)
-    classify_detections(detections, samples, detector)
-    write_geojson(detections, out_dir / "detections.geojson", origin=scene.origin)
-    write_csv(detections, out_dir / "detections.csv", origin=scene.origin)
+    detections = _write_detections(parts, config.detector_config(), out_dir / "detections", scene.origin)
 
     summary = {
         "scene": str(scene_path),
@@ -401,9 +384,19 @@ def _cmd_index(args) -> int:
     if args.veg_mask is not None:
         check_vegetation_threshold(args.veg_threshold)
     scene_path = _require_file(args.scene, "scene")
-    for prefix in (args.out, args.veg_mask):
-        if prefix is not None:
-            _refuse_to_overwrite(raster_paths(scene_path), prefix)
+    inputs = [*raster_paths(scene_path)]
+    outputs = [path for prefix in (args.out, args.veg_mask) if prefix is not None for path in raster_paths(prefix)]
+    if args.annotations is not None:
+        ann_path = _require_file(args.annotations, "annotations")
+        inputs.append(ann_path)
+        if args.stats_out is not None:
+            outputs.append(args.stats_out)
+    _refuse_to_replace(inputs, outputs)
+    if args.annotations is not None:
+        # crowns off the grid fail before any raster is written
+        ann = load_annotations(ann_path)
+        header = read_header(scene_path)
+        ann.check_within(header.width, header.height)
     scene = load_raster(scene_path)
     valid = scene.valid_mask()
     index = compute_index(scene, valid, args.index)
@@ -417,7 +410,6 @@ def _cmd_index(args) -> int:
             f"({veg.count() / max(valid.count(), 1):.1%} of valid); wrote {args.veg_mask}.rhdr"
         )
     if args.annotations is not None:
-        ann = load_annotations(_require_file(args.annotations, "annotations"))
         columns = ("class_label", "index_name", "count", "mean", "std_dev", "min", "q1", "median", "q3", "max")
         buffer = io.StringIO()
         # a class with no valid pixels has None statistics, which csv writes as empty fields
@@ -438,16 +430,15 @@ def _cmd_tile(args) -> int:
     scene_path = _require_file(args.scene, "scene")
     # an earlier plan's tiles and their annotations in the output directory
     # must not pass for this plan's; only the names tile writes (ASCII
-    # digits) go
-    replaced = partial(re.fullmatch, r"tile_[0-9]+_[0-9]+\.(rhdr|rbin|json)")
-    _refuse_to_replace(raster_paths(scene_path), args.out_dir, replaced)
+    # digits) go, and they hold every file there that this plan writes
+    out_dir = Path(args.out_dir)
+    earlier = [path for path in out_dir.glob("tile_*_*.*") if re.fullmatch(r"tile_[0-9]+_[0-9]+\.(rhdr|rbin|json)", path.name)]
+    _refuse_to_replace(raster_paths(scene_path), earlier)
     scene = load_raster(scene_path)
     plan = tile_plan(scene.width, scene.height, args.tile_size, args.overlap)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path in out_dir.glob("tile_*_*.*"):
-        if replaced(path.name):
-            path.unlink()
+    for path in earlier:
+        path.unlink()
     for i, window in enumerate(plan.windows):
         row, col = divmod(i, plan.n_cols)
         save_raster(extract_tile(scene, window), out_dir / f"tile_{row}_{col}")
@@ -456,7 +447,8 @@ def _cmd_tile(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    spec = load_augment_spec(_require_file(args.spec, "augment spec"))
+    spec_path = _require_file(args.spec, "augment spec")
+    spec = load_augment_spec(spec_path)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     in_dir = Path(args.in_dir)
@@ -465,11 +457,14 @@ def _cmd_augment(args) -> int:
     out_dir = Path(args.out_dir)
     if out_dir.resolve() == in_dir.resolve():
         raise ConfigurationError(f"output directory {out_dir} is the input directory")
-    out_dir.mkdir(parents=True, exist_ok=True)
     headers = sorted(in_dir.glob("*.rhdr"))
     if not headers:
         raise ConfigurationError(f"no .rhdr tiles in {in_dir}")
-    written = []
+    # names are stem + suffix: a stem may itself contain dots
+    outputs = [out_dir / (header.stem + suffix) for header in headers for suffix in (".rhdr", ".rbin", ".json")]
+    _refuse_to_replace([spec_path], outputs)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = 0
     try:
         for header in headers:
             tile = load_raster(header)
@@ -479,13 +474,12 @@ def _cmd_augment(args) -> int:
             # directory gains or loses other tiles
             tile_id = zlib.crc32(header.stem.encode())
             out_tile, out_ann = apply_spec(tile, ann, spec, tile_id)
-            # names are stem + suffix: a stem may itself contain dots
-            written += [out_dir / (header.stem + suffix) for suffix in (".rhdr", ".rbin", ".json")]
+            written += 3
             save_raster(out_tile, out_dir / header.stem)
             save_annotations(out_ann, out_dir / (header.stem + ".json"))
     except BaseException:
         # so no tile left in the output directory looks finished
-        for path in written:
+        for path in outputs[:written]:
             path.unlink(missing_ok=True)
         raise
     print(f"augmented {len(headers)} tiles into {out_dir}")
@@ -493,10 +487,12 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = load_scene_spec(_require_file(args.spec, "scene spec")) if args.spec else SceneSpec()
+    out_dir = Path(args.out_dir)
+    inputs = [_require_file(args.spec, "scene spec")] if args.spec else []
+    _refuse_to_replace(inputs, [out_dir / (args.name + suffix) for suffix in (".rhdr", ".rbin", ".json", "_spec.json")])
+    spec = load_scene_spec(inputs[0]) if inputs else SceneSpec()
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raster, ann = generate_scene(spec)
     save_raster(raster, out_dir / args.name)
@@ -517,6 +513,7 @@ def _cmd_train(args) -> int:
         ann_path = header.with_suffix(".json")
         _require_file(ann_path, f"annotations for {header.name}")
         paths.append((header, ann_path))
+    _refuse_to_replace([path for header, ann_path in paths for path in (*raster_paths(header), ann_path)], [args.out])
     # scenes are read one at a time, as build_training_set asks for them
     X, y, names = build_training_set(
         ((load_raster(header), load_annotations(ann_path)) for header, ann_path in paths),
@@ -533,9 +530,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     scene_path = _require_file(args.scene, "scene")
-    _refuse_to_overwrite(raster_paths(scene_path), args.out)
-    scene = read_header(scene_path)
-    params = load_params(_require_file(args.model, "model"))
+    model_path = _require_file(args.model, "model")
+    _refuse_to_replace([*raster_paths(scene_path), model_path], raster_paths(args.out))
+    params = load_params(model_path)
+    scene = _check_scene(scene_path, params.features)
     plan = _prediction_plan(scene.width, scene.height)
 
     def probability_rows():
@@ -580,12 +578,7 @@ def _cmd_detect(args) -> int:
             PixelSamples.gather(prob, cfg.prob_threshold, load_raster(scene_path, rows), height=scene.height, top=rows.start)
         )
         del prob
-    samples = PixelSamples.join(parts)
-    del parts
-    detections = detect_crowns(samples, cfg)
-    classify_detections(detections, samples, cfg)
-    write_geojson(detections, args.out + ".geojson", origin=scene.origin)
-    write_csv(detections, args.out + ".csv", origin=scene.origin)
+    detections = _write_detections(parts, cfg, args.out, scene.origin)
     by_class = {}
     for det in detections:
         by_class[det.class_label] = by_class.get(det.class_label, 0) + 1
@@ -596,8 +589,12 @@ def _cmd_detect(args) -> int:
 
 def _cmd_eval(args) -> int:
     check_max_centroid_dist(args.match_max_dist)
-    detections = load_geojson(_require_file(args.detections, "detections"))
-    truth = load_annotations(_require_file(args.truth, "truth annotations"))
+    detections_path = _require_file(args.detections, "detections")
+    truth_path = _require_file(args.truth, "truth annotations")
+    if args.out is not None:
+        _refuse_to_replace([detections_path, truth_path], [args.out + "_metrics.csv", args.out + "_metrics.json"])
+    detections = load_geojson(detections_path)
+    truth = load_annotations(truth_path)
     payload, cm, report = evaluate_detections(detections, truth, args.match_max_dist)
     det = payload["detection"]
     print(

@@ -29,6 +29,11 @@ from palmwatch.tiling import DEFAULT_TILE_SIZE, tile_plan
 from conftest import address_space_cap, random_raster
 
 
+def files_in(root):
+    """Every file under ``root`` with its bytes."""
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
 def small_scene_spec(seed):
     return SceneSpec(
         width=220,
@@ -67,6 +72,14 @@ class TestSynth:
         a = load_raster(workspace["scenes"][0])
         b = load_raster(tmp_path / "scene.rhdr")
         np.testing.assert_array_equal(a.band("nir").samples, b.band("nir").samples)
+
+    def test_a_spec_at_the_spec_it_writes_is_refused(self, tmp_path, capsys):
+        # synth used to write the seeded spec over the spec it read and exit 0
+        (tmp_path / "scene_spec.json").write_text(scene_spec_to_json(small_scene_spec(0)))
+        before = files_in(tmp_path)
+        assert main(["synth", str(tmp_path), "--spec", str(tmp_path / "scene_spec.json"), "--seed", "5"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: input ")
+        assert files_in(tmp_path) == before
 
 
 class TestIndexCommand:
@@ -115,15 +128,34 @@ class TestIndexCommand:
         assert main([*args, "--stats-out", str(tmp_path / "stats.csv")]) == 0
         assert (tmp_path / "stats.csv").read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("flags", [["{scene}"], ["{other}", "--veg-mask", "{scene}"]], ids=["out", "veg_mask"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["{scene}"], ["{other}", "--veg-mask", "{scene}"], ["{other}", "--annotations", "{ann}", "--stats-out", "{scene}.rhdr"]],
+        ids=["out", "veg_mask", "stats_out"],
+    )
     def test_an_output_at_the_scene_is_refused(self, tmp_path, capsys, flags):
-        # index used to overwrite its own scene with the index map and exit 0
+        # index used to overwrite its own scene with the index map, or its
+        # header with the stats CSV, and exit 0
         save_raster(random_raster(np.random.default_rng(3), 50, 40), tmp_path / "s")
+        save_annotations(AnnotationSet((CrownAnnotation(1, "healthy", 20.0, 20.0, 4.0),)), tmp_path / "a.json")
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        args = [flag.format(scene=tmp_path / "s", other=tmp_path / "ndvi") for flag in flags]
+        args = [flag.format(scene=tmp_path / "s", other=tmp_path / "ndvi", ann=tmp_path / "a.json") for flag in flags]
         assert main(["index", str(tmp_path / "s.rhdr"), *args]) == 2
         assert capsys.readouterr().err.startswith("configuration error: input ")
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("crowns, code", [(None, 2), ((CrownAnnotation(1, "healthy", 500.0, 20.0, 4.0),), 3)],
+                             ids=["missing", "off_grid"])
+    def test_bad_annotations_write_no_raster(self, tmp_path, capsys, crowns, code):
+        # both used to leave the index raster and the vegetation mask written
+        save_raster(random_raster(np.random.default_rng(3), 50, 40), tmp_path / "s")
+        if crowns is not None:
+            save_annotations(AnnotationSet(crowns), tmp_path / "a.json")
+        before = files_in(tmp_path)
+        args = ["index", str(tmp_path / "s.rhdr"), str(tmp_path / "ndvi"), "--veg-mask", str(tmp_path / "veg")]
+        assert main([*args, "--annotations", str(tmp_path / "a.json")]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert files_in(tmp_path) == before
 
 
 class TestTileCommand:
@@ -262,6 +294,18 @@ class TestAugmentCommand:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert {p.name: p.read_bytes() for p in in_dir.iterdir()} == before
 
+    def test_a_spec_at_a_tile_it_writes_is_refused(self, tmp_path, capsys):
+        # augment used to write tile a's annotations over the spec it read
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        out_dir.mkdir()
+        save_raster(Raster(bands=(Band("red", np.full((16, 16), 0.5, np.float32)),)), in_dir / "a")
+        (out_dir / "a.json").write_text(json.dumps({"operations": [{"op": "flip_h"}]}))
+        before = files_in(tmp_path)
+        assert main(["augment", str(in_dir), str(out_dir), "--spec", str(out_dir / "a.json")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: input ")
+        assert files_in(tmp_path) == before
+
     @pytest.mark.parametrize("how", ["flag", "spec"])
     def test_seed_outside_philox_key_range_is_config_error(self, workspace, tmp_path, capsys, how):
         in_dir = tmp_path / "in"
@@ -311,6 +355,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: training needs palm pixels, but no crown covers any of the 4096 valid pixels"]
         assert not model.exists()
+
+    @pytest.mark.parametrize("out", ["s.json", "link.json"])
+    def test_a_model_at_a_scenes_annotations_is_refused(self, workspace, tmp_path, capsys, out):
+        # train used to write the model over the annotations it read, or
+        # through a link to them, and exit 0
+        for suffix in (".rhdr", ".rbin", ".json"):
+            (tmp_path / ("s" + suffix)).write_bytes(workspace["scenes"][0].with_suffix(suffix).read_bytes())
+        (tmp_path / "link.json").symlink_to(tmp_path / "s.json")
+        before = files_in(tmp_path)
+        assert main(["train", str(tmp_path / "s.rhdr"), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: input ")
+        assert files_in(tmp_path) == before
 
 
 class TestPipelineMemory:
@@ -408,6 +464,36 @@ class TestPredictDetectEval:
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error: input ")
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("fault", ["model", "payload"])
+    def test_a_rejected_run_keeps_the_earlier_map(self, workspace, tmp_path, capsys, fault):
+        # an incompatible model or a truncated payload used to remove the
+        # earlier map at --out before it was rejected
+        for suffix in (".rhdr", ".rbin"):
+            (tmp_path / ("s" + suffix)).write_bytes(workspace["scenes"][2].with_suffix(suffix).read_bytes())
+        args = ["predict", str(tmp_path / "s.rhdr"), "--out", str(tmp_path / "prob")]
+        assert main([*args, "--model", str(workspace["model"])]) == 0
+        model = workspace["model"]
+        if fault == "model":
+            model = tmp_path / "swir.json"
+            save_params(ModelParams(("swir", "ndvi"), np.ones(2), 0.0, np.zeros(2), np.ones(2)), model)
+        else:
+            (tmp_path / "s.rbin").write_bytes((tmp_path / "s.rbin").read_bytes()[:-4])
+        before = files_in(tmp_path)
+        capsys.readouterr()
+        assert main([*args, "--model", str(model)]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert files_in(tmp_path) == before
+
+    def test_metrics_at_the_truth_are_refused(self, tmp_path, capsys):
+        # eval used to write the metrics JSON over the truth it read and exit 0
+        (tmp_path / "dets.geojson").write_text(json.dumps(_VALID_DOCS["detections"]))
+        (tmp_path / "r_metrics.json").write_text(json.dumps(_VALID_DOCS["annotations"]))
+        before = files_in(tmp_path)
+        code = main(["eval", str(tmp_path / "dets.geojson"), str(tmp_path / "r_metrics.json"), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: input ")
+        assert files_in(tmp_path) == before
 
     def test_stage_by_stage(self, workspace, tmp_path, capsys):
         scene = workspace["scenes"][2]
@@ -689,6 +775,23 @@ class TestPipeline:
         assert "['swir']" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_only_the_first_row_is_read_before_the_manifest(self, workspace, tmp_path, monkeypatch):
+        # the scene check reads row 0 alone; the first row band used to be
+        # read whole and held until the loop took it
+        out = tmp_path / "run"
+        windows = []
+        load = cli.load_raster
+
+        def spy(path, rows=None):
+            windows.append((rows, (out / "manifest.json").exists()))
+            return load(path, rows)
+
+        monkeypatch.setattr(cli, "load_raster", spy)
+        with mock.patch.object(cli, "DEFAULT_TILE_SIZE", 64):
+            assert self.run(workspace, out) == 0
+        assert [rows for rows, written in windows if not written] == [slice(0, 1)]
+        assert [rows for rows, written in windows if written] == [slice(y, min(y + 64, 220)) for y in range(0, 220, 64)]
+
     def test_default_config_evaluates_each_pixel_once(self, tmp_path, monkeypatch):
         size = DEFAULT_TILE_SIZE + 1  # 2x2 tiles at the default tile size
         raster = random_raster(np.random.default_rng(3), size, size)
@@ -959,13 +1062,16 @@ class TestExitCodes:
 
     def test_unknown_manifest_veg_index_is_config_error(self, workspace, tmp_path, capsys):
         # used to exit 3, as a data error, after reading the scene
+        # the config checks its own veg_index, so the manifest is written
+        # by hand
         out = tmp_path / "run"
         config = PipelineConfig(
-            scene_path=str(workspace["scenes"][2]), model_path=str(workspace["model"]),
-            out_dir=str(out), veg_index="foo",
+            scene_path=str(workspace["scenes"][2]), model_path=str(workspace["model"]), out_dir=str(out),
         )
+        payload = config.to_manifest()
+        payload["config"]["veg_index"] = "foo"
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps(config.to_manifest()))
+        manifest.write_text(json.dumps(payload))
         assert main(["pipeline", "--config", str(manifest)]) == 2
         assert "veg_index" in capsys.readouterr().err
         assert not out.exists()
