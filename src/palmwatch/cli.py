@@ -83,17 +83,18 @@ from .tiling import (
 )
 
 
+VEGETATION_INDEX = "ndvi"  # the index of ``index``'s default vegetation mask
+
+
 @dataclass
 class PipelineConfig:
-    """Every knob of the composed pipeline; serialized as the run manifest."""
+    """Every knob of the composed pipeline; serialized as the run manifest.
+    The vegetation mask has none: a run writes ``index``'s default mask."""
 
     scene_path: str
     model_path: str
     out_dir: str
     truth_path: str | None = None
-    veg_index: str = "ndvi"
-    veg_threshold: float = DEFAULT_VEGETATION_THRESHOLD
-    veg_gate: bool = False
     prob_threshold: float = DetectorConfig.prob_threshold
     min_area: int = DetectorConfig.min_area
     max_area: int = DetectorConfig.max_area
@@ -103,9 +104,6 @@ class PipelineConfig:
     match_max_dist: float = 10.0
 
     def __post_init__(self):
-        if self.veg_index not in INDEX_REGISTRY:
-            raise ConfigurationError(f"veg_index must be one of {sorted(INDEX_REGISTRY)}, got {self.veg_index!r}")
-        check_vegetation_threshold(self.veg_threshold)
         check_max_centroid_dist(self.match_max_dist)
         self.detector_config()  # DetectorConfig checks the detector fields
 
@@ -123,6 +121,15 @@ class PipelineConfig:
         # an output number
         legacy = ("jobs", "overlap", "tile_size", "averaging")
         config = {key: value for key, value in config.items() if key not in legacy}
+        # nor did the vegetation settings at their defaults; any other
+        # value asked for a mask or a gate that no run makes now
+        for key, default in {"veg_index": VEGETATION_INDEX, "veg_threshold": DEFAULT_VEGETATION_THRESHOLD, "veg_gate": False}.items():
+            value = config.pop(key, default)
+            if value != default or type(value) is not type(default):
+                raise ConfigurationError(
+                    f"manifest config {key} {value!r} cannot be rerun: pipeline writes only the default vegetation "
+                    "mask and never gates prediction; write another mask with palmwatch index"
+                )
         return from_fields(cls, config, "manifest config")
 
 
@@ -275,16 +282,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
     and the confusion matrix. Nothing in the directory changes until the
     model and truth are read and the scene is checked as ``predict``
     checks it (its header, its payload size and its bands' fit to the
-    model and to the vegetation index, from its first row); then every
+    model and to NDVI's bands, from its first row); then every
     other file of PIPELINE_OUTPUTS is removed and manifest.json is
     written before the first output, so each file there comes from the
     settings its manifest records, even when the run fails later.
 
     Neither the scene nor the probability map is ever held whole. One
     loop walks the prediction plan a plan row at a time; per row band it
-    reads the band, writes its vegetation rows to veg_mask, ``stitch``es
-    the band's tile maps on the row's one-row plan, gathers the
-    foreground samples (``PixelSamples``: the pixels above
+    reads the band, writes its vegetation rows to veg_mask (``index``'s
+    default mask, NDVI > DEFAULT_VEGETATION_THRESHOLD, which never gates
+    prediction: every valid pixel is predicted, as in ``predict``),
+    ``stitch``es the band's tile maps on the row's one-row plan, gathers
+    the foreground samples (``PixelSamples``: the pixels above
     ``prob_threshold``, with their probability and band samples) and
     hands the band map to ``save_raster``, and it releases the band and
     its map before the next band is read. Detection and classification
@@ -303,7 +312,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     params = load_params(model_path)
     truth = None if config.truth_path is None else load_annotations(truth_path)
     # the index is computed from its band pair, whatever bands the scene has
-    scene = _check_scene(scene_path, (*params.features, *INDEX_REGISTRY[config.veg_index]))
+    scene = _check_scene(scene_path, (*params.features, *INDEX_REGISTRY[VEGETATION_INDEX]))
     plan = _prediction_plan(scene.width, scene.height)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -320,19 +329,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
         for rows, row_plan in _plan_rows(plan):
             band = load_raster(scene_path, rows)
             valid = band.valid_mask()
-            index = compute_index(band, valid, config.veg_index)
-            veg = vegetation_mask(index, config.veg_threshold)
+            index = compute_index(band, valid, VEGETATION_INDEX)
+            veg = vegetation_mask(index, DEFAULT_VEGETATION_THRESHOLD)
             veg_out.write(_mask_to_raster(veg, "veg_mask", band.origin))
             valid_px += valid.count()
             veg_px += veg.count()
-            if config.veg_gate:
-                gated = valid.bits & veg.bits
-                gated.setflags(write=False)  # so Mask keeps the plane instead of copying it
-                valid = Mask(gated)
             # the index joins the band, unless a band of its name comes
             # first, so a model that reads it as a feature takes it as it is
-            features = band if band.has_band(config.veg_index) else Raster(
-                band.bands + (Band(config.veg_index, index.values),), band.nodata_value, band.origin
+            features = band if band.has_band(VEGETATION_INDEX) else Raster(
+                band.bands + (Band(VEGETATION_INDEX, index.values),), band.nodata_value, band.origin
             )
             del index, veg
             prob = stitch(row_plan, _tile_maps(features, valid, row_plan.windows, params))
@@ -383,14 +388,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
 def _cmd_index(args) -> int:
     if args.veg_mask is not None:
         check_vegetation_threshold(args.veg_threshold)
+    outputs = [path for prefix in (args.out, args.veg_mask) if prefix is not None for path in raster_paths(prefix)]
+    if args.annotations is not None and args.stats_out is not None:
+        outputs.append(Path(args.stats_out))
+    # a later output written to an earlier one's path would replace it
+    if len({path.resolve() for path in outputs}) < len(outputs):
+        raise ConfigurationError(f"two outputs share a path among {', '.join(map(str, outputs))}")
     scene_path = _require_file(args.scene, "scene")
     inputs = [*raster_paths(scene_path)]
-    outputs = [path for prefix in (args.out, args.veg_mask) if prefix is not None for path in raster_paths(prefix)]
     if args.annotations is not None:
         ann_path = _require_file(args.annotations, "annotations")
         inputs.append(ann_path)
-        if args.stats_out is not None:
-            outputs.append(args.stats_out)
     _refuse_to_replace(inputs, outputs)
     if args.annotations is not None:
         # crowns off the grid fail before any raster is written
@@ -401,13 +409,13 @@ def _cmd_index(args) -> int:
     valid = scene.valid_mask()
     index = compute_index(scene, valid, args.index)
     save_raster(index.to_raster(origin=scene.origin), args.out)
-    print(f"wrote {args.index} map to {args.out}.rhdr")
+    print(f"wrote {args.index} map to {raster_paths(args.out)[0]}")
     if args.veg_mask is not None:
         veg = vegetation_mask(index, args.veg_threshold)
         save_raster(_mask_to_raster(veg, "veg_mask", scene.origin), args.veg_mask)
         print(
             f"vegetation (> {args.veg_threshold}): {veg.count()} px "
-            f"({veg.count() / max(valid.count(), 1):.1%} of valid); wrote {args.veg_mask}.rhdr"
+            f"({veg.count() / max(valid.count(), 1):.1%} of valid); wrote {raster_paths(args.veg_mask)[0]}"
         )
     if args.annotations is not None:
         columns = ("class_label", "index_name", "count", "mean", "std_dev", "min", "q1", "median", "q3", "max")
@@ -547,7 +555,7 @@ def _cmd_predict(args) -> int:
             del prob
 
     save_raster(probability_rows(), args.out, scene.height)
-    print(f"wrote probability map to {args.out}.rhdr")
+    print(f"wrote probability map to {raster_paths(args.out)[0]}")
     return 0
 
 
@@ -685,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="compute a vegetation index (and optional mask/stats)")
     p.add_argument("scene", help="scene .rhdr path")
     p.add_argument("out", help="output prefix for the index raster")
-    p.add_argument("--index", default=PipelineConfig.veg_index, choices=indices, help="index to compute (default %(default)s)")
+    p.add_argument("--index", default=VEGETATION_INDEX, choices=indices, help="index to compute (default %(default)s)")
     p.add_argument("--veg-mask", default=None, help="also write a vegetation mask raster to this prefix")
     p.add_argument(
         "--veg-threshold",
@@ -760,19 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir", default=None, help="output directory")
     p.add_argument("--truth", dest="truth_path", default=c.truth_path, help="truth annotations JSON (enables metrics)")
     p.add_argument("--config", default=None, help="rerun from a manifest.json (replaces every other flag)")
-    p.add_argument("--veg-index", default=c.veg_index, choices=indices, help="index for the vegetation mask (default %(default)s)")
-    p.add_argument(
-        "--veg-threshold",
-        type=float,
-        default=c.veg_threshold,
-        help="strict lower bound for vegetation (default %(default)s)",
-    )
-    p.add_argument(
-        "--veg-gate",
-        action="store_true",
-        default=c.veg_gate,
-        help="restrict prediction to vegetation pixels (off by default: the mask is advisory)",
-    )
     _add_detector_flags(p)
     _add_eval_flags(p)
     p.set_defaults(func=partial(_cmd_pipeline, p))

@@ -144,6 +144,36 @@ class TestIndexCommand:
         assert capsys.readouterr().err.startswith("configuration error: input ")
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["o", "--veg-mask", "o"], ["o", "--veg-mask", "o.rhdr"], ["o.rhdr", "--veg-mask", "o"],
+         ["o", "--annotations", "a.json", "--stats-out", "o.rhdr"],
+         ["o", "--veg-mask", "m", "--annotations", "a.json", "--stats-out", "m.rbin"]],
+        ids=["veg_mask", "veg_mask_header", "out_header", "stats_out", "stats_out_veg_mask"],
+    )
+    def test_two_outputs_at_one_path_are_refused(self, tmp_path, capsys, flags):
+        # index used to write the mask over the index map it had just
+        # written, or the stats CSV over a raster it had written, and exit 0
+        save_raster(random_raster(np.random.default_rng(3), 50, 40), tmp_path / "s")
+        save_annotations(AnnotationSet((CrownAnnotation(1, "healthy", 20.0, 20.0, 4.0),)), tmp_path / "a.json")
+        before = files_in(tmp_path)
+        args = [flag if flag.startswith("--") else str(tmp_path / flag) for flag in flags]
+        assert main(["index", str(tmp_path / "s.rhdr"), *args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: two outputs share a path")
+        assert files_in(tmp_path) == before
+
+    @pytest.mark.parametrize("suffix", ["", ".rhdr"])
+    def test_printed_raster_paths_exist(self, workspace, tmp_path, capsys, suffix):
+        # a header path given as a prefix used to be printed as o.rhdr.rhdr
+        scene, model = str(workspace["scenes"][2]), str(workspace["model"])
+        capsys.readouterr()
+        assert main(["index", scene, str(tmp_path / f"o{suffix}"), "--veg-mask", str(tmp_path / f"o2{suffix}")]) == 0
+        assert main(["predict", scene, "--model", model, "--out", str(tmp_path / f"p{suffix}")]) == 0
+        printed = [Path(line.rsplit(" ", 1)[1]) for line in capsys.readouterr().out.splitlines()]
+        assert printed == [tmp_path / "o.rhdr", tmp_path / "o2.rhdr", tmp_path / "p.rhdr"]
+        assert all(path.is_file() for path in printed)
+
     @pytest.mark.parametrize("crowns, code", [(None, 2), ((CrownAnnotation(1, "healthy", 500.0, 20.0, 4.0),), 3)],
                              ids=["missing", "off_grid"])
     def test_bad_annotations_write_no_raster(self, tmp_path, capsys, crowns, code):
@@ -617,9 +647,11 @@ class TestPipeline:
         # manifests written before the thread count was left to the CPU
         # affinity carry "jobs", those written before prediction tiles
         # stopped overlapping carry "overlap", those written before
-        # prediction used one tile plan carry "tile_size", and every one
-        # written before the headline was always macro carries "averaging";
-        # none changed an output number
+        # prediction used one tile plan carry "tile_size", every one
+        # written before the headline was always macro carries "averaging",
+        # and those written before the pipeline's vegetation mask was fixed
+        # carry "veg_index", "veg_threshold" and "veg_gate"; none changed an
+        # output number at these values
         scene = workspace["scenes"][2]
         config = PipelineConfig(
             scene_path=str(scene), model_path=str(workspace["model"]), out_dir=str(tmp_path / "orig"),
@@ -630,6 +662,7 @@ class TestPipeline:
             {"jobs": 3}, {"overlap": 32}, {"jobs": 1, "overlap": 127}, {"tile_size": 128},
             {"jobs": 2, "overlap": 3, "tile_size": 7}, {"averaging": "micro"},
             {"averaging": "weighted", "jobs": 2, "tile_size": 7},
+            {"veg_index": "ndvi", "veg_threshold": 0.2, "veg_gate": False},
         )
         for i, legacy in enumerate(legacies):
             replay = tmp_path / f"replay{i}"
@@ -643,7 +676,46 @@ class TestPipeline:
             ):
                 assert (tmp_path / "orig" / name).read_bytes() == (replay / name).read_bytes(), (legacy, name)
             written = json.loads((replay / "manifest.json").read_text())["config"]
-            assert not {"jobs", "overlap", "tile_size", "averaging"} & set(written)
+            assert not {"jobs", "overlap", "tile_size", "averaging", "veg_index", "veg_threshold", "veg_gate"} & set(written)
+
+    @pytest.mark.parametrize("key, value", [("veg_gate", True), ("veg_index", "gndvi"), ("veg_threshold", 0.3)])
+    def test_manifest_with_another_vegetation_setting_is_refused(self, workspace, tmp_path, capsys, key, value):
+        # a gated prediction or another mask cannot be rerun: the pipeline
+        # writes only index's default mask and never gates prediction
+        out = tmp_path / "run"
+        assert self.run(workspace, out) == 0
+        before = files_in(out)
+        payload = json.loads((out / "manifest.json").read_text())
+        payload["config"][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(tmp_path / "manifest.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error") and key in err[0]
+        assert "palmwatch index" in err[0]
+        assert files_in(out) == before
+
+    @pytest.mark.parametrize("flags", [["--veg-gate"], ["--veg-index", "ndvi"], ["--veg-threshold", "0.2"]])
+    def test_pipeline_takes_no_vegetation_setting(self, workspace, tmp_path, capsys, flags):
+        # the vegetation mask's settings are index's flags alone
+        with pytest.raises(SystemExit) as exc:
+            self.run(workspace, tmp_path / "run", flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_veg_mask_is_index_default_mask(self, workspace, tmp_path):
+        # one vegetation rule: the pipeline's mask is the one index writes
+        out = tmp_path / "run"
+        summary = run_pipeline(PipelineConfig(
+            scene_path=str(workspace["scenes"][2]), model_path=str(workspace["model"]), out_dir=str(out),
+        ))
+        assert main(["index", str(workspace["scenes"][2]), str(tmp_path / "x"), "--veg-mask", str(tmp_path / "m")]) == 0
+        for suffix in (".rhdr", ".rbin"):
+            assert (out / ("veg_mask" + suffix)).read_bytes() == (tmp_path / ("m" + suffix)).read_bytes(), suffix
+        veg = load_raster(tmp_path / "m.rhdr").band("veg_mask").samples
+        valid = load_raster(workspace["scenes"][2]).valid_mask().count()
+        assert 0 < valid and summary["vegetation_fraction"] == int(veg.sum()) / valid
 
     @pytest.mark.parametrize(
         "flags",
@@ -652,9 +724,6 @@ class TestPipeline:
             ["--model", "model.json"],
             ["--out", "elsewhere"],
             ["--truth", "scene.json"],
-            ["--veg-index", "gndvi"],
-            ["--veg-threshold", "0.3"],
-            ["--veg-gate"],
             ["--prob-threshold", "0.6"],
             ["--min-area", "5"],
             ["--max-area", "900"],
@@ -663,7 +732,7 @@ class TestPipeline:
             ["--dead-ndvi-max", "0.1"],
             ["--max-dist", "5"],
             ["--out", "elsewhere", "--max-dist", "5"],
-            ["--min-area", "5", "--truth", "scene.json", "--veg-gate"],
+            ["--min-area", "5", "--truth", "scene.json", "--dead-ndvi-max", "0.1"],
         ],
     )
     def test_config_rejects_every_other_flag(self, workspace, tmp_path, capsys, flags):
@@ -737,14 +806,16 @@ class TestPipeline:
         # a second run that failed in detection used to leave its veg_mask
         # and probability beside the first run's manifest and detections
         out = tmp_path / "run"
-        assert self.run(workspace, out, ["--veg-threshold", "0.2"]) == 0
-        assert self.run(workspace, tmp_path / "fresh", ["--veg-threshold", "0.5"]) == 0
+        # the later --scene wins, so the second run reads another scene
+        other = ["--scene", str(workspace["scenes"][1])]
+        assert self.run(workspace, out) == 0
+        assert self.run(workspace, tmp_path / "fresh", other) == 0
         monkeypatch.setattr(cli, "detect_crowns", mock.Mock(side_effect=MemoryError("detection")))
-        assert self.run(workspace, out, ["--veg-threshold", "0.5"]) == 3
+        assert self.run(workspace, out, other) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         fresh = json.loads((tmp_path / "fresh" / "manifest.json").read_text())
         fresh["config"]["out_dir"] = str(out)
-        assert manifest == fresh and manifest["config"]["veg_threshold"] == 0.5
+        assert manifest == fresh and manifest["config"]["scene_path"] == other[1]
         kept = ["probability.rbin", "probability.rhdr", "veg_mask.rbin", "veg_mask.rhdr"]
         assert sorted(path.name for path in out.iterdir()) == ["manifest.json", *kept]
         for name in kept:
@@ -1047,7 +1118,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--veg-threshold", "5"]],
+        [["--prob-threshold", "2"], ["--min-area", "0"]],
     )
     def test_bad_pipeline_setting_is_rejected_before_any_io(self, workspace, tmp_path, flags):
         # a bad setting used to be rejected only after the scene was read
@@ -1062,8 +1133,7 @@ class TestExitCodes:
 
     def test_unknown_manifest_veg_index_is_config_error(self, workspace, tmp_path, capsys):
         # used to exit 3, as a data error, after reading the scene
-        # the config checks its own veg_index, so the manifest is written
-        # by hand
+        # a config has no veg_index, so the manifest is written by hand
         out = tmp_path / "run"
         config = PipelineConfig(
             scene_path=str(workspace["scenes"][2]), model_path=str(workspace["model"]), out_dir=str(out),
@@ -1176,11 +1246,10 @@ class TestFlagDefaults:
     def test_flags_reach_their_fields(self):
         args = self.parse(
             "pipeline", "--scene", "s", "--model", "m", "--out", "o", "--truth", "t",
-            "--smallish-diameter", "9", "--max-dist", "4", "--veg-index", "gndvi", "--veg-gate",
+            "--smallish-diameter", "9", "--max-dist", "4",
         )
         assert config_from(PipelineConfig, args) == PipelineConfig(
-            "s", "m", "o", truth_path="t", smallish_diameter_px=9.0,
-            match_max_dist=4.0, veg_index="gndvi", veg_gate=True,
+            "s", "m", "o", truth_path="t", smallish_diameter_px=9.0, match_max_dist=4.0,
         )
 
 

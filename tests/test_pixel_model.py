@@ -592,8 +592,9 @@ class TestPlaneByPlanePrediction:
         self, scene, params, tile_size, cpus, veg_gate, share_ndvi
     ):
         raster, mask = scene
-        # as run_pipeline does: NDVI over the valid mask, optionally gating
-        # prediction to vegetation and joining the NDVI as a band for reuse
+        # NDVI over the valid mask, optionally joined as a band for reuse,
+        # as run_pipeline joins it; a vegetation-gated mask stands for any
+        # mask predict_tiled may be given
         index = compute_index(raster, mask, "ndvi")
         if veg_gate:
             mask = Mask(mask.bits & vegetation_mask(index, 0.2).bits)
