@@ -123,10 +123,6 @@ class AnnotationSet:
     def __iter__(self):
         return iter(self.crowns)
 
-    def classes_present(self) -> tuple[str, ...]:
-        present = {c.class_label for c in self.crowns}
-        return tuple(label for label in CLASS_LABELS if label in present)
-
     def of_class(self, label: str) -> tuple[CrownAnnotation, ...]:
         return tuple(c for c in self.crowns if c.class_label == label)
 

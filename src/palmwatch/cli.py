@@ -200,16 +200,6 @@ def _tile_maps(features: Raster, mask: Mask, windows, params: ModelParams):
         yield pmap
 
 
-def predict_tiled(scene: Raster, prediction_mask: Mask, params: ModelParams) -> MaskedGrid:
-    """The probability map of an in-memory scene, its prediction plan's
-    tiles (views of the scene) predicted in turn and stitched. The
-    model's features are checked against the scene before any pixel
-    work."""
-    check_features(scene, prediction_mask, params.features)
-    plan = _prediction_plan(scene.width, scene.height)
-    return stitch(plan, _tile_maps(scene, prediction_mask, plan.windows, params))
-
-
 def evaluate_detections(detections, truth: AnnotationSet, max_dist: float):
     """Match detections to truth, then score the matched crowns' classes.
 
@@ -386,10 +376,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 
 def _cmd_index(args) -> int:
-    if args.veg_mask is not None:
-        check_vegetation_threshold(args.veg_threshold)
+    # a flag whose output is not asked for would change nothing
+    if args.stats_out is not None and args.annotations is None:
+        raise ConfigurationError("--stats-out needs --annotations")
+    if args.veg_threshold is not None and args.veg_mask is None:
+        raise ConfigurationError("--veg-threshold needs --veg-mask")
+    threshold = DEFAULT_VEGETATION_THRESHOLD if args.veg_threshold is None else args.veg_threshold
+    check_vegetation_threshold(threshold)
     outputs = [path for prefix in (args.out, args.veg_mask) if prefix is not None for path in raster_paths(prefix)]
-    if args.annotations is not None and args.stats_out is not None:
+    if args.stats_out is not None:
         outputs.append(Path(args.stats_out))
     # a later output written to an earlier one's path would replace it
     if len({path.resolve() for path in outputs}) < len(outputs):
@@ -411,10 +406,10 @@ def _cmd_index(args) -> int:
     save_raster(index.to_raster(origin=scene.origin), args.out)
     print(f"wrote {args.index} map to {raster_paths(args.out)[0]}")
     if args.veg_mask is not None:
-        veg = vegetation_mask(index, args.veg_threshold)
+        veg = vegetation_mask(index, threshold)
         save_raster(_mask_to_raster(veg, "veg_mask", scene.origin), args.veg_mask)
         print(
-            f"vegetation (> {args.veg_threshold}): {veg.count()} px "
+            f"vegetation (> {threshold}): {veg.count()} px "
             f"({veg.count() / max(valid.count(), 1):.1%} of valid); wrote {raster_paths(args.veg_mask)[0]}"
         )
     if args.annotations is not None:
@@ -698,11 +693,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--veg-threshold",
         type=float,
-        default=DEFAULT_VEGETATION_THRESHOLD,
-        help="strict lower bound for vegetation (default %(default)s)",
+        default=None,
+        help=f"strict lower bound for vegetation in --veg-mask, which it needs (default {DEFAULT_VEGETATION_THRESHOLD})",
     )
     p.add_argument("--annotations", default=None, help="crown annotations for per-class stats")
-    p.add_argument("--stats-out", default=None, help="write per-class stats CSV here instead of stdout")
+    p.add_argument("--stats-out", default=None, help="write per-class stats CSV here instead of stdout; needs --annotations")
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("tile", help="split a scene into fixed-size tiles")

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.
 """
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from palmwatch import cli, raster_core
-from palmwatch.annotations import AnnotationSet, CrownAnnotation, disc_pixels
+from palmwatch.annotations import CLASS_LABELS, AnnotationSet, CrownAnnotation, disc_pixels, load_annotations
 from palmwatch.augment import (
     AugmentSpec,
     CropOp,
@@ -29,13 +30,6 @@ from palmwatch.augment import (
     gaussian_noise,
 )
 from palmwatch.cli import PipelineConfig, run_pipeline
-from palmwatch.crown_detect import (
-    DetectorConfig,
-    PixelSamples,
-    classify_detections,
-    detect_crowns,
-    match_detections,
-)
 from palmwatch.errors import DegenerateDataError
 from palmwatch.evaluate import (
     confusion_matrix,
@@ -54,7 +48,7 @@ from palmwatch.pixel_model import (
     save_params,
     train,
 )
-from palmwatch.raster_core import Band, Mask, MaskedGrid, Raster, save_raster
+from palmwatch.raster_core import Band, Mask, MaskedGrid, Raster, read_header, save_raster
 from palmwatch.synth_scene import SceneSpec, generate_scene
 from palmwatch.tiling import extract_tile, stitch, tile_plan
 
@@ -288,48 +282,47 @@ def test_criterion_5_augmentation_algebra():
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
 
-def test_criterion_6_end_to_end_synthetic_oracle():
-    with criterion(6, "4096x4096 oracle: detection precision/recall >= 0.98, "
-                      "3-class macro F1 >= 0.95, < 120 s predicting on one CPU"):
+def test_criterion_6_end_to_end_synthetic_oracle(tmp_path):
+    with criterion(6, "4096x4096 oracle through synth, train and pipeline --truth: detection "
+                      "precision/recall >= 0.98, 3-class macro F1 >= 0.95, < 120 s predicting on one CPU"):
+        # the commands a user runs, on disk: four scenes to train on and a
+        # fifth held out, each read back by the command that needs it
         start = time.perf_counter()
-        train_scenes = [generate_scene(SceneSpec(seed=1000 + i)) for i in range(4)]
-        held_raster, held_ann = generate_scene(SceneSpec(seed=2000))
-        assert held_raster.width == held_raster.height == 4096
-        assert len(held_ann) >= 150
-        assert len(held_ann.classes_present()) == 3
+        for seed in (1000, 1001, 1002, 1003, 2000):
+            assert cli.main(["synth", str(tmp_path / f"s{seed}"), "--seed", str(seed)]) == 0
+        synth_s = time.perf_counter() - start
 
-        config = TrainConfig(seed=0)
-        X, y, names = build_training_set(train_scenes, config)
-        params = train(X, y, names, config)
+        model = tmp_path / "model.json"
+        scenes = [str(tmp_path / f"s{seed}" / "scene.rhdr") for seed in (1000, 1001, 1002, 1003)]
+        assert cli.main(["train", *scenes, "--seed", "0", "--out", str(model)]) == 0
+        train_s = time.perf_counter() - start - synth_s
 
-        from palmwatch.cli import predict_tiled
-
-        valid = held_raster.valid_mask()
+        held = tmp_path / "s2000"
+        truth = load_annotations(held / "scene.json")
+        header = read_header(held / "scene.rhdr")
+        assert header.width == header.height == 4096
+        assert len(truth) >= 150
+        assert all(truth.of_class(label) for label in CLASS_LABELS)
         with mock.patch.object(raster_core, "usable_cpus", return_value=1):
-            prob = predict_tiled(held_raster, valid, params)
-        cfg = DetectorConfig()
-        samples = PixelSamples.gather(prob, cfg.prob_threshold, held_raster)
-        detections = detect_crowns(samples, cfg)
-        classify_detections(detections, samples, cfg)
-        result = match_detections(detections, held_ann, 10.0)
-
-        matched = len(result.matches)
-        precision = matched / len(detections)
-        recall = matched / len(held_ann)
-        cm = confusion_matrix(
-            [crown.class_label for _, crown in result.matches],
-            [det.class_label for det, _ in result.matches],
-            ("healthy", "smallish", "dead"),
-        )
-        report = metrics(cm)
+            assert cli.main([
+                "pipeline", "--scene", str(held / "scene.rhdr"), "--model", str(model),
+                "--truth", str(held / "scene.json"), "--out", str(tmp_path / "run"),
+            ]) == 0
         elapsed = time.perf_counter() - start
+        pipeline_s = elapsed - synth_s - train_s
+
+        evaluation = json.loads((tmp_path / "run" / "eval.json").read_text())
+        precision = evaluation["detection"]["precision"]
+        recall = evaluation["detection"]["recall"]
+        macro_f1 = evaluation["classification"]["macro"]["f1"]
         print(
-            f"      [detection precision {precision:.4f}, recall {recall:.4f}, "
-            f"macro F1 {report.macro.f1:.4f}, {elapsed:.0f}s]"
+            f"      [detection precision {precision:.4f}, recall {recall:.4f}, macro F1 {macro_f1:.4f}, "
+            f"{elapsed:.0f}s: synth {synth_s:.1f}s, train {train_s:.1f}s, pipeline {pipeline_s:.1f}s; "
+            f"model sha256 {hashlib.sha256(model.read_bytes()).hexdigest()}]"
         )
         assert precision >= 0.98
         assert recall >= 0.98
-        assert report.macro.f1 >= 0.95
+        assert macro_f1 >= 0.95
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
 
 

@@ -163,6 +163,22 @@ class TestIndexCommand:
         assert len(err) == 1 and err[0].startswith("configuration error: two outputs share a path")
         assert files_in(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "flags, needs",
+        [(["--stats-out", "{tmp}/stats.csv"], "--stats-out needs --annotations"),
+         (["--veg-threshold", "0.3"], "--veg-threshold needs --veg-mask"),
+         (["--veg-threshold", "0.2"], "--veg-threshold needs --veg-mask")],
+        ids=["stats_out", "veg_threshold", "veg_threshold_default"],
+    )
+    def test_a_flag_without_its_output_is_refused(self, tmp_path, capsys, flags, needs):
+        # both used to exit 0 having written neither the stats CSV nor a mask
+        save_raster(random_raster(np.random.default_rng(3), 50, 40), tmp_path / "s")
+        before = files_in(tmp_path)
+        args = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main(["index", str(tmp_path / "s.rhdr"), str(tmp_path / "o"), *args]) == 2
+        assert capsys.readouterr().err == f"configuration error: {needs}\n"
+        assert files_in(tmp_path) == before
+
     @pytest.mark.parametrize("suffix", ["", ".rhdr"])
     def test_printed_raster_paths_exist(self, workspace, tmp_path, capsys, suffix):
         # a header path given as a prefix used to be printed as o.rhdr.rhdr

@@ -1,5 +1,7 @@
 import json
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,9 +19,8 @@ from palmwatch.errors import (
     ParameterError,
     ShapeError,
 )
-from palmwatch.cli import predict_tiled
 from palmwatch import cli, pixel_model, raster_core
-from palmwatch.indices import compute_index, ndvi, vegetation_mask
+from palmwatch.indices import compute_index, ndvi
 from palmwatch.annotations import AnnotationSet, CrownAnnotation, rasterize_labels
 from palmwatch.pixel_model import (
     DEFAULT_INDEX_FEATURES,
@@ -37,7 +38,7 @@ from palmwatch.pixel_model import (
     standardization_stats,
     train,
 )
-from palmwatch.raster_core import Band, Mask, Raster
+from palmwatch.raster_core import Band, Mask, Raster, load_raster, save_raster
 
 from conftest import make_raster, random_raster
 
@@ -541,6 +542,27 @@ def parent_rule_predict_map(raster, mask, params):
     return values
 
 
+def commands_probability_map(raster, params, tile_size, cpus):
+    """The samples of the probability map ``palmwatch predict`` writes for
+    ``raster`` under ``params``, with ``tile_size`` prediction tiles on
+    ``cpus`` CPUs, once ``palmwatch pipeline`` is checked to write the same
+    bytes under the same settings."""
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(raster_core, "usable_cpus", return_value=cpus),
+        mock.patch.object(cli, "DEFAULT_TILE_SIZE", tile_size),
+    ):
+        root = Path(tmp)
+        save_raster(raster, root / "scene")
+        save_params(params, root / "model.json")
+        scene, model = str(root / "scene.rhdr"), str(root / "model.json")
+        assert cli.main(["predict", scene, "--model", model, "--out", str(root / "probability")]) == 0
+        assert cli.main(["pipeline", "--scene", scene, "--model", model, "--out", str(root / "run")]) == 0
+        for name in ("probability.rhdr", "probability.rbin"):
+            assert (root / "run" / name).read_bytes() == (root / name).read_bytes(), name
+        return load_raster(root / "probability.rhdr").band("palm_probability").samples
+
+
 class TestPlaneByPlanePrediction:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(scene=scenes_with_invalid_pixels(), params=model_params(), block_px=st.integers(1, 700))
@@ -585,37 +607,18 @@ class TestPlaneByPlanePrediction:
         params=model_params(),
         tile_size=st.integers(1, 30),
         cpus=st.sampled_from([1, 2]),
-        veg_gate=st.booleans(),
-        share_ndvi=st.booleans(),
     )
-    def test_tiled_equals_untiled_and_stacked_reference(
-        self, scene, params, tile_size, cpus, veg_gate, share_ndvi
-    ):
+    def test_tiled_equals_untiled_and_stacked_reference(self, scene, params, tile_size, cpus):
         raster, mask = scene
-        # NDVI over the valid mask, optionally joined as a band for reuse,
-        # as run_pipeline joins it; a vegetation-gated mask stands for any
-        # mask predict_tiled may be given
-        index = compute_index(raster, mask, "ndvi")
-        if veg_gate:
-            mask = Mask(mask.bits & vegetation_mask(index, 0.2).bits)
-        scene_in = raster
-        if share_ndvi:
-            scene_in = Raster(
-                bands=raster.bands + (Band(name="ndvi", samples=index.values),),
-                nodata_value=raster.nodata_value,
-                origin=raster.origin,
-            )
-        whole = predict_map(raster, mask, params)
-        with (
-            mock.patch.object(raster_core, "usable_cpus", return_value=cpus),
-            mock.patch.object(cli, "DEFAULT_TILE_SIZE", tile_size),
-        ):
-            tiled = predict_tiled(scene_in, mask, params)
-        np.testing.assert_array_equal(tiled.valid, whole.valid)
-        np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
+        # the commands predict every valid pixel, tile by tile of a plan
+        # row band, and pipeline joins NDVI to each band as a feature
+        tiled = commands_probability_map(raster, params, tile_size, cpus)
+        untiled = predict_map(raster, raster.valid_mask(), params)
+        np.testing.assert_array_equal(tiled.view(np.uint32), untiled.values.view(np.uint32))
 
         # the stacked formulation: one (H, W, F) array standardized in
         # float64; a pixel is valid where the mask holds and z is not NaN
+        whole = predict_map(raster, mask, params)
         features = featurize(raster, mask, params.features)
         planes = [features.band(name).samples for name in params.features]
         x64 = np.stack(planes, axis=-1)[mask.bits].astype(np.float64)
@@ -633,12 +636,8 @@ class TestPlaneByPlanePrediction:
         n = len(features)
         params = ModelParams(features, np.ones(n), 0.3, np.zeros(n), np.ones(n))
         whole = predict_map(raster, raster.valid_mask(), params)
-        with (
-            mock.patch.object(raster_core, "usable_cpus", return_value=2),
-            mock.patch.object(cli, "DEFAULT_TILE_SIZE", 4),
-        ):
-            tiled = predict_tiled(raster, raster.valid_mask(), params)
-        np.testing.assert_array_equal(tiled.values.view(np.uint32), whole.values.view(np.uint32))
+        tiled = commands_probability_map(raster, params, tile_size=4, cpus=2)
+        np.testing.assert_array_equal(tiled.view(np.uint32), whole.values.view(np.uint32))
 
     @pytest.mark.parametrize("nodata", [-9999.0, -3.4028235e38, float("nan")])
     def test_invalid_pixel_values_raise_no_warning(self, rng, nodata):
