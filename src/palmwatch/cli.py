@@ -86,29 +86,21 @@ from .tiling import (
 VEGETATION_INDEX = "ndvi"  # the index of ``index``'s default vegetation mask
 
 
-@dataclass
-class PipelineConfig:
-    """Every knob of the composed pipeline; serialized as the run manifest.
-    The vegetation mask has none: a run writes ``index``'s default mask."""
+@dataclass(kw_only=True)
+class PipelineConfig(DetectorConfig):
+    """Every knob of the composed pipeline: the detector's and these;
+    serialized as the run manifest. The vegetation mask has none: a run
+    writes ``index``'s default mask."""
 
     scene_path: str
     model_path: str
     out_dir: str
     truth_path: str | None = None
-    prob_threshold: float = DetectorConfig.prob_threshold
-    min_area: int = DetectorConfig.min_area
-    max_area: int = DetectorConfig.max_area
-    split_min_distance: float = DetectorConfig.split_min_distance
-    smallish_diameter_px: float = DetectorConfig.smallish_diameter_px
-    dead_ndvi_max: float = DetectorConfig.dead_ndvi_max
     match_max_dist: float = 10.0
 
     def __post_init__(self):
+        super().__post_init__()
         check_max_centroid_dist(self.match_max_dist)
-        self.detector_config()  # DetectorConfig checks the detector fields
-
-    def detector_config(self) -> DetectorConfig:
-        return config_from(DetectorConfig, self)
 
     def to_manifest(self) -> dict:
         return {"palmwatch_version": __version__, "config": asdict(self)}
@@ -341,7 +333,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     with RasterWriter(out_dir / "veg_mask", scene.height) as veg_out:
         save_raster(probability_rows(), out_dir / "probability", scene.height)
     veg_fraction = veg_px / max(valid_px, 1)
-    detections = _write_detections(parts, config.detector_config(), out_dir / "detections", scene.origin)
+    detections = _write_detections(parts, config, out_dir / "detections", scene.origin)
 
     summary = {
         "scene": str(scene_path),

@@ -35,7 +35,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -540,26 +539,25 @@ def match_detections(
     )
 
 
-def detections_to_geojson(
-    detections: list[CrownDetection], origin: tuple[int, int] = (0, 0)
-) -> dict:
-    features = []
-    for row in (_export_row(det, origin) for det in detections):
-        props = {k: row[k] for k in ("id", "class", "score", "diameter_px", "pixel_count")}
-        props["bbox"] = [row[k] for k in ("x_min", "y_min", "x_max", "y_max")]
-        props.update(mean_ndvi=row["mean_ndvi"], mean_gndvi=row["mean_gndvi"])
-        features.append(
-            {
+def write_geojson(detections: list[CrownDetection], path, origin: tuple[int, int] = (0, 0)) -> None:
+    """Write ``detections`` as a GeoJSON FeatureCollection of points in
+    scene coordinates, one feature at a time: the bytes are those of
+    ``json.dumps(collection, indent=2) + "\n"``, without the collection
+    ever held whole."""
+    with open(path, "w") as fh:
+        fh.write('{\n  "type": "FeatureCollection",\n  "features": [')
+        for i, row in enumerate(_export_row(det, origin) for det in detections):
+            props = {k: row[k] for k in ("id", "class", "score", "diameter_px", "pixel_count")}
+            props["bbox"] = [row[k] for k in ("x_min", "y_min", "x_max", "y_max")]
+            props.update(mean_ndvi=row["mean_ndvi"], mean_gndvi=row["mean_gndvi"])
+            feature = {
                 "type": "Feature",
                 "geometry": {"type": "Point", "coordinates": [row["x"], row["y"]]},
                 "properties": props,
             }
-        )
-    return {"type": "FeatureCollection", "features": features}
-
-
-def write_geojson(detections: list[CrownDetection], path, origin: tuple[int, int] = (0, 0)) -> None:
-    Path(path).write_text(json.dumps(detections_to_geojson(detections, origin), indent=2) + "\n")
+            # json.dumps nests each feature two levels deep: 4 more spaces
+            fh.write(("," if i else "") + "\n    " + json.dumps(feature, indent=2).replace("\n", "\n    "))
+        fh.write("\n  ]\n}\n" if detections else "]\n}\n")
 
 
 def load_geojson(path) -> list[CrownDetection]:

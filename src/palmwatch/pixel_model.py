@@ -150,10 +150,14 @@ class ModelParams:
 def loss(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, l2: float) -> float:
     """Mean cross-entropy plus (l2/2)*||w||^2, numerically stable.
 
-    Uses log(1 + e^z) - y*z, which avoids clipping probabilities.
+    Uses (1 - y)*log(1 + e^z) + y*log(1 + e^-z), which is log(1 + e^z)
+    - y*z without clipping probabilities and without its cancellation:
+    at y = 1 and z = 8 the difference of two numbers near 8 kept only
+    about 1e-15 absolute precision, too little to see a Newton step's
+    decrease near the optimum.
     """
     z = X @ weights + bias
-    ce = np.mean(np.logaddexp(0.0, z) - y * z)
+    ce = np.mean((1.0 - y) * np.logaddexp(0.0, z) + y * np.logaddexp(0.0, -z))
     return float(ce + 0.5 * l2 * np.dot(weights, weights))
 
 

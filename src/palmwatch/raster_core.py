@@ -517,11 +517,6 @@ def stream_rows(width: int) -> int:
     return max(1, STREAM_PX // max(width, 1))
 
 
-# The process's one worker pool (see map_row_blocks): made on first use,
-# replaced by a larger one when a call asks for more workers than it has.
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
 # in_pool is True in the pool's threads, whose nested calls run inline
 _thread = threading.local()
 
@@ -530,29 +525,18 @@ def _mark_pool_thread() -> None:
     _thread.in_pool = True
 
 
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool threads do not exist here, and
-    its lock may have been held at the fork, so start over."""
-    global _pool, _pool_size, _pool_lock
-    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+def _start_pool() -> None:
+    """Make the process's one worker pool (see map_row_blocks), which
+    starts up to one thread per CPU of the machine as work arrives and
+    keeps them. A forked child makes its own: the parent's pool threads
+    do not exist there."""
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1, initializer=_mark_pool_thread)
 
 
+_start_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool_of(k: int) -> ThreadPoolExecutor:
-    """The pool, made or replaced so that it has at least ``k`` threads.
-    Called with ``_pool_lock`` held."""
-    global _pool, _pool_size
-    if _pool_size < k:
-        if _pool is not None:
-            # waits for the work other callers queued on it; none of that
-            # work takes the lock, as a call from a pool thread runs inline
-            _pool.shutdown(wait=True)
-        _pool = ThreadPoolExecutor(max_workers=k, initializer=_mark_pool_thread)
-        _pool_size = k
-    return _pool
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 def map_row_blocks(n_rows: int, width: int, fn, *, scratch=None, block_rows: int | None = None) -> None:
@@ -572,14 +556,15 @@ def map_row_blocks(n_rows: int, width: int, fn, *, scratch=None, block_rows: int
     raises only after every block it queued has ended.
 
     With one worker the blocks run in the calling thread, and no thread
-    is started. Otherwise the k workers run on the process's one pool of
-    threads, which the first such call starts and which later calls
-    reuse; a call that asks for more workers than the pool has replaces
-    it with a larger one. Several threads may call at once. A call made
-    from inside a pool thread (by a block) runs its blocks in that
-    thread, as one worker, so it never waits on the pool it occupies. A
-    child forked from the process starts a pool of its own when it first
-    needs one. Idle pool threads do not keep the interpreter from
+    is started. Otherwise the k workers run on the process's one pool,
+    which starts up to one thread per CPU of the machine as work arrives
+    and keeps them for later calls. Workers beyond that many (k exceeds
+    it only when ``usable_cpus`` is patched) queue for a free thread,
+    so a block must never wait on another block. Several threads may
+    call at once. A call made from inside a pool thread (by a block)
+    runs its blocks in that thread, as one worker, so it never waits on
+    the pool it occupies. A child forked from the process gets a pool
+    of its own. Idle pool threads do not keep the interpreter from
     exiting.
 
     ``fn`` must write only its own rows of outputs that the caller
@@ -611,12 +596,8 @@ def map_row_blocks(n_rows: int, width: int, fn, *, scratch=None, block_rows: int
         return
     futures = []
     try:
-        # submitted under the lock, so that no other caller replaces the
-        # pool between choosing it and submitting to it
-        with _pool_lock:
-            pool = _pool_of(k)
-            for worker in range(k):
-                futures.append(pool.submit(run, worker))
+        for worker in range(k):
+            futures.append(_pool.submit(run, worker))
     finally:
         wait(futures)
     failed = [worker for worker, future in enumerate(futures) if future.exception() is not None]

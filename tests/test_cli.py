@@ -1236,7 +1236,7 @@ class TestFlagDefaults:
 
     def test_pipeline_defaults_are_the_config_defaults(self):
         args = self.parse("pipeline", "--scene", "s", "--model", "m", "--out", "o")
-        assert config_from(PipelineConfig, args) == PipelineConfig("s", "m", "o")
+        assert config_from(PipelineConfig, args) == PipelineConfig(scene_path="s", model_path="m", out_dir="o")
 
     def test_each_pipeline_setting_is_one_flag(self):
         # a flag without a field would be ignored silently, outside --config too
@@ -1265,7 +1265,8 @@ class TestFlagDefaults:
             "--smallish-diameter", "9", "--max-dist", "4",
         )
         assert config_from(PipelineConfig, args) == PipelineConfig(
-            "s", "m", "o", truth_path="t", smallish_diameter_px=9.0, match_max_dist=4.0,
+            scene_path="s", model_path="m", out_dir="o", truth_path="t", smallish_diameter_px=9.0,
+            match_max_dist=4.0,
         )
 
 

@@ -22,7 +22,6 @@ from palmwatch.crown_detect import (
     _make_detection,
     classify_detections,
     detect_crowns,
-    detections_to_geojson,
     load_geojson,
     match_detections,
     split_touching,
@@ -509,8 +508,9 @@ class TestExport:
         )
         return [det, det2]
 
-    def test_geojson_schema_and_origin(self):
-        payload = detections_to_geojson(self.sample_detections(), origin=(100, 200))
+    def test_geojson_schema_and_origin(self, tmp_path):
+        write_geojson(self.sample_detections(), tmp_path / "d.geojson", origin=(100, 200))
+        payload = json.loads((tmp_path / "d.geojson").read_text())
         assert payload["type"] == "FeatureCollection"
         feature = payload["features"][0]
         assert feature["geometry"]["coordinates"] == [110.5, 220.25]
@@ -520,6 +520,38 @@ class TestExport:
             "mean_ndvi", "mean_gndvi",
         }
         assert props["bbox"] == [105, 215, 116, 226]
+
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_geojson_is_the_collection_dumped_whole(self, tmp_path, count):
+        # written a feature at a time, with the bytes of the whole tree
+        rng = np.random.default_rng(count)
+        dets = [
+            CrownDetection(
+                id=i, centroid=tuple(map(float, rng.uniform(0, 1000, 2))), bbox=tuple(int(v) for v in rng.integers(0, 1000, 4)),
+                pixel_count=int(rng.integers(20, 4000)), diameter_px=float(rng.uniform(5, 70)),
+                score=float(rng.random()), class_label=(None, "healthy", "dead", "smallish")[i % 4],
+                mean_ndvi=None if i % 4 == 0 else float(rng.uniform(-1, 1)),
+                mean_gndvi=None if i % 4 == 0 else float(rng.uniform(-1, 1)),
+            )
+            for i in range(count)
+        ]
+        origin = (ox, oy) = (7, 300)
+        features = [
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [d.centroid[0] + ox, d.centroid[1] + oy]},
+                "properties": {
+                    "id": d.id, "class": d.class_label, "score": d.score, "diameter_px": d.diameter_px,
+                    "pixel_count": d.pixel_count,
+                    "bbox": [d.bbox[0] + ox, d.bbox[1] + oy, d.bbox[2] + ox, d.bbox[3] + oy],
+                    "mean_ndvi": d.mean_ndvi, "mean_gndvi": d.mean_gndvi,
+                },
+            }
+            for d in dets
+        ]
+        write_geojson(dets, tmp_path / "d.geojson", origin=origin)
+        expected = json.dumps({"type": "FeatureCollection", "features": features}, indent=2) + "\n"
+        assert (tmp_path / "d.geojson").read_bytes() == expected.encode()
 
     def test_deterministic_bytes(self, tmp_path):
         dets = self.sample_detections()

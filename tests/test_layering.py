@@ -5,7 +5,8 @@ stages must not depend on it, so only the command line and the package
 root may import it. Threads and processes are opened in one place,
 ``raster_core.map_row_blocks``, so only ``raster_core`` may import a
 concurrency module, and the number of threads is decided there too:
-only ``raster_core`` names ``usable_cpus``, and no function anywhere,
+only ``raster_core`` names ``usable_cpus``, ``cpu_count`` or
+``sched_getaffinity``, and no function anywhere,
 ``map_row_blocks`` included, takes a ``workers`` or ``jobs`` parameter,
 so the process's CPU affinity is the one way to set it. Random streams are split by one rule,
 ``raster_core.stream``, so only ``raster_core`` may name the generator
@@ -27,6 +28,7 @@ CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 STREAM_RULE_NAMES = {"Philox", "SeedSequence"}
 LATTICE_LISTERS = {"mgrid", "ogrid", "indices", "meshgrid"}
 THREAD_COUNT_PARAMETERS = {"workers", "jobs"}
+THREAD_COUNT_NAMES = {"usable_cpus", "cpu_count", "sched_getaffinity"}
 PAYLOAD_IO_NAMES = {"readinto", "pread", "preadv", "fromfile", "tofile", "memmap"}
 
 
@@ -89,8 +91,8 @@ def test_only_raster_core_names_the_stream_rule():
 def test_only_raster_core_decides_the_thread_count():
     offenders = []
     for path in PACKAGE.glob("*.py"):
-        if path.name != "raster_core.py" and "usable_cpus" in named(path):
-            offenders.append((path.name, "usable_cpus"))
+        if path.name != "raster_core.py":
+            offenders += [(path.name, name) for name in sorted(named(path) & THREAD_COUNT_NAMES)]
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args

@@ -40,14 +40,21 @@ SPECIAL = (np.nan, np.inf, -np.inf, NODATA, 0.0, -0.0) + HUGE
 
 
 def start_every_pool_thread(workers):
-    """Grow the pool to at least ``workers`` threads and start every one:
-    the pool starts its threads as work arrives, so one call whose blocks
-    wait for each other, one per pool thread, makes it start them all.
-    Later calls at up to that many workers then start no thread."""
-    size = max(workers, raster_core._pool_size)
+    """Start the pool threads that calls at up to ``workers`` workers use:
+    the pool starts its threads as work arrives, so one call whose first
+    blocks wait for each other, one per thread the pool may start (at
+    most ``os.cpu_count()``, so that no block waits for a thread that
+    never starts), makes it start them. Later calls at up to ``workers``
+    workers then start no thread."""
+    size = min(workers, os.cpu_count() or 1)
     everyone = threading.Barrier(size, timeout=30)
-    with cpus(size):
-        map_row_blocks(size, BLOCK_PX, lambda rows, _: everyone.wait())
+
+    def fn(rows, _):
+        if rows.start < size:
+            everyone.wait()
+
+    with cpus(workers):
+        map_row_blocks(workers, BLOCK_PX, fn)
 
 
 def cpus(n):
@@ -158,7 +165,9 @@ class TestMapRowBlocks:
 
 
 class TestOnePool:
-    """The pool outlives a call: calls share it, nest in it and fork with it."""
+    """The pool outlives a call: calls share it, nest in it and fork with
+    it. It starts up to one thread per CPU of the machine as work arrives,
+    and workers beyond that queue for a free thread."""
 
     def test_a_nested_call_runs_in_its_block_and_gives_the_same_bytes(self):
         rng = np.random.default_rng(3)
@@ -220,7 +229,8 @@ class TestOnePool:
 
     def test_callers_that_grow_the_pool_at_once_lose_no_block(self):
         # up to 8 workers, more than CPUs or any other test asks for, by
-        # four callers at once, so the pool is replaced while others submit
+        # four callers at once, so workers beyond the pool's threads queue
+        # while others submit
         failed, done = [], []
 
         def caller(j):
@@ -254,6 +264,25 @@ class TestOnePool:
         assert not any(thread.is_alive() for thread in callers)
         assert failed == []
         assert sorted(done) == [0, 1, 2, 3]
+
+    def test_more_workers_than_cpus_queue_on_the_pool(self):
+        # 8 workers, so on up to 7 CPUs some queue for a thread another
+        # worker holds; each still takes its own blocks, in order
+        n_rows, workers = 37, 8
+        threads, order = set(), {}
+        lock = threading.Lock()
+
+        def fn(rows, worker):
+            with lock:
+                threads.add(threading.get_ident())
+                order.setdefault(worker, []).append(rows.start)
+
+        worker_ids = itertools.count()
+        with cpus(workers):
+            map_row_blocks(n_rows, BLOCK_PX, fn, scratch=lambda rows: next(worker_ids), block_rows=1)
+        assert order == {w: list(range(w, n_rows, workers)) for w in range(workers)}
+        assert len(threads) <= os.cpu_count()
+        assert len(raster_core._pool._threads) <= os.cpu_count()
 
     def test_a_failure_waits_for_every_other_block(self):
         release = threading.Event()
