@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 import zlib
@@ -77,9 +78,9 @@ from .tiling import (
     TilePlan,
     check_tiling,
     extract_tile,
+    pad_tile,
     stitch,
     tile_plan,
-    window_of,
 )
 
 
@@ -161,14 +162,6 @@ def _mask_to_raster(mask: Mask, name: str, origin=(0, 0)) -> Raster:
     )
 
 
-def _prediction_plan(width: int, height: int) -> TilePlan:
-    """The plan prediction walks: DEFAULT_TILE_SIZE tiles whose edge
-    windows are cut without their padding, so each pixel is predicted
-    once."""
-    plan = tile_plan(width, height, DEFAULT_TILE_SIZE)
-    return replace(plan, windows=tuple(replace(w, padded_right=0, padded_bottom=0) for w in plan.windows))
-
-
 def _plan_rows(plan: TilePlan):
     """Each plan row, top to bottom: its scene rows and the one-row plan
     of its row band, the row's windows shifted up to the band's top."""
@@ -188,7 +181,7 @@ def _tile_maps(features: Raster, mask: Mask, windows, params: ModelParams):
     for window in windows:
         # bound until the next map is made: predict_map runs slower when
         # the previous map's memory was handed back just before
-        pmap = predict_map(extract_tile(features, window), Mask(window_of(mask.bits, window, False)), params)
+        pmap = predict_map(extract_tile(features, window), Mask(mask.bits[window.region]), params)
         yield pmap
 
 
@@ -295,7 +288,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     truth = None if config.truth_path is None else load_annotations(truth_path)
     # the index is computed from its band pair, whatever bands the scene has
     scene = _check_scene(scene_path, (*params.features, *INDEX_REGISTRY[VEGETATION_INDEX]))
-    plan = _prediction_plan(scene.width, scene.height)
+    plan = tile_plan(scene.width, scene.height, DEFAULT_TILE_SIZE)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     # an earlier run's outputs in this directory must not pass for this run's
@@ -436,7 +429,7 @@ def _cmd_tile(args) -> int:
         path.unlink()
     for i, window in enumerate(plan.windows):
         row, col = divmod(i, plan.n_cols)
-        save_raster(extract_tile(scene, window), out_dir / f"tile_{row}_{col}")
+        save_raster(pad_tile(extract_tile(scene, window), args.tile_size), out_dir / f"tile_{row}_{col}")
     print(f"wrote {len(plan.windows)} tiles ({plan.n_rows}x{plan.n_cols}) to {out_dir}")
     return 0
 
@@ -482,6 +475,11 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    # the outputs are <out_dir>/<name> plus a suffix, so the name must be a
+    # file stem; save_raster would write a name ending in .rhdr as the header
+    name = args.name
+    if name in ("", ".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)) or name.endswith(".rhdr"):
+        raise ConfigurationError(f"--name {name!r} is not a file stem")
     out_dir = Path(args.out_dir)
     inputs = [_require_file(args.spec, "scene spec")] if args.spec else []
     _refuse_to_replace(inputs, [out_dir / (args.name + suffix) for suffix in (".rhdr", ".rbin", ".json", "_spec.json")])
@@ -529,7 +527,7 @@ def _cmd_predict(args) -> int:
     _refuse_to_replace([*raster_paths(scene_path), model_path], raster_paths(args.out))
     params = load_params(model_path)
     scene = _check_scene(scene_path, params.features)
-    plan = _prediction_plan(scene.width, scene.height)
+    plan = tile_plan(scene.width, scene.height, DEFAULT_TILE_SIZE)
 
     def probability_rows():
         for rows, row_plan in _plan_rows(plan):
@@ -560,7 +558,7 @@ def _cmd_detect(args) -> int:
     # the map and the scene are read one plan row band at a time, keeping
     # the foreground samples alone
     parts = []
-    for rows, _ in _plan_rows(_prediction_plan(scene.width, scene.height)):
+    for rows, _ in _plan_rows(tile_plan(scene.width, scene.height, DEFAULT_TILE_SIZE)):
         prob = MaskedGrid.from_raster(load_raster(prob_path, rows))
         probs = prob.values[prob.valid]
         if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
@@ -636,6 +634,11 @@ def _cmd_pipeline(parser: argparse.ArgumentParser, args) -> int:
     else:
         if not (args.scene_path and args.model_path and args.out_dir):
             raise ConfigurationError("pipeline needs --scene, --model and --out (or --config)")
+        # the match radius would change nothing without truth to match
+        if args.match_max_dist is None:
+            args.match_max_dist = PipelineConfig.match_max_dist
+        elif args.truth_path is None:
+            raise ConfigurationError("--max-dist needs --truth")
         config = config_from(PipelineConfig, args)
     summary = run_pipeline(config)
     print(f"scene {summary['scene']} ({summary['scene_size'][0]}x{summary['scene_size'][1]})")
@@ -662,10 +665,6 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split-min-distance", type=float, default=d.split_min_distance, help="half-width in px of the split-marker window: a marker is the highest point within it (default %(default)s)")
     parser.add_argument("--smallish-diameter", dest="smallish_diameter_px", type=float, default=d.smallish_diameter_px, help="diameter cutoff for the smallish class (default %(default)s)")
     parser.add_argument("--dead-ndvi-max", type=float, default=d.dead_ndvi_max, help="mean NDVI at or below which a crown is dead (default %(default)s)")
-
-
-def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-dist", dest="match_max_dist", type=float, default=PipelineConfig.match_max_dist, help="truth match radius in px (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -744,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections against truth annotations")
     p.add_argument("detections", help="detections GeoJSON path")
     p.add_argument("truth", help="truth annotations JSON path")
-    _add_eval_flags(p)
+    p.add_argument("--max-dist", dest="match_max_dist", type=float, default=PipelineConfig.match_max_dist, help="truth match radius in px (default %(default)s)")
     p.add_argument("--out", default=None, help="output prefix for metrics files")
     p.set_defaults(func=_cmd_eval)
 
@@ -756,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", dest="truth_path", default=c.truth_path, help="truth annotations JSON (enables metrics)")
     p.add_argument("--config", default=None, help="rerun from a manifest.json (replaces every other flag)")
     _add_detector_flags(p)
-    _add_eval_flags(p)
+    p.add_argument("--max-dist", dest="match_max_dist", type=float, default=None, help=f"truth match radius in px; needs --truth (default {c.match_max_dist})")
     p.set_defaults(func=partial(_cmd_pipeline, p))
     return parser
 

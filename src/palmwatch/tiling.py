@@ -1,49 +1,46 @@
 """Fixed-size tile planning, extraction and stitching for large scenes.
 
-Windows are laid out row-major with stride = tile_size - overlap. The
-final row/column is padded with nodata rather than moved inward, so
-every tile a plan cuts has identical geometry; a window that needs no
-padding is cut as a view of the scene, with no copy. A caller may clear
-a window's padding to cut only its scene pixels.
-Stitching takes one map per window in plan order, from any iterable,
-discards padding and averages overlapping valid (finite) contributions;
-an invalid result pixel holds ``np.nan`` whatever the maps held. It
-writes each map as it arrives and keeps none, so a caller that makes the
-maps lazily holds at most one of them. At overlap 0 each pixel has one
-contributor, and each window's region is copied straight into the scene.
+Windows are laid out row-major with stride = tile_size - overlap. A
+window is the scene pixels it covers: the last row/column of windows is
+cut at the scene's edge rather than moved inward, and its ``region`` is
+the one rule for cutting a window out of a scene-sized grid, so a tile
+cut from a scene is a view of it, with no copy. Only the tiles that
+``palmwatch tile`` writes are padded: ``pad_tile`` fills an edge tile
+out to the full tile size with nodata.
+Stitching takes one window-sized map per window in plan order, from any
+iterable, and averages overlapping valid (finite) contributions; an
+invalid result pixel holds ``np.nan`` whatever the maps held. It writes
+each map as it arrives and keeps none, so a caller that makes the maps
+lazily holds at most one of them. At overlap 0 each pixel has one
+contributor, and each map is copied straight into its region.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BoundsError, CompletenessError, ParameterError, ShapeError
-from .raster_core import MAX_SCENE_PIXELS, Band, MaskedGrid, Raster
+from .raster_core import MAX_SCENE_PIXELS, MaskedGrid, Raster
 
 DEFAULT_TILE_SIZE = 1024
 
 
 @dataclass(frozen=True)
 class TileWindow:
-    """One planned window: scene position, unpadded extent, and padding."""
+    """One planned window: the scene pixels it covers."""
 
     x: int
     y: int
     width: int
     height: int
-    padded_right: int = 0
-    padded_bottom: int = 0
 
     @property
-    def tile_width(self) -> int:
-        return self.width + self.padded_right
-
-    @property
-    def tile_height(self) -> int:
-        return self.height + self.padded_bottom
+    def region(self) -> tuple[slice, slice]:
+        """The (rows, cols) slices of the window in a scene-sized grid."""
+        return slice(self.y, self.y + self.height), slice(self.x, self.x + self.width)
 
 
 @dataclass(frozen=True)
@@ -88,21 +85,11 @@ def tile_plan(scene_w: int, scene_h: int, tile_size: int = DEFAULT_TILE_SIZE, ov
     stride = tile_size - overlap
     xs = _starts(scene_w, tile_size, stride)
     ys = _starts(scene_h, tile_size, stride)
-    windows = []
-    for y in ys:
-        height = min(tile_size, scene_h - y)
-        for x in xs:
-            width = min(tile_size, scene_w - x)
-            windows.append(
-                TileWindow(
-                    x=x,
-                    y=y,
-                    width=width,
-                    height=height,
-                    padded_right=tile_size - width,
-                    padded_bottom=tile_size - height,
-                )
-            )
+    windows = [
+        TileWindow(x=x, y=y, width=min(tile_size, scene_w - x), height=min(tile_size, scene_h - y))
+        for y in ys
+        for x in xs
+    ]
     return TilePlan(
         overlap=overlap,
         scene_width=scene_w,
@@ -113,28 +100,9 @@ def tile_plan(scene_w: int, scene_h: int, tile_size: int = DEFAULT_TILE_SIZE, ov
     )
 
 
-def window_of(grid: np.ndarray, window: TileWindow, fill) -> np.ndarray:
-    """The window's tile_height x tile_width cut of a scene-sized 2-D grid.
-
-    An unpadded window is a view of ``grid``; a padded one is a new array
-    whose right/bottom strip holds ``fill``.
-    """
-    region = grid[window.y : window.y + window.height, window.x : window.x + window.width]
-    if not (window.padded_right or window.padded_bottom):
-        return region
-    tile = np.full((window.tile_height, window.tile_width), fill, dtype=grid.dtype)
-    tile[: window.height, : window.width] = region
-    tile.setflags(write=False)
-    return tile
-
-
 def extract_tile(raster: Raster, window: TileWindow) -> Raster:
-    """Cut one window out of a scene as a tile_height x tile_width raster.
-
-    The padded strip (right/bottom only) holds the raster's
-    ``fill_value``, so those pixels come out invalid. An unpadded tile's
-    bands are views of the scene's. The tile's origin records (x, y).
-    """
+    """Cut one window out of a scene: the tile's bands are views of the
+    scene's over the window's region, and its origin records (x, y)."""
     if (
         window.x < 0
         or window.y < 0
@@ -147,13 +115,25 @@ def extract_tile(raster: Raster, window: TileWindow) -> Raster:
             f"{raster.width}x{raster.height} scene"
         )
     return Raster(
-        bands=tuple(
-            Band(name=b.name, samples=window_of(b.samples, window, raster.fill_value), wavelength_nm=b.wavelength_nm)
-            for b in raster.bands
-        ),
+        bands=tuple(replace(b, samples=b.samples[window.region]) for b in raster.bands),
         nodata_value=raster.nodata_value,
         origin=(raster.origin[0] + window.x, raster.origin[1] + window.y),
     )
+
+
+def pad_tile(tile: Raster, tile_size: int) -> Raster:
+    """``tile`` filled out to tile_size x tile_size: the strips right of
+    and below its pixels hold its ``fill_value``, so they come out
+    invalid. A tile of that size already is returned as it is."""
+    if (tile.width, tile.height) == (tile_size, tile_size):
+        return tile
+    bands = []
+    for b in tile.bands:
+        samples = np.full((tile_size, tile_size), tile.fill_value, dtype=np.float32)
+        samples[: tile.height, : tile.width] = b.samples
+        samples.setflags(write=False)
+        bands.append(replace(b, samples=samples))
+    return replace(tile, bands=tuple(bands))
 
 
 def stitch(plan: TilePlan, maps: Iterable[MaskedGrid]) -> MaskedGrid:
@@ -163,15 +143,15 @@ def stitch(plan: TilePlan, maps: Iterable[MaskedGrid]) -> MaskedGrid:
     order, such as a generator that predicts each tile as it is asked
     for. Each map is written into the result as it arrives, and no
     reference to it is kept, so at most one map is held at a time.
-    Padding is discarded; where unpadded windows overlap, the result is
-    the arithmetic mean of the valid (finite) contributors, accumulated
-    in float64. A pixel with no valid contributor holds ``np.nan``. Raises
-    CompletenessError naming both counts when ``maps`` holds fewer or
-    more maps than the plan has windows (a surplus is counted to its
-    end), and ShapeError for a map of the wrong size.
+    Where windows overlap, the result is the arithmetic mean of the valid
+    (finite) contributors, accumulated in float64. A pixel with no valid
+    contributor holds ``np.nan``. Raises CompletenessError naming both
+    counts when ``maps`` holds fewer or more maps than the plan has
+    windows (a surplus is counted to its end), and ShapeError for a map
+    that is not its window's size.
 
     At overlap 0 a pixel has at most one contributor, whose mean is its
-    own value, so each window's region is written straight into the
+    own value, so each map is written straight into its region of the
     float32 result. Adding 0.0 there turns -0.0 into +0.0 as the float64
     sum from 0.0 does, so both paths give the same bits.
     """
@@ -187,29 +167,23 @@ def stitch(plan: TilePlan, maps: Iterable[MaskedGrid]) -> MaskedGrid:
         pmap = next(maps, None)
         if pmap is None:
             raise CompletenessError(f"stitch got {n} tile maps for {len(plan.windows)} windows")
-        if (pmap.height, pmap.width) != (window.tile_height, window.tile_width):
+        if (pmap.height, pmap.width) != (window.height, window.width):
             raise ShapeError(
                 f"tile map for window at ({window.x}, {window.y}) is "
-                f"{pmap.width}x{pmap.height}, expected "
-                f"{window.tile_width}x{window.tile_height}"
+                f"{pmap.width}x{pmap.height}, expected {window.width}x{window.height}"
             )
-        region = (
-            slice(window.y, window.y + window.height),
-            slice(window.x, window.x + window.width),
-        )
-        crop = (slice(window.height), slice(window.width))
-        vals = pmap.values[crop]
-        ok = np.isfinite(vals)
+        region = window.region
+        ok = np.isfinite(pmap.values)
         if plan.overlap == 0:
             # an invalid pixel may hold ±inf or any NaN, a signalling one too
             with np.errstate(invalid="ignore"):
-                np.add(vals, np.float32(0.0), out=values[region])
+                np.add(pmap.values, np.float32(0.0), out=values[region])
             values[region][~ok] = np.nan
         else:
-            np.add(total[region], vals, out=total[region], where=ok)
+            np.add(total[region], pmap.values, out=total[region], where=ok)
             count[region] += ok
         # the next map is made while this loop waits for it; this one is done
-        del pmap, vals, ok
+        del pmap, ok
     surplus = sum(1 for _ in maps)
     if surplus:
         raise CompletenessError(

@@ -192,10 +192,11 @@ def test_criterion_4_tiling_round_trip():
                 stitched.values.view(np.uint32), values.view(np.uint32)
             )
 
-        # constructed two-tile overlap: stride 2 with tile 4 -> columns 2..3 shared
+        # constructed two-tile overlap: stride 2 with tile 4 -> columns 2..3
+        # shared; each map is its window's size, 4 wide and 2 high
         plan = tile_plan(6, 2, 4, 2)
-        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32))
-        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32))
+        m0 = MaskedGrid(np.full((2, 4), 0.2, np.float32))
+        m1 = MaskedGrid(np.full((2, 4), 0.6, np.float32))
         blended = stitch(plan, [m0, m1])
         np.testing.assert_array_equal(blended.values[:, 2:4], np.float32((0.2 + 0.6) / 2))
         np.testing.assert_array_equal(blended.values[:, :2], np.float32(0.2))

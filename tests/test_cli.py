@@ -24,7 +24,7 @@ from palmwatch.indices import compute_index
 from palmwatch.pixel_model import ModelParams, TrainConfig, predict_map, save_params
 from palmwatch.raster_core import Band, MaskedGrid, Raster, load_raster, save_raster
 from palmwatch.synth_scene import SceneSpec, generate_scene, spec_to_json as scene_spec_to_json
-from palmwatch.tiling import DEFAULT_TILE_SIZE, tile_plan
+from palmwatch.tiling import DEFAULT_TILE_SIZE, stitch, tile_plan
 
 from conftest import address_space_cap, random_raster
 
@@ -72,6 +72,16 @@ class TestSynth:
         a = load_raster(workspace["scenes"][0])
         b = load_raster(tmp_path / "scene.rhdr")
         np.testing.assert_array_equal(a.band("nir").samples, b.band("nir").samples)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "/abs", "../up", "s.rhdr"])
+    def test_a_name_that_is_not_a_file_stem_is_refused(self, workspace, tmp_path, capsys, name):
+        # "" used to write out.rhdr beside the directory and .json inside
+        # it, "a/b" to make out/ and then fail with an i/o error, and
+        # "s.rhdr" to write s.rhdr but s.rhdr.json, which train never finds
+        args = ["synth", str(tmp_path / "out"), "--spec", str(workspace["spec"]), "--name", name]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("configuration error: --name ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_spec_at_the_spec_it_writes_is_refused(self, tmp_path, capsys):
         # synth used to write the seeded spec over the spec it read and exit 0
@@ -235,6 +245,37 @@ class TestTileCommand:
         )
         assert (load_raster(out / "tile_1_1.rhdr").width, (out / "notes.txt").read_text()) == (300, "kept")
         assert (out / arabic).read_text() == "kept"
+
+    @pytest.mark.parametrize("nodata", [None, -9999.0, float("nan")])
+    def test_tiles_cut_back_to_their_windows_stitch_to_the_scene(self, tmp_path, nodata):
+        scene = random_raster(np.random.default_rng(5), 230, 130, nodata=nodata)
+        save_raster(scene, tmp_path / "scene")
+        assert main(["tile", str(tmp_path / "scene.rhdr"), str(tmp_path / "tiles"), "--tile-size", "100"]) == 0
+        plan = tile_plan(230, 130, 100, 0)
+        tiles = [load_raster(tmp_path / "tiles" / f"tile_{i // plan.n_cols}_{i % plan.n_cols}.rhdr") for i in range(len(plan.windows))]
+        assert {(tile.width, tile.height, tile.nodata_value is None) for tile in tiles} == {(100, 100, nodata is None)}
+        for name in scene.band_names:
+            cut = [MaskedGrid(tile.band(name).samples[: w.height, : w.width]) for tile, w in zip(tiles, plan.windows)]
+            stitched = stitch(plan, cut)
+            np.testing.assert_array_equal(stitched.values.view(np.uint32), scene.band(name).samples.view(np.uint32))
+
+    @pytest.mark.parametrize("nodata", [-9999.0, float("nan"), None])
+    def test_edge_tiles_hold_the_fill_value_right_and_below(self, tmp_path, nodata):
+        scene = random_raster(np.random.default_rng(6), 230, 130, nodata=nodata)
+        save_raster(scene, tmp_path / "scene")
+        args = ["tile", str(tmp_path / "scene.rhdr"), str(tmp_path / "tiles"), "--tile-size", "100", "--overlap", "20"]
+        assert main(args) == 0
+        plan = tile_plan(230, 130, 100, 20)
+        fill = np.float32(np.nan if nodata is None else nodata).view(np.uint32)
+        for i, w in enumerate(plan.windows):
+            tile = load_raster(tmp_path / "tiles" / f"tile_{i // plan.n_cols}_{i % plan.n_cols}.rhdr")
+            assert (tile.width, tile.height, tile.origin) == (100, 100, (w.x, w.y))
+            for name in scene.band_names:
+                samples = tile.band(name).samples
+                np.testing.assert_array_equal(samples[: w.height, : w.width], scene.band(name).samples[w.region])
+                for strip in (samples[:, w.width :], samples[w.height :, :]):
+                    assert (strip.view(np.uint32) == fill).all()
+            assert tile.valid_mask().count() == w.width * w.height
 
     def test_a_scene_at_a_tile_name_is_refused(self, tmp_path, capsys):
         # tile used to replace a scene at one of its tile names with a tile
@@ -982,6 +1023,14 @@ class TestPipeline:
         derived = predict_map(scene, scene.valid_mask(), params).values
         assert not np.array_equal(written, derived, equal_nan=True)
 
+    def test_max_dist_without_truth_is_refused(self, workspace, tmp_path, capsys):
+        # it used to be ignored: every output but manifest.json was the
+        # run's without it
+        args = ["--scene", str(workspace["scenes"][2]), "--model", str(workspace["model"]), "--out", str(tmp_path / "run")]
+        assert main(["pipeline", *args, "--max-dist", "3"]) == 2
+        assert capsys.readouterr().err == "configuration error: --max-dist needs --truth\n"
+        assert not (tmp_path / "run").exists()
+
     def test_missing_model_is_config_error(self, workspace, tmp_path, capsys):
         code = main(
             [
@@ -1235,8 +1284,11 @@ class TestFlagDefaults:
         return build_parser().parse_args(list(argv))
 
     def test_pipeline_defaults_are_the_config_defaults(self):
-        args = self.parse("pipeline", "--scene", "s", "--model", "m", "--out", "o")
-        assert config_from(PipelineConfig, args) == PipelineConfig(scene_path="s", model_path="m", out_dir="o")
+        # --max-dist parses to None, so that it is refused without --truth,
+        # and the run takes the config's default
+        with mock.patch.object(cli, "run_pipeline", side_effect=StopIteration) as run, pytest.raises(StopIteration):
+            main(["pipeline", "--scene", "s", "--model", "m", "--out", "o"])
+        assert run.call_args.args == (PipelineConfig(scene_path="s", model_path="m", out_dir="o"),)
 
     def test_each_pipeline_setting_is_one_flag(self):
         # a flag without a field would be ignored silently, outside --config too

@@ -1,13 +1,14 @@
 import weakref
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palmwatch.errors import BoundsError, CompletenessError, ParameterError
+from palmwatch.errors import BoundsError, CompletenessError, ParameterError, ShapeError
 from palmwatch.raster_core import MaskedGrid
-from palmwatch.tiling import TileWindow, extract_tile, stitch, tile_plan, window_of
+from palmwatch.tiling import TileWindow, extract_tile, pad_tile, stitch, tile_plan
 
 from conftest import random_raster
 
@@ -17,24 +18,28 @@ def band_as_probability(raster, window=None):
     return MaskedGrid(np.where(raster.valid_mask().bits, samples, np.nan))
 
 
+def constant_maps(plan, value):
+    """One window-sized map of ``value`` per window of ``plan``."""
+    return [MaskedGrid(np.full((w.height, w.width), value, np.float32)) for w in plan.windows]
+
+
 class TestPlan:
     def test_exact_grid(self):
         plan = tile_plan(2048, 3072, 1024, 0)
         assert len(plan.windows) == 6
         assert (plan.n_cols, plan.n_rows) == (2, 3)
-        assert all(w.padded_right == 0 and w.padded_bottom == 0 for w in plan.windows)
+        assert all((w.width, w.height) == (1024, 1024) for w in plan.windows)
 
     def test_scene_smaller_than_tile(self):
         plan = tile_plan(1000, 1000, 1024, 0)
         assert len(plan.windows) == 1
         (w,) = plan.windows
         assert (w.width, w.height) == (1000, 1000)
-        assert (w.padded_right, w.padded_bottom) == (24, 24)
 
     def test_exact_fit_single_window(self):
         plan = tile_plan(1024, 1024, 1024, 0)
         assert len(plan.windows) == 1
-        assert plan.windows[0] == TileWindow(0, 0, 1024, 1024, 0, 0)
+        assert plan.windows[0] == TileWindow(0, 0, 1024, 1024)
 
     def test_overlap_too_large(self):
         with pytest.raises(ParameterError):
@@ -62,9 +67,9 @@ class TestPlan:
             for w in plan.windows:
                 assert w.x >= 0 and w.y >= 0
                 assert w.width >= 1 and w.height >= 1
-                assert w.width + w.padded_right == tile
-                assert w.height + w.padded_bottom == tile
-                cover[w.y : w.y + w.height, w.x : w.x + w.width] += 1
+                # a window is a whole tile unless the scene's edge cuts it
+                assert w.width == min(tile, scene_w - w.x) and w.height == min(tile, scene_h - w.y)
+                cover[w.region] += 1
             assert (cover >= 1).all()
             if overlap == 0:
                 assert (cover == 1).all()
@@ -83,7 +88,7 @@ class TestPlan:
 class TestExtract:
     def test_exact_fit_identical(self, rng):
         raster = random_raster(rng, 64, 48, band_names=("a", "b"))
-        window = TileWindow(16, 8, 32, 32, 0, 0)
+        window = TileWindow(16, 8, 32, 32)
         tile = extract_tile(raster, window)
         assert tile.origin == (16, 8)
         for name in ("a", "b"):
@@ -94,9 +99,11 @@ class TestExtract:
     def test_padding_is_nodata(self, rng):
         raster = random_raster(rng, 40, 40, nodata=-999.0)
         plan = tile_plan(40, 40, 32, 0)
-        window = plan.windows[-1]  # bottom-right, padded
-        tile = extract_tile(raster, window)
+        window = plan.windows[-1]  # bottom-right, cut to 8x8 by the scene's edge
+        tile = pad_tile(extract_tile(raster, window), 32)
         assert (tile.width, tile.height) == (32, 32)
+        assert tile.origin == (32, 32)
+        assert (tile.band("red").samples[window.height :] == -999.0).all()
         assert (tile.band("red").samples[:, window.width :] == -999.0).all()
         mask = tile.valid_mask()
         assert not mask.bits[:, window.width :].any()
@@ -105,14 +112,16 @@ class TestExtract:
     def test_padding_nan_when_no_nodata(self, rng):
         raster = random_raster(rng, 30, 30)
         plan = tile_plan(30, 30, 32, 0)
-        tile = extract_tile(raster, plan.windows[0])
-        assert np.isnan(tile.band("red").samples[:, 30:]).all()
-        assert not tile.valid_mask().bits[:, 30:].any()
+        tile = pad_tile(extract_tile(raster, plan.windows[0]), 32)
+        for strip in (np.s_[:, 30:], np.s_[30:, :]):
+            assert np.isnan(tile.band("red").samples[strip]).all()
+            assert not tile.valid_mask().bits[strip].any()
+        np.testing.assert_array_equal(tile.band("red").samples[:30, :30], raster.band("red").samples)
 
     def test_window_outside_scene(self, rng):
         raster = random_raster(rng, 20, 20)
         with pytest.raises(BoundsError):
-            extract_tile(raster, TileWindow(16, 0, 8, 8, 0, 0))
+            extract_tile(raster, TileWindow(16, 0, 8, 8))
 
     def test_every_pixel_in_some_tile(self, rng):
         raster = random_raster(rng, 100, 70, band_names=("v",))
@@ -120,11 +129,8 @@ class TestExtract:
         seen = np.zeros((70, 100), dtype=int)
         for w in plan.windows:
             tile = extract_tile(raster, w)
-            np.testing.assert_array_equal(
-                tile.band("v").samples[: w.height, : w.width],
-                raster.band("v").samples[w.y : w.y + w.height, w.x : w.x + w.width],
-            )
-            seen[w.y : w.y + w.height, w.x : w.x + w.width] += 1
+            np.testing.assert_array_equal(tile.band("v").samples, raster.band("v").samples[w.region])
+            seen[w.region] += 1
         assert (seen >= 1).all()
 
 
@@ -145,8 +151,8 @@ class TestStitch:
     def test_overlap_mean(self):
         plan = tile_plan(6, 2, 4, 2)
         assert len(plan.windows) == 2
-        m0 = MaskedGrid(np.full((4, 4), 0.2, np.float32))
-        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32))
+        m0 = MaskedGrid(np.full((2, 4), 0.2, np.float32))
+        m1 = MaskedGrid(np.full((2, 4), 0.6, np.float32))
         out = stitch(plan, [m0, m1])
         np.testing.assert_array_equal(out.values[:, :2], np.float32(0.2))
         np.testing.assert_array_equal(out.values[:, 2:4], np.float32(0.4))
@@ -155,22 +161,14 @@ class TestStitch:
     @pytest.mark.parametrize("overlap", [0, 5, 20])
     def test_constant_tiles_constant_scene(self, overlap):
         plan = tile_plan(100, 80, 32, overlap)
-        outputs = [
-            MaskedGrid(np.full((32, 32), 0.7, np.float32))
-            for _ in plan.windows
-        ]
-        out = stitch(plan, outputs)
+        out = stitch(plan, constant_maps(plan, 0.7))
         assert out.valid.all()
         np.testing.assert_array_equal(out.values, np.float32(0.7))
 
     def test_missing_window_named(self):
         plan = tile_plan(64, 64, 32, 0)
-        outputs = [
-            MaskedGrid(np.zeros((32, 32), np.float32))
-            for _ in plan.windows[:-1]
-        ]
         with pytest.raises(CompletenessError, match="3 tile maps for 4 windows"):
-            stitch(plan, outputs)
+            stitch(plan, constant_maps(plan, 0.0)[:-1])
 
     def test_extra_map_rejected(self):
         plan = tile_plan(32, 32, 32, 0)
@@ -183,8 +181,8 @@ class TestStitch:
         plan = tile_plan(70, 45, 16, overlap)
         outputs = []
         for w in plan.windows:
-            values = rng.standard_normal((16, 16)).astype(np.float32)
-            outputs.append(MaskedGrid(np.where(rng.random((16, 16)) < 0.8, values, np.nan)))
+            values = rng.standard_normal((w.height, w.width)).astype(np.float32)
+            outputs.append(MaskedGrid(np.where(rng.random((w.height, w.width)) < 0.8, values, np.nan)))
         from_list = stitch(plan, outputs)
         from_generator = stitch(plan, (m for m in outputs))
         np.testing.assert_array_equal(from_generator.valid, from_list.valid)
@@ -195,7 +193,7 @@ class TestStitch:
     def test_short_or_long_generator_named(self, overlap, n_maps):
         plan = tile_plan(50, 50, 32, overlap)
         assert len(plan.windows) == 4
-        maps = (MaskedGrid(np.zeros((32, 32), np.float32)) for _ in range(n_maps))
+        maps = islice(cycle(constant_maps(plan, 0.0)), n_maps)
         with pytest.raises(CompletenessError, match=f"got {n_maps} tile maps for 4 windows"):
             stitch(plan, maps)
 
@@ -204,16 +202,16 @@ class TestStitch:
         plan = tile_plan(100, 70, 32, overlap)
         made = []
 
-        def new_map():
-            pmap = MaskedGrid(np.full((32, 32), 0.5, np.float32))
+        def new_map(window):
+            pmap = MaskedGrid(np.full((window.height, window.width), 0.5, np.float32))
             made.append(weakref.ref(pmap.values))
             return pmap
 
         def maps():
-            for _ in plan.windows:
+            for window in plan.windows:
                 # stitch is done with the previous map before it asks for this one
                 assert all(ref() is None for ref in made)
-                yield new_map()
+                yield new_map(window)
 
         out = stitch(plan, maps())
         assert len(made) == len(plan.windows)
@@ -221,10 +219,10 @@ class TestStitch:
 
     def test_invalid_pixels_excluded_from_mean(self):
         plan = tile_plan(6, 2, 4, 2)
-        values0 = np.full((4, 4), 0.2, np.float32)
+        values0 = np.full((2, 4), 0.2, np.float32)
         values0[:, 2:] = np.nan  # the first map's overlap columns carry no data
         m0 = MaskedGrid(values0)
-        m1 = MaskedGrid(np.full((4, 4), 0.6, np.float32))
+        m1 = MaskedGrid(np.full((2, 4), 0.6, np.float32))
         out = stitch(plan, [m0, m1])
         np.testing.assert_array_equal(out.values[:, 2:4], np.float32(0.6))
 
@@ -234,6 +232,16 @@ class TestStitch:
         out = stitch(plan, [m])
         assert not out.valid.any()
 
+    @pytest.mark.parametrize("overlap", [0, 8])
+    def test_a_map_not_its_windows_size_is_a_shape_error(self, overlap):
+        # an edge window is cut by the scene's edge, so a full tile's map
+        # does not fit it
+        plan = tile_plan(50, 50, 32, overlap)
+        maps = constant_maps(plan, 0.5)
+        maps[1] = MaskedGrid(np.full((32, 32), 0.5, np.float32))
+        with pytest.raises(ShapeError, match=r"is 32x32, expected \d+x32"):
+            stitch(plan, maps)
+
 
 def reference_stitch(plan, outputs):
     """The contributor mean accumulated in float64, as stitch does at overlap > 0."""
@@ -241,9 +249,9 @@ def reference_stitch(plan, outputs):
     count = np.zeros((plan.scene_height, plan.scene_width), dtype=np.int32)
     for window, pmap in zip(plan.windows, outputs):
         region = np.s_[window.y : window.y + window.height, window.x : window.x + window.width]
-        ok = np.isfinite(pmap.values[: window.height, : window.width])
+        ok = np.isfinite(pmap.values)
         with np.errstate(invalid="ignore"):  # casting a signalling NaN
-            np.add(total[region], pmap.values[: window.height, : window.width], out=total[region], where=ok)
+            np.add(total[region], pmap.values, out=total[region], where=ok)
         count[region] += ok
     valid = count > 0
     np.divide(total, count, out=total, where=valid)
@@ -270,7 +278,7 @@ def overlap_zero_outputs(draw):
     zeros = np.array([-0.0, 0.0], dtype=np.float32)
     outputs = []
     for window in plan.windows:
-        shape = (window.tile_height, window.tile_width)
+        shape = (window.height, window.width)
         values = rng.standard_normal(shape).astype(np.float32)
         spots = rng.random(shape) < 0.2
         values[spots] = rng.choice(zeros, size=int(spots.sum()))
@@ -291,16 +299,18 @@ def test_overlap_zero_stitch_equals_float64_contributor_mean(case):
     assert (stitched.values[~valid].view(np.uint32) == 0x7FC00000).all()
 
 
-def test_window_of_views_unpadded_and_fills_padded(rng):
-    grid = rng.random((10, 12), dtype=np.float32)
-    grid.setflags(write=False)
+def test_pad_tile_keeps_a_full_tile_and_fills_an_edge_tile(rng):
+    raster = random_raster(rng, 12, 10, band_names=("v",))
     plan = tile_plan(12, 10, 8, 0)
-    inner, padded = plan.windows[0], plan.windows[-1]
-    view = window_of(grid, inner, np.nan)
-    assert np.shares_memory(view, grid) and view.shape == (8, 8)
-    tile = window_of(grid, padded, np.nan)
-    assert not np.shares_memory(tile, grid) and tile.shape == (8, 8)
-    np.testing.assert_array_equal(tile[:2, :4], grid[8:, 8:])
+    inner = extract_tile(raster, plan.windows[0])
+    assert pad_tile(inner, 8) is inner
+    assert np.shares_memory(inner.band("v").samples, raster.band("v").samples)
+    edge = extract_tile(raster, plan.windows[-1])
+    assert (edge.width, edge.height) == (4, 2)
+    tile = pad_tile(edge, 8).band("v").samples
+    assert not np.shares_memory(tile, raster.band("v").samples) and tile.shape == (8, 8)
+    assert not tile.flags.writeable
+    np.testing.assert_array_equal(tile[:2, :4], raster.band("v").samples[8:, 8:])
     assert np.isnan(tile[2:]).all() and np.isnan(tile[:, 4:]).all()
 
 
